@@ -17,6 +17,7 @@ dicts, base vector fields as ``{base index: RatFunc}`` dicts.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import product
 
@@ -26,7 +27,6 @@ from .tensor import (
     Chart,
     LinearComponents,
     TensorField,
-    apply_tensor,
     assemble,
     clean_table,
     extract_components,
@@ -549,49 +549,43 @@ def _res_derivative_bracket(ctx: _Ctx, idx) -> RatFunc:
     return _vget(lhs, i) - _vget(rhs, i)
 
 
-def _hm_vec(t, frames, lie_f, x, y, z, v, lie_w=None) -> TensorField:
-    if lie_w is None:
-        lie_w = lie_derivative(apply_tensor(t, frames[x], frames[y]), t)
-    out = apply_tensor(lie_w, frames[z], frames[v])
-    out = out - apply_tensor(
-        t, frames[x], apply_tensor(lie_f[y], frames[z], frames[v])
-    )
-    out = out - apply_tensor(
-        t, frames[y], apply_tensor(lie_f[x], frames[z], frames[v])
-    )
-    return out
-
-
 def hm_tensor(t: TensorField) -> TensorField:
     """Integrability defect of a (2,1) tensor as a (4,1) tensor field.
 
     The defect applied to ``(X, Y, Z, V)`` is the Lie derivative of the
     product along ``X o Y`` applied to ``(Z, V)``, minus the two single-factor
     correction terms; the product is integrable exactly when this vanishes.
+    On coordinate frames, evaluating a tensor is a filter on its keys, so the
+    entry at ``(a, x, y, z, v)`` is
+
+        L_W(o)^a_{zv} - sum_b t^a_{xb} L_{d_y}(o)^b_{zv}
+                      - sum_b t^a_{yb} L_{d_x}(o)^b_{zv},   W^a = t^a_{xy},
+
+    and only the nonzero entries of each factor are visited.
     """
     chart = t.chart
-    dim = chart.dim
-    frames = [TensorField.coordinate_field(chart, a) for a in range(dim)]
-    lie_f = [lie_derivative(f, t) for f in frames]
-    coeffs = {}
-    for x in range(dim):
-        for y in range(dim):
-            lie_w = lie_derivative(apply_tensor(t, frames[x], frames[y]), t)
-            for z in range(dim):
-                for v in range(dim):
-                    vec = _hm_vec(t, frames, lie_f, x, y, z, v, lie_w)
-                    for out, val in enumerate(vec.vector_components()):
-                        if not val.is_zero():
-                            coeffs[(out, x, y, z, v)] = val
+    coeffs = defaultdict(RatFunc.zero)
+    pairs: dict = {}  # (x, y) -> the vector field d_x o d_y
+    by_last: dict = {}  # b -> [(a, x, t^a_{xb})]
+    for (a, x, y), val in t.coeffs.items():
+        pairs.setdefault((x, y), {})[(a,)] = val
+        by_last.setdefault(y, []).append((a, x, val))
+    for c in range(chart.dim):
+        lie_c = lie_derivative(TensorField.coordinate_field(chart, c), t)
+        for (b, z, v), u in lie_c.coeffs.items():
+            for a, x, val in by_last.get(b, ()):
+                prod = val * u
+                coeffs[(a, x, c, z, v)] -= prod
+                coeffs[(a, c, x, z, v)] -= prod
+    for (x, y), w in pairs.items():
+        lie_w = lie_derivative(TensorField(chart, 0, 1, w), t)
+        for (a, z, v), val in lie_w.coeffs.items():
+            coeffs[(a, x, y, z, v)] += val
     return TensorField(chart, 4, 1, coeffs)
 
 
 def _res_integrability_oracle(ctx: _Ctx, idx) -> RatFunc:
-    t = ctx.c.assemble()
-    out, x, y, z, v = idx
-    frames = [TensorField.coordinate_field(t.chart, a) for a in range(t.chart.dim)]
-    lie_f = [lie_derivative(f, t) for f in frames]
-    return _hm_vec(t, frames, lie_f, x, y, z, v).vector_components()[out]
+    return hm_tensor(ctx.c.assemble()).get(tuple(idx))
 
 
 def _lie_l_entry(c: MultComponents, x: LinearVectorField, j: int, k: int) -> dict:

@@ -509,6 +509,10 @@ class RatFunc:
         other = _as_rf(other)
         if other is None:
             return NotImplemented
+        if not other.num.terms:
+            return self
+        if not self.num.terms:
+            return other
         if self.is_poly() and other.is_poly():
             return RatFunc(self.num + other.num)
         return RatFunc(
@@ -521,6 +525,10 @@ class RatFunc:
         other = _as_rf(other)
         if other is None:
             return NotImplemented
+        if not other.num.terms:
+            return self
+        if not self.num.terms:
+            return -other
         if self.is_poly() and other.is_poly():
             return RatFunc(self.num - other.num)
         return RatFunc(
@@ -544,6 +552,12 @@ class RatFunc:
         other = _as_rf(other)
         if other is None:
             return NotImplemented
+        if not self.num.terms or not other.num.terms:
+            return _RF_ZERO
+        if _is_one(other):
+            return self
+        if _is_one(self):
+            return other
         if self.is_poly() and other.is_poly():
             out = RatFunc.__new__(RatFunc)
             out.num = self.num * other.num
@@ -581,6 +595,8 @@ class RatFunc:
 
     def partial(self, name: str) -> "RatFunc":
         """Partial derivative with respect to the named variable."""
+        if name not in self.num.vars and name not in self.den.vars:
+            return _RF_ZERO
         if self.is_poly():
             return RatFunc(self.num.partial(name))
         dn = self.num.partial(name)
@@ -624,6 +640,16 @@ def _as_rf(value):
     if isinstance(value, (int, Fraction)):
         return RatFunc.const(value)
     return None
+
+
+def _is_one(f: RatFunc) -> bool:
+    """Whether ``f`` is the constant 1, however it was built.
+
+    A canonical value with no variables in its numerator or denominator is a
+    constant over the denominator 1, so only the numerator's one coefficient
+    is left to compare.
+    """
+    return not f.num.vars and not f.den.vars and f.num.terms.get(()) == 1
 
 
 def partial(f: RatFunc, name: str) -> RatFunc:
@@ -674,11 +700,19 @@ def _tokenize(text: str):
     return tokens
 
 
+MAX_DEPTH = 100
+"""Deepest nesting of parentheses and unary minus that :func:`parse_expr` accepts.
+
+The parser recurses a few frames per level, so this keeps it well inside the
+interpreter's recursion limit."""
+
+
 class _Parser:
     def __init__(self, text: str, variables):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
         self.variables = frozenset(variables)
 
     def peek(self):
@@ -757,12 +791,19 @@ class _Parser:
             if text not in self.variables:
                 raise ParseError(f"unknown variable {text!r}", offset)
             return RatFunc.variable(text)
-        if kind == "op" and text == "(":
-            value = self.expr()
-            self.expect_op(")")
+        if kind == "op" and text in ("(", "-"):
+            if self.depth == MAX_DEPTH:
+                raise ParseError(
+                    f"expression nested deeper than {MAX_DEPTH} levels", offset
+                )
+            self.depth += 1
+            if text == "(":
+                value = self.expr()
+                self.expect_op(")")
+            else:
+                value = -self.factor()
+            self.depth -= 1
             return value
-        if kind == "op" and text == "-":
-            return -self.factor()
         raise ParseError(
             f"unexpected {text!r}" if text else "unexpected end of input", offset
         )
@@ -771,9 +812,9 @@ class _Parser:
 def parse_expr(text: str, variables) -> RatFunc:
     """Parse an expression over the declared variables into a :class:`RatFunc`.
 
-    Raises :class:`ParseError` (with byte offset) on syntax errors and unknown
-    variable names, and :class:`ZeroDivisionError` wrapped as a
-    :class:`ParseError` on division by the zero polynomial.
+    Raises :class:`ParseError` (with byte offset) on syntax errors, unknown
+    variable names, nesting deeper than :data:`MAX_DEPTH`, and division by the
+    zero polynomial.
     """
     return _Parser(text, variables).parse()
 

@@ -83,6 +83,16 @@ def test_missing_file_exits_two(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_deeply_nested_value_exits_two(tmp_path, capsys):
+    deep = tmp_path / "deep.fman"
+    value = "(" * 3000 + "x1" + ")" * 3000
+    deep.write_text(f"[chart]\nbase = x1\n\n[star]\n0 0 0 = {value}\n")
+    assert main(["check", str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 5: expression nested deeper than")
+    assert "Traceback" not in err
+
+
 def test_unknown_command_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate", model("line.fman")])

@@ -1,5 +1,7 @@
 """Battery checks for fiberwise-linear multiplications."""
 
+from itertools import product
+
 import pytest
 
 from conftest import rand_ratfunc, rng_for
@@ -22,6 +24,8 @@ from fmanlin.fman import (
     lie_star,
     star_product,
 )
+from fmanlin.duality import Connection
+from fmanlin.prolong import generalized_prolongation
 from fmanlin.symcore import RatFunc, parse_expr
 from fmanlin.tensor import (
     Chart,
@@ -211,6 +215,103 @@ def test_integrability_oracle_agrees_with_tables_on_random_family():
         expected = d00.partial("x2") == d01.partial("x1")
         assert oracle_verdict == expected
     assert seen == {True, False}
+
+
+def dense_hm_reference(t):
+    """The integrability defect by evaluating on every tuple of coordinate frames.
+
+    The same formula as :func:`hm_tensor`, computed densely with
+    ``apply_tensor``: the Lie derivative along ``d_x o d_y`` applied to
+    ``(d_z, d_v)``, minus ``t(d_x, L_{d_y}(o)(d_z, d_v))`` and
+    ``t(d_y, L_{d_x}(o)(d_z, d_v))``.
+    """
+    chart = t.chart
+    dim = chart.dim
+    frames = [TensorField.coordinate_field(chart, a) for a in range(dim)]
+    lie_f = [lie_derivative(f, t) for f in frames]
+    coeffs = {}
+    for x, y in product(range(dim), repeat=2):
+        lie_w = lie_derivative(apply_tensor(t, frames[x], frames[y]), t)
+        for z, v in product(range(dim), repeat=2):
+            vec = apply_tensor(lie_w, frames[z], frames[v])
+            for a, b in ((x, y), (y, x)):
+                inner = apply_tensor(lie_f[b], frames[z], frames[v])
+                vec = vec - apply_tensor(t, frames[a], inner)
+            for (out,), val in vec.coeffs.items():
+                coeffs[(out, x, y, z, v)] = val
+    return TensorField(chart, 4, 1, coeffs)
+
+
+def test_defect_tensor_matches_dense_reference_on_tilted_plane():
+    rng = rng_for("fman-hm-dense-tilted")
+    cases = [("x2", "x1"), ("x1", "x1")]
+    for _ in range(4):
+        d00 = rand_ratfunc(rng, C21.base_names, 2)
+        d01 = rand_ratfunc(rng, C21.base_names, 2)
+        cases.append((str(d00), str(d01)))
+    verdicts = set()
+    for d00, d01 in cases:
+        t = tilted_plane(d00, d01).assemble()
+        defect = hm_tensor(t)
+        assert defect.coeffs == dense_hm_reference(t).coeffs
+        verdicts.add(defect.is_zero())
+    assert verdicts == {True, False}
+
+
+def test_defect_tensor_matches_dense_reference_on_random_tables():
+    rng = rng_for("fman-hm-dense-random")
+    nonzero = 0
+    for trial in range(6):
+        n, k = 1 + trial % 2, 1 + (trial // 2) % 2
+        chart = Chart.standard(n, k)
+
+        def entry():
+            return rand_ratfunc(rng, chart.base_names, 1, with_den=n * k < 4)
+
+        c = MultComponents(
+            chart=chart,
+            d={key: entry() for key in product(range(k), range(k), range(n), range(n))},
+            l={key: entry() for key in product(range(k), range(k), range(n))},
+            star={key: entry() for key in product(range(n), repeat=3)},
+        )
+        t = c.assemble()
+        defect = hm_tensor(t)
+        assert defect.coeffs == dense_hm_reference(t).coeffs
+        nonzero += not defect.is_zero()
+    assert nonzero
+
+
+def test_defect_tensor_matches_dense_reference_on_generalized_prolongation():
+    chart = Chart.standard(2, 0)
+    star = {(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1}
+    base = BaseFManifold(chart, star, (1, 0))
+    prol = generalized_prolongation(base, Connection.zero(chart))
+    t = prol.components.assemble()
+    defect = hm_tensor(t)
+    assert defect.coeffs == dense_hm_reference(t).coeffs
+    assert defect.is_zero()
+
+
+def test_defect_tensor_shares_no_code_with_the_table_residuals(monkeypatch):
+    import fmanlin.fman as fman
+
+    def forbidden(*args):
+        raise AssertionError("the oracle must not use the table-level operators")
+
+    t = tilted_plane("x1", "x1").assemble()
+    table_level = ("star_product", "apply_l", "apply_d", "lie_star")
+    for name in table_level + ("_vf_apply", "_vf_bracket"):
+        monkeypatch.setattr(fman, name, forbidden)
+    assert not hm_tensor(t).is_zero()
+
+
+def test_integrability_oracle_witness_replays():
+    bad = tilted_plane("x1", "x1")
+    rec = check_hertling_manin(bad).record("integrability-oracle")
+    assert not rec.passed
+    again = evaluate_residual(rec.name, rec.witness, bad)
+    assert not again.is_zero()
+    assert str(again) == rec.residual
 
 
 def test_defect_tensor_is_fiberwise_linear():

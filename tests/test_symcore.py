@@ -6,6 +6,7 @@ import pytest
 
 from conftest import rand_poly, rand_ratfunc, rng_for
 from fmanlin.symcore import (
+    MAX_DEPTH,
     ParseError,
     Poly,
     RatFunc,
@@ -56,6 +57,16 @@ def test_parse_error_offsets():
     with pytest.raises(ParseError) as err:
         P("x1 $ 2")
     assert err.value.offset == 3
+
+
+def test_parse_nesting_limit():
+    assert P("(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH) == P("x1")
+    assert P("-" * MAX_DEPTH + "x1") == P("x1") * (-1) ** MAX_DEPTH
+    for deep in ("(" * 3000 + "x1" + ")" * 3000, "-(" * 1500 + "x1" + ")" * 1500):
+        with pytest.raises(ParseError) as err:
+            P(deep)
+        assert err.value.offset == MAX_DEPTH
+        assert "nested deeper" in str(err.value)
 
 
 def test_parse_rejects_division_by_zero_polynomial():
@@ -174,3 +185,66 @@ def test_solve_linear_singular_raises():
     a = [[x1, x1 * 2], [x1 * 3, x1 * 6]]
     with pytest.raises(SingularMatrixError):
         solve_linear(a, [RatFunc.one(), RatFunc.zero()])
+
+
+ZEROS = (
+    RatFunc.zero(),
+    RatFunc.const(0),
+    RatFunc(Poly.const(0)),
+    RatFunc(Poly.zero(), Poly.variable("x1")),
+    parse_expr("0", XV),
+    parse_expr("x1 - x1", XV),
+    0,
+    Fraction(0),
+)
+ONES = (
+    RatFunc.one(),
+    RatFunc.const(1),
+    RatFunc(Poly.const(1)),
+    RatFunc(Poly.const(2), Poly.const(2)),
+    parse_expr("1", XV),
+    parse_expr("x1/x1", XV),
+    1,
+    Fraction(1),
+)
+
+
+def general(op, a, b):
+    """``a op b`` by the general formula on numerators and denominators."""
+    a, b = RatFunc.coerce(a), RatFunc.coerce(b)
+    if op == "*":
+        return RatFunc(a.num * b.num, a.den * b.den)
+    left, right = a.num * b.den, b.num * a.den
+    return RatFunc(left + right if op == "+" else left - right, a.den * b.den)
+
+
+def test_zero_and_one_operands_match_the_general_formula():
+    rng = rng_for("symcore-shortcuts")
+    values = [rand_ratfunc(rng, XV) for _ in range(20)]
+    values += [RatFunc.coerce(v) for v in ZEROS + ONES]
+    assert any(not f.is_poly() for f in values)
+    ops = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b}
+    for f in values:
+        for t in ZEROS + ONES:
+            for op, fn in ops.items():
+                for a, b in ((f, t), (t, f)):
+                    got, want = fn(a, b), general(op, a, b)
+                    assert got == want and str(got) == str(want), (op, a, b)
+
+
+def test_partial_in_an_absent_variable_is_zero():
+    rng = rng_for("symcore-partial-absent")
+    rational = 0
+    for _ in range(30):
+        f = rand_ratfunc(rng, ("x1", "x2"))
+        rational += not f.is_poly()
+        for name in ("xi1", "x3"):
+            d = f.partial(name)
+            want = RatFunc(
+                f.num.partial(name) * f.den - f.num * f.den.partial(name),
+                f.den * f.den,
+            )
+            assert d.is_zero() and d == want and str(d) == str(want)
+    assert rational
+    # a variable of the denominator alone is not absent
+    assert P("1/x2").partial("x2") == P("-1/x2^2")
