@@ -291,8 +291,8 @@ class FlatFStructure:
             euler = tuple(RatFunc.coerce(v) for v in self.euler)
             object.__setattr__(self, "euler", euler)
         rep = check_flat_f(self.base, self.nabla, self.euler)
-        if not rep.passed:
-            bad = next(r for r in rep.records if not r.passed)
+        bad = rep.first_failure()
+        if bad is not None:
             raise PreconditionError(
                 f"flat-structure conditions fail: {bad.name} at {bad.witness}",
                 report=rep,
@@ -473,8 +473,8 @@ def check_duality_conditions(
     dual_c, dual_e = dualize(c, e, nabla)
     bat = check_battery(dual_c, dual_e)
     witness = residual = None
-    if not bat.passed:
-        bad = next(r for r in bat.records if not r.passed)
+    bad = bat.first_failure()
+    if bad is not None:
         witness = (bad.name, *(bad.witness or ()))
         residual = bad.residual
     rep.add(
@@ -500,8 +500,8 @@ def check_duality_conditions(
         if bat.passed:
             erep = check_euler(dual_c, dual_e, euler.dual())
             witness = residual = None
-            if not erep.passed:
-                bad = next(r for r in erep.records if not r.passed)
+            bad = erep.first_failure()
+            if bad is not None:
                 witness = (bad.name, *(bad.witness or ()))
                 residual = bad.residual
             rep.add(

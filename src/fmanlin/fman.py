@@ -419,19 +419,50 @@ def _frame(j: int) -> dict:
 # -- residual evaluators ------------------------------------------------------
 #
 # Each identity in the battery is one function from an index tuple to the
-# residual at that tuple.  The checks scan these over deterministic index
-# ranges; `evaluate_residual` re-dispatches them so a reported witness can be
-# reproduced in isolation.
+# residual at that tuple.  Most are scalar.  The six vector identities
+# (wrapped in `_Vec`) fix their inputs ``idx[1:]`` and return the whole
+# residual vector over the output index ``idx[0]`` as a sparse dict, so a
+# scan evaluates each vector once and keeps it in a memo keyed by ``idx[1:]``
+# that lives only for that scan.  `_Ctx` memoizes the frame Lie derivatives
+# ``L_{d_r}(*)(d_k, d_p)`` that three of them share, for the life of one
+# battery.  The checks scan the residuals over deterministic index ranges;
+# `evaluate_residual` re-dispatches them through the same `_residual` so a
+# reported witness can be reproduced in isolation.
 
 
 class _Ctx:
-    __slots__ = ("c", "e", "euler", "l2")
+    __slots__ = ("c", "e", "euler", "l2", "lie")
 
     def __init__(self, c, e=None, euler=None, l2=None):
         self.c = c
         self.e = e
         self.euler = euler
         self.l2 = l2
+        self.lie = {}  # (r, k, p) -> L_{d_r}(*)(d_k, d_p)
+
+    def lie_frame(self, r, k, p) -> dict:
+        key = (r, k, p)
+        out = self.lie.get(key)
+        if out is None:
+            out = self.lie[key] = lie_star(self.c, _frame(r), _frame(k), _frame(p))
+        return out
+
+
+@dataclass(frozen=True)
+class _Vec:
+    """A vector identity: ``fn(ctx, idx[1:])`` maps each ``idx[0]`` to its residual."""
+
+    fn: object
+
+
+def _residual(fn, ctx: _Ctx, idx: tuple, memo: dict) -> RatFunc:
+    if not isinstance(fn, _Vec):
+        return fn(ctx, idx)
+    rest = idx[1:]
+    vec = memo.get(rest)
+    if vec is None:
+        vec = memo[rest] = fn.fn(ctx, rest)
+    return vec.get(idx[0], _ZERO)
 
 
 def _res_side_tables(ctx: _Ctx, idx) -> RatFunc:
@@ -450,20 +481,20 @@ def _res_derivative_symmetric(ctx: _Ctx, idx) -> RatFunc:
     return ctx.c.d_at(i, j, k, p) - ctx.c.d_at(i, j, p, k)
 
 
-def _res_star_associative(ctx: _Ctx, idx) -> RatFunc:
-    a, i, j, k = idx
+def _vec_star_associative(ctx: _Ctx, rest) -> dict:
+    i, j, k = rest
     c = ctx.c
     lhs = star_product(c, star_product(c, _frame(i), _frame(j)), _frame(k))
     rhs = star_product(c, _frame(i), star_product(c, _frame(j), _frame(k)))
-    return _vget(lhs, a) - _vget(rhs, a)
+    return _vsub(lhs, rhs)
 
 
-def _res_l_composition(ctx: _Ctx, idx) -> RatFunc:
-    i, j, k, p = idx
+def _vec_l_composition(ctx: _Ctx, rest) -> dict:
+    j, k, p = rest
     c = ctx.c
     lhs = apply_l(c, k, apply_l(c, p, _frame(j)))
     rhs = apply_l_vec(c, star_product(c, _frame(k), _frame(p)), _frame(j))
-    return _vget(lhs, i) - _vget(rhs, i)
+    return _vsub(lhs, rhs)
 
 
 def _symmetrized_second(c: MultComponents, j, k, p, r) -> dict:
@@ -476,11 +507,10 @@ def _symmetrized_second(c: MultComponents, j, k, p, r) -> dict:
     return out
 
 
-def _res_second_derivative_symmetric(ctx: _Ctx, idx) -> RatFunc:
-    i, j, k, p, r = idx
+def _vec_second_derivative_symmetric(ctx: _Ctx, rest) -> dict:
+    j, k, p, r = rest
     cur = _symmetrized_second(ctx.c, j, k, p, r)
-    ref = _symmetrized_second(ctx.c, j, *sorted((k, p, r)))
-    return _vget(cur, i) - _vget(ref, i)
+    return _vsub(cur, _symmetrized_second(ctx.c, j, *sorted((k, p, r))))
 
 
 def _res_unit_star(ctx: _Ctx, idx) -> RatFunc:
@@ -505,28 +535,25 @@ def _res_unit_derivative(ctx: _Ctx, idx) -> RatFunc:
     return _vget(lhs, i) - rhs
 
 
-def _res_base_integrability(ctx: _Ctx, idx) -> RatFunc:
-    a, i, j, k, p = idx
+def _vec_base_integrability(ctx: _Ctx, rest) -> dict:
+    i, j, k, p = rest
     c = ctx.c
-    x, y, z, v = _frame(i), _frame(j), _frame(k), _frame(p)
-    out = lie_star(c, star_product(c, x, y), z, v)
-    out = _vsub(out, star_product(c, x, lie_star(c, y, z, v)))
-    out = _vsub(out, star_product(c, y, lie_star(c, x, z, v)))
-    return _vget(out, a)
+    x, y = _frame(i), _frame(j)
+    out = lie_star(c, star_product(c, x, y), _frame(k), _frame(p))
+    out = _vsub(out, star_product(c, x, ctx.lie_frame(j, k, p)))
+    return _vsub(out, star_product(c, y, ctx.lie_frame(i, k, p)))
 
 
-def _res_derivative_commutator(ctx: _Ctx, idx) -> RatFunc:
-    i, j, k, p, r = idx
+def _vec_derivative_commutator(ctx: _Ctx, rest) -> dict:
+    j, k, p, r = rest
     c = ctx.c
     lhs = apply_d(c, k, p, apply_l(c, r, _frame(j)))
     lhs = _vsub(lhs, apply_l(c, r, apply_d(c, k, p, _frame(j))))
-    deriv = lie_star(c, _frame(r), _frame(k), _frame(p))
-    rhs = apply_l_vec(c, deriv, _frame(j))
-    return _vget(lhs, i) - _vget(rhs, i)
+    return _vsub(lhs, apply_l_vec(c, ctx.lie_frame(r, k, p), _frame(j)))
 
 
-def _res_derivative_bracket(ctx: _Ctx, idx) -> RatFunc:
-    i, j, x, y, z, v = idx
+def _vec_derivative_bracket(ctx: _Ctx, rest) -> dict:
+    j, x, y, z, v = rest
     c = ctx.c
     chart = c.chart
 
@@ -542,11 +569,11 @@ def _res_derivative_bracket(ctx: _Ctx, idx) -> RatFunc:
     prod_xy = star_product(c, _frame(x), _frame(y))
     rhs = dvec(_vf_bracket(chart, prod_xy, _frame(z)), v)
     rhs = _vadd(rhs, dvec(_vf_bracket(chart, prod_xy, _frame(v)), z))
-    rhs = _vadd(rhs, dvec(lie_star(c, _frame(y), _frame(z), _frame(v)), x))
-    rhs = _vadd(rhs, dvec(lie_star(c, _frame(x), _frame(z), _frame(v)), y))
+    rhs = _vadd(rhs, dvec(ctx.lie_frame(y, z, v), x))
+    rhs = _vadd(rhs, dvec(ctx.lie_frame(x, z, v), y))
     # the side-operator corrections of the general identity involve brackets
     # of coordinate frames and vanish here
-    return _vget(lhs, i) - _vget(rhs, i)
+    return _vsub(lhs, rhs)
 
 
 def hm_tensor(t: TensorField) -> TensorField:
@@ -653,15 +680,15 @@ _RESIDUALS = {
     "side-tables-equal": _res_side_tables,
     "star-symmetric": _res_star_symmetric,
     "derivative-symmetric": _res_derivative_symmetric,
-    "star-associative": _res_star_associative,
-    "l-composition": _res_l_composition,
-    "second-derivative-symmetric": _res_second_derivative_symmetric,
+    "star-associative": _Vec(_vec_star_associative),
+    "l-composition": _Vec(_vec_l_composition),
+    "second-derivative-symmetric": _Vec(_vec_second_derivative_symmetric),
     "unit-star": _res_unit_star,
     "unit-side": _res_unit_side,
     "unit-derivative": _res_unit_derivative,
-    "base-integrability": _res_base_integrability,
-    "derivative-commutator": _res_derivative_commutator,
-    "derivative-bracket": _res_derivative_bracket,
+    "base-integrability": _Vec(_vec_base_integrability),
+    "derivative-commutator": _Vec(_vec_derivative_commutator),
+    "derivative-bracket": _Vec(_vec_derivative_bracket),
     "integrability-oracle": _res_integrability_oracle,
     "euler-base": _res_euler_base,
     "euler-side": _res_euler_side,
@@ -677,15 +704,17 @@ def evaluate_residual(name, idx, c, e=None, euler=None, l2=None) -> RatFunc:
         fn = _RESIDUALS[name]
     except KeyError:
         raise KeyError(f"unknown identity {name!r}") from None
-    return fn(_Ctx(c, e=e, euler=euler, l2=l2), tuple(idx))
+    return _residual(fn, _Ctx(c, e=e, euler=euler, l2=l2), tuple(idx), {})
 
 
 # -- checks -------------------------------------------------------------------
 
 
-def _scan(rep: Report, ctx: _Ctx, name: str, law: str, tuples, fn) -> bool:
+def _scan(rep: Report, ctx: _Ctx, name: str, law: str, tuples) -> bool:
+    fn = _RESIDUALS[name]
+    memo: dict = {}  # idx[1:] -> residual vector, for vector identities
     for idx in tuples:
-        val = fn(ctx, idx)
+        val = _residual(fn, ctx, idx, memo)
         if not val.is_zero():
             rep.add(name, law, False, tuple(idx), val)
             return False
@@ -702,7 +731,6 @@ def _commutative_into(rep: Report, ctx: _Ctx) -> bool:
         "side-tables-equal",
         "the two side tables agree",
         product(range(kdim), range(kdim), range(n)),
-        _res_side_tables,
     )
     ok &= _scan(
         rep,
@@ -710,7 +738,6 @@ def _commutative_into(rep: Report, ctx: _Ctx) -> bool:
         "star-symmetric",
         "b^a_ij = b^a_ji",
         product(range(n), range(n), range(n)),
-        _res_star_symmetric,
     )
     ok &= _scan(
         rep,
@@ -718,7 +745,6 @@ def _commutative_into(rep: Report, ctx: _Ctx) -> bool:
         "derivative-symmetric",
         "a^i_j,kp = a^i_j,pk",
         product(range(kdim), range(kdim), range(n), range(n)),
-        _res_derivative_symmetric,
     )
     return ok
 
@@ -738,7 +764,6 @@ def _associative_into(rep: Report, ctx: _Ctx) -> bool:
         "star-associative",
         "(X*Y)*Z = X*(Y*Z)",
         product(range(n), range(n), range(n), range(n)),
-        _res_star_associative,
     )
     ok &= _scan(
         rep,
@@ -746,7 +771,6 @@ def _associative_into(rep: Report, ctx: _Ctx) -> bool:
         "l-composition",
         "l_X(l_Y s) = l_{X*Y} s",
         product(range(kdim), range(kdim), range(n), range(n)),
-        _res_l_composition,
     )
     ok &= _scan(
         rep,
@@ -754,15 +778,14 @@ def _associative_into(rep: Report, ctx: _Ctx) -> bool:
         "second-derivative-symmetric",
         "l_Z(D_{X,Y} s) + D_{X*Y,Z} s is symmetric in X, Y, Z",
         product(range(kdim), range(kdim), range(n), range(n), range(n)),
-        _res_second_derivative_symmetric,
     )
     return ok
 
 
 def _require(what: str, *reports: Report):
     for rep in reports:
-        if not rep.passed:
-            bad = next(r for r in rep.records if not r.passed)
+        bad = rep.first_failure()
+        if bad is not None:
             raise PreconditionError(
                 f"{what} requires {rep.title} to pass; "
                 f"{bad.name} fails at {bad.witness}",
@@ -780,21 +803,9 @@ def check_associative(c: MultComponents) -> Report:
 def _unit_into(rep: Report, ctx: _Ctx) -> bool:
     c = ctx.c
     n, kdim = c.n, c.rank
-    ok = _scan(
-        rep,
-        ctx,
-        "unit-star",
-        "ebar * X = X",
-        product(range(n), range(n)),
-        _res_unit_star,
-    )
+    ok = _scan(rep, ctx, "unit-star", "ebar * X = X", product(range(n), range(n)))
     ok &= _scan(
-        rep,
-        ctx,
-        "unit-side",
-        "l_ebar s = s",
-        product(range(kdim), range(kdim)),
-        _res_unit_side,
+        rep, ctx, "unit-side", "l_ebar s = s", product(range(kdim), range(kdim))
     )
     ok &= _scan(
         rep,
@@ -802,7 +813,6 @@ def _unit_into(rep: Report, ctx: _Ctx) -> bool:
         "unit-derivative",
         "l_X(Delta_e s) = D_{ebar,X} s",
         product(range(kdim), range(kdim), range(n)),
-        _res_unit_derivative,
     )
     return ok
 
@@ -833,7 +843,6 @@ def _hm_into(rep: Report, ctx: _Ctx) -> bool:
         "base-integrability",
         "L_{X*Y}(*) = X*L_Y(*) + Y*L_X(*)",
         product(range(n), range(n), range(n), range(n), range(n)),
-        _res_base_integrability,
     )
     ok &= _scan(
         rep,
@@ -841,7 +850,6 @@ def _hm_into(rep: Report, ctx: _Ctx) -> bool:
         "derivative-commutator",
         "[D_{X,Y}, l_Z] s = l_{L_Z(*)(X,Y)} s",
         product(range(kdim), range(kdim), range(n), range(n), range(n)),
-        _res_derivative_commutator,
     )
     # the remaining tuples follow from the scanned ones by the formal
     # symmetries of the defect (antisymmetry under pair swap, symmetry within
@@ -852,7 +860,6 @@ def _hm_into(rep: Report, ctx: _Ctx) -> bool:
         "derivative-bracket",
         "[D_{Z,V}, D_{X,Y}] s = transport terms in star derivatives",
         _bracket_tuples(c),
-        _res_derivative_bracket,
     )
     defect = hm_tensor(c.assemble())
     witness = min(defect.coeffs) if defect.coeffs else None
@@ -922,8 +929,8 @@ def check_euler(
     c: MultComponents, e: LinearVectorField, euler: LinearVectorField
 ) -> Report:
     bat = check_battery(c, e)
-    if not bat.passed:
-        bad = next(r for r in bat.records if not r.passed)
+    bad = bat.first_failure()
+    if bad is not None:
         raise PreconditionError(
             f"euler check requires the battery to pass; "
             f"{bad.name} fails at {bad.witness}",
@@ -938,7 +945,6 @@ def check_euler(
         "euler-base",
         "L_Ebar(*) = *",
         product(range(n), range(n), range(n)),
-        _res_euler_base,
     )
     _scan(
         rep,
@@ -946,7 +952,6 @@ def check_euler(
         "euler-side",
         "[Delta_E, l_X] s - l_{[Ebar,X]} s = l_X s",
         product(range(kdim), range(kdim), range(n)),
-        _res_euler_side,
     )
     _scan(
         rep,
@@ -954,7 +959,6 @@ def check_euler(
         "euler-derivative",
         "[Delta_E, D_{X,Y}] s - D_{[Ebar,X],Y} s - D_{X,[Ebar,Y]} s = D_{X,Y} s",
         product(range(kdim), range(kdim), range(n), range(n)),
-        _res_euler_derivative,
     )
     dt, lt, rt = lie_components(c, euler)
     witness = None
@@ -990,8 +994,8 @@ def check_base(c: MultComponents, e: LinearVectorField) -> BaseFManifold:
     if e is None:
         raise ValueError("a unit candidate is required to extract the base")
     bat = check_battery(c, e)
-    if not bat.passed:
-        bad = next(r for r in bat.records if not r.passed)
+    bad = bat.first_failure()
+    if bad is not None:
         raise PreconditionError(
             f"base extraction requires the battery to pass; "
             f"{bad.name} fails at {bad.witness}",
@@ -999,8 +1003,8 @@ def check_base(c: MultComponents, e: LinearVectorField) -> BaseFManifold:
         )
     base = BaseFManifold(chart=c.chart.base(), star=c.star, unit=e.beta)
     verdict = base.verify()
-    if not verdict.passed:
-        bad = next(r for r in verdict.records if not r.passed)
+    bad = verdict.first_failure()
+    if bad is not None:
         raise PreconditionError(
             f"extracted base data fails {bad.name} at {bad.witness}",
             report=verdict,

@@ -885,7 +885,7 @@ def _flatten(rep: Report, sub: Report, name: str, law: str) -> bool:
     if sub.passed:
         rep.add(name, law, True)
         return True
-    bad = next(r for r in sub.records if not r.passed)
+    bad = sub.first_failure()
     witness = (bad.name,) + (tuple(bad.witness) if bad.witness else ())
     rep.add(name, law, False, witness, bad.residual)
     return False

@@ -54,6 +54,10 @@ class Report:
     def passed(self) -> bool:
         return all(r.passed for r in self.records)
 
+    def first_failure(self) -> CheckRecord | None:
+        """The first failed record, or ``None`` when every record passed."""
+        return next((r for r in self.records if not r.passed), None)
+
     def record(self, name: str) -> CheckRecord:
         for r in self.records:
             if r.name == name:

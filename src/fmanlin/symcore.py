@@ -107,11 +107,6 @@ class Poly:
             raise ValueError("polynomial is not constant")
         return self.terms.get((), Fraction(0))
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
     def degree_in(self, name: str) -> int:
         if name not in self.vars:
             return 0
@@ -355,14 +350,6 @@ def _as_univar(p: Poly, name: str) -> dict[int, Poly]:
         d = exp[i]
         out.setdefault(d, {})[exp[:i] + exp[i + 1 :]] = c
     return {d: Poly(rest, t) for d, t in out.items()}
-
-
-def _from_univar(coeffs: dict[int, Poly], name: str) -> Poly:
-    x = Poly.variable(name)
-    total = _ZERO
-    for d, c in coeffs.items():
-        total = total + c * x**d
-    return total
 
 
 def _content_wrt(p: Poly, name: str) -> Poly:

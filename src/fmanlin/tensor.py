@@ -102,10 +102,6 @@ class Chart:
     def is_base_index(self, idx: int) -> bool:
         return idx < self.n
 
-    def is_generalized(self) -> bool:
-        n = self.n
-        return self.k == 2 * n and self == Chart.generalized(n)
-
     def require_base_only(self, value: RatFunc, what: str) -> RatFunc:
         if value.free_vars() & set(self.fiber_names):
             raise ValueError(f"{what} must not involve fiber coordinates: {value}")
@@ -215,12 +211,6 @@ class TensorField:
     def __neg__(self):
         return TensorField(
             self.chart, self.p, self.q, {k: -v for k, v in self.coeffs.items()}
-        )
-
-    def scale(self, f) -> "TensorField":
-        f = RatFunc.coerce(f)
-        return TensorField(
-            self.chart, self.p, self.q, {k: v * f for k, v in self.coeffs.items()}
         )
 
     def tensor(self, other: "TensorField") -> "TensorField":

@@ -10,7 +10,19 @@ from fmanlin.fman import (
     LinearVectorField,
     MultComponents,
     PreconditionError,
+    _acc,
+    _associative_into,
+    _Ctx,
+    _hm_into,
+    _symmetrized_second,
+    _vadd,
+    _vf_bracket,
+    _vget,
+    _vsub,
+    apply_d,
     apply_delta,
+    apply_l,
+    apply_l_vec,
     check_associative,
     check_base,
     check_battery,
@@ -25,7 +37,8 @@ from fmanlin.fman import (
     star_product,
 )
 from fmanlin.duality import Connection
-from fmanlin.prolong import generalized_prolongation
+from fmanlin.prolong import generalized_prolongation, tangent_prolongation
+from fmanlin.report import Report
 from fmanlin.symcore import RatFunc, parse_expr
 from fmanlin.tensor import (
     Chart,
@@ -41,6 +54,15 @@ from fmanlin.tensor import (
 
 C11 = Chart.standard(1, 1)
 C21 = Chart.standard(2, 1)
+
+VECTOR_RECORDS = [
+    "star-associative",
+    "l-composition",
+    "second-derivative-symmetric",
+    "base-integrability",
+    "derivative-commutator",
+    "derivative-bracket",
+]
 
 BATTERY_RECORDS = [
     "side-tables-equal",
@@ -298,11 +320,16 @@ def test_defect_tensor_shares_no_code_with_the_table_residuals(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the oracle must not use the table-level operators")
 
-    t = tilted_plane("x1", "x1").assemble()
+    bad = tilted_plane("x1", "x1")
+    t = bad.assemble()
     table_level = ("star_product", "apply_l", "apply_d", "lie_star")
     for name in table_level + ("_vf_apply", "_vf_bracket"):
         monkeypatch.setattr(fman, name, forbidden)
-    assert not hm_tensor(t).is_zero()
+    monkeypatch.setattr(fman._Ctx, "lie_frame", forbidden)
+    defect = hm_tensor(t)
+    assert not defect.is_zero()
+    again = evaluate_residual("integrability-oracle", min(defect.coeffs), bad)
+    assert again == defect.coeffs[min(defect.coeffs)]
 
 
 def test_integrability_oracle_witness_replays():
@@ -312,6 +339,176 @@ def test_integrability_oracle_witness_replays():
     again = evaluate_residual(rec.name, rec.witness, bad)
     assert not again.is_zero()
     assert str(again) == rec.residual
+
+
+# The six vector identities as the scalar residuals they replaced: each one
+# rebuilds the whole vector at its index tuple and keeps the component idx[0].
+# A test-only reference for the memoized vector scans.
+
+
+def frame(j):
+    return {j: RatFunc.one()}
+
+
+def ref_star_associative(c, idx):
+    a, i, j, k = idx
+    lhs = star_product(c, star_product(c, frame(i), frame(j)), frame(k))
+    rhs = star_product(c, frame(i), star_product(c, frame(j), frame(k)))
+    return _vget(lhs, a) - _vget(rhs, a)
+
+
+def ref_l_composition(c, idx):
+    i, j, k, p = idx
+    lhs = apply_l(c, k, apply_l(c, p, frame(j)))
+    rhs = apply_l_vec(c, star_product(c, frame(k), frame(p)), frame(j))
+    return _vget(lhs, i) - _vget(rhs, i)
+
+
+def ref_second_derivative_symmetric(c, idx):
+    i, j, k, p, r = idx
+    cur = _symmetrized_second(c, j, k, p, r)
+    ref = _symmetrized_second(c, j, *sorted((k, p, r)))
+    return _vget(cur, i) - _vget(ref, i)
+
+
+def ref_base_integrability(c, idx):
+    a, i, j, k, p = idx
+    x, y, z, v = frame(i), frame(j), frame(k), frame(p)
+    out = lie_star(c, star_product(c, x, y), z, v)
+    out = _vsub(out, star_product(c, x, lie_star(c, y, z, v)))
+    out = _vsub(out, star_product(c, y, lie_star(c, x, z, v)))
+    return _vget(out, a)
+
+
+def ref_derivative_commutator(c, idx):
+    i, j, k, p, r = idx
+    lhs = apply_d(c, k, p, apply_l(c, r, frame(j)))
+    lhs = _vsub(lhs, apply_l(c, r, apply_d(c, k, p, frame(j))))
+    deriv = lie_star(c, frame(r), frame(k), frame(p))
+    rhs = apply_l_vec(c, deriv, frame(j))
+    return _vget(lhs, i) - _vget(rhs, i)
+
+
+def ref_derivative_bracket(c, idx):
+    i, j, x, y, z, v = idx
+
+    def dvec(u, second):
+        out = {}
+        for a, w in u.items():
+            for m in range(c.rank):
+                _acc(out, m, w * c.d_at(m, j, a, second))
+        return out
+
+    lhs = apply_d(c, z, v, apply_d(c, x, y, frame(j)))
+    lhs = _vsub(lhs, apply_d(c, x, y, apply_d(c, z, v, frame(j))))
+    prod_xy = star_product(c, frame(x), frame(y))
+    rhs = dvec(_vf_bracket(c.chart, prod_xy, frame(z)), v)
+    rhs = _vadd(rhs, dvec(_vf_bracket(c.chart, prod_xy, frame(v)), z))
+    rhs = _vadd(rhs, dvec(lie_star(c, frame(y), frame(z), frame(v)), x))
+    rhs = _vadd(rhs, dvec(lie_star(c, frame(x), frame(z), frame(v)), y))
+    return _vget(lhs, i) - _vget(rhs, i)
+
+
+def reference_scans(c):
+    """``name -> (passed, witness, residual)`` by scanning every tuple afresh."""
+    n, k = range(c.n), range(c.rank)
+    pairs = [(x, y) for x in n for y in n if x <= y]
+    bracket = [
+        (i, j, *xy, *zv)
+        for ia, xy in enumerate(pairs)
+        for zv in pairs[ia + 1 :]
+        for i in k
+        for j in k
+    ]
+    scans = {
+        "star-associative": (ref_star_associative, product(n, n, n, n)),
+        "l-composition": (ref_l_composition, product(k, k, n, n)),
+        "second-derivative-symmetric": (
+            ref_second_derivative_symmetric,
+            product(k, k, n, n, n),
+        ),
+        "base-integrability": (ref_base_integrability, product(n, n, n, n, n)),
+        "derivative-commutator": (ref_derivative_commutator, product(k, k, n, n, n)),
+        "derivative-bracket": (ref_derivative_bracket, bracket),
+    }
+    out = {}
+    for name, (fn, tuples) in scans.items():
+        out[name] = (True, None, None)
+        for idx in tuples:
+            val = fn(c, idx)
+            if not val.is_zero():
+                out[name] = (False, idx, str(val))
+                break
+    return out
+
+
+def random_sparse_components(rng, n, k, first_output=0):
+    """Random tables whose entries are nonzero with probability 1/3.
+
+    Entries with an output index below ``first_output`` stay zero, so that
+    the residuals can vanish at output index 0 and fail at a later one.
+    """
+    chart = Chart.standard(n, k)
+
+    def table(keys):
+        return {
+            key: rand_ratfunc(rng, chart.base_names, 1, with_den=n * k < 4)
+            for key in keys
+            if key[0] >= first_output and rng.random() < 1 / 3
+        }
+
+    return MultComponents(
+        chart=chart,
+        d=table(product(range(k), range(k), range(n), range(n))),
+        l=table(product(range(k), range(k), range(n))),
+        star=table(product(range(n), repeat=3)),
+    )
+
+
+def test_vector_scans_match_per_tuple_reference():
+    plane_c, _ = plane_example()
+    base = BaseFManifold(
+        Chart.standard(2, 0), {(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1}, (1, 0)
+    )
+    curved = BaseFManifold(
+        Chart.standard(2, 0),
+        {(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1, (1, 1, 1): rf("1/(x2 + 1)")},
+        (1, 0),
+    )
+    cases = [
+        line_example()[0],
+        plane_c,
+        MultComponents(C21, plane_c.d, {(0, 0, 0): 1, (0, 0, 1): 1}, plane_c.star),
+        tilted_plane("x2", "x1"),
+        tilted_plane("x1", "x1"),
+        generalized_prolongation(base, Connection.zero(base.chart)).components,
+        tangent_prolongation(curved).components,
+    ]
+    rng = rng_for("fman-vector-scans")
+    for _ in range(3):
+        d00, d01 = (rand_ratfunc(rng, C21.base_names, 2) for _ in range(2))
+        cases.append(tilted_plane(str(d00), str(d01)))
+    for trial in range(8):
+        cases.append(random_sparse_components(rng, 1 + trial % 2, 1 + trial // 4))
+    for _ in range(3):
+        cases.append(random_sparse_components(rng, 2, 2, first_output=1))
+    passed, failed, outputs = set(), set(), set()
+    for c in cases:
+        rep = Report("vector scans")
+        _associative_into(rep, _Ctx(c))
+        _hm_into(rep, _Ctx(c))
+        for name, want in reference_scans(c).items():
+            rec = rep.record(name)
+            assert (rec.passed, rec.witness, rec.residual) == want, name
+            if rec.passed:
+                passed.add(name)
+                continue
+            failed.add(name)
+            outputs.add(rec.witness[0])
+            again = evaluate_residual(name, rec.witness, c)
+            assert str(again) == rec.residual
+    assert passed == failed == set(VECTOR_RECORDS)
+    assert outputs == {0, 1}
 
 
 def test_defect_tensor_is_fiberwise_linear():
@@ -339,10 +536,12 @@ def test_euler_failure_has_reproducible_witness():
     c, e = plane_example()
     bogus = LinearVectorField(C21, (rf("x1"), rf("x2")), ((0,),))
     rep = check_euler(c, e, bogus)
-    assert not rep.passed
-    rec = next(r for r in rep.records if not r.passed)
-    again = evaluate_residual(rec.name, rec.witness, c, e=e, euler=bogus)
-    assert str(again) == rec.residual
+    failed = [r for r in rep.records if not r.passed]
+    assert failed[0] is rep.first_failure()
+    assert "euler-oracle" in [r.name for r in failed]
+    for rec in failed:
+        again = evaluate_residual(rec.name, rec.witness, c, e=e, euler=bogus)
+        assert str(again) == rec.residual
 
 
 def test_nonlinear_candidates_are_rejected_at_construction():
