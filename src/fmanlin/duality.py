@@ -12,7 +12,7 @@ diagnostic tool.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, combinations_with_replacement, product
 
 from .fman import (
     BaseFManifold,
@@ -27,6 +27,7 @@ from .fman import (
     _frame,
     _require,
     _vadd,
+    _vec_pairs,
     _vf_bracket,
     _vscale,
     _vsub,
@@ -172,13 +173,6 @@ def _nabla2_vec(nabla: Connection, u: dict, v: dict, w: dict) -> dict:
 # -- flat structures on the base ------------------------------------------------
 
 
-def _first_bad(t: TensorField):
-    if not t.coeffs:
-        return None, None
-    key = min(t.coeffs)
-    return key, t.coeffs[key]
-
-
 def check_flat_f(base: BaseFManifold, nabla: Connection, euler=None) -> Report:
     """Check the compatibility conditions between a base product and a connection."""
     _require("the flat-structure check", base.verify())
@@ -189,43 +183,25 @@ def check_flat_f(base: BaseFManifold, nabla: Connection, euler=None) -> Report:
     n = chart.n
     c = base.as_components()
 
-    key, residual = _first_bad(torsion(nabla))
-    rep.add("torsion-free", "T(X, Y) = 0", key is None, key, residual)
-    key, residual = _first_bad(curvature(nabla))
-    rep.add("flat", "R(X, Y)Z = 0", key is None, key, residual)
+    rep.scan("torsion-free", "T(X, Y) = 0", sorted(torsion(nabla).coeffs.items()))
+    rep.scan("flat", "R(X, Y)Z = 0", sorted(curvature(nabla).coeffs.items()))
 
     unit = {a: f for a, f in enumerate(base.unit) if not f.is_zero()}
-    witness = residual = None
-    for i in range(n):
-        w = nabla_apply(nabla, _frame(i), unit)
-        if w:
-            a = min(w)
-            witness, residual = (a, i), w[a]
-            break
-    rep.add("unit-parallel", "nabla ebar = 0", witness is None, witness, residual)
-
-    witness = residual = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                w = _vsub(
-                    nabla_star(nabla, c, _frame(i), _frame(j), _frame(k)),
-                    nabla_star(nabla, c, _frame(j), _frame(i), _frame(k)),
-                )
-                if w:
-                    a = min(w)
-                    witness, residual = (a, i, j, k), w[a]
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    rep.add(
+    rep.scan(
+        "unit-parallel",
+        "nabla ebar = 0",
+        _vec_pairs(product(range(n)), lambda i: nabla_apply(nabla, _frame(i), unit)),
+    )
+    rep.scan(
         "star-derivative-symmetric",
         "nabla_X(*)(Y, Z) = nabla_Y(*)(X, Z)",
-        witness is None,
-        witness,
-        residual,
+        _vec_pairs(
+            ((i, j, k) for i, j in combinations(range(n), 2) for k in range(n)),
+            lambda i, j, k: _vsub(
+                nabla_star(nabla, c, _frame(i), _frame(j), _frame(k)),
+                nabla_star(nabla, c, _frame(j), _frame(i), _frame(k)),
+            ),
+        ),
     )
 
     if euler is None:
@@ -233,37 +209,24 @@ def check_flat_f(base: BaseFManifold, nabla: Connection, euler=None) -> Report:
         return rep
 
     evec = _euler_to_vec(chart, euler)
-    witness = residual = None
-    for j in range(n):
-        for k in range(j, n):
-            w = _vsub(
+    rep.scan(
+        "euler-base",
+        "L_Ebar(*) = *",
+        _vec_pairs(
+            combinations_with_replacement(range(n), 2),
+            lambda j, k: _vsub(
                 lie_star(c, evec, _frame(j), _frame(k)),
                 star_product(c, _frame(j), _frame(k)),
-            )
-            if w:
-                a = min(w)
-                witness, residual = (a, j, k), w[a]
-                break
-        if witness:
-            break
-    rep.add("euler-base", "L_Ebar(*) = *", witness is None, witness, residual)
-
-    witness = residual = None
-    for i in range(n):
-        for j in range(n):
-            w = _nabla2_vec(nabla, _frame(i), _frame(j), evec)
-            if w:
-                a = min(w)
-                witness, residual = (a, i, j), w[a]
-                break
-        if witness:
-            break
-    rep.add(
+            ),
+        ),
+    )
+    rep.scan(
         "euler-second-derivative",
         "nabla^2 Ebar = 0",
-        witness is None,
-        witness,
-        residual,
+        _vec_pairs(
+            product(range(n), repeat=2),
+            lambda i, j: _nabla2_vec(nabla, _frame(i), _frame(j), evec),
+        ),
     )
     return rep
 
@@ -426,63 +389,53 @@ def check_duality_conditions(
     rep = Report("duality conditions")
     n, kdim = c.n, c.rank
 
-    def kernel_scan(name, law, tuples, vec_fn) -> bool:
+    def kernel_pairs(tuples, vec_fn):
+        """``((i, j, *idx), l(s_j, w)^i)`` for the obstruction ``w`` at ``idx``."""
         for idx in tuples:
             w = vec_fn(*idx)
-            if not w:
-                continue
             for j in range(kdim):
                 img = apply_l_vec(c, w, _frame(j))
-                if img:
-                    i = min(img)
-                    rep.add(name, law, False, (i, j, *idx), img[i])
-                    return False
-        rep.add(name, law, True)
-        return True
+                for i in sorted(img):
+                    yield (i, j, *idx), img[i]
 
-    ok = kernel_scan(
+    ok = rep.scan(
         "dual-associative",
         "the associativity obstruction lies in the kernel of l",
-        product(range(n), repeat=3),
-        lambda x, y, z: _asoc_vec(c, nabla, x, y, z),
+        kernel_pairs(
+            product(range(n), repeat=3),
+            lambda x, y, z: _asoc_vec(c, nabla, x, y, z),
+        ),
     )
-    ok &= kernel_scan(
+    ok &= rep.scan(
         "dual-unit",
         "l(s, 2 nabla_X ebar + T(ebar, X)) = 0",
-        ((x,) for x in range(n)),
-        lambda x: _unit_vec(c, e, nabla, x),
+        kernel_pairs(product(range(n)), lambda x: _unit_vec(c, e, nabla, x)),
     )
     # the integrability obstruction is symmetric within each frame pair
     # (commutativity holds by precondition), so ordered pairs suffice
-    pairs = [(a, b) for a in range(n) for b in range(a, n)]
-    ok &= kernel_scan(
+    pairs = list(combinations_with_replacement(range(n), 2))
+    ok &= rep.scan(
         "dual-integrable",
         "the integrability obstruction lies in the kernel of l",
-        ((x, y, z, v) for (x, y) in pairs for (z, v) in pairs),
-        lambda x, y, z, v: _integr_vec(c, nabla, x, y, z, v),
+        kernel_pairs(
+            ((x, y, z, v) for (x, y) in pairs for (z, v) in pairs),
+            lambda x, y, z, v: _integr_vec(c, nabla, x, y, z, v),
+        ),
     )
     if euler is not None:
         evec = euler.base_vec()
-        kernel_scan(
+        rep.scan(
             "dual-euler",
             "l(s, symmetrized nabla^2 Ebar) = 0",
-            ((x, y) for (x, y) in pairs),
-            lambda x, y: _euler_obstruction_vec(nabla, evec, x, y),
+            kernel_pairs(
+                pairs, lambda x, y: _euler_obstruction_vec(nabla, evec, x, y)
+            ),
         )
 
     dual_c, dual_e = dualize(c, e, nabla)
     bat = check_battery(dual_c, dual_e)
-    witness = residual = None
-    bad = bat.first_failure()
-    if bad is not None:
-        witness = (bad.name, *(bad.witness or ()))
-        residual = bad.residual
-    rep.add(
-        "dual-battery",
-        "the dual package passes the multiplication battery",
-        bat.passed,
-        witness,
-        residual,
+    rep.summarize(
+        "dual-battery", "the dual package passes the multiplication battery", bat
     )
     if ok != bat.passed:
         rep.note(
@@ -499,17 +452,10 @@ def check_duality_conditions(
             )
         if bat.passed:
             erep = check_euler(dual_c, dual_e, euler.dual())
-            witness = residual = None
-            bad = erep.first_failure()
-            if bad is not None:
-                witness = (bad.name, *(bad.witness or ()))
-                residual = bad.residual
-            rep.add(
+            rep.summarize(
                 "dual-euler-battery",
                 "the dual Euler candidate passes the Euler-field check",
-                erep.passed,
-                witness,
-                residual,
+                erep,
             )
             if up.passed and erep.passed != rep.record("dual-euler").passed:
                 rep.note(

@@ -419,14 +419,14 @@ def _frame(j: int) -> dict:
 # -- residual evaluators ------------------------------------------------------
 #
 # Each identity in the battery is one function from an index tuple to the
-# residual at that tuple.  Most are scalar.  The six vector identities
+# residual at that tuple.  Most are scalar.  The vector identities
 # (wrapped in `_Vec`) fix their inputs ``idx[1:]`` and return the whole
 # residual vector over the output index ``idx[0]`` as a sparse dict, so a
 # scan evaluates each vector once and keeps it in a memo keyed by ``idx[1:]``
 # that lives only for that scan.  `_Ctx` memoizes the frame Lie derivatives
 # ``L_{d_r}(*)(d_k, d_p)`` that three of them share, for the life of one
-# battery.  The checks scan the residuals over deterministic index ranges;
-# `evaluate_residual` re-dispatches them through the same `_residual` so a
+# battery.  The checks feed the residuals over deterministic index ranges
+# to `Report.scan`; `evaluate_residual` re-dispatches them through the same `_residual` so a
 # reported witness can be reproduced in isolation.
 
 
@@ -648,14 +648,18 @@ def _res_euler_base(ctx: _Ctx, idx) -> RatFunc:
     return _vget(lhs, a) - _vget(rhs, a)
 
 
-def _res_euler_side(ctx: _Ctx, idx) -> RatFunc:
-    i, j, k = idx
-    return _vget(_lie_l_entry(ctx.c, ctx.euler, j, k), i) - ctx.c.l_at(i, j, k)
+def _vec_euler_side(ctx: _Ctx, rest) -> dict:
+    j, k = rest
+    c = ctx.c
+    own = {i: c.l_at(i, j, k) for i in range(c.rank)}
+    return _vsub(_lie_l_entry(c, ctx.euler, j, k), own)
 
 
-def _res_euler_derivative(ctx: _Ctx, idx) -> RatFunc:
-    i, j, k, p = idx
-    return _vget(_lie_d_entry(ctx.c, ctx.euler, j, k, p), i) - ctx.c.d_at(i, j, k, p)
+def _vec_euler_derivative(ctx: _Ctx, rest) -> dict:
+    j, k, p = rest
+    c = ctx.c
+    own = {i: c.d_at(i, j, k, p) for i in range(c.rank)}
+    return _vsub(_lie_d_entry(c, ctx.euler, j, k, p), own)
 
 
 def _res_euler_components(ctx: _Ctx, idx) -> RatFunc:
@@ -691,8 +695,8 @@ _RESIDUALS = {
     "derivative-bracket": _Vec(_vec_derivative_bracket),
     "integrability-oracle": _res_integrability_oracle,
     "euler-base": _res_euler_base,
-    "euler-side": _res_euler_side,
-    "euler-derivative": _res_euler_derivative,
+    "euler-side": _Vec(_vec_euler_side),
+    "euler-derivative": _Vec(_vec_euler_derivative),
     "euler-components": _res_euler_components,
     "euler-oracle": _res_euler_oracle,
 }
@@ -713,13 +717,24 @@ def evaluate_residual(name, idx, c, e=None, euler=None, l2=None) -> RatFunc:
 def _scan(rep: Report, ctx: _Ctx, name: str, law: str, tuples) -> bool:
     fn = _RESIDUALS[name]
     memo: dict = {}  # idx[1:] -> residual vector, for vector identities
+    return rep.scan(
+        name, law, ((idx, _residual(fn, ctx, idx, memo)) for idx in tuples)
+    )
+
+
+def _vec_pairs(tuples, vec_fn):
+    """``((a, *idx), vec[a])`` for each index tuple and each output index ``a``."""
     for idx in tuples:
-        val = _residual(fn, ctx, idx, memo)
-        if not val.is_zero():
-            rep.add(name, law, False, tuple(idx), val)
-            return False
-    rep.add(name, law, True)
-    return True
+        vec = vec_fn(*idx)
+        for a in sorted(vec):
+            yield (a, *idx), vec[a]
+
+
+def _table_diffs(tables):
+    """``((label, *key), got - want)`` over the keys of each ``(label, got, want)``."""
+    for label, got, want in tables:
+        for key in sorted(set(got) | set(want)):
+            yield (label, *key), got.get(key, _ZERO) - want.get(key, _ZERO)
 
 
 def _commutative_into(rep: Report, ctx: _Ctx) -> bool:
@@ -782,15 +797,14 @@ def _associative_into(rep: Report, ctx: _Ctx) -> bool:
     return ok
 
 
-def _require(what: str, *reports: Report):
-    for rep in reports:
-        bad = rep.first_failure()
-        if bad is not None:
-            raise PreconditionError(
-                f"{what} requires {rep.title} to pass; "
-                f"{bad.name} fails at {bad.witness}",
-                report=rep,
-            )
+def _require(what: str, rep: Report):
+    bad = rep.first_failure()
+    if bad is not None:
+        raise PreconditionError(
+            f"{what} requires {rep.title} to pass; "
+            f"{bad.name} fails at {bad.witness}",
+            report=rep,
+        )
 
 
 def check_associative(c: MultComponents) -> Report:
@@ -818,7 +832,8 @@ def _unit_into(rep: Report, ctx: _Ctx) -> bool:
 
 
 def check_unit(c: MultComponents, e: LinearVectorField) -> Report:
-    _require("the unit check", check_commutative(c), check_associative(c))
+    _require("the unit check", check_commutative(c))
+    _require("the unit check", check_associative(c))
     rep = Report("unit field")
     _unit_into(rep, _Ctx(c, e=e))
     return rep
@@ -861,15 +876,10 @@ def _hm_into(rep: Report, ctx: _Ctx) -> bool:
         "[D_{Z,V}, D_{X,Y}] s = transport terms in star derivatives",
         _bracket_tuples(c),
     )
-    defect = hm_tensor(c.assemble())
-    witness = min(defect.coeffs) if defect.coeffs else None
-    oracle_ok = witness is None
-    rep.add(
+    oracle_ok = rep.scan(
         "integrability-oracle",
         "the assembled product has vanishing integrability defect",
-        oracle_ok,
-        witness,
-        None if oracle_ok else defect.coeffs[witness],
+        sorted(hm_tensor(c.assemble()).coeffs.items()),
     )
     if ok != oracle_ok:
         rep.note(
@@ -880,7 +890,8 @@ def _hm_into(rep: Report, ctx: _Ctx) -> bool:
 
 
 def check_hertling_manin(c: MultComponents) -> Report:
-    _require("the integrability check", check_commutative(c), check_associative(c))
+    _require("the integrability check", check_commutative(c))
+    _require("the integrability check", check_associative(c))
     rep = Report("integrability")
     _hm_into(rep, _Ctx(c))
     return rep
@@ -961,30 +972,17 @@ def check_euler(
         product(range(kdim), range(kdim), range(n), range(n)),
     )
     dt, lt, rt = lie_components(c, euler)
-    witness = None
-    for label, got, want in (("d", dt, c.d), ("l", lt, c.l), ("star", rt, c.star)):
-        for key in sorted(set(got) | set(want)):
-            if got.get(key, _ZERO) != want.get(key, _ZERO):
-                witness = (label, *key)
-                break
-        if witness is not None:
-            break
-    rep.add(
+    rep.scan(
         "euler-components",
         "Lie-derivative components equal (d, l, star)",
-        witness is None,
-        witness,
-        None if witness is None else _res_euler_components(ctx, witness),
+        _table_diffs((("d", dt, c.d), ("l", lt, c.l), ("star", rt, c.star))),
     )
     t = c.assemble()
     diff = lie_derivative(euler.as_field(), t) - t
-    key = min(diff.coeffs) if diff.coeffs else None
-    rep.add(
+    rep.scan(
         "euler-oracle",
         "the Lie derivative of the assembled product equals the product",
-        key is None,
-        key,
-        None if key is None else diff.coeffs[key],
+        sorted(diff.coeffs.items()),
     )
     return rep
 

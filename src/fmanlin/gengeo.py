@@ -32,6 +32,7 @@ from .fman import (
     PreconditionError,
     _frame,
     _require,
+    _table_diffs,
     _vf_apply,
     _vf_bracket,
     apply_d,
@@ -359,16 +360,12 @@ def _double_rank(chart: Chart) -> int:
     return n
 
 
-def _kernel_scan(rep: Report, name: str, law: str, tuples, vec_fn) -> bool:
+def _comp_pairs(tuples, vec_fn):
+    """``((*idx, comp), vec[comp])`` for each index tuple and each component."""
     for idx in tuples:
-        out = vec_fn(*idx)
-        for comp in sorted(out):
-            val = out[comp]
-            if not val.is_zero():
-                rep.add(name, law, False, tuple(idx) + (comp,), val)
-                return False
-    rep.add(name, law, True)
-    return True
+        vec = vec_fn(*idx)
+        for comp in sorted(vec):
+            yield (*idx, comp), vec[comp]
 
 
 def check_anchor_compat(c: MultComponents) -> Report:
@@ -389,19 +386,15 @@ def check_anchor_compat(c: MultComponents) -> Report:
         want = lie_star(c, proj(_frame(b)), _frame(m), _frame(p))
         return {a: got.get(a, _ZERO) - want.get(a, _ZERO) for a in set(got) | set(want)}
 
-    _kernel_scan(
-        rep,
+    rep.scan(
         "anchor-side",
         "pi(l_X s) = X * pi(s)",
-        product(range(n), range(2 * n)),
-        side,
+        _comp_pairs(product(range(n), range(2 * n)), side),
     )
-    _kernel_scan(
-        rep,
+    rep.scan(
         "anchor-derivative",
         "pi(D_{X,Y} s) = L_{pi(s)}(*)(X, Y)",
-        product(range(n), range(n), range(2 * n)),
-        deriv,
+        _comp_pairs(product(range(n), range(n), range(2 * n)), deriv),
     )
     return rep
 
@@ -414,16 +407,6 @@ def _pairing_matrix(chart: Chart, n: int):
             tuple(_HALF if b == partner else _ZERO for b in range(2 * n))
         )
     return tuple(rows)
-
-
-def _first_table_diff(pairs):
-    for label, got, want in pairs:
-        for key in sorted(set(got) | set(want)):
-            gv = got.get(key, _ZERO)
-            wv = want.get(key, _ZERO)
-            if gv != wv:
-                return (label, *key), gv - wv
-    return None, None
 
 
 def check_scalar_compat(
@@ -472,27 +455,21 @@ def check_scalar_compat(
         rhs = pair(apply_delta(e, fb), fc) + pair(fb, apply_delta(e, fc))
         return {0: lhs - rhs}
 
-    frames_ok = _kernel_scan(
-        rep,
+    frames_ok = rep.scan(
         "pairing-side",
         "<l_X s, t> = <l_X t, s>",
-        product(range(n), range(2 * n), range(2 * n)),
-        side,
+        _comp_pairs(product(range(n), range(2 * n), range(2 * n)), side),
     )
-    frames_ok &= _kernel_scan(
-        rep,
+    frames_ok &= rep.scan(
         "pairing-derivative",
         "<D_{X,Y} s, t> + <s, D_{X,Y} t> = X<s, l_Y t> + Y<s, l_X t>"
         " - <s, l_<X:Y> t> - (X*Y)<s, t>",
-        product(range(n), range(n), range(2 * n), range(2 * n)),
-        deriv,
+        _comp_pairs(product(range(n), range(n), range(2 * n), range(2 * n)), deriv),
     )
-    frames_ok &= _kernel_scan(
-        rep,
+    frames_ok &= rep.scan(
         "pairing-unit",
         "ebar<s, t> = <Delta_e s, t> + <s, Delta_e t>",
-        product(range(2 * n), range(2 * n)),
-        unit,
+        _comp_pairs(product(range(2 * n), range(2 * n)), unit),
     )
 
     iso = _pairing_matrix(c.chart, n)
@@ -509,21 +486,17 @@ def check_scalar_compat(
         for i in range(2 * n)
         for j in range(2 * n)
     }
-    witness, residual = _first_table_diff(
-        [
-            ("l", conj_c.l, dual_c.l),
-            ("d", conj_c.d, dual_c.d),
-            ("star", conj_c.star, dual_c.star),
-            ("lam", lam_got, lam_want),
-        ]
-    )
-    struct_ok = witness is None
-    rep.add(
+    struct_ok = rep.scan(
         "pairing-duality",
         "the pairing conjugate of the candidate equals its connection dual",
-        struct_ok,
-        witness,
-        residual,
+        _table_diffs(
+            [
+                ("l", conj_c.l, dual_c.l),
+                ("d", conj_c.d, dual_c.d),
+                ("star", conj_c.star, dual_c.star),
+                ("lam", lam_got, lam_want),
+            ]
+        ),
     )
     rep.add(
         "route-agreement",
@@ -630,22 +603,18 @@ def check_dorfman_compat(
             i: lhs.get(i, _ZERO) - rhs.get(i, _ZERO) for i in set(lhs) | set(rhs)
         }
 
-    _kernel_scan(
-        rep,
+    rep.scan(
         "dorfman-side",
         "l_Z[s, t] = [s, l_Z t] - D_{Z,pi(t)} s - 2<D_{Z,.} s, t> "
         "+ 2 nabla_Z S(s, t)",
-        product(range(n), range(2 * n), range(2 * n)),
-        side,
+        _comp_pairs(product(range(n), range(2 * n), range(2 * n)), side),
     )
-    _kernel_scan(
-        rep,
+    rep.scan(
         "dorfman-derivative",
         "D_{Z,V}[s, t] = [s, D_{Z,V} t] - [t, D_{Z,V} s] "
         "- 2 nabla^sym<D s, t>(Z, V) + 4 d<D_{Z,V} s, t> "
         "+ 2 nabla_Z nabla_V S(s, t)",
-        product(range(n), range(n), range(2 * n), range(2 * n)),
-        deriv,
+        _comp_pairs(product(range(n), range(n), range(2 * n), range(2 * n)), deriv),
     )
     return rep
 
@@ -881,16 +850,6 @@ def _nabla_two_form(gamma: TwoForm, nabla: Connection) -> dict:
     return out
 
 
-def _flatten(rep: Report, sub: Report, name: str, law: str) -> bool:
-    if sub.passed:
-        rep.add(name, law, True)
-        return True
-    bad = sub.first_failure()
-    witness = (bad.name,) + (tuple(bad.witness) if bad.witness else ())
-    rep.add(name, law, False, witness, bad.residual)
-    return False
-
-
 def classify_exact_courant(
     c: MultComponents,
     e: LinearVectorField,
@@ -911,25 +870,20 @@ def classify_exact_courant(
     if h is not None and h.chart.base_names != c.chart.base_names:
         raise ValueError("twist three-form lives on different base coordinates")
     base = BaseFManifold(chart=c.chart.base(), star=c.star, unit=e.beta)
-    _require(
-        "the exact Courant classification",
-        check_battery(c, e),
-        check_flat_f(base, nabla),
-    )
+    _require("the exact Courant classification", check_battery(c, e))
+    _require("the exact Courant classification", check_flat_f(base, nabla))
     _require_trivial_connection("the exact Courant classification", nabla)
     _require_closed(h)
     rep = Report("exact courant classification")
-    anchor_ok = _flatten(
-        rep,
-        check_anchor_compat(c),
+    anchor_ok = rep.summarize(
         "anchor-compatibility",
         "side and derivative operators project to the base product action",
+        check_anchor_compat(c),
     )
-    scalar_ok = _flatten(
-        rep,
-        check_scalar_compat(c, e, nabla),
+    scalar_ok = rep.summarize(
         "scalar-compatibility",
         "the pairing conjugate of the candidate is its connection dual",
+        check_scalar_compat(c, e, nabla),
     )
     if not (anchor_ok and scalar_ok):
         rep.note(
@@ -944,58 +898,35 @@ def classify_exact_courant(
     tc, te = bfield_transform(prol.components, prol.unit, gamma)
     lam_got = {(i, j): tc_lam for i, row in enumerate(te.lam) for j, tc_lam in enumerate(row)}
     lam_want = {(i, j): v for i, row in enumerate(e.lam) for j, v in enumerate(row)}
-    witness, residual = _first_table_diff(
-        [
-            ("l", tc.l, c.l),
-            ("d", tc.d, c.d),
-            ("lam", lam_got, lam_want),
-        ]
-    )
-    rep.add(
+    rep.scan(
         "bfield-recovery",
         "the candidate equals the shear of the double prolongation by the "
         "recovered two-form",
-        witness is None,
-        witness,
-        residual,
+        _table_diffs([("l", tc.l, c.l), ("d", tc.d, c.d), ("lam", lam_got, lam_want)]),
     )
 
     nab = _nabla_two_form(gamma, nabla)
     dg = gamma.d()
-    witness = residual = None
-    for r, i, j in product(range(n), repeat=3):
-        val = nab.get((r, i, j), _ZERO) - _THIRD * dg.at(r, i, j)
-        if not val.is_zero():
-            witness, residual = (r, i, j), val
-            break
-    gradient_ok = witness is None
-    rep.add(
+    gradient_ok = rep.scan(
         "bfield-gradient",
         "nabla gamma = (1/3) d gamma for the recovered two-form",
-        gradient_ok,
-        witness,
-        residual,
+        (
+            (idx, nab.get(idx, _ZERO) - _THIRD * dg.at(*idx))
+            for idx in product(range(n), repeat=3)
+        ),
     )
-    witness = residual = None
-    for i, j, k in combinations(range(n), 3):
-        hv = h.at(i, j, k) if h is not None else _ZERO
-        val = hv - _THIRD * dg.at(i, j, k)
-        if not val.is_zero():
-            witness, residual = (i, j, k), val
-            break
-    twist_ok = witness is None
-    rep.add(
+    twist_ok = rep.scan(
         "twist-match",
         "the twist equals (1/3) d gamma for the recovered two-form",
-        twist_ok,
-        witness,
-        residual,
+        (
+            (idx, (h.at(*idx) if h is not None else _ZERO) - _THIRD * dg.at(*idx))
+            for idx in combinations(range(n), 3)
+        ),
     )
-    dorf_ok = _flatten(
-        rep,
-        check_dorfman_compat(c, e, nabla, h),
+    dorf_ok = rep.summarize(
         "dorfman-compatibility",
         "both derivative laws hold against the twisted bracket",
+        check_dorfman_compat(c, e, nabla, h),
     )
     rep.add(
         "classification-agreement",
@@ -1004,31 +935,21 @@ def classify_exact_courant(
         (int(dorf_ok), int(gradient_ok and twist_ok)),
     )
     if h is None or h.is_zero():
-        witness = residual = None
-        for key in sorted(nab):
-            witness, residual = key, nab[key]
-            break
-        rep.add(
-            "parallel-bfield",
-            "the recovered two-form is parallel",
-            witness is None,
-            witness,
-            residual,
+        rep.scan(
+            "parallel-bfield", "the recovered two-form is parallel", sorted(nab.items())
         )
         names = c.chart.names
-        witness = residual = None
-        for r, m, p, q in product(range(n), repeat=4):
-            val = gamma.apply(
-                star_product(c, _frame(m), _frame(p)), _frame(q)
-            ).partial(names[r])
-            if not val.is_zero():
-                witness, residual = (r, m, p, q), val
-                break
-        rep.add(
+        rep.scan(
             "parallel-product",
             "the pairing gamma(X*Y, Z) of the base product is parallel",
-            witness is None,
-            witness,
-            residual,
+            (
+                (
+                    (r, m, p, q),
+                    gamma.apply(
+                        star_product(c, _frame(m), _frame(p)), _frame(q)
+                    ).partial(names[r]),
+                )
+                for r, m, p, q in product(range(n), repeat=4)
+            ),
         )
     return rep

@@ -28,6 +28,7 @@ from .fman import (
     _frame,
     _require,
     _vadd,
+    _vec_pairs,
     _vf_bracket,
     _vsub,
 )
@@ -304,11 +305,12 @@ def check_five_field_identity(base: BaseFManifold) -> Report:
     rep = Report("five-field identity")
     law = "the five-field consequence of the integrability law vanishes"
     frames = [_frame(j) for j in range(n)]
-    for idx in product(range(n), repeat=5):
-        res = five_field_residual(c, *(frames[t] for t in idx))
-        for a in sorted(res):
-            if not res[a].is_zero():
-                rep.add("five-field-identity", law, False, (a, *idx), res[a])
-                return rep
-    rep.add("five-field-identity", law, True)
+    rep.scan(
+        "five-field-identity",
+        law,
+        _vec_pairs(
+            product(range(n), repeat=5),
+            lambda *idx: five_field_residual(c, *(frames[t] for t in idx)),
+        ),
+    )
     return rep

@@ -3,7 +3,10 @@
 Every check in this package returns a :class:`Report`: an ordered list of
 named identity records, each carrying a pass/fail verdict and, on failure,
 the first witness index tuple together with the residual expression at that
-witness.  Rendering is deterministic -- the verdict body contains no
+witness.  Records are written by :meth:`Report.scan`, which stops at the
+first nonzero residual of a lazy stream of ``(witness, residual)`` pairs, and
+by :meth:`Report.summarize`, which folds a sub-report into one record.
+Rendering is deterministic -- the verdict body contains no
 timestamps, so two runs over the same input produce identical bytes.  Timing
 lives in a separate attribute that is never part of the body.
 """
@@ -83,6 +86,32 @@ class Report:
                 residual=None if residual is None else str(residual),
             )
         )
+
+    def scan(self, name: str, law: str, pairs) -> bool:
+        """Record ``name`` from a lazy iterable of ``(witness, residual)`` pairs.
+
+        The record fails at the first pair whose residual is nonzero, and the
+        iterable is not advanced past it; if there is none, the record passes.
+        """
+        for witness, residual in pairs:
+            if not residual.is_zero():
+                self.add(name, law, False, tuple(witness), residual)
+                return False
+        self.add(name, law, True)
+        return True
+
+    def summarize(self, name: str, law: str, sub: "Report") -> bool:
+        """Record ``name`` with the verdict of ``sub``.
+
+        On failure the witness is the name of the first failed sub-record
+        followed by its witness, and the residual is that record's residual.
+        """
+        bad = sub.first_failure()
+        if bad is None:
+            self.add(name, law, True)
+            return True
+        self.add(name, law, False, (bad.name, *(bad.witness or ())), bad.residual)
+        return False
 
     def note(self, text: str) -> None:
         self.notes.append(text)

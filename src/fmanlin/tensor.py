@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .symcore import Poly, RatFunc
+from .symcore import RatFunc
 
 __all__ = [
     "Chart",

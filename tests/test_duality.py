@@ -26,6 +26,7 @@ from fmanlin.fman import (
     apply_l,
     check_battery,
 )
+from fmanlin.prolong import tangent_prolongation
 from fmanlin.symcore import RatFunc, SingularMatrixError, parse_expr
 from fmanlin.tensor import Chart, Section, TensorField, apply_tensor, vertical_lift
 
@@ -146,6 +147,41 @@ def test_check_flat_f_unit_parallel_failure():
     assert not bad.passed
     assert bad.witness == (0, 0)
     assert "x1" in bad.residual
+
+
+def witness_and_residual(rep, name):
+    rec = rep.record(name)
+    assert not rec.passed, name
+    return rec.witness, rec.residual
+
+
+def test_check_flat_f_failing_witnesses():
+    base = base_plane()
+    rep = check_flat_f(base, Connection(B2, {(0, 0, 1): 1}))
+    assert witness_and_residual(rep, "torsion-free") == ((0, 0, 1), "1")
+    rep = check_flat_f(base, Connection(B2, {(0, 1, 1): rf("x1", B2)}))
+    assert witness_and_residual(rep, "flat") == ((0, 0, 1, 1), "1")
+
+    rep = check_flat_f(base, Connection.zero(B2), (rf("x1", B2), rf("x2^2", B2)))
+    assert rep.record("euler-base").passed
+    assert witness_and_residual(rep, "euler-second-derivative") == ((1, 1, 1), "2")
+    rep = check_flat_f(base, Connection.zero(B2), (rf("2*x1", B2), rf("x2", B2)))
+    assert witness_and_residual(rep, "euler-base") == ((0, 0, 0), "1")
+    assert rep.record("euler-second-derivative").passed
+
+    # witnesses whose output index differs from the frame indices
+    rep = check_flat_f(base, Connection.zero(B2), (rf("x2^2", B2), rf("x2", B2)))
+    assert witness_and_residual(rep, "euler-second-derivative") == ((0, 1, 1), "2")
+    rep = check_flat_f(base, Connection.zero(B2), (rf("x1", B2), rf("x1 + x2", B2)))
+    assert witness_and_residual(rep, "euler-base") == ((1, 0, 0), "1")
+    rep = check_flat_f(base, Connection(B2, {(0, 0, 0): 2, (1, 0, 0): 1}))
+    assert witness_and_residual(rep, "unit-parallel") == ((0, 0), "2")
+    rep = check_flat_f(base, Connection(B2, {(1, 1, 0): rf("x2", B2)}))
+    assert witness_and_residual(rep, "unit-parallel") == ((1, 1), "x2")
+    assert witness_and_residual(rep, "star-derivative-symmetric") == (
+        (1, 0, 1, 0),
+        "x2",
+    )
 
 
 def test_check_flat_f_requires_verified_base():
@@ -325,6 +361,41 @@ def test_duality_unit_failure_agrees_with_the_dual_battery():
     assert rep.record("dual-associative").passed
     assert rep.record("dual-integrable").passed
     assert not rep.notes
+
+
+def test_duality_condition_failing_witnesses():
+    c, e = line_example()
+    euler = LinearVectorField(C11, (rf("x1^2", C11),), ((1,),))
+    rep = check_duality_conditions(c, e, Connection.zero(C11), euler=euler)
+    assert witness_and_residual(rep, "dual-euler") == ((0, 0, 0, 0), "4")
+    assert rep.record("dual-battery").passed
+    assert witness_and_residual(rep, "dual-euler-battery") == (
+        ("euler-base", 0, 0, 0),
+        "2*x1 - 1",
+    )
+
+    c, e = plane_example()
+    rep = check_duality_conditions(c, e, Connection(C21, {(0, 0, 1): 1}))
+    assert witness_and_residual(rep, "dual-associative") == ((0, 0, 0, 0, 1), "1")
+    assert rep.record("dual-integrable").passed
+
+    rep = check_duality_conditions(c, e, Connection(C21, {(0, 1, 1): rf("x1")}))
+    assert rep.record("dual-associative").passed
+    assert witness_and_residual(rep, "dual-integrable") == ((0, 0, 0, 0, 1, 1), "-2")
+    assert witness_and_residual(rep, "dual-battery") == (
+        ("derivative-bracket", 0, 0, 0, 0, 1, 1),
+        "2",
+    )
+
+    # rank two: the witness leads with the output index i, then the frame j
+    tan = tangent_prolongation(base_plane())
+    c, e, chart = tan.components, tan.unit, tan.components.chart
+    rep = check_duality_conditions(c, e, Connection(chart, {(1, 0, 1): 1}))
+    assert witness_and_residual(rep, "dual-associative") == ((1, 0, 0, 0, 1), "1")
+    rep = check_duality_conditions(
+        c, e, Connection(chart, {(1, 1, 1): rf("x1", chart)})
+    )
+    assert witness_and_residual(rep, "dual-integrable") == ((1, 0, 0, 0, 1, 1), "-2")
 
 
 def test_duality_conditions_require_the_battery():

@@ -14,6 +14,8 @@ from fmanlin.fman import (
     _associative_into,
     _Ctx,
     _hm_into,
+    _lie_d_entry,
+    _lie_l_entry,
     _symmetrized_second,
     _vadd,
     _vf_bracket,
@@ -198,6 +200,22 @@ def test_precondition_chain_is_enforced():
     assert info.value.report is not None
     with pytest.raises(PreconditionError):
         check_hertling_manin(c)
+
+
+def test_preconditions_name_the_check_that_needs_them():
+    c = MultComponents(chart=C21, d={}, l={}, star={(0, 0, 1): rf("x1")})
+    e = LinearVectorField(C21, (1, 0), ((0,),))
+    for check, what in (
+        (lambda: check_unit(c, e), "the unit check"),
+        (lambda: check_hertling_manin(c), "the integrability check"),
+    ):
+        with pytest.raises(PreconditionError) as info:
+            check()
+        assert str(info.value) == (
+            f"{what} requires commutativity to pass; "
+            "star-symmetric fails at (0, 0, 1)"
+        )
+        assert info.value.report.title == "commutativity"
 
 
 def test_integrability_pass_and_fail_instances():
@@ -542,6 +560,97 @@ def test_euler_failure_has_reproducible_witness():
     for rec in failed:
         again = evaluate_residual(rec.name, rec.witness, c, e=e, euler=bogus)
         assert str(again) == rec.residual
+
+
+def test_euler_side_failure_witness():
+    c, e = plane_example()
+    euler = LinearVectorField(C21, (rf("2*x1"), rf("x2")), ((0,),))
+    rec = check_euler(c, e, euler).record("euler-side")
+    assert (rec.passed, rec.witness, rec.residual) == (False, (0, 0, 0), "1")
+    again = evaluate_residual(rec.name, rec.witness, c, e=e, euler=euler)
+    assert str(again) == rec.residual
+
+
+# The two Euler vector identities as the scalar residuals they replaced: each
+# rebuilds the whole Lie-derivative entry at its index tuple and keeps the
+# component idx[0].  A test-only reference for the memoized vector scans.
+
+
+def ref_euler_side(c, euler, idx):
+    i, j, k = idx
+    return _vget(_lie_l_entry(c, euler, j, k), i) - c.l_at(i, j, k)
+
+
+def ref_euler_derivative(c, euler, idx):
+    i, j, k, p = idx
+    return _vget(_lie_d_entry(c, euler, j, k, p), i) - c.d_at(i, j, k, p)
+
+
+def reference_euler_scans(c, euler):
+    n, k = range(c.n), range(c.rank)
+    scans = {
+        "euler-side": (ref_euler_side, product(k, k, n)),
+        "euler-derivative": (ref_euler_derivative, product(k, k, n, n)),
+    }
+    out = {}
+    for name, (fn, tuples) in scans.items():
+        out[name] = (True, None, None)
+        for idx in tuples:
+            val = fn(c, euler, idx)
+            if not val.is_zero():
+                out[name] = (False, idx, str(val))
+                break
+    return out
+
+
+def test_euler_vector_scans_match_per_tuple_reference():
+    bent = BaseFManifold(
+        Chart.standard(2, 0),
+        {(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1, (0, 1, 1): rf("x2")},
+        (1, 0),
+    )
+    prol = tangent_prolongation(bent)
+    packages = [
+        line_example(),
+        plane_example(),
+        plane_example("x2^2 + 1"),
+        (prol.components, prol.unit),
+    ]
+    rng = rng_for("fman-euler-vector-scans")
+    passed, failed, outputs = set(), set(), set()
+    for c, e in packages:
+        chart = c.chart
+        candidates = [
+            tuple(rf(t, chart) for t in chart.base_names),
+            tuple(rf(f"{t}/{a + 1}", chart) for a, t in enumerate(chart.base_names)),
+        ]
+        for _ in range(2):
+            candidates.append(
+                tuple(
+                    rand_ratfunc(rng, chart.base_names, 1, with_den=False)
+                    for _ in range(c.n)
+                )
+            )
+        for beta in candidates:
+            for scale in (0, 1):
+                lam = tuple(
+                    tuple(RatFunc.coerce(scale if i == j else 0) for j in range(c.rank))
+                    for i in range(c.rank)
+                )
+                euler = LinearVectorField(chart, beta, lam)
+                rep = check_euler(c, e, euler)
+                for name, want in reference_euler_scans(c, euler).items():
+                    rec = rep.record(name)
+                    assert (rec.passed, rec.witness, rec.residual) == want, name
+                    if rec.passed:
+                        passed.add(name)
+                        continue
+                    failed.add(name)
+                    outputs.add(rec.witness[0])
+                    again = evaluate_residual(name, rec.witness, c, e=e, euler=euler)
+                    assert str(again) == rec.residual
+    assert passed == failed == {"euler-side", "euler-derivative"}
+    assert max(outputs) > 0
 
 
 def test_nonlinear_candidates_are_rejected_at_construction():

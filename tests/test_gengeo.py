@@ -6,7 +6,12 @@ import pytest
 
 from conftest import rand_ratfunc, rng_for
 from fmanlin.duality import Connection, dualize
-from fmanlin.fman import BaseFManifold, MultComponents, PreconditionError
+from fmanlin.fman import (
+    BaseFManifold,
+    LinearVectorField,
+    MultComponents,
+    PreconditionError,
+)
 from fmanlin.gengeo import (
     BFieldData,
     GenSection,
@@ -335,6 +340,21 @@ def test_anchor_compat_catches_vector_leak():
     assert rep.record("anchor-derivative").passed
 
 
+def test_anchor_compat_derivative_failure():
+    prol, _ = plane_package()
+    bad_d = dict(prol.components.d)
+    # D along (d1, d1) sends dx1 into the vector block, in both components
+    bad_d[(0, 2, 0, 0)] = rf("1")
+    bad_d[(1, 2, 0, 0)] = rf("x2")
+    bad = MultComponents(
+        chart=prol.components.chart, d=bad_d, l=prol.components.l, star=PLANE_STAR
+    )
+    rep = check_anchor_compat(bad)
+    assert rep.record("anchor-side").passed
+    rec = rep.record("anchor-derivative")
+    assert (rec.passed, rec.witness, rec.residual) == (False, (0, 0, 2, 0), "1")
+
+
 def test_anchor_compat_requires_double_fiber():
     tan = tangent_prolongation(base_plane())
     with pytest.raises(ValueError, match="double fiber"):
@@ -384,6 +404,19 @@ def test_scalar_compat_catches_wrong_slot_symmetry():
     assert verdicts["route-agreement"] is True
 
 
+def test_scalar_compat_unit_failure():
+    prol, nabla = plane_package()
+    lam = [list(row) for row in prol.unit.lam]
+    lam[0][0] = RatFunc.one()
+    unit = LinearVectorField(prol.unit.chart, prol.unit.beta, lam)
+    rep = check_scalar_compat(prol.components, unit, nabla)
+    records = {r.name: (r.passed, r.witness, r.residual) for r in rep.records}
+    assert records["pairing-side"][0] and records["pairing-derivative"][0]
+    assert records["pairing-unit"] == (False, (0, 2, 0), "1/2")
+    assert records["pairing-duality"] == (False, ("lam", 0, 0), "1")
+    assert records["route-agreement"] == (True, None, None)
+
+
 def test_scalar_compat_requires_flat_structure():
     prol, _ = plane_package()
     bumpy = Connection(B2, {(0, 0, 0): rf("x1")})
@@ -423,6 +456,17 @@ def test_dorfman_compat_linear_shear_fails_side_law():
     assert not rep.passed
     assert not rep.record("dorfman-side").passed
     assert rep.record("dorfman-derivative").passed
+
+
+def test_dorfman_compat_quadratic_shear_fails_derivative_law():
+    prol, nabla = plane_package()
+    for text, witness in (("x1^2", (0, 0, 0, 0, 3)), ("x1*x2", (0, 1, 0, 0, 3))):
+        tc, te = bfield_transform(
+            prol.components, prol.unit, TwoForm(B2, {(0, 1): rf(text)})
+        )
+        rec = check_dorfman_compat(tc, te, nabla).record("dorfman-derivative")
+        residual = "-4" if text == "x1^2" else "-2"
+        assert (rec.passed, rec.witness, rec.residual) == (False, witness, residual)
 
 
 def test_dorfman_compat_preconditions():
@@ -631,6 +675,38 @@ def test_classify_requires_battery():
     )
     with pytest.raises(PreconditionError):
         classify_exact_courant(broken, prol.unit, nabla)
+
+
+def test_classify_precondition_names_the_battery():
+    prol, nabla = plane_package()
+    broken = MultComponents(
+        chart=prol.components.chart,
+        d=prol.components.d,
+        l=prol.components.l,
+        star={(0, 0, 1): 1},
+    )
+    with pytest.raises(PreconditionError) as info:
+        classify_exact_courant(broken, prol.unit, nabla)
+    assert str(info.value) == (
+        "the exact Courant classification requires multiplication battery to "
+        "pass; star-symmetric fails at (0, 0, 1)"
+    )
+    assert info.value.report.title == "multiplication battery"
+
+
+def test_classify_bfield_recovery_failure(monkeypatch):
+    # a candidate that passes the anchor and scalar checks is a shear of the
+    # double prolongation, so its recovered two-form reproduces it; a wrong
+    # two-form drives the recovery record to FAIL
+    import fmanlin.gengeo as gengeo
+
+    prol, nabla = plane_package()
+    tc, te = bfield_transform(
+        prol.components, prol.unit, TwoForm(B2, {(0, 1): rf("x1")})
+    )
+    monkeypatch.setattr(gengeo, "_recover", lambda c, e, ref: TwoForm.zero(B2))
+    rec = classify_exact_courant(tc, te, nabla).record("bfield-recovery")
+    assert (rec.passed, rec.witness, rec.residual) == (False, ("l", 2, 0, 1), "2*x1")
 
 
 def test_classify_spin3_untwisted_cites_the_twist():

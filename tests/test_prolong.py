@@ -15,6 +15,7 @@ from fmanlin.fman import (
     check_euler,
     _frame,
 )
+from fmanlin import prolong
 from fmanlin.prolong import (
     ProlongedStructure,
     check_five_field_identity,
@@ -426,7 +427,7 @@ def test_five_field_requires_verified_base():
         check_five_field_identity(broken)
 
 
-def test_five_field_fails_without_integrability():
+def test_five_field_fails_without_integrability(monkeypatch):
     # commutative and associative but not integrable: d1*d1 = d1,
     # d2*d2 = x1 d2, mixed products zero.  For the frame tuple
     # (X, Y, Z, V, W) = (d1, d2, d2, d2, d1) only one term survives:
@@ -452,3 +453,8 @@ def test_five_field_fails_without_integrability():
         (1, 1, 0, 1, 0): {1: -one},
         (1, 1, 1, 0, 0): {1: -one},
     }
+    # the check itself refuses such a base, so skip its precondition to see
+    # the record: the witness leads with the output index
+    monkeypatch.setattr(prolong, "_require", lambda what, rep: None)
+    rec = check_five_field_identity(BaseFManifold(B2, c.star, (1, 0))).records[0]
+    assert (rec.passed, rec.witness, rec.residual) == (False, (1, 0, 1, 1, 1, 0), "1")
