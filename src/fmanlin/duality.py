@@ -18,12 +18,11 @@ from .fman import (
     BaseFManifold,
     LinearVectorField,
     MultComponents,
-    PreconditionError,
     apply_l_vec,
     check_battery,
-    check_euler,
     lie_star,
     star_product,
+    _euler_report,
     _frame,
     _require,
     _vadd,
@@ -253,13 +252,7 @@ class FlatFStructure:
         if self.euler is not None:
             euler = tuple(RatFunc.coerce(v) for v in self.euler)
             object.__setattr__(self, "euler", euler)
-        rep = check_flat_f(self.base, self.nabla, self.euler)
-        bad = rep.first_failure()
-        if bad is not None:
-            raise PreconditionError(
-                f"flat-structure conditions fail: {bad.name} at {bad.witness}",
-                report=rep,
-            )
+        _require("FlatFStructure", check_flat_f(self.base, self.nabla, self.euler))
 
     def verify(self) -> Report:
         return check_flat_f(self.base, self.nabla, self.euler)
@@ -444,14 +437,14 @@ def check_duality_conditions(
         )
 
     if euler is not None:
-        up = check_euler(c, e, euler)
+        up = _euler_report(c, e, euler)
         if not up.passed:
             rep.note(
                 "the Euler candidate fails on the source; "
                 "transported verdicts are diagnostic only"
             )
         if bat.passed:
-            erep = check_euler(dual_c, dual_e, euler.dual())
+            erep = _euler_report(dual_c, dual_e, euler.dual())
             rep.summarize(
                 "dual-euler-battery",
                 "the dual Euler candidate passes the Euler-field check",

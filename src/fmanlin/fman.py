@@ -416,18 +416,29 @@ def _frame(j: int) -> dict:
     return {j: _ONE}
 
 
-# -- residual evaluators ------------------------------------------------------
+# -- identity declarations ----------------------------------------------------
 #
-# Each identity in the battery is one function from an index tuple to the
-# residual at that tuple.  Most are scalar.  The vector identities
-# (wrapped in `_Vec`) fix their inputs ``idx[1:]`` and return the whole
-# residual vector over the output index ``idx[0]`` as a sparse dict, so a
-# scan evaluates each vector once and keeps it in a memo keyed by ``idx[1:]``
-# that lives only for that scan.  `_Ctx` memoizes the frame Lie derivatives
-# ``L_{d_r}(*)(d_k, d_p)`` that three of them share, for the life of one
-# battery.  The checks feed the residuals over deterministic index ranges
-# to `Report.scan`; `evaluate_residual` re-dispatches them through the same `_residual` so a
-# reported witness can be reproduced in isolation.
+# Each identity of the battery is declared once, by `_identity` on the
+# function that computes it, with its record name, law, kind and index space.
+# The kind says how the function is called:
+#
+# - ``scalar``: ``fn(ctx, idx)`` is the residual at one index tuple;
+# - ``vector``: ``fn(ctx, idx[1:])`` is the whole residual vector over the
+#   output index ``idx[0]`` as a sparse dict, so a scan evaluates each vector
+#   once and keeps it in a memo keyed by ``idx[1:]`` that lives only for that
+#   scan;
+# - ``oracle``: ``fn(ctx)`` gives the ``(witness, residual)`` pairs of an
+#   assembled tensor or of whole tables, computed without the frame
+#   identities it cross-checks.
+#
+# An index space is a string of ``k`` (fiber index) and ``n`` (base index),
+# read as a product of ranges: ``"kkn"`` scans ``range(k) x range(k) x
+# range(n)``; ``"bracket"`` scans `_bracket_tuples`.  `_Ctx` holds the inputs
+# of one battery and memoizes the frame Lie derivatives
+# ``L_{d_r}(*)(d_k, d_p)`` that three vector identities share.  `_scan` and
+# `evaluate_residual` read the same declaration and evaluate a scalar or
+# vector record through `_residual`, so a reported witness can be reproduced
+# in isolation; an oracle replays by looking its witness up among its pairs.
 
 
 class _Ctx:
@@ -449,38 +460,56 @@ class _Ctx:
 
 
 @dataclass(frozen=True)
-class _Vec:
-    """A vector identity: ``fn(ctx, idx[1:])`` maps each ``idx[0]`` to its residual."""
-
+class _Identity:
+    law: str
+    kind: str  # "scalar", "vector" or "oracle"
+    space: str  # index space; empty for an oracle
     fn: object
 
 
-def _residual(fn, ctx: _Ctx, idx: tuple, memo: dict) -> RatFunc:
-    if not isinstance(fn, _Vec):
-        return fn(ctx, idx)
+_IDENTITIES: dict = {}  # record name -> _Identity
+
+
+def _identity(name: str, law: str, kind: str, space: str = ""):
+    def declare(fn):
+        _IDENTITIES[name] = _Identity(law, kind, space, fn)
+        return fn
+
+    return declare
+
+
+def _residual(ident: _Identity, ctx: _Ctx, idx: tuple, memo: dict) -> RatFunc:
+    if ident.kind == "scalar":
+        return ident.fn(ctx, idx)
+    if ident.kind == "oracle":
+        return dict(ident.fn(ctx)).get(idx, _ZERO)
     rest = idx[1:]
     vec = memo.get(rest)
     if vec is None:
-        vec = memo[rest] = fn.fn(ctx, rest)
+        vec = memo[rest] = ident.fn(ctx, rest)
     return vec.get(idx[0], _ZERO)
 
 
+@_identity("side-tables-equal", "the two side tables agree", "scalar", "kkn")
 def _res_side_tables(ctx: _Ctx, idx) -> RatFunc:
     i, j, k = idx
     other = ctx.c.l if ctx.l2 is None else ctx.l2
     return ctx.c.l_at(i, j, k) - other.get((i, j, k), _ZERO)
 
 
+@_identity("star-symmetric", "b^a_ij = b^a_ji", "scalar", "nnn")
 def _res_star_symmetric(ctx: _Ctx, idx) -> RatFunc:
     a, i, j = idx
     return ctx.c.star_at(a, i, j) - ctx.c.star_at(a, j, i)
 
 
+@_identity("derivative-symmetric", "a^i_j,kp = a^i_j,pk", "scalar", "kknn")
 def _res_derivative_symmetric(ctx: _Ctx, idx) -> RatFunc:
     i, j, k, p = idx
     return ctx.c.d_at(i, j, k, p) - ctx.c.d_at(i, j, p, k)
 
 
+@_identity("star-associative", "(X*Y)*Z = X*(Y*Z)", "vector", "nnnn")
 def _vec_star_associative(ctx: _Ctx, rest) -> dict:
     i, j, k = rest
     c = ctx.c
@@ -489,6 +518,7 @@ def _vec_star_associative(ctx: _Ctx, rest) -> dict:
     return _vsub(lhs, rhs)
 
 
+@_identity("l-composition", "l_X(l_Y s) = l_{X*Y} s", "vector", "kknn")
 def _vec_l_composition(ctx: _Ctx, rest) -> dict:
     j, k, p = rest
     c = ctx.c
@@ -507,24 +537,33 @@ def _symmetrized_second(c: MultComponents, j, k, p, r) -> dict:
     return out
 
 
+@_identity(
+    "second-derivative-symmetric",
+    "l_Z(D_{X,Y} s) + D_{X*Y,Z} s is symmetric in X, Y, Z",
+    "vector",
+    "kknnn",
+)
 def _vec_second_derivative_symmetric(ctx: _Ctx, rest) -> dict:
     j, k, p, r = rest
     cur = _symmetrized_second(ctx.c, j, k, p, r)
     return _vsub(cur, _symmetrized_second(ctx.c, j, *sorted((k, p, r))))
 
 
+@_identity("unit-star", "ebar * X = X", "scalar", "nn")
 def _res_unit_star(ctx: _Ctx, idx) -> RatFunc:
     a, k = idx
     prod = star_product(ctx.c, ctx.e.base_vec(), _frame(k))
     return _vget(prod, a) - (_ONE if a == k else _ZERO)
 
 
+@_identity("unit-side", "l_ebar s = s", "scalar", "kk")
 def _res_unit_side(ctx: _Ctx, idx) -> RatFunc:
     i, j = idx
     out = apply_l_vec(ctx.c, ctx.e.base_vec(), _frame(j))
     return _vget(out, i) - (_ONE if i == j else _ZERO)
 
 
+@_identity("unit-derivative", "l_X(Delta_e s) = D_{ebar,X} s", "scalar", "kkn")
 def _res_unit_derivative(ctx: _Ctx, idx) -> RatFunc:
     i, j, k = idx
     c = ctx.c
@@ -535,6 +574,9 @@ def _res_unit_derivative(ctx: _Ctx, idx) -> RatFunc:
     return _vget(lhs, i) - rhs
 
 
+@_identity(
+    "base-integrability", "L_{X*Y}(*) = X*L_Y(*) + Y*L_X(*)", "vector", "nnnnn"
+)
 def _vec_base_integrability(ctx: _Ctx, rest) -> dict:
     i, j, k, p = rest
     c = ctx.c
@@ -544,6 +586,9 @@ def _vec_base_integrability(ctx: _Ctx, rest) -> dict:
     return _vsub(out, star_product(c, y, ctx.lie_frame(i, k, p)))
 
 
+@_identity(
+    "derivative-commutator", "[D_{X,Y}, l_Z] s = l_{L_Z(*)(X,Y)} s", "vector", "kknnn"
+)
 def _vec_derivative_commutator(ctx: _Ctx, rest) -> dict:
     j, k, p, r = rest
     c = ctx.c
@@ -552,6 +597,25 @@ def _vec_derivative_commutator(ctx: _Ctx, rest) -> dict:
     return _vsub(lhs, apply_l_vec(c, ctx.lie_frame(r, k, p), _frame(j)))
 
 
+def _bracket_tuples(c: MultComponents):
+    # the remaining tuples follow from these by the formal symmetries of the
+    # defect (antisymmetry under pair swap, symmetry within each pair once
+    # commutativity holds)
+    n, kdim = c.n, c.rank
+    pairs = [(x, y) for x in range(n) for y in range(x, n)]
+    for ia, (x, y) in enumerate(pairs):
+        for z, v in pairs[ia + 1 :]:
+            for i in range(kdim):
+                for j in range(kdim):
+                    yield (i, j, x, y, z, v)
+
+
+@_identity(
+    "derivative-bracket",
+    "[D_{Z,V}, D_{X,Y}] s = transport terms in star derivatives",
+    "vector",
+    "bracket",
+)
 def _vec_derivative_bracket(ctx: _Ctx, rest) -> dict:
     j, x, y, z, v = rest
     c = ctx.c
@@ -611,8 +675,13 @@ def hm_tensor(t: TensorField) -> TensorField:
     return TensorField(chart, 4, 1, coeffs)
 
 
-def _res_integrability_oracle(ctx: _Ctx, idx) -> RatFunc:
-    return hm_tensor(ctx.c.assemble()).get(tuple(idx))
+@_identity(
+    "integrability-oracle",
+    "the assembled product has vanishing integrability defect",
+    "oracle",
+)
+def _oracle_integrability(ctx: _Ctx):
+    return sorted(hm_tensor(ctx.c.assemble()).coeffs.items())
 
 
 def _lie_l_entry(c: MultComponents, x: LinearVectorField, j: int, k: int) -> dict:
@@ -640,6 +709,7 @@ def _lie_d_entry(c: MultComponents, x: LinearVectorField, j, k, p) -> dict:
     return out
 
 
+@_identity("euler-base", "L_Ebar(*) = *", "scalar", "nnn")
 def _res_euler_base(ctx: _Ctx, idx) -> RatFunc:
     a, i, j = idx
     c = ctx.c
@@ -648,6 +718,9 @@ def _res_euler_base(ctx: _Ctx, idx) -> RatFunc:
     return _vget(lhs, a) - _vget(rhs, a)
 
 
+@_identity(
+    "euler-side", "[Delta_E, l_X] s - l_{[Ebar,X]} s = l_X s", "vector", "kkn"
+)
 def _vec_euler_side(ctx: _Ctx, rest) -> dict:
     j, k = rest
     c = ctx.c
@@ -655,6 +728,12 @@ def _vec_euler_side(ctx: _Ctx, rest) -> dict:
     return _vsub(_lie_l_entry(c, ctx.euler, j, k), own)
 
 
+@_identity(
+    "euler-derivative",
+    "[Delta_E, D_{X,Y}] s - D_{[Ebar,X],Y} s - D_{X,[Ebar,Y]} s = D_{X,Y} s",
+    "vector",
+    "kknn",
+)
 def _vec_euler_derivative(ctx: _Ctx, rest) -> dict:
     j, k, p = rest
     c = ctx.c
@@ -662,64 +741,86 @@ def _vec_euler_derivative(ctx: _Ctx, rest) -> dict:
     return _vsub(_lie_d_entry(c, ctx.euler, j, k, p), own)
 
 
-def _res_euler_components(ctx: _Ctx, idx) -> RatFunc:
-    label, key = idx[0], tuple(idx[1:])
-    dt, lt, rt = lie_components(ctx.c, ctx.euler)
-    tables = {
-        "d": (dt, ctx.c.d),
-        "l": (lt, ctx.c.l),
-        "star": (rt, ctx.c.star),
-    }
-    got, want = tables[label]
-    return got.get(key, _ZERO) - want.get(key, _ZERO)
+@_identity(
+    "euler-components", "Lie-derivative components equal (d, l, star)", "oracle"
+)
+def _oracle_euler_components(ctx: _Ctx):
+    c = ctx.c
+    got = lie_components(c, ctx.euler)
+    return _table_diffs(zip(("d", "l", "star"), got, (c.d, c.l, c.star)))
 
 
-def _res_euler_oracle(ctx: _Ctx, idx) -> RatFunc:
+@_identity(
+    "euler-oracle",
+    "the Lie derivative of the assembled product equals the product",
+    "oracle",
+)
+def _oracle_euler(ctx: _Ctx):
     t = ctx.c.assemble()
-    diff = lie_derivative(ctx.euler.as_field(), t) - t
-    return diff.get(tuple(idx))
-
-
-_RESIDUALS = {
-    "side-tables-equal": _res_side_tables,
-    "star-symmetric": _res_star_symmetric,
-    "derivative-symmetric": _res_derivative_symmetric,
-    "star-associative": _Vec(_vec_star_associative),
-    "l-composition": _Vec(_vec_l_composition),
-    "second-derivative-symmetric": _Vec(_vec_second_derivative_symmetric),
-    "unit-star": _res_unit_star,
-    "unit-side": _res_unit_side,
-    "unit-derivative": _res_unit_derivative,
-    "base-integrability": _Vec(_vec_base_integrability),
-    "derivative-commutator": _Vec(_vec_derivative_commutator),
-    "derivative-bracket": _Vec(_vec_derivative_bracket),
-    "integrability-oracle": _res_integrability_oracle,
-    "euler-base": _res_euler_base,
-    "euler-side": _Vec(_vec_euler_side),
-    "euler-derivative": _Vec(_vec_euler_derivative),
-    "euler-components": _res_euler_components,
-    "euler-oracle": _res_euler_oracle,
-}
+    return sorted((lie_derivative(ctx.euler.as_field(), t) - t).coeffs.items())
 
 
 def evaluate_residual(name, idx, c, e=None, euler=None, l2=None) -> RatFunc:
     """Re-evaluate one identity of the battery at one index tuple."""
     try:
-        fn = _RESIDUALS[name]
+        ident = _IDENTITIES[name]
     except KeyError:
         raise KeyError(f"unknown identity {name!r}") from None
-    return _residual(fn, _Ctx(c, e=e, euler=euler, l2=l2), tuple(idx), {})
+    return _residual(ident, _Ctx(c, e=e, euler=euler, l2=l2), tuple(idx), {})
 
 
 # -- checks -------------------------------------------------------------------
+#
+# The checks run the declared identities in stages, each a tuple of record
+# names scanned in order by `_run_into`.
+
+_COMMUTATIVITY = ("side-tables-equal", "star-symmetric", "derivative-symmetric")
+_ASSOCIATIVITY = ("star-associative", "l-composition", "second-derivative-symmetric")
+_UNIT = ("unit-star", "unit-side", "unit-derivative")
+_INTEGRABILITY = (
+    "base-integrability",
+    "derivative-commutator",
+    "derivative-bracket",
+    "integrability-oracle",
+)
+_EULER = (
+    "euler-base",
+    "euler-side",
+    "euler-derivative",
+    "euler-components",
+    "euler-oracle",
+)
 
 
-def _scan(rep: Report, ctx: _Ctx, name: str, law: str, tuples) -> bool:
-    fn = _RESIDUALS[name]
+def _tuples(c: MultComponents, space: str):
+    if space == "bracket":
+        return _bracket_tuples(c)
+    ranges = {"k": range(c.rank), "n": range(c.n)}
+    return product(*(ranges[s] for s in space))
+
+
+def _scan(rep: Report, ctx: _Ctx, name: str) -> bool:
+    ident = _IDENTITIES[name]
+    if ident.kind == "oracle":
+        return rep.scan(name, ident.law, ident.fn(ctx))
     memo: dict = {}  # idx[1:] -> residual vector, for vector identities
-    return rep.scan(
-        name, law, ((idx, _residual(fn, ctx, idx, memo)) for idx in tuples)
+    pairs = (
+        (idx, _residual(ident, ctx, idx, memo)) for idx in _tuples(ctx.c, ident.space)
     )
+    return rep.scan(name, ident.law, pairs)
+
+
+def _run_into(rep: Report, ctx: _Ctx, names) -> bool:
+    ok = True
+    for name in names:
+        ok &= _scan(rep, ctx, name)
+    return ok
+
+
+def _stage_report(title: str, ctx: _Ctx, names) -> Report:
+    rep = Report(title)
+    _run_into(rep, ctx, names)
+    return rep
 
 
 def _vec_pairs(tuples, vec_fn):
@@ -737,66 +838,6 @@ def _table_diffs(tables):
             yield (label, *key), got.get(key, _ZERO) - want.get(key, _ZERO)
 
 
-def _commutative_into(rep: Report, ctx: _Ctx) -> bool:
-    c = ctx.c
-    n, kdim = c.n, c.rank
-    ok = _scan(
-        rep,
-        ctx,
-        "side-tables-equal",
-        "the two side tables agree",
-        product(range(kdim), range(kdim), range(n)),
-    )
-    ok &= _scan(
-        rep,
-        ctx,
-        "star-symmetric",
-        "b^a_ij = b^a_ji",
-        product(range(n), range(n), range(n)),
-    )
-    ok &= _scan(
-        rep,
-        ctx,
-        "derivative-symmetric",
-        "a^i_j,kp = a^i_j,pk",
-        product(range(kdim), range(kdim), range(n), range(n)),
-    )
-    return ok
-
-
-def check_commutative(c: MultComponents, l2: dict | None = None) -> Report:
-    rep = Report("commutativity")
-    _commutative_into(rep, _Ctx(c, l2=l2))
-    return rep
-
-
-def _associative_into(rep: Report, ctx: _Ctx) -> bool:
-    c = ctx.c
-    n, kdim = c.n, c.rank
-    ok = _scan(
-        rep,
-        ctx,
-        "star-associative",
-        "(X*Y)*Z = X*(Y*Z)",
-        product(range(n), range(n), range(n), range(n)),
-    )
-    ok &= _scan(
-        rep,
-        ctx,
-        "l-composition",
-        "l_X(l_Y s) = l_{X*Y} s",
-        product(range(kdim), range(kdim), range(n), range(n)),
-    )
-    ok &= _scan(
-        rep,
-        ctx,
-        "second-derivative-symmetric",
-        "l_Z(D_{X,Y} s) + D_{X*Y,Z} s is symmetric in X, Y, Z",
-        product(range(kdim), range(kdim), range(n), range(n), range(n)),
-    )
-    return ok
-
-
 def _require(what: str, rep: Report):
     bad = rep.first_failure()
     if bad is not None:
@@ -807,80 +848,32 @@ def _require(what: str, rep: Report):
         )
 
 
+def _require_algebra(what: str, ctx: _Ctx):
+    """Require commutativity and then associativity, each scanned once."""
+    _require(what, _stage_report("commutativity", ctx, _COMMUTATIVITY))
+    _require(what, _stage_report("associativity", ctx, _ASSOCIATIVITY))
+
+
+def check_commutative(c: MultComponents, l2: dict | None = None) -> Report:
+    return _stage_report("commutativity", _Ctx(c, l2=l2), _COMMUTATIVITY)
+
+
 def check_associative(c: MultComponents) -> Report:
-    _require("associativity", check_commutative(c))
-    rep = Report("associativity")
-    _associative_into(rep, _Ctx(c))
-    return rep
-
-
-def _unit_into(rep: Report, ctx: _Ctx) -> bool:
-    c = ctx.c
-    n, kdim = c.n, c.rank
-    ok = _scan(rep, ctx, "unit-star", "ebar * X = X", product(range(n), range(n)))
-    ok &= _scan(
-        rep, ctx, "unit-side", "l_ebar s = s", product(range(kdim), range(kdim))
-    )
-    ok &= _scan(
-        rep,
-        ctx,
-        "unit-derivative",
-        "l_X(Delta_e s) = D_{ebar,X} s",
-        product(range(kdim), range(kdim), range(n)),
-    )
-    return ok
+    ctx = _Ctx(c)
+    _require("associativity", _stage_report("commutativity", ctx, _COMMUTATIVITY))
+    return _stage_report("associativity", ctx, _ASSOCIATIVITY)
 
 
 def check_unit(c: MultComponents, e: LinearVectorField) -> Report:
-    _require("the unit check", check_commutative(c))
-    _require("the unit check", check_associative(c))
-    rep = Report("unit field")
-    _unit_into(rep, _Ctx(c, e=e))
-    return rep
-
-
-def _bracket_tuples(c: MultComponents):
-    n, kdim = c.n, c.rank
-    pairs = [(x, y) for x in range(n) for y in range(x, n)]
-    for ia, (x, y) in enumerate(pairs):
-        for z, v in pairs[ia + 1 :]:
-            for i in range(kdim):
-                for j in range(kdim):
-                    yield (i, j, x, y, z, v)
+    ctx = _Ctx(c, e=e)
+    _require_algebra("the unit check", ctx)
+    return _stage_report("unit field", ctx, _UNIT)
 
 
 def _hm_into(rep: Report, ctx: _Ctx) -> bool:
-    c = ctx.c
-    n, kdim = c.n, c.rank
-    ok = _scan(
-        rep,
-        ctx,
-        "base-integrability",
-        "L_{X*Y}(*) = X*L_Y(*) + Y*L_X(*)",
-        product(range(n), range(n), range(n), range(n), range(n)),
-    )
-    ok &= _scan(
-        rep,
-        ctx,
-        "derivative-commutator",
-        "[D_{X,Y}, l_Z] s = l_{L_Z(*)(X,Y)} s",
-        product(range(kdim), range(kdim), range(n), range(n), range(n)),
-    )
-    # the remaining tuples follow from the scanned ones by the formal
-    # symmetries of the defect (antisymmetry under pair swap, symmetry within
-    # each pair once commutativity holds)
-    ok &= _scan(
-        rep,
-        ctx,
-        "derivative-bracket",
-        "[D_{Z,V}, D_{X,Y}] s = transport terms in star derivatives",
-        _bracket_tuples(c),
-    )
-    oracle_ok = rep.scan(
-        "integrability-oracle",
-        "the assembled product has vanishing integrability defect",
-        sorted(hm_tensor(c.assemble()).coeffs.items()),
-    )
+    *tables, oracle = _INTEGRABILITY
+    ok = _run_into(rep, ctx, tables)
+    oracle_ok = _scan(rep, ctx, oracle)
     if ok != oracle_ok:
         rep.note(
             "table-level conditions and the tensor defect disagree; "
@@ -890,10 +883,10 @@ def _hm_into(rep: Report, ctx: _Ctx) -> bool:
 
 
 def check_hertling_manin(c: MultComponents) -> Report:
-    _require("the integrability check", check_commutative(c))
-    _require("the integrability check", check_associative(c))
+    ctx = _Ctx(c)
+    _require_algebra("the integrability check", ctx)
     rep = Report("integrability")
-    _hm_into(rep, _Ctx(c))
+    _hm_into(rep, ctx)
     return rep
 
 
@@ -901,14 +894,14 @@ def check_battery(c: MultComponents, e: LinearVectorField | None = None) -> Repo
     """Run the full axiom battery in dependency order."""
     rep = Report("multiplication battery")
     ctx = _Ctx(c, e=e)
-    if not _commutative_into(rep, ctx):
+    if not _run_into(rep, ctx, _COMMUTATIVITY):
         rep.note("remaining checks skipped: commutativity failed")
         return rep
-    if not _associative_into(rep, ctx):
+    if not _run_into(rep, ctx, _ASSOCIATIVITY):
         rep.note("remaining checks skipped: associativity failed")
         return rep
     if e is not None:
-        if not _unit_into(rep, ctx):
+        if not _run_into(rep, ctx, _UNIT):
             rep.note("integrability skipped: unit conditions failed")
             return rep
     else:
@@ -936,75 +929,23 @@ def lie_components(c: MultComponents, x: LinearVectorField):
     return dt, lt, rt
 
 
+def _euler_report(c: MultComponents, e, euler: LinearVectorField) -> Report:
+    """The Euler-field records alone, for a battery already known to pass."""
+    return _stage_report("euler field check", _Ctx(c, e=e, euler=euler), _EULER)
+
+
 def check_euler(
     c: MultComponents, e: LinearVectorField, euler: LinearVectorField
 ) -> Report:
-    bat = check_battery(c, e)
-    bad = bat.first_failure()
-    if bad is not None:
-        raise PreconditionError(
-            f"euler check requires the battery to pass; "
-            f"{bad.name} fails at {bad.witness}",
-            report=bat,
-        )
-    rep = Report("euler field check")
-    ctx = _Ctx(c, e=e, euler=euler)
-    n, kdim = c.n, c.rank
-    _scan(
-        rep,
-        ctx,
-        "euler-base",
-        "L_Ebar(*) = *",
-        product(range(n), range(n), range(n)),
-    )
-    _scan(
-        rep,
-        ctx,
-        "euler-side",
-        "[Delta_E, l_X] s - l_{[Ebar,X]} s = l_X s",
-        product(range(kdim), range(kdim), range(n)),
-    )
-    _scan(
-        rep,
-        ctx,
-        "euler-derivative",
-        "[Delta_E, D_{X,Y}] s - D_{[Ebar,X],Y} s - D_{X,[Ebar,Y]} s = D_{X,Y} s",
-        product(range(kdim), range(kdim), range(n), range(n)),
-    )
-    dt, lt, rt = lie_components(c, euler)
-    rep.scan(
-        "euler-components",
-        "Lie-derivative components equal (d, l, star)",
-        _table_diffs((("d", dt, c.d), ("l", lt, c.l), ("star", rt, c.star))),
-    )
-    t = c.assemble()
-    diff = lie_derivative(euler.as_field(), t) - t
-    rep.scan(
-        "euler-oracle",
-        "the Lie derivative of the assembled product equals the product",
-        sorted(diff.coeffs.items()),
-    )
-    return rep
+    _require("the euler check", check_battery(c, e))
+    return _euler_report(c, e, euler)
 
 
 def check_base(c: MultComponents, e: LinearVectorField) -> BaseFManifold:
     """Extract the base product and re-verify it on the base chart."""
     if e is None:
         raise ValueError("a unit candidate is required to extract the base")
-    bat = check_battery(c, e)
-    bad = bat.first_failure()
-    if bad is not None:
-        raise PreconditionError(
-            f"base extraction requires the battery to pass; "
-            f"{bad.name} fails at {bad.witness}",
-            report=bat,
-        )
+    _require("base extraction", check_battery(c, e))
     base = BaseFManifold(chart=c.chart.base(), star=c.star, unit=e.beta)
-    verdict = base.verify()
-    bad = verdict.first_failure()
-    if bad is not None:
-        raise PreconditionError(
-            f"extracted base data fails {bad.name} at {bad.witness}",
-            report=verdict,
-        )
+    _require("base extraction", base.verify())
     return base

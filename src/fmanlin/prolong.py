@@ -108,6 +108,10 @@ def tangent_prolongation(base: BaseFManifold) -> ProlongedStructure:
     fiber matrix.
     """
     _require("the tangent prolongation", base.verify())
+    return _tangent(base)
+
+
+def _tangent(base: BaseFManifold) -> ProlongedStructure:
     bchart = base.chart
     n = bchart.n
     names = bchart.names
@@ -129,7 +133,7 @@ def tangent_prolongation(base: BaseFManifold) -> ProlongedStructure:
 def cotangent_prolongation(base: BaseFManifold, nabla: Connection) -> ProlongedStructure:
     """Dual-fiber prolongation: the duality image of the tangent one."""
     _require("the cotangent prolongation", check_flat_f(base, nabla))
-    tan = tangent_prolongation(base)
+    tan = _tangent(base)
     dual_c, dual_e = dualize(tan.components, tan.unit, nabla)
     return ProlongedStructure("cotangent", dual_c, dual_e, base, nabla)
 
@@ -137,7 +141,7 @@ def cotangent_prolongation(base: BaseFManifold, nabla: Connection) -> ProlongedS
 def generalized_prolongation(base: BaseFManifold, nabla: Connection) -> ProlongedStructure:
     """Rank-2n prolongation on the double fiber (vector block, covector block)."""
     _require("the generalized prolongation", check_flat_f(base, nabla))
-    tan = tangent_prolongation(base)
+    tan = _tangent(base)
     dual_c, dual_e = dualize(tan.components, tan.unit, nabla)
     comps = direct_sum(tan.components, dual_c)
     unit = direct_sum_unit(tan.unit, dual_e)

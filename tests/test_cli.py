@@ -66,6 +66,22 @@ def test_euler_check_passes(capsys):
     assert main(["euler-check", model("regular2d.fman"), "--candidate", "E"]) == 0
 
 
+def test_euler_check_precondition_exits_three(tmp_path, capsys):
+    bad = tmp_path / "skew.fman"
+    bad.write_text(
+        "[chart]\nbase = x1 x2\nfiber = xi1\n\n[star]\n0 0 1 = x1\n\n"
+        "[unit]\nbeta 0 = 1\n\n[euler.E]\nbeta 0 = x1\nbeta 1 = x2\n"
+    )
+    assert main(["euler-check", str(bad), "--candidate", "E"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.startswith("multiplication battery\n")
+    assert "witness: (0, 0, 1)" in captured.out
+    assert captured.err == (
+        "precondition: the euler check requires multiplication battery to "
+        "pass; star-symmetric fails at (0, 0, 1)\n"
+    )
+
+
 def test_euler_check_unknown_candidate(capsys):
     assert main(["euler-check", model("line.fman"), "--candidate", "E9"]) == 2
     err = capsys.readouterr().err

@@ -489,3 +489,34 @@ def test_regular_connection_requires_verified_base():
     broken = BaseFManifold(B2, {(0, 0, 1): 1}, (1, 0))
     with pytest.raises(PreconditionError):
         regular_connection(broken, (rf("x1", B2), rf("x2", B2)))
+
+
+def test_flat_structure_names_its_precondition():
+    with pytest.raises(PreconditionError) as info:
+        FlatFStructure(base_plane(), Connection(B2, {(0, 0, 0): rf("x1", B2)}))
+    assert str(info.value) == (
+        "FlatFStructure requires flat structure to pass; "
+        "unit-parallel fails at (0, 0)"
+    )
+    assert info.value.report.title == "flat structure"
+
+
+def test_duality_euler_cross_check_reruns_no_battery(monkeypatch):
+    import fmanlin.duality as duality
+    import fmanlin.fman as fman
+
+    calls = []
+    real = fman.check_battery
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(duality, "check_battery", counting)
+    monkeypatch.setattr(fman, "check_battery", counting)
+    c, e = line_example()
+    euler = LinearVectorField(C11, (rf("x1+5", C11),), ((1,),))
+    rep = check_duality_conditions(c, e, Connection.zero(C11), euler=euler)
+    assert rep.passed
+    assert rep.record("dual-euler-battery").passed
+    assert len(calls) == 2

@@ -10,10 +10,11 @@ from fmanlin.fman import (
     LinearVectorField,
     MultComponents,
     PreconditionError,
+    _ASSOCIATIVITY,
     _acc,
-    _associative_into,
     _Ctx,
     _hm_into,
+    _run_into,
     _lie_d_entry,
     _lie_l_entry,
     _symmetrized_second,
@@ -143,14 +144,16 @@ def test_zero_components_are_commutative():
 
 
 def test_commutativity_failure_and_witness():
-    c = MultComponents(chart=C21, d={}, l={}, star={(0, 0, 1): rf("x1")})
-    rep = check_commutative(c)
-    rec = rep.record("star-symmetric")
-    assert not rec.passed
-    assert rec.witness == (0, 0, 1)
-    again = evaluate_residual(rec.name, rec.witness, c)
-    assert not again.is_zero()
-    assert str(again) == rec.residual
+    for name, d, l, star, l2, witness, residual in (
+        ("star-symmetric", {}, {}, {(0, 0, 1): rf("x1")}, None, (0, 0, 1), "x1"),
+        ("side-tables-equal", {}, {(0, 0, 1): 1}, {}, {}, (0, 0, 1), "1"),
+        ("derivative-symmetric", {(0, 0, 0, 1): rf("x1")}, {}, {}, None, (0, 0, 0, 1), "x1"),
+    ):
+        c = MultComponents(C21, d, l, star)
+        rec = check_commutative(c, l2=l2).record(name)
+        assert (rec.passed, rec.witness, rec.residual) == (False, witness, residual)
+        again = evaluate_residual(rec.name, rec.witness, c, l2=l2)
+        assert str(again) == rec.residual
 
 
 def test_associativity_failure_of_modified_plane_example():
@@ -513,7 +516,7 @@ def test_vector_scans_match_per_tuple_reference():
     passed, failed, outputs = set(), set(), set()
     for c in cases:
         rep = Report("vector scans")
-        _associative_into(rep, _Ctx(c))
+        _run_into(rep, _Ctx(c), _ASSOCIATIVITY)
         _hm_into(rep, _Ctx(c))
         for name, want in reference_scans(c).items():
             rec = rep.record(name)
@@ -754,3 +757,113 @@ def test_lie_star_is_tensorial_in_its_arguments():
     plain = lie_star(c, w, {0: one}, {1: one})
     scaled = {a: val * rf("x1") for a, val in plain.items()}
     assert direct == {a: v for a, v in scaled.items() if not v.is_zero()}
+
+
+# -- declarations, stages and preconditions --------------------------------------
+
+
+def failing_inputs():
+    """One ``(components, context keywords)`` per declared identity, failing it."""
+    c, e = plane_example()
+    euler = LinearVectorField(C21, (rf("2*x1"), rf("x2")), ((0,),))
+    skew = MultComponents(C21, d={}, l={}, star={(0, 0, 1): rf("x1")})
+    side = MultComponents(C21, d={}, l={(0, 0, 1): 1}, star={})
+    no_unit = MultComponents(
+        C21, d={}, l={}, star={(0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1}
+    )
+    bent_l = MultComponents(C21, d=c.d, l={(0, 0, 0): 1, (0, 0, 1): 1}, star=c.star)
+    bent_d = MultComponents(
+        C21, d={(0, 0, 0, 0): rf("x1")}, l={(0, 0, 1): 1}, star=c.star
+    )
+    curved = MultComponents(C21, d={}, l={}, star={**c.star, (0, 1, 1): rf("x1")})
+    moving_l = MultComponents(
+        C11, d={}, l={(0, 0, 0): rf("x1", C11)}, star={(0, 0, 0): 1}
+    )
+    tilted = tilted_plane("x1", "x1")
+    return {
+        "side-tables-equal": (side, {"l2": {}}),
+        "star-symmetric": (skew, {}),
+        "derivative-symmetric": (
+            MultComponents(C21, d={(0, 0, 0, 1): rf("x1")}, l={}, star={}),
+            {},
+        ),
+        "star-associative": (no_unit, {}),
+        "l-composition": (bent_l, {}),
+        "second-derivative-symmetric": (bent_d, {}),
+        "unit-star": (c, {"e": LinearVectorField.zero(C21)}),
+        "unit-side": (c, {"e": LinearVectorField.zero(C21)}),
+        "unit-derivative": (c, {"e": LinearVectorField(C21, (1, 0), ((1,),))}),
+        "base-integrability": (curved, {}),
+        "derivative-commutator": (moving_l, {}),
+        "derivative-bracket": (tilted, {}),
+        "integrability-oracle": (tilted, {}),
+        "euler-base": (c, {"e": e, "euler": euler}),
+        "euler-side": (c, {"e": e, "euler": euler}),
+        "euler-derivative": (c, {"e": e, "euler": euler}),
+        "euler-components": (c, {"e": e, "euler": euler}),
+        "euler-oracle": (c, {"e": e, "euler": euler}),
+    }
+
+
+def test_every_declared_identity_is_staged_fails_and_replays():
+    import fmanlin.fman as fman
+
+    stages = (
+        fman._COMMUTATIVITY,
+        fman._ASSOCIATIVITY,
+        fman._UNIT,
+        fman._INTEGRABILITY,
+        fman._EULER,
+    )
+    staged = [name for stage in stages for name in stage]
+    assert len(staged) == len(set(staged))
+    assert set(staged) == set(fman._IDENTITIES)
+    for name, ident in fman._IDENTITIES.items():
+        assert ident.kind in ("scalar", "vector", "oracle"), name
+        assert (ident.kind == "oracle") == (ident.space == ""), name
+    cases = failing_inputs()
+    assert set(cases) == set(fman._IDENTITIES)
+    for name, (c, kw) in cases.items():
+        rep = Report(name)
+        assert not fman._scan(rep, fman._Ctx(c, **kw), name), name
+        rec = rep.first_failure()
+        assert rec.law == fman._IDENTITIES[name].law
+        again = evaluate_residual(name, rec.witness, c, **kw)
+        assert not again.is_zero(), name
+        assert str(again) == rec.residual, name
+
+
+def test_preconditions_are_scanned_once(monkeypatch):
+    import fmanlin.fman as fman
+
+    scans = []
+    real = fman._scan
+
+    def counting(rep, ctx, name):
+        scans.append(name)
+        return real(rep, ctx, name)
+
+    monkeypatch.setattr(fman, "_scan", counting)
+    c, e = line_example()
+    for check in (lambda: check_unit(c, e), lambda: check_hertling_manin(c)):
+        scans.clear()
+        assert check().passed
+        assert scans.count("side-tables-equal") == 1
+        assert scans.count("star-associative") == 1
+
+
+def test_euler_and_base_extraction_name_their_precondition():
+    skew = MultComponents(C21, d={}, l={}, star={(0, 0, 1): rf("x1")})
+    c, e = plane_example()
+    euler = LinearVectorField(C21, (rf("x1"), rf("x2")), ((1,),))
+    for check, what in (
+        (lambda: check_euler(skew, e, euler), "the euler check"),
+        (lambda: check_base(skew, e), "base extraction"),
+    ):
+        with pytest.raises(PreconditionError) as info:
+            check()
+        assert str(info.value) == (
+            f"{what} requires multiplication battery to pass; "
+            "star-symmetric fails at (0, 0, 1)"
+        )
+        assert info.value.report.title == "multiplication battery"

@@ -458,3 +458,24 @@ def test_five_field_fails_without_integrability(monkeypatch):
     monkeypatch.setattr(prolong, "_require", lambda what, rep: None)
     rec = check_five_field_identity(BaseFManifold(B2, c.star, (1, 0))).records[0]
     assert (rec.passed, rec.witness, rec.residual) == (False, (1, 0, 1, 1, 1, 0), "1")
+
+
+def test_prolongations_verify_the_base_once(monkeypatch):
+    calls = []
+    real = BaseFManifold.verify
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(BaseFManifold, "verify", counting)
+    base = BaseFManifold(B2, PLANE_STAR, (1, 0))
+    nabla = Connection.zero(B2)
+    for build in (
+        tangent_prolongation,
+        lambda b: cotangent_prolongation(b, nabla),
+        lambda b: generalized_prolongation(b, nabla),
+    ):
+        calls.clear()
+        assert build(base).verify().passed
+        assert calls == [base]
