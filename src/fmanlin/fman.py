@@ -435,14 +435,16 @@ def _frame(j: int) -> dict:
 # read as a product of ranges: ``"kkn"`` scans ``range(k) x range(k) x
 # range(n)``; ``"bracket"`` scans `_bracket_tuples`.  `_Ctx` holds the inputs
 # of one battery and memoizes the frame Lie derivatives
-# ``L_{d_r}(*)(d_k, d_p)`` that three vector identities share.  `_scan` and
-# `evaluate_residual` read the same declaration and evaluate a scalar or
-# vector record through `_residual`, so a reported witness can be reproduced
-# in isolation; an oracle replays by looking its witness up among its pairs.
+# ``L_{d_r}(*)(d_k, d_p)`` that three vector identities share, and the
+# symmetrized second derivatives that each tuple compares with its sorted
+# reference.  `_scan` and `evaluate_residual` read the same declaration and
+# evaluate a scalar or vector record through `_residual`, so a reported
+# witness can be reproduced in isolation; an oracle replays by looking its
+# witness up among its pairs.
 
 
 class _Ctx:
-    __slots__ = ("c", "e", "euler", "l2", "lie")
+    __slots__ = ("c", "e", "euler", "l2", "lie", "second")
 
     def __init__(self, c, e=None, euler=None, l2=None):
         self.c = c
@@ -450,12 +452,20 @@ class _Ctx:
         self.euler = euler
         self.l2 = l2
         self.lie = {}  # (r, k, p) -> L_{d_r}(*)(d_k, d_p)
+        self.second = {}  # (j, k, p, r) -> _symmetrized_second(c, j, k, p, r)
 
     def lie_frame(self, r, k, p) -> dict:
         key = (r, k, p)
         out = self.lie.get(key)
         if out is None:
             out = self.lie[key] = lie_star(self.c, _frame(r), _frame(k), _frame(p))
+        return out
+
+    def symmetrized_second(self, j, k, p, r) -> dict:
+        key = (j, k, p, r)
+        out = self.second.get(key)
+        if out is None:
+            out = self.second[key] = _symmetrized_second(self.c, j, k, p, r)
         return out
 
 
@@ -545,8 +555,8 @@ def _symmetrized_second(c: MultComponents, j, k, p, r) -> dict:
 )
 def _vec_second_derivative_symmetric(ctx: _Ctx, rest) -> dict:
     j, k, p, r = rest
-    cur = _symmetrized_second(ctx.c, j, k, p, r)
-    return _vsub(cur, _symmetrized_second(ctx.c, j, *sorted((k, p, r))))
+    cur = ctx.symmetrized_second(j, k, p, r)
+    return _vsub(cur, ctx.symmetrized_second(j, *sorted((k, p, r))))
 
 
 @_identity("unit-star", "ebar * X = X", "scalar", "nn")

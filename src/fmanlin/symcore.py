@@ -8,6 +8,16 @@ All values are immutable and kept in a canonical form (graded-lexicographic
 term order, coprime numerator/denominator, integer-primitive denominator with
 positive leading coefficient), so structural equality ``==`` decides
 mathematical equality.  No floating point is used anywhere.
+
+Two rules keep the gcds small.  Arithmetic on canonical operands takes gcds
+of the operands, not of the products: a sum ``a/b + c/d`` is reduced only by
+``gcd(t, gcd(b, d))`` of its new numerator ``t``, a product only by the cross
+gcds ``gcd(a, d)`` and ``gcd(c, b)`` (Henrici 1956; Knuth, TAOCP vol. 2,
+4.5.1).  And :func:`poly_gcd` bottoms out in Euclid's algorithm on dense
+coefficient lists once both operands are in one variable, with a primitive
+pseudo-remainder sequence above it.  Either way the result is brought to the
+same canonical form, which is unique, so it is stored, printed and compared
+exactly as a value built by the full gcd would be.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd as _int_gcd
+from operator import add, sub
 
 __all__ = [
     "Poly",
@@ -180,6 +191,10 @@ class Poly:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return _ZERO
+        if not other.vars and other.terms[()] == 1:
+            return self
+        if not self.vars and self.terms[()] == 1:
+            return other
         variables, a, b = self._aligned(other)
         out: dict[tuple[int, ...], Fraction] = {}
         for ea, ca in a.items():
@@ -303,7 +318,7 @@ def _primitive_assoc(p: Poly) -> Poly:
     c = _rational_content(p)
     if p.lead()[1] < 0:
         c = -c
-    return p * (1 / c)
+    return p if c == 1 else p * (1 / c)
 
 
 def exact_div(a: Poly, b: Poly) -> Poly:
@@ -313,7 +328,8 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     if a.is_zero():
         return _ZERO
     if b.is_const():
-        return a * (1 / b.constant())
+        c = b.constant()
+        return a if c == 1 else a * (1 / c)
     variables = tuple(sorted(set(a.vars) | set(b.vars), key=_var_key))
     ra = dict(a._on_vars(variables))
     tb = b._on_vars(variables)
@@ -337,7 +353,7 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     return Poly(variables, quot)
 
 
-# -- multivariate gcd (primitive pseudo-remainder sequence) -------------------
+# -- gcd (Euclid in one variable, primitive pseudo-remainder sequence above) ---
 
 
 def _as_univar(p: Poly, name: str) -> dict[int, Poly]:
@@ -377,11 +393,50 @@ def _prem(a: Poly, b: Poly, name: str) -> Poly:
     return r
 
 
+def _dense(p: Poly) -> list[Fraction]:
+    """Coefficients of a univariate ``p``, lowest degree first."""
+    out = [Fraction(0)] * (max(e for e, in p.terms) + 1)
+    for (e,), c in p.terms.items():
+        out[e] = c
+    return out
+
+
+def _euclid(a: Poly, b: Poly) -> Poly:
+    """Gcd of two polynomials in the same single variable: Euclid over Q
+    on dense coefficient lists (Brown, JACM 1971), then the canonical
+    associate."""
+    u, v = _dense(a), _dense(b)
+    if len(u) < len(v):
+        u, v = v, u
+    while len(v) > 1:
+        lead = v[-1]
+        v = [c / lead for c in v]
+        # u mod v, with v monic
+        dv = len(v) - 1
+        for k in range(len(u) - 1, dv - 1, -1):
+            q = u[k]
+            if q:
+                for i in range(dv):
+                    u[k - dv + i] -= q * v[i]
+        del u[dv:]
+        while u and not u[-1]:
+            u.pop()
+        u, v = v, u
+    if v:
+        return _ONE
+    return _primitive_assoc(Poly(a.vars, {(d,): c for d, c in enumerate(u) if c}))
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Greatest common divisor over the rationals.
 
     The result is the canonical associate: integer-primitive with positive
-    leading coefficient (``1`` for coprime inputs).
+    leading coefficient (``1`` for coprime inputs).  Operands that share no
+    variable are coprime.  A variable of one operand only cannot occur in a
+    common factor, so the gcd is that of the other operand with the first
+    one's coefficients in the variable.  Operands in one and the same
+    variable go through `_euclid`; the rest go through the primitive
+    pseudo-remainder sequence, whose contents recurse down to that base case.
     """
     if a.is_zero():
         return _primitive_assoc(b)
@@ -389,7 +444,21 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return _primitive_assoc(a)
     if a.is_const() or b.is_const():
         return _ONE
-    name = max(set(a.vars) | set(b.vars), key=_var_key)
+    if a.vars != b.vars:
+        if set(a.vars).isdisjoint(b.vars):
+            return _ONE
+        for p, q in ((a, b), (b, a)):
+            for name in p.vars:
+                if name not in q.vars:
+                    g = q
+                    for c in _as_univar(p, name).values():
+                        g = poly_gcd(g, c)
+                        if g.is_const():
+                            break
+                    return g
+    if len(a.vars) == 1:
+        return _euclid(a, b)
+    name = a.vars[-1]
     ca = _content_wrt(a, name)
     cb = _content_wrt(b, name)
     cont = poly_gcd(ca, cb)
@@ -408,12 +477,32 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return _primitive_assoc(cont * pa)
 
 
+# -- canonical rational functions ---------------------------------------------
+
+
+def _normal(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """Scale a coprime pair to an integer-primitive denominator with positive
+    leading coefficient (``1`` for a constant)."""
+    if num.is_zero():
+        return _ZERO, _ONE
+    if den.is_const():
+        c = den.constant()
+    else:
+        c = _rational_content(den)
+        if den.lead()[1] < 0:
+            c = -c
+    if c == 1:
+        return num, den
+    return num * (1 / c), (_ONE if den.is_const() else den * (1 / c))
+
+
 class RatFunc:
     """A rational function: quotient of two :class:`Poly` in canonical form.
 
     Numerator and denominator are coprime; the denominator is an
     integer-primitive polynomial with positive leading coefficient (``1`` for
-    polynomials).
+    polynomials).  The constructor divides out the full gcd; the arithmetic
+    cancels on its canonical operands instead and builds through `_coprime`.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -421,26 +510,10 @@ class RatFunc:
     def __init__(self, num: Poly, den: Poly = _ONE):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            num, den = _ZERO, _ONE
-        elif den is not _ONE and not (den.is_const() and den.constant() == 1):
-            if den.is_const():
-                num, den = num * (1 / den.constant()), _ONE
-            else:
-                g = poly_gcd(num, den)
-                if not g.is_const():
-                    num = exact_div(num, g)
-                    den = exact_div(den, g)
-                c = _rational_content(den)
-                if den.lead()[1] < 0:
-                    c = -c
-                if c != 1:
-                    num = num * (1 / c)
-                    den = den * (1 / c)
-                if den.is_const():
-                    den = _ONE
-        self.num = num
-        self.den = den
+        if not (num.is_zero() or den.is_const()):
+            g = poly_gcd(num, den)
+            num, den = exact_div(num, g), exact_div(den, g)
+        self.num, self.den = _normal(num, den)
         self._hash = None
 
     # -- constructors ---------------------------------------------------------
@@ -500,11 +573,7 @@ class RatFunc:
             return self
         if not self.num.terms:
             return other
-        if self.is_poly() and other.is_poly():
-            return RatFunc(self.num + other.num)
-        return RatFunc(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        return _sum(self, other, add)
 
     __radd__ = __add__
 
@@ -516,11 +585,7 @@ class RatFunc:
             return self
         if not self.num.terms:
             return -other
-        if self.is_poly() and other.is_poly():
-            return RatFunc(self.num - other.num)
-        return RatFunc(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
+        return _sum(self, other, sub)
 
     def __rsub__(self, other):
         other = _as_rf(other)
@@ -551,7 +616,7 @@ class RatFunc:
             out.den = _ONE
             out._hash = None
             return out
-        return RatFunc(self.num * other.num, self.den * other.den)
+        return _product(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -561,7 +626,7 @@ class RatFunc:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return _product(self.num, self.den, other.den, other.num)
 
     def __rtruediv__(self, other):
         other = _as_rf(other)
@@ -570,13 +635,14 @@ class RatFunc:
         return other.__truediv__(self)
 
     def __pow__(self, n: int):
+        # powers of a coprime pair stay coprime
         if n == 0:
             return _RF_ONE
         if n < 0:
             if self.is_zero():
                 raise ZeroDivisionError("zero rational function to a negative power")
-            return RatFunc(self.den ** (-n), self.num ** (-n))
-        return RatFunc(self.num**n, self.den**n)
+            return _coprime(self.den ** (-n), self.num ** (-n))
+        return _coprime(self.num**n, self.den**n)
 
     # -- calculus ---------------------------------------------------------------
 
@@ -584,11 +650,24 @@ class RatFunc:
         """Partial derivative with respect to the named variable."""
         if name not in self.num.vars and name not in self.den.vars:
             return _RF_ZERO
+        a, b = self.num, self.den
         if self.is_poly():
-            return RatFunc(self.num.partial(name))
-        dn = self.num.partial(name)
-        dd = self.den.partial(name)
-        return RatFunc(dn * self.den - self.num * dd, self.den * self.den)
+            return _coprime(a.partial(name), _ONE)
+        # With g = gcd(b, b') and b = g*u, (a/b)' = (a'*u - a*(b'/g)) / (b*u).
+        # An irreducible factor of b that contains `name` divides g one time
+        # less than b, so it divides u but not the new numerator.  A factor
+        # free of `name` divides g wholly and may divide the numerator: d/dx1
+        # of (x1*x2 + 1)/x2 is x2/x2^2, which is 1.  So the numerator is still
+        # reduced by its gcd with g, and by nothing else.
+        db = b.partial(name)
+        if db.is_zero():
+            g, u, t = b, _ONE, a.partial(name)
+        else:
+            g = poly_gcd(b, db)
+            u = exact_div(b, g)
+            t = a.partial(name) * u - a * exact_div(db, g)
+        h = poly_gcd(t, g)
+        return _coprime(exact_div(t, h), exact_div(b, h) * u)
 
     def scale_vars(self, names, t_name: str) -> "RatFunc":
         return RatFunc(
@@ -619,6 +698,54 @@ class RatFunc:
 
 _RF_ZERO = RatFunc(_ZERO)
 _RF_ONE = RatFunc(_ONE)
+
+
+def _coprime(num: Poly, den: Poly) -> RatFunc:
+    """The value ``num/den`` of a coprime pair, built without a gcd."""
+    out = RatFunc.__new__(RatFunc)
+    out.num, out.den = _normal(num, den)
+    out._hash = None
+    return out
+
+
+def _sum(f: RatFunc, h: RatFunc, op) -> RatFunc:
+    """``op(f, h)`` for ``op`` in (add, sub) on nonzero canonical operands.
+
+    With ``f = a/b``, ``h = c/d``, ``g = gcd(b, d)``, ``b = g*b1`` and
+    ``d = g*d1``, the value is ``t / (b1*d)`` with ``t = a*d1 op c*b1``.  As
+    ``a`` is coprime to ``b``, ``c`` to ``d`` and ``b1`` to ``d1``, ``t`` is
+    coprime to ``b1*d1``: only ``gcd(t, g)`` can cancel, and ``g = 1`` leaves
+    nothing to cancel (Henrici; Knuth, TAOCP vol. 2, 4.5.1).
+    """
+    a, b, c, d = f.num, f.den, h.num, h.den
+    if b.is_const() and d.is_const():
+        return _coprime(op(a, c), _ONE)
+    if b == d:
+        g, b1, d1 = b, _ONE, _ONE
+    else:
+        g = poly_gcd(b, d)
+        b1, d1 = exact_div(b, g), exact_div(d, g)
+    t = op(a * d1, c * b1)
+    if t.is_zero():
+        return _RF_ZERO
+    k = poly_gcd(t, g)
+    return _coprime(exact_div(t, k), b1 * exact_div(d, k))
+
+
+def _product(a: Poly, b: Poly, c: Poly, d: Poly) -> RatFunc:
+    """``(a/b) * (c/d)`` for coprime pairs ``a, b`` and ``c, d``.
+
+    Only the cross gcds ``gcd(a, d)`` and ``gcd(c, b)`` can cancel.  ``d``
+    need not be canonical, so a quotient is the product with the reciprocal.
+    """
+    if b.is_const() and d.is_const():
+        return _coprime(a * c, b * d)
+    g1 = poly_gcd(a, d)
+    g2 = poly_gcd(c, b)
+    return _coprime(
+        exact_div(a, g1) * exact_div(c, g2),
+        exact_div(b, g2) * exact_div(d, g1),
+    )
 
 
 def _as_rf(value):

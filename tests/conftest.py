@@ -6,6 +6,7 @@ All randomness is driven by ``random.Random`` instances seeded from the
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from fractions import Fraction
@@ -44,6 +45,19 @@ def rand_poly(
     if nonzero and p.is_zero():
         return Poly((), {(): Fraction(1)})
     return p
+
+
+def primitive(p: Poly) -> Poly:
+    """The integer-primitive associate of ``p`` with positive leading
+    coefficient, computed apart from ``symcore`` for use as a reference."""
+    if p.is_zero():
+        return p
+    coeffs = p.terms.values()
+    content = Fraction(
+        math.gcd(*(c.numerator for c in coeffs)),
+        math.lcm(*(c.denominator for c in coeffs)),
+    )
+    return p * (1 / (content if p.lead()[1] > 0 else -content))
 
 
 def rand_ratfunc(

@@ -1,6 +1,7 @@
 """End-to-end behavior of the command line interface."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,8 @@ import pytest
 from fmanlin.cli import main
 from fmanlin.modelfile import load, loads
 
-MODELS = Path(__file__).resolve().parent.parent / "models"
+ROOT = Path(__file__).resolve().parent.parent
+MODELS = ROOT / "models"
 
 
 def model(name: str) -> str:
@@ -18,11 +20,14 @@ def model(name: str) -> str:
 
 
 def run_cli(*argv, input_text=None):
+    """Run the CLI in a fresh interpreter that imports this checkout's ``src``."""
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     return subprocess.run(
         [sys.executable, "-m", "fmanlin.cli", *argv],
         capture_output=True,
         text=True,
         input=input_text,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
     )
 
 

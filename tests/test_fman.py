@@ -852,6 +852,28 @@ def test_preconditions_are_scanned_once(monkeypatch):
         assert scans.count("star-associative") == 1
 
 
+def test_symmetrized_second_runs_once_per_distinct_argument(monkeypatch):
+    import fmanlin.fman as fman
+
+    calls = []
+    real = fman._symmetrized_second
+
+    def counting(c, *args):
+        calls.append(args)
+        return real(c, *args)
+
+    monkeypatch.setattr(fman, "_symmetrized_second", counting)
+    chart = Chart.standard(2, 0)
+    star = {(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1}
+    prol = generalized_prolongation(
+        BaseFManifold(chart, star, (1, 0)), Connection.zero(chart)
+    )
+    c = prol.components
+    calls.clear()
+    assert check_battery(c, prol.unit).passed
+    assert len(calls) == len(set(calls)) == c.rank * c.n**3
+
+
 def test_euler_and_base_extraction_name_their_precondition():
     skew = MultComponents(C21, d={}, l={}, star={(0, 0, 1): rf("x1")})
     c, e = plane_example()

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_poly, rand_ratfunc, rng_for
+from conftest import primitive, rand_poly, rand_ratfunc, rng_for
 from fmanlin.symcore import (
     MAX_DEPTH,
     ParseError,
@@ -210,12 +210,25 @@ ONES = (
 
 
 def general(op, a, b):
-    """``a op b`` by the general formula on numerators and denominators."""
+    """``a op b`` by the general formula: the full gcd of the products."""
     a, b = RatFunc.coerce(a), RatFunc.coerce(b)
     if op == "*":
         return RatFunc(a.num * b.num, a.den * b.den)
+    if op == "/":
+        return RatFunc(a.num * b.den, a.den * b.num)
     left, right = a.num * b.den, b.num * a.den
     return RatFunc(left + right if op == "+" else left - right, a.den * b.den)
+
+
+def general_pow(f, n):
+    if n < 0:
+        return RatFunc(f.den ** (-n), f.num ** (-n))
+    return RatFunc(f.num**n, f.den**n)
+
+
+def general_partial(f, name):
+    num, den = f.num, f.den
+    return RatFunc(num.partial(name) * den - num * den.partial(name), den * den)
 
 
 def test_zero_and_one_operands_match_the_general_formula():
@@ -240,11 +253,133 @@ def test_partial_in_an_absent_variable_is_zero():
         rational += not f.is_poly()
         for name in ("xi1", "x3"):
             d = f.partial(name)
-            want = RatFunc(
-                f.num.partial(name) * f.den - f.num * f.den.partial(name),
-                f.den * f.den,
-            )
+            want = general_partial(f, name)
             assert d.is_zero() and d == want and str(d) == str(want)
     assert rational
     # a variable of the denominator alone is not absent
     assert P("1/x2").partial("x2") == P("-1/x2^2")
+
+
+# -- the arithmetic against the general formulas --------------------------------
+
+
+def storage(f):
+    return (f.num.vars, f.num.terms, f.den.vars, f.den.terms, str(f))
+
+
+def prs_gcd(a, b):
+    """Gcd of univariate ``a``, ``b`` by the primitive pseudo-remainder sequence."""
+    (name,) = set(a.vars) | set(b.vars)
+    x = Poly.variable(name)
+    a, b = primitive(a), primitive(b)
+    if a.degree_in(name) < b.degree_in(name):
+        a, b = b, a
+    while not b.is_zero():
+        r, db, lb = a, b.degree_in(name), b.lead()[1]
+        while not r.is_zero() and r.degree_in(name) >= db:
+            r = r * lb - b * r.lead()[1] * x ** (r.degree_in(name) - db)
+        a, b = b, primitive(r)
+    return primitive(a) if a.degree_in(name) else Poly.one()
+
+
+def Q(num, den="1"):
+    """``num/den`` from two polynomial texts, through the general constructor."""
+    return RatFunc(P(num).num, P(den).num)
+
+
+# (f, g, differentiation variable), one group per property the cancellation
+# relies on
+HAND_PICKED = (
+    # coprime denominators
+    (Q("1", "x1 + 1"), Q("x2", "x1 - 1"), "x1"),
+    (Q("x1", "x2 + 2"), Q("1", "x1*x2 - 1"), "x2"),
+    # equal denominators, where the sum cancels all or part of them
+    (Q("x1", "x1 + 1"), Q("1", "x1 + 1"), "x1"),
+    (Q("x1^2", "x1^2 - 1"), Q("-1", "x1^2 - 1"), "x1"),
+    (Q("x2", "x1 + x2"), Q("x1", "x1 + x2"), "x2"),
+    # a shared factor of the denominators
+    (Q("1", "(x1 + 1)*x2"), Q("1", "(x1 + 1)*(x1 - 2)"), "x1"),
+    (Q("x1 - 2", "(x1 + 1)*x2"), Q("x2", "(x1 + 1)*(x1 - 2)"), "x2"),
+    (Q("x2 + 1", "x1*(x1 + x2)"), Q("-x1 + 1", "x2*(x1 + x2)"), "x1"),
+    # repeated factors
+    (Q("1", "(x1 + 1)^2"), Q("x1", "(x1 + 1)^3"), "x1"),
+    (Q("x1", "(x1 + 1)^2*x2"), Q("(x1 + 1)*x2^2", "x1^2"), "x1"),
+    (Q("x2", "(x1 - x2)^3"), Q("x1 - x2", "x2^2"), "x2"),
+    # negative leading coefficients
+    (Q("1", "1 - x1"), Q("x1", "-2*x1 - 2"), "x1"),
+    (Q("-x1 - 1", "3"), Q("-x2", "1 - x1*x2"), "x2"),
+    # rational content
+    (Q("x1/2 + 1/3", "x1 + 1"), Q("6", "3*x1/4 + 3/4"), "x1"),
+    (Q("2/3", "x1/5 - x2/7"), Q("x1/3 - x2/3", "1/2"), "x2"),
+    # a denominator factor free of the differentiation variable
+    (Q("x1*x2 + 1", "x2"), Q("x1", "x2^2*(x1 + 1)"), "x1"),
+    (Q("x1 + 1", "x2*(x1 - 1)"), Q("x2*xi1 - 1", "xi1^2*x1"), "x1"),
+)
+
+OPS = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: a / b,
+}
+
+
+def assert_matches_general(f, g, name):
+    for op, fn in OPS.items():
+        for a, b in ((f, g), (g, f)):
+            if op == "/" and b.is_zero():
+                continue
+            assert storage(fn(a, b)) == storage(general(op, a, b)), (op, a, b)
+    for n in (-2, -1, 2):
+        if n > 0 or not f.is_zero():
+            assert storage(f**n) == storage(general_pow(f, n)), (f, n)
+    for v in (name, "x2", "xi1"):
+        assert storage(f.partial(v)) == storage(general_partial(f, v)), (f, v)
+
+
+def test_hand_picked_arithmetic_matches_the_general_formulas():
+    for f, g, name in HAND_PICKED:
+        assert_matches_general(f, g, name)
+    # the cases reach every cancellation the arithmetic relies on
+    assert Q("x1", "x1 + 1") + Q("1", "x1 + 1") == RatFunc.one()
+    assert Q("x1*x2 + 1", "x2").partial("x1") == RatFunc.one()
+    assert str(Q("1", "1 - x1") / Q("-2*x1 + 1", "3")) == "(3)/(2*x1^2 - 3*x1 + 1)"
+    assert str(Q("x1/2 + 1/3", "x1 + 1") * Q("6", "3*x1/4 + 3/4")) == (
+        "(4*x1 + 8/3)/(x1^2 + 2*x1 + 1)"
+    )
+
+
+def test_random_arithmetic_matches_the_general_formulas():
+    rng = rng_for("symcore-general")
+    for variables in (X1, ("x1", "x2"), XV):
+        values = []
+        while sum(not f.is_poly() for f in values) < 6:
+            values.append(rand_ratfunc(rng, variables))
+        # products and quotients of the draws share factors of denominators
+        values += [general("*", values[i], values[i + 1]) for i in range(6)]
+        values += [
+            general("/", values[i], values[i + 2])
+            for i in range(6)
+            if not values[i + 2].is_zero()
+        ]
+        for f, g in zip(values, values[1:] + values[:1]):
+            assert_matches_general(f, g, variables[-1])
+            # the second sum shares the denominator factors of g and cancels
+            assert storage((f - g) + g) == storage(f)
+
+
+def test_univariate_gcd_matches_the_pseudo_remainder_sequence():
+    rng = rng_for("symcore-euclid")
+    x = Poly.variable("x1")
+    checked = 0
+    for _ in range(60):
+        a = rand_poly(rng, X1, max_deg=3, nonzero=True)
+        b = rand_poly(rng, X1, max_deg=3, nonzero=True)
+        h = rand_poly(rng, X1, max_deg=2, nonzero=True)
+        for p, q in ((a * h, b * h), (a * h * h, b * h), (a * x, a + x)):
+            if p.is_const() or q.is_const():
+                continue
+            got, want = poly_gcd(p, q), prs_gcd(p, q)
+            assert (got.vars, got.terms) == (want.vars, want.terms), (p, q)
+            checked += 1
+    assert checked > 100

@@ -1,0 +1,102 @@
+"""Differential oracle: symcore against sympy on seeded random rational functions.
+
+sympy is a test-only dependency; without it this module is skipped.  Inputs
+come from the ``conftest`` generators, so ``FMAN_SEED`` reseeds every case.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from conftest import primitive, rand_poly, rand_ratfunc, rng_for
+from fmanlin.symcore import Poly, RatFunc, parse_expr, poly_gcd
+
+sympy = pytest.importorskip("sympy")
+
+VARIABLES = (("x1",), ("x1", "x2"), ("x1", "x2", "xi1"))
+
+
+def to_sympy(p: Poly):
+    gens = [sympy.Symbol(v) for v in p.vars]
+    out = sympy.Integer(0)
+    for exp, c in p.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for g, e in zip(gens, exp):
+            term *= g**e
+        out += term
+    return out
+
+
+def from_sympy(expr, variables) -> Poly:
+    poly = sympy.Poly(expr, *[sympy.Symbol(v) for v in variables])
+    return Poly(
+        variables,
+        {exp: Fraction(int(c.p), int(c.q)) for exp, c in poly.terms()},
+    )
+
+
+def assert_same_function(f: RatFunc, expr, variables):
+    """``f`` is sympy's cancelled ``expr`` in canonical form."""
+    num, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
+    num, den = from_sympy(num, variables), from_sympy(den, variables)
+    # a coprime pair is unique up to a constant factor, fixed by the
+    # canonical denominator
+    scale = primitive(den).lead()[1] / den.lead()[1]
+    assert (f.num, f.den) == (num * scale, den * scale), (f, expr)
+
+
+def rf_to_sympy(f: RatFunc):
+    return to_sympy(f.num) / to_sympy(f.den)
+
+
+def test_gcd_matches_sympy():
+    rng = rng_for("sympy-gcd")
+    for variables in VARIABLES:
+        for _ in range(15):
+            h = rand_poly(rng, variables, max_deg=2, nonzero=True)
+            a = rand_poly(rng, variables, nonzero=True) * h
+            b = rand_poly(rng, variables, nonzero=True) * h
+            want = sympy.gcd(to_sympy(a), to_sympy(b))
+            assert poly_gcd(a, b) == primitive(from_sympy(want, variables)), (a, b)
+
+
+def test_cancellation_matches_sympy():
+    rng = rng_for("sympy-cancel")
+    for variables in VARIABLES:
+        for _ in range(15):
+            h = rand_poly(rng, variables, max_deg=1, nonzero=True)
+            num = rand_poly(rng, variables) * h
+            den = rand_poly(rng, variables, max_deg=1, nonzero=True) * h
+            f = RatFunc(num, den)
+            assert_same_function(f, to_sympy(num) / to_sympy(den), variables)
+
+
+def test_arithmetic_and_partial_match_sympy():
+    rng = rng_for("sympy-arith")
+    for variables in VARIABLES:
+        for _ in range(10):
+            f = rand_ratfunc(rng, variables)
+            g = rand_ratfunc(rng, variables)
+            sf, sg = rf_to_sympy(f), rf_to_sympy(g)
+            assert_same_function(f + g, sf + sg, variables)
+            assert_same_function(f - g, sf - sg, variables)
+            assert_same_function((f - g) + g, sf, variables)
+            assert_same_function(f * g, sf * sg, variables)
+            if not g.is_zero():
+                assert_same_function(f / g, sf / sg, variables)
+            for v in variables:
+                d = sympy.diff(sf, sympy.Symbol(v))
+                assert_same_function(f.partial(v), d, variables)
+
+
+def test_parse_expr_matches_sympy():
+    rng = rng_for("sympy-parse")
+    for variables in VARIABLES:
+        for _ in range(10):
+            f, g, h = (rand_ratfunc(rng, variables) for _ in range(3))
+            text = f"({f}) * ({g}) - ({h})^2"
+            if not g.is_zero():
+                text += f" + ({f})/({g})"
+            local = {v: sympy.Symbol(v) for v in variables}
+            want = sympy.sympify(text.replace("^", "**"), locals=local)
+            assert_same_function(parse_expr(text, variables), want, variables)
