@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
+from itertools import groupby, permutations, product
+from types import MappingProxyType
 
 from .report import Report
 from .symcore import RatFunc
@@ -149,7 +151,11 @@ class LinearVectorField:
 
 @dataclass(frozen=True, eq=False)
 class MultComponents:
-    """Frame tables ``(d, l, star)`` of a fiberwise-linear multiplication."""
+    """Frame tables ``(d, l, star)`` of a fiberwise-linear multiplication.
+
+    The tables are frozen at construction, so :attr:`rows`, compiled from
+    them on first use, never goes stale.
+    """
 
     chart: Chart
     d: dict
@@ -183,9 +189,14 @@ class MultComponents:
             if len(key) != 3 or not all(0 <= x < n for x in key):
                 raise ValueError(f"bad star-table key {key}")
             chart.require_base_only(val, f"star table entry {key}")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "star", star)
+        object.__setattr__(self, "d", MappingProxyType(d))
+        object.__setattr__(self, "l", MappingProxyType(l))
+        object.__setattr__(self, "star", MappingProxyType(star))
+
+    @cached_property
+    def rows(self) -> "_Rows":
+        """The tables as sparse rows, for the frame operators."""
+        return _Rows(self)
 
     def __eq__(self, other):
         if not isinstance(other, MultComponents):
@@ -275,6 +286,51 @@ class BaseFManifold:
         )
 
 
+class _Rows:
+    """The tables of one :class:`MultComponents` as sparse rows.
+
+    ``star[(i, j)]`` lists ``(a, b^a_ij)``, ``l[(k, j)]`` lists ``(i, a^i_jk)``
+    and ``d[(j, k, p)]`` lists ``(i, a^i_j,kp)``: the nonzero entries of the
+    product of two frames, of a side operator on one frame section and of a
+    derivative table on one frame section, by output index.  ``star_vars``
+    and ``l_vars`` map the key of each row that has a nonconstant entry to
+    the base indices its entries contain; a derivative along any other base
+    coordinate vanishes on the whole row.
+    """
+
+    __slots__ = ("star", "l", "d", "star_vars", "l_vars")
+
+    def __init__(self, c: MultComponents):
+        chart = c.chart
+        self.star, self.star_vars = _compile(
+            chart, (((i, j), a, v) for (a, i, j), v in c.star.items())
+        )
+        self.l, self.l_vars = _compile(
+            chart, (((k, j), i, v) for (i, j, k), v in c.l.items())
+        )
+        self.d, _ = _compile(
+            chart, (((j, k, p), i, v) for (i, j, k, p), v in c.d.items())
+        )
+
+
+def _compile(chart: Chart, entries):
+    """``(rows, vars)`` from ``(row key, output index, value)`` triples."""
+    rows, used = {}, {}
+    for key, out, val in entries:
+        rows.setdefault(key, []).append((out, val))
+        found = _base_vars(chart, (val,))
+        if found:
+            used.setdefault(key, set()).update(found)
+    rows = {key: tuple(sorted(row, key=lambda e: e[0])) for key, row in rows.items()}
+    return rows, {key: frozenset(found) for key, found in used.items()}
+
+
+def _base_vars(chart: Chart, values) -> set:
+    """The base indices whose coordinates occur in any of ``values``."""
+    free = set().union(*(v.free_vars() for v in values))
+    return {m for m, name in enumerate(chart.base_names) if name in free}
+
+
 # -- sparse coefficient-dict calculus -----------------------------------------
 
 
@@ -330,15 +386,15 @@ def _vf_bracket(chart: Chart, u: dict, v: dict) -> dict:
 
 def star_product(c: MultComponents, u: dict, v: dict) -> dict:
     """Base product of two base vector fields given as coefficient dicts."""
+    rows = c.rows.star
     out = {}
-    for (a, i, j), b in c.star.items():
-        ui = u.get(i)
-        if ui is None:
-            continue
-        vj = v.get(j)
-        if vj is None:
-            continue
-        _acc(out, a, b * ui * vj)
+    for i, ui in u.items():
+        for j, vj in v.items():
+            row = rows.get((i, j))
+            if row:
+                w = ui * vj
+                for a, b in row:
+                    _acc(out, a, b * w)
     return out
 
 
@@ -352,12 +408,10 @@ def lie_star(c: MultComponents, w: dict, u: dict, v: dict) -> dict:
 
 def apply_l(c: MultComponents, k: int, sec: dict) -> dict:
     """Side operator along ``dx^k`` on a section coefficient dict."""
+    rows = c.rows.l
     out = {}
-    for (i, j, kk), val in c.l.items():
-        if kk != k:
-            continue
-        f = sec.get(j)
-        if f is not None:
+    for j, f in sec.items():
+        for i, val in rows.get((k, j), ()):
             _acc(out, i, val * f)
     return out
 
@@ -377,26 +431,24 @@ def apply_d(c: MultComponents, k: int, p: int, sec: dict) -> dict:
     frame sections; derivatives of the coefficients couple to the side table
     in the opposite slot; and the base product transports a first-order term.
     """
-    chart = c.chart
-    names = chart.names
-    kdim = chart.k
+    names = c.chart.names
+    rows = c.rows
+    transports = rows.star.get((k, p), ())
     out = {}
     for j, f in sec.items():
-        for i in range(kdim):
-            _acc(out, i, c.d_at(i, j, k, p) * f)
+        for i, val in rows.d.get((j, k, p), ()):
+            _acc(out, i, val * f)
         fk = f.partial(names[k])
         if not fk.is_zero():
-            for i in range(kdim):
-                _acc(out, i, c.l_at(i, j, p) * fk)
+            for i, val in rows.l.get((p, j), ()):
+                _acc(out, i, val * fk)
         fp = f.partial(names[p])
         if not fp.is_zero():
-            for i in range(kdim):
-                _acc(out, i, c.l_at(i, j, k) * fp)
+            for i, val in rows.l.get((k, j), ()):
+                _acc(out, i, val * fp)
         transport = _ZERO
-        for a in range(chart.n):
-            b = c.star_at(a, k, p)
-            if not b.is_zero():
-                transport = transport + b * f.partial(names[a])
+        for a, b in transports:
+            transport = transport + b * f.partial(names[a])
         _acc(out, j, -transport)
     return out
 
@@ -424,23 +476,33 @@ def _frame(j: int) -> dict:
 #
 # - ``scalar``: ``fn(ctx, idx)`` is the residual at one index tuple;
 # - ``vector``: ``fn(ctx, idx[1:])`` is the whole residual vector over the
-#   output index ``idx[0]`` as a sparse dict, so a scan evaluates each vector
-#   once and keeps it in a memo keyed by ``idx[1:]`` that lives only for that
-#   scan;
+#   output index ``idx[0]`` as a sparse dict;
 # - ``oracle``: ``fn(ctx)`` gives the ``(witness, residual)`` pairs of an
-#   assembled tensor or of whole tables, computed without the frame
-#   identities it cross-checks.
+#   assembled tensor, computed without the frame operators and the compiled
+#   rows of the identities it cross-checks.
 #
 # An index space is a string of ``k`` (fiber index) and ``n`` (base index),
-# read as a product of ranges: ``"kkn"`` scans ``range(k) x range(k) x
-# range(n)``; ``"bracket"`` scans `_bracket_tuples`.  `_Ctx` holds the inputs
-# of one battery and memoizes the frame Lie derivatives
-# ``L_{d_r}(*)(d_k, d_p)`` that three vector identities share, and the
-# symmetrized second derivatives that each tuple compares with its sorted
-# reference.  `_scan` and `evaluate_residual` read the same declaration and
-# evaluate a scalar or vector record through `_residual`, so a reported
-# witness can be reproduced in isolation; an oracle replays by looking its
-# witness up among its pairs.
+# read as a product of ranges in lexicographic order: ``"kkn"`` is
+# ``range(k) x range(k) x range(n)``.  ``"bracket"`` is an output index ``i``
+# and a fiber index ``j`` over the pairs ``(x, y) < (z, v)`` with ``x <= y``
+# and ``z <= v``, ordered by ``(x, y, z, v)``, then ``i``, then ``j``.
+#
+# A scalar identity scans its whole space.  A vector identity also declares
+# its support: a function of the context that yields, one clause per term of
+# the residual vector, every ``idx[1:]`` at which that term may be nonzero
+# (in any order, repeats allowed).  Every term at a tuple that no clause
+# yields has a factor from an empty row, or a derivative along ``x_m`` of
+# entries that do not contain ``x_m`` -- frames are constant, so their
+# derivatives vanish -- and the whole vector is zero there.  `_vector_pairs`
+# visits the support in the dense order of the space and evaluates each
+# vector once.
+#
+# `_Ctx` holds the inputs of one battery and memoizes the frame Lie
+# derivatives ``L_{d_r}(*)(d_k, d_p)`` that three vector identities share, and
+# the symmetrized second derivatives that each tuple compares with its sorted
+# reference.  `_scan` and `evaluate_residual` read the same declaration, so a
+# reported witness can be reproduced in isolation; an oracle replays by
+# looking its witness up among its pairs.
 
 
 class _Ctx:
@@ -475,29 +537,26 @@ class _Identity:
     kind: str  # "scalar", "vector" or "oracle"
     space: str  # index space; empty for an oracle
     fn: object
+    support: object = None  # vector identities only
 
 
 _IDENTITIES: dict = {}  # record name -> _Identity
 
 
-def _identity(name: str, law: str, kind: str, space: str = ""):
+def _identity(name: str, law: str, kind: str, space: str = "", support=None):
     def declare(fn):
-        _IDENTITIES[name] = _Identity(law, kind, space, fn)
+        _IDENTITIES[name] = _Identity(law, kind, space, fn, support)
         return fn
 
     return declare
 
 
-def _residual(ident: _Identity, ctx: _Ctx, idx: tuple, memo: dict) -> RatFunc:
+def _residual(ident: _Identity, ctx: _Ctx, idx: tuple) -> RatFunc:
     if ident.kind == "scalar":
         return ident.fn(ctx, idx)
     if ident.kind == "oracle":
         return dict(ident.fn(ctx)).get(idx, _ZERO)
-    rest = idx[1:]
-    vec = memo.get(rest)
-    if vec is None:
-        vec = memo[rest] = ident.fn(ctx, rest)
-    return vec.get(idx[0], _ZERO)
+    return ident.fn(ctx, idx[1:]).get(idx[0], _ZERO)
 
 
 @_identity("side-tables-equal", "the two side tables agree", "scalar", "kkn")
@@ -519,7 +578,19 @@ def _res_derivative_symmetric(ctx: _Ctx, idx) -> RatFunc:
     return ctx.c.d_at(i, j, k, p) - ctx.c.d_at(i, j, p, k)
 
 
-@_identity("star-associative", "(X*Y)*Z = X*(Y*Z)", "vector", "nnnn")
+def _supp_star_associative(ctx: _Ctx):
+    rows, ns = ctx.c.rows, range(ctx.c.n)
+    yield from ((i, j, k) for i, j in rows.star for k in ns)  # (X*Y)*Z
+    yield from ((i, j, k) for j, k in rows.star for i in ns)  # X*(Y*Z)
+
+
+@_identity(
+    "star-associative",
+    "(X*Y)*Z = X*(Y*Z)",
+    "vector",
+    "nnnn",
+    _supp_star_associative,
+)
 def _vec_star_associative(ctx: _Ctx, rest) -> dict:
     i, j, k = rest
     c = ctx.c
@@ -528,7 +599,20 @@ def _vec_star_associative(ctx: _Ctx, rest) -> dict:
     return _vsub(lhs, rhs)
 
 
-@_identity("l-composition", "l_X(l_Y s) = l_{X*Y} s", "vector", "kknn")
+def _supp_l_composition(ctx: _Ctx):
+    c = ctx.c
+    rows = c.rows
+    yield from ((j, k, p) for p, j in rows.l for k in range(c.n))  # l_X(l_Y s)
+    yield from ((j, k, p) for k, p in rows.star for j in range(c.rank))  # l_{X*Y} s
+
+
+@_identity(
+    "l-composition",
+    "l_X(l_Y s) = l_{X*Y} s",
+    "vector",
+    "kknn",
+    _supp_l_composition,
+)
 def _vec_l_composition(ctx: _Ctx, rest) -> dict:
     j, k, p = rest
     c = ctx.c
@@ -538,13 +622,35 @@ def _vec_l_composition(ctx: _Ctx, rest) -> dict:
 
 
 def _symmetrized_second(c: MultComponents, j, k, p, r) -> dict:
-    inner = {m: c.d_at(m, j, k, p) for m in range(c.rank)}
-    out = apply_l(c, r, inner)
-    prod = star_product(c, _frame(k), _frame(p))
-    for a, w in prod.items():
-        for i in range(c.rank):
-            _acc(out, i, w * c.d_at(i, j, a, r))
+    rows = c.rows
+    out = apply_l(c, r, dict(rows.d.get((j, k, p), ())))
+    for a, w in rows.star.get((k, p), ()):
+        for i, val in rows.d.get((j, a, r), ()):
+            _acc(out, i, w * val)
     return out
+
+
+def _supp_second_derivative_symmetric(ctx: _Ctx):
+    c = ctx.c
+    rows = c.rows
+    by_first = defaultdict(list)  # a -> [(j, r)] with a row D(j, a, r)
+    for j, a, r in rows.d:
+        by_first[a].append((j, r))
+    # the (j, k, p, r) where _symmetrized_second may be nonzero: l_Z(D_{X,Y} s)
+    # and D_{X*Y,Z} s
+    args = set()
+    args.update((j, k, p, r) for j, k, p in rows.d for r in range(c.n))
+    args.update(
+        (j, k, p, r)
+        for (k, p), row in rows.star.items()
+        for a, _ in row
+        for j, r in by_first[a]
+    )
+    # the tuple's own term, and the sorted reference of every reordering
+    yield from args
+    yield from (
+        (j, *kpr) for j, *xyz in args if xyz == sorted(xyz) for kpr in permutations(xyz)
+    )
 
 
 @_identity(
@@ -552,6 +658,7 @@ def _symmetrized_second(c: MultComponents, j, k, p, r) -> dict:
     "l_Z(D_{X,Y} s) + D_{X*Y,Z} s is symmetric in X, Y, Z",
     "vector",
     "kknnn",
+    _supp_second_derivative_symmetric,
 )
 def _vec_second_derivative_symmetric(ctx: _Ctx, rest) -> dict:
     j, k, p, r = rest
@@ -559,33 +666,74 @@ def _vec_second_derivative_symmetric(ctx: _Ctx, rest) -> dict:
     return _vsub(cur, ctx.symmetrized_second(j, *sorted((k, p, r))))
 
 
-@_identity("unit-star", "ebar * X = X", "scalar", "nn")
-def _res_unit_star(ctx: _Ctx, idx) -> RatFunc:
-    a, k = idx
-    prod = star_product(ctx.c, ctx.e.base_vec(), _frame(k))
-    return _vget(prod, a) - (_ONE if a == k else _ZERO)
+def _supp_unit_star(ctx: _Ctx):
+    yield from ((k,) for k in range(ctx.c.n))  # X
 
 
-@_identity("unit-side", "l_ebar s = s", "scalar", "kk")
-def _res_unit_side(ctx: _Ctx, idx) -> RatFunc:
-    i, j = idx
-    out = apply_l_vec(ctx.c, ctx.e.base_vec(), _frame(j))
-    return _vget(out, i) - (_ONE if i == j else _ZERO)
+@_identity("unit-star", "ebar * X = X", "vector", "nn", _supp_unit_star)
+def _vec_unit_star(ctx: _Ctx, rest) -> dict:
+    (k,) = rest
+    return _vsub(star_product(ctx.c, ctx.e.base_vec(), _frame(k)), _frame(k))
 
 
-@_identity("unit-derivative", "l_X(Delta_e s) = D_{ebar,X} s", "scalar", "kkn")
-def _res_unit_derivative(ctx: _Ctx, idx) -> RatFunc:
-    i, j, k = idx
-    c = ctx.c
-    lhs = apply_l(c, k, apply_delta(ctx.e, _frame(j)))
-    rhs = _ZERO
-    for p, w in ctx.e.base_vec().items():
-        rhs = rhs + w * c.d_at(i, j, p, k)
-    return _vget(lhs, i) - rhs
+def _supp_unit_side(ctx: _Ctx):
+    yield from ((j,) for j in range(ctx.c.rank))  # s
+
+
+@_identity("unit-side", "l_ebar s = s", "vector", "kk", _supp_unit_side)
+def _vec_unit_side(ctx: _Ctx, rest) -> dict:
+    (j,) = rest
+    return _vsub(apply_l_vec(ctx.c, ctx.e.base_vec(), _frame(j)), _frame(j))
+
+
+def _supp_unit_derivative(ctx: _Ctx):
+    c, e = ctx.c, ctx.e
+    rows, ks = c.rows, range(c.rank)
+    # l_X(Delta_e s), where Delta_e s_j = -lam[.][j]
+    yield from ((j, k) for k, m in rows.l for j in ks if not e.lam[m][j].is_zero())
+    # D_{ebar,X} s
+    yield from ((j, k) for j, p, k in rows.d if not e.beta[p].is_zero())
 
 
 @_identity(
-    "base-integrability", "L_{X*Y}(*) = X*L_Y(*) + Y*L_X(*)", "vector", "nnnnn"
+    "unit-derivative",
+    "l_X(Delta_e s) = D_{ebar,X} s",
+    "vector",
+    "kkn",
+    _supp_unit_derivative,
+)
+def _vec_unit_derivative(ctx: _Ctx, rest) -> dict:
+    j, k = rest
+    c = ctx.c
+    rows = c.rows.d
+    lhs = apply_l(c, k, apply_delta(ctx.e, _frame(j)))
+    rhs = {}
+    for p, w in ctx.e.base_vec().items():
+        for i, val in rows.get((j, p, k), ()):
+            _acc(rhs, i, w * val)
+    return _vsub(lhs, rhs)
+
+
+def _supp_base_integrability(ctx: _Ctx):
+    rows, ns = ctx.c.rows, range(ctx.c.n)
+    moving = rows.star_vars.items()
+    # (X*Y)(Z*V) and (Z*V)(X*Y)
+    yield from ((i, j, k, p) for i, j in rows.star for (k, p), _ in moving)
+    yield from ((i, j, k, p) for (i, j), _ in moving for k, p in rows.star)
+    # [X*Y,Z]*V and Z*[X*Y,V]
+    yield from ((i, j, k, p) for (i, j), ms in moving for k in ms for p in ns)
+    yield from ((i, j, k, p) for (i, j), ms in moving for p in ms for k in ns)
+    # X*L_Y(*)(Z,V) and Y*L_X(*)(Z,V)
+    yield from ((i, j, k, p) for (k, p), ms in moving for j in ms for i in ns)
+    yield from ((i, j, k, p) for (k, p), ms in moving for i in ms for j in ns)
+
+
+@_identity(
+    "base-integrability",
+    "L_{X*Y}(*) = X*L_Y(*) + Y*L_X(*)",
+    "vector",
+    "nnnnn",
+    _supp_base_integrability,
 )
 def _vec_base_integrability(ctx: _Ctx, rest) -> dict:
     i, j, k, p = rest
@@ -596,8 +744,40 @@ def _vec_base_integrability(ctx: _Ctx, rest) -> dict:
     return _vsub(out, star_product(c, y, ctx.lie_frame(i, k, p)))
 
 
+def _supp_derivative_commutator(ctx: _Ctx):
+    c = ctx.c
+    rows, ns = c.rows, range(c.n)
+    tables = defaultdict(list)  # m -> [(k, p)] with a row D(m, k, p)
+    for m, k, p in rows.d:
+        tables[m].append((k, p))
+    moving = rows.l_vars.items()
+    # D_{X,Y}(l_Z s): the table, then X, Y and X*Y acting on its coefficients
+    yield from (
+        (j, k, p, r)
+        for (r, j), row in rows.l.items()
+        for m, _ in row
+        for k, p in tables[m]
+    )
+    yield from ((j, k, p, r) for (r, j), ms in moving for k in ms for p in ns)
+    yield from ((j, k, p, r) for (r, j), ms in moving for p in ms for k in ns)
+    yield from ((j, k, p, r) for (r, j), _ in moving for k, p in rows.star)
+    # l_Z(D_{X,Y} s)
+    yield from ((j, k, p, r) for j, k, p in rows.d for r in ns)
+    # l_{L_Z(*)(X,Y)} s
+    yield from (
+        (j, k, p, r)
+        for (k, p), ms in rows.star_vars.items()
+        for r in ms
+        for j in range(c.rank)
+    )
+
+
 @_identity(
-    "derivative-commutator", "[D_{X,Y}, l_Z] s = l_{L_Z(*)(X,Y)} s", "vector", "kknnn"
+    "derivative-commutator",
+    "[D_{X,Y}, l_Z] s = l_{L_Z(*)(X,Y)} s",
+    "vector",
+    "kknnn",
+    _supp_derivative_commutator,
 )
 def _vec_derivative_commutator(ctx: _Ctx, rest) -> dict:
     j, k, p, r = rest
@@ -607,17 +787,28 @@ def _vec_derivative_commutator(ctx: _Ctx, rest) -> dict:
     return _vsub(lhs, apply_l_vec(c, ctx.lie_frame(r, k, p), _frame(j)))
 
 
-def _bracket_tuples(c: MultComponents):
-    # the remaining tuples follow from these by the formal symmetries of the
-    # defect (antisymmetry under pair swap, symmetry within each pair once
-    # commutativity holds)
-    n, kdim = c.n, c.rank
-    pairs = [(x, y) for x in range(n) for y in range(x, n)]
-    for ia, (x, y) in enumerate(pairs):
-        for z, v in pairs[ia + 1 :]:
-            for i in range(kdim):
-                for j in range(kdim):
-                    yield (i, j, x, y, z, v)
+def _supp_derivative_bracket(ctx: _Ctx):
+    c = ctx.c
+    rows = c.rows
+    moving = rows.star_vars
+    tables = defaultdict(set)  # (k, p) -> {j} with a row D(j, k, p)
+    seconds = defaultdict(set)  # p -> {j} with a row D(j, k, p) for some k
+    for j, k, p in rows.d:
+        tables[k, p].add(j)
+        seconds[p].add(j)
+    pairs = [(x, y) for x in range(c.n) for y in range(x, c.n)]
+    for at, (x, y) in enumerate(pairs):
+        xy = moving.get((x, y), ())
+        for z, v in pairs[at + 1 :]:
+            zv = moving.get((z, v), ())
+            js = set()
+            js.update(tables[x, y])  # D_{Z,V}(D_{X,Y} s)
+            js.update(tables[z, v])  # D_{X,Y}(D_{Z,V} s)
+            js.update(seconds[v] if z in xy else ())  # D_{[X*Y,Z],V} s
+            js.update(seconds[z] if v in xy else ())  # D_{[X*Y,V],Z} s
+            js.update(seconds[x] if y in zv else ())  # D_{L_Y(*)(Z,V),X} s
+            js.update(seconds[y] if x in zv else ())  # D_{L_X(*)(Z,V),Y} s
+            yield from ((j, x, y, z, v) for j in js)
 
 
 @_identity(
@@ -625,17 +816,19 @@ def _bracket_tuples(c: MultComponents):
     "[D_{Z,V}, D_{X,Y}] s = transport terms in star derivatives",
     "vector",
     "bracket",
+    _supp_derivative_bracket,
 )
 def _vec_derivative_bracket(ctx: _Ctx, rest) -> dict:
     j, x, y, z, v = rest
     c = ctx.c
     chart = c.chart
+    rows = c.rows.d
 
     def dvec(u: dict, second: int) -> dict:
         out = {}
         for a, w in u.items():
-            for m in range(c.rank):
-                _acc(out, m, w * c.d_at(m, j, a, second))
+            for m, val in rows.get((j, a, second), ()):
+                _acc(out, m, w * val)
         return out
 
     lhs = apply_d(c, z, v, apply_d(c, x, y, _frame(j)))
@@ -719,23 +912,67 @@ def _lie_d_entry(c: MultComponents, x: LinearVectorField, j, k, p) -> dict:
     return out
 
 
-@_identity("euler-base", "L_Ebar(*) = *", "scalar", "nnn")
-def _res_euler_base(ctx: _Ctx, idx) -> RatFunc:
-    a, i, j = idx
+def _supp_euler_base(ctx: _Ctx):
+    c = ctx.c
+    moving = _base_vars(c.chart, ctx.euler.beta)
+    yield from c.rows.star  # L_Ebar(X*Y) and X*Y
+    yield from ((i, j) for i in moving for j in range(c.n))  # [Ebar,X]*Y
+    yield from ((i, j) for j in moving for i in range(c.n))  # X*[Ebar,Y]
+
+
+@_identity("euler-base", "L_Ebar(*) = *", "vector", "nnn", _supp_euler_base)
+def _vec_euler_base(ctx: _Ctx, rest) -> dict:
+    i, j = rest
     c = ctx.c
     lhs = lie_star(c, ctx.euler.base_vec(), _frame(i), _frame(j))
-    rhs = star_product(c, _frame(i), _frame(j))
-    return _vget(lhs, a) - _vget(rhs, a)
+    return _vsub(lhs, star_product(c, _frame(i), _frame(j)))
+
+
+def _supp_euler_side(ctx: _Ctx):
+    c, lam = ctx.c, ctx.euler.lam
+    rows, ks = c.rows, range(c.rank)
+    moving = _base_vars(c.chart, ctx.euler.beta)
+    # Delta_E(l_X s) and l_X s
+    yield from ((j, k) for k, j in rows.l)
+    # l_X(Delta_E s), where Delta_E s_j = -lam[.][j]
+    yield from ((j, k) for k, m in rows.l for j in ks if not lam[m][j].is_zero())
+    # l_{[Ebar,X]} s
+    yield from ((j, k) for _, j in rows.l for k in moving)
 
 
 @_identity(
-    "euler-side", "[Delta_E, l_X] s - l_{[Ebar,X]} s = l_X s", "vector", "kkn"
+    "euler-side",
+    "[Delta_E, l_X] s - l_{[Ebar,X]} s = l_X s",
+    "vector",
+    "kkn",
+    _supp_euler_side,
 )
 def _vec_euler_side(ctx: _Ctx, rest) -> dict:
     j, k = rest
     c = ctx.c
-    own = {i: c.l_at(i, j, k) for i in range(c.rank)}
+    own = dict(c.rows.l.get((k, j), ()))
     return _vsub(_lie_l_entry(c, ctx.euler, j, k), own)
+
+
+def _supp_euler_derivative(ctx: _Ctx):
+    c, lam = ctx.c, ctx.euler.lam
+    rows, ks = c.rows, range(c.rank)
+    moving = _base_vars(c.chart, ctx.euler.beta)
+    lam_vars = {(m, j): _base_vars(c.chart, (lam[m][j],)) for m in ks for j in ks}
+    # Delta_E(D_{X,Y} s) and D_{X,Y} s
+    yield from rows.d
+    # D_{X,Y}(Delta_E s): the table, then X, Y and X*Y acting on its coefficients
+    yield from (
+        (j, k, p) for m, k, p in rows.d for j in ks if not lam[m][j].is_zero()
+    )
+    yield from ((j, k, p) for p, m in rows.l for j in ks for k in lam_vars[m, j])
+    yield from ((j, k, p) for k, m in rows.l for j in ks for p in lam_vars[m, j])
+    yield from (
+        (j, k, p) for k, p in rows.star for j in ks if any(lam_vars[m, j] for m in ks)
+    )
+    # D_{[Ebar,X],Y} s and D_{X,[Ebar,Y]} s
+    yield from ((j, k, p) for j, _, p in rows.d for k in moving)
+    yield from ((j, k, p) for j, k, _ in rows.d for p in moving)
 
 
 @_identity(
@@ -743,11 +980,12 @@ def _vec_euler_side(ctx: _Ctx, rest) -> dict:
     "[Delta_E, D_{X,Y}] s - D_{[Ebar,X],Y} s - D_{X,[Ebar,Y]} s = D_{X,Y} s",
     "vector",
     "kknn",
+    _supp_euler_derivative,
 )
 def _vec_euler_derivative(ctx: _Ctx, rest) -> dict:
     j, k, p = rest
     c = ctx.c
-    own = {i: c.d_at(i, j, k, p) for i in range(c.rank)}
+    own = dict(c.rows.d.get((j, k, p), ()))
     return _vsub(_lie_d_entry(c, ctx.euler, j, k, p), own)
 
 
@@ -776,7 +1014,7 @@ def evaluate_residual(name, idx, c, e=None, euler=None, l2=None) -> RatFunc:
         ident = _IDENTITIES[name]
     except KeyError:
         raise KeyError(f"unknown identity {name!r}") from None
-    return _residual(ident, _Ctx(c, e=e, euler=euler, l2=l2), tuple(idx), {})
+    return _residual(ident, _Ctx(c, e=e, euler=euler, l2=l2), tuple(idx))
 
 
 # -- checks -------------------------------------------------------------------
@@ -802,21 +1040,43 @@ _EULER = (
 )
 
 
-def _tuples(c: MultComponents, space: str):
-    if space == "bracket":
-        return _bracket_tuples(c)
-    ranges = {"k": range(c.rank), "n": range(c.n)}
-    return product(*(ranges[s] for s in space))
+def _vector_pairs(ident: _Identity, ctx: _Ctx):
+    """``(idx, residual)`` over the support of a vector identity, in dense order.
+
+    The space is cut into blocks of ``idx[1:]``: one block for a product
+    space, one per ``(x, y, z, v)`` for ``"bracket"``.  Within a block the
+    output index runs outermost, and each vector is evaluated once.
+    """
+    c = ctx.c
+    outputs = range(c.n if ident.space[0] == "n" else c.rank)
+    rests = set(ident.support(ctx))
+    if ident.space == "bracket":
+        rests = sorted(rests, key=lambda rest: (rest[1:], rest[0]))
+        blocks = [list(b) for _, b in groupby(rests, key=lambda rest: rest[1:])]
+    else:
+        blocks = [sorted(rests)]
+    for block in blocks:
+        vecs: dict = {}  # idx[1:] -> residual vector
+        for a in outputs:
+            for rest in block:
+                vec = vecs.get(rest)
+                if vec is None:
+                    vec = vecs[rest] = ident.fn(ctx, rest)
+                val = vec.get(a)
+                if val is not None:
+                    yield (a, *rest), val
 
 
 def _scan(rep: Report, ctx: _Ctx, name: str) -> bool:
     ident = _IDENTITIES[name]
     if ident.kind == "oracle":
-        return rep.scan(name, ident.law, ident.fn(ctx))
-    memo: dict = {}  # idx[1:] -> residual vector, for vector identities
-    pairs = (
-        (idx, _residual(ident, ctx, idx, memo)) for idx in _tuples(ctx.c, ident.space)
-    )
+        pairs = ident.fn(ctx)
+    elif ident.kind == "vector":
+        pairs = _vector_pairs(ident, ctx)
+    else:
+        ranges = {"k": range(ctx.c.rank), "n": range(ctx.c.n)}
+        tuples = product(*(ranges[s] for s in ident.space))
+        pairs = ((idx, ident.fn(ctx, idx)) for idx in tuples)
     return rep.scan(name, ident.law, pairs)
 
 
@@ -921,22 +1181,14 @@ def check_battery(c: MultComponents, e: LinearVectorField | None = None) -> Repo
 
 
 def lie_components(c: MultComponents, x: LinearVectorField):
-    """Component tables of the Lie derivative of the product along ``x``."""
-    n, kdim = c.n, c.rank
-    dt, lt, rt = {}, {}, {}
-    for j in range(kdim):
-        for k in range(n):
-            for i, val in _lie_l_entry(c, x, j, k).items():
-                lt[(i, j, k)] = val
-            for p in range(n):
-                for i, val in _lie_d_entry(c, x, j, k, p).items():
-                    dt[(i, j, k, p)] = val
-    base = x.base_vec()
-    for i in range(n):
-        for j in range(n):
-            for a, val in lie_star(c, base, _frame(i), _frame(j)).items():
-                rt[(a, i, j)] = val
-    return dt, lt, rt
+    """Tables ``(d, l, star)`` of the Lie derivative of the product along ``x``.
+
+    They are read off the Lie derivative of the assembled tensor, so they
+    share nothing with the frame operators and rows that the Euler identities
+    use, and the ``euler-components`` record cross-checks those identities.
+    """
+    comps = extract_components(lie_derivative(x.as_field(), c.assemble()))
+    return comps.d, comps.ls[0], comps.basic
 
 
 def _euler_report(c: MultComponents, e, euler: LinearVectorField) -> Report:

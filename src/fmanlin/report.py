@@ -7,8 +7,7 @@ witness.  Records are written by :meth:`Report.scan`, which stops at the
 first nonzero residual of a lazy stream of ``(witness, residual)`` pairs, and
 by :meth:`Report.summarize`, which folds a sub-report into one record.
 Rendering is deterministic -- the verdict body contains no
-timestamps, so two runs over the same input produce identical bytes.  Timing
-lives in a separate attribute that is never part of the body.
+timestamps, so two runs over the same input produce identical bytes.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ class Report:
     title: str
     records: list[CheckRecord] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
-    elapsed: float | None = None  # seconds; intentionally outside the body
 
     @property
     def passed(self) -> bool:

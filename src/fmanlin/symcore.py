@@ -820,6 +820,17 @@ MAX_DEPTH = 100
 The parser recurses a few frames per level, so this keeps it well inside the
 interpreter's recursion limit."""
 
+MAX_EXPONENT = 100
+"""Largest absolute value of an exponent that :func:`parse_expr` accepts."""
+
+MAX_TERMS = 1000
+"""Most terms :func:`parse_expr` lets a numerator or denominator have.
+
+The budget holds for every value the parser builds, not only the result: a
+power is multiplied out one factor at a time and stops at the first product
+over the budget, so ``(x1 + x2 + x3 + 1)^40`` is refused after a few
+milliseconds instead of being expanded to its 12,341 terms."""
+
 
 class _Parser:
     def __init__(self, text: str, variables):
@@ -853,11 +864,12 @@ class _Parser:
     def expr(self) -> RatFunc:
         value = self.term()
         while True:
-            kind, op, _ = self.peek()
+            kind, op, offset = self.peek()
             if kind == "op" and op in "+-":
                 self.advance()
                 rhs = self.term()
                 value = value + rhs if op == "+" else value - rhs
+                value = _within_budget(value, offset)
             else:
                 return value
 
@@ -869,11 +881,11 @@ class _Parser:
                 self.advance()
                 rhs = self.factor()
                 if op == "*":
-                    value = value * rhs
+                    value = _within_budget(value * rhs, offset)
                 else:
                     if rhs.is_zero():
                         raise ParseError("division by the zero polynomial", offset)
-                    value = value / rhs
+                    value = _within_budget(value / rhs, offset)
             else:
                 return value
 
@@ -892,9 +904,11 @@ class _Parser:
                 raise ParseError("expected an integer exponent", offset)
             self.advance()
             n = sign * int(text)
+            if abs(n) > MAX_EXPONENT:
+                raise ParseError(f"exponent larger than {MAX_EXPONENT}", offset)
             if n < 0 and value.is_zero():
                 raise ParseError("zero to a negative power", offset)
-            value = value**n
+            value = _budget_power(value, n, offset)
         return value
 
     def base(self) -> RatFunc:
@@ -923,12 +937,30 @@ class _Parser:
         )
 
 
+def _within_budget(value: RatFunc, offset: int) -> RatFunc:
+    if max(len(value.num.terms), len(value.den.terms)) > MAX_TERMS:
+        raise ParseError(f"expression has more than {MAX_TERMS} terms", offset)
+    return value
+
+
+def _budget_power(value: RatFunc, n: int, offset: int) -> RatFunc:
+    """``value ** n``, one factor at a time within :data:`MAX_TERMS`."""
+    num, den = _ONE, _ONE
+    for _ in range(abs(n)):
+        num, den = num * value.num, den * value.den
+        if max(len(num.terms), len(den.terms)) > MAX_TERMS:
+            raise ParseError(f"expression has more than {MAX_TERMS} terms", offset)
+    # powers of a coprime pair stay coprime
+    return _coprime(num, den) if n >= 0 else _coprime(den, num)
+
+
 def parse_expr(text: str, variables) -> RatFunc:
     """Parse an expression over the declared variables into a :class:`RatFunc`.
 
     Raises :class:`ParseError` (with byte offset) on syntax errors, unknown
-    variable names, nesting deeper than :data:`MAX_DEPTH`, and division by the
-    zero polynomial.
+    variable names, nesting deeper than :data:`MAX_DEPTH`, an exponent larger
+    than :data:`MAX_EXPONENT`, a value with more than :data:`MAX_TERMS` terms
+    in its numerator or denominator, and division by the zero polynomial.
     """
     return _Parser(text, variables).parse()
 

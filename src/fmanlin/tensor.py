@@ -528,8 +528,31 @@ def _verify_leibniz(t: TensorField, comps: LinearComponents, coords=None):
 def assemble(comps: LinearComponents) -> TensorField:
     """The unique linear (p, 1) tensor field with the given frame components.
 
-    Tables must be base-only and dimensionally consistent; the Leibniz rule is
-    verified on each base coordinate.
+    Tables must be base-only and dimensionally consistent.  The result obeys
+    the Leibniz rule by construction, so it is not verified again.  Let ``T``
+    be the result and ``V = f d_{xi_j}`` the vertical lift of ``f s_j`` for a
+    base function ``f``.  A ``d`` entry puts ``a xi_j`` at ``(n+i, b)``; a
+    slot-``m`` entry of ``ls[m]`` puts ``a`` at ``(n+i, b)`` with ``n+j``
+    inserted at slot ``m``; a basic entry puts ``a`` at its own base key.
+    These three key shapes never collide, and no value contains a fiber
+    coordinate.  In the coordinate formula for ``L_V T``, term by term:
+
+    - transport, ``V^c d_c T = f d_{xi_j} T``: only the ``d`` entries depend
+      on ``xi_j``, which gives ``f a`` at ``(n+i, b)`` for each ``d`` entry
+      of section ``j`` -- the first term of `_leibniz_expected`;
+    - the covariant correction ``T(.., c in slot m, ..) d_{b_m} V^c`` needs
+      ``c = n+j`` and a base ``b_m``, since ``V^{n+j} = f`` depends on the
+      base only.  The only keys with a fiber index in a covariant slot are
+      the inserted slots of ``ls[m]``, so it gives ``d_b f a`` with ``b`` in
+      place of the inserted ``n+j`` -- the second term;
+    - the contravariant correction ``-T^c d_c V^a`` needs ``a = n+j`` and a
+      base ``c``, and only the basic keys have a base contravariant index,
+      which gives ``-d_c f basic^c_b`` at ``(n+j, b)`` -- the third term.
+
+    So both sides sum the same terms of exact, canonical values, and
+    `_verify_leibniz` cannot fail on what this returns; the tests keep it as
+    a reference for this function.  `extract_components` reads tensors built
+    elsewhere and keeps the check.
     """
     chart = comps.chart
     n, k, p = chart.n, chart.k, comps.p
@@ -570,7 +593,4 @@ def assemble(comps: LinearComponents) -> TensorField:
             raise ValueError(f"bad basic table key {key}")
         val = chart.require_base_only(RatFunc.coerce(val), "basic table entry")
         bump(key, val)
-    t = TensorField(chart, p, 1, out)
-    if k and n:
-        _verify_leibniz(t, comps)
-    return t
+    return TensorField(chart, p, 1, out)

@@ -114,6 +114,15 @@ def test_deeply_nested_value_exits_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_value_over_the_term_budget_exits_two(tmp_path, capsys):
+    big = tmp_path / "big.fman"
+    big.write_text("[chart]\nbase = x1 x2 x3\n\n[star]\n0 0 0 = (x1 + x2 + x3 + 1)^40\n")
+    assert main(["check", str(big)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 5: expression has more than 1000 terms")
+    assert "Traceback" not in err
+
+
 def test_unknown_command_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate", model("line.fman")])

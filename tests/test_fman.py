@@ -1,5 +1,8 @@
 """Battery checks for fiberwise-linear multiplications."""
 
+from collections import defaultdict
+from dataclasses import replace
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -342,15 +345,25 @@ def test_defect_tensor_shares_no_code_with_the_table_residuals(monkeypatch):
         raise AssertionError("the oracle must not use the table-level operators")
 
     bad = tilted_plane("x1", "x1")
+    c, e = plane_example()
+    bogus = LinearVectorField(C21, (rf("x1"), rf("x2")), ((0,),))
     t = bad.assemble()
     table_level = ("star_product", "apply_l", "apply_d", "lie_star")
-    for name in table_level + ("_vf_apply", "_vf_bracket"):
+    compiled = ("_Rows", "_compile", "_vector_pairs", "_lie_l_entry", "_lie_d_entry")
+    for name in table_level + compiled + ("_vf_apply", "_vf_bracket"):
         monkeypatch.setattr(fman, name, forbidden)
     monkeypatch.setattr(fman._Ctx, "lie_frame", forbidden)
+    for name, ident in fman._IDENTITIES.items():
+        if ident.support is not None:
+            monkeypatch.setitem(fman._IDENTITIES, name, replace(ident, support=forbidden))
     defect = hm_tensor(t)
     assert not defect.is_zero()
     again = evaluate_residual("integrability-oracle", min(defect.coeffs), bad)
     assert again == defect.coeffs[min(defect.coeffs)]
+    # the two Euler oracles read the assembled tensor too
+    for name in ("euler-components", "euler-oracle"):
+        rep = Report(name)
+        assert not fman._scan(rep, fman._Ctx(c, e=e, euler=bogus), name)
 
 
 def test_integrability_oracle_witness_replays():
@@ -362,37 +375,41 @@ def test_integrability_oracle_witness_replays():
     assert str(again) == rec.residual
 
 
-# The six vector identities as the scalar residuals they replaced: each one
+# The vector identities as the scalar residuals they replaced: each one
 # rebuilds the whole vector at its index tuple and keeps the component idx[0].
-# A test-only reference for the memoized vector scans.
+# A test-only dense reference for the support-driven vector scans.
 
 
 def frame(j):
     return {j: RatFunc.one()}
 
 
-def ref_star_associative(c, idx):
+def ref_star_associative(ctx, idx):
+    c = ctx.c
     a, i, j, k = idx
     lhs = star_product(c, star_product(c, frame(i), frame(j)), frame(k))
     rhs = star_product(c, frame(i), star_product(c, frame(j), frame(k)))
     return _vget(lhs, a) - _vget(rhs, a)
 
 
-def ref_l_composition(c, idx):
+def ref_l_composition(ctx, idx):
+    c = ctx.c
     i, j, k, p = idx
     lhs = apply_l(c, k, apply_l(c, p, frame(j)))
     rhs = apply_l_vec(c, star_product(c, frame(k), frame(p)), frame(j))
     return _vget(lhs, i) - _vget(rhs, i)
 
 
-def ref_second_derivative_symmetric(c, idx):
+def ref_second_derivative_symmetric(ctx, idx):
+    c = ctx.c
     i, j, k, p, r = idx
     cur = _symmetrized_second(c, j, k, p, r)
     ref = _symmetrized_second(c, j, *sorted((k, p, r)))
     return _vget(cur, i) - _vget(ref, i)
 
 
-def ref_base_integrability(c, idx):
+def ref_base_integrability(ctx, idx):
+    c = ctx.c
     a, i, j, k, p = idx
     x, y, z, v = frame(i), frame(j), frame(k), frame(p)
     out = lie_star(c, star_product(c, x, y), z, v)
@@ -401,7 +418,8 @@ def ref_base_integrability(c, idx):
     return _vget(out, a)
 
 
-def ref_derivative_commutator(c, idx):
+def ref_derivative_commutator(ctx, idx):
+    c = ctx.c
     i, j, k, p, r = idx
     lhs = apply_d(c, k, p, apply_l(c, r, frame(j)))
     lhs = _vsub(lhs, apply_l(c, r, apply_d(c, k, p, frame(j))))
@@ -410,7 +428,8 @@ def ref_derivative_commutator(c, idx):
     return _vget(lhs, i) - _vget(rhs, i)
 
 
-def ref_derivative_bracket(c, idx):
+def ref_derivative_bracket(ctx, idx):
+    c = ctx.c
     i, j, x, y, z, v = idx
 
     def dvec(u, second):
@@ -430,50 +449,92 @@ def ref_derivative_bracket(c, idx):
     return _vget(lhs, i) - _vget(rhs, i)
 
 
-def reference_scans(c):
-    """``name -> (passed, witness, residual)`` by scanning every tuple afresh."""
+def ref_unit_star(ctx, idx):
+    a, k = idx
+    prod = star_product(ctx.c, ctx.e.base_vec(), frame(k))
+    return _vget(prod, a) - (RatFunc.one() if a == k else RatFunc.zero())
+
+
+def ref_unit_side(ctx, idx):
+    i, j = idx
+    out = apply_l_vec(ctx.c, ctx.e.base_vec(), frame(j))
+    return _vget(out, i) - (RatFunc.one() if i == j else RatFunc.zero())
+
+
+def ref_unit_derivative(ctx, idx):
+    i, j, k = idx
+    c = ctx.c
+    lhs = apply_l(c, k, apply_delta(ctx.e, frame(j)))
+    rhs = RatFunc.zero()
+    for p, w in ctx.e.base_vec().items():
+        rhs = rhs + w * c.d_at(i, j, p, k)
+    return _vget(lhs, i) - rhs
+
+
+def ref_euler_base(ctx, idx):
+    a, i, j = idx
+    c = ctx.c
+    lhs = lie_star(c, ctx.euler.base_vec(), frame(i), frame(j))
+    rhs = star_product(c, frame(i), frame(j))
+    return _vget(lhs, a) - _vget(rhs, a)
+
+
+def dense_tuples(c, space):
+    """Every index tuple of a declared index space, in the order of its scan."""
     n, k = range(c.n), range(c.rank)
-    pairs = [(x, y) for x in n for y in n if x <= y]
-    bracket = [
-        (i, j, *xy, *zv)
-        for ia, xy in enumerate(pairs)
-        for zv in pairs[ia + 1 :]
-        for i in k
-        for j in k
-    ]
-    scans = {
-        "star-associative": (ref_star_associative, product(n, n, n, n)),
-        "l-composition": (ref_l_composition, product(k, k, n, n)),
-        "second-derivative-symmetric": (
-            ref_second_derivative_symmetric,
-            product(k, k, n, n, n),
-        ),
-        "base-integrability": (ref_base_integrability, product(n, n, n, n, n)),
-        "derivative-commutator": (ref_derivative_commutator, product(k, k, n, n, n)),
-        "derivative-bracket": (ref_derivative_bracket, bracket),
-    }
-    out = {}
-    for name, (fn, tuples) in scans.items():
-        out[name] = (True, None, None)
-        for idx in tuples:
-            val = fn(c, idx)
-            if not val.is_zero():
-                out[name] = (False, idx, str(val))
-                break
-    return out
+    if space == "bracket":
+        pairs = [(x, y) for x in n for y in n if x <= y]
+        return [
+            (i, j, *xy, *zv)
+            for ia, xy in enumerate(pairs)
+            for zv in pairs[ia + 1 :]
+            for i in k
+            for j in k
+        ]
+    return list(product(*({"k": k, "n": n}[s] for s in space)))
 
 
-def random_sparse_components(rng, n, k, first_output=0):
+def dense_residuals(ctx, name):
+    """The nonzero ``(idx, residual)`` of a record, evaluating every tuple afresh."""
+    import fmanlin.fman as fman
+
+    ref = REFERENCES[name]
+    for idx in dense_tuples(ctx.c, fman._IDENTITIES[name].space):
+        val = ref(ctx, idx)
+        if not val.is_zero():
+            yield idx, val
+
+
+def dense_scan(ctx, name):
+    """``(passed, witness, residual)`` of the first nonzero dense residual."""
+    for idx, val in dense_residuals(ctx, name):
+        return False, idx, str(val)
+    return True, None, None
+
+
+def reference_scans(c):
+    """``name -> (passed, witness, residual)`` for the six unit-free records."""
+    return {name: dense_scan(_Ctx(c), name) for name in VECTOR_RECORDS}
+
+
+def random_sparse_components(rng, n, k, first_output=0, entry=None):
     """Random tables whose entries are nonzero with probability 1/3.
 
     Entries with an output index below ``first_output`` stay zero, so that
     the residuals can vanish at output index 0 and fail at a later one.
+    ``entry(rng, base names)`` draws an entry; by default a random rational
+    function of degree 1.
     """
     chart = Chart.standard(n, k)
 
+    def draw():
+        if entry is not None:
+            return entry(rng, chart.base_names)
+        return rand_ratfunc(rng, chart.base_names, 1, with_den=n * k < 4)
+
     def table(keys):
         return {
-            key: rand_ratfunc(rng, chart.base_names, 1, with_den=n * k < 4)
+            key: draw()
             for key in keys
             if key[0] >= first_output and rng.random() < 1 / 3
         }
@@ -579,31 +640,37 @@ def test_euler_side_failure_witness():
 # component idx[0].  A test-only reference for the memoized vector scans.
 
 
-def ref_euler_side(c, euler, idx):
+def ref_euler_side(ctx, idx):
+    c, euler = ctx.c, ctx.euler
     i, j, k = idx
     return _vget(_lie_l_entry(c, euler, j, k), i) - c.l_at(i, j, k)
 
 
-def ref_euler_derivative(c, euler, idx):
+def ref_euler_derivative(ctx, idx):
+    c, euler = ctx.c, ctx.euler
     i, j, k, p = idx
     return _vget(_lie_d_entry(c, euler, j, k, p), i) - c.d_at(i, j, k, p)
 
 
 def reference_euler_scans(c, euler):
-    n, k = range(c.n), range(c.rank)
-    scans = {
-        "euler-side": (ref_euler_side, product(k, k, n)),
-        "euler-derivative": (ref_euler_derivative, product(k, k, n, n)),
-    }
-    out = {}
-    for name, (fn, tuples) in scans.items():
-        out[name] = (True, None, None)
-        for idx in tuples:
-            val = fn(c, euler, idx)
-            if not val.is_zero():
-                out[name] = (False, idx, str(val))
-                break
-    return out
+    ctx = _Ctx(c, euler=euler)
+    return {name: dense_scan(ctx, name) for name in ("euler-side", "euler-derivative")}
+
+
+REFERENCES = {
+    "star-associative": ref_star_associative,
+    "l-composition": ref_l_composition,
+    "second-derivative-symmetric": ref_second_derivative_symmetric,
+    "unit-star": ref_unit_star,
+    "unit-side": ref_unit_side,
+    "unit-derivative": ref_unit_derivative,
+    "base-integrability": ref_base_integrability,
+    "derivative-commutator": ref_derivative_commutator,
+    "derivative-bracket": ref_derivative_bracket,
+    "euler-base": ref_euler_base,
+    "euler-side": ref_euler_side,
+    "euler-derivative": ref_euler_derivative,
+}
 
 
 def test_euler_vector_scans_match_per_tuple_reference():
@@ -656,6 +723,201 @@ def test_euler_vector_scans_match_per_tuple_reference():
     assert max(outputs) > 0
 
 
+# -- supports ------------------------------------------------------------------
+
+
+def sparse_entry(rng, names):
+    """A nonzero constant, an affine function of one coordinate or 1/(x + b)."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return RatFunc.const(rng.choice((1, -1, 2, Fraction(1, 2))))
+    x = RatFunc.variable(rng.choice(names))
+    if kind == 1:
+        return x * rng.randint(1, 3) + rng.randint(-2, 2)
+    return RatFunc.one() / (x + rng.randint(1, 3))
+
+
+def random_linear_field(rng, chart):
+    """Coefficients zero, constant or nonconstant, as drawn by `sparse_entry`."""
+
+    def coeff():
+        if rng.random() < 1 / 3:
+            return RatFunc.zero()
+        return sparse_entry(rng, chart.base_names)
+
+    beta = tuple(coeff() for _ in range(chart.n))
+    lam = tuple(tuple(coeff() for _ in range(chart.k)) for _ in range(chart.k))
+    return LinearVectorField(chart, beta, lam)
+
+
+@pytest.fixture(scope="module")
+def support_corpus():
+    """``(components, context keywords, {record: nonzero dense residuals})``.
+
+    Worked examples, two prolongations and seeded random sparse tables whose
+    entries are constants or depend on one coordinate, each with a unit and
+    an Euler candidate.  The residuals of each record are listed in the order
+    of its scan.
+    """
+    rng = rng_for("fman-supports")
+    chart2 = Chart.standard(2, 0)
+    plane_star = {(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1}
+    curved = BaseFManifold(chart2, {**plane_star, (1, 1, 1): rf("1/(x2 + 1)")}, (1, 0))
+    tangent = tangent_prolongation(curved)
+    doubled = generalized_prolongation(
+        BaseFManifold(chart2, plane_star, (1, 0)), Connection.zero(chart2)
+    )
+    # ebar = d1 + x1 d2 keeps output 0 of unit-star and unit-side and fails output 1
+    c22 = Chart.standard(2, 2)
+    sheared = MultComponents(
+        c22, d={}, l={(0, 0, 0): 1, (1, 1, 0): 1, (1, 0, 1): 1}, star=plane_star
+    )
+    zero2 = ((0, 0), (0, 0))
+    # terms that the random tables rarely leave alone: the bracket's
+    # D_{[X*Y,Z],V} s with Z != V, and the Euler D_{X,Y}(Delta_E s) coupling
+    # of an x-dependent fiber matrix through the side table in the second slot
+    lone_bracket = MultComponents(C21, d={(0, 0, 1, 1): 1}, l={}, star={(1, 0, 0): rf("x1")})
+    lone_coupling = MultComponents(C21, d={}, l={(0, 0, 1): 1}, star={})
+    moving_lam = LinearVectorField(C21, (0, 0), ((rf("x1"),),))
+    # a zero Euler field leaves -l_X s, which is nonzero at output 1 only
+    second_output = MultComponents(c22, d={}, l={(1, 0, 0): 1}, star={})
+    inputs = [
+        (sheared, LinearVectorField(c22, (1, rf("x1", c22)), zero2), None),
+        (lone_bracket, plane_example()[1], None),
+        (lone_coupling, plane_example()[1], moving_lam),
+        (second_output, LinearVectorField.zero(c22), LinearVectorField.zero(c22)),
+        (*line_example(), None),
+        (*plane_example(), None),
+        (*plane_example("x1*x2 + 1"), None),
+        (tilted_plane("x1", "x1"), plane_example()[1], None),
+        (tangent.components, tangent.unit, None),
+        (doubled.components, doubled.unit, None),
+    ]
+    for trial in range(24):
+        n, k, first = 1 + trial % 3, 1 + (trial // 3) % 2, (trial // 6) % 2
+        c = random_sparse_components(rng, n, k, first, sparse_entry)
+        inputs.append((c, random_linear_field(rng, c.chart), None))
+    corpus = []
+    for c, e, euler in inputs:
+        kw = {"e": e, "euler": euler or random_linear_field(rng, c.chart)}
+        ctx = _Ctx(c, **kw)
+        found = {name: list(dense_residuals(ctx, name)) for name in REFERENCES}
+        corpus.append((c, kw, found))
+    return corpus
+
+
+def test_support_scans_match_dense_reference(support_corpus):
+    import fmanlin.fman as fman
+
+    vectors = {name for name, ident in fman._IDENTITIES.items() if ident.kind == "vector"}
+    assert vectors == set(REFERENCES)
+    passed, outputs = set(), defaultdict(set)
+    for c, kw, found in support_corpus:
+        for name, residuals in found.items():
+            rep = Report(name)
+            fman._scan(rep, _Ctx(c, **kw), name)
+            rec = rep.record(name)
+            want = (True, None, None)
+            if residuals:
+                idx, val = residuals[0]
+                want = (False, idx, str(val))
+            assert (rec.passed, rec.witness, rec.residual) == want, name
+            if rec.passed:
+                passed.add(name)
+                continue
+            outputs[name].add(rec.witness[0])
+            again = evaluate_residual(name, rec.witness, c, **kw)
+            assert str(again) == rec.residual, name
+    assert passed == set(outputs) == vectors
+    assert {name for name, seen in outputs.items() if max(seen) > 0} == vectors
+
+
+def test_supports_are_sound(support_corpus):
+    import fmanlin.fman as fman
+
+    for c, kw, found in support_corpus:
+        ctx = _Ctx(c, **kw)
+        for name, residuals in found.items():
+            space = fman._IDENTITIES[name].space
+            support = set(fman._IDENTITIES[name].support(ctx))
+            assert support <= {idx[1:] for idx in dense_tuples(c, space)}, name
+            outside = [idx for idx, _ in residuals if idx[1:] not in support]
+            assert not outside, (name, outside[:3])
+
+
+def test_supports_skip_the_empty_derivative_table_of_a_prolongation():
+    import fmanlin.fman as fman
+
+    chart = Chart.standard(3, 0)
+    square_zero = {(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1, (2, 0, 2): 1, (2, 2, 0): 1}
+    base = BaseFManifold(chart, square_zero, (1, 0, 0))
+    prol = generalized_prolongation(base, Connection.zero(chart))
+    assert not prol.components.d
+    ctx = _Ctx(prol.components, e=prol.unit)
+    for name in (
+        "second-derivative-symmetric",
+        "unit-derivative",
+        "base-integrability",
+        "derivative-commutator",
+        "derivative-bracket",
+    ):
+        assert not set(fman._IDENTITIES[name].support(ctx)), name
+    assert check_battery(prol.components, prol.unit).passed
+
+
+def test_operators_match_dense_table_filters():
+    # the operators iterate compiled rows; these filter the whole tables
+    def star_dense(c, u, v):
+        out = {}
+        for (a, i, j), b in c.star.items():
+            if i in u and j in v:
+                _acc(out, a, b * u[i] * v[j])
+        return out
+
+    def l_dense(c, k, sec):
+        out = {}
+        for (i, j, kk), val in c.l.items():
+            if kk == k and j in sec:
+                _acc(out, i, val * sec[j])
+        return out
+
+    def d_dense(c, k, p, sec):
+        names = c.chart.names
+        out = {}
+        for j, f in sec.items():
+            for (i, jj, kk, pp), val in c.d.items():
+                if (jj, kk, pp) == (j, k, p):
+                    _acc(out, i, val * f)
+            for (i, jj, kk), val in c.l.items():
+                if jj == j and kk == p:
+                    _acc(out, i, val * f.partial(names[k]))
+                if jj == j and kk == k:
+                    _acc(out, i, val * f.partial(names[p]))
+            for (a, kk, pp), b in c.star.items():
+                if (kk, pp) == (k, p):
+                    _acc(out, j, -(b * f.partial(names[a])))
+        return out
+
+    rng = rng_for("fman-dense-operators")
+    for trial in range(6):
+        n, k = 1 + trial % 3, 1 + trial % 2
+        c = random_sparse_components(rng, n, k, entry=sparse_entry)
+        u, v = ({a: sparse_entry(rng, c.chart.base_names) for a in range(n)} for _ in "uv")
+        sec = {j: sparse_entry(rng, c.chart.base_names) for j in range(k)}
+        assert star_product(c, u, v) == star_dense(c, u, v)
+        for a in range(n):
+            assert apply_l(c, a, sec) == l_dense(c, a, sec)
+            for b in range(n):
+                assert apply_d(c, a, b, sec) == d_dense(c, a, b, sec)
+
+
+def test_tables_are_frozen():
+    c, _ = plane_example()
+    for table in (c.d, c.l, c.star):
+        with pytest.raises(TypeError):
+            table[(0, 0, 0)] = RatFunc.one()
+
+
 def test_nonlinear_candidates_are_rejected_at_construction():
     with pytest.raises(ValueError, match="fiber"):
         LinearVectorField(C11, (1,), ((rf("xi1", C11),),))
@@ -663,20 +925,31 @@ def test_nonlinear_candidates_are_rejected_at_construction():
         LinearVectorField(C11, (rf("xi1", C11),), ((0,),))
 
 
+def frame_lie_components(c, x):
+    """The Lie-derivative tables by the frame operators of the Euler identities."""
+    dt, lt, rt = {}, {}, {}
+    for j, k in product(range(c.rank), range(c.n)):
+        lt.update(((i, j, k), v) for i, v in _lie_l_entry(c, x, j, k).items())
+        for p in range(c.n):
+            dt.update(((i, j, k, p), v) for i, v in _lie_d_entry(c, x, j, k, p).items())
+    for i, j in product(range(c.n), repeat=2):
+        rt.update(((a, i, j), v) for a, v in lie_star(c, x.base_vec(), frame(i), frame(j)).items())
+    return dt, lt, rt
+
+
 def test_lie_components_match_tensor_lie_derivative():
+    # `lie_components` reads the assembled tensor; the frame route must agree
     rng = rng_for("fman-lie")
-    c, e = plane_example()
-    t = c.assemble()
-    for _ in range(6):
-        beta = tuple(rand_ratfunc(rng, C21.base_names, 1, with_den=False) for _ in range(2))
-        lam = ((rand_ratfunc(rng, C21.base_names, 1, with_den=False),),)
-        x = LinearVectorField(C21, beta, lam)
-        dt, lt, rt = lie_components(c, x)
-        comps = extract_components(lie_derivative(x.as_field(), t))
-        assert table_eq(dt, comps.d)
-        assert table_eq(lt, comps.ls[0])
-        assert table_eq(lt, comps.ls[1])
-        assert table_eq(rt, comps.basic)
+    cases = [plane_example()[0], random_sparse_components(rng, 2, 2, entry=sparse_entry)]
+    for c in cases:
+        t = c.assemble()
+        for _ in range(6):
+            x = random_linear_field(rng, c.chart)
+            dt, lt, rt = lie_components(c, x)
+            comps = extract_components(lie_derivative(x.as_field(), t))
+            assert table_eq(lt, comps.ls[1])
+            for got, want in zip(frame_lie_components(c, x), (dt, lt, rt)):
+                assert got == dict(want)
 
 
 def test_lie_components_trivial_cases():
@@ -863,15 +1136,23 @@ def test_symmetrized_second_runs_once_per_distinct_argument(monkeypatch):
         return real(c, *args)
 
     monkeypatch.setattr(fman, "_symmetrized_second", counting)
+    # a derivative row at every (j, k, p) puts every argument in the support
+    c22 = Chart.standard(2, 2)
+    full = MultComponents(
+        c22, d={(0, *jkp): rf("x1 + 1", c22) for jkp in product(range(2), repeat=3)},
+        l={}, star={},
+    )
+    assert fman._scan(Report("memo"), _Ctx(full), "second-derivative-symmetric")
+    assert len(calls) == len(set(calls)) == full.rank * full.n**3
+    # the generalized prolongation has no derivative table, so none is needed
     chart = Chart.standard(2, 0)
     star = {(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1}
     prol = generalized_prolongation(
         BaseFManifold(chart, star, (1, 0)), Connection.zero(chart)
     )
-    c = prol.components
     calls.clear()
-    assert check_battery(c, prol.unit).passed
-    assert len(calls) == len(set(calls)) == c.rank * c.n**3
+    assert check_battery(prol.components, prol.unit).passed
+    assert calls == []
 
 
 def test_euler_and_base_extraction_name_their_precondition():

@@ -7,6 +7,8 @@ import pytest
 from conftest import primitive, rand_poly, rand_ratfunc, rng_for
 from fmanlin.symcore import (
     MAX_DEPTH,
+    MAX_EXPONENT,
+    MAX_TERMS,
     ParseError,
     Poly,
     RatFunc,
@@ -67,6 +69,40 @@ def test_parse_nesting_limit():
             P(deep)
         assert err.value.offset == MAX_DEPTH
         assert "nested deeper" in str(err.value)
+
+
+def test_parse_exponent_budget():
+    assert P(f"x1^{MAX_EXPONENT}") == P("x1") ** MAX_EXPONENT
+    assert P(f"(x1 + 1)^-{MAX_EXPONENT}") == P("x1 + 1") ** -MAX_EXPONENT
+    for text in (f"x1^{MAX_EXPONENT + 1}", f"x2 + x1^-{MAX_EXPONENT + 1}"):
+        with pytest.raises(ParseError) as err:
+            P(text)
+        assert err.value.offset == text.rindex(str(MAX_EXPONENT + 1))
+        assert f"exponent larger than {MAX_EXPONENT}" in str(err.value)
+
+
+def test_parse_term_budget():
+    # (a + 1)(b + 1) terms from two small powers; 1000 = 25 * 40, 1001 = 7 * 11 * 13
+    assert MAX_TERMS == 1000
+    at = P("(x1 + 1)^24 * (x2 + 1)^39")
+    assert len(at.num.terms) == MAX_TERMS
+    assert P("1/((x1 + 1)^24 * (x2 + 1)^39)") == 1 / at
+    over = "(x1 + 1)^6 * (x2 + 1)^10 * (xi1 + 1)^12"
+    with pytest.raises(ParseError) as err:
+        P(over)
+    assert err.value.offset == over.rindex("*")
+    assert f"more than {MAX_TERMS} terms" in str(err.value)
+    # a power stops at its first factor over the budget
+    with pytest.raises(ParseError) as err:
+        P("(x1 + x2 + xi1 + 1)^40")
+    assert err.value.offset == len("(x1 + x2 + xi1 + 1)^")
+    # so does a denominator, and a sum of two values within it
+    with pytest.raises(ParseError):
+        P(f"1/({over})")
+    sum_over = "(x1 + 1)^24 * (x2 + 1)^39 + xi1"
+    with pytest.raises(ParseError) as err:
+        P(sum_over)
+    assert err.value.offset == sum_over.rindex("+")
 
 
 def test_parse_rejects_division_by_zero_polynomial():

@@ -1,11 +1,14 @@
 """Tensor layer: Lie derivatives, scaling classes, component dictionary."""
 
+from itertools import product
+
 import pytest
 
 from conftest import rand_ratfunc, rng_for
 from fmanlin.symcore import RatFunc, parse_expr
 from fmanlin.tensor import (
     Chart,
+    LeibnizError,
     LinearComponents,
     Section,
     TensorField,
@@ -15,6 +18,7 @@ from fmanlin.tensor import (
     extract_components,
     lie_derivative,
     scaling_class,
+    _verify_leibniz,
     vertical_lift,
 )
 
@@ -179,6 +183,54 @@ def test_multiplication_values_on_the_plane_example():
 def test_extract_components_round_trip():
     for comps in (components_1d(), components_2d(), components_2d("x1*x2 - 2")):
         assert extract_components(assemble(comps)) == comps
+
+
+def random_linear_components(rng, n, k, p):
+    """Random sparse base-only tables; the slot tables differ from each other."""
+    chart = Chart.standard(n, k)
+
+    def table(keys):
+        return {
+            key: rand_ratfunc(rng, chart.base_names, 1)
+            for key in keys
+            if rng.random() < 1 / 2
+        }
+
+    fibers, bases = (range(k),) * 2, (range(n),) * p
+    return LinearComponents(
+        chart=chart,
+        p=p,
+        d=table(product(*fibers, *bases)),
+        ls=tuple(table(product(*fibers, *bases[1:])) for _ in range(p)),
+        basic=table(product(range(n), *bases)),
+    )
+
+
+def test_assemble_satisfies_the_leibniz_reference_on_random_tables():
+    # `assemble` does not verify its result; `_verify_leibniz` is the reference
+    rng = rng_for("tensor-assemble-leibniz")
+    for trial in range(9):
+        n, k, p = 1 + trial % 2, 1 + (trial // 2) % 2, 1 + trial % 3
+        comps = random_linear_components(rng, n, k, p)
+        t = assemble(comps)
+        _verify_leibniz(t, comps)
+        assert extract_components(t) == comps
+
+
+def test_leibniz_reference_rejects_inconsistent_components():
+    t = assemble(components_2d())
+    one = RatFunc.one()
+    moved = LinearComponents(
+        chart=C21,
+        p=2,
+        d={(0, 0, 1, 1): rf("x2")},
+        ls=({(0, 0, 1): one}, {(0, 0, 0): one}),
+        basic={(0, 0, 0): one, (1, 0, 1): one, (1, 1, 0): one},
+    )
+    with pytest.raises(LeibnizError) as info:
+        _verify_leibniz(t, moved)
+    assert info.value.witness == (0, 0, (0, 0))
+    assert "section 0, output 0, slot (0, 0)" in str(info.value)
 
 
 def test_extract_rejects_nonlinear():
