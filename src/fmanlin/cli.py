@@ -11,6 +11,9 @@ pipes::
 ``-`` stands for stdin (models) or stdout (``--out``).  Exit codes: 0 pass,
 1 check failure, 2 input error, 3 unmet precondition (the precondition's own
 report is printed when available).
+
+Each handler imports the modules only its command runs, so one stage of a
+pipeline loads (and, without a bytecode cache, compiles) no more than it needs.
 """
 
 from __future__ import annotations
@@ -18,21 +21,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .duality import Connection, dualize
 from .fman import (
     BaseFManifold,
     PreconditionError,
     check_battery,
     check_euler,
 )
-from .gengeo import bfield_transform, classify_exact_courant
 from .modelfile import ModelError, ModelFile, dumps, load, loads
-from .prolong import (
-    check_five_field_identity,
-    cotangent_prolongation,
-    generalized_prolongation,
-    tangent_prolongation,
-)
+from .tensor import Connection
 
 __all__ = ["main"]
 
@@ -115,6 +111,8 @@ def cmd_euler_check(args) -> int:
 
 
 def cmd_dualize(args) -> int:
+    from .duality import dualize
+
     model = _read_model(args.model)
     nabla = _connection_of(model, args.connection)
     dual_c, dual_e = dualize(model.components, _unit_of(model), nabla)
@@ -134,6 +132,12 @@ def cmd_dualize(args) -> int:
 
 
 def cmd_prolong(args) -> int:
+    from .prolong import (
+        cotangent_prolongation,
+        generalized_prolongation,
+        tangent_prolongation,
+    )
+
     model = _read_model(args.model)
     base = _base_of(model)
     if args.kind == "tangent":
@@ -164,6 +168,8 @@ def cmd_prolong(args) -> int:
 
 
 def cmd_bfield(args) -> int:
+    from .gengeo import bfield_transform
+
     model = _read_model(args.model)
     if model.gamma is None:
         raise ValueError("the model has no [gamma] section to transform by")
@@ -183,6 +189,8 @@ def cmd_bfield(args) -> int:
 
 
 def cmd_courant_classify(args) -> int:
+    from .gengeo import classify_exact_courant
+
     model = _read_model(args.model)
     nabla = _connection_of(model, args.connection)
     rep = classify_exact_courant(
@@ -192,6 +200,8 @@ def cmd_courant_classify(args) -> int:
 
 
 def cmd_five_field(args) -> int:
+    from .prolong import check_five_field_identity
+
     model = _read_model(args.model)
     rep = check_five_field_identity(_base_of(model))
     return _report_exit(rep, args.json)

@@ -33,7 +33,7 @@ from .fman import (
 )
 from .report import Report
 from .symcore import RatFunc, SingularMatrixError, solve_linear
-from .tensor import Chart, TensorField, clean_table, table_eq
+from .tensor import Chart, Connection, TensorField
 
 __all__ = [
     "Connection",
@@ -53,44 +53,6 @@ __all__ = [
 _ZERO = RatFunc.zero()
 _ONE = RatFunc.one()
 _TWO = RatFunc.coerce(2)
-
-
-@dataclass(frozen=True, eq=False)
-class Connection:
-    """Christoffel table of a linear connection on the base coordinates.
-
-    ``gamma[(k, i, j)]`` is the ``dx_k`` component of the covariant derivative
-    of ``dx_j`` along ``dx_i``; missing entries are zero.
-    """
-
-    chart: Chart
-    gamma: dict
-
-    def __post_init__(self):
-        chart = self.chart
-        n = chart.n
-        gamma = clean_table(
-            {tuple(k): RatFunc.coerce(v) for k, v in self.gamma.items()}
-        )
-        for key, val in gamma.items():
-            if len(key) != 3 or not all(0 <= x < n for x in key):
-                raise ValueError(f"bad christoffel key {key}")
-            chart.require_base_only(val, f"christoffel entry {key}")
-        object.__setattr__(self, "gamma", gamma)
-
-    @staticmethod
-    def zero(chart: Chart) -> "Connection":
-        return Connection(chart, {})
-
-    def at(self, k: int, i: int, j: int) -> RatFunc:
-        return self.gamma.get((k, i, j), _ZERO)
-
-    def __eq__(self, other):
-        if not isinstance(other, Connection):
-            return NotImplemented
-        return self.chart.base() == other.chart.base() and table_eq(
-            self.gamma, other.gamma
-        )
 
 
 # -- covariant calculus on base coefficient dicts ------------------------------

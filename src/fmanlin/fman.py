@@ -500,13 +500,16 @@ def _frame(j: int) -> dict:
 # `_Ctx` holds the inputs of one battery and memoizes the frame Lie
 # derivatives ``L_{d_r}(*)(d_k, d_p)`` that three vector identities share, and
 # the symmetrized second derivatives that each tuple compares with its sorted
-# reference.  `_scan` and `evaluate_residual` read the same declaration, so a
-# reported witness can be reproduced in isolation; an oracle replays by
-# looking its witness up among its pairs.
+# reference.  It also memoizes the assembled product and its Lie derivative
+# along the Euler field, which the two Euler oracles share and no frame
+# identity reads, so the oracles stay independent of the frame route.
+# `_scan` and `evaluate_residual` read the same declaration, so a reported
+# witness can be reproduced in isolation; an oracle replays by looking its
+# witness up among its pairs.
 
 
 class _Ctx:
-    __slots__ = ("c", "e", "euler", "l2", "lie", "second")
+    __slots__ = ("c", "e", "euler", "l2", "lie", "second", "euler_pair")
 
     def __init__(self, c, e=None, euler=None, l2=None):
         self.c = c
@@ -515,6 +518,7 @@ class _Ctx:
         self.l2 = l2
         self.lie = {}  # (r, k, p) -> L_{d_r}(*)(d_k, d_p)
         self.second = {}  # (j, k, p, r) -> _symmetrized_second(c, j, k, p, r)
+        self.euler_pair = None  # (t, L_E t) for the assembled product t
 
     def lie_frame(self, r, k, p) -> dict:
         key = (r, k, p)
@@ -522,6 +526,13 @@ class _Ctx:
         if out is None:
             out = self.lie[key] = lie_star(self.c, _frame(r), _frame(k), _frame(p))
         return out
+
+    def assembled_euler(self) -> tuple:
+        """The assembled product ``t`` and ``L_E t``, read by the two Euler oracles."""
+        if self.euler_pair is None:
+            t = self.c.assemble()
+            self.euler_pair = (t, lie_derivative(self.euler.as_field(), t))
+        return self.euler_pair
 
     def symmetrized_second(self, j, k, p, r) -> dict:
         key = (j, k, p, r)
@@ -994,7 +1005,7 @@ def _vec_euler_derivative(ctx: _Ctx, rest) -> dict:
 )
 def _oracle_euler_components(ctx: _Ctx):
     c = ctx.c
-    got = lie_components(c, ctx.euler)
+    got = _component_tables(ctx.assembled_euler()[1])
     return _table_diffs(zip(("d", "l", "star"), got, (c.d, c.l, c.star)))
 
 
@@ -1004,8 +1015,8 @@ def _oracle_euler_components(ctx: _Ctx):
     "oracle",
 )
 def _oracle_euler(ctx: _Ctx):
-    t = ctx.c.assemble()
-    return sorted((lie_derivative(ctx.euler.as_field(), t) - t).coeffs.items())
+    t, lie = ctx.assembled_euler()
+    return sorted((lie - t).coeffs.items())
 
 
 def evaluate_residual(name, idx, c, e=None, euler=None, l2=None) -> RatFunc:
@@ -1187,7 +1198,11 @@ def lie_components(c: MultComponents, x: LinearVectorField):
     share nothing with the frame operators and rows that the Euler identities
     use, and the ``euler-components`` record cross-checks those identities.
     """
-    comps = extract_components(lie_derivative(x.as_field(), c.assemble()))
+    return _component_tables(lie_derivative(x.as_field(), c.assemble()))
+
+
+def _component_tables(t: TensorField):
+    comps = extract_components(t)
     return comps.d, comps.ls[0], comps.basic
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .duality import Connection, check_flat_f, dualize, symmetric_bracket
+from .duality import check_flat_f, dualize, symmetric_bracket
 from .fman import (
     BaseFManifold,
     LinearVectorField,
@@ -45,7 +45,7 @@ from .fman import (
 from .prolong import conjugate, conjugate_unit, generalized_prolongation
 from .report import Report
 from .symcore import RatFunc
-from .tensor import Chart, clean_table, table_eq
+from .tensor import Chart, Connection, ThreeForm, TwoForm, clean_table, table_eq
 
 __all__ = [
     "GenSection",
@@ -135,146 +135,6 @@ class GenSection:
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.vec + self.form)
-
-
-def _sorted_with_parity(idx):
-    order = list(idx)
-    sign = 1
-    for a in range(len(order)):
-        for b in range(len(order) - 1 - a):
-            if order[b] > order[b + 1]:
-                order[b], order[b + 1] = order[b + 1], order[b]
-                sign = -sign
-    return tuple(order), sign
-
-
-@dataclass(frozen=True, eq=False)
-class TwoForm:
-    """Antisymmetric two-form stored by its strictly increasing index pairs."""
-
-    chart: Chart
-    table: dict
-
-    def __post_init__(self):
-        chart = self.chart
-        n = chart.n
-        table = clean_table(
-            {tuple(k): RatFunc.coerce(v) for k, v in self.table.items()}
-        )
-        for key, val in table.items():
-            if len(key) != 2 or not (0 <= key[0] < key[1] < n):
-                raise ValueError(f"two-form keys must be increasing pairs, got {key}")
-            chart.require_base_only(val, f"two-form entry {key}")
-        object.__setattr__(self, "table", table)
-
-    def __eq__(self, other):
-        if not isinstance(other, TwoForm):
-            return NotImplemented
-        return self.chart.base() == other.chart.base() and table_eq(
-            self.table, other.table
-        )
-
-    @staticmethod
-    def zero(chart: Chart) -> "TwoForm":
-        return TwoForm(chart, {})
-
-    def at(self, i: int, j: int) -> RatFunc:
-        if i == j:
-            return _ZERO
-        if i < j:
-            return self.table.get((i, j), _ZERO)
-        return -self.table.get((j, i), _ZERO)
-
-    def is_zero(self) -> bool:
-        return not self.table
-
-    def apply(self, u: dict, v: dict) -> RatFunc:
-        acc = _ZERO
-        for (i, j), g in self.table.items():
-            ui, uj = u.get(i, _ZERO), u.get(j, _ZERO)
-            vi, vj = v.get(i, _ZERO), v.get(j, _ZERO)
-            acc = acc + g * (ui * vj - uj * vi)
-        return acc
-
-    def interior(self, u: dict) -> dict:
-        """The one-form ``i_u gamma`` as a coefficient dict."""
-        out = {}
-        for q in range(self.chart.n):
-            acc = _ZERO
-            for i, f in u.items():
-                acc = acc + f * self.at(i, q)
-            if not acc.is_zero():
-                out[q] = acc
-        return out
-
-    def d(self) -> "ThreeForm":
-        names = self.chart.names
-        table = {}
-        for i, j, k in combinations(range(self.chart.n), 3):
-            val = (
-                self.at(j, k).partial(names[i])
-                - self.at(i, k).partial(names[j])
-                + self.at(i, j).partial(names[k])
-            )
-            if not val.is_zero():
-                table[(i, j, k)] = val
-        return ThreeForm(self.chart, table)
-
-
-@dataclass(frozen=True, eq=False)
-class ThreeForm:
-    """Antisymmetric three-form stored by its strictly increasing index triples."""
-
-    chart: Chart
-    table: dict
-
-    def __post_init__(self):
-        chart = self.chart
-        n = chart.n
-        table = clean_table(
-            {tuple(k): RatFunc.coerce(v) for k, v in self.table.items()}
-        )
-        for key, val in table.items():
-            if len(key) != 3 or not (0 <= key[0] < key[1] < key[2] < n):
-                raise ValueError(
-                    f"three-form keys must be increasing triples, got {key}"
-                )
-            chart.require_base_only(val, f"three-form entry {key}")
-        object.__setattr__(self, "table", table)
-
-    def __eq__(self, other):
-        if not isinstance(other, ThreeForm):
-            return NotImplemented
-        return self.chart.base() == other.chart.base() and table_eq(
-            self.table, other.table
-        )
-
-    @staticmethod
-    def zero(chart: Chart) -> "ThreeForm":
-        return ThreeForm(chart, {})
-
-    def at(self, i: int, j: int, k: int) -> RatFunc:
-        if len({i, j, k}) != 3:
-            return _ZERO
-        key, sign = _sorted_with_parity((i, j, k))
-        val = self.table.get(key, _ZERO)
-        return val if sign > 0 else -val
-
-    def is_zero(self) -> bool:
-        return not self.table
-
-    def is_closed(self) -> bool:
-        names = self.chart.names
-        for i, j, k, m in combinations(range(self.chart.n), 4):
-            val = (
-                self.at(j, k, m).partial(names[i])
-                - self.at(i, k, m).partial(names[j])
-                + self.at(i, j, m).partial(names[k])
-                - self.at(i, j, k).partial(names[m])
-            )
-            if not val.is_zero():
-                return False
-        return True
 
 
 # -- the exact Courant operations ------------------------------------------------

@@ -37,11 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .duality import Connection
 from .fman import LinearVectorField, MultComponents
-from .gengeo import ThreeForm, TwoForm
 from .symcore import RatFunc, parse_expr
-from .tensor import Chart
+from .tensor import Chart, Connection, ThreeForm, TwoForm
 
 __all__ = ["ModelError", "ModelFile", "load", "loads", "save", "dumps"]
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .duality import Connection, check_flat_f, dualize
 from .fman import (
     BaseFManifold,
     LinearVectorField,
@@ -34,7 +33,7 @@ from .fman import (
 )
 from .report import Report
 from .symcore import RatFunc, SingularMatrixError, solve_linear
-from .tensor import Chart, table_eq
+from .tensor import Chart, Connection, table_eq
 
 __all__ = [
     "ProlongedStructure",
@@ -132,6 +131,8 @@ def _tangent(base: BaseFManifold) -> ProlongedStructure:
 
 def cotangent_prolongation(base: BaseFManifold, nabla: Connection) -> ProlongedStructure:
     """Dual-fiber prolongation: the duality image of the tangent one."""
+    from .duality import check_flat_f, dualize
+
     _require("the cotangent prolongation", check_flat_f(base, nabla))
     tan = _tangent(base)
     dual_c, dual_e = dualize(tan.components, tan.unit, nabla)
@@ -140,6 +141,8 @@ def cotangent_prolongation(base: BaseFManifold, nabla: Connection) -> ProlongedS
 
 def generalized_prolongation(base: BaseFManifold, nabla: Connection) -> ProlongedStructure:
     """Rank-2n prolongation on the double fiber (vector block, covector block)."""
+    from .duality import check_flat_f, dualize
+
     _require("the generalized prolongation", check_flat_f(base, nabla))
     tan = _tangent(base)
     dual_c, dual_e = dualize(tan.components, tan.unit, nabla)

@@ -831,6 +831,17 @@ power is multiplied out one factor at a time and stops at the first product
 over the budget, so ``(x1 + x2 + x3 + 1)^40`` is refused after a few
 milliseconds instead of being expanded to its 12,341 terms."""
 
+MAX_DIGITS = 1000
+"""Most decimal digits :func:`parse_expr` lets an integer have.
+
+The budget holds for integer literals and for the numerator and the
+denominator of every coefficient of every value the parser builds, so
+``99999^100 * 99999^100 * 99999^100`` is refused at its second ``*``.  It
+keeps parsed values far below the interpreter's limit on converting integers
+to decimal strings, which rendering a residual needs."""
+
+_DIGIT_BOUND = 10**MAX_DIGITS
+
 
 class _Parser:
     def __init__(self, text: str, variables):
@@ -914,7 +925,10 @@ class _Parser:
     def base(self) -> RatFunc:
         kind, text, offset = self.advance()
         if kind == "int":
-            return RatFunc.const(int(text))
+            digits = text.lstrip("0")
+            if len(digits) > MAX_DIGITS:
+                raise ParseError(f"integer has more than {MAX_DIGITS} digits", offset)
+            return RatFunc.const(int(digits or "0"))
         if kind == "ident":
             if text not in self.variables:
                 raise ParseError(f"unknown variable {text!r}", offset)
@@ -937,21 +951,33 @@ class _Parser:
         )
 
 
-def _within_budget(value: RatFunc, offset: int) -> RatFunc:
-    if max(len(value.num.terms), len(value.den.terms)) > MAX_TERMS:
+def _check_budget(num: Poly, den: Poly, offset: int) -> None:
+    """Refuse a value over :data:`MAX_TERMS` or :data:`MAX_DIGITS`."""
+    if max(len(num.terms), len(den.terms)) > MAX_TERMS:
         raise ParseError(f"expression has more than {MAX_TERMS} terms", offset)
+    for poly in (num, den):
+        for c in poly.terms.values():
+            if abs(c.numerator) >= _DIGIT_BOUND or c.denominator >= _DIGIT_BOUND:
+                raise ParseError(
+                    f"coefficient has more than {MAX_DIGITS} digits", offset
+                )
+
+
+def _within_budget(value: RatFunc, offset: int) -> RatFunc:
+    _check_budget(value.num, value.den, offset)
     return value
 
 
 def _budget_power(value: RatFunc, n: int, offset: int) -> RatFunc:
-    """``value ** n``, one factor at a time within :data:`MAX_TERMS`."""
+    """``value ** n``, one factor at a time within the parser's budgets."""
     num, den = _ONE, _ONE
     for _ in range(abs(n)):
         num, den = num * value.num, den * value.den
-        if max(len(num.terms), len(den.terms)) > MAX_TERMS:
-            raise ParseError(f"expression has more than {MAX_TERMS} terms", offset)
-    # powers of a coprime pair stay coprime
-    return _coprime(num, den) if n >= 0 else _coprime(den, num)
+        _check_budget(num, den, offset)
+    # powers of a coprime pair stay coprime; a negative power moves the
+    # content of the old numerator, which can lengthen the new one
+    value = _coprime(num, den) if n >= 0 else _coprime(den, num)
+    return _within_budget(value, offset)
 
 
 def parse_expr(text: str, variables) -> RatFunc:
@@ -960,7 +986,8 @@ def parse_expr(text: str, variables) -> RatFunc:
     Raises :class:`ParseError` (with byte offset) on syntax errors, unknown
     variable names, nesting deeper than :data:`MAX_DEPTH`, an exponent larger
     than :data:`MAX_EXPONENT`, a value with more than :data:`MAX_TERMS` terms
-    in its numerator or denominator, and division by the zero polynomial.
+    in its numerator or denominator, an integer literal or a coefficient with
+    more than :data:`MAX_DIGITS` digits, and division by the zero polynomial.
     """
     return _Parser(text, variables).parse()
 

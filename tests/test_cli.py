@@ -19,16 +19,21 @@ def model(name: str) -> str:
     return str(MODELS / name)
 
 
-def run_cli(*argv, input_text=None):
-    """Run the CLI in a fresh interpreter that imports this checkout's ``src``."""
+def fresh_python(*argv, input_text=None):
+    """Run ``python argv...`` in a fresh interpreter that imports this checkout's ``src``."""
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     return subprocess.run(
-        [sys.executable, "-m", "fmanlin.cli", *argv],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         input=input_text,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
     )
+
+
+def run_cli(*argv, input_text=None):
+    """Run the CLI in a fresh interpreter."""
+    return fresh_python("-m", "fmanlin.cli", *argv, input_text=input_text)
 
 
 # -- check and euler-check -------------------------------------------------------
@@ -121,6 +126,26 @@ def test_value_over_the_term_budget_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: line 5: expression has more than 1000 terms")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("9" * 5000, "line 5: integer has more than 1000 digits (at offset 0)"),
+        (
+            "*".join(["99999^100"] * 9),
+            "line 5: coefficient has more than 1000 digits (at offset 19)",
+        ),
+    ],
+    ids=["long-literal", "product-of-powers"],
+)
+def test_value_over_the_digit_budget_exits_two(tmp_path, capsys, value, message):
+    big = tmp_path / "big.fman"
+    big.write_text(
+        f"[chart]\nbase = x1\n\n[star]\n0 0 0 = {value}\n\n[unit]\nbeta 0 = 1\n"
+    )
+    assert main(["check", str(big)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_unknown_command_exits_two():
@@ -287,3 +312,66 @@ def test_constructed_models_round_trip():
     from fmanlin.modelfile import dumps
 
     assert dumps(loads(dumps(m))) == dumps(m)
+
+
+# -- modules each command loads -----------------------------------------------------
+
+_CHECK = {"cli", "fman", "modelfile", "report", "symcore", "tensor"}
+_PROLONG = _CHECK | {"prolong"}
+_DUALITY = _CHECK | {"duality"}
+_ALL = _PROLONG | _DUALITY | {"gengeo"}
+
+_LOADED_MODULES = """
+import contextlib, io, json, sys
+from fmanlin.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+loaded = sorted(m[len("fmanlin."):] for m in sys.modules if m.startswith("fmanlin."))
+print(json.dumps([code, loaded]))
+"""
+
+
+@pytest.fixture(scope="module")
+def sheared_model(tmp_path_factory):
+    """A B-field shear of the plane's generalized prolongation, built in process."""
+    folder = tmp_path_factory.mktemp("double")
+    gen, sheared = folder / "gen.fman", folder / "sheared.fman"
+    main(["prolong", "generalized", model("plane-gamma-const.fman"), "--out", str(gen)])
+    main(["bfield", str(gen), "--out", str(sheared)])
+    return {"gen": str(gen), "sheared": str(sheared)}
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["check", "plane.fman"], _CHECK),
+        (["euler-check", "plane.fman", "--candidate", "E1"], _CHECK),
+        (["five-field", "plane-base.fman"], _PROLONG),
+        (["prolong", "tangent", "plane-base.fman"], _PROLONG),
+        (["prolong", "cotangent", "plane-base.fman"], _PROLONG | _DUALITY),
+        (["prolong", "generalized", "plane-base.fman"], _PROLONG | _DUALITY),
+        (["dualize", "line.fman"], _DUALITY),
+        (["bfield", "gen"], _ALL),
+        (["courant-classify", "sheared"], _ALL),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_each_command_loads_only_the_modules_it_runs(sheared_model, argv, modules):
+    def path(arg):
+        if arg.endswith(".fman"):
+            return model(arg)
+        return sheared_model.get(arg, arg)
+
+    ran = fresh_python("-c", _LOADED_MODULES, *map(path, argv))
+    assert ran.returncode == 0, ran.stderr
+    code, loaded = json.loads(ran.stdout)
+    assert code == 0
+    assert set(loaded) == modules
+
+
+def test_value_types_are_shared_across_modules():
+    from fmanlin import duality, gengeo, tensor
+
+    assert duality.Connection is tensor.Connection
+    assert gengeo.TwoForm is tensor.TwoForm
+    assert gengeo.ThreeForm is tensor.ThreeForm

@@ -626,6 +626,34 @@ def test_euler_failure_has_reproducible_witness():
         assert str(again) == rec.residual
 
 
+@pytest.mark.parametrize("beta2, passes", [("x2/3", True), ("x2", False)])
+def test_euler_report_assembles_and_differentiates_once(monkeypatch, beta2, passes):
+    import fmanlin.fman as fman
+
+    c, e = plane_example()
+    euler = LinearVectorField(C21, (rf("x1"), rf(beta2)), ((0,),))
+    calls = {"assemble": 0, "lie_derivative": 0}
+    assembled = []
+
+    def assemble(self):
+        calls["assemble"] += 1
+        assembled.append(original_assemble(self))
+        return assembled[-1]
+
+    def lie_derivative(x, t):
+        if any(t is a for a in assembled):
+            calls["lie_derivative"] += 1
+        return original_lie(x, t)
+
+    original_assemble, original_lie = MultComponents.assemble, fman.lie_derivative
+    monkeypatch.setattr(MultComponents, "assemble", assemble)
+    monkeypatch.setattr(fman, "lie_derivative", lie_derivative)
+    rep = fman._euler_report(c, e, euler)
+    assert rep.record("euler-components") and rep.record("euler-oracle")
+    assert rep.passed == passes
+    assert calls == {"assemble": 1, "lie_derivative": 1}
+
+
 def test_euler_side_failure_witness():
     c, e = plane_example()
     euler = LinearVectorField(C21, (rf("2*x1"), rf("x2")), ((0,),))

@@ -7,6 +7,7 @@ import pytest
 from conftest import primitive, rand_poly, rand_ratfunc, rng_for
 from fmanlin.symcore import (
     MAX_DEPTH,
+    MAX_DIGITS,
     MAX_EXPONENT,
     MAX_TERMS,
     ParseError,
@@ -103,6 +104,33 @@ def test_parse_term_budget():
     with pytest.raises(ParseError) as err:
         P(sum_over)
     assert err.value.offset == sum_over.rindex("+")
+
+
+def test_parse_digit_budget():
+    assert MAX_DIGITS == 1000
+    # literals: leading zeros are not digits of the value
+    assert P("9" * MAX_DIGITS) == RatFunc.const(10**MAX_DIGITS - 1)
+    assert P("0" * MAX_DIGITS + "7") == RatFunc.const(7)
+    over = "x1 + 1" + "0" * MAX_DIGITS
+    with pytest.raises(ParseError) as err:
+        P(over)
+    assert err.value.offset == over.index("1" + "0" * MAX_DIGITS)
+    assert f"integer has more than {MAX_DIGITS} digits" in str(err.value)
+    # coefficients of products, quotients and powers: 10^999 has 1000 digits
+    at = "(10^100)^9 * 10^99 * x1"
+    assert P(at).num.terms == {(1,): Fraction(10 ** (MAX_DIGITS - 1))}
+    assert P("x1 / ((10^100)^9 * 10^99)") == P("x1") / P(at).num.terms[(1,)]
+    for text, where in (
+        ("(10^100)^9 * 10^99 * 10 * x1", "* 10 "),
+        ("x1 / (10^100)^9 / 10^99 / 10", "/ 10"),
+        ("x2 + (10^100)^10", "10"),
+        # x1 + 1 over 10^999 (17 x2 + 1): inverting moves 10^999 into 17 x2 + 1
+        ("((x1 + 1)/(10^100)^9/10^99/(17*x2 + 1))^-1", "1"),
+    ):
+        with pytest.raises(ParseError) as err:
+            P(text)
+        assert err.value.offset == text.rindex(where)
+        assert f"coefficient has more than {MAX_DIGITS} digits" in str(err.value)
 
 
 def test_parse_rejects_division_by_zero_polynomial():
