@@ -27,7 +27,7 @@ from .fman import (
     check_battery,
     check_euler,
 )
-from .modelfile import ModelError, ModelFile, dumps, load, loads
+from .modelfile import MAX_CHARS, ModelError, ModelFile, dumps, load, loads
 from .tensor import Connection
 
 __all__ = ["main"]
@@ -35,7 +35,7 @@ __all__ = ["main"]
 
 def _read_model(path: str) -> ModelFile:
     if path == "-":
-        return loads(sys.stdin.read())
+        return loads(sys.stdin.read(MAX_CHARS + 1))
     return load(path)
 
 

@@ -25,15 +25,13 @@ from .fman import (
     _euler_report,
     _frame,
     _require,
-    _vadd,
     _vec_pairs,
     _vf_bracket,
     _vscale,
-    _vsub,
 )
 from .report import Report
 from .symcore import RatFunc, SingularMatrixError, solve_linear
-from .tensor import Chart, Connection, TensorField
+from .tensor import Chart, Connection, TensorField, _acc, _vadd, _vsub
 
 __all__ = [
     "Connection",
@@ -67,7 +65,7 @@ def nabla_apply(nabla: Connection, u: dict, v: dict) -> dict:
         for i, g in u.items():
             fi = f.partial(names[i])
             if not fi.is_zero():
-                out[a] = out.get(a, _ZERO) + g * fi
+                _acc(out, a, g * fi)
     for (k, i, j), g in nabla.gamma.items():
         ui = u.get(i)
         if ui is None:
@@ -75,8 +73,8 @@ def nabla_apply(nabla: Connection, u: dict, v: dict) -> dict:
         vj = v.get(j)
         if vj is None:
             continue
-        out[k] = out.get(k, _ZERO) + g * ui * vj
-    return {a: f for a, f in out.items() if not f.is_zero()}
+        _acc(out, k, g * ui * vj)
+    return out
 
 
 def symmetric_bracket(nabla: Connection, u: dict, v: dict) -> dict:
@@ -92,11 +90,8 @@ def torsion_vec(nabla: Connection, u: dict, v: dict) -> dict:
 def torsion(nabla: Connection) -> TensorField:
     """Torsion tensor; key ``(k, i, j)`` is the ``dx_k`` part of ``T(dx_i, dx_j)``."""
     chart = nabla.chart.base()
-    coeffs = {}
-    for (k, i, j) in set(nabla.gamma) | {(k, j, i) for (k, i, j) in nabla.gamma}:
-        val = nabla.at(k, i, j) - nabla.at(k, j, i)
-        if not val.is_zero():
-            coeffs[(k, i, j)] = val
+    keys = set(nabla.gamma) | {(k, j, i) for (k, i, j) in nabla.gamma}
+    coeffs = {(k, i, j): nabla.at(k, i, j) - nabla.at(k, j, i) for k, i, j in keys}
     return TensorField(chart, 2, 1, coeffs)
 
 
@@ -113,8 +108,7 @@ def curvature(nabla: Connection) -> TensorField:
         for a in range(n):
             val = val + nabla.at(a, j, k) * nabla.at(m, i, a)
             val = val - nabla.at(a, i, k) * nabla.at(m, j, a)
-        if not val.is_zero():
-            coeffs[(m, i, j, k)] = val
+        coeffs[(m, i, j, k)] = val
     return TensorField(chart, 3, 1, coeffs)
 
 
@@ -255,8 +249,7 @@ def dualize(c: MultComponents, e: LinearVectorField, nabla: Connection):
             g = nabla.at(a, k, p) + nabla.at(a, p, k)
             if not g.is_zero():
                 val = val - g * c.l_at(j, i, a)
-        if not val.is_zero():
-            dual_d[(i, j, k, p)] = val
+        dual_d[(i, j, k, p)] = val
     dual = MultComponents(chart=chart.dual(), d=dual_d, l=dual_l, star=dict(c.star))
     return dual, e.dual()
 
@@ -464,14 +457,13 @@ def regular_connection(base: BaseFManifold, euler) -> Connection:
                 dk = cij.partial(names[k])
                 if not dk.is_zero():
                     for a, w in powers[i].items():
-                        out[a] = out.get(a, _ZERO) + dk * w
+                        _acc(out, a, dk * w)
                 if i >= 1 and not cij.is_zero():
                     scale = cij * RatFunc.coerce(i)
                     for a, w in star_product(c, powers[i - 1], _frame(k)).items():
-                        out[a] = out.get(a, _ZERO) + scale * w
+                        _acc(out, a, scale * w)
             for a, w in out.items():
-                if not w.is_zero():
-                    gamma[(a, k, j)] = w
+                gamma[(a, k, j)] = w
     return Connection(chart, gamma)
 
 

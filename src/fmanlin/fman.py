@@ -29,6 +29,11 @@ from .tensor import (
     Chart,
     LinearComponents,
     TensorField,
+    _acc,
+    _box,
+    _checked_table,
+    _vadd,
+    _vsub,
     assemble,
     clean_table,
     extract_components,
@@ -164,34 +169,20 @@ class MultComponents:
 
     def __post_init__(self):
         chart = self.chart
-        n, kdim = chart.n, chart.k
-        d = clean_table({tuple(k): RatFunc.coerce(v) for k, v in self.d.items()})
-        l = clean_table({tuple(k): RatFunc.coerce(v) for k, v in self.l.items()})
-        star = clean_table(
-            {tuple(k): RatFunc.coerce(v) for k, v in self.star.items()}
-        )
-        for key, val in d.items():
-            if len(key) != 4 or not (
-                0 <= key[0] < kdim
-                and 0 <= key[1] < kdim
-                and 0 <= key[2] < n
-                and 0 <= key[3] < n
-            ):
-                raise ValueError(f"bad derivative-table key {key}")
-            chart.require_base_only(val, f"derivative table entry {key}")
-        for key, val in l.items():
-            if len(key) != 3 or not (
-                0 <= key[0] < kdim and 0 <= key[1] < kdim and 0 <= key[2] < n
-            ):
-                raise ValueError(f"bad side-table key {key}")
-            chart.require_base_only(val, f"side table entry {key}")
-        for key, val in star.items():
-            if len(key) != 3 or not all(0 <= x < n for x in key):
-                raise ValueError(f"bad star-table key {key}")
-            chart.require_base_only(val, f"star table entry {key}")
-        object.__setattr__(self, "d", MappingProxyType(d))
-        object.__setattr__(self, "l", MappingProxyType(l))
-        object.__setattr__(self, "star", MappingProxyType(star))
+        n, k = chart.n, chart.k
+        for name, bounds, what in (
+            ("d", (k, k, n, n), "derivative"),
+            ("l", (k, k, n), "side"),
+            ("star", (n, n, n), "star"),
+        ):
+            table = _checked_table(
+                chart,
+                getattr(self, name),
+                _box(*bounds),
+                f"bad {what}-table key",
+                f"{what} table entry",
+            )
+            object.__setattr__(self, name, MappingProxyType(table))
 
     @cached_property
     def rows(self) -> "_Rows":
@@ -332,31 +323,6 @@ def _base_vars(chart: Chart, values) -> set:
 
 
 # -- sparse coefficient-dict calculus -----------------------------------------
-
-
-def _acc(out: dict, key, val: RatFunc):
-    if val.is_zero():
-        return
-    cur = out.get(key)
-    total = val if cur is None else cur + val
-    if total.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = total
-
-
-def _vadd(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for key, val in b.items():
-        _acc(out, key, val)
-    return out
-
-
-def _vsub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for key, val in b.items():
-        _acc(out, key, -val)
-    return out
 
 
 def _vscale(a: dict, f: RatFunc) -> dict:

@@ -45,7 +45,17 @@ from .fman import (
 from .prolong import conjugate, conjugate_unit, generalized_prolongation
 from .report import Report
 from .symcore import RatFunc
-from .tensor import Chart, Connection, ThreeForm, TwoForm, clean_table, table_eq
+from .tensor import (
+    Chart,
+    Connection,
+    ThreeForm,
+    TwoForm,
+    _acc,
+    _box,
+    _checked_table,
+    _vsub,
+    table_eq,
+)
 
 __all__ = [
     "GenSection",
@@ -197,11 +207,9 @@ def _dorfman_comps(chart: Chart, n: int, u: dict, v: dict, h: ThreeForm | None) 
 def dorfman(s: GenSection, t: GenSection, h: ThreeForm | None = None) -> GenSection:
     """``[X + xi, Y + eta]_H = L_X(Y + eta) - i_Y dxi + i_X i_Y H``."""
     _same_chart(s, t)
-    if h is not None:
-        if h.chart.base_names != s.chart.base_names:
-            raise ValueError("twist three-form lives on different base coordinates")
-        if not h.is_closed():
-            raise PreconditionError("the twist three-form is not closed")
+    if h is not None and h.chart.base_names != s.chart.base_names:
+        raise ValueError("twist three-form lives on different base coordinates")
+    _require_closed(h)
     n = s.chart.n
     out = _dorfman_comps(s.chart, n, s.components(), t.components(), h)
     return GenSection.from_components(s.chart, out)
@@ -218,6 +226,28 @@ def _double_rank(chart: Chart) -> int:
             f"got rank {chart.k}"
         )
     return n
+
+
+def _check_candidate(
+    c: MultComponents, e: LinearVectorField, form=None, what="twist three-form"
+) -> int:
+    """The base dimension of a double-fiber candidate ``(c, e)``, once it is checked.
+
+    In order: the fiber has rank ``2n``, ``e`` lives on the chart of ``c``, and
+    ``form`` (a twist three-form or a two-form, named ``what``), when given,
+    lives on its base coordinates.
+    """
+    n = _double_rank(c.chart)
+    if e.chart != c.chart:
+        raise ValueError("unit candidate and components live on different charts")
+    if form is not None and form.chart.base_names != c.chart.base_names:
+        raise ValueError(f"{what} lives on different base coordinates")
+    return n
+
+
+def _lam_table(e: LinearVectorField) -> dict:
+    """The fiber matrix of ``e`` as a table ``(i, j) -> lam[i][j]``."""
+    return {(i, j): v for i, row in enumerate(e.lam) for j, v in enumerate(row)}
 
 
 def _comp_pairs(tuples, vec_fn):
@@ -238,13 +268,11 @@ def check_anchor_compat(c: MultComponents) -> Report:
 
     def side(m, b):
         got = proj(apply_l(c, m, _frame(b)))
-        want = star_product(c, _frame(m), proj(_frame(b)))
-        return {a: got.get(a, _ZERO) - want.get(a, _ZERO) for a in set(got) | set(want)}
+        return _vsub(got, star_product(c, _frame(m), proj(_frame(b))))
 
     def deriv(m, p, b):
         got = proj(apply_d(c, m, p, _frame(b)))
-        want = lie_star(c, proj(_frame(b)), _frame(m), _frame(p))
-        return {a: got.get(a, _ZERO) - want.get(a, _ZERO) for a in set(got) | set(want)}
+        return _vsub(got, lie_star(c, proj(_frame(b)), _frame(m), _frame(p)))
 
     rep.scan(
         "anchor-side",
@@ -279,9 +307,7 @@ def check_scalar_compat(
     the equivalent section identities.  A final record asserts that the two
     routes reach the same verdict.
     """
-    n = _double_rank(c.chart)
-    if e.chart != c.chart:
-        raise ValueError("unit candidate and components live on different charts")
+    n = _check_candidate(c, e)
     base = BaseFManifold(chart=c.chart.base(), star=c.star, unit=e.beta)
     _require("the scalar compatibility check", check_flat_f(base, nabla))
     rep = Report("scalar compatibility")
@@ -336,16 +362,6 @@ def check_scalar_compat(
     conj_c = conjugate(c, iso)
     conj_e = conjugate_unit(e, iso)
     dual_c, dual_e = dualize(c, e, nabla)
-    lam_got = {
-        (i, j): conj_e.lam[i][j]
-        for i in range(2 * n)
-        for j in range(2 * n)
-    }
-    lam_want = {
-        (i, j): dual_e.lam[i][j]
-        for i in range(2 * n)
-        for j in range(2 * n)
-    }
     struct_ok = rep.scan(
         "pairing-duality",
         "the pairing conjugate of the candidate equals its connection dual",
@@ -354,7 +370,7 @@ def check_scalar_compat(
                 ("l", conj_c.l, dual_c.l),
                 ("d", conj_c.d, dual_c.d),
                 ("star", conj_c.star, dual_c.star),
-                ("lam", lam_got, lam_want),
+                ("lam", _lam_table(conj_e), _lam_table(dual_e)),
             ]
         ),
     )
@@ -392,11 +408,7 @@ def check_dorfman_compat(
     Sections and directions run over coordinate frames, which are parallel
     because the connection is required to vanish in the chart.
     """
-    n = _double_rank(c.chart)
-    if e.chart != c.chart:
-        raise ValueError("unit candidate and components live on different charts")
-    if h is not None and h.chart.base_names != c.chart.base_names:
-        raise ValueError("twist three-form lives on different base coordinates")
+    n = _check_candidate(c, e, h)
     _require_trivial_connection("the bracket compatibility check", nabla)
     _require_closed(h)
     rep = Report("dorfman compatibility")
@@ -425,17 +437,12 @@ def check_dorfman_compat(
         lhs = apply_l(c, m, br(fb, fc))
         rhs = br(fb, apply_l(c, m, fc))
         if cc < n:
-            for i, f in apply_d(c, m, cc, fb).items():
-                rhs[i] = rhs.get(i, _ZERO) - f
+            rhs = _vsub(rhs, apply_d(c, m, cc, fb))
         sform = s_form(fb, fc)
         for q in range(n):
             corr = -_TWO * pair(apply_d(c, m, q, fb), fc)
-            corr = corr + _TWO * sform[q].partial(names[m])
-            if not corr.is_zero():
-                rhs[n + q] = rhs.get(n + q, _ZERO) + corr
-        return {
-            i: lhs.get(i, _ZERO) - rhs.get(i, _ZERO) for i in set(lhs) | set(rhs)
-        }
+            _acc(rhs, n + q, corr + _TWO * sform[q].partial(names[m]))
+        return _vsub(lhs, rhs)
 
     def deriv(m, p, b, cc):
         fb, fc = _frame(b), _frame(cc)
@@ -444,9 +451,7 @@ def check_dorfman_compat(
             return pair(apply_d(c, q, r, fb), fc)
 
         lhs = apply_d(c, m, p, br(fb, fc))
-        rhs = br(fb, apply_d(c, m, p, fc))
-        for i, f in br(fc, apply_d(c, m, p, fb)).items():
-            rhs[i] = rhs.get(i, _ZERO) - f
+        rhs = _vsub(br(fb, apply_d(c, m, p, fc)), br(fc, apply_d(c, m, p, fb)))
         sform = s_form(fb, fc)
         t_mp = t_scal(m, p)
         for q in range(n):
@@ -457,11 +462,8 @@ def check_dorfman_compat(
             )
             corr = corr + _TWO * _TWO * t_mp.partial(names[q])
             corr = corr + _TWO * sform[q].partial(names[m]).partial(names[p])
-            if not corr.is_zero():
-                rhs[n + q] = rhs.get(n + q, _ZERO) + corr
-        return {
-            i: lhs.get(i, _ZERO) - rhs.get(i, _ZERO) for i in set(lhs) | set(rhs)
-        }
+            _acc(rhs, n + q, corr)
+        return _vsub(lhs, rhs)
 
     rep.scan(
         "dorfman-side",
@@ -486,11 +488,7 @@ def bfield_transform(
     c: MultComponents, e: LinearVectorField, gamma: TwoForm
 ) -> tuple[MultComponents, LinearVectorField]:
     """Conjugate ``(c, e)`` by the shear ``X + xi -> X + xi + i_X gamma``."""
-    n = _double_rank(c.chart)
-    if e.chart != c.chart:
-        raise ValueError("unit candidate and components live on different charts")
-    if gamma.chart.base_names != c.chart.base_names:
-        raise ValueError("two-form lives on different base coordinates")
+    n = _check_candidate(c, e, gamma, "two-form")
     rows = []
     for a in range(2 * n):
         row = [_ONE if b == a else _ZERO for b in range(2 * n)]
@@ -525,17 +523,16 @@ class BFieldData:
         if chart.k != 0:
             raise ValueError("difference tables live on the base chart")
         n = chart.n
-        tables = []
-        for table, width in ((self.b, 4), (self.a, 3), (self.s, 2)):
-            table = clean_table(
-                {tuple(k): RatFunc.coerce(v) for k, v in table.items()}
+        b, a, s = (
+            _checked_table(
+                chart,
+                table,
+                _box(*(n,) * width),
+                "bad difference key",
+                "difference entry",
             )
-            for key, val in table.items():
-                if len(key) != width or not all(0 <= x < n for x in key):
-                    raise ValueError(f"bad difference key {key}")
-                chart.require_base_only(val, f"difference entry {key}")
-            tables.append(table)
-        b, a, s = tables
+            for table, width in ((self.b, 4), (self.a, 3), (self.s, 2))
+        )
         for m, p, q in product(range(n), repeat=3):
             if a.get((m, p, q), _ZERO) != a.get((m, q, p), _ZERO):
                 raise ValueError(
@@ -575,20 +572,14 @@ class BFieldData:
         if e.beta != ref_e.beta:
             raise ValueError("candidate and reference units project differently")
         b, a, s = {}, {}, {}
-        for key in sorted(set(c.d) | set(ref_c.d)):
-            val = c.d_at(*key) - ref_c.d_at(*key)
-            if val.is_zero():
-                continue
+        for key, val in sorted(_vsub(c.d, ref_c.d).items()):
             i, j, m, p = key
             if i < n or j >= n:
                 raise ValueError(
                     f"derivative difference leaves the covector block at {key}"
                 )
             b[(m, p, j, i - n)] = val
-        for key in sorted(set(c.l) | set(ref_c.l)):
-            val = c.l_at(*key) - ref_c.l_at(*key)
-            if val.is_zero():
-                continue
+        for key, val in sorted(_vsub(c.l, ref_c.l).items()):
             i, j, m = key
             if i < n or j >= n:
                 raise ValueError(
@@ -618,12 +609,11 @@ class BFieldData:
         names = chart.names
         c = base.as_components()
         unit = {i: f for i, f in enumerate(base.unit) if not f.is_zero()}
-        b, a, s = {}, {}, {}
+        b, a = {}, {}
         for m, p, q in product(range(n), repeat=3):
             val = gamma.apply(star_product(c, _frame(m), _frame(p)), _frame(q))
             val = val - gamma.apply(_frame(p), star_product(c, _frame(m), _frame(q)))
-            if not val.is_zero():
-                a[(m, p, q)] = val
+            a[(m, p, q)] = val
         for m, p, z, v in product(range(n), repeat=4):
             fm, fp, fz, fv = _frame(m), _frame(p), _frame(z), _frame(v)
             val = gamma.apply(star_product(c, fp, fv), fz).partial(names[m])
@@ -632,9 +622,7 @@ class BFieldData:
             val = val + gamma.apply(lie_star(c, fz, fm, fp), fv)
             val = val - gamma.apply(lie_star(c, fv, fm, fp), fz)
             sb = symmetric_bracket(nabla, fm, fp)
-            val = val - gamma.apply(star_product(c, sb, fv), fz)
-            if not val.is_zero():
-                b[(m, p, z, v)] = val
+            b[(m, p, z, v)] = val - gamma.apply(star_product(c, sb, fv), fz)
         lie_gamma = {}
         for i, j in combinations(range(n), 2):
             val = _vf_apply(chart, unit, gamma.at(i, j))
@@ -645,11 +633,8 @@ class BFieldData:
                 val = val + gamma.at(q, j) * w.partial(names[i])
                 val = val + gamma.at(i, q) * w.partial(names[j])
             lie_gamma[(i, j)] = val
-        lg = TwoForm(chart, {k: v for k, v in lie_gamma.items() if not v.is_zero()})
-        for m, q in product(range(n), repeat=2):
-            val = -lg.at(m, q)
-            if not val.is_zero():
-                s[(m, q)] = val
+        lg = TwoForm(chart, lie_gamma)
+        s = {(m, q): -lg.at(m, q) for m, q in product(range(n), repeat=2)}
         return cls(chart=chart, b=b, a=a, s=s)
 
 
@@ -668,8 +653,7 @@ def _recover(c: MultComponents, e: LinearVectorField, ref: MultComponents) -> Tw
             fwd = c.l_at(n + q, p, m) - ref.l_at(n + q, p, m)
             bwd = c.l_at(n + q, m, p) - ref.l_at(n + q, m, p)
             acc = acc + _HALF * w * (fwd - bwd)
-        if not acc.is_zero():
-            table[(m, p)] = acc
+        table[(m, p)] = acc
     return TwoForm(c.chart.base(), table)
 
 
@@ -683,9 +667,7 @@ def recover_two_form(
     for anything else the result is merely the best candidate, and the
     classification check will flag the mismatch.
     """
-    n = _double_rank(c.chart)
-    if e.chart != c.chart:
-        raise ValueError("unit candidate and components live on different charts")
+    _check_candidate(c, e)
     base = BaseFManifold(chart=c.chart.base(), star=c.star, unit=e.beta)
     _require("the two-form recovery", check_flat_f(base, nabla))
     prol = generalized_prolongation(base, nabla)
@@ -724,11 +706,7 @@ def classify_exact_courant(
     ``nabla gamma = (1/3) d gamma`` together with ``H = (1/3) d gamma``, and
     the report records both sides of that equivalence.
     """
-    n = _double_rank(c.chart)
-    if e.chart != c.chart:
-        raise ValueError("unit candidate and components live on different charts")
-    if h is not None and h.chart.base_names != c.chart.base_names:
-        raise ValueError("twist three-form lives on different base coordinates")
+    n = _check_candidate(c, e, h)
     base = BaseFManifold(chart=c.chart.base(), star=c.star, unit=e.beta)
     _require("the exact Courant classification", check_battery(c, e))
     _require("the exact Courant classification", check_flat_f(base, nabla))
@@ -756,13 +734,13 @@ def classify_exact_courant(
     gamma = _recover(c, e, prol.components)
 
     tc, te = bfield_transform(prol.components, prol.unit, gamma)
-    lam_got = {(i, j): tc_lam for i, row in enumerate(te.lam) for j, tc_lam in enumerate(row)}
-    lam_want = {(i, j): v for i, row in enumerate(e.lam) for j, v in enumerate(row)}
     rep.scan(
         "bfield-recovery",
         "the candidate equals the shear of the double prolongation by the "
         "recovered two-form",
-        _table_diffs([("l", tc.l, c.l), ("d", tc.d, c.d), ("lam", lam_got, lam_want)]),
+        _table_diffs(
+            [("l", tc.l, c.l), ("d", tc.d, c.d), ("lam", _lam_table(te), _lam_table(e))]
+        ),
     )
 
     nab = _nabla_two_form(gamma, nabla)

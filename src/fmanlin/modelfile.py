@@ -29,7 +29,8 @@ the support of each table is written.  ``[unit]`` and ``[euler.<name>]``
 sections hold ``beta i = <expr>`` and ``lambda i j = <expr>`` lines.
 
 ``loads(dumps(model))`` returns an equal model; tables are canonicalized on
-construction, so equality is structural.
+construction, so equality is structural.  A model text has at most
+``MAX_CHARS`` characters, comments included.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .tensor import Chart, Connection, ThreeForm, TwoForm
 
 __all__ = ["ModelError", "ModelFile", "load", "loads", "save", "dumps"]
 
+MAX_CHARS = 1_000_000
 _TABLE_WIDTHS = {"star": 3, "l": 3, "D": 4, "connection": 3, "gamma": 2, "H": 3}
 _ZERO = RatFunc.zero()
 
@@ -105,6 +107,8 @@ def _parse_value(lineno: int, text: str, names: tuple) -> RatFunc:
 
 def loads(text: str) -> ModelFile:
     """Parse a model from its text form."""
+    if len(text) > MAX_CHARS:
+        raise ModelError(None, f"model text is longer than {MAX_CHARS} characters")
     meta = {"name": "", "description": ""}
     base_names: tuple | None = None
     fiber_names: tuple = ()
@@ -293,8 +297,9 @@ def dumps(model: ModelFile) -> str:
 
 
 def load(path) -> ModelFile:
-    """Read a model from ``path``."""
-    return loads(Path(path).read_text(encoding="utf-8"))
+    """Read a model from ``path``, at most one character past ``MAX_CHARS``."""
+    with Path(path).open(encoding="utf-8") as f:
+        return loads(f.read(MAX_CHARS + 1))
 
 
 def save(model: ModelFile, path) -> None:

@@ -26,14 +26,12 @@ from .fman import (
     star_product,
     _frame,
     _require,
-    _vadd,
     _vec_pairs,
     _vf_bracket,
-    _vsub,
 )
 from .report import Report
 from .symcore import RatFunc, SingularMatrixError, solve_linear
-from .tensor import Chart, Connection, table_eq
+from .tensor import Chart, Connection, _acc, _vadd, _vsub, table_eq
 
 __all__ = [
     "ProlongedStructure",
@@ -118,9 +116,7 @@ def _tangent(base: BaseFManifold) -> ProlongedStructure:
     d = {}
     for (a, i, j), val in base.star.items():
         for m in range(n):
-            dv = val.partial(names[m])
-            if not dv.is_zero():
-                d[(a, m, i, j)] = dv
+            d[(a, m, i, j)] = val.partial(names[m])
     lam = tuple(
         tuple(base.unit[i].partial(names[j]) for j in range(n)) for i in range(n)
     )
@@ -222,14 +218,8 @@ def _mat_apply(mat, vec: dict) -> dict:
     out = {}
     for i, val in vec.items():
         for a in range(len(mat)):
-            m = mat[a][i]
-            if m.is_zero():
-                continue
-            cur = out.get(a, _ZERO) + m * val
-            if cur.is_zero():
-                out.pop(a, None)
-            else:
-                out[a] = cur
+            if not mat[a][i].is_zero():
+                _acc(out, a, mat[a][i] * val)
     return out
 
 

@@ -237,22 +237,6 @@ class Poly:
                 out[key] = val if prev is None else prev + val
         return Poly(self.vars, out)
 
-    def scale_vars(self, names, t_name: str) -> "Poly":
-        """Substitute ``v -> t*v`` for every variable ``v`` in ``names``.
-
-        Used to decide scaling behaviour: each term picks up ``t`` to the
-        power of its total degree in the named variables.
-        """
-        positions = [i for i, v in enumerate(self.vars) if v in names]
-        if not positions:
-            return self
-        variables = self.vars + (t_name,)
-        out = {}
-        for exp, c in self.terms.items():
-            w = sum(exp[i] for i in positions)
-            out[exp + (w,)] = c
-        return Poly(variables, out)
-
     # -- equality / hashing / printing ---------------------------------------
 
     def __eq__(self, other):
@@ -668,11 +652,6 @@ class RatFunc:
             t = a.partial(name) * u - a * exact_div(db, g)
         h = poly_gcd(t, g)
         return _coprime(exact_div(t, h), exact_div(b, h) * u)
-
-    def scale_vars(self, names, t_name: str) -> "RatFunc":
-        return RatFunc(
-            self.num.scale_vars(names, t_name), self.den.scale_vars(names, t_name)
-        )
 
     # -- equality / hashing / printing --------------------------------------------
 

@@ -39,8 +39,60 @@ __all__ = [
     "clean_table",
 ]
 
-_SCALE_VAR = "_t"
 _ZERO = RatFunc.zero()
+
+
+# -- sparse coefficient dicts: {key: nonzero RatFunc} -------------------------
+
+
+def _acc(out: dict, key, val: RatFunc):
+    """Add ``val`` at ``key``, dropping the key when its sum reaches zero."""
+    if val.is_zero():
+        return
+    cur = out.get(key)
+    total = val if cur is None else cur + val
+    if total.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = total
+
+
+def _vadd(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for key, val in b.items():
+        _acc(out, key, val)
+    return out
+
+
+def _vsub(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for key, val in b.items():
+        _acc(out, key, -val)
+    return out
+
+
+def _box(*bounds):
+    """Key predicate: ``len(bounds)`` indices, ``0 <= key[m] < bounds[m]``."""
+    return lambda key: len(key) == len(bounds) and all(
+        0 <= i < b for i, b in zip(key, bounds)
+    )
+
+
+def _checked_table(chart: "Chart", table: dict, key_ok, bad_key: str, entry: str):
+    """``table`` with tuple keys, coerced values and no zeros, every entry checked.
+
+    A key failing ``key_ok`` raises ``ValueError(f"{bad_key} {key}")``, and a
+    value with a fiber coordinate raises `Chart.require_base_only` for
+    ``f"{entry} {key}"``.
+    """
+    out = {}
+    for key, val in {tuple(k): RatFunc.coerce(v) for k, v in table.items()}.items():
+        if val.is_zero():
+            continue
+        if not key_ok(key):
+            raise ValueError(f"{bad_key} {key}")
+        out[key] = chart.require_base_only(val, f"{entry} {key}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -54,8 +106,6 @@ class Chart:
         names = self.base_names + self.fiber_names
         if len(set(names)) != len(names):
             raise ValueError("chart coordinate names must be distinct")
-        if _SCALE_VAR in names:
-            raise ValueError(f"{_SCALE_VAR!r} is reserved")
 
     @staticmethod
     def standard(n: int, k: int, fiber: str = "xi") -> "Chart":
@@ -199,19 +249,11 @@ class TensorField:
 
     def __add__(self, other):
         self._check_like(other)
-        out = dict(self.coeffs)
-        for key, val in other.coeffs.items():
-            cur = out.get(key)
-            out[key] = val if cur is None else cur + val
-        return TensorField(self.chart, self.p, self.q, out)
+        return TensorField(self.chart, self.p, self.q, _vadd(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         self._check_like(other)
-        out = dict(self.coeffs)
-        for key, val in other.coeffs.items():
-            cur = out.get(key)
-            out[key] = -val if cur is None else cur - val
-        return TensorField(self.chart, self.p, self.q, out)
+        return TensorField(self.chart, self.p, self.q, _vsub(self.coeffs, other.coeffs))
 
     def __neg__(self):
         return TensorField(
@@ -231,9 +273,7 @@ class TensorField:
                     key = kb[:1] + ka + kb[1:]
                 else:
                     key = ka + kb
-                cur = out.get(key)
-                prod = va * vb
-                out[key] = prod if cur is None else cur + prod
+                _acc(out, key, va * vb)
         return TensorField(self.chart, self.p + other.p, self.q + other.q, out)
 
     def __eq__(self, other):
@@ -270,32 +310,25 @@ def lie_derivative(x: TensorField, t: TensorField) -> TensorField:
             if not d.is_zero():
                 dx[(c, a)] = d
     out: dict[tuple[int, ...], RatFunc] = {}
-
-    def bump(key, val):
-        if val.is_zero():
-            return
-        cur = out.get(key)
-        out[key] = val if cur is None else cur + val
-
     q = t.q
     for key, coeff in t.coeffs.items():
         # transport term: X^c d_c T
         for c, xval in xc.items():
             d = coeff.partial(names[c])
             if not d.is_zero():
-                bump(key, xval * d)
+                _acc(out, key, xval * d)
         if q:
             # contravariant correction: - T^c d_c X^a
             c = key[0]
             for (cc, a), dval in dx.items():
                 if cc == c:
-                    bump((a,) + key[1:], -(coeff * dval))
+                    _acc(out, (a,) + key[1:], -(coeff * dval))
         # covariant corrections: + T(.., c at slot i, ..) d_{b_i} X^c
         for i in range(q, q + t.p):
             c = key[i]
             for (b, cc), dval in dx.items():
                 if cc == c:
-                    bump(key[:i] + (b,) + key[i + 1 :], coeff * dval)
+                    _acc(out, key[:i] + (b,) + key[i + 1 :], coeff * dval)
     return TensorField(chart, t.p, t.q, out)
 
 
@@ -314,10 +347,7 @@ def contract(t: TensorField, slot: int, s: TensorField) -> TensorField:
         sval = sc.get(key[pos])
         if sval is None:
             continue
-        new = key[:pos] + key[pos + 1 :]
-        cur = out.get(new)
-        prod = coeff * sval
-        out[new] = prod if cur is None else cur + prod
+        _acc(out, key[:pos] + key[pos + 1 :], coeff * sval)
     return TensorField(t.chart, t.p - 1, t.q, out)
 
 
@@ -341,37 +371,37 @@ def vertical_lift(s: Section) -> TensorField:
     )
 
 
-def _scaled(t: TensorField) -> TensorField:
-    """Pull back ``t`` by the fiber scaling, with the scale as a formal variable."""
-    chart = t.chart
-    fiber = set(chart.fiber_names)
-    tvar = RatFunc.variable(_SCALE_VAR)
-    out = {}
-    for key, coeff in t.coeffs.items():
-        c = coeff.scale_vars(fiber, _SCALE_VAR)
-        w = sum(1 for i in key[t.q :] if not chart.is_base_index(i))
-        if t.q and not chart.is_base_index(key[0]):
-            w -= 1
-        out[key] = c * tvar**w
-    return TensorField(chart, t.p, t.q, out)
+def _fiber_degree(p, fiber) -> int | None:
+    """The fiber degree shared by every term of the polynomial ``p``, or ``None``."""
+    slots = [i for i, name in enumerate(p.vars) if name in fiber]
+    degrees = {sum(exp[i] for i in slots) for exp in p.terms}
+    return degrees.pop() if len(degrees) == 1 else None
 
 
 def scaling_class(t: TensorField) -> str:
     """Classify the scaling behaviour: ``"linear"``, ``"core"`` or ``"neither"``.
 
-    Linear tensors reproduce themselves with weight ``1 - q`` under fiber
-    scaling; core tensors have weight ``-q``.
+    Under the fiber scaling ``xi -> s xi`` an entry ``num/den``, kept in lowest
+    terms, scales by a power of ``s`` exactly when ``num`` and ``den`` are each
+    homogeneous in the fiber coordinates.  The entry's power is then their
+    degree difference plus the fiber weight of its key: one per covariant
+    fiber slot, less one for a contravariant fiber index.  Linear tensors have
+    power ``1 - q`` at every entry, core tensors ``-q``.
     """
-    scaled = _scaled(t)
-    tvar = RatFunc.variable(_SCALE_VAR)
-    for label, weight in (("linear", 1 - t.q), ("core", -t.q)):
-        expected = TensorField(
-            t.chart,
-            t.p,
-            t.q,
-            {k: v * tvar**weight for k, v in t.coeffs.items()},
-        )
-        if scaled == expected:
+    chart = t.chart
+    fiber = set(chart.fiber_names)
+    powers = set()
+    for key, coeff in t.coeffs.items():
+        num = _fiber_degree(coeff.num, fiber)
+        den = _fiber_degree(coeff.den, fiber)
+        if num is None or den is None:
+            return "neither"
+        w = sum(1 for i in key[t.q :] if not chart.is_base_index(i))
+        if t.q and not chart.is_base_index(key[0]):
+            w -= 1
+        powers.add(num - den + w)
+    for label, power in (("linear", 1 - t.q), ("core", -t.q)):
+        if powers <= {power}:
             return label
     return "neither"
 
@@ -483,29 +513,18 @@ def _leibniz_expected(
     chart = comps.chart
     n, p = chart.n, comps.p
     out: dict[tuple[int, ...], RatFunc] = {}
-
-    def bump(key, val):
-        if val.is_zero():
-            return
-        cur = out.get(key)
-        out[key] = val if cur is None else cur + val
-
     for (i, jj, *bs), val in comps.d.items():
         if jj == j:
-            bump((n + i, *bs), f * val)
+            _acc(out, (n + i, *bs), f * val)
     df = [f.partial(name) for name in chart.base_names]
     for m in range(p):
         for (i, jj, *bs), val in comps.ls[m].items():
             if jj != j:
                 continue
             for b in range(n):
-                if df[b].is_zero():
-                    continue
-                key = (n + i, *bs[:m], b, *bs[m:])
-                bump(key, df[b] * val)
+                _acc(out, (n + i, *bs[:m], b, *bs[m:]), df[b] * val)
     for (a, *bs), val in comps.basic.items():
-        if not df[a].is_zero():
-            bump((n + j, *bs), -(df[a] * val))
+        _acc(out, (n + j, *bs), -(df[a] * val))
     return TensorField(chart, p, 1, out)
 
 
@@ -525,8 +544,7 @@ def _verify_leibniz(t: TensorField, comps: LinearComponents, coords=None):
             actual = lie_derivative(vertical_lift(sec), t)
             expected = _leibniz_expected(comps, f, j)
             if actual != expected:
-                diff = actual - expected
-                key = next(iter(diff.coeffs))
+                key = min((actual - expected).coeffs)
                 raise LeibnizError(key[0] - chart.n, j, key[1:])
 
 
@@ -565,10 +583,6 @@ def assemble(comps: LinearComponents) -> TensorField:
         raise ValueError("need one contraction table per covariant slot")
     out: dict[tuple[int, ...], RatFunc] = {}
 
-    def bump(key, val):
-        cur = out.get(key)
-        out[key] = val if cur is None else cur + val
-
     def check_key(key, width, fiber_first=2):
         if len(key) != width:
             raise ValueError(f"bad table key {key}")
@@ -583,7 +597,7 @@ def assemble(comps: LinearComponents) -> TensorField:
         i, j, bs = key[0], key[1], key[2:]
         val = chart.require_base_only(RatFunc.coerce(val), "derivative table entry")
         xi = RatFunc.variable(chart.fiber_names[j])
-        bump((n + i,) + bs, val * xi)
+        _acc(out, (n + i,) + bs, val * xi)
     for m in range(p):
         for key, val in comps.ls[m].items():
             check_key(key, p + 1)
@@ -592,12 +606,12 @@ def assemble(comps: LinearComponents) -> TensorField:
                 RatFunc.coerce(val), "contraction table entry"
             )
             full = bs[:m] + (n + j,) + bs[m:]
-            bump((n + i,) + full, val)
+            _acc(out, (n + i,) + full, val)
     for key, val in comps.basic.items():
         if len(key) != p + 1 or any(not 0 <= b < n for b in key):
             raise ValueError(f"bad basic table key {key}")
         val = chart.require_base_only(RatFunc.coerce(val), "basic table entry")
-        bump(key, val)
+        _acc(out, key, val)
     return TensorField(chart, p, 1, out)
 
 
@@ -616,15 +630,14 @@ class Connection:
     gamma: dict
 
     def __post_init__(self):
-        chart = self.chart
-        n = chart.n
-        gamma = clean_table(
-            {tuple(k): RatFunc.coerce(v) for k, v in self.gamma.items()}
+        n = self.chart.n
+        gamma = _checked_table(
+            self.chart,
+            self.gamma,
+            _box(n, n, n),
+            "bad christoffel key",
+            "christoffel entry",
         )
-        for key, val in gamma.items():
-            if len(key) != 3 or not all(0 <= x < n for x in key):
-                raise ValueError(f"bad christoffel key {key}")
-            chart.require_base_only(val, f"christoffel entry {key}")
         object.__setattr__(self, "gamma", gamma)
 
     @staticmethod
@@ -661,15 +674,14 @@ class TwoForm:
     table: dict
 
     def __post_init__(self):
-        chart = self.chart
-        n = chart.n
-        table = clean_table(
-            {tuple(k): RatFunc.coerce(v) for k, v in self.table.items()}
+        n = self.chart.n
+        table = _checked_table(
+            self.chart,
+            self.table,
+            lambda key: len(key) == 2 and 0 <= key[0] < key[1] < n,
+            "two-form keys must be increasing pairs, got",
+            "two-form entry",
         )
-        for key, val in table.items():
-            if len(key) != 2 or not (0 <= key[0] < key[1] < n):
-                raise ValueError(f"two-form keys must be increasing pairs, got {key}")
-            chart.require_base_only(val, f"two-form entry {key}")
         object.__setattr__(self, "table", table)
 
     def __eq__(self, other):
@@ -714,15 +726,12 @@ class TwoForm:
 
     def d(self) -> "ThreeForm":
         names = self.chart.names
-        table = {}
-        for i, j, k in combinations(range(self.chart.n), 3):
-            val = (
-                self.at(j, k).partial(names[i])
-                - self.at(i, k).partial(names[j])
-                + self.at(i, j).partial(names[k])
-            )
-            if not val.is_zero():
-                table[(i, j, k)] = val
+        table = {
+            (i, j, k): self.at(j, k).partial(names[i])
+            - self.at(i, k).partial(names[j])
+            + self.at(i, j).partial(names[k])
+            for i, j, k in combinations(range(self.chart.n), 3)
+        }
         return ThreeForm(self.chart, table)
 
 
@@ -734,17 +743,14 @@ class ThreeForm:
     table: dict
 
     def __post_init__(self):
-        chart = self.chart
-        n = chart.n
-        table = clean_table(
-            {tuple(k): RatFunc.coerce(v) for k, v in self.table.items()}
+        n = self.chart.n
+        table = _checked_table(
+            self.chart,
+            self.table,
+            lambda key: len(key) == 3 and 0 <= key[0] < key[1] < key[2] < n,
+            "three-form keys must be increasing triples, got",
+            "three-form entry",
         )
-        for key, val in table.items():
-            if len(key) != 3 or not (0 <= key[0] < key[1] < key[2] < n):
-                raise ValueError(
-                    f"three-form keys must be increasing triples, got {key}"
-                )
-            chart.require_base_only(val, f"three-form entry {key}")
         object.__setattr__(self, "table", table)
 
     def __eq__(self, other):

@@ -1,4 +1,4 @@
-"""Shared randomized-input helpers.
+"""Shared randomized-input helpers, and a text stream that records its reads.
 
 All randomness is driven by ``random.Random`` instances seeded from the
 ``FMAN_SEED`` environment variable (default 0), so failures reproduce exactly.
@@ -6,6 +6,7 @@ All randomness is driven by ``random.Random`` instances seeded from the
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import random
@@ -14,6 +15,18 @@ from fractions import Fraction
 from fmanlin.symcore import Poly, RatFunc
 
 SEED = int(os.environ.get("FMAN_SEED", "0"))
+
+
+class SizedReads(io.StringIO):
+    """A text stream that records the size argument of every ``read``."""
+
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.sizes = []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return super().read(size)
 
 
 def rng_for(name: str) -> random.Random:

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import SizedReads
 from fmanlin.cli import main
-from fmanlin.modelfile import load, loads
+from fmanlin.modelfile import MAX_CHARS, load, loads
 
 ROOT = Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
@@ -146,6 +147,26 @@ def test_value_over_the_digit_budget_exits_two(tmp_path, capsys, value, message)
     )
     assert main(["check", str(big)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_bad_connection_key_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.fman"
+    bad.write_text("[chart]\nbase = x1\n\n[connection]\n0 0 5 = 1\n")
+    assert main(["check", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: bad christoffel key (0, 0, 5)\n"
+
+
+def test_stdin_over_the_text_budget_exits_two(monkeypatch, capsys):
+    text = (MODELS / "plane-base.fman").read_text()
+    at_limit = text + "#" * (MAX_CHARS - len(text))
+    monkeypatch.setattr(sys, "stdin", SizedReads(at_limit))
+    assert main(["check", "-"]) == 0
+    stdin = SizedReads(at_limit + "#" * 1000)
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert main(["check", "-"]) == 2
+    assert stdin.sizes == [MAX_CHARS + 1]
+    err = capsys.readouterr().err
+    assert err == f"error: model text is longer than {MAX_CHARS} characters\n"
 
 
 def test_unknown_command_exits_two():

@@ -355,6 +355,45 @@ def test_anchor_compat_derivative_failure():
     assert (rec.passed, rec.witness, rec.residual) == (False, (0, 0, 2, 0), "1")
 
 
+TWIST = "twist three-form"
+
+
+@pytest.mark.parametrize(
+    "call, form",
+    [
+        (lambda c, e, h, nabla: check_scalar_compat(c, e, nabla), None),
+        (lambda c, e, h, nabla: recover_two_form(c, e, nabla), None),
+        (lambda c, e, h, nabla: check_dorfman_compat(c, e, nabla, h), TWIST),
+        (lambda c, e, h, nabla: classify_exact_courant(c, e, nabla, h), TWIST),
+        (lambda c, e, gamma, nabla: bfield_transform(c, e, gamma), "two-form"),
+    ],
+    ids=["scalar", "recover", "dorfman", "classify", "bfield"],
+)
+def test_candidate_checks_keep_their_order_and_messages(call, form):
+    # the rank is checked first, then the unit's chart, then the form's base;
+    # each case also breaks every later check
+    nabla = Connection.zero(B2)
+    prol = generalized_prolongation(base_plane(), nabla)
+    tan = tangent_prolongation(base_plane())
+    if form == "two-form":
+        bad = TwoForm(B3, {(0, 1): 1})
+    else:
+        bad = ThreeForm(B3, {(0, 1, 2): 1})
+    rank = "expected a double fiber of rank 4 over 2 base coordinates, got rank 2"
+    cases = [
+        (tan.components, prol.unit.dual(), rank),
+        (prol.components, prol.unit.dual(), "unit candidate and components live "
+         "on different charts"),
+    ]
+    if form is not None:
+        message = f"{form} lives on different base coordinates"
+        cases.append((prol.components, prol.unit, message))
+    for c, e, message in cases:
+        with pytest.raises(ValueError) as info:
+            call(c, e, bad, nabla)
+        assert str(info.value) == message
+
+
 def test_anchor_compat_requires_double_fiber():
     tan = tangent_prolongation(base_plane())
     with pytest.raises(ValueError, match="double fiber"):
@@ -415,6 +454,16 @@ def test_scalar_compat_unit_failure():
     assert records["pairing-unit"] == (False, (0, 2, 0), "1/2")
     assert records["pairing-duality"] == (False, ("lam", 0, 0), "1")
     assert records["route-agreement"] == (True, None, None)
+
+
+def test_scalar_compat_lam_witness_is_row_then_column():
+    # an off-diagonal unit entry: the pairing conjugate moves it to (1, 0)
+    prol, nabla = plane_package()
+    lam = [list(row) for row in prol.unit.lam]
+    lam[0][1] = RatFunc.one()
+    unit = LinearVectorField(prol.unit.chart, prol.unit.beta, lam)
+    rec = check_scalar_compat(prol.components, unit, nabla).record("pairing-duality")
+    assert (rec.passed, rec.witness, rec.residual) == (False, ("lam", 1, 0), "1")
 
 
 def test_scalar_compat_requires_flat_structure():

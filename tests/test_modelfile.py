@@ -4,10 +4,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import SizedReads
 from fmanlin.duality import Connection
 from fmanlin.fman import LinearVectorField, MultComponents
-from fmanlin.gengeo import ThreeForm, TwoForm
-from fmanlin.modelfile import ModelError, ModelFile, dumps, load, loads
+from fmanlin.gengeo import BFieldData, ThreeForm, TwoForm
+from fmanlin.modelfile import MAX_CHARS, ModelError, ModelFile, dumps, load, loads
 from fmanlin.symcore import parse_expr
 from fmanlin.tensor import Chart
 
@@ -153,8 +154,92 @@ def test_chart_errors():
         loads("[chart]\nbase = x1 x1\n")
 
 
+def test_model_text_budget(tmp_path, monkeypatch):
+    # comment-only padding, so only the length decides
+    head = "[chart]\nbase = x1\n"
+    at_limit = head + "#" * (MAX_CHARS - len(head))
+    assert len(at_limit) == MAX_CHARS
+    assert loads(at_limit).chart == Chart(("x1",), ())
+    path = tmp_path / "padded.fman"
+    path.write_text(at_limit, encoding="utf-8")
+    assert load(path).chart == Chart(("x1",), ())
+    message = f"model text is longer than {MAX_CHARS} characters"
+    with pytest.raises(ModelError) as info:
+        loads(at_limit + "#")
+    assert str(info.value) == message
+    stream = SizedReads(at_limit + "#" * 1000)
+    monkeypatch.setattr(Path, "open", lambda self, **kwargs: stream)
+    with pytest.raises(ModelError) as info:
+        load(path)
+    assert str(info.value) == message
+    assert stream.sizes == [MAX_CHARS + 1]
+
+
 def test_table_keys_validated_by_domain_objects():
     with pytest.raises(ValueError, match="bad star-table key"):
         loads("[chart]\nbase = x1\n[star]\n0 0 5 = 1\n")
     with pytest.raises(ValueError, match="must not involve fiber"):
         loads("[chart]\nbase = x1\nfiber = xi1\n[star]\n0 0 0 = xi1\n")
+
+
+def _table_cases():
+    """``(id, build, table, message)``: each table with a bad key or a fiber entry.
+
+    The difference tables live on a chart without fibers, so no entry of
+    theirs can involve a fiber coordinate.
+    """
+    xi = parse_expr("xi1", ("x1", "x2", "x3", "xi1"))
+    fibered = Chart.standard(3, 1)
+    base = Chart.standard(1, 0)
+    fiber_msg = "{} must not involve fiber coordinates: xi1"
+
+    def mult(name):
+        return lambda table: MultComponents(
+            fibered, **{"d": {}, "l": {}, "star": {}, name: table}
+        )
+
+    def diff(name):
+        return lambda table: BFieldData(
+            base, **{"b": {}, "a": {}, "s": {}, name: table}
+        )
+
+    tables = [
+        # (label, constructor, out-of-range key, wrong-width key, good key,
+        #  bad-key message prefix, entry prefix)
+        ("d", mult("d"), (0, 0, 0, 3), (0, 0, 0), (0, 0, 1, 2),
+         "bad derivative-table key", "derivative table entry"),
+        ("l", mult("l"), (0, 1, 0), (0, 0), (0, 0, 2),
+         "bad side-table key", "side table entry"),
+        ("star", mult("star"), (3, 0, 0), (0, 0, 0, 0), (2, 1, 0),
+         "bad star-table key", "star table entry"),
+        ("connection", lambda t: Connection(fibered, t), (0, 0, 3), (0, 0),
+         (1, 2, 0), "bad christoffel key", "christoffel entry"),
+        ("two-form", lambda t: TwoForm(fibered, t), (1, 0), (0, 1, 2), (0, 2),
+         "two-form keys must be increasing pairs, got", "two-form entry"),
+        ("three-form", lambda t: ThreeForm(fibered, t), (0, 2, 1), (0, 1),
+         (0, 1, 2), "three-form keys must be increasing triples, got",
+         "three-form entry"),
+        ("difference-b", diff("b"), (0, 0, 0, 1), (0, 0, 0), None,
+         "bad difference key", None),
+        ("difference-a", diff("a"), (0, 1, 0), (0, 0), None,
+         "bad difference key", None),
+        ("difference-s", diff("s"), (1, 0), (0, 0, 0), None,
+         "bad difference key", None),
+    ]
+    for label, build, out_of_range, wrong_width, good, bad_key, entry in tables:
+        yield f"{label}-range", build, {out_of_range: 1}, f"{bad_key} {out_of_range}"
+        yield f"{label}-width", build, {wrong_width: 1}, f"{bad_key} {wrong_width}"
+        if entry is not None:
+            message = fiber_msg.format(f"{entry} {good}")
+            yield f"{label}-fiber", build, {good: xi}, message
+
+
+@pytest.mark.parametrize(
+    "build, table, message",
+    [case[1:] for case in _table_cases()],
+    ids=[case[0] for case in _table_cases()],
+)
+def test_table_validation_messages(build, table, message):
+    with pytest.raises(ValueError) as info:
+        build(table)
+    assert str(info.value) == message

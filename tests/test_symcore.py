@@ -159,14 +159,6 @@ def test_poly_pruning_keeps_equality_structural():
     assert wide.vars == ("x1",)
 
 
-def test_scale_vars_grades_by_fiber_degree():
-    f = P("x1 + xi1 + x2*xi1^2")
-    g = f.scale_vars({"xi1"}, "_t")
-    t = RatFunc.variable("_t")
-    xi = RatFunc.variable("xi1")
-    assert g == P("x1") + t * xi + t**2 * P("x2") * xi**2
-
-
 def test_print_parse_round_trip_random():
     rng = rng_for("symcore-roundtrip")
     for _ in range(60):

@@ -1,11 +1,13 @@
 """Tensor layer: Lie derivatives, scaling classes, component dictionary."""
 
+from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from conftest import rand_ratfunc, rng_for
-from fmanlin.symcore import RatFunc, parse_expr
+from conftest import rand_fraction, rand_ratfunc, rng_for
+from fmanlin.symcore import Poly, RatFunc, parse_expr
 from fmanlin.tensor import (
     Chart,
     LeibnizError,
@@ -143,6 +145,94 @@ def test_scaling_classes():
     assert scaling_class(TensorField(C11, 1, 0, {(1,): RatFunc.one()})) == "linear"
     assert scaling_class(TensorField(C11, 1, 0, {(0,): RatFunc.one()})) == "core"
     assert scaling_class(assemble(components_2d())) == "linear"
+    # no coordinate name is reserved for the scale
+    t_chart = Chart(("_t",), ("xi1",))
+    field = TensorField.vector(t_chart, [rf("_t", t_chart), xi])
+    assert scaling_class(field) == "linear"
+
+
+def reference_scaling_class(t: TensorField) -> str:
+    """Classify ``t`` by pulling it back along ``xi -> _t xi`` with a formal ``_t``.
+
+    Each entry becomes ``c(x, _t xi) * _t^w`` (``w`` its key's fiber weight),
+    and the result is compared with ``t * _t^(1 - q)`` (linear) and
+    ``t * _t^(-q)`` (core).
+    """
+    chart = t.chart
+    fiber = set(chart.fiber_names)
+    tvar = RatFunc.variable("_t")
+
+    def scaled(p: Poly) -> Poly:
+        slots = [i for i, v in enumerate(p.vars) if v in fiber]
+        return Poly(
+            p.vars + ("_t",),
+            {exp + (sum(exp[i] for i in slots),): c for exp, c in p.terms.items()},
+        )
+
+    pulled = {}
+    for key, coeff in t.coeffs.items():
+        w = sum(1 for i in key[t.q :] if i >= chart.n)
+        w -= 1 if t.q and key[0] >= chart.n else 0
+        pulled[key] = RatFunc(scaled(coeff.num), scaled(coeff.den)) * tvar**w
+    for label, weight in (("linear", 1 - t.q), ("core", -t.q)):
+        if pulled == {key: v * tvar**weight for key, v in t.coeffs.items()}:
+            return label
+    return "neither"
+
+
+def rand_fiber_homogeneous(rng, chart: Chart, deg: int) -> Poly:
+    """A nonzero polynomial of fiber degree ``deg`` in every term."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        exp = [0] * chart.dim
+        for _ in range(rng.randint(0, 1)):
+            exp[rng.randrange(chart.n)] += 1
+        for _ in range(deg):
+            exp[chart.n + rng.randrange(chart.k)] += 1
+        terms[tuple(exp)] = rand_fraction(rng) or Fraction(1)
+    return Poly(chart.names, terms)
+
+
+def rand_scaling_tensor(rng, chart: Chart, p: int, q: int, mode: str) -> TensorField:
+    """Entries of fiber power ``1 - q`` (linear), ``-q`` (core) or at random."""
+    coeffs = {}
+    for _ in range(rng.randint(1, 4)):
+        key = tuple(rng.randrange(chart.dim) for _ in range(p + q))
+        w = sum(1 for i in key[q:] if i >= chart.n)
+        w -= 1 if q and key[0] >= chart.n else 0
+        if mode == "random" and rng.random() < 0.5:
+            coeffs[key] = rand_ratfunc(rng, chart.names) or RatFunc.one()
+            continue
+        power = {"linear": 1 - q, "core": -q}.get(mode, rng.randint(-2, 2))
+        den_deg = max(0, w - power) + rng.randint(0, 1)
+        num_deg = power - w + den_deg
+        if num_deg == den_deg == 0 and rng.random() < 0.5:
+            coeffs[key] = RatFunc.const(rand_fraction(rng) or 1)
+            continue
+        coeffs[key] = RatFunc(
+            rand_fiber_homogeneous(rng, chart, num_deg),
+            rand_fiber_homogeneous(rng, chart, den_deg),
+        )
+    return TensorField(chart, p, q, coeffs)
+
+
+def test_scaling_class_matches_the_formal_variable_reference():
+    rng = rng_for("tensor-scaling-reference")
+    seen = Counter()
+    for trial in range(90):
+        chart = Chart.standard(1 + trial % 2, 1 + (trial // 2) % 2)
+        q = rng.randint(0, 1)
+        p = rng.randint(0, 2)
+        mode = ("linear", "core", "random")[trial % 3]
+        t = rand_scaling_tensor(rng, chart, p, q, mode)
+        want = reference_scaling_class(t)
+        assert scaling_class(t) == want, t
+        assert mode == "random" or want == mode
+        seen[want] += 1
+    for q in (0, 1):
+        empty = TensorField(C21, 2, q, {})
+        assert scaling_class(empty) == reference_scaling_class(empty) == "linear"
+    assert set(seen) == {"linear", "core", "neither"}, seen
 
 
 def test_assemble_matches_local_normal_form():
