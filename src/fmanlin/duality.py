@@ -12,6 +12,7 @@ diagnostic tool.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, combinations_with_replacement, product
 
 from .fman import (
@@ -96,19 +97,23 @@ def torsion(nabla: Connection) -> TensorField:
 
 
 def curvature(nabla: Connection) -> TensorField:
-    """Curvature tensor; key ``(m, i, j, k)`` is the ``dx_m`` part of ``R(dx_i, dx_j)dx_k``."""
+    """Curvature tensor; key ``(m, i, j, k)`` is the ``dx_m`` part of ``R(dx_i, dx_j)dx_k``.
+
+    Each term of ``d_i G^m_jk - d_j G^m_ik + G^a_jk G^m_ia - G^a_ik G^m_ja``
+    is read off the entries of ``gamma``, so zero entries cost nothing.
+    """
     chart = nabla.chart.base()
-    n = chart.n
-    names = chart.names
     coeffs = {}
-    for i, j, k, m in product(range(n), repeat=4):
-        val = nabla.at(m, j, k).partial(names[i]) - nabla.at(m, i, k).partial(
-            names[j]
-        )
-        for a in range(n):
-            val = val + nabla.at(a, j, k) * nabla.at(m, i, a)
-            val = val - nabla.at(a, i, k) * nabla.at(m, j, a)
-        coeffs[(m, i, j, k)] = val
+    for (p, j, k), g in nabla.gamma.items():
+        for i, name in enumerate(chart.names):
+            di = g.partial(name)
+            _acc(coeffs, (p, i, j, k), di)
+            _acc(coeffs, (p, j, i, k), -di)
+        for (m, i, q), h in nabla.gamma.items():
+            if q == p:
+                w = g * h
+                _acc(coeffs, (m, i, j, k), w)
+                _acc(coeffs, (m, j, i, k), -w)
     return TensorField(chart, 3, 1, coeffs)
 
 
@@ -119,24 +124,25 @@ def nabla_star(nabla: Connection, c: MultComponents, u: dict, v: dict, w: dict) 
     return _vsub(out, star_product(c, v, nabla_apply(nabla, u, w)))
 
 
-def _nabla2_vec(nabla: Connection, u: dict, v: dict, w: dict) -> dict:
-    """Second covariant derivative of ``w`` in the directions ``(u, v)``."""
-    out = nabla_apply(nabla, u, nabla_apply(nabla, v, w))
-    return _vsub(out, nabla_apply(nabla, nabla_apply(nabla, u, v), w))
-
-
 # -- flat structures on the base ------------------------------------------------
 
 
 def check_flat_f(base: BaseFManifold, nabla: Connection, euler=None) -> Report:
     """Check the compatibility conditions between a base product and a connection."""
     _require("the flat-structure check", base.verify())
+    return _flat_f(base, nabla, euler)
+
+
+def _flat_f(base: BaseFManifold, nabla: Connection, euler) -> Report:
+    """`check_flat_f` on a base whose battery has passed."""
     if nabla.chart.base() != base.chart:
         raise ValueError("connection chart does not match the base chart")
     rep = Report("flat structure")
     chart = base.chart
     n = chart.n
     c = base.as_components()
+    evec = None if euler is None else _euler_to_vec(chart, euler)
+    frames = _Frames(c, nabla, evec)
 
     rep.scan("torsion-free", "T(X, Y) = 0", sorted(torsion(nabla).coeffs.items()))
     rep.scan("flat", "R(X, Y)Z = 0", sorted(curvature(nabla).coeffs.items()))
@@ -152,10 +158,7 @@ def check_flat_f(base: BaseFManifold, nabla: Connection, euler=None) -> Report:
         "nabla_X(*)(Y, Z) = nabla_Y(*)(X, Z)",
         _vec_pairs(
             ((i, j, k) for i, j in combinations(range(n), 2) for k in range(n)),
-            lambda i, j, k: _vsub(
-                nabla_star(nabla, c, _frame(i), _frame(j), _frame(k)),
-                nabla_star(nabla, c, _frame(j), _frame(i), _frame(k)),
-            ),
+            lambda i, j, k: _vsub(frames.nabla_star[i, j, k], frames.nabla_star[j, i, k]),
         ),
     )
 
@@ -163,25 +166,18 @@ def check_flat_f(base: BaseFManifold, nabla: Connection, euler=None) -> Report:
         rep.note("no Euler candidate supplied; the second-derivative condition was not checked")
         return rep
 
-    evec = _euler_to_vec(chart, euler)
     rep.scan(
         "euler-base",
         "L_Ebar(*) = *",
         _vec_pairs(
             combinations_with_replacement(range(n), 2),
-            lambda j, k: _vsub(
-                lie_star(c, evec, _frame(j), _frame(k)),
-                star_product(c, _frame(j), _frame(k)),
-            ),
+            lambda j, k: _vsub(lie_star(c, evec, _frame(j), _frame(k)), frames.star[j, k]),
         ),
     )
     rep.scan(
         "euler-second-derivative",
         "nabla^2 Ebar = 0",
-        _vec_pairs(
-            product(range(n), repeat=2),
-            lambda i, j: _nabla2_vec(nabla, _frame(i), _frame(j), evec),
-        ),
+        _vec_pairs(product(range(n), repeat=2), frames.nabla2_euler),
     )
     return rep
 
@@ -257,65 +253,75 @@ def dualize(c: MultComponents, e: LinearVectorField, nabla: Connection):
 # -- obstruction vectors for the duality conditions -----------------------------
 #
 # Each condition says a base vector expression lies in the kernel of the map
-# sending a vector field to its side operator.  The expressions are computed
-# on arbitrary coefficient dicts; on coordinate frames the plain Lie-bracket
-# terms drop out on their own.
+# sending a vector field to its side operator, evaluated on coordinate frames:
+# as ``[d_a, d_b] = 0``, six of the twelve integrability terms vanish.  Frame
+# quantities that recur between index tuples are memoized per check by
+# `_Frames`; the ``dual-battery`` cross-check reads none of them.
 
 
-def _asoc_vec(c: MultComponents, nabla: Connection, x: int, y: int, z: int) -> dict:
-    fx, fy, fz = _frame(x), _frame(y), _frame(z)
-    out = star_product(c, torsion_vec(nabla, fx, fy), fz)
-    out = _vadd(out, _vscale(star_product(c, torsion_vec(nabla, fx, fz), fy), _TWO))
-    out = _vadd(out, star_product(c, torsion_vec(nabla, fy, fz), fx))
-    out = _vadd(out, torsion_vec(nabla, fz, star_product(c, fx, fy)))
-    out = _vsub(out, torsion_vec(nabla, fx, star_product(c, fy, fz)))
-    out = _vadd(out, _vscale(nabla_star(nabla, c, fx, fy, fz), _TWO))
-    return _vsub(out, _vscale(nabla_star(nabla, c, fz, fx, fy), _TWO))
+class _Memo(dict):
+    """A dict that computes a missing entry from its key, once."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        out = self[key] = self.fn(*key) if isinstance(key, tuple) else self.fn(key)
+        return out
 
 
-def _unit_vec(c: MultComponents, e: LinearVectorField, nabla: Connection, x: int) -> dict:
-    fx = _frame(x)
-    ebar = e.base_vec()
-    out = _vscale(nabla_apply(nabla, fx, ebar), _TWO)
-    return _vadd(out, torsion_vec(nabla, ebar, fx))
+class _Frames:
+    """The inputs of one check and its frame quantities, each computed on first use."""
+
+    def __init__(self, c: MultComponents, nabla: Connection, evec: dict | None = None):
+        self.c, self.nabla, fr = c, nabla, _frame
+        sb = partial(symmetric_bracket, nabla)
+        star = self.star = _Memo(lambda x, y: star_product(c, fr(x), fr(y)))  # d_x * d_y
+        nab = self.nab = _Memo(lambda x, y: nabla_apply(nabla, fr(x), fr(y)))  # nabla_{d_x} d_y
+        sym = _Memo(lambda x, y: _vadd(nab[x, y], nab[y, x]))  # <d_x : d_y>
+        self.tor = _Memo(lambda x, y: _vsub(nab[x, y], nab[y, x]))  # T(d_x, d_y)
+        # T(d_z, d_x * d_y), nabla_{d_x}(*)(d_y, d_z), L_{d_y}(*)(d_z, d_v), [d_z, d_x * d_y]
+        self.tor_star = _Memo(lambda z, x, y: torsion_vec(nabla, fr(z), star[x, y]))
+        self.nabla_star = _Memo(lambda x, y, z: nabla_star(nabla, c, fr(x), fr(y), fr(z)))
+        lie = _Memo(lambda y, z, v: lie_star(c, fr(y), fr(z), fr(v)))
+        bracket = _Memo(lambda z, x, y: _vf_bracket(c.chart, fr(z), star[x, y]))
+        # the integrability terms <[d_z, d_x * d_y] : d_v>, L_{<d_x : d_y>}(*)(d_z, d_v)
+        # and <d_x : L_{d_y}(*)(d_z, d_v)>
+        self.sym_bracket = _Memo(lambda z, x, y, v: sb(bracket[z, x, y], fr(v)))
+        self.lie_sym = _Memo(lambda x, y, z, v: lie_star(c, sym[x, y], fr(z), fr(v)))
+        self.sym_lie = _Memo(lambda x, y, z, v: sb(fr(x), lie[y, z, v]))
+        self.nabla_euler = _Memo(lambda j: nabla_apply(nabla, fr(j), evec))  # nabla_{d_j} Ebar
+
+    def nabla2_euler(self, i, j) -> dict:
+        """``nabla^2 Ebar`` at ``(d_i, d_j)``; ``nabla_u Ebar`` is linear in ``u``."""
+        out = nabla_apply(self.nabla, _frame(i), self.nabla_euler[j])
+        for k, g in self.nab[i, j].items():
+            out = _vsub(out, _vscale(self.nabla_euler[k], g))
+        return out
 
 
-def _integr_vec(c: MultComponents, nabla: Connection, x: int, y: int, z: int, v: int) -> dict:
-    chart = c.chart
-
-    def br(a, b):
-        return _vf_bracket(chart, a, b)
-
-    def sb(a, b):
-        return symmetric_bracket(nabla, a, b)
-
-    fx, fy, fz, fv = _frame(x), _frame(y), _frame(z), _frame(v)
-    sxy = star_product(c, fx, fy)
-    out = sb(br(fz, sxy), fv)
-    out = _vadd(out, sb(br(fv, sxy), fz))
-    out = _vadd(out, lie_star(c, sb(fx, fy), fz, fv))
-    out = _vsub(out, lie_star(c, sb(fz, fv), fx, fy))
-    out = _vsub(out, sb(fx, lie_star(c, fy, fz, fv)))
-    out = _vsub(out, sb(fy, lie_star(c, fx, fz, fv)))
-    out = _vadd(out, lie_star(c, fy, br(fx, fv), fz))
-    out = _vadd(out, lie_star(c, fy, br(fx, fz), fv))
-    out = _vadd(out, lie_star(c, fx, br(fy, fv), fz))
-    out = _vadd(out, lie_star(c, fx, br(fy, fz), fv))
-    out = _vadd(
-        out,
-        star_product(c, fx, _vadd(sb(br(fy, fv), fz), sb(br(fy, fz), fv))),
-    )
-    return _vadd(
-        out,
-        star_product(c, fy, _vadd(sb(br(fx, fv), fz), sb(br(fx, fz), fv))),
-    )
+def _asoc_vec(f: _Frames, x: int, y: int, z: int) -> dict:
+    c, tor = f.c, f.tor
+    out = star_product(c, tor[x, y], _frame(z))
+    out = _vadd(out, _vscale(star_product(c, tor[x, z], _frame(y)), _TWO))
+    out = _vadd(out, star_product(c, tor[y, z], _frame(x)))
+    out = _vadd(out, _vsub(f.tor_star[z, x, y], f.tor_star[x, y, z]))
+    return _vadd(out, _vscale(_vsub(f.nabla_star[x, y, z], f.nabla_star[z, x, y]), _TWO))
 
 
-def _euler_obstruction_vec(nabla: Connection, evec: dict, x: int, y: int) -> dict:
-    fx, fy = _frame(x), _frame(y)
-    return _vadd(
-        _nabla2_vec(nabla, fx, fy, evec), _nabla2_vec(nabla, fy, fx, evec)
-    )
+def _unit_vec(nabla: Connection, ebar: dict, x: int) -> dict:
+    out = _vscale(nabla_apply(nabla, _frame(x), ebar), _TWO)
+    return _vadd(out, torsion_vec(nabla, ebar, _frame(x)))
+
+
+def _integr_vec(f: _Frames, x: int, y: int, z: int, v: int) -> dict:
+    out = _vadd(f.sym_bracket[z, x, y, v], f.sym_bracket[v, x, y, z])
+    out = _vadd(out, _vsub(f.lie_sym[x, y, z, v], f.lie_sym[z, v, x, y]))
+    return _vsub(out, _vadd(f.sym_lie[x, y, z, v], f.sym_lie[y, x, z, v]))
+
+
+def _euler_vec(f: _Frames, x: int, y: int) -> dict:
+    return _vadd(f.nabla2_euler(x, y), f.nabla2_euler(y, x))
 
 
 def check_duality_conditions(
@@ -346,18 +352,16 @@ def check_duality_conditions(
                 for i in sorted(img):
                     yield (i, j, *idx), img[i]
 
+    frames = _Frames(c, nabla, None if euler is None else euler.base_vec())
     ok = rep.scan(
         "dual-associative",
         "the associativity obstruction lies in the kernel of l",
-        kernel_pairs(
-            product(range(n), repeat=3),
-            lambda x, y, z: _asoc_vec(c, nabla, x, y, z),
-        ),
+        kernel_pairs(product(range(n), repeat=3), partial(_asoc_vec, frames)),
     )
     ok &= rep.scan(
         "dual-unit",
         "l(s, 2 nabla_X ebar + T(ebar, X)) = 0",
-        kernel_pairs(product(range(n)), lambda x: _unit_vec(c, e, nabla, x)),
+        kernel_pairs(product(range(n)), partial(_unit_vec, nabla, e.base_vec())),
     )
     # the integrability obstruction is symmetric within each frame pair
     # (commutativity holds by precondition), so ordered pairs suffice
@@ -366,18 +370,14 @@ def check_duality_conditions(
         "dual-integrable",
         "the integrability obstruction lies in the kernel of l",
         kernel_pairs(
-            ((x, y, z, v) for (x, y) in pairs for (z, v) in pairs),
-            lambda x, y, z, v: _integr_vec(c, nabla, x, y, z, v),
+            (xy + zv for xy, zv in product(pairs, pairs)), partial(_integr_vec, frames)
         ),
     )
     if euler is not None:
-        evec = euler.base_vec()
         rep.scan(
             "dual-euler",
             "l(s, symmetrized nabla^2 Ebar) = 0",
-            kernel_pairs(
-                pairs, lambda x, y: _euler_obstruction_vec(nabla, evec, x, y)
-            ),
+            kernel_pairs(pairs, partial(_euler_vec, frames)),
         )
 
     dual_c, dual_e = dualize(c, e, nabla)
@@ -469,8 +469,8 @@ def regular_connection(base: BaseFManifold, euler) -> Connection:
 
 def regular_flat_check(base: BaseFManifold, euler):
     """Compute the regular connection and run the flat-structure check on it."""
-    nabla = regular_connection(base, euler)
-    rep = check_flat_f(base, nabla, euler)
+    nabla = regular_connection(base, euler)  # verifies the base
+    rep = _flat_f(base, nabla, euler)
     rep.note(
         "computed over rational-function coefficients; the construction is "
         "usually stated for holomorphic data"

@@ -1,10 +1,13 @@
 """Connection calculus, flat base structures, and the dual package."""
 
-from itertools import product
+import weakref
+from collections import Counter
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from conftest import rand_fraction, rand_poly, rand_ratfunc, rng_for
+import fmanlin.duality as duality
 from fmanlin.duality import (
     Connection,
     FlatFStructure,
@@ -13,10 +16,12 @@ from fmanlin.duality import (
     curvature,
     dualize,
     nabla_apply,
+    nabla_star,
     regular_connection,
     regular_flat_check,
     symmetric_bracket,
     torsion,
+    torsion_vec,
 )
 from fmanlin.fman import (
     BaseFManifold,
@@ -24,11 +29,25 @@ from fmanlin.fman import (
     MultComponents,
     PreconditionError,
     apply_l,
+    apply_l_vec,
     check_battery,
+    lie_star,
+    star_product,
+    _vf_bracket,
+    _vscale,
 )
 from fmanlin.prolong import tangent_prolongation
+from fmanlin.report import Report
 from fmanlin.symcore import RatFunc, SingularMatrixError, parse_expr
-from fmanlin.tensor import Chart, Section, TensorField, apply_tensor, vertical_lift
+from fmanlin.tensor import (
+    Chart,
+    Section,
+    TensorField,
+    _vadd,
+    _vsub,
+    apply_tensor,
+    vertical_lift,
+)
 
 C11 = Chart.standard(1, 1)
 C21 = Chart.standard(2, 1)
@@ -520,3 +539,395 @@ def test_duality_euler_cross_check_reruns_no_battery(monkeypatch):
     assert rep.passed
     assert rep.record("dual-euler-battery").passed
     assert len(calls) == 2
+
+
+# -- dense references ------------------------------------------------------------
+#
+# The per-tuple formulas that the support-driven `curvature` and the frame
+# memo of the duality scans replaced, kept here as the reference: the dense
+# curvature over every index tuple, the associativity and unit obstructions,
+# the full twelve-term integrability obstruction (six of its terms contain the
+# bracket of two frames, which vanishes) and the second covariant derivative.
+
+CUBIC_STAR = {(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1, (2, 0, 2): 1, (2, 2, 0): 1}
+
+
+def frame(j):
+    return {j: RatFunc.one()}
+
+
+def dense_curvature(nabla):
+    chart = nabla.chart.base()
+    n = chart.n
+    names = chart.names
+    coeffs = {}
+    for i, j, k, m in product(range(n), repeat=4):
+        val = nabla.at(m, j, k).partial(names[i]) - nabla.at(m, i, k).partial(names[j])
+        for a in range(n):
+            val = val + nabla.at(a, j, k) * nabla.at(m, i, a)
+            val = val - nabla.at(a, i, k) * nabla.at(m, j, a)
+        coeffs[(m, i, j, k)] = val
+    return TensorField(chart, 3, 1, coeffs)
+
+
+def ref_nabla2_vec(nabla, u, v, w):
+    out = nabla_apply(nabla, u, nabla_apply(nabla, v, w))
+    return _vsub(out, nabla_apply(nabla, nabla_apply(nabla, u, v), w))
+
+
+def ref_asoc_vec(c, nabla, x, y, z):
+    fx, fy, fz = frame(x), frame(y), frame(z)
+    two = RatFunc.coerce(2)
+    out = star_product(c, torsion_vec(nabla, fx, fy), fz)
+    out = _vadd(out, _vscale(star_product(c, torsion_vec(nabla, fx, fz), fy), two))
+    out = _vadd(out, star_product(c, torsion_vec(nabla, fy, fz), fx))
+    out = _vadd(out, torsion_vec(nabla, fz, star_product(c, fx, fy)))
+    out = _vsub(out, torsion_vec(nabla, fx, star_product(c, fy, fz)))
+    out = _vadd(out, _vscale(nabla_star(nabla, c, fx, fy, fz), two))
+    return _vsub(out, _vscale(nabla_star(nabla, c, fz, fx, fy), two))
+
+
+def ref_unit_vec(e, nabla, x):
+    ebar = e.base_vec()
+    out = _vscale(nabla_apply(nabla, frame(x), ebar), RatFunc.coerce(2))
+    return _vadd(out, torsion_vec(nabla, ebar, frame(x)))
+
+
+def ref_integr_vec(c, nabla, x, y, z, v):
+    def br(a, b):
+        return _vf_bracket(c.chart, a, b)
+
+    def sb(a, b):
+        return symmetric_bracket(nabla, a, b)
+
+    fx, fy, fz, fv = frame(x), frame(y), frame(z), frame(v)
+    sxy = star_product(c, fx, fy)
+    out = sb(br(fz, sxy), fv)
+    out = _vadd(out, sb(br(fv, sxy), fz))
+    out = _vadd(out, lie_star(c, sb(fx, fy), fz, fv))
+    out = _vsub(out, lie_star(c, sb(fz, fv), fx, fy))
+    out = _vsub(out, sb(fx, lie_star(c, fy, fz, fv)))
+    out = _vsub(out, sb(fy, lie_star(c, fx, fz, fv)))
+    out = _vadd(out, lie_star(c, fy, br(fx, fv), fz))
+    out = _vadd(out, lie_star(c, fy, br(fx, fz), fv))
+    out = _vadd(out, lie_star(c, fx, br(fy, fv), fz))
+    out = _vadd(out, lie_star(c, fx, br(fy, fz), fv))
+    out = _vadd(out, star_product(c, fx, _vadd(sb(br(fy, fv), fz), sb(br(fy, fz), fv))))
+    return _vadd(out, star_product(c, fy, _vadd(sb(br(fx, fv), fz), sb(br(fx, fz), fv))))
+
+
+def ref_euler_vec(nabla, evec, x, y):
+    fx, fy = frame(x), frame(y)
+    return _vadd(ref_nabla2_vec(nabla, fx, fy, evec), ref_nabla2_vec(nabla, fy, fx, evec))
+
+
+def ref_kernel_records(c, e, nabla, euler=None):
+    """The four condition records, scanned densely from the reference vectors."""
+    n, kdim = c.n, c.rank
+    rep = Report("duality conditions")
+
+    def kernel_pairs(tuples, vec_fn):
+        for idx in tuples:
+            w = vec_fn(*idx)
+            for j in range(kdim):
+                img = apply_l_vec(c, w, frame(j))
+                for i in sorted(img):
+                    yield (i, j, *idx), img[i]
+
+    pairs = list(combinations_with_replacement(range(n), 2))
+    law = "the associativity obstruction lies in the kernel of l"
+    asoc = kernel_pairs(product(range(n), repeat=3), lambda *i: ref_asoc_vec(c, nabla, *i))
+    rep.scan("dual-associative", law, asoc)
+    unit = kernel_pairs(product(range(n)), lambda x: ref_unit_vec(e, nabla, x))
+    rep.scan("dual-unit", "l(s, 2 nabla_X ebar + T(ebar, X)) = 0", unit)
+    law = "the integrability obstruction lies in the kernel of l"
+    quads = ((x, y, z, v) for (x, y) in pairs for (z, v) in pairs)
+    rep.scan("dual-integrable", law, kernel_pairs(quads, lambda *i: ref_integr_vec(c, nabla, *i)))
+    if euler is not None:
+        evec = euler.base_vec()
+        law = "l(s, symmetrized nabla^2 Ebar) = 0"
+        rep.scan("dual-euler", law, kernel_pairs(pairs, lambda *i: ref_euler_vec(nabla, evec, *i)))
+    return rep.records
+
+
+def cubic_package(k):
+    """A rank-``k`` package over the square-zero product on three coordinates."""
+    chart = Chart.standard(3, k)
+    d = {(0, 0, 1, 1): parse_expr("x2", chart.names)}
+    l = {(0, 0, 0): 1}
+    if k == 2:
+        d[(1, 1, 2, 2)] = parse_expr("x3", chart.names)
+        l[(1, 1, 0)] = 1
+    c = MultComponents(chart=chart, d=d, l=l, star=CUBIC_STAR)
+    e = LinearVectorField(chart, (1, 0, 0), tuple((0,) * k for _ in range(k)))
+    return c, e
+
+
+def random_connection(rng, chart, kind):
+    """A seeded connection: zero, a few constant entries, or a rational table
+    that is torsion-free or (in general) not."""
+    keys = list(product(range(chart.n), repeat=3))
+    if kind == "zero":
+        return Connection(chart, {})
+    if kind == "sparse-constant":
+        return Connection(chart, {key: rand_fraction(rng) for key in rng.sample(keys, min(3, len(keys)))})
+    names = chart.base_names
+    gamma = {key: rand_ratfunc(rng, names, max_deg=1) for key in keys if rng.random() < 0.6}
+    if kind == "torsion-free":
+        gamma = {(k, i, j): gamma.get((k, min(i, j), max(i, j)), 0) for k, i, j in keys}
+    return Connection(chart, gamma)
+
+
+def packages(n):
+    """Battery-passing packages of ranks one and two over ``n`` coordinates, and
+    random tables that pass nothing."""
+    rng = rng_for(f"duality-packages-{n}")
+    if n == 2:
+        yield plane_example("x2^2 - 4")
+        tan = tangent_prolongation(base_plane())
+        yield tan.components, tan.unit
+    else:
+        yield cubic_package(1)
+        yield cubic_package(2)
+    chart = Chart.standard(n, 2)
+    names = chart.base_names
+
+    def table(*ranges):
+        keys = [key for key in product(*ranges) if rng.random() < 0.5]
+        return {key: rand_ratfunc(rng, names, max_deg=1, with_den=False) for key in keys}
+
+    ks, ns = range(2), range(n)
+    c = MultComponents(
+        chart=chart, d=table(ks, ks, ns, ns), l=table(ks, ks, ns), star=table(ns, ns, ns)
+    )
+    unit = tuple(rand_ratfunc(rng, names, max_deg=1) for _ in ns)
+    yield c, LinearVectorField(chart, unit, ((0, 1), (1, 0)))
+
+
+def test_curvature_matches_dense_formula():
+    for n in (1, 2, 3):
+        chart = Chart.standard(n, 0)
+        for trial in range(3):
+            rng = rng_for(f"duality-curvature-{n}-{trial}")
+            for kind in ("zero", "sparse-constant", "torsion-free", "rational"):
+                nab = random_connection(rng, chart, kind)
+                if kind in ("zero", "torsion-free"):
+                    assert torsion(nab).is_zero()
+                assert curvature(nab).coeffs == dense_curvature(nab).coeffs, (n, kind)
+
+
+def test_obstruction_vectors_match_dense_references_at_every_tuple():
+    for n in (2, 3):
+        for pkg, (c, e) in enumerate(packages(n)):
+            rng = rng_for(f"duality-obstructions-{n}-{pkg}")
+            base = Chart.standard(n, 0)
+            evec = {a: rand_ratfunc(rng, base.names, with_den=False) for a in range(n)}
+            for kind in ("zero", "torsion-free", "rational"):
+                nab = random_connection(rng, c.chart, kind)
+                frames = duality._Frames(c, nab, evec)
+                where = (n, pkg, kind)
+                for idx in product(range(n), repeat=3):
+                    got = duality._asoc_vec(frames, *idx)
+                    assert got == ref_asoc_vec(c, nab, *idx), (where, idx)
+                for x in range(n):
+                    got = duality._unit_vec(nab, e.base_vec(), x)
+                    assert got == ref_unit_vec(e, nab, x), (where, x)
+                for idx in product(range(n), repeat=4):
+                    got = duality._integr_vec(frames, *idx)
+                    assert got == ref_integr_vec(c, nab, *idx), (where, idx)
+                for x, y in product(range(n), repeat=2):
+                    got = duality._euler_vec(frames, x, y)
+                    assert got == ref_euler_vec(nab, evec, x, y), (where, x, y)
+                    want = ref_nabla2_vec(nab, frame(x), frame(y), evec)
+                    assert frames.nabla2_euler(x, y) == want, (where, x, y)
+
+
+def test_duality_records_match_dense_reference_scans():
+    # every kernel record, passing or failing, with its witness and residual
+    failed = set()
+    for n in (2, 3):
+        for pkg, (c, e) in enumerate(list(packages(n))[:2]):
+            rng = rng_for(f"duality-records-{n}-{pkg}")
+            names = c.chart.base_names
+            euler = LinearVectorField(
+                c.chart,
+                tuple(rand_ratfunc(rng, names, max_deg=2) for _ in range(n)),
+                tuple(tuple(rand_fraction(rng) for _ in range(c.rank)) for _ in range(c.rank)),
+            )
+            for kind in ("zero", "sparse-constant", "torsion-free", "rational"):
+                nab = random_connection(rng, c.chart, kind)
+                rep = check_duality_conditions(c, e, nab, euler=euler)
+                want = ref_kernel_records(c, e, nab, euler)
+                assert rep.records[: len(want)] == want, (n, pkg, kind)
+                failed |= {r.name for r in want if not r.passed}
+    assert failed == {"dual-associative", "dual-unit", "dual-integrable", "dual-euler"}
+
+
+def test_check_flat_f_euler_scan_matches_the_dense_second_derivative():
+    base = base_plane()
+    for trial in range(4):
+        rng = rng_for(f"duality-flat-euler-{trial}")
+        nab = random_connection(rng, B2, ("zero", "torsion-free", "rational")[trial % 3])
+        euler = tuple(rand_ratfunc(rng, B2.names, max_deg=2) for _ in range(2))
+        rep = check_flat_f(base, nab, euler)
+        evec = {a: f for a, f in enumerate(euler) if not f.is_zero()}
+        pairs = (
+            ((a, i, j), vec[a])
+            for i, j in product(range(2), repeat=2)
+            for vec in [ref_nabla2_vec(nab, frame(i), frame(j), evec)]
+            for a in sorted(vec)
+        )
+        want = Report("flat structure")
+        want.scan("euler-second-derivative", "nabla^2 Ebar = 0", pairs)
+        assert rep.records[-1] == want.records[0]
+
+
+def test_duality_failures_with_rational_residuals():
+    # recorded before the frame memo; each residual depends on the coordinates
+    c, e = cubic_package(2)
+
+    def rf3(text):
+        return parse_expr(text, c.chart.names)
+
+    nab = Connection(c.chart, {(0, 2, 0): rf3("x1*x3/(x2^2 + 1)"), (1, 2, 1): rf3("x1")})
+    rep = check_duality_conditions(c, e, nab)
+    assert witness_and_residual(rep, "dual-associative") == (
+        (0, 0, 0, 0, 2),
+        "(x1*x3)/(x2^2 + 1)",
+    )
+    assert witness_and_residual(rep, "dual-integrable") == (
+        (0, 0, 0, 0, 0, 2),
+        "(-x3)/(x2^2 + 1)",
+    )
+    nab = Connection(c.chart, {(0, 1, 1): rf3("x1*x3/(x2^2 + 1)"), (1, 2, 1): rf3("x1")})
+    rep = check_duality_conditions(c, e, nab)
+    assert rep.record("dual-associative").passed
+    assert witness_and_residual(rep, "dual-integrable") == (
+        (0, 0, 0, 0, 1, 1),
+        "(-2*x3)/(x2^2 + 1)",
+    )
+    c, e = cubic_package(1)
+    rep = check_duality_conditions(c, e, Connection(c.chart, {(0, 0, 1): rf3("1/(x2 + 1)")}))
+    assert witness_and_residual(rep, "dual-associative") == ((0, 0, 0, 0, 1), "(1)/(x2 + 1)")
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("this route must not be used")
+
+
+def test_kernel_records_and_dual_battery_share_no_code(monkeypatch):
+    c, e = cubic_package(2)
+    nab = Connection(c.chart, {(0, 2, 0): parse_expr("x1*x3", c.chart.names), (1, 2, 1): 1})
+    euler = LinearVectorField(c.chart, (1, 0, 0), ((0, 0), (0, 0)))
+    want = check_duality_conditions(c, e, nab, euler=euler)
+    kernel = ("dual-associative", "dual-unit", "dual-integrable", "dual-euler")
+    assert [r.name for r in want.records[:4]] == list(kernel)
+    assert not want.record("dual-battery").passed
+
+    # the kernel records, with dualize and every battery after the precondition forbidden
+    reports, batteries, real_battery = [], [], duality.check_battery
+
+    class Recording(Report):
+        def __init__(self, *args):
+            super().__init__(*args)
+            reports.append(self)
+
+    def precondition_only(*args):
+        if batteries:
+            forbidden()
+        batteries.append(args)
+        return real_battery(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(duality, "Report", Recording)
+        m.setattr(duality, "check_battery", precondition_only)
+        m.setattr(duality, "dualize", forbidden)
+        m.setattr(duality, "_euler_report", forbidden)
+        with pytest.raises(AssertionError, match="must not be used"):
+            check_duality_conditions(c, e, nab, euler=euler)
+    assert reports[0].records == want.records[:4]
+
+    # the dual battery, with the memo and the obstruction helpers forbidden
+    with monkeypatch.context() as m:
+        for name in (
+            "_Frames",
+            "_Memo",
+            "_asoc_vec",
+            "_unit_vec",
+            "_integr_vec",
+            "_euler_vec",
+            "nabla_apply",
+            "nabla_star",
+            "torsion_vec",
+            "symmetric_bracket",
+            "lie_star",
+            "star_product",
+        ):
+            m.setattr(duality, name, forbidden)
+        dual_c, dual_e = dualize(c, e, nab)
+        rep = Report("duality conditions")
+        rep.summarize("dual-battery", want.record("dual-battery").law, check_battery(dual_c, dual_e))
+    assert rep.records[0] == want.record("dual-battery")
+
+
+def test_no_frame_memo_outlives_its_call(monkeypatch):
+    made = []
+
+    class Tracked(duality._Frames):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(duality, "_Frames", Tracked)
+    c, e = plane_example()
+    euler = LinearVectorField(C21, (rf("x1"), rf("x2/3")), ((0,),))
+    nab = Connection(C21, {(0, 1, 1): rf("x1")})
+    check_duality_conditions(c, e, nab, euler=euler)
+    regular_flat_check(base_plane(), (rf("x1+5", B2), rf("x2^2+1", B2)))
+    assert len(made) == 2
+    # released by reference counting alone: no cycle keeps a memo alive
+    assert all(ref() is None for ref in made)
+
+
+def test_regular_flat_check_verifies_the_base_once(monkeypatch):
+    calls = []
+    real = BaseFManifold.verify
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(BaseFManifold, "verify", counting)
+    base = base_plane()
+    nab, rep = regular_flat_check(base, (rf("x1+5", B2), rf("x2^2+1", B2)))
+    assert rep.passed
+    assert calls == [base]
+    # the public check still verifies its base
+    calls.clear()
+    assert check_flat_f(base, nab).passed
+    assert calls == [base]
+
+
+def test_frame_lie_derivatives_are_computed_once_per_check(monkeypatch):
+    seen = Counter()
+    real = duality.lie_star
+
+    def frame_index(u):
+        if len(u) == 1 and next(iter(u.values())) == RatFunc.one():
+            return next(iter(u))
+        return None
+
+    def counting(c, w, u, v):
+        idx = tuple(frame_index(a) for a in (w, u, v))
+        if None not in idx:
+            seen[idx] += 1
+        return real(c, w, u, v)
+
+    monkeypatch.setattr(duality, "lie_star", counting)
+    c, e = plane_example()
+    euler = LinearVectorField(C21, (rf("x1"), rf("x2/3")), ((0,),))
+    for nab in (Connection.zero(C21), Connection(C21, {(0, 1, 1): rf("x1")})):
+        seen.clear()
+        check_duality_conditions(c, e, nab, euler=euler)
+        assert seen
+        assert max(seen.values()) == 1
