@@ -31,7 +31,7 @@ from .fman import (
     _vscale,
 )
 from .report import Report
-from .symcore import RatFunc, SingularMatrixError, solve_linear
+from .symcore import RatFunc, SingularMatrixError, _inverse
 from .tensor import Chart, Connection, TensorField, _acc, _vadd, _vsub
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
 ]
 
 _ZERO = RatFunc.zero()
-_ONE = RatFunc.one()
 _TWO = RatFunc.coerce(2)
 
 
@@ -437,16 +436,13 @@ def regular_connection(base: BaseFManifold, euler) -> Connection:
     for _ in range(1, n):
         powers.append(star_product(c, powers[-1], evec))
     mat = [[powers[i].get(a, _ZERO) for i in range(n)] for a in range(n)]
-    cols = []
-    for j in range(n):
-        rhs = [_ONE if a == j else _ZERO for a in range(n)]
-        try:
-            cols.append(solve_linear(mat, rhs))
-        except SingularMatrixError:
-            raise SingularMatrixError(
-                "the unit-and-power frame of the Euler candidate is singular; "
-                "the structure is not regular"
-            ) from None
+    try:
+        cols = _inverse(mat)
+    except SingularMatrixError:
+        raise SingularMatrixError(
+            "the unit-and-power frame of the Euler candidate is singular; "
+            "the structure is not regular"
+        ) from None
 
     gamma = {}
     for k in range(n):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby, permutations, product
+from itertools import groupby, permutations
 from types import MappingProxyType
 
 from .report import Report
@@ -453,15 +453,16 @@ def _frame(j: int) -> dict:
 # and a fiber index ``j`` over the pairs ``(x, y) < (z, v)`` with ``x <= y``
 # and ``z <= v``, ordered by ``(x, y, z, v)``, then ``i``, then ``j``.
 #
-# A scalar identity scans its whole space.  A vector identity also declares
-# its support: a function of the context that yields, one clause per term of
-# the residual vector, every ``idx[1:]`` at which that term may be nonzero
-# (in any order, repeats allowed).  Every term at a tuple that no clause
-# yields has a factor from an empty row, or a derivative along ``x_m`` of
-# entries that do not contain ``x_m`` -- frames are constant, so their
-# derivatives vanish -- and the whole vector is zero there.  `_vector_pairs`
-# visits the support in the dense order of the space and evaluates each
-# vector once.
+# Scalar and vector identities also declare their support: a function of
+# the context that yields every index tuple (``idx[1:]`` for a vector
+# identity) at which the residual may be nonzero, in any order, repeats
+# allowed.  A scalar identity compares table entries at their keys and
+# transposes.  A vector identity's support has one clause per term of the
+# residual vector.  Every term at a tuple that no clause yields has a factor
+# from an empty row, or a derivative along ``x_m`` of entries that do not
+# contain ``x_m`` -- frames are constant, so their derivatives vanish -- and
+# the whole vector is zero there.  `_scan` visits a support in the dense
+# order of the space; `_vector_pairs` evaluates each vector once.
 #
 # `_Ctx` holds the inputs of one battery and memoizes the frame Lie
 # derivatives ``L_{d_r}(*)(d_k, d_p)`` that three vector identities share, and
@@ -514,7 +515,7 @@ class _Identity:
     kind: str  # "scalar", "vector" or "oracle"
     space: str  # index space; empty for an oracle
     fn: object
-    support: object = None  # vector identities only
+    support: object = None  # none for an oracle
 
 
 _IDENTITIES: dict = {}  # record name -> _Identity
@@ -536,20 +537,36 @@ def _residual(ident: _Identity, ctx: _Ctx, idx: tuple) -> RatFunc:
     return ident.fn(ctx, idx[1:]).get(idx[0], _ZERO)
 
 
-@_identity("side-tables-equal", "the two side tables agree", "scalar", "kkn")
+def _swaps_of(table: str):
+    """The keys of a table, each also with its last two indices swapped."""
+
+    def support(ctx: _Ctx):
+        for key in getattr(ctx.c, table):
+            yield from (key, (*key[:-2], key[-1], key[-2]))
+
+    return support
+
+
+def _l_keys(ctx: _Ctx):
+    return (*ctx.c.l, *(ctx.l2 or ()))
+
+
+@_identity("side-tables-equal", "the two side tables agree", "scalar", "kkn", _l_keys)
 def _res_side_tables(ctx: _Ctx, idx) -> RatFunc:
     i, j, k = idx
     other = ctx.c.l if ctx.l2 is None else ctx.l2
     return ctx.c.l_at(i, j, k) - other.get((i, j, k), _ZERO)
 
 
-@_identity("star-symmetric", "b^a_ij = b^a_ji", "scalar", "nnn")
+@_identity("star-symmetric", "b^a_ij = b^a_ji", "scalar", "nnn", _swaps_of("star"))
 def _res_star_symmetric(ctx: _Ctx, idx) -> RatFunc:
     a, i, j = idx
     return ctx.c.star_at(a, i, j) - ctx.c.star_at(a, j, i)
 
 
-@_identity("derivative-symmetric", "a^i_j,kp = a^i_j,pk", "scalar", "kknn")
+@_identity(
+    "derivative-symmetric", "a^i_j,kp = a^i_j,pk", "scalar", "kknn", _swaps_of("d")
+)
 def _res_derivative_symmetric(ctx: _Ctx, idx) -> RatFunc:
     i, j, k, p = idx
     return ctx.c.d_at(i, j, k, p) - ctx.c.d_at(i, j, p, k)
@@ -1051,9 +1068,7 @@ def _scan(rep: Report, ctx: _Ctx, name: str) -> bool:
     elif ident.kind == "vector":
         pairs = _vector_pairs(ident, ctx)
     else:
-        ranges = {"k": range(ctx.c.rank), "n": range(ctx.c.n)}
-        tuples = product(*(ranges[s] for s in ident.space))
-        pairs = ((idx, ident.fn(ctx, idx)) for idx in tuples)
+        pairs = ((idx, ident.fn(ctx, idx)) for idx in sorted(set(ident.support(ctx))))
     return rep.scan(name, ident.law, pairs)
 
 

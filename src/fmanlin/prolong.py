@@ -30,7 +30,7 @@ from .fman import (
     _vf_bracket,
 )
 from .report import Report
-from .symcore import RatFunc, SingularMatrixError, solve_linear
+from .symcore import RatFunc, SingularMatrixError, _inverse
 from .tensor import Chart, Connection, _acc, _vadd, _vsub, table_eq
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
 ]
 
 _ZERO = RatFunc.zero()
-_ONE = RatFunc.one()
 
 _KINDS = ("tangent", "cotangent", "generalized")
 
@@ -203,13 +202,10 @@ def _coerce_iso(chart: Chart, iso):
     ]
     if len(rows) != k or any(len(row) != k for row in rows):
         raise ValueError(f"fiber isomorphism must be {k}x{k}")
-    cols = []
-    for b in range(k):
-        rhs = [_ONE if i == b else _ZERO for i in range(k)]
-        try:
-            cols.append(solve_linear(rows, rhs))
-        except SingularMatrixError:
-            raise SingularMatrixError("the fiber isomorphism is singular") from None
+    try:
+        cols = _inverse(rows)
+    except SingularMatrixError:
+        raise SingularMatrixError("the fiber isomorphism is singular") from None
     inv = [[cols[b][i] for b in range(k)] for i in range(k)]
     return rows, inv
 

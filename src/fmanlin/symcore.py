@@ -7,7 +7,11 @@ used by model files, and fraction-free linear solving.
 All values are immutable and kept in a canonical form (graded-lexicographic
 term order, coprime numerator/denominator, integer-primitive denominator with
 positive leading coefficient), so structural equality ``==`` decides
-mathematical equality.  No floating point is used anywhere.
+mathematical equality.  A coefficient is stored as an ``int`` when integral
+and as a ``Fraction`` only when not, so most arithmetic is Python's integer
+arithmetic (Knuth, TAOCP vol. 2, 4.6.1); every coefficient division is an
+explicit ``Fraction`` or exact ``divmod``, and a float is refused.  Results
+canonical by construction (negations, products) skip the checking constructor.
 
 Two rules keep the gcds small.  Arithmetic on canonical operands takes gcds
 of the operands, not of the products: a sum ``a/b + c/d`` is reduced only by
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
 from operator import add, sub
 
 __all__ = [
@@ -58,23 +62,24 @@ def _grlex(exp: tuple[int, ...]) -> tuple:
 
 
 class Poly:
-    """A multivariate polynomial with ``Fraction`` coefficients.
+    """A multivariate polynomial with exact rational coefficients.
 
     ``vars`` holds the variables that actually occur, sorted in the global
     variable order; ``terms`` maps exponent tuples (one entry per variable) to
-    nonzero coefficients.  Construction canonicalizes, so two equal
-    polynomials have identical storage.
+    nonzero coefficients, each an ``int`` when integral, else a ``Fraction``;
+    floats are refused.  Construction canonicalizes, so two equal polynomials
+    have identical storage.
     """
 
     __slots__ = ("vars", "terms", "_hash")
 
     def __init__(self, variables, terms):
         variables = tuple(variables)
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict = {}
         for exp, coeff in terms.items():
-            if not isinstance(coeff, Fraction):
-                coeff = Fraction(coeff)
-            if coeff != 0:
+            if coeff.__class__ is not int:
+                coeff = _coeff(coeff)
+            if coeff:
                 clean[tuple(exp)] = coeff
         used = [i for i in range(len(variables)) if any(e[i] for e in clean)]
         order = sorted(used, key=lambda i: _var_key(variables[i]))
@@ -85,6 +90,13 @@ class Poly:
             self.vars = tuple(variables[i] for i in order)
             self.terms = {tuple(e[i] for i in order): c for e, c in clean.items()}
         self._hash = None
+
+    @staticmethod
+    def _canonical(variables: tuple, terms: dict) -> "Poly":
+        """Wrap ``variables`` and ``terms`` that are already canonical, unchecked."""
+        p = Poly.__new__(Poly)
+        p.vars, p.terms, p._hash = variables, terms, None
+        return p
 
     # -- constructors -------------------------------------------------------
 
@@ -98,11 +110,11 @@ class Poly:
 
     @staticmethod
     def const(value) -> "Poly":
-        return Poly((), {(): Fraction(value)})
+        return Poly((), {(): value})
 
     @staticmethod
     def variable(name: str) -> "Poly":
-        return Poly((name,), {(1,): Fraction(1)})
+        return Poly._canonical((name,), {(1,): 1})
 
     # -- predicates ---------------------------------------------------------
 
@@ -116,7 +128,7 @@ class Poly:
         """The value of a constant polynomial."""
         if self.vars:
             raise ValueError("polynomial is not constant")
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.terms.get((), 0))
 
     def degree_in(self, name: str) -> int:
         if name not in self.vars:
@@ -134,7 +146,7 @@ class Poly:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         exp = max(self.terms, key=_grlex)
-        return exp, self.terms[exp]
+        return exp, Fraction(self.terms[exp])
 
     # -- alignment ----------------------------------------------------------
 
@@ -167,7 +179,7 @@ class Poly:
         variables, a, b = self._aligned(other)
         out = dict(a)
         for exp, c in b.items():
-            out[exp] = out.get(exp, Fraction(0)) + c
+            out[exp] = out.get(exp, 0) + c
         return Poly(variables, out)
 
     def __sub__(self, other):
@@ -176,17 +188,18 @@ class Poly:
         variables, a, b = self._aligned(other)
         out = dict(a)
         for exp, c in b.items():
-            out[exp] = out.get(exp, Fraction(0)) - c
+            out[exp] = out.get(exp, 0) - c
         return Poly(variables, out)
 
     def __neg__(self):
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly._canonical(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return _ZERO
-            return Poly(self.vars, {e: c * other for e, c in self.terms.items()})
+            terms = {e: c * other for e, c in self.terms.items()}
+            return Poly._canonical(self.vars, _tidy(terms))
         if not isinstance(other, Poly):
             return NotImplemented
         if self.is_zero() or other.is_zero():
@@ -195,14 +208,15 @@ class Poly:
             return self
         if not self.vars and self.terms[()] == 1:
             return other
+        # every variable of either nonzero factor occurs in the product
         variables, a, b = self._aligned(other)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
                 exp = tuple(x + y for x, y in zip(ea, eb))
                 prev = out.get(exp)
                 out[exp] = ca * cb if prev is None else prev + ca * cb
-        return Poly(variables, out)
+        return Poly._canonical(variables, _tidy(out))
 
     __rmul__ = __mul__
 
@@ -276,33 +290,59 @@ class Poly:
         return " ".join(parts)
 
 
-_ZERO = Poly((), {})
-_ONE = Poly((), {(): Fraction(1)})
+_ZERO = Poly._canonical((), {})
+_ONE = Poly._canonical((), {(): 1})
+
+
+def _coeff(value):
+    """``value`` as a stored coefficient: an ``int`` when integral."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"coefficient {value!r} is not an int or a Fraction")
+    return int(value) if value.denominator == 1 else value
+
+
+def _tidy(terms: dict) -> dict:
+    """``terms`` without zeros, with each integral ``Fraction`` as an ``int``."""
+    return {
+        e: c if c.__class__ is int or c.denominator != 1 else c.numerator
+        for e, c in terms.items()
+        if c
+    }
+
+
+def _div(a, b):
+    """The exact quotient of two coefficients, an ``int`` when integral."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _coeff(Fraction(a, b))
 
 
 # -- integer-primitive normal form and exact division ------------------------
 
 
-def _rational_content(p: Poly) -> Fraction:
-    """Positive rational ``c`` such that ``p / c`` has coprime integer coefficients."""
-    if p.is_zero():
-        return Fraction(1)
-    num = 0
-    den = 1
+def _content(p: Poly) -> tuple[int, int]:
+    """``(u, v)`` such that ``p * v / u`` has coprime integer coefficients and a
+    positive leading coefficient, for a nonzero ``p``."""
+    u, v = 0, 1
     for c in p.terms.values():
-        num = _int_gcd(num, c.numerator)
-        den = den * c.denominator // _int_gcd(den, c.denominator)
-    return Fraction(num, den)
+        u = _int_gcd(u, c.numerator)
+        v = _int_lcm(v, c.denominator)
+    lead = p.terms[max(p.terms, key=_grlex)]  # stored, so no Fraction is built
+    return (-u if lead < 0 else u), v
 
 
 def _primitive_assoc(p: Poly) -> Poly:
     """The integer-primitive, positive-leading associate of ``p``."""
     if p.is_zero():
         return p
-    c = _rational_content(p)
-    if p.lead()[1] < 0:
-        c = -c
-    return p if c == 1 else p * (1 / c)
+    u, v = _content(p)
+    if u == 1 and v == 1:
+        return p
+    if v == 1:  # integer coefficients, each divisible by u
+        return Poly._canonical(p.vars, {e: c // u for e, c in p.terms.items()})
+    return p * Fraction(v, u)
 
 
 def exact_div(a: Poly, b: Poly) -> Poly:
@@ -312,24 +352,24 @@ def exact_div(a: Poly, b: Poly) -> Poly:
     if a.is_zero():
         return _ZERO
     if b.is_const():
-        c = b.constant()
-        return a if c == 1 else a * (1 / c)
+        c = b.terms[()]
+        return a if c == 1 else a * Fraction(1, c)
     variables = tuple(sorted(set(a.vars) | set(b.vars), key=_var_key))
     ra = dict(a._on_vars(variables))
     tb = b._on_vars(variables)
     eb = max(tb, key=_grlex)
     cb = tb[eb]
-    quot: dict[tuple[int, ...], Fraction] = {}
+    quot: dict = {}
     while ra:
         ea = max(ra, key=_grlex)
         diff = tuple(x - y for x, y in zip(ea, eb))
         if any(d < 0 for d in diff):
             raise ValueError("inexact polynomial division")
-        cq = ra[ea] / cb
+        cq = _div(ra[ea], cb)
         quot[diff] = cq
         for e, c in tb.items():
             key = tuple(x + y for x, y in zip(diff, e))
-            val = ra.get(key, Fraction(0)) - cq * c
+            val = ra.get(key, 0) - cq * c
             if val:
                 ra[key] = val
             else:
@@ -377,9 +417,9 @@ def _prem(a: Poly, b: Poly, name: str) -> Poly:
     return r
 
 
-def _dense(p: Poly) -> list[Fraction]:
+def _dense(p: Poly) -> list:
     """Coefficients of a univariate ``p``, lowest degree first."""
-    out = [Fraction(0)] * (max(e for e, in p.terms) + 1)
+    out = [0] * (max(e for e, in p.terms) + 1)
     for (e,), c in p.terms.items():
         out[e] = c
     return out
@@ -394,7 +434,7 @@ def _euclid(a: Poly, b: Poly) -> Poly:
         u, v = v, u
     while len(v) > 1:
         lead = v[-1]
-        v = [c / lead for c in v]
+        v = [_div(c, lead) for c in v]
         # u mod v, with v monic
         dv = len(v) - 1
         for k in range(len(u) - 1, dv - 1, -1):
@@ -469,15 +509,11 @@ def _normal(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     leading coefficient (``1`` for a constant)."""
     if num.is_zero():
         return _ZERO, _ONE
-    if den.is_const():
-        c = den.constant()
-    else:
-        c = _rational_content(den)
-        if den.lead()[1] < 0:
-            c = -c
-    if c == 1:
+    u, v = _content(den)
+    if u == 1 and v == 1:
         return num, den
-    return num * (1 / c), (_ONE if den.is_const() else den * (1 / c))
+    s = Fraction(v, u)
+    return num * s, (_ONE if den.is_const() else den * s)
 
 
 class RatFunc:
@@ -978,18 +1014,19 @@ class SingularMatrixError(ValueError):
     """The coefficient matrix is singular as a matrix of rational functions."""
 
 
-def _cleared_rows(matrix, rhs):
-    """Scale each row by its denominators, giving a Poly matrix ``[A | b]``."""
-    rows = []
+def _cleared_rows(matrix, rhs_cols):
+    """Scale each row of ``[A | B]`` (``B`` given by its columns) by its
+    denominators: the Poly rows, and the scale of each."""
+    rows, scales = [], []
     for i, row in enumerate(matrix):
-        entries = [RatFunc.coerce(v) for v in row]
-        entries.append(RatFunc.coerce(rhs[i]) if rhs is not None else _RF_ZERO)
+        entries = [RatFunc.coerce(v) for v in (*row, *(col[i] for col in rhs_cols))]
         scale = _ONE
         for v in entries:
             if not v.is_poly():
                 scale = exact_div(scale * v.den, poly_gcd(scale, v.den))
         rows.append([v.num * exact_div(scale, v.den) for v in entries])
-    return rows
+        scales.append(scale)
+    return rows, scales
 
 
 def _bareiss(rows, ncols):
@@ -1038,21 +1075,40 @@ def determinant(matrix) -> RatFunc:
     n = len(matrix)
     if n == 0:
         return _RF_ONE
-    entries = [[RatFunc.coerce(v) for v in row] for row in matrix]
+    rows, scales = _cleared_rows(matrix, ())
     den = _RF_ONE
-    rows = []
-    for row in entries:
-        scale = _ONE
-        for v in row:
-            if not v.is_poly():
-                scale = exact_div(scale * v.den, poly_gcd(scale, v.den))
+    for scale in scales:
         den = den * RatFunc(scale)
-        rows.append([v.num * exact_div(scale, v.den) for v in row])
     piv_cols, sign = _bareiss(rows, n)
     if len(piv_cols) < n:
         return _RF_ZERO
     det = rows[n - 1][piv_cols[-1]]
     return RatFunc(det * sign) / den
+
+
+def _solve(matrix, rhs_cols) -> list[list[RatFunc]]:
+    """The solution of ``A x = b`` for each column ``b`` of ``rhs_cols``, by one
+    fraction-free (Bareiss) elimination of the denominator-cleared ``[A | B]``.
+
+    Raises :class:`SingularMatrixError` when the square ``A`` is singular.
+    """
+    n = len(matrix)
+    rows, _ = _cleared_rows(matrix, rhs_cols)
+    piv_cols, _ = _bareiss(rows, n)
+    if len(piv_cols) < n:
+        raise SingularMatrixError("coefficient matrix is singular")
+    solutions = []
+    for col in range(n, n + len(rhs_cols)):
+        solution = [_RF_ZERO] * n
+        for r in range(n - 1, -1, -1):
+            c = piv_cols[r]
+            acc = RatFunc(rows[r][col])
+            for j in range(c + 1, n):
+                if not rows[r][j].is_zero():
+                    acc = acc - RatFunc(rows[r][j]) * solution[j]
+            solution[c] = acc / RatFunc(rows[r][c])
+        solutions.append(solution)
+    return solutions
 
 
 def solve_linear(matrix, rhs) -> list[RatFunc]:
@@ -1064,16 +1120,12 @@ def solve_linear(matrix, rhs) -> list[RatFunc]:
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("solve_linear expects a square system")
-    rows = _cleared_rows(matrix, rhs)
-    piv_cols, _ = _bareiss(rows, n)
-    if len(piv_cols) < n:
-        raise SingularMatrixError("coefficient matrix is singular")
-    solution: list[RatFunc] = [RatFunc.zero()] * n
-    for r in range(n - 1, -1, -1):
-        c = piv_cols[r]
-        acc = RatFunc(rows[r][n])
-        for j in range(c + 1, n):
-            if not rows[r][j].is_zero():
-                acc = acc - RatFunc(rows[r][j]) * solution[j]
-        solution[c] = acc / RatFunc(rows[r][c])
-    return solution
+    return _solve(matrix, [rhs])[0]
+
+
+def _inverse(matrix) -> list[list[RatFunc]]:
+    """The columns of the inverse of a square matrix, from one elimination:
+    column ``j`` is ``solve_linear(matrix, e_j)``."""
+    n = len(matrix)
+    unit = [[_RF_ONE if i == j else _RF_ZERO for i in range(n)] for j in range(n)]
+    return _solve(matrix, unit)

@@ -500,7 +500,7 @@ def test_regular_connection_bent_euler_coordinates():
 
 
 def test_regular_connection_singular_frame():
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(SingularMatrixError, match="frame of the Euler candidate is singular"):
         regular_connection(base_plane(), (1, 0))
 
 

@@ -377,7 +377,23 @@ def test_integrability_oracle_witness_replays():
 
 # The vector identities as the scalar residuals they replaced: each one
 # rebuilds the whole vector at its index tuple and keeps the component idx[0].
-# A test-only dense reference for the support-driven vector scans.
+# With the commutativity residuals as they were evaluated over the whole
+# space, a test-only dense reference for the support-driven scans.
+
+
+def ref_side_tables(ctx, idx):
+    other = ctx.c.l if ctx.l2 is None else ctx.l2
+    return ctx.c.l_at(*idx) - other.get(idx, RatFunc.zero())
+
+
+def ref_star_symmetric(ctx, idx):
+    a, i, j = idx
+    return ctx.c.star_at(a, i, j) - ctx.c.star_at(a, j, i)
+
+
+def ref_derivative_symmetric(ctx, idx):
+    i, j, k, p = idx
+    return ctx.c.d_at(i, j, k, p) - ctx.c.d_at(i, j, p, k)
 
 
 def frame(j):
@@ -686,6 +702,9 @@ def reference_euler_scans(c, euler):
 
 
 REFERENCES = {
+    "side-tables-equal": ref_side_tables,
+    "star-symmetric": ref_star_symmetric,
+    "derivative-symmetric": ref_derivative_symmetric,
     "star-associative": ref_star_associative,
     "l-composition": ref_l_composition,
     "second-derivative-symmetric": ref_second_derivative_symmetric,
@@ -826,8 +845,15 @@ def support_corpus():
         c = random_sparse_components(rng, n, k, first, sparse_entry)
         inputs.append((c, random_linear_field(rng, c.chart), None))
     corpus = []
-    for c, e, euler in inputs:
+    for t, (c, e, euler) in enumerate(inputs):
         kw = {"e": e, "euler": euler or random_linear_field(rng, c.chart)}
+        # a second side table that keeps the entries of l at output 0, and
+        # on every other input adds one entry that l lacks or differs from
+        l2 = {key: v for key, v in c.l.items() if key[0] == 0}
+        if t % 2 and c.rank:
+            key = (c.rank - 1, c.rank - 1, c.n - 1)
+            l2[key] = c.l_at(*key) + 1
+        kw["l2"] = l2
         ctx = _Ctx(c, **kw)
         found = {name: list(dense_residuals(ctx, name)) for name in REFERENCES}
         corpus.append((c, kw, found))
@@ -837,8 +863,8 @@ def support_corpus():
 def test_support_scans_match_dense_reference(support_corpus):
     import fmanlin.fman as fman
 
-    vectors = {name for name, ident in fman._IDENTITIES.items() if ident.kind == "vector"}
-    assert vectors == set(REFERENCES)
+    scanned = {name for name, ident in fman._IDENTITIES.items() if ident.kind != "oracle"}
+    assert scanned == set(REFERENCES)
     passed, outputs = set(), defaultdict(set)
     for c, kw, found in support_corpus:
         for name, residuals in found.items():
@@ -856,8 +882,8 @@ def test_support_scans_match_dense_reference(support_corpus):
             outputs[name].add(rec.witness[0])
             again = evaluate_residual(name, rec.witness, c, **kw)
             assert str(again) == rec.residual, name
-    assert passed == set(outputs) == vectors
-    assert {name for name, seen in outputs.items() if max(seen) > 0} == vectors
+    assert passed == set(outputs) == scanned
+    assert {name for name, seen in outputs.items() if max(seen) > 0} == scanned
 
 
 def test_supports_are_sound(support_corpus):
@@ -866,10 +892,12 @@ def test_supports_are_sound(support_corpus):
     for c, kw, found in support_corpus:
         ctx = _Ctx(c, **kw)
         for name, residuals in found.items():
-            space = fman._IDENTITIES[name].space
-            support = set(fman._IDENTITIES[name].support(ctx))
-            assert support <= {idx[1:] for idx in dense_tuples(c, space)}, name
-            outside = [idx for idx, _ in residuals if idx[1:] not in support]
+            ident = fman._IDENTITIES[name]
+            # a vector identity's support leaves out the output index
+            cut = 0 if ident.kind == "scalar" else 1
+            support = set(ident.support(ctx))
+            assert support <= {idx[cut:] for idx in dense_tuples(c, ident.space)}, name
+            outside = [idx for idx, _ in residuals if idx[cut:] not in support]
             assert not outside, (name, outside[:3])
 
 

@@ -330,7 +330,7 @@ def test_conjugate_identity_is_identity():
 
 def test_conjugate_rejects_bad_matrices():
     tan = tangent_prolongation(base_plane())
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(SingularMatrixError, match="^the fiber isomorphism is singular$"):
         conjugate(tan.components, ((rf("x1"), 0), (rf("x1"), 0)))
     with pytest.raises(ValueError):
         conjugate(tan.components, ((1, 0),))

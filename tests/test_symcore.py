@@ -14,6 +14,7 @@ from fmanlin.symcore import (
     Poly,
     RatFunc,
     SingularMatrixError,
+    _inverse,
     determinant,
     exact_div,
     parse_expr,
@@ -241,6 +242,31 @@ def test_solve_linear_singular_raises():
     a = [[x1, x1 * 2], [x1 * 3, x1 * 6]]
     with pytest.raises(SingularMatrixError):
         solve_linear(a, [RatFunc.one(), RatFunc.zero()])
+    with pytest.raises(SingularMatrixError):
+        _inverse(a)
+
+
+def test_inverse_matches_solve_linear_column_by_column():
+    rng = rng_for("symcore-inverse")
+    singular = 0
+    for size in (1, 2, 3):
+        for _ in range(6):
+            a = [
+                [rand_ratfunc(rng, ("x1", "x2"), max_deg=1) for _ in range(size)]
+                for _ in range(size)
+            ]
+            if determinant(a).is_zero():
+                singular += 1
+                with pytest.raises(SingularMatrixError):
+                    _inverse(a)
+                continue
+            cols = _inverse(a)
+            assert len(cols) == size
+            for j in range(size):
+                unit = [RatFunc.coerce(int(i == j)) for i in range(size)]
+                assert cols[j] == solve_linear(a, unit)
+            assert_stored_exactly(cols)
+    assert singular < 18
 
 
 ZEROS = (
@@ -439,3 +465,79 @@ def test_univariate_gcd_matches_the_pseudo_remainder_sequence():
             assert (got.vars, got.terms) == (want.vars, want.terms), (p, q)
             checked += 1
     assert checked > 100
+
+
+# -- stored coefficients: an int when integral, else a Fraction ----------------
+
+
+def stored(values):
+    """Every stored coefficient of nested lists of Polys and RatFuncs."""
+    for v in values:
+        if isinstance(v, (list, tuple)):
+            yield from stored(v)
+        elif isinstance(v, RatFunc):
+            yield from stored((v.num, v.den))
+        else:
+            yield from v.terms.values()
+
+
+def assert_stored_exactly(values):
+    for c in stored(values):
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), c
+
+
+def test_stored_coefficients_are_ints_when_integral_random():
+    rng = rng_for("symcore-stored")
+    for variables in (X1, ("x1", "x2"), XV):
+        for _ in range(8):
+            p, q = (rand_poly(rng, variables, nonzero=True) for _ in range(2))
+            f, g = (rand_ratfunc(rng, variables) for _ in range(2))
+            values = [
+                p + q, p - q, -p, p * q, p * Fraction(2, 3), p * 3, q**3,
+                p.partial("x1"), poly_gcd(p * q, q * q), exact_div(p * q, q),
+                f + g, f - g, f * g, f**2, f**-1 if not f.is_zero() else f,
+                f.partial("x1"), P(f"({f}) * ({g}) - 3/({g} + 2)^2", variables),
+            ]
+            if not g.is_zero():
+                values += [f / g, solve_linear([[g, f], [0, g]], [f, 2])]
+            assert_stored_exactly(values)
+
+
+def test_coefficient_divisions_store_exact_values():
+    # integer operands whose quotients are not integral, one per division
+    x1, one, two = P("x1").num, Poly.one(), Poly.const(2)
+    u = (x1 + one) * (x1 + two)
+    v = (x1 * 2 + one) * (x1 + one)  # Euclid's monic step divides by 2
+    values = {
+        "1/2*x1": RatFunc(x1, two),
+        "1/3*x1 + 1/3": exact_div(x1 + one, Poly.const(3)),
+        "1/2*x1 + 1/2": exact_div(x1 * x1 + x1, x1 * 2),
+        "x1 + 1": poly_gcd(u, v),
+        "x1 + 2": poly_gcd(Poly.zero(), x1 * 2 + Poly.const(4)),
+        "(1/2*x1 + 1/2)/(x2 + 2)": P("(x1 + 1)/(2*x2 + 4)"),
+    }
+    assert {text: str(value) for text, value in values.items()} == {
+        text: text for text in values
+    }
+    assert_stored_exactly(list(values.values()))
+
+
+def test_poly_refuses_floats():
+    with pytest.raises(TypeError):
+        Poly(X1, {(1,): 0.5})
+    with pytest.raises(TypeError):
+        Poly.const(1.0)
+    with pytest.raises(TypeError):
+        P("x1").num * 0.5
+    assert Poly(X1, {(1,): Fraction(4, 2)}).terms == {(1,): 2}
+    assert type(Poly(X1, {(1,): True}).terms[(1,)]) is int
+
+
+def test_public_coefficients_stay_fractions():
+    p = P("2*x1 + 1").num
+    assert p.terms == {(1,): 2, (0,): 1}
+    assert type(p.lead()[1]) is Fraction and p.lead()[1] == 2
+    assert type(Poly.const(3).constant()) is Fraction
+    assert type(Poly.zero().constant()) is Fraction
+    assert type(RatFunc.const(3).constant()) is Fraction
+    assert RatFunc.const(Fraction(1, 2)).constant() == Fraction(1, 2)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import primitive, rand_poly, rand_ratfunc, rng_for
-from fmanlin.symcore import Poly, RatFunc, parse_expr, poly_gcd
+from fmanlin.symcore import Poly, RatFunc, _primitive_assoc, exact_div, parse_expr, poly_gcd
 
 sympy = pytest.importorskip("sympy")
 
@@ -100,3 +100,21 @@ def test_parse_expr_matches_sympy():
             local = {v: sympy.Symbol(v) for v in variables}
             want = sympy.sympify(text.replace("^", "**"), locals=local)
             assert_same_function(parse_expr(text, variables), want, variables)
+
+
+def test_coefficient_divisions_match_sympy():
+    # integer operands whose quotients are not integral, one per division
+    x1, x2 = sympy.symbols("x1 x2")
+    X, XY = ("x1",), ("x1", "x2")
+    p = from_sympy(2 * x1 + 4, X)
+    assert _primitive_assoc(p) == primitive(p)
+    assert exact_div(from_sympy(x1 + 1, X), Poly.const(3)) == from_sympy((x1 + 1) / 3, X)
+    q = exact_div(from_sympy(x1**2 + x1, X), from_sympy(2 * x1, X))
+    assert q == from_sympy((x1 + 1) / 2, X)
+    # Euclid's monic step divides by the leading coefficient 2
+    u, v = (x1 + 1) * (x1 + 2), (2 * x1 + 1) * (x1 + 1)
+    want = primitive(from_sympy(sympy.gcd(u, v), X))
+    assert poly_gcd(from_sympy(sympy.expand(u), X), from_sympy(sympy.expand(v), X)) == want
+    assert_same_function(RatFunc(Poly.variable("x1"), Poly.const(2)), x1 / 2, X)
+    text = "(x1 + 1)/(2*x2 + 4)"
+    assert_same_function(parse_expr(text, XY), (x1 + 1) / (2 * x2 + 4), XY)
