@@ -11,7 +11,6 @@ diagnostic tool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, combinations_with_replacement, product
 
@@ -31,7 +30,7 @@ from .fman import (
     _vscale,
 )
 from .report import Report
-from .symcore import RatFunc, SingularMatrixError, _inverse
+from .symcore import RatFunc, SingularMatrixError, _Frozen, _inverse
 from .tensor import Chart, Connection, TensorField, _acc, _vadd, _vsub
 
 __all__ = [
@@ -191,19 +190,16 @@ def _euler_to_vec(chart: Chart, euler) -> dict:
     return {a: f for a, f in enumerate(comps) if not f.is_zero()}
 
 
-@dataclass(frozen=True, eq=False)
-class FlatFStructure:
+class FlatFStructure(_Frozen):
     """Base product data with a compatible flat connection, verified on construction."""
 
-    base: BaseFManifold
-    nabla: Connection
-    euler: tuple | None = None
-
-    def __post_init__(self):
-        if self.euler is not None:
-            euler = tuple(RatFunc.coerce(v) for v in self.euler)
-            object.__setattr__(self, "euler", euler)
-        _require("FlatFStructure", check_flat_f(self.base, self.nabla, self.euler))
+    def __init__(
+        self, base: BaseFManifold, nabla: Connection, euler: tuple | None = None
+    ):
+        if euler is not None:
+            euler = tuple(RatFunc.coerce(v) for v in euler)
+        self._set(base=base, nabla=nabla, euler=euler)
+        _require("FlatFStructure", check_flat_f(base, nabla, euler))
 
     def verify(self) -> Report:
         return check_flat_f(self.base, self.nabla, self.euler)

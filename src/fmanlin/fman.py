@@ -18,13 +18,12 @@ dicts, base vector fields as ``{base index: RatFunc}`` dicts.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby, permutations
 from types import MappingProxyType
 
 from .report import Report
-from .symcore import RatFunc
+from .symcore import RatFunc, _Frozen
 from .tensor import (
     Chart,
     LinearComponents,
@@ -78,8 +77,7 @@ class PreconditionError(RuntimeError):
 # -- data model ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class LinearVectorField:
+class LinearVectorField(_Frozen):
     """Vector field ``sum_a beta^a dx_a + sum_{j,m} lam[j][m] xi^m dxi_j``.
 
     Base-only coefficients make this exactly a fiberwise-linear vector field;
@@ -87,15 +85,10 @@ class LinearVectorField:
     rejected at construction.
     """
 
-    chart: Chart
-    beta: tuple
-    lam: tuple
-
-    def __post_init__(self):
-        chart = self.chart
+    def __init__(self, chart: Chart, beta: tuple, lam: tuple):
         beta = tuple(
             chart.require_base_only(RatFunc.coerce(v), "base coefficient")
-            for v in self.beta
+            for v in beta
         )
         if len(beta) != chart.n:
             raise ValueError(f"expected {chart.n} base coefficients, got {len(beta)}")
@@ -104,12 +97,11 @@ class LinearVectorField:
                 chart.require_base_only(RatFunc.coerce(v), "fiber matrix entry")
                 for v in row
             )
-            for row in self.lam
+            for row in lam
         )
         if len(lam) != chart.k or any(len(row) != chart.k for row in lam):
             raise ValueError(f"fiber matrix must be {chart.k}x{chart.k}")
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "lam", lam)
+        self._set(chart=chart, beta=beta, lam=lam)
 
     @staticmethod
     def zero(chart: Chart) -> "LinearVectorField":
@@ -154,22 +146,16 @@ class LinearVectorField:
         return LinearVectorField(self.chart.dual(), self.beta, lam_t)
 
 
-@dataclass(frozen=True, eq=False)
-class MultComponents:
+class MultComponents(_Frozen):
     """Frame tables ``(d, l, star)`` of a fiberwise-linear multiplication.
 
     The tables are frozen at construction, so :attr:`rows`, compiled from
     them on first use, never goes stale.
     """
 
-    chart: Chart
-    d: dict
-    l: dict
-    star: dict
-
-    def __post_init__(self):
-        chart = self.chart
+    def __init__(self, chart: Chart, d: dict, l: dict, star: dict):
         n, k = chart.n, chart.k
+        tables = {"d": d, "l": l, "star": star}
         for name, bounds, what in (
             ("d", (k, k, n, n), "derivative"),
             ("l", (k, k, n), "side"),
@@ -177,12 +163,13 @@ class MultComponents:
         ):
             table = _checked_table(
                 chart,
-                getattr(self, name),
+                tables[name],
                 _box(*bounds),
                 f"bad {what}-table key",
                 f"{what} table entry",
             )
-            object.__setattr__(self, name, MappingProxyType(table))
+            tables[name] = MappingProxyType(table)
+        self._set(chart=chart, **tables)
 
     @cached_property
     def rows(self) -> "_Rows":
@@ -236,25 +223,17 @@ class MultComponents:
         return cls(chart=comps.chart, d=comps.d, l=comps.ls[0], star=comps.basic)
 
 
-@dataclass(frozen=True, eq=False)
-class BaseFManifold:
+class BaseFManifold(_Frozen):
     """Base-chart product data: a star table over a chart with no fibers."""
 
-    chart: Chart
-    star: dict
-    unit: tuple
-
-    def __post_init__(self):
-        if self.chart.k != 0:
+    def __init__(self, chart: Chart, star: dict, unit: tuple):
+        if chart.k != 0:
             raise ValueError("base data must live on a chart without fibers")
-        unit = tuple(RatFunc.coerce(v) for v in self.unit)
-        if len(unit) != self.chart.n:
-            raise ValueError(f"unit field needs {self.chart.n} components")
-        star = clean_table(
-            {tuple(k): RatFunc.coerce(v) for k, v in self.star.items()}
-        )
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "star", star)
+        unit = tuple(RatFunc.coerce(v) for v in unit)
+        if len(unit) != chart.n:
+            raise ValueError(f"unit field needs {chart.n} components")
+        star = clean_table({tuple(k): RatFunc.coerce(v) for k, v in star.items()})
+        self._set(chart=chart, star=star, unit=unit)
 
     def as_components(self) -> MultComponents:
         return MultComponents(chart=self.chart, d={}, l={}, star=self.star)
@@ -509,13 +488,12 @@ class _Ctx:
         return out
 
 
-@dataclass(frozen=True)
-class _Identity:
-    law: str
-    kind: str  # "scalar", "vector" or "oracle"
-    space: str  # index space; empty for an oracle
-    fn: object
-    support: object = None  # none for an oracle
+class _Identity(_Frozen):
+    """A declared record: ``kind`` is "scalar", "vector" or "oracle", and an
+    oracle has an empty index ``space`` and no ``support``."""
+
+    def __init__(self, law: str, kind: str, space: str, fn, support=None):
+        self._set(law=law, kind=kind, space=space, fn=fn, support=support)
 
 
 _IDENTITIES: dict = {}  # record name -> _Identity

@@ -20,7 +20,6 @@ into the first slot, then ``X`` into the (new) first slot, so its value on
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -44,7 +43,7 @@ from .fman import (
 )
 from .prolong import conjugate, conjugate_unit, generalized_prolongation
 from .report import Report
-from .symcore import RatFunc
+from .symcore import RatFunc, _Frozen
 from .tensor import (
     Chart,
     Connection,
@@ -83,28 +82,20 @@ _TWO = RatFunc.coerce(2)
 # -- domain types ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class GenSection:
+class GenSection(_Frozen):
     """Section ``X + xi`` of the double bundle, both parts base-only."""
 
-    chart: Chart
-    vec: tuple
-    form: tuple
-
-    def __post_init__(self):
-        chart = self.chart
+    def __init__(self, chart: Chart, vec: tuple, form: tuple):
         vec = tuple(
-            chart.require_base_only(RatFunc.coerce(v), "vector part")
-            for v in self.vec
+            chart.require_base_only(RatFunc.coerce(v), "vector part") for v in vec
         )
         form = tuple(
             chart.require_base_only(RatFunc.coerce(v), "covector part")
-            for v in self.form
+            for v in form
         )
         if len(vec) != chart.n or len(form) != chart.n:
             raise ValueError(f"both parts need {chart.n} components")
-        object.__setattr__(self, "vec", vec)
-        object.__setattr__(self, "form", form)
+        self._set(chart=chart, vec=vec, form=form)
 
     def __eq__(self, other):
         if not isinstance(other, GenSection):
@@ -500,8 +491,7 @@ def bfield_transform(
     return conjugate(c, iso), conjugate_unit(e, iso)
 
 
-@dataclass(frozen=True, eq=False)
-class BFieldData:
+class BFieldData(_Frozen):
     """Difference tables of a candidate against the double prolongation.
 
     ``b[(m, p, z, v)]`` is the ``dx^v`` component of the derivative-table
@@ -513,13 +503,7 @@ class BFieldData:
     in its last two slots and ``s`` is skew.
     """
 
-    chart: Chart
-    b: dict
-    a: dict
-    s: dict
-
-    def __post_init__(self):
-        chart = self.chart
+    def __init__(self, chart: Chart, b: dict, a: dict, s: dict):
         if chart.k != 0:
             raise ValueError("difference tables live on the base chart")
         n = chart.n
@@ -531,7 +515,7 @@ class BFieldData:
                 "bad difference key",
                 "difference entry",
             )
-            for table, width in ((self.b, 4), (self.a, 3), (self.s, 2))
+            for table, width in ((b, 4), (a, 3), (s, 2))
         )
         for m, p, q in product(range(n), repeat=3):
             if a.get((m, p, q), _ZERO) != a.get((m, q, p), _ZERO):
@@ -541,9 +525,7 @@ class BFieldData:
         for m, q in product(range(n), repeat=2):
             if s.get((m, q), _ZERO) != -s.get((q, m), _ZERO):
                 raise ValueError(f"unit difference is not skew at {(m, q)}")
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "s", s)
+        self._set(chart=chart, b=b, a=a, s=s)
 
     def __eq__(self, other):
         if not isinstance(other, BFieldData):

@@ -35,7 +35,6 @@ construction, so equality is structural.  A model text has at most
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .fman import LinearVectorField, MultComponents
@@ -57,18 +56,28 @@ class ModelError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(eq=False)
 class ModelFile:
     """Parsed model: component tables plus the optional extras."""
 
-    components: MultComponents
-    unit: LinearVectorField | None = None
-    eulers: dict = field(default_factory=dict)
-    connection: Connection | None = None
-    gamma: TwoForm | None = None
-    twist: ThreeForm | None = None
-    name: str = ""
-    description: str = ""
+    def __init__(
+        self,
+        components: MultComponents,
+        unit: LinearVectorField | None = None,
+        eulers: dict | None = None,
+        connection: Connection | None = None,
+        gamma: TwoForm | None = None,
+        twist: ThreeForm | None = None,
+        name: str = "",
+        description: str = "",
+    ):
+        self.components = components
+        self.unit = unit
+        self.eulers = {} if eulers is None else eulers
+        self.connection = connection
+        self.gamma = gamma
+        self.twist = twist
+        self.name = name
+        self.description = description
 
     @property
     def chart(self) -> Chart:

@@ -11,7 +11,6 @@ battery verdict and are reused by the generalized-geometry layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .fman import (
@@ -30,7 +29,7 @@ from .fman import (
     _vf_bracket,
 )
 from .report import Report
-from .symcore import RatFunc, SingularMatrixError, _inverse
+from .symcore import RatFunc, SingularMatrixError, _Frozen, _inverse
 from .tensor import Chart, Connection, _acc, _vadd, _vsub, table_eq
 
 __all__ = [
@@ -51,8 +50,7 @@ _ZERO = RatFunc.zero()
 _KINDS = ("tangent", "cotangent", "generalized")
 
 
-@dataclass(frozen=True, eq=False)
-class ProlongedStructure:
+class ProlongedStructure(_Frozen):
     """A prolonged multiplication with its unit and construction data.
 
     ``kind`` records which construction produced it; the fiber rank is the
@@ -62,28 +60,32 @@ class ProlongedStructure:
     than arbitrary extensions.
     """
 
-    kind: str
-    components: MultComponents
-    unit: LinearVectorField
-    source: BaseFManifold
-    nabla: Connection | None = None
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown prolongation kind {self.kind!r}")
-        n = self.source.chart.n
-        want = 2 * n if self.kind == "generalized" else n
-        if self.components.rank != want:
+    def __init__(
+        self,
+        kind: str,
+        components: MultComponents,
+        unit: LinearVectorField,
+        source: BaseFManifold,
+        nabla: Connection | None = None,
+    ):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown prolongation kind {kind!r}")
+        n = source.chart.n
+        want = 2 * n if kind == "generalized" else n
+        if components.rank != want:
             raise ValueError(
-                f"{self.kind} prolongation needs fiber rank {want}, "
-                f"got {self.components.rank}"
+                f"{kind} prolongation needs fiber rank {want}, "
+                f"got {components.rank}"
             )
-        if self.unit.chart != self.components.chart:
+        if unit.chart != components.chart:
             raise ValueError("unit field lives on a different chart")
-        if self.components.chart.base_names != self.source.chart.base_names:
+        if components.chart.base_names != source.chart.base_names:
             raise ValueError("prolongation must sit over the source base chart")
-        if not table_eq(self.components.star, self.source.star):
+        if not table_eq(components.star, source.star):
             raise ValueError("basic component must equal the source product")
+        self._set(
+            kind=kind, components=components, unit=unit, source=source, nabla=nabla
+        )
 
     def verify(self) -> Report:
         rep = check_battery(self.components, self.unit)

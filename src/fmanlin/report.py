@@ -12,14 +12,14 @@ timestamps, so two runs over the same input produce identical bytes.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from operator import attrgetter
+
+from .symcore import _Value
 
 __all__ = ["CheckRecord", "Report"]
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(_Value):
     """Verdict for a single named identity.
 
     ``law`` is the display form of the identity being tested.  On failure,
@@ -29,11 +29,19 @@ class CheckRecord:
     identity instance.
     """
 
-    name: str
-    law: str
-    passed: bool
-    witness: tuple | None = None
-    residual: str | None = None
+    _key = attrgetter("name", "law", "passed", "witness", "residual")
+
+    def __init__(
+        self,
+        name: str,
+        law: str,
+        passed: bool,
+        witness: tuple | None = None,
+        residual: str | None = None,
+    ):
+        self._set(
+            name=name, law=law, passed=passed, witness=witness, residual=residual
+        )
 
     def to_dict(self) -> dict:
         body = {"name": self.name, "law": self.law, "passed": self.passed}
@@ -43,13 +51,23 @@ class CheckRecord:
         return body
 
 
-@dataclass
 class Report:
     """Ordered collection of check records with an overall verdict."""
 
-    title: str
-    records: list[CheckRecord] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    def __init__(
+        self,
+        title: str,
+        records: list[CheckRecord] | None = None,
+        notes: list[str] | None = None,
+    ):
+        self.title = title
+        self.records = [] if records is None else records
+        self.notes = [] if notes is None else notes
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def passed(self) -> bool:
@@ -123,6 +141,8 @@ class Report:
         }
 
     def to_json(self) -> str:
+        import json  # only ``--json`` stages pay for loading it
+
         return json.dumps(self.to_dict(), indent=2)
 
     def render(self) -> str:

@@ -2,7 +2,8 @@
 
 Multivariate polynomials and rational functions over exact rationals, symbolic
 partial derivatives, a recursive-descent parser for the expression language
-used by model files, and fraction-free linear solving.
+used by model files, and fraction-free linear solving; also the immutable
+record base (``_Frozen``) of the package's value types.
 
 All values are immutable and kept in a canonical form (graded-lexicographic
 term order, coprime numerator/denominator, integer-primitive denominator with
@@ -59,6 +60,46 @@ def _var_key(name: str) -> tuple[str, int]:
 
 def _grlex(exp: tuple[int, ...]) -> tuple:
     return (sum(exp), exp)
+
+
+# -- immutable record types ---------------------------------------------------
+
+
+class _Frozen:
+    """Base of the package's immutable record types.
+
+    ``__init__`` stores the fields through :meth:`_set`; after that,
+    assignment and deletion raise ``AttributeError``.  A ``cached_property``
+    still fills in, as it writes the instance ``__dict__`` directly.
+    """
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Value(_Frozen):
+    """A :class:`_Frozen` type that compares and hashes by its fields.
+
+    Each subclass sets ``_key`` to an ``operator.attrgetter`` of its fields.
+    """
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+
+# -- polynomials ----------------------------------------------------------------
 
 
 class Poly:

@@ -14,10 +14,10 @@ base-manifold tensor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from operator import attrgetter
 
-from .symcore import RatFunc
+from .symcore import RatFunc, _Frozen, _Value
 
 __all__ = [
     "Chart",
@@ -95,17 +95,16 @@ def _checked_table(chart: "Chart", table: dict, key_ok, bad_key: str, entry: str
     return out
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(_Value):
     """Coordinates on a trivialized bundle: base names plus fiber names."""
 
-    base_names: tuple[str, ...]
-    fiber_names: tuple[str, ...]
+    _key = attrgetter("base_names", "fiber_names")
 
-    def __post_init__(self):
-        names = self.base_names + self.fiber_names
+    def __init__(self, base_names: tuple[str, ...], fiber_names: tuple[str, ...]):
+        names = base_names + fiber_names
         if len(set(names)) != len(names):
             raise ValueError("chart coordinate names must be distinct")
+        self._set(base_names=base_names, fiber_names=fiber_names)
 
     @staticmethod
     def standard(n: int, k: int, fiber: str = "xi") -> "Chart":
@@ -163,18 +162,17 @@ class Chart:
         return value
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(_Value):
     """A section of the bundle: one base-only coefficient per fiber direction."""
 
-    chart: Chart
-    components: tuple[RatFunc, ...]
+    _key = attrgetter("chart", "components")
 
-    def __post_init__(self):
-        if len(self.components) != self.chart.k:
+    def __init__(self, chart: Chart, components: tuple[RatFunc, ...]):
+        if len(components) != chart.k:
             raise ValueError("section needs one component per fiber direction")
-        for c in self.components:
-            self.chart.require_base_only(c, "section component")
+        for c in components:
+            chart.require_base_only(c, "section component")
+        self._set(chart=chart, components=components)
 
     @staticmethod
     def frame(chart: Chart, j: int) -> "Section":
@@ -406,8 +404,7 @@ def scaling_class(t: TensorField) -> str:
     return "neither"
 
 
-@dataclass(frozen=True, eq=False)
-class LinearComponents:
+class LinearComponents(_Frozen):
     """Frame components of a linear (p, 1) tensor field.
 
     ``d`` maps ``(i, j, b1..bp)`` to the coefficient of ``s_i`` in the
@@ -417,11 +414,8 @@ class LinearComponents:
     base-only.
     """
 
-    chart: Chart
-    p: int
-    d: dict
-    ls: tuple
-    basic: dict
+    def __init__(self, chart: Chart, p: int, d: dict, ls: tuple, basic: dict):
+        self._set(chart=chart, p=p, d=d, ls=ls, basic=basic)
 
     def __eq__(self, other):
         if not isinstance(other, LinearComponents):
@@ -618,27 +612,19 @@ def assemble(comps: LinearComponents) -> TensorField:
 # -- base value types: a connection and differential forms --------------------
 
 
-@dataclass(frozen=True, eq=False)
-class Connection:
+class Connection(_Frozen):
     """Christoffel table of a linear connection on the base coordinates.
 
     ``gamma[(k, i, j)]`` is the ``dx_k`` component of the covariant derivative
     of ``dx_j`` along ``dx_i``; missing entries are zero.
     """
 
-    chart: Chart
-    gamma: dict
-
-    def __post_init__(self):
-        n = self.chart.n
+    def __init__(self, chart: Chart, gamma: dict):
+        n = chart.n
         gamma = _checked_table(
-            self.chart,
-            self.gamma,
-            _box(n, n, n),
-            "bad christoffel key",
-            "christoffel entry",
+            chart, gamma, _box(n, n, n), "bad christoffel key", "christoffel entry"
         )
-        object.__setattr__(self, "gamma", gamma)
+        self._set(chart=chart, gamma=gamma)
 
     @staticmethod
     def zero(chart: Chart) -> "Connection":
@@ -666,23 +652,19 @@ def _sorted_with_parity(idx):
     return tuple(order), sign
 
 
-@dataclass(frozen=True, eq=False)
-class TwoForm:
+class TwoForm(_Frozen):
     """Antisymmetric two-form stored by its strictly increasing index pairs."""
 
-    chart: Chart
-    table: dict
-
-    def __post_init__(self):
-        n = self.chart.n
+    def __init__(self, chart: Chart, table: dict):
+        n = chart.n
         table = _checked_table(
-            self.chart,
-            self.table,
+            chart,
+            table,
             lambda key: len(key) == 2 and 0 <= key[0] < key[1] < n,
             "two-form keys must be increasing pairs, got",
             "two-form entry",
         )
-        object.__setattr__(self, "table", table)
+        self._set(chart=chart, table=table)
 
     def __eq__(self, other):
         if not isinstance(other, TwoForm):
@@ -735,23 +717,19 @@ class TwoForm:
         return ThreeForm(self.chart, table)
 
 
-@dataclass(frozen=True, eq=False)
-class ThreeForm:
+class ThreeForm(_Frozen):
     """Antisymmetric three-form stored by its strictly increasing index triples."""
 
-    chart: Chart
-    table: dict
-
-    def __post_init__(self):
-        n = self.chart.n
+    def __init__(self, chart: Chart, table: dict):
+        n = chart.n
         table = _checked_table(
-            self.chart,
-            self.table,
+            chart,
+            table,
             lambda key: len(key) == 3 and 0 <= key[0] < key[1] < key[2] < n,
             "three-form keys must be increasing triples, got",
             "three-form entry",
         )
-        object.__setattr__(self, "table", table)
+        self._set(chart=chart, table=table)
 
     def __eq__(self, other):
         if not isinstance(other, ThreeForm):

@@ -20,15 +20,20 @@ def model(name: str) -> str:
     return str(MODELS / name)
 
 
+def child_env(**extra):
+    """This environment, importing this checkout's ``src`` first, plus ``extra``."""
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), **extra}
+
+
 def fresh_python(*argv, input_text=None):
     """Run ``python argv...`` in a fresh interpreter that imports this checkout's ``src``."""
-    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     return subprocess.run(
         [sys.executable, *argv],
         capture_output=True,
         text=True,
         input=input_text,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+        env=child_env(),
     )
 
 
@@ -326,6 +331,49 @@ def test_reports_are_byte_stable():
     assert first.returncode == second.returncode == 0
 
 
+def run_cli_latin1(*argv, stdin=b""):
+    """Run the CLI in a fresh interpreter whose stdio encoding is latin-1."""
+    return subprocess.run(
+        [sys.executable, "-m", "fmanlin.cli", *argv],
+        capture_output=True,
+        input=stdin,
+        env=child_env(PYTHONIOENCODING="latin-1"),
+    )
+
+
+@pytest.fixture
+def moebius(tmp_path):
+    """The plane base model described as ``Möbius band``, written as UTF-8."""
+    lines = (MODELS / "plane-base.fman").read_text(encoding="utf-8").splitlines()
+    assert lines[1].startswith("description = ")
+    lines[1] = "description = Möbius band"
+    path = tmp_path / "moebius.fman"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_model_text_on_stdout_is_utf8_whatever_the_stdio_encoding(moebius):
+    built = run_cli_latin1("prolong", "tangent", str(moebius))
+    assert built.returncode == 0, built.stderr
+    assert "description = Möbius band\n".encode("utf-8") in built.stdout
+    piped = moebius.parent / "piped.fman"
+    piped.write_bytes(built.stdout)
+    checked = run_cli_latin1("check", str(piped))
+    assert checked.returncode == 0, checked.stderr
+    assert load(piped).description == "Möbius band"
+
+
+def test_model_text_on_stdin_is_utf8_whatever_the_stdio_encoding(moebius):
+    out = moebius.parent / "out.fman"
+    built = run_cli_latin1(
+        "prolong", "tangent", "-", "--out", str(out), stdin=moebius.read_bytes()
+    )
+    assert built.returncode == 0, built.stderr
+    assert load(out).description == "Möbius band"
+    through = run_cli_latin1("prolong", "tangent", "-", stdin=moebius.read_bytes())
+    assert through.stdout == run_cli_latin1("prolong", "tangent", str(moebius)).stdout
+
+
 def test_constructed_models_round_trip():
     built = run_cli("prolong", "cotangent", model("plane-base.fman"))
     m = loads(built.stdout)
@@ -343,11 +391,15 @@ _DUALITY = _CHECK | {"duality"}
 _ALL = _PROLONG | _DUALITY | {"gengeo"}
 
 _LOADED_MODULES = """
-import contextlib, io, json, sys
+import sys
+before = set(sys.modules)
+import io
 from fmanlin.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    code = main(sys.argv[1:])
-loaded = sorted(m[len("fmanlin."):] for m in sys.modules if m.startswith("fmanlin."))
+sys.stdout = io.StringIO()
+code = main(sys.argv[1:])
+sys.stdout = sys.__stdout__
+loaded = sorted(set(sys.modules) - before)
+import json
 print(json.dumps([code, loaded]))
 """
 
@@ -374,6 +426,10 @@ def sheared_model(tmp_path_factory):
         (["dualize", "line.fman"], _DUALITY),
         (["bfield", "gen"], _ALL),
         (["courant-classify", "sheared"], _ALL),
+        (["check", "plane.fman", "--json"], _CHECK),
+        (["euler-check", "plane.fman", "--candidate", "E1", "--json"], _CHECK),
+        (["five-field", "plane-base.fman", "--json"], _PROLONG),
+        (["courant-classify", "sheared", "--json"], _ALL),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
@@ -387,7 +443,11 @@ def test_each_command_loads_only_the_modules_it_runs(sheared_model, argv, module
     assert ran.returncode == 0, ran.stderr
     code, loaded = json.loads(ran.stdout)
     assert code == 0
-    assert set(loaded) == modules
+    assert {m[len("fmanlin.") :] for m in loaded if m.startswith("fmanlin.")} == modules
+    # stdlib modules too: no stage needs dataclasses (which pulls in inspect,
+    # ast, dis and tokenize), and only a --json stage needs json
+    assert not {"dataclasses", "inspect"} & set(loaded)
+    assert ("json" in loaded) == ("--json" in argv)
 
 
 def test_value_types_are_shared_across_modules():
@@ -396,3 +456,76 @@ def test_value_types_are_shared_across_modules():
     assert duality.Connection is tensor.Connection
     assert gengeo.TwoForm is tensor.TwoForm
     assert gengeo.ThreeForm is tensor.ThreeForm
+
+
+def test_record_types_keep_their_semantics():
+    from fmanlin import duality, fman, gengeo, prolong
+    from fmanlin.modelfile import ModelFile
+    from fmanlin.report import CheckRecord, Report
+    from fmanlin.symcore import RatFunc
+    from fmanlin.tensor import Chart, Connection, Section, ThreeForm, TwoForm
+
+    chart, line = Chart.standard(1, 2), Chart.standard(1, 0)
+    c = fman.MultComponents(chart=chart, d={}, l={(0, 0, 0): 1}, star={(0, 0, 0): 1})
+    assert c.rows is c.rows  # a cached_property still fills in
+    base = fman.BaseFManifold(chart=line, star={(0, 0, 0): 1}, unit=(1,))
+    nabla = Connection(chart=line, gamma={})
+    tan = prolong.tangent_prolongation(base)
+    prol = prolong.ProlongedStructure(
+        kind="tangent", components=tan.components, unit=tan.unit, source=base
+    )
+    record = CheckRecord(
+        name="r", law="a = b", passed=False, witness=(0,), residual="x"
+    )
+    frozen = [
+        (chart, "base_names"),
+        (Section(chart, (RatFunc.one(), RatFunc.zero())), "components"),
+        (c.to_linear(), "ls"),
+        (nabla, "gamma"),
+        (TwoForm(chart=line, table={}), "table"),
+        (ThreeForm(chart=line, table={}), "table"),
+        (fman.LinearVectorField(chart=line, beta=(1,), lam=()), "beta"),
+        (c, "star"),
+        (base, "unit"),
+        (fman._IDENTITIES["star-symmetric"], "support"),
+        (gengeo.GenSection(chart=line, vec=(1,), form=(0,)), "form"),
+        (gengeo.BFieldData(chart=line, b={}, a={}, s={}), "b"),
+        (duality.FlatFStructure(base=base, nabla=nabla), "euler"),
+        (prol, "kind"),
+        (record, "witness"),
+    ]
+    for obj, field in frozen:
+        value = getattr(obj, field)
+        with pytest.raises(AttributeError):
+            setattr(obj, field, value)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+        with pytest.raises(AttributeError):
+            obj.extra = 1
+        assert getattr(obj, field) is value
+    # fresh default containers, and the mutable types stay mutable
+    first, second = Report("t"), Report("t")
+    assert first.records is not second.records and first.notes is not second.notes
+    first.title = "u"
+    assert ModelFile(c).eulers is not ModelFile(c).eulers
+    # field-wise equality and hashing where the decorator gave it
+    twin = CheckRecord("r", "a = b", False, (0,), "x")
+    pairs = [
+        (chart, Chart(("x1",), ("xi1", "xi2")), Chart.standard(1, 1)),
+        (Section.frame(chart, 0), Section.frame(chart, 0), Section.frame(chart, 1)),
+        (record, twin, CheckRecord("r", "a = b", False, (0,), "y")),
+    ]
+    for obj, equal, other in pairs:
+        assert obj == equal and hash(obj) == hash(equal) and {obj: 1}[equal] == 1
+        assert obj != other and obj != tuple(vars(obj).values())
+    assert Report("t", [record]) == Report("t", [twin]) != Report("t")
+    with pytest.raises(TypeError):
+        hash(Report("t"))
+    # the eq=False types keep their own == (and stay unhashable) or identity
+    again = fman.MultComponents(chart, {}, {(0, 0, 0): 1}, {(0, 0, 0): 1})
+    assert c == again and c is not again
+    with pytest.raises(TypeError):
+        hash(c)
+    fields = (prol.kind, prol.components, prol.unit, prol.source, prol.nabla)
+    assert prol != prolong.ProlongedStructure(*fields)
+    assert {prol: 1}[prol] == 1

@@ -1,7 +1,6 @@
 """Battery checks for fiberwise-linear multiplications."""
 
 from collections import defaultdict
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -355,7 +354,10 @@ def test_defect_tensor_shares_no_code_with_the_table_residuals(monkeypatch):
     monkeypatch.setattr(fman._Ctx, "lie_frame", forbidden)
     for name, ident in fman._IDENTITIES.items():
         if ident.support is not None:
-            monkeypatch.setitem(fman._IDENTITIES, name, replace(ident, support=forbidden))
+            guarded = fman._Identity(
+                ident.law, ident.kind, ident.space, ident.fn, forbidden
+            )
+            monkeypatch.setitem(fman._IDENTITIES, name, guarded)
     defect = hm_tensor(t)
     assert not defect.is_zero()
     again = evaluate_residual("integrability-oracle", min(defect.coeffs), bad)
