@@ -241,7 +241,7 @@ def dualize(c: MultComponents, e: LinearVectorField, nabla: Connection):
             if not g.is_zero():
                 val = val - g * c.l_at(j, i, a)
         dual_d[(i, j, k, p)] = val
-    dual = MultComponents(chart=chart.dual(), d=dual_d, l=dual_l, star=dict(c.star))
+    dual = MultComponents(chart=chart.dual(), d=dual_d, l=dual_l, star=c.star)
     return dual, e.dual()
 
 

@@ -20,10 +20,10 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import cached_property
 from itertools import groupby, permutations
-from types import MappingProxyType
+from operator import attrgetter
 
 from .report import Report
-from .symcore import RatFunc, _Frozen
+from .symcore import RatFunc, _Frozen, _Value
 from .tensor import (
     Chart,
     LinearComponents,
@@ -34,10 +34,8 @@ from .tensor import (
     _vadd,
     _vsub,
     assemble,
-    clean_table,
     extract_components,
     lie_derivative,
-    table_eq,
 )
 
 __all__ = [
@@ -77,13 +75,15 @@ class PreconditionError(RuntimeError):
 # -- data model ---------------------------------------------------------------
 
 
-class LinearVectorField(_Frozen):
+class LinearVectorField(_Value):
     """Vector field ``sum_a beta^a dx_a + sum_{j,m} lam[j][m] xi^m dxi_j``.
 
     Base-only coefficients make this exactly a fiberwise-linear vector field;
     candidates with e.g. quadratic fiber parts are unrepresentable and get
     rejected at construction.
     """
+
+    _key = attrgetter("chart", "beta", "lam")
 
     def __init__(self, chart: Chart, beta: tuple, lam: tuple):
         beta = tuple(
@@ -109,15 +109,6 @@ class LinearVectorField(_Frozen):
             chart, (_ZERO,) * chart.n, ((_ZERO,) * chart.k,) * chart.k
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, LinearVectorField):
-            return NotImplemented
-        return (
-            self.chart == other.chart
-            and self.beta == other.beta
-            and self.lam == other.lam
-        )
-
     def as_field(self) -> TensorField:
         comps = list(self.beta)
         for j in range(self.chart.k):
@@ -133,12 +124,7 @@ class LinearVectorField(_Frozen):
         return {a: v for a, v in enumerate(self.beta) if not v.is_zero()}
 
     def base_apply(self, f: RatFunc) -> RatFunc:
-        names = self.chart.names
-        acc = _ZERO
-        for a, v in enumerate(self.beta):
-            if not v.is_zero():
-                acc = acc + v * f.partial(names[a])
-        return acc
+        return _vf_apply(self.chart, self.base_vec(), f)
 
     def dual(self) -> "LinearVectorField":
         k = self.chart.k
@@ -146,12 +132,14 @@ class LinearVectorField(_Frozen):
         return LinearVectorField(self.chart.dual(), self.beta, lam_t)
 
 
-class MultComponents(_Frozen):
+class MultComponents(_Value):
     """Frame tables ``(d, l, star)`` of a fiberwise-linear multiplication.
 
     The tables are frozen at construction, so :attr:`rows`, compiled from
     them on first use, never goes stale.
     """
+
+    _key = attrgetter("chart", "d", "l", "star")
 
     def __init__(self, chart: Chart, d: dict, l: dict, star: dict):
         n, k = chart.n, chart.k
@@ -161,30 +149,19 @@ class MultComponents(_Frozen):
             ("l", (k, k, n), "side"),
             ("star", (n, n, n), "star"),
         ):
-            table = _checked_table(
+            tables[name] = _checked_table(
                 chart,
                 tables[name],
                 _box(*bounds),
                 f"bad {what}-table key",
                 f"{what} table entry",
             )
-            tables[name] = MappingProxyType(table)
         self._set(chart=chart, **tables)
 
     @cached_property
     def rows(self) -> "_Rows":
         """The tables as sparse rows, for the frame operators."""
         return _Rows(self)
-
-    def __eq__(self, other):
-        if not isinstance(other, MultComponents):
-            return NotImplemented
-        return (
-            self.chart == other.chart
-            and table_eq(self.d, other.d)
-            and table_eq(self.l, other.l)
-            and table_eq(self.star, other.star)
-        )
 
     @property
     def n(self) -> int:
@@ -216,15 +193,17 @@ class MultComponents(_Frozen):
         comps = extract_components(t)
         if comps.p != 2:
             raise ValueError("expected a (2,1) tensor field")
-        if not table_eq(comps.ls[0], comps.ls[1]):
+        if comps.ls[0] != comps.ls[1]:
             raise ValueError(
                 "the two side tables differ; not a commutative candidate"
             )
         return cls(chart=comps.chart, d=comps.d, l=comps.ls[0], star=comps.basic)
 
 
-class BaseFManifold(_Frozen):
+class BaseFManifold(_Value):
     """Base-chart product data: a star table over a chart with no fibers."""
+
+    _key = attrgetter("chart", "star", "unit")
 
     def __init__(self, chart: Chart, star: dict, unit: tuple):
         if chart.k != 0:
@@ -232,7 +211,10 @@ class BaseFManifold(_Frozen):
         unit = tuple(RatFunc.coerce(v) for v in unit)
         if len(unit) != chart.n:
             raise ValueError(f"unit field needs {chart.n} components")
-        star = clean_table({tuple(k): RatFunc.coerce(v) for k, v in star.items()})
+        n = chart.n
+        star = _checked_table(
+            chart, star, _box(n, n, n), "bad star-table key", "star table entry"
+        )
         self._set(chart=chart, star=star, unit=unit)
 
     def as_components(self) -> MultComponents:
@@ -245,15 +227,6 @@ class BaseFManifold(_Frozen):
         rep = check_battery(self.as_components(), self.unit_field())
         rep.title = "base product battery"
         return rep
-
-    def __eq__(self, other):
-        if not isinstance(other, BaseFManifold):
-            return NotImplemented
-        return (
-            self.chart == other.chart
-            and table_eq(self.star, other.star)
-            and self.unit == other.unit
-        )
 
 
 class _Rows:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from operator import attrgetter
 
 from .duality import check_flat_f, dualize, symmetric_bracket
 from .fman import (
@@ -43,7 +44,7 @@ from .fman import (
 )
 from .prolong import conjugate, conjugate_unit, generalized_prolongation
 from .report import Report
-from .symcore import RatFunc, _Frozen
+from .symcore import RatFunc, _Value
 from .tensor import (
     Chart,
     Connection,
@@ -53,7 +54,6 @@ from .tensor import (
     _box,
     _checked_table,
     _vsub,
-    table_eq,
 )
 
 __all__ = [
@@ -82,8 +82,10 @@ _TWO = RatFunc.coerce(2)
 # -- domain types ---------------------------------------------------------------
 
 
-class GenSection(_Frozen):
+class GenSection(_Value):
     """Section ``X + xi`` of the double bundle, both parts base-only."""
+
+    _key = attrgetter("chart", "vec", "form")
 
     def __init__(self, chart: Chart, vec: tuple, form: tuple):
         vec = tuple(
@@ -96,15 +98,6 @@ class GenSection(_Frozen):
         if len(vec) != chart.n or len(form) != chart.n:
             raise ValueError(f"both parts need {chart.n} components")
         self._set(chart=chart, vec=vec, form=form)
-
-    def __eq__(self, other):
-        if not isinstance(other, GenSection):
-            return NotImplemented
-        return (
-            self.chart == other.chart
-            and self.vec == other.vec
-            and self.form == other.form
-        )
 
     @staticmethod
     def frame(chart: Chart, idx: int) -> "GenSection":
@@ -149,10 +142,7 @@ def _same_chart(s: GenSection, t: GenSection):
 def pairing(s: GenSection, t: GenSection) -> RatFunc:
     """``<X + xi, Y + eta> = (xi(Y) + eta(X)) / 2``."""
     _same_chart(s, t)
-    acc = _ZERO
-    for i in range(s.chart.n):
-        acc = acc + s.form[i] * t.vec[i] + t.form[i] * s.vec[i]
-    return _HALF * acc
+    return _pair_comps(s.chart.n, s.components(), t.components())
 
 
 def anchor(s: GenSection) -> tuple:
@@ -491,7 +481,7 @@ def bfield_transform(
     return conjugate(c, iso), conjugate_unit(e, iso)
 
 
-class BFieldData(_Frozen):
+class BFieldData(_Value):
     """Difference tables of a candidate against the double prolongation.
 
     ``b[(m, p, z, v)]`` is the ``dx^v`` component of the derivative-table
@@ -502,6 +492,8 @@ class BFieldData(_Frozen):
     on vector arguments and vanish on the covector block; ``a`` is symmetric
     in its last two slots and ``s`` is skew.
     """
+
+    _key = attrgetter("chart", "b", "a", "s")
 
     def __init__(self, chart: Chart, b: dict, a: dict, s: dict):
         if chart.k != 0:
@@ -527,16 +519,6 @@ class BFieldData(_Frozen):
                 raise ValueError(f"unit difference is not skew at {(m, q)}")
         self._set(chart=chart, b=b, a=a, s=s)
 
-    def __eq__(self, other):
-        if not isinstance(other, BFieldData):
-            return NotImplemented
-        return (
-            self.chart == other.chart
-            and table_eq(self.b, other.b)
-            and table_eq(self.a, other.a)
-            and table_eq(self.s, other.s)
-        )
-
     @classmethod
     def from_difference(
         cls,
@@ -549,7 +531,7 @@ class BFieldData(_Frozen):
         n = _double_rank(c.chart)
         if ref_c.chart != c.chart or ref_e.chart != e.chart or e.chart != c.chart:
             raise ValueError("candidate and reference live on different charts")
-        if not table_eq(c.star, ref_c.star):
+        if c.star != ref_c.star:
             raise ValueError("candidate and reference base products differ")
         if e.beta != ref_e.beta:
             raise ValueError("candidate and reference units project differently")

@@ -84,18 +84,9 @@ class ModelFile:
         return self.components.chart
 
     def __eq__(self, other):
-        if not isinstance(other, ModelFile):
+        if other.__class__ is not self.__class__:
             return NotImplemented
-        return (
-            self.components == other.components
-            and self.unit == other.unit
-            and self.eulers == other.eulers
-            and self.connection == other.connection
-            and self.gamma == other.gamma
-            and self.twist == other.twist
-            and self.name == other.name
-            and self.description == other.description
-        )
+        return vars(self) == vars(other)
 
 
 def _parse_indices(lineno: int, tokens: list, width: int) -> tuple:

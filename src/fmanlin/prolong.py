@@ -30,7 +30,7 @@ from .fman import (
 )
 from .report import Report
 from .symcore import RatFunc, SingularMatrixError, _Frozen, _inverse
-from .tensor import Chart, Connection, _acc, _vadd, _vsub, table_eq
+from .tensor import Chart, Connection, _acc, _vadd, _vsub
 
 __all__ = [
     "ProlongedStructure",
@@ -81,7 +81,7 @@ class ProlongedStructure(_Frozen):
             raise ValueError("unit field lives on a different chart")
         if components.chart.base_names != source.chart.base_names:
             raise ValueError("prolongation must sit over the source base chart")
-        if not table_eq(components.star, source.star):
+        if components.star != source.star:
             raise ValueError("basic component must equal the source product")
         self._set(
             kind=kind, components=components, unit=unit, source=source, nabla=nabla
@@ -121,7 +121,7 @@ def _tangent(base: BaseFManifold) -> ProlongedStructure:
     lam = tuple(
         tuple(base.unit[i].partial(names[j]) for j in range(n)) for i in range(n)
     )
-    comps = MultComponents(chart=chart, d=d, l=dict(base.star), star=dict(base.star))
+    comps = MultComponents(chart=chart, d=d, l=base.star, star=base.star)
     unit = LinearVectorField(chart, base.unit, lam)
     return ProlongedStructure("tangent", comps, unit, base)
 
@@ -161,7 +161,7 @@ def direct_sum(c1: MultComponents, c2: MultComponents) -> MultComponents:
     """
     if c1.chart.base() != c2.chart.base():
         raise ValueError("direct sum needs summands over the same base chart")
-    if not table_eq(c1.star, c2.star):
+    if c1.star != c2.star:
         raise ValueError("star tables of the summands differ")
     chart = Chart(c1.chart.base_names, c1.chart.fiber_names + c2.chart.fiber_names)
     shift = c1.rank
@@ -171,7 +171,7 @@ def direct_sum(c1: MultComponents, c2: MultComponents) -> MultComponents:
     l = dict(c1.l)
     for (i, j, k), val in c2.l.items():
         l[(i + shift, j + shift, k)] = val
-    return MultComponents(chart=chart, d=d, l=l, star=dict(c1.star))
+    return MultComponents(chart=chart, d=d, l=l, star=c1.star)
 
 
 def direct_sum_unit(e1: LinearVectorField, e2: LinearVectorField) -> LinearVectorField:
@@ -241,7 +241,7 @@ def conjugate(c: MultComponents, iso) -> MultComponents:
             for p in range(n):
                 for a, val in _mat_apply(mat, apply_d(c, k, p, col)).items():
                     new_d[(a, b, k, p)] = val
-    return MultComponents(chart=chart, d=new_d, l=new_l, star=dict(c.star))
+    return MultComponents(chart=chart, d=new_d, l=new_l, star=c.star)
 
 
 def conjugate_unit(e: LinearVectorField, iso) -> LinearVectorField:

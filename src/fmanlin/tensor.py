@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from operator import attrgetter
+from types import MappingProxyType
 
 from .symcore import RatFunc, _Frozen, _Value
 
@@ -35,8 +36,6 @@ __all__ = [
     "vertical_lift",
     "extract_components",
     "assemble",
-    "table_eq",
-    "clean_table",
 ]
 
 _ZERO = RatFunc.zero()
@@ -79,8 +78,11 @@ def _box(*bounds):
 
 
 def _checked_table(chart: "Chart", table: dict, key_ok, bad_key: str, entry: str):
-    """``table`` with tuple keys, coerced values and no zeros, every entry checked.
+    """``table`` frozen, with tuple keys, coerced values and no zeros, all checked.
 
+    This is the one place where a table's keys and values are checked.  The
+    result is a read-only ``MappingProxyType`` in canonical form, so two
+    tables hold the same entries exactly when they compare equal with ``==``.
     A key failing ``key_ok`` raises ``ValueError(f"{bad_key} {key}")``, and a
     value with a fiber coordinate raises `Chart.require_base_only` for
     ``f"{entry} {key}"``.
@@ -92,7 +94,7 @@ def _checked_table(chart: "Chart", table: dict, key_ok, bad_key: str, entry: str
         if not key_ok(key):
             raise ValueError(f"{bad_key} {key}")
         out[key] = chart.require_base_only(val, f"{entry} {key}")
-    return out
+    return MappingProxyType(out)
 
 
 class Chart(_Value):
@@ -404,7 +406,7 @@ def scaling_class(t: TensorField) -> str:
     return "neither"
 
 
-class LinearComponents(_Frozen):
+class LinearComponents(_Value):
     """Frame components of a linear (p, 1) tensor field.
 
     ``d`` maps ``(i, j, b1..bp)`` to the coefficient of ``s_i`` in the
@@ -414,30 +416,26 @@ class LinearComponents(_Frozen):
     base-only.
     """
 
+    _key = attrgetter("chart", "p", "d", "ls", "basic")
+
     def __init__(self, chart: Chart, p: int, d: dict, ls: tuple, basic: dict):
+        if len(ls) != p:
+            raise ValueError("need one contraction table per covariant slot")
+        n, k = chart.n, chart.k
+
+        def checked(table, bounds, what):
+            return _checked_table(
+                chart,
+                table,
+                _box(*bounds),
+                f"bad {what} table key",
+                f"{what} table entry",
+            )
+
+        d = checked(d, (k, k) + (n,) * p, "derivative")
+        ls = tuple(checked(t, (k, k) + (n,) * (p - 1), "contraction") for t in ls)
+        basic = checked(basic, (n,) * (p + 1), "basic")
         self._set(chart=chart, p=p, d=d, ls=ls, basic=basic)
-
-    def __eq__(self, other):
-        if not isinstance(other, LinearComponents):
-            return NotImplemented
-        return (
-            self.chart == other.chart
-            and self.p == other.p
-            and table_eq(self.d, other.d)
-            and len(self.ls) == len(other.ls)
-            and all(table_eq(a, b) for a, b in zip(self.ls, other.ls))
-            and table_eq(self.basic, other.basic)
-        )
-
-
-def table_eq(a: dict, b: dict) -> bool:
-    keys = set(a) | set(b)
-    zero = RatFunc.zero()
-    return all(a.get(k, zero) == b.get(k, zero) for k in keys)
-
-
-def clean_table(table: dict) -> dict:
-    return {k: v for k, v in table.items() if not RatFunc.coerce(v).is_zero()}
 
 
 class LeibnizError(ValueError):
@@ -459,7 +457,6 @@ def _core_to_table(chart: Chart, t: TensorField, j: int, what: str) -> dict:
             not chart.is_base_index(b) for b in key[1:]
         ):
             raise ValueError(f"{what} has non-core components")
-        chart.require_base_only(val, what)
         out[(key[0] - n, j) + key[1:]] = val
     return out
 
@@ -492,7 +489,6 @@ def extract_components(t: TensorField) -> LinearComponents:
         if chart.is_base_index(key[0]) and all(
             chart.is_base_index(b) for b in key[1:]
         ):
-            chart.require_base_only(val, "basic component")
             basic[(key[0],) + key[1:]] = val
     comps = LinearComponents(chart, p, d_table, l_tables, basic)
     if k and n:
@@ -545,10 +541,11 @@ def _verify_leibniz(t: TensorField, comps: LinearComponents, coords=None):
 def assemble(comps: LinearComponents) -> TensorField:
     """The unique linear (p, 1) tensor field with the given frame components.
 
-    Tables must be base-only and dimensionally consistent.  The result obeys
-    the Leibniz rule by construction, so it is not verified again.  Let ``T``
-    be the result and ``V = f d_{xi_j}`` the vertical lift of ``f s_j`` for a
-    base function ``f``.  A ``d`` entry puts ``a xi_j`` at ``(n+i, b)``; a
+    `LinearComponents` has checked every table key and value when it was
+    built, so this only sums entries.  The result obeys the Leibniz rule by
+    construction, so it is not verified again.  Let ``T`` be the result and
+    ``V = f d_{xi_j}`` the vertical lift of ``f s_j`` for a base function
+    ``f``.  A ``d`` entry puts ``a xi_j`` at ``(n+i, b)``; a
     slot-``m`` entry of ``ls[m]`` puts ``a`` at ``(n+i, b)`` with ``n+j``
     inserted at slot ``m``; a basic entry puts ``a`` at its own base key.
     These three key shapes never collide, and no value contains a fiber
@@ -572,41 +569,18 @@ def assemble(comps: LinearComponents) -> TensorField:
     elsewhere and keeps the check.
     """
     chart = comps.chart
-    n, k, p = chart.n, chart.k, comps.p
-    if len(comps.ls) != p:
-        raise ValueError("need one contraction table per covariant slot")
+    n = chart.n
     out: dict[tuple[int, ...], RatFunc] = {}
-
-    def check_key(key, width, fiber_first=2):
-        if len(key) != width:
-            raise ValueError(f"bad table key {key}")
-        i, j = key[0], key[1]
-        if not (0 <= i < k and 0 <= j < k):
-            raise ValueError(f"fiber index out of range in table key {key}")
-        if any(not 0 <= b < n for b in key[fiber_first:]):
-            raise ValueError(f"base index out of range in table key {key}")
-
     for key, val in comps.d.items():
-        check_key(key, p + 2)
-        i, j, bs = key[0], key[1], key[2:]
-        val = chart.require_base_only(RatFunc.coerce(val), "derivative table entry")
-        xi = RatFunc.variable(chart.fiber_names[j])
-        _acc(out, (n + i,) + bs, val * xi)
-    for m in range(p):
-        for key, val in comps.ls[m].items():
-            check_key(key, p + 1)
-            i, j, bs = key[0], key[1], key[2:]
-            val = chart.require_base_only(
-                RatFunc.coerce(val), "contraction table entry"
-            )
-            full = bs[:m] + (n + j,) + bs[m:]
-            _acc(out, (n + i,) + full, val)
+        xi = RatFunc.variable(chart.fiber_names[key[1]])
+        _acc(out, (n + key[0],) + key[2:], val * xi)
+    for m, table in enumerate(comps.ls):
+        for key, val in table.items():
+            bs = key[2:]
+            _acc(out, (n + key[0],) + bs[:m] + (n + key[1],) + bs[m:], val)
     for key, val in comps.basic.items():
-        if len(key) != p + 1 or any(not 0 <= b < n for b in key):
-            raise ValueError(f"bad basic table key {key}")
-        val = chart.require_base_only(RatFunc.coerce(val), "basic table entry")
         _acc(out, key, val)
-    return TensorField(chart, p, 1, out)
+    return TensorField(chart, comps.p, 1, out)
 
 
 # -- base value types: a connection and differential forms --------------------
@@ -636,8 +610,8 @@ class Connection(_Frozen):
     def __eq__(self, other):
         if not isinstance(other, Connection):
             return NotImplemented
-        return self.chart.base() == other.chart.base() and table_eq(
-            self.gamma, other.gamma
+        return (
+            self.chart.base() == other.chart.base() and self.gamma == other.gamma
         )
 
 
@@ -669,8 +643,8 @@ class TwoForm(_Frozen):
     def __eq__(self, other):
         if not isinstance(other, TwoForm):
             return NotImplemented
-        return self.chart.base() == other.chart.base() and table_eq(
-            self.table, other.table
+        return (
+            self.chart.base() == other.chart.base() and self.table == other.table
         )
 
     @staticmethod
@@ -734,8 +708,8 @@ class ThreeForm(_Frozen):
     def __eq__(self, other):
         if not isinstance(other, ThreeForm):
             return NotImplemented
-        return self.chart.base() == other.chart.base() and table_eq(
-            self.table, other.table
+        return (
+            self.chart.base() == other.chart.base() and self.table == other.table
         )
 
     @staticmethod

@@ -463,13 +463,23 @@ def test_record_types_keep_their_semantics():
     from fmanlin.modelfile import ModelFile
     from fmanlin.report import CheckRecord, Report
     from fmanlin.symcore import RatFunc
-    from fmanlin.tensor import Chart, Connection, Section, ThreeForm, TwoForm
+    from fmanlin.tensor import (
+        Chart,
+        Connection,
+        LinearComponents,
+        Section,
+        ThreeForm,
+        TwoForm,
+    )
 
     chart, line = Chart.standard(1, 2), Chart.standard(1, 0)
+    one = RatFunc.one()
     c = fman.MultComponents(chart=chart, d={}, l={(0, 0, 0): 1}, star={(0, 0, 0): 1})
     assert c.rows is c.rows  # a cached_property still fills in
+    lin = LinearComponents(chart, 2, {(0, 0, 0, 0): 1}, ({}, {(0, 0, 0): 1}), {})
     base = fman.BaseFManifold(chart=line, star={(0, 0, 0): 1}, unit=(1,))
     nabla = Connection(chart=line, gamma={})
+    bfield = gengeo.BFieldData(chart=line, b={}, a={}, s={})
     tan = prolong.tangent_prolongation(base)
     prol = prolong.ProlongedStructure(
         kind="tangent", components=tan.components, unit=tan.unit, source=base
@@ -480,20 +490,27 @@ def test_record_types_keep_their_semantics():
     frozen = [
         (chart, "base_names"),
         (Section(chart, (RatFunc.one(), RatFunc.zero())), "components"),
-        (c.to_linear(), "ls"),
+        (lin, "d"),
+        (lin, "ls"),
+        (lin, "basic"),
         (nabla, "gamma"),
         (TwoForm(chart=line, table={}), "table"),
         (ThreeForm(chart=line, table={}), "table"),
         (fman.LinearVectorField(chart=line, beta=(1,), lam=()), "beta"),
         (c, "star"),
         (base, "unit"),
+        (base, "star"),
         (fman._IDENTITIES["star-symmetric"], "support"),
         (gengeo.GenSection(chart=line, vec=(1,), form=(0,)), "form"),
-        (gengeo.BFieldData(chart=line, b={}, a={}, s={}), "b"),
+        (bfield, "b"),
+        (bfield, "a"),
+        (bfield, "s"),
         (duality.FlatFStructure(base=base, nabla=nabla), "euler"),
         (prol, "kind"),
         (record, "witness"),
     ]
+    # and a table field is read-only, so its checked keys stay checked
+    tables = {"d", "ls", "basic", "gamma", "table", "star", "b", "a", "s"}
     for obj, field in frozen:
         value = getattr(obj, field)
         with pytest.raises(AttributeError):
@@ -503,17 +520,31 @@ def test_record_types_keep_their_semantics():
         with pytest.raises(AttributeError):
             obj.extra = 1
         assert getattr(obj, field) is value
+        if field in tables:
+            for table in value if field == "ls" else (value,):
+                with pytest.raises(TypeError):
+                    table[(9, 9, 9)] = 1
     # fresh default containers, and the mutable types stay mutable
     first, second = Report("t"), Report("t")
     assert first.records is not second.records and first.notes is not second.notes
     first.title = "u"
     assert ModelFile(c).eulers is not ModelFile(c).eulers
-    # field-wise equality and hashing where the decorator gave it
+    # field-wise equality, and hashing where every field hashes
     twin = CheckRecord("r", "a = b", False, (0,), "x")
     pairs = [
         (chart, Chart(("x1",), ("xi1", "xi2")), Chart.standard(1, 1)),
         (Section.frame(chart, 0), Section.frame(chart, 0), Section.frame(chart, 1)),
         (record, twin, CheckRecord("r", "a = b", False, (0,), "y")),
+        (
+            fman.LinearVectorField(line, (1,), ()),
+            fman.LinearVectorField(line, (one,), ()),
+            fman.LinearVectorField.zero(line),
+        ),
+        (
+            gengeo.GenSection(line, (1,), (0,)),
+            gengeo.GenSection.frame(line, 0),
+            gengeo.GenSection.frame(line, 1),
+        ),
     ]
     for obj, equal, other in pairs:
         assert obj == equal and hash(obj) == hash(equal) and {obj: 1}[equal] == 1
@@ -521,11 +552,61 @@ def test_record_types_keep_their_semantics():
     assert Report("t", [record]) == Report("t", [twin]) != Report("t")
     with pytest.raises(TypeError):
         hash(Report("t"))
-    # the eq=False types keep their own == (and stay unhashable) or identity
-    again = fman.MultComponents(chart, {}, {(0, 0, 0): 1}, {(0, 0, 0): 1})
+    # tables are canonical, so explicit zeros and int against RatFunc values
+    # do not change ==; the types holding tables stay unhashable
+    plane = Chart.standard(2, 0)
+    again = fman.MultComponents(
+        chart, {(1, 0, 0, 0): 0}, {(0, 0, 0): one}, {(0, 0, 0): one}
+    )
     assert c == again and c is not again
     with pytest.raises(TypeError):
         hash(c)
+    canonical = [
+        (c, again),
+        (
+            fman.BaseFManifold(plane, {(0, 0, 0): 1, (1, 0, 1): 0}, (1, 0)),
+            fman.BaseFManifold(plane, {(0, 0, 0): one}, (one, 0)),
+        ),
+        (
+            gengeo.BFieldData(plane, {(0, 1, 0, 1): 1}, {(0, 1, 1): 0}, {}),
+            gengeo.BFieldData(plane, {(0, 1, 0, 1): one}, {}, {(0, 1): 0}),
+        ),
+        (
+            lin,
+            LinearComponents(
+                chart,
+                2,
+                {(0, 0, 0, 0): one, (1, 1, 0, 0): 0},
+                ({(0, 1, 0): 0}, {(0, 0, 0): one}),
+                {(0, 0, 0): 0},
+            ),
+        ),
+        # a connection, like a form, compares its base chart only
+        (Connection(line, {(0, 0, 0): 1}), Connection(chart, {(0, 0, 0): one})),
+        (TwoForm(plane, {(0, 1): 1}), TwoForm(Chart.generalized(2), {(0, 1): one})),
+    ]
+    for obj, same in canonical:
+        assert obj == same and same == obj
     fields = (prol.kind, prol.components, prol.unit, prol.source, prol.nabla)
     assert prol != prolong.ProlongedStructure(*fields)
     assert {prol: 1}[prol] == 1
+
+
+def test_only_the_base_chart_types_write_their_own_equality():
+    # every other record type compares through `_Value._key`, or by identity
+    from fmanlin import cli, duality, fman, gengeo, modelfile, prolong  # noqa: F401
+    from fmanlin.symcore import _Frozen, _Value
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    own = {
+        cls.__name__
+        for cls in subclasses(_Frozen)
+        if cls is not _Value and "__eq__" in vars(cls)
+    }
+    assert own == {"Connection", "TwoForm", "ThreeForm"}
+    for cls in (prolong.ProlongedStructure, duality.FlatFStructure, fman._Identity):
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__

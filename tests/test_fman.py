@@ -53,7 +53,6 @@ from fmanlin.tensor import (
     extract_components,
     lie_derivative,
     scaling_class,
-    table_eq,
     vertical_lift,
 )
 
@@ -1005,7 +1004,7 @@ def test_lie_components_match_tensor_lie_derivative():
             x = random_linear_field(rng, c.chart)
             dt, lt, rt = lie_components(c, x)
             comps = extract_components(lie_derivative(x.as_field(), t))
-            assert table_eq(lt, comps.ls[1])
+            assert lt == comps.ls[1]
             for got, want in zip(frame_lie_components(c, x), (dt, lt, rt)):
                 assert got == dict(want)
 
@@ -1076,6 +1075,9 @@ def test_base_manifold_battery_reuse():
         chart=Chart.standard(2, 0), star={(0, 0, 1): rf("x1")}, unit=(1, 0)
     )
     assert not skew.verify().passed
+    # a bad key is refused when the product is built, not at its first verify()
+    with pytest.raises(ValueError, match=r"bad star-table key \(2, 0, 0\)"):
+        BaseFManifold(Chart.standard(2, 0), {(2, 0, 0): 1, (0, 0): 1}, (1, 0))
 
 
 def test_lie_star_is_tensorial_in_its_arguments():

@@ -331,14 +331,14 @@ def test_extract_rejects_nonlinear():
 
 
 def test_assemble_rejects_fiber_entries():
-    bad = LinearComponents(
-        chart=C11,
-        p=2,
-        d={(0, 0, 0, 0): rf("xi1", C11)},
-        ls=({}, {}),
-        basic={},
-    )
     with pytest.raises(ValueError, match="fiber"):
+        bad = LinearComponents(
+            chart=C11,
+            p=2,
+            d={(0, 0, 0, 0): rf("xi1", C11)},
+            ls=({}, {}),
+            basic={},
+        )
         assemble(bad)
 
 
