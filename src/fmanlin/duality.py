@@ -221,26 +221,34 @@ def dualize(c: MultComponents, e: LinearVectorField, nabla: Connection):
     derivatives of the side table, the symmetric bracket of the connection,
     and the sign-flipped derivative table), and the base product is carried
     over unchanged.  Works for any connection; whether the result satisfies
-    the multiplication axioms is a separate check.
+    the multiplication axioms is a separate check.  The derivative table
+
+        dual_d[(i, j, k, p)] = d_k l_{jip} + d_p l_{jik} - d_{jikp}
+                               - sum_a (G^a_{kp} + G^a_{pk}) l_{jia}
+
+    is summed over table entries only: each partial ``d_k l_{jim}`` lands at
+    ``(i, j, k, m)`` and ``(i, j, m, k)``, each ``d_{jikp}`` at ``(i, j, k, p)``,
+    and each ``G^a_{kp} l_{jia}`` at ``(i, j, k, p)`` and ``(i, j, p, k)``.
     """
     chart = c.chart
     if nabla.chart.base_names != chart.base_names:
         raise ValueError("connection chart does not match the base coordinates")
-    n, kdim = c.n, c.rank
-    names = chart.names
     dual_l = {(j, i, k): val for (i, j, k), val in c.l.items()}
-    dual_d = {}
-    for i, j, k, p in product(range(kdim), range(kdim), range(n), range(n)):
-        val = (
-            c.l_at(j, i, p).partial(names[k])
-            + c.l_at(j, i, k).partial(names[p])
-            - c.d_at(j, i, k, p)
-        )
-        for a in range(n):
-            g = nabla.at(a, k, p) + nabla.at(a, p, k)
-            if not g.is_zero():
-                val = val - g * c.l_at(j, i, a)
-        dual_d[(i, j, k, p)] = val
+    dual_d: dict = {}
+    by_last: dict = {}  # a -> [(j, i, l_{jia})]
+    for (j, i, m), val in c.l.items():
+        by_last.setdefault(m, []).append((j, i, val))
+        for k, name in enumerate(chart.base_names):
+            dv = val.partial(name)
+            _acc(dual_d, (i, j, k, m), dv)
+            _acc(dual_d, (i, j, m, k), dv)
+    for (j, i, k, p), val in c.d.items():
+        _acc(dual_d, (i, j, k, p), -val)
+    for (a, k, p), g in nabla.gamma.items():
+        for j, i, val in by_last.get(a, ()):
+            prod = -(g * val)
+            _acc(dual_d, (i, j, k, p), prod)
+            _acc(dual_d, (i, j, p, k), prod)
     dual = MultComponents(chart=chart.dual(), d=dual_d, l=dual_l, star=c.star)
     return dual, e.dual()
 

@@ -797,30 +797,50 @@ def hm_tensor(t: TensorField) -> TensorField:
     On coordinate frames, evaluating a tensor is a filter on its keys, so the
     entry at ``(a, x, y, z, v)`` is
 
-        L_W(o)^a_{zv} - sum_b t^a_{xb} L_{d_y}(o)^b_{zv}
-                      - sum_b t^a_{yb} L_{d_x}(o)^b_{zv},   W^a = t^a_{xy},
+        L_W(o)^a_{zv} - sum_c t^a_{xc} L_{d_y}(o)^c_{zv}
+                      - sum_c t^a_{yc} L_{d_x}(o)^c_{zv},   W^c = t^c_{xy}.
 
-    and only the nonzero entries of each factor are visited.
+    Expanded with the coordinate formula of `lie_derivative`, term by term:
+
+    - transport, ``W^c d_c o``: ``t^c_{xy} d_c t^a_{zv}``;
+    - the contravariant correction: ``-t^c_{zv} d_c t^a_{xy}``;
+    - the covariant corrections: ``t^a_{cv} d_z t^c_{xy} + t^a_{zc} d_v t^c_{xy}``;
+    - ``L_{d_y}(o) = d_y t``, as ``d_y`` has constant components, so the last
+      two terms give ``-t^a_{xc} d_y t^c_{zv} - t^a_{yc} d_x t^c_{zv}``.
+
+    Each partial ``d_e t^b_{pq}`` is taken once and joined with the entries
+    of ``t`` whose first index is ``e`` (the first two terms) or whose middle
+    (the third) or last index (the other three) is ``b``.  Every term has a
+    partial factor, so a ``t`` with constant coefficients has an empty defect.
     """
-    chart = t.chart
-    coeffs = defaultdict(RatFunc.zero)
-    pairs: dict = {}  # (x, y) -> the vector field d_x o d_y
-    by_last: dict = {}  # b -> [(a, x, t^a_{xb})]
+    if (t.p, t.q) != (2, 1):
+        raise ValueError("the integrability defect needs a (2,1) tensor field")
+    names = t.chart.names
+    dt: dict = {}  # e -> {(b, p, q): d_e t^b_{pq}}, nonzero entries only
+    by_first, by_mid, by_last = {}, {}, {}
     for (a, x, y), val in t.coeffs.items():
-        pairs.setdefault((x, y), {})[(a,)] = val
+        by_first.setdefault(a, []).append((x, y, val))
+        by_mid.setdefault(x, []).append((a, y, val))
         by_last.setdefault(y, []).append((a, x, val))
-    for c in range(chart.dim):
-        lie_c = lie_derivative(TensorField.coordinate_field(chart, c), t)
-        for (b, z, v), u in lie_c.coeffs.items():
-            for a, x, val in by_last.get(b, ()):
-                prod = val * u
-                coeffs[(a, x, c, z, v)] -= prod
-                coeffs[(a, c, x, z, v)] -= prod
-    for (x, y), w in pairs.items():
-        lie_w = lie_derivative(TensorField(chart, 0, 1, w), t)
-        for (a, z, v), val in lie_w.coeffs.items():
-            coeffs[(a, x, y, z, v)] += val
-    return TensorField(chart, 4, 1, coeffs)
+        for e, name in enumerate(names):
+            d = val.partial(name)
+            if not d.is_zero():
+                dt.setdefault(e, {})[(a, x, y)] = d
+    out: dict = {}
+    for e, partials in dt.items():
+        for (b, p, q), d in partials.items():
+            for r, s, w in by_first.get(e, ()):
+                prod = w * d
+                _acc(out, (b, r, s, p, q), prod)
+                _acc(out, (b, p, q, r, s), -prod)
+            for a, f, w in by_mid.get(b, ()):
+                _acc(out, (a, p, q, e, f), w * d)
+            for a, f, w in by_last.get(b, ()):
+                prod = w * d
+                _acc(out, (a, p, q, f, e), prod)
+                _acc(out, (a, f, e, p, q), -prod)
+                _acc(out, (a, e, f, p, q), -prod)
+    return TensorField(t.chart, 4, 1, out)
 
 
 @_identity(

@@ -221,7 +221,7 @@ class Poly:
         out = dict(a)
         for exp, c in b.items():
             out[exp] = out.get(exp, 0) + c
-        return Poly(variables, out)
+        return _trimmed(variables, out)
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -230,7 +230,7 @@ class Poly:
         out = dict(a)
         for exp, c in b.items():
             out[exp] = out.get(exp, 0) - c
-        return Poly(variables, out)
+        return _trimmed(variables, out)
 
     def __neg__(self):
         return Poly._canonical(self.vars, {e: -c for e, c in self.terms.items()})
@@ -290,7 +290,7 @@ class Poly:
                 prev = out.get(key)
                 val = c * k
                 out[key] = val if prev is None else prev + val
-        return Poly(self.vars, out)
+        return _trimmed(self.vars, out)
 
     # -- equality / hashing / printing ---------------------------------------
 
@@ -349,6 +349,16 @@ def _tidy(terms: dict) -> dict:
         for e, c in terms.items()
         if c
     }
+
+
+def _trimmed(variables: tuple, terms: dict) -> Poly:
+    """``terms`` on sorted ``variables`` as a `Poly`: tidied, unused variables cut."""
+    terms = _tidy(terms)
+    used = [i for i, powers in enumerate(zip(*terms)) if any(powers)]
+    if len(used) < len(variables):
+        variables = tuple(variables[i] for i in used)
+        terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
+    return Poly._canonical(variables, terms)
 
 
 def _div(a, b):

@@ -3,6 +3,7 @@
 import weakref
 from collections import Counter
 from itertools import combinations_with_replacement, product
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +37,7 @@ from fmanlin.fman import (
     _vf_bracket,
     _vscale,
 )
+from fmanlin.modelfile import load
 from fmanlin.prolong import tangent_prolongation
 from fmanlin.report import Report
 from fmanlin.symcore import RatFunc, SingularMatrixError, parse_expr
@@ -256,6 +258,68 @@ def test_dualize_zero_side_tables_stay_zero():
     assert dual.d == {}
     assert dual.l == {}
     assert dual.star == c.star
+
+
+def dense_dualize_reference(c, e, nabla):
+    """The dual tables by evaluating the five-term formula at every index tuple."""
+    chart = c.chart
+    n, kdim = c.n, c.rank
+    names = chart.names
+    dual_l = {(j, i, k): val for (i, j, k), val in c.l.items()}
+    dual_d = {}
+    for i, j, k, p in product(range(kdim), range(kdim), range(n), range(n)):
+        val = (
+            c.l_at(j, i, p).partial(names[k])
+            + c.l_at(j, i, k).partial(names[p])
+            - c.d_at(j, i, k, p)
+        )
+        for a in range(n):
+            g = nabla.at(a, k, p) + nabla.at(a, p, k)
+            if not g.is_zero():
+                val = val - g * c.l_at(j, i, a)
+        dual_d[(i, j, k, p)] = val
+    dual = MultComponents(chart=chart.dual(), d=dual_d, l=dual_l, star=c.star)
+    return dual, e.dual()
+
+
+def test_dualize_matches_dense_reference():
+    models = Path(__file__).resolve().parent.parent / "models"
+    cases = []
+    for name in ("line.fman", "plane.fman"):
+        m = load(models / name)
+        cases.append((m.components, m.unit, Connection.zero(m.chart)))
+    rng = rng_for("duality-dense-dualize")
+    for trial in range(24):
+        n, k = 1 + trial % 3, 1 + (trial // 3) % 3
+        chart = Chart.standard(n, k)
+
+        def entry():
+            return rand_ratfunc(rng, chart.base_names, 1, with_den=rng.random() < 0.4)
+
+        def sparse(keys):
+            return {key: entry() for key in keys if rng.random() < 0.5}
+
+        c = MultComponents(
+            chart=chart,
+            d=sparse(product(range(k), range(k), range(n), range(n))),
+            l=sparse(product(range(k), range(k), range(n))),
+            star=sparse(product(range(n), repeat=3)),
+        )
+        e = LinearVectorField(
+            chart,
+            tuple(entry() for _ in range(n)),
+            tuple(tuple(entry() for _ in range(k)) for _ in range(k)),
+        )
+        # a diagonal entry G^a_{kk} enters twice at (i, j, k, k)
+        gamma = sparse(product(range(n), repeat=3))
+        gamma[(rng.randrange(n), trial % n, trial % n)] = entry() + 1
+        cases.append((c, e, Connection(chart, gamma)))
+    nonzero = 0
+    for c, e, nab in cases:
+        dual, dual_e = dualize(c, e, nab)
+        assert (dual, dual_e) == dense_dualize_reference(c, e, nab)
+        nonzero += bool(dual.d)
+    assert nonzero
 
 
 def test_dualize_is_an_involution_on_random_tables():

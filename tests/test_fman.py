@@ -41,7 +41,7 @@ from fmanlin.fman import (
     lie_star,
     star_product,
 )
-from fmanlin.duality import Connection
+from fmanlin.duality import Connection, regular_connection
 from fmanlin.prolong import generalized_prolongation, tangent_prolongation
 from fmanlin.report import Report
 from fmanlin.symcore import RatFunc, parse_expr
@@ -329,11 +329,53 @@ def test_defect_tensor_matches_dense_reference_on_generalized_prolongation():
     chart = Chart.standard(2, 0)
     star = {(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1}
     base = BaseFManifold(chart, star, (1, 0))
-    prol = generalized_prolongation(base, Connection.zero(chart))
-    t = prol.components.assemble()
+    # the connection of a bent Euler field has a rational Christoffel entry
+    bent = regular_connection(base, (rf("x1 + 5", chart), rf("x2^2 + 1", chart)))
+    assert bent.gamma
+    for nabla in (Connection.zero(chart), bent):
+        prol = generalized_prolongation(base, nabla)
+        t = prol.components.assemble()
+        defect = hm_tensor(t)
+        assert defect.coeffs == dense_hm_reference(t).coeffs
+        assert defect.is_zero()
+
+
+def test_defect_tensor_matches_dense_reference_on_tangent_prolongation():
+    # e1*e1 = p*e_{n-1} with p = 2/(x_n + 3): the prolonged coefficients have
+    # nonzero partials, so every term of the sparse form acts
+    for n in (2, 3):
+        chart = Chart.standard(n, 0)
+        star = {(0, 0, 0): 1}
+        for i in range(1, n):
+            star[(i, 0, i)] = star[(i, i, 0)] = 1
+        star[(n - 1, 1, 1)] = parse_expr(f"2/(x{n} + 3)", chart.names)
+        base = BaseFManifold(chart, star, (1,) + (0,) * (n - 1))
+        t = tangent_prolongation(base).components.assemble()
+        assert hm_tensor(t).coeffs == dense_hm_reference(t).coeffs
+
+
+def test_defect_tensor_refuses_a_tensor_that_is_not_2_1():
+    chart = Chart.standard(2, 0)
+    shapes = ((3, 0, (0, 1, 1)), (1, 1, (0, 1)), (2, 0, (0, 1)), (3, 1, (0, 1, 1, 0)))
+    for p, q, key in shapes:
+        with pytest.raises(ValueError, match=r"\(2,1\) tensor"):
+            hm_tensor(TensorField(chart, p, q, {key: 1}))
+
+
+def test_defect_tensor_takes_no_lie_derivative(monkeypatch):
+    import fmanlin.fman as fman
+    import fmanlin.tensor as tensor
+
+    def forbidden(*args):
+        raise AssertionError("the defect must not take a Lie derivative")
+
+    t = tilted_plane("x1", "x1").assemble()
+    want = dense_hm_reference(t)
+    monkeypatch.setattr(fman, "lie_derivative", forbidden)
+    monkeypatch.setattr(tensor, "lie_derivative", forbidden)
     defect = hm_tensor(t)
-    assert defect.coeffs == dense_hm_reference(t).coeffs
-    assert defect.is_zero()
+    assert not defect.is_zero()
+    assert defect.coeffs == want.coeffs
 
 
 def test_defect_tensor_shares_no_code_with_the_table_residuals(monkeypatch):

@@ -503,6 +503,56 @@ def test_stored_coefficients_are_ints_when_integral_random():
             assert_stored_exactly(values)
 
 
+def checked_sum(p: Poly, q: Poly, sign: int) -> Poly:
+    """``p + sign*q`` through the checked constructor, on unsorted variables."""
+    names = tuple(dict.fromkeys(q.vars + p.vars))
+    terms = {}
+    for f, s in ((p, 1), (q, sign)):
+        for exp, c in f.terms.items():
+            powers = dict(zip(f.vars, exp))
+            key = tuple(powers.get(v, 0) for v in names)
+            terms[key] = terms.get(key, 0) + s * c
+    return Poly(names, terms)
+
+
+def checked_partial(p: Poly, name: str) -> Poly:
+    """``d p / d name`` through the checked constructor."""
+    terms = {}
+    for exp, c in p.terms.items():
+        k = dict(zip(p.vars, exp)).get(name, 0)
+        if k:
+            key = tuple(e - (v == name) for v, e in zip(p.vars, exp))
+            terms[key] = terms.get(key, 0) + c * k
+    return Poly(p.vars, terms)
+
+
+def assert_same_storage(got: Poly, want: Poly):
+    assert (got.vars, got.terms) == (want.vars, want.terms)
+    assert {e: type(c) for e, c in got.terms.items()} == {
+        e: type(c) for e, c in want.terms.items()
+    }
+
+
+def test_sums_and_partials_store_what_the_checked_constructor_stores():
+    half = Poly(X1, {(1,): Fraction(1, 2)})
+    p = P("x1*x2 + x3", ("x1", "x2", "x3")).num
+    assert_same_storage(p - p, Poly((), {}))
+    assert_same_storage(p + -p, Poly((), {}))
+    assert_same_storage(half + half, Poly(X1, {(1,): 1}))
+    assert type((half + half).terms[(1,)]) is int
+    assert_same_storage(p.partial("x1"), Poly(("x2",), {(1,): 1}))
+    rng = rng_for("symcore-unchecked-sums")
+    for _ in range(200):
+        p, q = (rand_poly(rng, rng.sample(XV, rng.randint(0, 3))) for _ in range(2))
+        if rng.random() < 0.5:
+            # p - q then cancels up to two terms of p, and the variables they alone use
+            q = q + Poly(p.vars, dict(list(p.terms.items())[:2]))
+        assert_same_storage(p + q, checked_sum(p, q, 1))
+        assert_same_storage(p - q, checked_sum(p, q, -1))
+        for name in XV:
+            assert_same_storage(p.partial(name), checked_partial(p, name))
+
+
 def test_coefficient_divisions_store_exact_values():
     # integer operands whose quotients are not integral, one per division
     x1, one, two = P("x1").num, Poly.one(), Poly.const(2)
