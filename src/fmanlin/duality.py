@@ -30,12 +30,11 @@ from .fman import (
     _vscale,
 )
 from .report import Report
-from .symcore import RatFunc, SingularMatrixError, _Frozen, _inverse
+from .symcore import RatFunc, SingularMatrixError, _inverse
 from .tensor import Chart, Connection, TensorField, _acc, _vadd, _vsub
 
 __all__ = [
     "Connection",
-    "FlatFStructure",
     "torsion",
     "curvature",
     "nabla_apply",
@@ -188,26 +187,6 @@ def _euler_to_vec(chart: Chart, euler) -> dict:
     if len(comps) != chart.n:
         raise ValueError(f"Euler candidate needs {chart.n} base components")
     return {a: f for a, f in enumerate(comps) if not f.is_zero()}
-
-
-class FlatFStructure(_Frozen):
-    """Base product data with a compatible flat connection, verified on construction."""
-
-    def __init__(
-        self, base: BaseFManifold, nabla: Connection, euler: tuple | None = None
-    ):
-        if euler is not None:
-            euler = tuple(RatFunc.coerce(v) for v in euler)
-        self._set(base=base, nabla=nabla, euler=euler)
-        _require("FlatFStructure", check_flat_f(base, nabla, euler))
-
-    def verify(self) -> Report:
-        return check_flat_f(self.base, self.nabla, self.euler)
-
-    def euler_vec(self) -> dict | None:
-        if self.euler is None:
-            return None
-        return _euler_to_vec(self.base.chart, self.euler)
 
 
 # -- the dual package ----------------------------------------------------------

@@ -54,8 +54,6 @@ __all__ = [
     "check_hertling_manin",
     "check_euler",
     "check_battery",
-    "check_base",
-    "lie_components",
     "hm_tensor",
     "evaluate_residual",
 ]
@@ -187,17 +185,6 @@ class MultComponents(_Value):
 
     def assemble(self) -> TensorField:
         return assemble(self.to_linear())
-
-    @classmethod
-    def from_tensor(cls, t: TensorField) -> "MultComponents":
-        comps = extract_components(t)
-        if comps.p != 2:
-            raise ValueError("expected a (2,1) tensor field")
-        if comps.ls[0] != comps.ls[1]:
-            raise ValueError(
-                "the two side tables differ; not a commutative candidate"
-            )
-        return cls(chart=comps.chart, d=comps.d, l=comps.ls[0], star=comps.basic)
 
 
 class BaseFManifold(_Value):
@@ -1088,6 +1075,11 @@ def _require_algebra(what: str, ctx: _Ctx):
 
 
 def check_commutative(c: MultComponents, l2: dict | None = None) -> Report:
+    """The commutativity records, with ``l2`` as the second side table.
+
+    ``l2`` is the only way ``side-tables-equal`` can fail: without it, as in
+    every battery, ``_res_side_tables`` compares ``c.l`` with itself.
+    """
     return _stage_report("commutativity", _Ctx(c, l2=l2), _COMMUTATIVITY)
 
 
@@ -1143,17 +1135,13 @@ def check_battery(c: MultComponents, e: LinearVectorField | None = None) -> Repo
     return rep
 
 
-def lie_components(c: MultComponents, x: LinearVectorField):
-    """Tables ``(d, l, star)`` of the Lie derivative of the product along ``x``.
-
-    They are read off the Lie derivative of the assembled tensor, so they
-    share nothing with the frame operators and rows that the Euler identities
-    use, and the ``euler-components`` record cross-checks those identities.
-    """
-    return _component_tables(lie_derivative(x.as_field(), c.assemble()))
-
-
 def _component_tables(t: TensorField):
+    """The tables ``(d, l, star)`` of a linear (2,1) tensor.
+
+    ``euler-components`` reads them off the Lie derivative of the assembled
+    product, so it shares nothing with the frame operators and rows that the
+    other Euler identities use.
+    """
     comps = extract_components(t)
     return comps.d, comps.ls[0], comps.basic
 
@@ -1168,13 +1156,3 @@ def check_euler(
 ) -> Report:
     _require("the euler check", check_battery(c, e))
     return _euler_report(c, e, euler)
-
-
-def check_base(c: MultComponents, e: LinearVectorField) -> BaseFManifold:
-    """Extract the base product and re-verify it on the base chart."""
-    if e is None:
-        raise ValueError("a unit candidate is required to extract the base")
-    _require("base extraction", check_battery(c, e))
-    base = BaseFManifold(chart=c.chart.base(), star=c.star, unit=e.beta)
-    _require("base extraction", base.verify())
-    return base

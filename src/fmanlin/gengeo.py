@@ -51,8 +51,6 @@ from .tensor import (
     ThreeForm,
     TwoForm,
     _acc,
-    _box,
-    _checked_table,
     _vsub,
 )
 
@@ -60,7 +58,6 @@ __all__ = [
     "GenSection",
     "TwoForm",
     "ThreeForm",
-    "BFieldData",
     "pairing",
     "anchor",
     "dorfman",
@@ -68,7 +65,6 @@ __all__ = [
     "check_scalar_compat",
     "check_dorfman_compat",
     "bfield_transform",
-    "recover_two_form",
     "classify_exact_courant",
 ]
 
@@ -481,131 +477,17 @@ def bfield_transform(
     return conjugate(c, iso), conjugate_unit(e, iso)
 
 
-class BFieldData(_Value):
-    """Difference tables of a candidate against the double prolongation.
-
-    ``b[(m, p, z, v)]`` is the ``dx^v`` component of the derivative-table
-    difference applied to the frame ``dx_z`` along ``(dx_m, dx_p)``;
-    ``a[(m, p, q)]`` the ``dx^q`` component of the side difference on
-    ``dx_p`` along ``dx_m``; ``s[(m, q)]`` the ``dx^q`` component of the
-    unit-derivation difference on ``dx_m``.  All three take covector values
-    on vector arguments and vanish on the covector block; ``a`` is symmetric
-    in its last two slots and ``s`` is skew.
-    """
-
-    _key = attrgetter("chart", "b", "a", "s")
-
-    def __init__(self, chart: Chart, b: dict, a: dict, s: dict):
-        if chart.k != 0:
-            raise ValueError("difference tables live on the base chart")
-        n = chart.n
-        b, a, s = (
-            _checked_table(
-                chart,
-                table,
-                _box(*(n,) * width),
-                "bad difference key",
-                "difference entry",
-            )
-            for table, width in ((b, 4), (a, 3), (s, 2))
-        )
-        for m, p, q in product(range(n), repeat=3):
-            if a.get((m, p, q), _ZERO) != a.get((m, q, p), _ZERO):
-                raise ValueError(
-                    f"side difference is not symmetric at {(m, p, q)}"
-                )
-        for m, q in product(range(n), repeat=2):
-            if s.get((m, q), _ZERO) != -s.get((q, m), _ZERO):
-                raise ValueError(f"unit difference is not skew at {(m, q)}")
-        self._set(chart=chart, b=b, a=a, s=s)
-
-    @classmethod
-    def from_difference(
-        cls,
-        c: MultComponents,
-        e: LinearVectorField,
-        ref_c: MultComponents,
-        ref_e: LinearVectorField,
-    ) -> "BFieldData":
-        """Extract ``(B, A, S)`` from a candidate and its reference structure."""
-        n = _double_rank(c.chart)
-        if ref_c.chart != c.chart or ref_e.chart != e.chart or e.chart != c.chart:
-            raise ValueError("candidate and reference live on different charts")
-        if c.star != ref_c.star:
-            raise ValueError("candidate and reference base products differ")
-        if e.beta != ref_e.beta:
-            raise ValueError("candidate and reference units project differently")
-        b, a, s = {}, {}, {}
-        for key, val in sorted(_vsub(c.d, ref_c.d).items()):
-            i, j, m, p = key
-            if i < n or j >= n:
-                raise ValueError(
-                    f"derivative difference leaves the covector block at {key}"
-                )
-            b[(m, p, j, i - n)] = val
-        for key, val in sorted(_vsub(c.l, ref_c.l).items()):
-            i, j, m = key
-            if i < n or j >= n:
-                raise ValueError(
-                    f"side difference leaves the covector block at {key}"
-                )
-            a[(m, j, i - n)] = val
-        for i, j in product(range(2 * n), repeat=2):
-            val = ref_e.lam[i][j] - e.lam[i][j]
-            if val.is_zero():
-                continue
-            if i < n or j >= n:
-                raise ValueError(
-                    f"unit difference leaves the covector block at {(i, j)}"
-                )
-            s[(j, i - n)] = val
-        return cls(chart=c.chart.base(), b=b, a=a, s=s)
-
-    @classmethod
-    def from_two_form(
-        cls, base: BaseFManifold, gamma: TwoForm, nabla: Connection
-    ) -> "BFieldData":
-        """Evaluate the closed-form difference tables of the ``gamma`` shear."""
-        chart = base.chart
-        if gamma.chart.base_names != chart.base_names:
-            raise ValueError("two-form lives on different base coordinates")
-        n = chart.n
-        names = chart.names
-        c = base.as_components()
-        unit = {i: f for i, f in enumerate(base.unit) if not f.is_zero()}
-        b, a = {}, {}
-        for m, p, q in product(range(n), repeat=3):
-            val = gamma.apply(star_product(c, _frame(m), _frame(p)), _frame(q))
-            val = val - gamma.apply(_frame(p), star_product(c, _frame(m), _frame(q)))
-            a[(m, p, q)] = val
-        for m, p, z, v in product(range(n), repeat=4):
-            fm, fp, fz, fv = _frame(m), _frame(p), _frame(z), _frame(v)
-            val = gamma.apply(star_product(c, fp, fv), fz).partial(names[m])
-            val = val + gamma.apply(star_product(c, fm, fv), fz).partial(names[p])
-            val = val + _vf_apply(chart, star_product(c, fm, fp), gamma.at(z, v))
-            val = val + gamma.apply(lie_star(c, fz, fm, fp), fv)
-            val = val - gamma.apply(lie_star(c, fv, fm, fp), fz)
-            sb = symmetric_bracket(nabla, fm, fp)
-            b[(m, p, z, v)] = val - gamma.apply(star_product(c, sb, fv), fz)
-        lie_gamma = {}
-        for i, j in combinations(range(n), 2):
-            val = _vf_apply(chart, unit, gamma.at(i, j))
-            for q in range(n):
-                w = unit.get(q)
-                if w is None:
-                    continue
-                val = val + gamma.at(q, j) * w.partial(names[i])
-                val = val + gamma.at(i, q) * w.partial(names[j])
-            lie_gamma[(i, j)] = val
-        lg = TwoForm(chart, lie_gamma)
-        s = {(m, q): -lg.at(m, q) for m, q in product(range(n), repeat=2)}
-        return cls(chart=chart, b=b, a=a, s=s)
-
-
 # -- classification -----------------------------------------------------------------
 
 
 def _recover(c: MultComponents, e: LinearVectorField, ref: MultComponents) -> TwoForm:
+    """Read the shear two-form off the unit slot of the side difference.
+
+    For a shear of the double prolongation ``ref`` the skew part of the side
+    difference, contracted with the unit, returns the two-form exactly; for
+    anything else the result is merely the best candidate, and the
+    ``bfield-recovery`` record flags the mismatch.
+    """
     n = c.chart.n
     table = {}
     for m, p in combinations(range(n), 2):
@@ -619,23 +501,6 @@ def _recover(c: MultComponents, e: LinearVectorField, ref: MultComponents) -> Tw
             acc = acc + _HALF * w * (fwd - bwd)
         table[(m, p)] = acc
     return TwoForm(c.chart.base(), table)
-
-
-def recover_two_form(
-    c: MultComponents, e: LinearVectorField, nabla: Connection
-) -> TwoForm:
-    """Read the shear two-form off the unit slot of the side difference.
-
-    For a shear of the double prolongation the skew part of the side
-    difference, contracted with the unit, returns the two-form exactly;
-    for anything else the result is merely the best candidate, and the
-    classification check will flag the mismatch.
-    """
-    _check_candidate(c, e)
-    base = BaseFManifold(chart=c.chart.base(), star=c.star, unit=e.beta)
-    _require("the two-form recovery", check_flat_f(base, nabla))
-    prol = generalized_prolongation(base, nabla)
-    return _recover(c, e, prol.components)
 
 
 def _nabla_two_form(gamma: TwoForm, nabla: Connection) -> dict:

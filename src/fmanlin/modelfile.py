@@ -29,7 +29,9 @@ the support of each table is written.  ``[unit]`` and ``[euler.<name>]``
 sections hold ``beta i = <expr>`` and ``lambda i j = <expr>`` lines.
 
 ``loads(dumps(model))`` returns an equal model; tables are canonicalized on
-construction, so equality is structural.  A model text has at most
+construction, so equality is structural.  ``dumps`` refuses a name or
+description that would read back differently: one with a ``#``, a line break
+or surrounding whitespace.  A model text has at most
 ``MAX_CHARS`` characters, comments included.
 """
 
@@ -253,14 +255,23 @@ def _field_lines(fld: LinearVectorField) -> list:
     return lines
 
 
+def _meta_line(key: str, value: str) -> str:
+    if "#" in value or value.splitlines() != [value] or value != value.strip():
+        raise ValueError(
+            f"model {key} {value!r} does not survive a round trip: it must be "
+            "one line with no '#' and no surrounding whitespace"
+        )
+    return f"{key} = {value}"
+
+
 def dumps(model: ModelFile) -> str:
     """Render a model in its text form, deterministically ordered."""
     chart = model.chart
-    out = []
-    if model.name:
-        out.append(f"name = {model.name}")
-    if model.description:
-        out.append(f"description = {model.description}")
+    out = [
+        _meta_line(key, value)
+        for key, value in (("name", model.name), ("description", model.description))
+        if value
+    ]
     if out:
         out.append("")
     out.append("[chart]")

@@ -54,15 +54,10 @@ class CheckRecord(_Value):
 class Report:
     """Ordered collection of check records with an overall verdict."""
 
-    def __init__(
-        self,
-        title: str,
-        records: list[CheckRecord] | None = None,
-        notes: list[str] | None = None,
-    ):
+    def __init__(self, title: str):
         self.title = title
-        self.records = [] if records is None else records
-        self.notes = [] if notes is None else notes
+        self.records = []
+        self.notes = []
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

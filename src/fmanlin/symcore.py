@@ -38,9 +38,7 @@ __all__ = [
     "ParseError",
     "SingularMatrixError",
     "parse_expr",
-    "partial",
     "poly_gcd",
-    "determinant",
     "solve_linear",
 ]
 
@@ -832,11 +830,6 @@ def _is_one(f: RatFunc) -> bool:
     return not f.num.vars and not f.den.vars and f.num.terms.get(()) == 1
 
 
-def partial(f: RatFunc, name: str) -> RatFunc:
-    """Module-level alias for :meth:`RatFunc.partial`."""
-    return RatFunc.coerce(f).partial(name)
-
-
 # -- expression language -------------------------------------------------------
 #
 # expr   := term (('+' | '-') term)*
@@ -1067,8 +1060,8 @@ class SingularMatrixError(ValueError):
 
 def _cleared_rows(matrix, rhs_cols):
     """Scale each row of ``[A | B]`` (``B`` given by its columns) by its
-    denominators: the Poly rows, and the scale of each."""
-    rows, scales = [], []
+    denominators: the Poly rows."""
+    rows = []
     for i, row in enumerate(matrix):
         entries = [RatFunc.coerce(v) for v in (*row, *(col[i] for col in rhs_cols))]
         scale = _ONE
@@ -1076,19 +1069,17 @@ def _cleared_rows(matrix, rhs_cols):
             if not v.is_poly():
                 scale = exact_div(scale * v.den, poly_gcd(scale, v.den))
         rows.append([v.num * exact_div(scale, v.den) for v in entries])
-        scales.append(scale)
-    return rows, scales
+    return rows
 
 
 def _bareiss(rows, ncols):
     """One-step fraction-free elimination below each pivot.
 
-    Mutates ``rows`` into echelon form; returns (pivot columns, swap sign).
+    Mutates ``rows`` into echelon form; returns the pivot columns.
     Entries stay polynomial because each division by the previous pivot is
     exact (Sylvester's identity).
     """
     n = len(rows)
-    sign = 1
     prev = _ONE
     piv_cols = []
     r = 0
@@ -1102,7 +1093,6 @@ def _bareiss(rows, ncols):
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
-            sign = -sign
         pivot = rows[r][c]
         row_r = rows[r]
         for i in range(r + 1, n):
@@ -1118,23 +1108,7 @@ def _bareiss(rows, ncols):
         r += 1
         if r == n:
             break
-    return piv_cols, sign
-
-
-def determinant(matrix) -> RatFunc:
-    """Determinant of a square matrix of rational functions (exact)."""
-    n = len(matrix)
-    if n == 0:
-        return _RF_ONE
-    rows, scales = _cleared_rows(matrix, ())
-    den = _RF_ONE
-    for scale in scales:
-        den = den * RatFunc(scale)
-    piv_cols, sign = _bareiss(rows, n)
-    if len(piv_cols) < n:
-        return _RF_ZERO
-    det = rows[n - 1][piv_cols[-1]]
-    return RatFunc(det * sign) / den
+    return piv_cols
 
 
 def _solve(matrix, rhs_cols) -> list[list[RatFunc]]:
@@ -1144,8 +1118,8 @@ def _solve(matrix, rhs_cols) -> list[list[RatFunc]]:
     Raises :class:`SingularMatrixError` when the square ``A`` is singular.
     """
     n = len(matrix)
-    rows, _ = _cleared_rows(matrix, rhs_cols)
-    piv_cols, _ = _bareiss(rows, n)
+    rows = _cleared_rows(matrix, rhs_cols)
+    piv_cols = _bareiss(rows, n)
     if len(piv_cols) < n:
         raise SingularMatrixError("coefficient matrix is singular")
     solutions = []

@@ -31,7 +31,6 @@ __all__ = [
     "LeibnizError",
     "lie_derivative",
     "contract",
-    "apply_tensor",
     "scaling_class",
     "vertical_lift",
     "extract_components",
@@ -109,10 +108,10 @@ class Chart(_Value):
         self._set(base_names=base_names, fiber_names=fiber_names)
 
     @staticmethod
-    def standard(n: int, k: int, fiber: str = "xi") -> "Chart":
+    def standard(n: int, k: int) -> "Chart":
         return Chart(
             tuple(f"x{i + 1}" for i in range(n)),
-            tuple(f"{fiber}{j + 1}" for j in range(k)),
+            tuple(f"xi{j + 1}" for j in range(k)),
         )
 
     @staticmethod
@@ -219,10 +218,6 @@ class TensorField:
             chart, 0, 1, {(i,): c for i, c in enumerate(components)}
         )
 
-    @staticmethod
-    def coordinate_field(chart: Chart, idx: int) -> "TensorField":
-        return TensorField(chart, 0, 1, {(idx,): RatFunc.one()})
-
     # -- access ----------------------------------------------------------------
 
     def get(self, key: tuple[int, ...]) -> RatFunc:
@@ -230,11 +225,6 @@ class TensorField:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def vector_components(self) -> list[RatFunc]:
-        if (self.p, self.q) != (0, 1):
-            raise ValueError("not a vector field")
-        return [self.get((i,)) for i in range(self.chart.dim)]
 
     # -- algebra ------------------------------------------------------------------
 
@@ -259,22 +249,6 @@ class TensorField:
         return TensorField(
             self.chart, self.p, self.q, {k: -v for k, v in self.coeffs.items()}
         )
-
-    def tensor(self, other: "TensorField") -> "TensorField":
-        """Tensor product; at most one factor may be contravariant."""
-        if self.chart != other.chart:
-            raise ValueError("charts differ")
-        if self.q + other.q > 1:
-            raise ValueError("at most one contravariant slot is supported")
-        out: dict[tuple[int, ...], RatFunc] = {}
-        for ka, va in self.coeffs.items():
-            for kb, vb in other.coeffs.items():
-                if other.q == 1:
-                    key = kb[:1] + ka + kb[1:]
-                else:
-                    key = ka + kb
-                _acc(out, key, va * vb)
-        return TensorField(self.chart, self.p + other.p, self.q + other.q, out)
 
     def __eq__(self, other):
         if not isinstance(other, TensorField):
@@ -349,15 +323,6 @@ def contract(t: TensorField, slot: int, s: TensorField) -> TensorField:
             continue
         _acc(out, key[:pos] + key[pos + 1 :], coeff * sval)
     return TensorField(t.chart, t.p - 1, t.q, out)
-
-
-def apply_tensor(t: TensorField, *fields: TensorField) -> TensorField:
-    """Evaluate ``t`` on vector fields, contracting slots left to right."""
-    if len(fields) != t.p:
-        raise ValueError("wrong number of arguments")
-    for f in fields:
-        t = contract(t, 0, f)
-    return t
 
 
 def vertical_lift(s: Section) -> TensorField:
@@ -669,17 +634,6 @@ class TwoForm(_Frozen):
             acc = acc + g * (ui * vj - uj * vi)
         return acc
 
-    def interior(self, u: dict) -> dict:
-        """The one-form ``i_u gamma`` as a coefficient dict."""
-        out = {}
-        for q in range(self.chart.n):
-            acc = _ZERO
-            for i, f in u.items():
-                acc = acc + f * self.at(i, q)
-            if not acc.is_zero():
-                out[q] = acc
-        return out
-
     def d(self) -> "ThreeForm":
         names = self.chart.names
         table = {
@@ -711,10 +665,6 @@ class ThreeForm(_Frozen):
         return (
             self.chart.base() == other.chart.base() and self.table == other.table
         )
-
-    @staticmethod
-    def zero(chart: Chart) -> "ThreeForm":
-        return ThreeForm(chart, {})
 
     def at(self, i: int, j: int, k: int) -> RatFunc:
         if len({i, j, k}) != 3:

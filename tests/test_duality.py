@@ -11,7 +11,6 @@ from conftest import rand_fraction, rand_poly, rand_ratfunc, rng_for
 import fmanlin.duality as duality
 from fmanlin.duality import (
     Connection,
-    FlatFStructure,
     check_duality_conditions,
     check_flat_f,
     curvature,
@@ -47,7 +46,7 @@ from fmanlin.tensor import (
     TensorField,
     _vadd,
     _vsub,
-    apply_tensor,
+    contract,
     vertical_lift,
 )
 
@@ -184,6 +183,14 @@ def test_check_flat_f_failing_witnesses():
     assert witness_and_residual(rep, "flat") == ((0, 0, 1, 1), "1")
 
     rep = check_flat_f(base, Connection.zero(B2), (rf("x1", B2), rf("x2^2", B2)))
+    assert [r.name for r in rep.records] == [
+        "torsion-free",
+        "flat",
+        "unit-parallel",
+        "star-derivative-symmetric",
+        "euler-base",
+        "euler-second-derivative",
+    ]
     assert rep.record("euler-base").passed
     assert witness_and_residual(rep, "euler-second-derivative") == ((1, 1, 1), "2")
     rep = check_flat_f(base, Connection.zero(B2), (rf("2*x1", B2), rf("x2", B2)))
@@ -209,27 +216,6 @@ def test_check_flat_f_requires_verified_base():
     broken = BaseFManifold(B2, {(0, 0, 1): 1}, (1, 0))
     with pytest.raises(PreconditionError):
         check_flat_f(broken, Connection.zero(B2))
-
-
-def test_flat_structure_type_checks_on_construction():
-    flat = FlatFStructure(
-        base_plane(),
-        Connection.zero(B2),
-        euler=(rf("x1+5", B2), rf("x2+1", B2)),
-    )
-    rep = flat.verify()
-    assert rep.passed
-    assert [r.name for r in rep.records] == [
-        "torsion-free",
-        "flat",
-        "unit-parallel",
-        "star-derivative-symmetric",
-        "euler-base",
-        "euler-second-derivative",
-    ]
-    assert flat.euler_vec() == {0: rf("x1+5", B2), 1: rf("x2+1", B2)}
-    with pytest.raises(PreconditionError):
-        FlatFStructure(base_plane(), Connection(B2, {(0, 0, 0): rf("x1", B2)}))
 
 
 def test_dualize_line_tables():
@@ -392,11 +378,9 @@ def test_dual_side_operator_after_assembly():
     dual, _ = dualize(c, LinearVectorField.zero(C22), Connection.zero(C22))
     assert dual.l == {(1, 0, 0): rf("x1", C22)}
     t = dual.assemble()
-    out = apply_tensor(
-        t,
-        TensorField.coordinate_field(dual.chart, 0),
-        vertical_lift(Section.frame(dual.chart, 0)),
-    )
+    dx1 = TensorField(dual.chart, 0, 1, {(0,): 1})
+    lift = vertical_lift(Section.frame(dual.chart, 0))
+    out = contract(contract(t, 0, dx1), 0, lift)
     want = vertical_lift(
         Section(dual.chart, (RatFunc.zero(), rf("x1", dual.chart)))
     )
@@ -572,16 +556,6 @@ def test_regular_connection_requires_verified_base():
     broken = BaseFManifold(B2, {(0, 0, 1): 1}, (1, 0))
     with pytest.raises(PreconditionError):
         regular_connection(broken, (rf("x1", B2), rf("x2", B2)))
-
-
-def test_flat_structure_names_its_precondition():
-    with pytest.raises(PreconditionError) as info:
-        FlatFStructure(base_plane(), Connection(B2, {(0, 0, 0): rf("x1", B2)}))
-    assert str(info.value) == (
-        "FlatFStructure requires flat structure to pass; "
-        "unit-parallel fails at (0, 0)"
-    )
-    assert info.value.report.title == "flat structure"
 
 
 def test_duality_euler_cross_check_reruns_no_battery(monkeypatch):

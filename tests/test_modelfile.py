@@ -7,10 +7,11 @@ import pytest
 from conftest import SizedReads
 from fmanlin.duality import Connection
 from fmanlin.fman import LinearVectorField, MultComponents
-from fmanlin.gengeo import BFieldData, ThreeForm, TwoForm
+from fmanlin.gengeo import ThreeForm, TwoForm
 from fmanlin.modelfile import MAX_CHARS, ModelError, ModelFile, dumps, load, loads
 from fmanlin.symcore import parse_expr
 from fmanlin.tensor import Chart
+from references import BFieldData
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -107,6 +108,24 @@ def test_round_trip_keeps_all_sections():
     again = loads(dumps(m))
     assert again == m
     assert "[H]" in dumps(m)
+
+
+def test_metadata_round_trips_or_is_refused():
+    base = loads("[chart]\nbase = x1\n")
+    kept = ["a = b", "tab\tinside", "x [chart] y", "[chart]", "naïve", "-"]
+    # a '#', anything str.splitlines splits on, or surrounding whitespace
+    refused = ["line #2", "#", "x\n[chart]", "a\rb", "a\r\nb", "\n"]
+    refused += [f"a{sep}b" for sep in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"]
+    refused += [" lead", "trail ", "\tboth\t", " "]
+    for field in ("name", "description"):
+        for value in kept:
+            m = ModelFile(base.components, **{field: value})
+            assert getattr(loads(dumps(m)), field) == value
+            assert loads(dumps(m)) == m
+        for value in refused:
+            m = ModelFile(base.components, **{field: value})
+            with pytest.raises(ValueError, match="does not survive a round trip"):
+                dumps(m)
 
 
 def test_bad_euler_model_is_rejected_at_load():

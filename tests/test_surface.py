@@ -1,0 +1,76 @@
+"""The public API is each module's ``__all__``, and every name in it has a user.
+
+A name belongs in ``__all__`` only when the package itself, its CLI or the
+benchmark in ``perfbench/`` uses it.  A name that only tests reach is either
+moved into ``tests/`` as a reference or deleted, unless it is listed in
+``KEPT`` with the reason the tests need it as package behaviour.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "fmanlin"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+KEPT = {
+    "check_commutative": "its l2 argument is the only input that can fail side-tables-equal",
+    "check_associative": "the record log pins its tests' records under its own report title",
+    "check_unit": "the record log pins its tests' records under its own report title",
+    "check_hertling_manin": "the record log pins its tests' records under its own report title",
+    "evaluate_residual": "replays a failed battery record from its witness alone",
+    "pairing": "the pairing of the bracket that check_dorfman_compat checks",
+    "anchor": "the anchor of the bracket that check_dorfman_compat checks",
+    "dorfman": "the section form of the bracket that check_dorfman_compat checks",
+}
+
+
+def public_names():
+    """``(module, name)`` for every ``__all__`` entry of the package."""
+    for stem in MODULES:
+        module = importlib.import_module(f"fmanlin.{stem}")
+        for name in getattr(module, "__all__", ()):
+            yield module, name
+
+
+def used_names() -> set:
+    """Every identifier that ``src/`` or ``perfbench/`` code mentions.
+
+    A mention inside the top-level definition of the same name (a recursive
+    call) does not count.  ``perfbench`` also names functions in strings such
+    as ``"fman.hm_tensor"``, so there the last dotted part of a string counts.
+    """
+    used = set()
+    files = [(p, False) for p in sorted(PACKAGE.glob("*.py"))]
+    files += [(p, True) for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    for path, strings in files:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    name = node.value.rsplit(".", 1)[-1]
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    return used
+
+
+def test_every_public_name_resolves():
+    for module, name in public_names():
+        assert hasattr(module, name), f"{module.__name__}.__all__ names missing {name!r}"
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    used = used_names()
+    test_only = {name for _, name in public_names() if name not in used}
+    assert test_only == set(KEPT), (
+        "public names that no src/ or perfbench/ code uses: move them into "
+        "tests/ as references, delete them, or list them in KEPT with a reason; "
+        "a KEPT name that gained a user leaves KEPT"
+    )

@@ -15,10 +15,8 @@ from fmanlin.symcore import (
     RatFunc,
     SingularMatrixError,
     _inverse,
-    determinant,
     exact_div,
     parse_expr,
-    partial,
     poly_gcd,
     solve_linear,
 )
@@ -29,6 +27,13 @@ XV = ("x1", "x2", "xi1")
 
 def P(text, variables=XV):
     return parse_expr(text, variables)
+
+
+def is_singular(matrix) -> bool:
+    """Whether a square matrix of rational functions is singular, by sympy."""
+    sympy = pytest.importorskip("sympy")
+    m = sympy.Matrix([[sympy.sympify(str(v)) for v in row] for row in matrix])
+    return sympy.cancel(m.det()) == 0
 
 
 def test_parse_cancels_common_factors():
@@ -189,7 +194,6 @@ def test_partial_leibniz_and_commutation_random():
         rhs = f.partial("x1") * g + f * g.partial("x1")
         assert lhs == rhs
         assert f.partial("x1").partial("x2") == f.partial("x2").partial("x1")
-    assert partial(P("x1^3"), "x1") == P("3*x1^2")
 
 
 def test_poly_gcd_extracts_common_factor():
@@ -211,14 +215,6 @@ def test_exact_div_detects_inexact():
         exact_div(P("x1 + 1").num, P("x2").num)
 
 
-def test_determinant_known_and_singular():
-    x1 = P("x1")
-    m = [[RatFunc.one(), x1], [RatFunc.zero(), x1 + 1]]
-    assert determinant(m) == x1 + 1
-    s = [[x1, x1], [x1, x1]]
-    assert determinant(s) == RatFunc.zero()
-
-
 def test_solve_linear_random_systems():
     rng = rng_for("symcore-solve")
     for size in (1, 2, 3):
@@ -227,7 +223,7 @@ def test_solve_linear_random_systems():
                 [rand_ratfunc(rng, ("x1", "x2"), max_deg=1) for _ in range(size)]
                 for _ in range(size)
             ]
-            if determinant(a).is_zero():
+            if is_singular(a):
                 continue
             x = [rand_ratfunc(rng, ("x1", "x2"), max_deg=1) for _ in range(size)]
             b = [
@@ -255,7 +251,7 @@ def test_inverse_matches_solve_linear_column_by_column():
                 [rand_ratfunc(rng, ("x1", "x2"), max_deg=1) for _ in range(size)]
                 for _ in range(size)
             ]
-            if determinant(a).is_zero():
+            if is_singular(a):
                 singular += 1
                 with pytest.raises(SingularMatrixError):
                     _inverse(a)
