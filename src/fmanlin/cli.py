@@ -33,13 +33,8 @@ import codecs
 import io
 import sys
 
-from .fman import (
-    BaseFManifold,
-    PreconditionError,
-    check_battery,
-    check_euler,
-)
-from .modelfile import MAX_CHARS, ModelError, ModelFile, dumps, load, loads
+from .fman import BaseFManifold, PreconditionError, check_battery, check_euler
+from .modelfile import MAX_CHARS, ModelError, ModelFile, dumps, load, loads, save
 from .tensor import Connection
 
 __all__ = ["main"]
@@ -63,20 +58,6 @@ def _read_model(path: str) -> ModelFile:
     if path == "-":
         return loads(_utf8(sys.stdin).read(MAX_CHARS + 1))
     return load(path)
-
-
-def _emit_model(model: ModelFile, out: str) -> None:
-    if out == "-":
-        _utf8(sys.stdout).write(dumps(model))
-    else:
-        from .modelfile import save
-
-        save(model, out)
-
-
-def _report_exit(rep, as_json: bool) -> int:
-    print(rep.to_json() if as_json else rep.render())
-    return 0 if rep.passed else 1
 
 
 def _unit_of(model: ModelFile):
@@ -111,126 +92,136 @@ def _connection_of(model: ModelFile, override: str | None) -> Connection:
     return Connection.zero(model.chart.base())
 
 
-def _suffixed(name: str, suffix: str) -> str:
-    return f"{name}-{suffix}" if name else ""
+def _derived(model, suffix, components, unit, connection, gamma) -> ModelFile:
+    """What a construction writes: its tables, and ``model``'s description,
+    twist and name, suffixed unless empty; ``[euler.*]`` sections are dropped."""
+    return ModelFile(
+        components,
+        unit,
+        connection=connection,
+        gamma=gamma,
+        twist=model.twist,
+        name=f"{model.name}-{suffix}" if model.name else "",
+        description=model.description,
+    )
 
 
-def cmd_check(args) -> int:
-    model = _read_model(args.model)
+# Each handler takes the parsed model and the arguments, and returns the
+# report of a check command or the model a constructive command writes.
+
+
+def cmd_check(model, args):
     if model.chart.k == 0:
-        rep = _base_of(model).verify()
-    else:
-        rep = check_battery(model.components, _unit_of(model))
-    return _report_exit(rep, args.json)
+        return _base_of(model).verify()
+    return check_battery(model.components, _unit_of(model))
 
 
-def cmd_euler_check(args) -> int:
-    model = _read_model(args.model)
+def cmd_euler_check(model, args):
     euler = model.eulers.get(args.candidate)
     if euler is None:
         have = ", ".join(sorted(model.eulers)) or "none"
         raise ValueError(
             f"no euler candidate named {args.candidate!r} (have: {have})"
         )
-    rep = check_euler(model.components, _unit_of(model), euler)
-    return _report_exit(rep, args.json)
+    return check_euler(model.components, _unit_of(model), euler)
 
 
-def cmd_dualize(args) -> int:
+def cmd_dualize(model, args):
     from .duality import dualize
 
-    model = _read_model(args.model)
     nabla = _connection_of(model, args.connection)
-    dual_c, dual_e = dualize(model.components, _unit_of(model), nabla)
-    _emit_model(
-        ModelFile(
-            components=dual_c,
-            unit=dual_e,
-            connection=model.connection,
-            gamma=model.gamma,
-            twist=model.twist,
-            name=_suffixed(model.name, "dual"),
-            description=model.description,
-        ),
-        args.out,
-    )
-    return 0
+    dual = dualize(model.components, _unit_of(model), nabla)
+    # the model's own connection, even when --connection dualized by another
+    return _derived(model, "dual", *dual, model.connection, model.gamma)
 
 
-def cmd_prolong(args) -> int:
+def cmd_prolong(model, args):
     from .prolong import (
         cotangent_prolongation,
         generalized_prolongation,
         tangent_prolongation,
     )
 
-    model = _read_model(args.model)
     base = _base_of(model)
     if args.kind == "tangent":
-        prol = tangent_prolongation(base)
-        connection = model.connection
+        prol, connection = tangent_prolongation(base), model.connection
     else:
-        nabla = _connection_of(model, args.connection)
+        connection = _connection_of(model, args.connection)
         builder = (
             cotangent_prolongation
             if args.kind == "cotangent"
             else generalized_prolongation
         )
-        prol = builder(base, nabla)
-        connection = nabla
-    _emit_model(
-        ModelFile(
-            components=prol.components,
-            unit=prol.unit,
-            connection=connection,
-            gamma=model.gamma,
-            twist=model.twist,
-            name=_suffixed(model.name, args.kind),
-            description=model.description,
-        ),
-        args.out,
+        prol = builder(base, connection)
+    return _derived(
+        model, args.kind, prol.components, prol.unit, connection, model.gamma
     )
-    return 0
 
 
-def cmd_bfield(args) -> int:
+def cmd_bfield(model, args):
     from .gengeo import bfield_transform
 
-    model = _read_model(args.model)
     if model.gamma is None:
         raise ValueError("the model has no [gamma] section to transform by")
-    tc, te = bfield_transform(model.components, _unit_of(model), model.gamma)
-    _emit_model(
-        ModelFile(
-            components=tc,
-            unit=te,
-            connection=model.connection,
-            twist=model.twist,
-            name=_suffixed(model.name, "bfield"),
-            description=model.description,
-        ),
-        args.out,
-    )
-    return 0
+    sheared = bfield_transform(model.components, _unit_of(model), model.gamma)
+    return _derived(model, "bfield", *sheared, model.connection, None)
 
 
-def cmd_courant_classify(args) -> int:
+def cmd_courant_classify(model, args):
     from .gengeo import classify_exact_courant
 
-    model = _read_model(args.model)
     nabla = _connection_of(model, args.connection)
-    rep = classify_exact_courant(
+    return classify_exact_courant(
         model.components, _unit_of(model), nabla, model.twist
     )
-    return _report_exit(rep, args.json)
 
 
-def cmd_five_field(args) -> int:
+def cmd_five_field(model, args):
     from .prolong import check_five_field_identity
 
-    model = _read_model(args.model)
-    rep = check_five_field_identity(_base_of(model))
-    return _report_exit(rep, args.json)
+    return check_five_field_identity(_base_of(model))
+
+
+_ARGUMENTS = {
+    "kind": {
+        "choices": ("tangent", "cotangent", "generalized"),
+        "help": "which prolongation to build",
+    },
+    "model": {"help": "model file, or - for stdin"},
+    # the model argument, with the help text that prolong shows
+    "base-model": {"help": "base model file, or - for stdin"},
+    "--candidate": {"required": True, "help": "euler section name"},
+    "--connection": {"help": "model file supplying [connection]"},
+    "--out": {"default": "-", "help": "output path (default stdout)"},
+    "--json": {"action": "store_true", "help": "machine-readable report"},
+}
+
+# the subcommands in help order: handler, help, arguments in order
+_COMMANDS = {
+    "check": (cmd_check, "run the multiplication battery", "model --json"),
+    "euler-check": (
+        cmd_euler_check,
+        "check a named euler candidate",
+        "model --candidate --json",
+    ),
+    "prolong": (
+        cmd_prolong,
+        "prolong a base model",
+        "kind base-model --connection --out",
+    ),
+    "dualize": (cmd_dualize, "dualize the fiber block", "model --connection --out"),
+    "bfield": (cmd_bfield, "shear by the model's two-form", "model --out"),
+    "courant-classify": (
+        cmd_courant_classify,
+        "classify a double-fiber model against the twisted bracket",
+        "model --connection --json",
+    ),
+    "five-field": (
+        cmd_five_field,
+        "check the five-argument product identity on a base model",
+        "model --json",
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -239,59 +230,26 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact identity checks and constructions on model files.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
+    for name, (func, help_text, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("model", help="model file, or - for stdin")
+        for arg in arguments.split():
+            p.add_argument(arg.removeprefix("base-"), **_ARGUMENTS[arg])
         p.set_defaults(func=func)
-        return p
-
-    p = add("check", cmd_check, "run the multiplication battery")
-    p.add_argument("--json", action="store_true", help="machine-readable report")
-
-    p = add("euler-check", cmd_euler_check, "check a named euler candidate")
-    p.add_argument("--candidate", required=True, help="euler section name")
-    p.add_argument("--json", action="store_true", help="machine-readable report")
-
-    p = sub.add_parser("prolong", help="prolong a base model")
-    p.add_argument(
-        "kind", choices=("tangent", "cotangent", "generalized"),
-        help="which prolongation to build",
-    )
-    p.add_argument("model", help="base model file, or - for stdin")
-    p.add_argument("--connection", help="model file supplying [connection]")
-    p.add_argument("--out", default="-", help="output path (default stdout)")
-    p.set_defaults(func=cmd_prolong)
-
-    p = add("dualize", cmd_dualize, "dualize the fiber block")
-    p.add_argument("--connection", help="model file supplying [connection]")
-    p.add_argument("--out", default="-", help="output path (default stdout)")
-
-    p = add("bfield", cmd_bfield, "shear by the model's two-form")
-    p.add_argument("--out", default="-", help="output path (default stdout)")
-
-    p = add(
-        "courant-classify",
-        cmd_courant_classify,
-        "classify a double-fiber model against the twisted bracket",
-    )
-    p.add_argument("--connection", help="model file supplying [connection]")
-    p.add_argument("--json", action="store_true", help="machine-readable report")
-
-    p = add(
-        "five-field",
-        cmd_five_field,
-        "check the five-argument product identity on a base model",
-    )
-    p.add_argument("--json", action="store_true", help="machine-readable report")
-
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        result = args.func(_read_model(args.model), args)
+        if not isinstance(result, ModelFile):
+            print(result.to_json() if args.json else result.render())
+            return 0 if result.passed else 1
+        if args.out == "-":
+            _utf8(sys.stdout).write(dumps(result))
+        else:
+            save(result, args.out)
+        return 0
     except PreconditionError as exc:
         if exc.report is not None:
             print(exc.report.render())

@@ -127,17 +127,12 @@ def nabla_star(nabla: Connection, c: MultComponents, u: dict, v: dict, w: dict) 
 def check_flat_f(base: BaseFManifold, nabla: Connection, euler=None) -> Report:
     """Check the compatibility conditions between a base product and a connection."""
     _require("the flat-structure check", base.verify())
-    return _flat_f(base, nabla, euler)
-
-
-def _flat_f(base: BaseFManifold, nabla: Connection, euler) -> Report:
-    """`check_flat_f` on a base whose battery has passed."""
     if nabla.chart.base() != base.chart:
         raise ValueError("connection chart does not match the base chart")
     rep = Report("flat structure")
     chart = base.chart
     n = chart.n
-    c = base.as_components()
+    c = base.components
     evec = None if euler is None else _euler_to_vec(chart, euler)
     frames = _Frames(c, nabla, evec)
 
@@ -412,7 +407,7 @@ def regular_connection(base: BaseFManifold, euler) -> Connection:
     chart = base.chart
     n = chart.n
     names = chart.names
-    c = base.as_components()
+    c = base.components
     evec = _euler_to_vec(chart, euler)
 
     powers = [{a: f for a, f in enumerate(base.unit) if not f.is_zero()}]
@@ -448,8 +443,8 @@ def regular_connection(base: BaseFManifold, euler) -> Connection:
 
 def regular_flat_check(base: BaseFManifold, euler):
     """Compute the regular connection and run the flat-structure check on it."""
-    nabla = regular_connection(base, euler)  # verifies the base
-    rep = _flat_f(base, nabla, euler)
+    nabla = regular_connection(base, euler)
+    rep = check_flat_f(base, nabla, euler)
     rep.note(
         "computed over rational-function coefficients; the construction is "
         "usually stated for holomorphic data"

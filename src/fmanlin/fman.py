@@ -204,14 +204,21 @@ class BaseFManifold(_Value):
         )
         self._set(chart=chart, star=star, unit=unit)
 
-    def as_components(self) -> MultComponents:
+    @cached_property
+    def components(self) -> MultComponents:
+        """The product as tables with no fiber, built once."""
         return MultComponents(chart=self.chart, d={}, l={}, star=self.star)
 
     def unit_field(self) -> LinearVectorField:
         return LinearVectorField(self.chart, self.unit, ())
 
     def verify(self) -> Report:
-        rep = check_battery(self.as_components(), self.unit_field())
+        """The base battery, run on the first call; later calls return it again."""
+        return self._battery
+
+    @cached_property
+    def _battery(self) -> Report:
+        rep = check_battery(self.components, self.unit_field())
         rep.title = "base product battery"
         return rep
 

@@ -29,10 +29,12 @@ the support of each table is written.  ``[unit]`` and ``[euler.<name>]``
 sections hold ``beta i = <expr>`` and ``lambda i j = <expr>`` lines.
 
 ``loads(dumps(model))`` returns an equal model; tables are canonicalized on
-construction, so equality is structural.  ``dumps`` refuses a name or
-description that would read back differently: one with a ``#``, a line break
-or surrounding whitespace.  A model text has at most
-``MAX_CHARS`` characters, comments included.
+construction, so equality is structural.  ``dumps`` refuses any name that
+would read back differently: a name or description with a ``#``, a line
+break or surrounding whitespace, a coordinate name that is empty or holds a
+``#`` or whitespace, and an Euler name that is empty or holds a ``#`` or a
+line break or ends in whitespace.  A model text has at most ``MAX_CHARS``
+characters, comments included.
 """
 
 from __future__ import annotations
@@ -47,6 +49,13 @@ __all__ = ["ModelError", "ModelFile", "load", "loads", "save", "dumps"]
 
 MAX_CHARS = 1_000_000
 _TABLE_WIDTHS = {"star": 3, "l": 3, "D": 4, "connection": 3, "gamma": 2, "H": 3}
+# each base-chart section: its ModelFile field, its value type, and the
+# attribute holding the type's table; dumped in this order
+_BASE_SECTIONS = {
+    "connection": ("connection", Connection, "gamma"),
+    "gamma": ("gamma", TwoForm, "table"),
+    "H": ("twist", ThreeForm, "table"),
+}
 _ZERO = RatFunc.zero()
 
 
@@ -213,27 +222,12 @@ def loads(text: str) -> ModelFile:
         for label in sorted(fields)
         if label.startswith("euler.")
     }
-    connection = (
-        Connection(chart.base(), parsed("connection"))
-        if "connection" in seen_sections
-        else None
-    )
-    gamma = (
-        TwoForm(chart.base(), parsed("gamma"))
-        if "gamma" in seen_sections
-        else None
-    )
-    twist = ThreeForm(chart.base(), parsed("H")) if "H" in seen_sections else None
-    return ModelFile(
-        components=components,
-        unit=unit,
-        eulers=eulers,
-        connection=connection,
-        gamma=gamma,
-        twist=twist,
-        name=meta["name"],
-        description=meta["description"],
-    )
+    extras = {
+        field: kind(chart.base(), parsed(section))
+        for section, (field, kind, _) in _BASE_SECTIONS.items()
+        if section in seen_sections
+    }
+    return ModelFile(components, unit, eulers, **extras, **meta)
 
 
 def _entry_lines(table: dict) -> list:
@@ -255,13 +249,27 @@ def _field_lines(fld: LinearVectorField) -> list:
     return lines
 
 
-def _meta_line(key: str, value: str) -> str:
-    if "#" in value or value.splitlines() != [value] or value != value.strip():
+def _kept(what: str, value: str, rule: str, strip=str.strip) -> str:
+    """``value``, if ``loads`` reads it back unchanged: one line, no ``#``,
+    and nothing that ``strip`` would remove."""
+    if "#" in value or value.splitlines() != [value] or strip(value) != value:
         raise ValueError(
-            f"model {key} {value!r} does not survive a round trip: it must be "
-            "one line with no '#' and no surrounding whitespace"
+            f"{what} {value!r} does not survive a round trip: it must be {rule}"
         )
-    return f"{key} = {value}"
+    return value
+
+
+def _meta_line(key: str, value: str) -> str:
+    rule = "one line with no '#' and no surrounding whitespace"
+    return f"{key} = {_kept(f'model {key}', value, rule)}"
+
+
+def _coordinates(names: tuple) -> str:
+    rule = "a non-empty line with no '#' and no whitespace"
+    return " ".join(
+        _kept("coordinate name", name, rule, lambda s: "".join(s.split()))
+        for name in names
+    )
 
 
 def dumps(model: ModelFile) -> str:
@@ -275,35 +283,24 @@ def dumps(model: ModelFile) -> str:
     if out:
         out.append("")
     out.append("[chart]")
-    out.append("base = " + " ".join(chart.base_names))
+    out.append("base = " + _coordinates(chart.base_names))
     if chart.fiber_names:
-        out.append("fiber = " + " ".join(chart.fiber_names))
+        out.append("fiber = " + _coordinates(chart.fiber_names))
     c = model.components
     for label, table in (("star", c.star), ("l", c.l), ("D", c.d)):
         if table:
-            out.append("")
-            out.append(f"[{label}]")
-            out.extend(_entry_lines(table))
+            out += ["", f"[{label}]", *_entry_lines(table)]
     if model.unit is not None:
-        out.append("")
-        out.append("[unit]")
-        out.extend(_field_lines(model.unit))
+        out += ["", "[unit]", *_field_lines(model.unit)]
     for name in sorted(model.eulers):
-        out.append("")
-        out.append(f"[euler.{name}]")
-        out.extend(_field_lines(model.eulers[name]))
-    if model.connection is not None:
-        out.append("")
-        out.append("[connection]")
-        out.extend(_entry_lines(model.connection.gamma))
-    if model.gamma is not None:
-        out.append("")
-        out.append("[gamma]")
-        out.extend(_entry_lines(model.gamma.table))
-    if model.twist is not None:
-        out.append("")
-        out.append("[H]")
-        out.extend(_entry_lines(model.twist.table))
+        # a leading space reads back: loads strips "euler.<name>" as a whole
+        rule = "a non-empty line with no '#' and no trailing whitespace"
+        header = f"[euler.{_kept('euler name', name, rule, str.rstrip)}]"
+        out += ["", header, *_field_lines(model.eulers[name])]
+    for section, (field, _, table) in _BASE_SECTIONS.items():
+        value = getattr(model, field)
+        if value is not None:
+            out += ["", f"[{section}]", *_entry_lines(getattr(value, table))]
     return "\n".join(out) + "\n"
 
 

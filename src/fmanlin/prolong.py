@@ -106,10 +106,6 @@ def tangent_prolongation(base: BaseFManifold) -> ProlongedStructure:
     fiber matrix.
     """
     _require("the tangent prolongation", base.verify())
-    return _tangent(base)
-
-
-def _tangent(base: BaseFManifold) -> ProlongedStructure:
     bchart = base.chart
     n = bchart.n
     names = bchart.names
@@ -131,7 +127,7 @@ def cotangent_prolongation(base: BaseFManifold, nabla: Connection) -> ProlongedS
     from .duality import check_flat_f, dualize
 
     _require("the cotangent prolongation", check_flat_f(base, nabla))
-    tan = _tangent(base)
+    tan = tangent_prolongation(base)
     dual_c, dual_e = dualize(tan.components, tan.unit, nabla)
     return ProlongedStructure("cotangent", dual_c, dual_e, base, nabla)
 
@@ -141,7 +137,7 @@ def generalized_prolongation(base: BaseFManifold, nabla: Connection) -> Prolonge
     from .duality import check_flat_f, dualize
 
     _require("the generalized prolongation", check_flat_f(base, nabla))
-    tan = _tangent(base)
+    tan = tangent_prolongation(base)
     dual_c, dual_e = dualize(tan.components, tan.unit, nabla)
     comps = direct_sum(tan.components, dual_c)
     unit = direct_sum_unit(tan.unit, dual_e)
@@ -295,7 +291,7 @@ def five_field_residual(c: MultComponents, x, y, z, v, w) -> dict:
 def check_five_field_identity(base: BaseFManifold) -> Report:
     """Scan the five-field identity over every tuple of base frames."""
     _require("the five-field identity check", base.verify())
-    c = base.as_components()
+    c = base.components
     n = c.n
     rep = Report("five-field identity")
     law = "the five-field consequence of the integrability law vanishes"

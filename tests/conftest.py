@@ -1,4 +1,5 @@
-"""Shared randomized-input helpers, and a text stream that records its reads.
+"""Shared randomized-input helpers, a text stream that records its reads, and
+a fixture that records battery runs.
 
 All randomness is driven by ``random.Random`` instances seeded from the
 ``FMAN_SEED`` environment variable (default 0), so failures reproduce exactly.
@@ -12,9 +13,32 @@ import os
 import random
 from fractions import Fraction
 
+import pytest
+
 from fmanlin.symcore import Poly, RatFunc
 
 SEED = int(os.environ.get("FMAN_SEED", "0"))
+
+
+@pytest.fixture
+def battery_runs(monkeypatch):
+    """The components of every ``check_battery`` call from now on, in order.
+
+    Every module that imports ``check_battery`` by name is patched, so base
+    batteries (run by ``BaseFManifold.verify``) are recorded with the rest.
+    """
+    from fmanlin import duality, fman, gengeo, prolong
+
+    runs = []
+    real = fman.check_battery
+
+    def counting(c, e=None):
+        runs.append(c)
+        return real(c, e)
+
+    for module in (fman, duality, gengeo, prolong):
+        monkeypatch.setattr(module, "check_battery", counting)
+    return runs
 
 
 class SizedReads(io.StringIO):

@@ -132,7 +132,7 @@ class BFieldData(_Value):
             raise ValueError("two-form lives on different base coordinates")
         n = chart.n
         names = chart.names
-        c = base.as_components()
+        c = base.components
         unit = {i: f for i, f in enumerate(base.unit) if not f.is_zero()}
         b, a = {}, {}
         for m, p, q in product(range(n), repeat=3):

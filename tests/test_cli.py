@@ -174,6 +174,34 @@ def test_stdin_over_the_text_budget_exits_two(monkeypatch, capsys):
     assert err == f"error: model text is longer than {MAX_CHARS} characters\n"
 
 
+def test_readme_lists_the_parser_subcommands_and_flags():
+    import argparse
+    import re
+
+    from fmanlin.cli import _build_parser
+
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"^Subcommands: (.*?)\.\n", text, re.S | re.M).group(1)
+    flags = re.search(r"^Flags: (.*?)\.\n", text, re.S | re.M).group(1)
+    commands = [span.split() for span in re.findall(r"`([^`]*)`", listed)]
+    spans = re.findall(r"`(--[a-z-]+)( <\w+>)?`", flags)
+    documented = {flag: bool(value) for flag, value in spans}
+
+    parser = _build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert [words[0] for words in commands] == list(sub.choices)
+    takes = {}
+    for name, words in zip(sub.choices, commands):
+        actions = sub.choices[name]._actions
+        kinds = [a.choices for a in actions if not a.option_strings and a.choices]
+        assert words[1:] == ["|".join(c) for c in kinds]
+        for a in actions:
+            for flag in a.option_strings:
+                takes[flag] = a.nargs != 0
+    del takes["-h"], takes["--help"]
+    assert documented == takes
+
+
 def test_unknown_command_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate", model("line.fman")])
@@ -254,6 +282,91 @@ def test_bfield_consumes_gamma(tmp_path):
     assert main(["bfield", str(gen), "--out", str(sheared)]) == 0
     assert load(sheared).gamma is None
     assert load(sheared).components != load(gen).components
+
+
+@pytest.fixture(scope="module")
+def carry_inputs(tmp_path_factory):
+    """A base and a double-fiber model carrying every extra, and a zero override.
+
+    Both carry the regular connection of the plane for the Euler field
+    ``(x1 + 5, x2^2 + 1)``, which is not zero, so it tells the model's
+    connection apart from the override's.
+    """
+    from fmanlin.duality import regular_connection
+    from fmanlin.fman import BaseFManifold
+    from fmanlin.modelfile import ModelFile, save
+    from fmanlin.prolong import generalized_prolongation
+    from fmanlin.symcore import parse_expr
+    from fmanlin.tensor import ThreeForm
+
+    folder = tmp_path_factory.mktemp("carry")
+    plain = load(model("regular2d.fman"))
+    base = BaseFManifold(plain.chart, plain.components.star, plain.unit.beta)
+    nabla = regular_connection(
+        base, tuple(parse_expr(v, plain.chart.names) for v in ("x1 + 5", "x2^2 + 1"))
+    )
+    assert nabla.gamma
+    gen = generalized_prolongation(base, nabla)
+    extras = {
+        "connection": nabla,
+        "gamma": load(model("plane-gamma-linear.fman")).gamma,
+        "twist": ThreeForm(plain.chart, {}),
+        "description": "carry-over fixture",
+    }
+    paths = {}
+    for label, c, e, eulers in (
+        ("base", plain.components, plain.unit, plain.eulers),
+        ("fiber", gen.components, gen.unit, {"E": gen.unit}),
+    ):
+        for name in (label, ""):
+            path = folder / f"{label}-{name or 'unnamed'}.fman"
+            save(ModelFile(c, e, eulers, name=name, **extras), path)
+            paths[label, name] = str(path)
+    paths["override"] = str(folder / "zero.fman")
+    Path(paths["override"]).write_text("[chart]\nbase = x1 x2\n\n[connection]\n")
+    return paths
+
+
+# what each construction writes: the connection it keeps ("model" or
+# "override"), whether [gamma] and [euler.*] survive, and the name suffix;
+# every construction keeps the description and [H]
+CARRY_OVER = [
+    (["dualize"], "fiber", False, "model", True, False, "dual"),
+    (["dualize"], "fiber", True, "model", True, False, "dual"),
+    (["prolong", "tangent"], "base", False, "model", True, False, "tangent"),
+    (["prolong", "tangent"], "base", True, "model", True, False, "tangent"),
+    (["prolong", "cotangent"], "base", False, "model", True, False, "cotangent"),
+    (["prolong", "cotangent"], "base", True, "override", True, False, "cotangent"),
+    (["prolong", "generalized"], "base", False, "model", True, False, "generalized"),
+    (["prolong", "generalized"], "base", True, "override", True, False, "generalized"),
+    (["bfield"], "fiber", False, "model", False, False, "bfield"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, source, override, connection, gamma, eulers, suffix",
+    CARRY_OVER,
+    ids=[" ".join(row[0]) + (" --connection" if row[2] else "") for row in CARRY_OVER],
+)
+def test_constructions_carry_over_what_they_keep(
+    carry_inputs, tmp_path, command, source, override, connection, gamma, eulers, suffix
+):
+    zero = load(carry_inputs["override"]).connection
+    out = tmp_path / "out.fman"
+    for name in (source, ""):
+        given = load(carry_inputs[source, name])
+        argv = [*command, carry_inputs[source, name], "--out", str(out)]
+        if override:
+            argv += ["--connection", carry_inputs["override"]]
+        assert main(argv) == 0
+        written = load(out)
+        kept = {"model": given.connection, "override": zero}
+        assert written.connection == kept[connection]
+        assert written.gamma == (given.gamma if gamma else None)
+        assert written.eulers == (given.eulers if eulers else {})
+        assert written.twist == given.twist
+        assert written.name == (f"{name}-{suffix}" if name else "")
+        assert written.description == given.description
 
 
 # -- classification and the five-field identity -----------------------------------

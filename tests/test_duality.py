@@ -927,23 +927,16 @@ def test_no_frame_memo_outlives_its_call(monkeypatch):
     assert all(ref() is None for ref in made)
 
 
-def test_regular_flat_check_verifies_the_base_once(monkeypatch):
-    calls = []
-    real = BaseFManifold.verify
-
-    def counting(self):
-        calls.append(self)
-        return real(self)
-
-    monkeypatch.setattr(BaseFManifold, "verify", counting)
+def test_regular_flat_check_verifies_the_base_once(battery_runs):
     base = base_plane()
     nab, rep = regular_flat_check(base, (rf("x1+5", B2), rf("x2^2+1", B2)))
     assert rep.passed
-    assert calls == [base]
-    # the public check still verifies its base
-    calls.clear()
-    assert check_flat_f(base, nab).passed
-    assert calls == [base]
+    assert battery_runs == [base.components]
+    # the public check still verifies its base: a new one runs its battery
+    battery_runs.clear()
+    fresh = base_plane()
+    assert check_flat_f(fresh, nab).passed
+    assert battery_runs == [fresh.components]
 
 
 def test_frame_lie_derivatives_are_computed_once_per_check(monkeypatch):

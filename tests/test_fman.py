@@ -1104,6 +1104,33 @@ def test_base_manifold_battery_reuse():
         BaseFManifold(Chart.standard(2, 0), {(2, 0, 0): 1, (0, 0): 1}, (1, 0))
 
 
+@pytest.mark.parametrize(
+    "star",
+    [{(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1}, {(0, 0, 0): 1, (1, 0, 1): 1}],
+    ids=["plane", "skew"],
+)
+def test_base_battery_runs_once_and_its_report_keeps_its_bytes(battery_runs, star):
+    base = BaseFManifold(Chart.standard(2, 0), star, (1, 0))
+    assert base.components is base.components
+    first = base.verify()
+    assert first.title == "base product battery"
+    text, body = first.render(), first.to_json()
+    for _ in range(2):
+        # a construction requires the battery, and reuses it
+        try:
+            tangent_prolongation(base)
+        except PreconditionError as exc:
+            assert exc.report is first
+        assert base.verify() is first
+        assert (first.render(), first.to_json()) == (text, body)
+    assert battery_runs == [base.components]
+    # an equal object runs its own battery, to the same bytes
+    other = BaseFManifold(Chart.standard(2, 0), star, (1, 0)).verify()
+    assert other is not first
+    assert (other.render(), other.to_json()) == (text, body)
+    assert len(battery_runs) == 2
+
+
 def test_lie_star_is_tensorial_in_its_arguments():
     c, _ = plane_example()
     one = RatFunc.one()

@@ -682,6 +682,19 @@ def test_classify_linear_shear_cites_the_gradient():
     assert rep.record("bfield-gradient").residual == "1"
 
 
+def test_classification_runs_each_battery_once_per_object(battery_runs):
+    prol, nabla = plane_package()
+    tc, te = bfield_transform(
+        prol.components, prol.unit, TwoForm(B2, {(0, 1): rf("x1")})
+    )
+    battery_runs.clear()
+    assert not classify_exact_courant(tc, te, nabla).passed
+    # the candidate once, and the base once for the classifier and the
+    # double prolongation it rebuilds; the scalar check verifies a base of
+    # its own, which is the one base battery left to share
+    assert [c.chart.k for c in battery_runs] == [4, 0, 0]
+
+
 def test_classify_aborts_without_anchor():
     # covector block first: a perfectly good multiplication whose projection
     # runs through the wrong block, and a structure that is its own dual

@@ -128,6 +128,35 @@ def test_metadata_round_trips_or_is_refused():
                 dumps(m)
 
 
+def test_chart_and_euler_names_round_trip_or_are_refused():
+    source = loads("[chart]\nbase = x1\n\n[euler.E]\nbeta 0 = x1\n")
+    field = source.eulers["E"]
+
+    def charted(name):
+        return [
+            MultComponents(Chart(names, fiber), {}, {}, {})
+            for names, fiber in (((name,), ()), (("x1",), (name,)))
+        ]
+
+    # coordinates: non-empty, no whitespace, no '#'
+    for name in ["y", "naïve", "a=b", "[chart]", "x[1]", "]"]:
+        for c in charted(name):
+            assert loads(dumps(ModelFile(c))) == ModelFile(c)
+    for name in ["x#1", "#", "a b", "", "a\tb", " y", "y ", "\n", "a\x85b", "a\u3000b"]:
+        for c in charted(name):
+            with pytest.raises(ValueError, match="coordinate name .* survive"):
+                dumps(ModelFile(c))
+    # euler names: non-empty, one line, no '#', no trailing whitespace
+    for name in ["E", " E", "\tE", "E 1", "E]", "[E", "a=b", "naïve"]:
+        m = ModelFile(source.components, eulers={name: field})
+        assert list(loads(dumps(m)).eulers) == [name]
+        assert loads(dumps(m)) == m
+    for name in ["E #1", "#", "", "E ", " ", "E\t", "E\n1", "a\rb", "a\u2028b"]:
+        m = ModelFile(source.components, eulers={name: field})
+        with pytest.raises(ValueError, match="euler name .* survive"):
+            dumps(m)
+
+
 def test_bad_euler_model_is_rejected_at_load():
     with pytest.raises(ValueError, match="fiber"):
         load(MODELS / "line-bad-euler.fman")
