@@ -26,11 +26,11 @@ from .report import Report
 from .symcore import RatFunc, _Frozen, _Value
 from .tensor import (
     Chart,
-    LinearComponents,
     TensorField,
     _acc,
     _box,
     _checked_table,
+    _product_tables,
     _vadd,
     _vsub,
     assemble,
@@ -140,21 +140,8 @@ class MultComponents(_Value):
     _key = attrgetter("chart", "d", "l", "star")
 
     def __init__(self, chart: Chart, d: dict, l: dict, star: dict):
-        n, k = chart.n, chart.k
-        tables = {"d": d, "l": l, "star": star}
-        for name, bounds, what in (
-            ("d", (k, k, n, n), "derivative"),
-            ("l", (k, k, n), "side"),
-            ("star", (n, n, n), "star"),
-        ):
-            tables[name] = _checked_table(
-                chart,
-                tables[name],
-                _box(*bounds),
-                f"bad {what}-table key",
-                f"{what} table entry",
-            )
-        self._set(chart=chart, **tables)
+        d, l, star = _product_tables(chart, d, l, star)
+        self._set(chart=chart, d=d, l=l, star=star)
 
     @cached_property
     def rows(self) -> "_Rows":
@@ -178,13 +165,8 @@ class MultComponents(_Value):
     def star_at(self, a, i, j) -> RatFunc:
         return self.star.get((a, i, j), _ZERO)
 
-    def to_linear(self) -> LinearComponents:
-        return LinearComponents(
-            chart=self.chart, p=2, d=self.d, ls=(self.l, self.l), basic=self.star
-        )
-
     def assemble(self) -> TensorField:
-        return assemble(self.to_linear())
+        return assemble(self)
 
 
 class BaseFManifold(_Value):
@@ -952,8 +934,11 @@ def _vec_euler_derivative(ctx: _Ctx, rest) -> dict:
     "euler-components", "Lie-derivative components equal (d, l, star)", "oracle"
 )
 def _oracle_euler_components(ctx: _Ctx):
+    """Read the tables off the Lie derivative of the assembled product, so
+    that this shares nothing with the frame operators and rows that the
+    other Euler identities use."""
     c = ctx.c
-    got = _component_tables(ctx.assembled_euler()[1])
+    got = extract_components(ctx.assembled_euler()[1])
     return _table_diffs(zip(("d", "l", "star"), got, (c.d, c.l, c.star)))
 
 
@@ -1140,17 +1125,6 @@ def check_battery(c: MultComponents, e: LinearVectorField | None = None) -> Repo
         rep.note("no unit candidate supplied; unit conditions not checked")
     _hm_into(rep, ctx)
     return rep
-
-
-def _component_tables(t: TensorField):
-    """The tables ``(d, l, star)`` of a linear (2,1) tensor.
-
-    ``euler-components`` reads them off the Lie derivative of the assembled
-    product, so it shares nothing with the frame operators and rows that the
-    other Euler identities use.
-    """
-    comps = extract_components(t)
-    return comps.d, comps.ls[0], comps.basic
 
 
 def _euler_report(c: MultComponents, e, euler: LinearVectorField) -> Report:

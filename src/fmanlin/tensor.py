@@ -6,10 +6,10 @@ A chart has base coordinates ``x1..xn`` and fiber coordinates (``xi*`` or
 coefficients.  Indices run over all ``n + k`` coordinate directions, the
 first ``n`` being base directions.
 
-The module also implements the dictionary between fiberwise-linear tensor
-fields and their frame components: a table ``D`` (one covariant-degree-p
-value per frame section), one contraction table per slot, and the basic
-base-manifold tensor.
+The module also implements the dictionary between linear (2,1) tensor
+fields, such as the product of a linear F-manifold, and their frame tables
+``(d, l, star)``: `assemble` builds the tensor from the tables and
+`extract_components` reads them back by key.
 """
 
 from __future__ import annotations
@@ -25,14 +25,10 @@ __all__ = [
     "Connection",
     "TwoForm",
     "ThreeForm",
-    "Section",
     "TensorField",
-    "LinearComponents",
-    "LeibnizError",
     "lie_derivative",
     "contract",
     "scaling_class",
-    "vertical_lift",
     "extract_components",
     "assemble",
 ]
@@ -154,32 +150,10 @@ class Chart(_Value):
                 raise ValueError(f"fiber name {name!r} has no dual counterpart")
         return Chart(self.base_names, tuple(swapped))
 
-    def is_base_index(self, idx: int) -> bool:
-        return idx < self.n
-
     def require_base_only(self, value: RatFunc, what: str) -> RatFunc:
         if value.free_vars() & set(self.fiber_names):
             raise ValueError(f"{what} must not involve fiber coordinates: {value}")
         return value
-
-
-class Section(_Value):
-    """A section of the bundle: one base-only coefficient per fiber direction."""
-
-    _key = attrgetter("chart", "components")
-
-    def __init__(self, chart: Chart, components: tuple[RatFunc, ...]):
-        if len(components) != chart.k:
-            raise ValueError("section needs one component per fiber direction")
-        for c in components:
-            chart.require_base_only(c, "section component")
-        self._set(chart=chart, components=components)
-
-    @staticmethod
-    def frame(chart: Chart, j: int) -> "Section":
-        comps = [RatFunc.zero()] * chart.k
-        comps[j] = RatFunc.one()
-        return Section(chart, tuple(comps))
 
 
 class TensorField:
@@ -325,17 +299,6 @@ def contract(t: TensorField, slot: int, s: TensorField) -> TensorField:
     return TensorField(t.chart, t.p - 1, t.q, out)
 
 
-def vertical_lift(s: Section) -> TensorField:
-    """The vertical vector field with the section's coefficients."""
-    chart = s.chart
-    return TensorField(
-        chart,
-        0,
-        1,
-        {(chart.n + j,): c for j, c in enumerate(s.components)},
-    )
-
-
 def _fiber_degree(p, fiber) -> int | None:
     """The fiber degree shared by every term of the polynomial ``p``, or ``None``."""
     slots = [i for i, name in enumerate(p.vars) if name in fiber]
@@ -361,8 +324,8 @@ def scaling_class(t: TensorField) -> str:
         den = _fiber_degree(coeff.den, fiber)
         if num is None or den is None:
             return "neither"
-        w = sum(1 for i in key[t.q :] if not chart.is_base_index(i))
-        if t.q and not chart.is_base_index(key[0]):
+        w = sum(1 for i in key[t.q :] if i >= chart.n)
+        if t.q and key[0] >= chart.n:
             w -= 1
         powers.add(num - den + w)
     for label, power in (("linear", 1 - t.q), ("core", -t.q)):
@@ -371,181 +334,98 @@ def scaling_class(t: TensorField) -> str:
     return "neither"
 
 
-class LinearComponents(_Value):
-    """Frame components of a linear (p, 1) tensor field.
-
-    ``d`` maps ``(i, j, b1..bp)`` to the coefficient of ``s_i`` in the
-    covariant-derivative-like table applied to the frame section ``s_j``;
-    ``ls[m]`` maps ``(i, j, b1..b_{p-1})`` to the slot-``m`` contraction
-    table; ``basic`` maps ``(a, b1..bp)`` to the base tensor.  All values are
-    base-only.
-    """
-
-    _key = attrgetter("chart", "p", "d", "ls", "basic")
-
-    def __init__(self, chart: Chart, p: int, d: dict, ls: tuple, basic: dict):
-        if len(ls) != p:
-            raise ValueError("need one contraction table per covariant slot")
-        n, k = chart.n, chart.k
-
-        def checked(table, bounds, what):
-            return _checked_table(
-                chart,
-                table,
-                _box(*bounds),
-                f"bad {what} table key",
-                f"{what} table entry",
-            )
-
-        d = checked(d, (k, k) + (n,) * p, "derivative")
-        ls = tuple(checked(t, (k, k) + (n,) * (p - 1), "contraction") for t in ls)
-        basic = checked(basic, (n,) * (p + 1), "basic")
-        self._set(chart=chart, p=p, d=d, ls=ls, basic=basic)
-
-
-class LeibnizError(ValueError):
-    """Component tables violate the Leibniz compatibility rule."""
-
-    def __init__(self, i: int, j: int, slot):
-        super().__init__(
-            f"Leibniz compatibility fails on section {j}, output {i}, slot {slot}"
+def _product_tables(chart: Chart, d: dict, l: dict, star: dict) -> tuple:
+    """The frame tables ``(d, l, star)`` of a linear (2,1) tensor, checked and frozen."""
+    n, k = chart.n, chart.k
+    return tuple(
+        _checked_table(
+            chart, table, _box(*bounds), f"bad {what}-table key", f"{what} table entry"
         )
-        self.witness = (i, j, slot)
+        for table, bounds, what in (
+            (d, (k, k, n, n), "derivative"),
+            (l, (k, k, n), "side"),
+            (star, (n, n, n), "star"),
+        )
+    )
 
 
-def _core_to_table(chart: Chart, t: TensorField, j: int, what: str) -> dict:
-    """Read a core (p,1) tensor as a frame table ``(i, j, base indices) -> value``."""
-    n = chart.n
-    out = {}
-    for key, val in t.coeffs.items():
-        if chart.is_base_index(key[0]) or any(
-            not chart.is_base_index(b) for b in key[1:]
-        ):
-            raise ValueError(f"{what} has non-core components")
-        out[(key[0] - n, j) + key[1:]] = val
-    return out
+def extract_components(t: TensorField) -> tuple:
+    """The frame tables ``(d, l, star)`` of a linear (2,1) tensor field.
 
-
-def extract_components(t: TensorField) -> LinearComponents:
-    """Frame components of a linear (p, 1) tensor field.
-
-    Raises ``ValueError`` when the tensor is not fiberwise linear.  The
-    Leibniz compatibility of the result is re-verified on ``f = x1``.
+    This is the inverse of `assemble`, read off key by key: ``(n+i, b, p)``
+    holds ``sum_j d[i, j, b, p] xi_j``, so the ``d`` entries are its partials
+    in the fiber coordinates; ``(n+i, n+j, b)`` and ``(n+i, b, n+j)`` both
+    hold ``l[i, j, b]``; a base key holds its ``star`` entry.  Raises
+    ``ValueError`` for a tensor that is not (2,1) or not fiberwise linear,
+    for an entry at any other key, for side slots that disagree and for a
+    read value that still holds a fiber coordinate.
     """
-    if t.q != 1:
-        raise ValueError("components are defined for q = 1 tensors")
+    if (t.p, t.q) != (2, 1):
+        raise ValueError(
+            f"components are defined for (2,1) tensors, not ({t.p},{t.q})"
+        )
     if scaling_class(t) != "linear":
         raise ValueError("tensor is not fiberwise linear")
     chart = t.chart
-    n, k, p = chart.n, chart.k, t.p
-    d_table: dict = {}
-    l_tables: tuple = tuple({} for _ in range(p))
-    basic: dict = {}
-    for j in range(k):
-        lift = vertical_lift(Section.frame(chart, j))
-        d_table.update(
-            _core_to_table(chart, lie_derivative(lift, t), j, "derivative component")
-        )
-        for m in range(p):
-            l_tables[m].update(
-                _core_to_table(chart, contract(t, m, lift), j, "contraction component")
-            )
+    n = chart.n
+    d, l, star = {}, {}, {}
     for key, val in t.coeffs.items():
-        if chart.is_base_index(key[0]) and all(
-            chart.is_base_index(b) for b in key[1:]
-        ):
-            basic[(key[0],) + key[1:]] = val
-    comps = LinearComponents(chart, p, d_table, l_tables, basic)
-    if k and n:
-        _verify_leibniz(t, comps, coords=(0,))
-    return comps
+        a, b, p = key
+        if b < n and p < n:
+            if a < n:
+                star[key] = val
+            else:
+                for j, name in enumerate(chart.fiber_names):
+                    d[(a - n, j, b, p)] = val.partial(name)
+        elif a >= n and (b < n or p < n):
+            if t.coeffs.get((a, p, b)) != val:
+                raise ValueError(f"side slots disagree at {key}")
+            l[(a - n, b - n, p) if p < n else (a - n, p - n, b)] = val
+        else:
+            raise ValueError(f"a linear (2,1) tensor has no entry at {key}")
+    return _product_tables(chart, d, l, star)
 
 
-def _leibniz_expected(
-    comps: LinearComponents, f: RatFunc, j: int
-) -> TensorField:
-    """Right-hand side of the Leibniz rule for ``D(f s_j)`` as a core tensor."""
-    chart = comps.chart
-    n, p = chart.n, comps.p
-    out: dict[tuple[int, ...], RatFunc] = {}
-    for (i, jj, *bs), val in comps.d.items():
-        if jj == j:
-            _acc(out, (n + i, *bs), f * val)
-    df = [f.partial(name) for name in chart.base_names]
-    for m in range(p):
-        for (i, jj, *bs), val in comps.ls[m].items():
-            if jj != j:
-                continue
-            for b in range(n):
-                _acc(out, (n + i, *bs[:m], b, *bs[m:]), df[b] * val)
-    for (a, *bs), val in comps.basic.items():
-        _acc(out, (n + j, *bs), -(df[a] * val))
-    return TensorField(chart, p, 1, out)
+def assemble(c) -> TensorField:
+    """The unique linear (2,1) tensor field with the frame tables of ``c``.
 
+    ``c`` has a ``chart`` and the tables ``d``, ``l`` and ``star`` of
+    `extract_components`, checked when it was built, so this only sums
+    entries.  A ``d`` entry puts ``a xi_j`` at ``(n+i, b, p)``; an ``l``
+    entry puts ``a`` at ``(n+i, n+j, b)`` and at ``(n+i, b, n+j)``; a
+    ``star`` entry puts ``a`` at its own base key.  These key shapes never
+    collide, and no value contains a fiber coordinate.
 
-def _verify_leibniz(t: TensorField, comps: LinearComponents, coords=None):
-    """Check ``D(f s_j)`` against the Leibniz rule for coordinate functions ``f``."""
-    chart = comps.chart
-    coords = range(chart.n) if coords is None else coords
-    for j in range(chart.k):
-        for a in coords:
-            f = RatFunc.variable(chart.base_names[a])
-            sec = Section(
-                chart,
-                tuple(
-                    f if i == j else RatFunc.zero() for i in range(chart.k)
-                ),
-            )
-            actual = lie_derivative(vertical_lift(sec), t)
-            expected = _leibniz_expected(comps, f, j)
-            if actual != expected:
-                key = min((actual - expected).coeffs)
-                raise LeibnizError(key[0] - chart.n, j, key[1:])
-
-
-def assemble(comps: LinearComponents) -> TensorField:
-    """The unique linear (p, 1) tensor field with the given frame components.
-
-    `LinearComponents` has checked every table key and value when it was
-    built, so this only sums entries.  The result obeys the Leibniz rule by
-    construction, so it is not verified again.  Let ``T`` be the result and
-    ``V = f d_{xi_j}`` the vertical lift of ``f s_j`` for a base function
-    ``f``.  A ``d`` entry puts ``a xi_j`` at ``(n+i, b)``; a
-    slot-``m`` entry of ``ls[m]`` puts ``a`` at ``(n+i, b)`` with ``n+j``
-    inserted at slot ``m``; a basic entry puts ``a`` at its own base key.
-    These three key shapes never collide, and no value contains a fiber
-    coordinate.  In the coordinate formula for ``L_V T``, term by term:
+    The result obeys the Leibniz rule by construction.  Let ``T`` be the
+    result and ``V = f d_{xi_j}`` the vertical lift of ``f s_j`` for a base
+    function ``f``.  In the coordinate formula for ``L_V T``, term by term:
 
     - transport, ``V^c d_c T = f d_{xi_j} T``: only the ``d`` entries depend
-      on ``xi_j``, which gives ``f a`` at ``(n+i, b)`` for each ``d`` entry
-      of section ``j`` -- the first term of `_leibniz_expected`;
+      on ``xi_j``, which gives ``f a`` at ``(n+i, b, p)`` for each ``d``
+      entry of section ``j``;
     - the covariant correction ``T(.., c in slot m, ..) d_{b_m} V^c`` needs
       ``c = n+j`` and a base ``b_m``, since ``V^{n+j} = f`` depends on the
       base only.  The only keys with a fiber index in a covariant slot are
-      the inserted slots of ``ls[m]``, so it gives ``d_b f a`` with ``b`` in
-      place of the inserted ``n+j`` -- the second term;
+      the side keys, so it gives ``d_b f a`` with ``b`` in place of ``n+j``;
     - the contravariant correction ``-T^c d_c V^a`` needs ``a = n+j`` and a
-      base ``c``, and only the basic keys have a base contravariant index,
-      which gives ``-d_c f basic^c_b`` at ``(n+j, b)`` -- the third term.
+      base ``c``, and only the ``star`` keys have a base contravariant
+      index, which gives ``-d_c f star^c_{bp}`` at ``(n+j, b, p)``.
 
-    So both sides sum the same terms of exact, canonical values, and
-    `_verify_leibniz` cannot fail on what this returns; the tests keep it as
-    a reference for this function.  `extract_components` reads tensors built
-    elsewhere and keeps the check.
+    These are the three terms of the Leibniz rule, so the result is not
+    verified again; the tests keep that check as a reference.
     """
-    chart = comps.chart
+    chart = c.chart
     n = chart.n
+    xi = [RatFunc.variable(name) for name in chart.fiber_names]
     out: dict[tuple[int, ...], RatFunc] = {}
-    for key, val in comps.d.items():
-        xi = RatFunc.variable(chart.fiber_names[key[1]])
-        _acc(out, (n + key[0],) + key[2:], val * xi)
-    for m, table in enumerate(comps.ls):
-        for key, val in table.items():
-            bs = key[2:]
-            _acc(out, (n + key[0],) + bs[:m] + (n + key[1],) + bs[m:], val)
-    for key, val in comps.basic.items():
+    for (i, j, b, p), val in c.d.items():
+        _acc(out, (n + i, b, p), val * xi[j])
+    for (i, j, b), val in c.l.items():
+        _acc(out, (n + i, n + j, b), val)
+        _acc(out, (n + i, b, n + j), val)
+    for key, val in c.star.items():
         _acc(out, key, val)
-    return TensorField(chart, comps.p, 1, out)
+    return TensorField(chart, 2, 1, out)
 
 
 # -- base value types: a connection and differential forms --------------------

@@ -4,7 +4,10 @@ They are not part of the package: no command or check needs them.
 :class:`BFieldData` evaluates the closed-form difference tables of a two-form
 shear of the double prolongation, for comparison with the tables extracted
 from the sheared structure; :func:`lie_components` reads the Lie derivative
-of a product off the assembled tensor.
+of a product off the assembled tensor.  :func:`reference_components` reads
+the tables of a linear (2,1) tensor through vertical lifts, Lie derivatives
+and contractions instead of by key, and :func:`_verify_leibniz` checks an
+assembled tensor against the Leibniz rule of its tables.
 """
 
 from itertools import combinations, product
@@ -15,7 +18,6 @@ from fmanlin.fman import (
     BaseFManifold,
     LinearVectorField,
     MultComponents,
-    _component_tables,
     _frame,
     _vf_apply,
     lie_star,
@@ -26,10 +28,14 @@ from fmanlin.symcore import RatFunc, _Value
 from fmanlin.tensor import (
     Chart,
     Connection,
+    TensorField,
     TwoForm,
+    _acc,
     _box,
     _checked_table,
     _vsub,
+    contract,
+    extract_components,
     lie_derivative,
 )
 
@@ -39,7 +45,115 @@ _ZERO = RatFunc.zero()
 def lie_components(c: MultComponents, x: LinearVectorField):
     """Tables ``(d, l, star)`` of the Lie derivative of the product along ``x``,
     read off the Lie derivative of the assembled tensor."""
-    return _component_tables(lie_derivative(x.as_field(), c.assemble()))
+    return extract_components(lie_derivative(x.as_field(), c.assemble()))
+
+
+class Section(_Value):
+    """A section of the bundle: one base-only coefficient per fiber direction."""
+
+    _key = attrgetter("chart", "components")
+
+    def __init__(self, chart: Chart, components: tuple[RatFunc, ...]):
+        if len(components) != chart.k:
+            raise ValueError("section needs one component per fiber direction")
+        for c in components:
+            chart.require_base_only(c, "section component")
+        self._set(chart=chart, components=components)
+
+    @staticmethod
+    def frame(chart: Chart, j: int) -> "Section":
+        comps = [_ZERO] * chart.k
+        comps[j] = RatFunc.one()
+        return Section(chart, tuple(comps))
+
+
+def vertical_lift(s: Section) -> TensorField:
+    """The vertical vector field with the section's coefficients."""
+    chart = s.chart
+    return TensorField(
+        chart, 0, 1, {(chart.n + j,): c for j, c in enumerate(s.components)}
+    )
+
+
+class LeibnizError(ValueError):
+    """Component tables violate the Leibniz compatibility rule."""
+
+    def __init__(self, i: int, j: int, slot):
+        super().__init__(
+            f"Leibniz compatibility fails on section {j}, output {i}, slot {slot}"
+        )
+        self.witness = (i, j, slot)
+
+
+def _core_to_table(chart: Chart, t: TensorField, j: int, what: str) -> dict:
+    """Read a core tensor as a frame table ``(i, j, base indices) -> value``."""
+    n = chart.n
+    out = {}
+    for key, val in t.coeffs.items():
+        if key[0] < n or any(b >= n for b in key[1:]):
+            raise ValueError(f"{what} has non-core components")
+        out[(key[0] - n, j) + key[1:]] = val
+    return out
+
+
+def reference_components(t: TensorField):
+    """Tables ``(d, l, star)`` of a linear (2,1) tensor, by the frame sections.
+
+    ``d`` is read off the Lie derivative of ``t`` along each lifted frame
+    section, ``l`` off its contraction into either covariant slot, and
+    ``star`` off the base keys; the result is checked against the Leibniz
+    rule on ``f = x1``.
+    """
+    chart = t.chart
+    n = chart.n
+    d, sides = {}, ({}, {})
+    for j in range(chart.k):
+        lift = vertical_lift(Section.frame(chart, j))
+        d.update(_core_to_table(chart, lie_derivative(lift, t), j, "derivative"))
+        for m, side in enumerate(sides):
+            side.update(_core_to_table(chart, contract(t, m, lift), j, "contraction"))
+    if sides[0] != sides[1]:
+        raise ValueError("the two side slots disagree")
+    star = {key: val for key, val in t.coeffs.items() if max(key) < n}
+    c = MultComponents(chart, d, sides[0], star)
+    if chart.k and n:
+        _verify_leibniz(t, c, coords=(0,))
+    return c.d, c.l, c.star
+
+
+def _leibniz_expected(c: MultComponents, f: RatFunc, j: int) -> TensorField:
+    """Right-hand side of the Leibniz rule for ``D(f s_j)`` as a core tensor."""
+    chart = c.chart
+    n = chart.n
+    out = {}
+    for (i, jj, *bs), val in c.d.items():
+        if jj == j:
+            _acc(out, (n + i, *bs), f * val)
+    df = [f.partial(name) for name in chart.base_names]
+    for (i, jj, b), val in c.l.items():
+        if jj != j:
+            continue
+        for a in range(n):
+            _acc(out, (n + i, a, b), df[a] * val)
+            _acc(out, (n + i, b, a), df[a] * val)
+    for (a, *bs), val in c.star.items():
+        _acc(out, (n + j, *bs), -(df[a] * val))
+    return TensorField(chart, 2, 1, out)
+
+
+def _verify_leibniz(t: TensorField, c: MultComponents, coords=None):
+    """Check ``D(f s_j)`` against the Leibniz rule for coordinate functions ``f``."""
+    chart = c.chart
+    coords = range(chart.n) if coords is None else coords
+    for j in range(chart.k):
+        for a in coords:
+            f = RatFunc.variable(chart.base_names[a])
+            sec = Section(chart, tuple(f if i == j else _ZERO for i in range(chart.k)))
+            actual = lie_derivative(vertical_lift(sec), t)
+            expected = _leibniz_expected(c, f, j)
+            if actual != expected:
+                key = min((actual - expected).coeffs)
+                raise LeibnizError(key[0] - chart.n, j, key[1:])
 
 
 class BFieldData(_Value):

@@ -42,13 +42,12 @@ from fmanlin.report import Report
 from fmanlin.symcore import RatFunc, SingularMatrixError, parse_expr
 from fmanlin.tensor import (
     Chart,
-    Section,
     TensorField,
     _vadd,
     _vsub,
     contract,
-    vertical_lift,
 )
+from references import Section, vertical_lift
 
 C11 = Chart.standard(1, 1)
 C21 = Chart.standard(2, 1)

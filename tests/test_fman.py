@@ -45,15 +45,19 @@ from fmanlin.report import Report
 from fmanlin.symcore import RatFunc, parse_expr
 from fmanlin.tensor import (
     Chart,
-    Section,
     TensorField,
     contract,
     extract_components,
     lie_derivative,
     scaling_class,
+)
+from references import (
+    Section,
+    _verify_leibniz,
+    lie_components,
+    reference_components,
     vertical_lift,
 )
-from references import lie_components
 
 C11 = Chart.standard(1, 1)
 C21 = Chart.standard(2, 1)
@@ -1041,16 +1045,25 @@ def frame_lie_components(c, x):
 
 
 def test_lie_components_match_tensor_lie_derivative():
-    # `lie_components` reads the assembled tensor; the frame route must agree
+    # `lie_components` reads the Lie derivative of the assembled tensor by key;
+    # the frame-section reference and the frame operators must agree with it
     rng = rng_for("fman-lie")
-    cases = [plane_example()[0], random_sparse_components(rng, 2, 2, entry=sparse_entry)]
-    for c in cases:
+    cases = [
+        (plane_example()[0], [LinearVectorField(C21, (rf("x1"), rf("x2/3")), ((0,),))]),
+        (line_example()[0], [LinearVectorField(C11, (rf("x1 + 5", C11),), ((1,),))]),
+    ]
+    for n, k in ((2, 2), (1, 2), (2, 1)):
+        cases.append((random_sparse_components(rng, n, k, entry=sparse_entry), []))
+    for c, eulers in cases:
         t = c.assemble()
-        for _ in range(6):
-            x = random_linear_field(rng, c.chart)
+        # on the product itself the key read inverts `assemble`
+        assert extract_components(t) == (c.d, c.l, c.star)
+        _verify_leibniz(t, c)
+        for euler in eulers:  # a passing candidate preserves the product
+            assert lie_components(c, euler) == (c.d, c.l, c.star)
+        for x in eulers + [random_linear_field(rng, c.chart) for _ in range(6)]:
             dt, lt, rt = lie_components(c, x)
-            comps = extract_components(lie_derivative(x.as_field(), t))
-            assert lt == comps.ls[1]
+            assert (dt, lt, rt) == reference_components(lie_derivative(x.as_field(), t))
             for got, want in zip(frame_lie_components(c, x), (dt, lt, rt)):
                 assert got == dict(want)
 

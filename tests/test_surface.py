@@ -3,7 +3,8 @@
 A name belongs in ``__all__`` only when the package itself, its CLI or the
 benchmark in ``perfbench/`` uses it.  A name that only tests reach is either
 moved into ``tests/`` as a reference or deleted, unless it is listed in
-``KEPT`` with the reason the tests need it as package behaviour.
+``KEPT`` with the reason the tests need it as package behaviour.  The same
+holds for private top-level definitions, which have no ``KEPT`` list.
 """
 
 import ast
@@ -61,6 +62,27 @@ def used_names() -> set:
     return used
 
 
+def private_definitions():
+    """``(module, name)`` for every private top-level function, class and
+    constant of the package.
+
+    A decorated function is left out: its decorator registers it
+    (``fman._identity``), so the registry is its user.
+    """
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [] if stmt.decorator_list else [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    yield path.stem, name
+
+
 def test_every_public_name_resolves():
     for module, name in public_names():
         assert hasattr(module, name), f"{module.__name__}.__all__ names missing {name!r}"
@@ -74,3 +96,21 @@ def test_every_public_name_has_a_user_outside_the_tests():
         "tests/ as references, delete them, or list them in KEPT with a reason; "
         "a KEPT name that gained a user leaves KEPT"
     )
+
+
+def test_every_private_definition_has_a_user_outside_the_tests():
+    used = used_names()
+    dead = [f"{stem}.{name}" for stem, name in private_definitions() if name not in used]
+    assert not dead, (
+        f"private definitions that no src/ or perfbench/ code uses: {dead}; "
+        "move them into tests/ as references or delete them"
+    )
+
+
+def test_the_generic_component_form_is_gone():
+    # the (2,1) tables of `MultComponents` are the one component dictionary;
+    # `Section`, `vertical_lift` and `LeibnizError` are test references
+    gone = {"LinearComponents", "LeibnizError", "Section", "vertical_lift"}
+    assert not gone & {name for _, name in public_names()}
+    tensor = importlib.import_module("fmanlin.tensor")
+    assert not [name for name in gone if hasattr(tensor, name)]

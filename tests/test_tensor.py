@@ -7,12 +7,10 @@ from itertools import product
 import pytest
 
 from conftest import rand_fraction, rand_ratfunc, rng_for
+from fmanlin.fman import MultComponents
 from fmanlin.symcore import Poly, RatFunc, parse_expr
 from fmanlin.tensor import (
     Chart,
-    LeibnizError,
-    LinearComponents,
-    Section,
     TensorField,
     _acc,
     assemble,
@@ -20,9 +18,8 @@ from fmanlin.tensor import (
     extract_components,
     lie_derivative,
     scaling_class,
-    _verify_leibniz,
-    vertical_lift,
 )
+from references import LeibnizError, Section, _verify_leibniz, vertical_lift
 
 C11 = Chart.standard(1, 1)
 C21 = Chart.standard(2, 1)
@@ -59,26 +56,21 @@ def rand_vec(rng, chart, max_deg=2):
 # -- Example fixtures (1D and 2D bases with a line-bundle fiber) -------------
 
 
-def components_1d() -> LinearComponents:
+def components_1d() -> MultComponents:
     one = RatFunc.one()
-    return LinearComponents(
-        chart=C11,
-        p=2,
-        d={},
-        ls=({(0, 0, 0): one}, {(0, 0, 0): one}),
-        basic={(0, 0, 0): one},
+    return MultComponents(
+        chart=C11, d={}, l={(0, 0, 0): one}, star={(0, 0, 0): one}
     )
 
 
-def components_2d(h_text="x2") -> LinearComponents:
+def components_2d(h_text="x2") -> MultComponents:
     one = RatFunc.one()
     h = rf(h_text)
-    return LinearComponents(
+    return MultComponents(
         chart=C21,
-        p=2,
         d={(0, 0, 1, 1): h},
-        ls=({(0, 0, 0): one}, {(0, 0, 0): one}),
-        basic={(0, 0, 0): one, (1, 0, 1): one, (1, 1, 0): one},
+        l={(0, 0, 0): one},
+        star={(0, 0, 0): one, (1, 0, 1): one, (1, 1, 0): one},
     )
 
 
@@ -284,27 +276,26 @@ def test_multiplication_values_on_the_plane_example():
 
 def test_extract_components_round_trip():
     for comps in (components_1d(), components_2d(), components_2d("x1*x2 - 2")):
-        assert extract_components(assemble(comps)) == comps
+        assert extract_components(assemble(comps)) == (comps.d, comps.l, comps.star)
 
 
-def random_linear_components(rng, n, k, p):
-    """Random sparse base-only tables; the slot tables differ from each other."""
+def random_components(rng, n, k):
+    """Random sparse base-only tables."""
     chart = Chart.standard(n, k)
 
-    def table(keys):
+    def table(*ranges):
         return {
             key: rand_ratfunc(rng, chart.base_names, 1)
-            for key in keys
+            for key in product(*ranges)
             if rng.random() < 1 / 2
         }
 
-    fibers, bases = (range(k),) * 2, (range(n),) * p
-    return LinearComponents(
+    fibers, bases = (range(k),) * 2, (range(n),) * 2
+    return MultComponents(
         chart=chart,
-        p=p,
-        d=table(product(*fibers, *bases)),
-        ls=tuple(table(product(*fibers, *bases[1:])) for _ in range(p)),
-        basic=table(product(range(n), *bases)),
+        d=table(*fibers, *bases),
+        l=table(*fibers, range(n)),
+        star=table(range(n), *bases),
     )
 
 
@@ -312,22 +303,21 @@ def test_assemble_satisfies_the_leibniz_reference_on_random_tables():
     # `assemble` does not verify its result; `_verify_leibniz` is the reference
     rng = rng_for("tensor-assemble-leibniz")
     for trial in range(9):
-        n, k, p = 1 + trial % 2, 1 + (trial // 2) % 2, 1 + trial % 3
-        comps = random_linear_components(rng, n, k, p)
+        n, k = 1 + trial % 2, 1 + (trial // 2) % 2
+        comps = random_components(rng, n, k)
         t = assemble(comps)
         _verify_leibniz(t, comps)
-        assert extract_components(t) == comps
+        assert extract_components(t) == (comps.d, comps.l, comps.star)
 
 
 def test_leibniz_reference_rejects_inconsistent_components():
     t = assemble(components_2d())
     one = RatFunc.one()
-    moved = LinearComponents(
+    moved = MultComponents(
         chart=C21,
-        p=2,
         d={(0, 0, 1, 1): rf("x2")},
-        ls=({(0, 0, 1): one}, {(0, 0, 0): one}),
-        basic={(0, 0, 0): one, (1, 0, 1): one, (1, 1, 0): one},
+        l={(0, 0, 1): one},
+        star={(0, 0, 0): one, (1, 0, 1): one, (1, 1, 0): one},
     )
     with pytest.raises(LeibnizError) as info:
         _verify_leibniz(t, moved)
@@ -342,15 +332,52 @@ def test_extract_rejects_nonlinear():
         extract_components(t)
 
 
+C12 = Chart.standard(1, 2)
+
+
+@pytest.mark.parametrize(
+    "t, match",
+    [
+        (TensorField(C11, 1, 1, {(1, 1): 1}), r"\(2,1\) tensors, not \(1,1\)"),
+        (TensorField(C11, 3, 1, {(1, 0, 0, 0): rf("xi1", C11)}), r"not \(3,1\)"),
+        (TensorField(C11, 2, 1, {(1, 0, 0): rf("xi1^2", C11)}), "not fiberwise linear"),
+        (TensorField(C11, 2, 1, {(0, 1, 0): rf("1/xi1", C11)}), r"no entry at \(0, 1, 0\)"),
+        (TensorField(C21, 2, 1, {(2, 2, 0): 1, (2, 0, 2): 2}), "side slots disagree"),
+        (
+            TensorField(C12, 2, 1, {(1, 0, 0): rf("xi1^2/xi2", C12)}),
+            r"derivative table entry \(0, 0, 0, 0\) must not involve fiber",
+        ),
+    ],
+    ids=["p1", "p3", "nonlinear", "bad-key", "sides", "fiber-partial"],
+)
+def test_extract_components_refusals(t, match):
+    with pytest.raises(ValueError, match=match):
+        extract_components(t)
+
+
+def test_assemble_reads_the_frozen_tables_without_checking_them(monkeypatch):
+    import fmanlin.fman as fman
+    import fmanlin.tensor as tensor
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return checked(*args)
+
+    checked = tensor._checked_table
+    c = components_2d()
+    for module in (fman, tensor):
+        monkeypatch.setattr(module, "_checked_table", counting)
+    c.assemble()
+    assert calls == []
+    components_2d()  # the constructor checks each of its three tables
+    assert len(calls) == 3
+
+
 def test_assemble_rejects_fiber_entries():
     with pytest.raises(ValueError, match="fiber"):
-        bad = LinearComponents(
-            chart=C11,
-            p=2,
-            d={(0, 0, 0, 0): rf("xi1", C11)},
-            ls=({}, {}),
-            basic={},
-        )
+        bad = MultComponents(chart=C11, d={(0, 0, 0, 0): rf("xi1", C11)}, l={}, star={})
         assemble(bad)
 
 
