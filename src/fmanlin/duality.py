@@ -253,7 +253,7 @@ class _Frames:
     def __init__(self, c: MultComponents, nabla: Connection, evec: dict | None = None):
         self.c, self.nabla, fr = c, nabla, _frame
         sb = partial(symmetric_bracket, nabla)
-        star = self.star = _Memo(lambda x, y: star_product(c, fr(x), fr(y)))  # d_x * d_y
+        star = self.star = _Memo(lambda x, y: dict(c.rows.star.get((x, y), ())))  # d_x * d_y
         nab = self.nab = _Memo(lambda x, y: nabla_apply(nabla, fr(x), fr(y)))  # nabla_{d_x} d_y
         sym = _Memo(lambda x, y: _vadd(nab[x, y], nab[y, x]))  # <d_x : d_y>
         self.tor = _Memo(lambda x, y: _vsub(nab[x, y], nab[y, x]))  # T(d_x, d_y)

@@ -237,11 +237,10 @@ def _compile(chart: Chart, entries):
     rows, used = {}, {}
     for key, out, val in entries:
         rows.setdefault(key, []).append((out, val))
-        found = _base_vars(chart, (val,))
-        if found:
-            used.setdefault(key, set()).update(found)
+        if not val.is_const():
+            used.setdefault(key, set()).update(_base_vars(chart, (val,)))
     rows = {key: tuple(sorted(row, key=lambda e: e[0])) for key, row in rows.items()}
-    return rows, {key: frozenset(found) for key, found in used.items()}
+    return rows, {key: frozenset(found) for key, found in used.items() if found}
 
 
 def _base_vars(chart: Chart, values) -> set:
@@ -264,6 +263,8 @@ def _vget(a: dict, key) -> RatFunc:
 
 
 def _vf_apply(chart: Chart, u: dict, f: RatFunc) -> RatFunc:
+    if f.is_const():
+        return _ZERO
     names = chart.names
     acc = _ZERO
     for a, v in u.items():
@@ -275,6 +276,15 @@ def _vf_bracket(chart: Chart, u: dict, v: dict) -> dict:
     out = {}
     for a in set(u) | set(v):
         _acc(out, a, _vf_apply(chart, u, _vget(v, a)) - _vf_apply(chart, v, _vget(u, a)))
+    return out
+
+
+def _on_frames(u: dict, image) -> dict:
+    """``sum_a u[a] image(a)``: the map that sends ``d_a`` to ``image(a)``, at ``u``."""
+    out = {}
+    for a, w in u.items():
+        for key, val in image(a).items():
+            _acc(out, key, w * val)
     return out
 
 
@@ -311,11 +321,7 @@ def apply_l(c: MultComponents, k: int, sec: dict) -> dict:
 
 
 def apply_l_vec(c: MultComponents, u: dict, sec: dict) -> dict:
-    out = {}
-    for a, w in u.items():
-        for i, val in apply_l(c, a, sec).items():
-            _acc(out, i, w * val)
-    return out
+    return _on_frames(u, lambda a: apply_l(c, a, sec))
 
 
 def apply_d(c: MultComponents, k: int, p: int, sec: dict) -> dict:
@@ -332,6 +338,8 @@ def apply_d(c: MultComponents, k: int, p: int, sec: dict) -> dict:
     for j, f in sec.items():
         for i, val in rows.d.get((j, k, p), ()):
             _acc(out, i, val * f)
+        if f.is_const():
+            continue  # the derivative and transport terms vanish
         fk = f.partial(names[k])
         if not fk.is_zero():
             for i, val in rows.l.get((p, j), ()):
@@ -392,10 +400,12 @@ def _frame(j: int) -> dict:
 # the whole vector is zero there.  `_scan` visits a support in the dense
 # order of the space; `_vector_pairs` evaluates each vector once.
 #
-# `_Ctx` holds the inputs of one battery and memoizes the frame Lie
-# derivatives ``L_{d_r}(*)(d_k, d_p)`` that three vector identities share, and
-# the symmetrized second derivatives that each tuple compares with its sorted
-# reference.  It also memoizes the assembled product and its Lie derivative
+# `_Ctx` holds the inputs of one battery and memoizes the frame products
+# ``d_i * d_j`` (the star rows), which every identity that multiplies frames
+# reads; the frame Lie derivatives ``L_{d_r}(*)(d_k, d_p)`` that three vector
+# identities share; and the symmetrized second derivatives that each tuple
+# compares with its sorted reference.  Memoized dicts are shared, so no caller
+# mutates one.  It also memoizes the assembled product and its Lie derivative
 # along the Euler field, which the two Euler oracles share and no frame
 # identity reads, so the oracles stay independent of the frame route.
 # `_scan` and `evaluate_residual` read the same declaration, so a reported
@@ -404,22 +414,38 @@ def _frame(j: int) -> dict:
 
 
 class _Ctx:
-    __slots__ = ("c", "e", "euler", "l2", "lie", "second", "euler_pair")
+    __slots__ = ("c", "e", "euler", "l2", "prod", "lie", "second", "euler_pair")
 
     def __init__(self, c, e=None, euler=None, l2=None):
         self.c = c
         self.e = e
         self.euler = euler
         self.l2 = l2
+        self.prod = {}  # (i, j) -> d_i * d_j
         self.lie = {}  # (r, k, p) -> L_{d_r}(*)(d_k, d_p)
         self.second = {}  # (j, k, p, r) -> _symmetrized_second(c, j, k, p, r)
         self.euler_pair = None  # (t, L_E t) for the assembled product t
+
+    def frame_product(self, i, j) -> dict:
+        key = (i, j)
+        out = self.prod.get(key)
+        if out is None:
+            out = self.prod[key] = dict(self.c.rows.star.get(key, ()))
+        return out
+
+    def lie_at(self, w: dict, k, p) -> dict:
+        """`lie_star` of ``w`` at ``(d_k, d_p)``, from the frame products."""
+        chart, prod = self.c.chart, self.frame_product
+        wk, wp = _vf_bracket(chart, w, _frame(k)), _vf_bracket(chart, w, _frame(p))
+        out = _vf_bracket(chart, w, prod(k, p))
+        out = _vsub(out, _on_frames(wk, lambda a: prod(a, p)))
+        return _vsub(out, _on_frames(wp, lambda a: prod(k, a)))
 
     def lie_frame(self, r, k, p) -> dict:
         key = (r, k, p)
         out = self.lie.get(key)
         if out is None:
-            out = self.lie[key] = lie_star(self.c, _frame(r), _frame(k), _frame(p))
+            out = self.lie[key] = self.lie_at(_frame(r), k, p)
         return out
 
     def assembled_euler(self) -> tuple:
@@ -514,10 +540,9 @@ def _supp_star_associative(ctx: _Ctx):
 )
 def _vec_star_associative(ctx: _Ctx, rest) -> dict:
     i, j, k = rest
-    c = ctx.c
-    lhs = star_product(c, star_product(c, _frame(i), _frame(j)), _frame(k))
-    rhs = star_product(c, _frame(i), star_product(c, _frame(j), _frame(k)))
-    return _vsub(lhs, rhs)
+    prod = ctx.frame_product
+    lhs = _on_frames(prod(i, j), lambda a: prod(a, k))
+    return _vsub(lhs, _on_frames(prod(j, k), lambda a: prod(i, a)))
 
 
 def _supp_l_composition(ctx: _Ctx):
@@ -537,9 +562,8 @@ def _supp_l_composition(ctx: _Ctx):
 def _vec_l_composition(ctx: _Ctx, rest) -> dict:
     j, k, p = rest
     c = ctx.c
-    lhs = apply_l(c, k, apply_l(c, p, _frame(j)))
-    rhs = apply_l_vec(c, star_product(c, _frame(k), _frame(p)), _frame(j))
-    return _vsub(lhs, rhs)
+    lhs = apply_l(c, k, dict(c.rows.l.get((p, j), ())))
+    return _vsub(lhs, apply_l_vec(c, ctx.frame_product(k, p), _frame(j)))
 
 
 def _symmetrized_second(c: MultComponents, j, k, p, r) -> dict:
@@ -594,7 +618,8 @@ def _supp_unit_star(ctx: _Ctx):
 @_identity("unit-star", "ebar * X = X", "vector", "nn", _supp_unit_star)
 def _vec_unit_star(ctx: _Ctx, rest) -> dict:
     (k,) = rest
-    return _vsub(star_product(ctx.c, ctx.e.base_vec(), _frame(k)), _frame(k))
+    lhs = _on_frames(ctx.e.base_vec(), lambda a: ctx.frame_product(a, k))
+    return _vsub(lhs, _frame(k))
 
 
 def _supp_unit_side(ctx: _Ctx):
@@ -658,11 +683,10 @@ def _supp_base_integrability(ctx: _Ctx):
 )
 def _vec_base_integrability(ctx: _Ctx, rest) -> dict:
     i, j, k, p = rest
-    c = ctx.c
-    x, y = _frame(i), _frame(j)
-    out = lie_star(c, star_product(c, x, y), _frame(k), _frame(p))
-    out = _vsub(out, star_product(c, x, ctx.lie_frame(j, k, p)))
-    return _vsub(out, star_product(c, y, ctx.lie_frame(i, k, p)))
+    prod = ctx.frame_product
+    out = ctx.lie_at(prod(i, j), k, p)
+    out = _vsub(out, _on_frames(ctx.lie_frame(j, k, p), lambda a: prod(i, a)))
+    return _vsub(out, _on_frames(ctx.lie_frame(i, k, p), lambda a: prod(j, a)))
 
 
 def _supp_derivative_commutator(ctx: _Ctx):
@@ -703,7 +727,7 @@ def _supp_derivative_commutator(ctx: _Ctx):
 def _vec_derivative_commutator(ctx: _Ctx, rest) -> dict:
     j, k, p, r = rest
     c = ctx.c
-    lhs = apply_d(c, k, p, apply_l(c, r, _frame(j)))
+    lhs = apply_d(c, k, p, dict(c.rows.l.get((r, j), ())))
     lhs = _vsub(lhs, apply_l(c, r, apply_d(c, k, p, _frame(j))))
     return _vsub(lhs, apply_l_vec(c, ctx.lie_frame(r, k, p), _frame(j)))
 
@@ -754,7 +778,7 @@ def _vec_derivative_bracket(ctx: _Ctx, rest) -> dict:
 
     lhs = apply_d(c, z, v, apply_d(c, x, y, _frame(j)))
     lhs = _vsub(lhs, apply_d(c, x, y, apply_d(c, z, v, _frame(j))))
-    prod_xy = star_product(c, _frame(x), _frame(y))
+    prod_xy = ctx.frame_product(x, y)
     rhs = dvec(_vf_bracket(chart, prod_xy, _frame(z)), v)
     rhs = _vadd(rhs, dvec(_vf_bracket(chart, prod_xy, _frame(v)), z))
     rhs = _vadd(rhs, dvec(ctx.lie_frame(y, z, v), x))
@@ -784,10 +808,11 @@ def hm_tensor(t: TensorField) -> TensorField:
     - ``L_{d_y}(o) = d_y t``, as ``d_y`` has constant components, so the last
       two terms give ``-t^a_{xc} d_y t^c_{zv} - t^a_{yc} d_x t^c_{zv}``.
 
-    Each partial ``d_e t^b_{pq}`` is taken once and joined with the entries
-    of ``t`` whose first index is ``e`` (the first two terms) or whose middle
-    (the third) or last index (the other three) is ``b``.  Every term has a
-    partial factor, so a ``t`` with constant coefficients has an empty defect.
+    Each partial ``d_e t^b_{pq}`` of a nonconstant entry is taken once and
+    joined with the entries of ``t`` whose first index is ``e`` (the first two
+    terms) or whose middle (the third) or last index (the other three) is
+    ``b``.  Every term has a partial factor, so a constant entry adds no term
+    and a ``t`` with constant coefficients has an empty defect.
     """
     if (t.p, t.q) != (2, 1):
         raise ValueError("the integrability defect needs a (2,1) tensor field")
@@ -798,6 +823,8 @@ def hm_tensor(t: TensorField) -> TensorField:
         by_first.setdefault(a, []).append((x, y, val))
         by_mid.setdefault(x, []).append((a, y, val))
         by_last.setdefault(y, []).append((a, x, val))
+        if val.is_const():
+            continue  # no partials
         for e, name in enumerate(names):
             d = val.partial(name)
             if not d.is_zero():
@@ -864,9 +891,7 @@ def _supp_euler_base(ctx: _Ctx):
 @_identity("euler-base", "L_Ebar(*) = *", "vector", "nnn", _supp_euler_base)
 def _vec_euler_base(ctx: _Ctx, rest) -> dict:
     i, j = rest
-    c = ctx.c
-    lhs = lie_star(c, ctx.euler.base_vec(), _frame(i), _frame(j))
-    return _vsub(lhs, star_product(c, _frame(i), _frame(j)))
+    return _vsub(ctx.lie_at(ctx.euler.base_vec(), i, j), ctx.frame_product(i, j))
 
 
 def _supp_euler_side(ctx: _Ctx):

@@ -151,7 +151,7 @@ class Chart(_Value):
         return Chart(self.base_names, tuple(swapped))
 
     def require_base_only(self, value: RatFunc, what: str) -> RatFunc:
-        if value.free_vars() & set(self.fiber_names):
+        if not value.is_const() and value.free_vars() & set(self.fiber_names):
             raise ValueError(f"{what} must not involve fiber coordinates: {value}")
         return value
 

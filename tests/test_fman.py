@@ -348,16 +348,22 @@ def test_defect_tensor_matches_dense_reference_on_generalized_prolongation():
         assert defect.is_zero()
 
 
+def square_zero_base(n, p=None):
+    """e_0 is the unit and e_i * e_j = 0 for i, j >= 1, except e_1 * e_1 = p e_{n-1}."""
+    chart = Chart.standard(n, 0)
+    star = {(0, 0, 0): 1}
+    for i in range(1, n):
+        star[(i, 0, i)] = star[(i, i, 0)] = 1
+    if p is not None:
+        star[(n - 1, 1, 1)] = parse_expr(p, chart.names)
+    return BaseFManifold(chart, star, (1,) + (0,) * (n - 1))
+
+
 def test_defect_tensor_matches_dense_reference_on_tangent_prolongation():
     # e1*e1 = p*e_{n-1} with p = 2/(x_n + 3): the prolonged coefficients have
     # nonzero partials, so every term of the sparse form acts
     for n in (2, 3):
-        chart = Chart.standard(n, 0)
-        star = {(0, 0, 0): 1}
-        for i in range(1, n):
-            star[(i, 0, i)] = star[(i, i, 0)] = 1
-        star[(n - 1, 1, 1)] = parse_expr(f"2/(x{n} + 3)", chart.names)
-        base = BaseFManifold(chart, star, (1,) + (0,) * (n - 1))
+        base = square_zero_base(n, f"2/(x{n} + 3)")
         t = tangent_prolongation(base).components.assemble()
         assert hm_tensor(t).coeffs == dense_hm_reference(t).coeffs
 
@@ -396,11 +402,12 @@ def test_defect_tensor_shares_no_code_with_the_table_residuals(monkeypatch):
     c, e = plane_example()
     bogus = LinearVectorField(C21, (rf("x1"), rf("x2")), ((0,),))
     t = bad.assemble()
-    table_level = ("star_product", "apply_l", "apply_d", "lie_star")
+    table_level = ("star_product", "apply_l", "apply_d", "lie_star", "_on_frames")
     compiled = ("_Rows", "_compile", "_vector_pairs", "_lie_l_entry", "_lie_d_entry")
     for name in table_level + compiled + ("_vf_apply", "_vf_bracket"):
         monkeypatch.setattr(fman, name, forbidden)
-    monkeypatch.setattr(fman._Ctx, "lie_frame", forbidden)
+    for name in ("frame_product", "lie_at", "lie_frame"):
+        monkeypatch.setattr(fman._Ctx, name, forbidden)
     for name, ident in fman._IDENTITIES.items():
         if ident.support is not None:
             guarded = fman._Identity(
@@ -415,6 +422,95 @@ def test_defect_tensor_shares_no_code_with_the_table_residuals(monkeypatch):
     for name in ("euler-components", "euler-oracle"):
         rep = Report(name)
         assert not fman._scan(rep, fman._Ctx(c, e=e, euler=bogus), name)
+
+
+def test_frame_identities_read_rows_and_constants_take_no_calculus(monkeypatch):
+    import fmanlin.fman as fman
+
+    real_partial, real_star, real_vf_apply = RatFunc.partial, star_product, fman._vf_apply
+    partials, frame_pairs, vf_calls, const_vf_partials = [], [], [], []
+    in_vf_apply = []
+
+    def is_frame(u):
+        return len(u) == 1 and next(iter(u.values())) == RatFunc.one()
+
+    def counting_partial(f, name):
+        partials.append(f)
+        if in_vf_apply and f.is_const():
+            const_vf_partials.append(f)
+        return real_partial(f, name)
+
+    def counting_star(c, u, v):
+        if is_frame(u) and is_frame(v):
+            frame_pairs.append((u, v))
+        return real_star(c, u, v)
+
+    def marked_vf_apply(chart, u, f):
+        vf_calls.append(f)
+        in_vf_apply.append(f)
+        try:
+            return real_vf_apply(chart, u, f)
+        finally:
+            in_vf_apply.pop()
+
+    base = square_zero_base(3)
+    prol = generalized_prolongation(base, Connection.zero(base.chart))
+    with monkeypatch.context() as m:
+        m.setattr(RatFunc, "partial", counting_partial)
+        m.setattr(fman, "star_product", counting_star)
+        assert check_battery(prol.components, prol.unit).passed
+    # every table entry is constant: no partials, and no product of two frames
+    assert partials == [] and frame_pairs == []
+
+    # a nonconstant product: _vf_apply differentiates only what can vary
+    prol = tangent_prolongation(square_zero_base(3, "2/(x3 + 3)"))
+    with monkeypatch.context() as m:
+        m.setattr(RatFunc, "partial", counting_partial)
+        m.setattr(fman, "_vf_apply", marked_vf_apply)
+        assert check_battery(prol.components, prol.unit).passed
+    assert vf_calls and partials
+    assert const_vf_partials == []
+
+
+@pytest.mark.parametrize(
+    "text, refused",
+    [
+        ("xi1", True),
+        ("x1*xi1", True),
+        ("1/xi1", True),
+        ("x1/(x2 + xi1)", True),  # the fiber coordinate only in the denominator
+        ("0", False),
+        ("3/2", False),
+        ("x1", False),
+        ("1/(x1 + 1)", False),
+    ],
+)
+def test_fiber_coordinates_are_refused_wherever_base_values_are_read(
+    tmp_path, capsys, text, refused
+):
+    from fmanlin.cli import main
+
+    value = rf(text)
+    builds = [
+        lambda: LinearVectorField(C21, (value, 0), ((0,),)),
+        lambda: LinearVectorField(C21, (1, 0), ((value,),)),
+        lambda: MultComponents(chart=C21, d={}, l={(0, 0, 0): value}, star={}),
+        lambda: MultComponents(chart=C21, d={(0, 0, 1, 1): value}, l={}, star={}),
+    ]
+    for build in builds:
+        if refused:
+            with pytest.raises(ValueError, match="must not involve fiber coordinates"):
+                build()
+        else:
+            build()
+    model = tmp_path / "candidate.fman"
+    model.write_text(
+        "[chart]\nbase = x1 x2\nfiber = xi1\n\n[star]\n0 0 0 = 1\n\n[l]\n0 0 0 = 1\n\n"
+        f"[unit]\nbeta 0 = 1\n\n[euler.E]\nbeta 0 = x1\nlambda 0 0 = {text}\n"
+    )
+    code = main(["euler-check", str(model), "--candidate", "E"])
+    assert (code == 2) == refused
+    assert ("must not involve fiber coordinates" in capsys.readouterr().err) == refused
 
 
 def test_integrability_oracle_witness_replays():
