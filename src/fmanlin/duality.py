@@ -20,10 +20,11 @@ from .fman import (
     MultComponents,
     apply_l_vec,
     check_battery,
-    lie_star,
     star_product,
+    _Ctx,
     _euler_report,
     _frame,
+    _on_frames,
     _require,
     _vec_pairs,
     _vf_bracket,
@@ -38,7 +39,6 @@ __all__ = [
     "torsion",
     "curvature",
     "nabla_apply",
-    "nabla_star",
     "symmetric_bracket",
     "check_flat_f",
     "dualize",
@@ -114,13 +114,6 @@ def curvature(nabla: Connection) -> TensorField:
     return TensorField(chart, 3, 1, coeffs)
 
 
-def nabla_star(nabla: Connection, c: MultComponents, u: dict, v: dict, w: dict) -> dict:
-    """Covariant derivative of the base product along ``u``, applied to ``(v, w)``."""
-    out = nabla_apply(nabla, u, star_product(c, v, w))
-    out = _vsub(out, star_product(c, nabla_apply(nabla, u, v), w))
-    return _vsub(out, star_product(c, v, nabla_apply(nabla, u, w)))
-
-
 # -- flat structures on the base ------------------------------------------------
 
 
@@ -163,7 +156,7 @@ def check_flat_f(base: BaseFManifold, nabla: Connection, euler=None) -> Report:
         "L_Ebar(*) = *",
         _vec_pairs(
             combinations_with_replacement(range(n), 2),
-            lambda j, k: _vsub(lie_star(c, evec, _frame(j), _frame(k)), frames.star[j, k]),
+            lambda j, k: _vsub(frames.lie_at(evec, j, k), frames.star[j, k]),
         ),
     )
     rep.scan(
@@ -233,7 +226,8 @@ def dualize(c: MultComponents, e: LinearVectorField, nabla: Connection):
 # sending a vector field to its side operator, evaluated on coordinate frames:
 # as ``[d_a, d_b] = 0``, six of the twelve integrability terms vanish.  Frame
 # quantities that recur between index tuples are memoized per check by
-# `_Frames`; the ``dual-battery`` cross-check reads none of them.
+# `_Frames`, which multiplies two frames by reading their star row; the
+# ``dual-battery`` cross-check reads none of them.
 
 
 class _Memo(dict):
@@ -251,22 +245,29 @@ class _Frames:
     """The inputs of one check and its frame quantities, each computed on first use."""
 
     def __init__(self, c: MultComponents, nabla: Connection, evec: dict | None = None):
-        self.c, self.nabla, fr = c, nabla, _frame
+        self.nabla, fr = nabla, _frame
         sb = partial(symmetric_bracket, nabla)
-        star = self.star = _Memo(lambda x, y: dict(c.rows.star.get((x, y), ())))  # d_x * d_y
+        ctx = _Ctx(c)  # d_x * d_y and L_w(*)(d_z, d_v), from the star rows
+        star = self.star = _Memo(ctx.frame_product)  # d_x * d_y
+        self.lie_at = ctx.lie_at
         nab = self.nab = _Memo(lambda x, y: nabla_apply(nabla, fr(x), fr(y)))  # nabla_{d_x} d_y
         sym = _Memo(lambda x, y: _vadd(nab[x, y], nab[y, x]))  # <d_x : d_y>
         self.tor = _Memo(lambda x, y: _vsub(nab[x, y], nab[y, x]))  # T(d_x, d_y)
-        # T(d_z, d_x * d_y), nabla_{d_x}(*)(d_y, d_z), L_{d_y}(*)(d_z, d_v), [d_z, d_x * d_y]
+        # T(d_z, d_x * d_y), nabla_{d_x}(*)(d_y, d_z), [d_z, d_x * d_y]
         self.tor_star = _Memo(lambda z, x, y: torsion_vec(nabla, fr(z), star[x, y]))
-        self.nabla_star = _Memo(lambda x, y, z: nabla_star(nabla, c, fr(x), fr(y), fr(z)))
-        lie = _Memo(lambda y, z, v: lie_star(c, fr(y), fr(z), fr(v)))
+
+        def nabla_star_at(x, y, z):  # nabla_{d_x}(*)(d_y, d_z)
+            out = nabla_apply(nabla, fr(x), star[y, z])
+            out = _vsub(out, _on_frames(nab[x, y], lambda a: star[a, z]))
+            return _vsub(out, _on_frames(nab[x, z], lambda a: star[y, a]))
+
+        self.nabla_star = _Memo(nabla_star_at)
         bracket = _Memo(lambda z, x, y: _vf_bracket(c.chart, fr(z), star[x, y]))
         # the integrability terms <[d_z, d_x * d_y] : d_v>, L_{<d_x : d_y>}(*)(d_z, d_v)
         # and <d_x : L_{d_y}(*)(d_z, d_v)>
         self.sym_bracket = _Memo(lambda z, x, y, v: sb(bracket[z, x, y], fr(v)))
-        self.lie_sym = _Memo(lambda x, y, z, v: lie_star(c, sym[x, y], fr(z), fr(v)))
-        self.sym_lie = _Memo(lambda x, y, z, v: sb(fr(x), lie[y, z, v]))
+        self.lie_sym = _Memo(lambda x, y, z, v: ctx.lie_at(sym[x, y], z, v))
+        self.sym_lie = _Memo(lambda x, y, z, v: sb(fr(x), ctx.lie_frame(y, z, v)))
         self.nabla_euler = _Memo(lambda j: nabla_apply(nabla, fr(j), evec))  # nabla_{d_j} Ebar
 
     def nabla2_euler(self, i, j) -> dict:
@@ -278,10 +279,10 @@ class _Frames:
 
 
 def _asoc_vec(f: _Frames, x: int, y: int, z: int) -> dict:
-    c, tor = f.c, f.tor
-    out = star_product(c, tor[x, y], _frame(z))
-    out = _vadd(out, _vscale(star_product(c, tor[x, z], _frame(y)), _TWO))
-    out = _vadd(out, star_product(c, tor[y, z], _frame(x)))
+    tor, star = f.tor, f.star
+    out = _on_frames(tor[x, y], lambda a: star[a, z])
+    out = _vadd(out, _vscale(_on_frames(tor[x, z], lambda a: star[a, y]), _TWO))
+    out = _vadd(out, _on_frames(tor[y, z], lambda a: star[a, x]))
     out = _vadd(out, _vsub(f.tor_star[z, x, y], f.tor_star[x, y, z]))
     return _vadd(out, _vscale(_vsub(f.nabla_star[x, y, z], f.nabla_star[z, x, y]), _TWO))
 

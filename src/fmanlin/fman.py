@@ -376,7 +376,8 @@ def _frame(j: int) -> dict:
 # function that computes it, with its record name, law, kind and index space.
 # The kind says how the function is called:
 #
-# - ``scalar``: ``fn(ctx, idx)`` is the residual at one index tuple;
+# - ``map``: ``fn(ctx)`` is the whole residual as one sparse dict
+#   ``{idx: nonzero residual}``, multiplied out of the compiled rows once;
 # - ``vector``: ``fn(ctx, idx[1:])`` is the whole residual vector over the
 #   output index ``idx[0]`` as a sparse dict;
 # - ``oracle``: ``fn(ctx)`` gives the ``(witness, residual)`` pairs of an
@@ -387,34 +388,34 @@ def _frame(j: int) -> dict:
 # read as a product of ranges in lexicographic order: ``"kkn"`` is
 # ``range(k) x range(k) x range(n)``.  ``"bracket"`` is an output index ``i``
 # and a fiber index ``j`` over the pairs ``(x, y) < (z, v)`` with ``x <= y``
-# and ``z <= v``, ordered by ``(x, y, z, v)``, then ``i``, then ``j``.
+# and ``z <= v``, ordered by ``(x, y, z, v)``, then ``i``, then ``j``.  A map
+# keys its residuals by the whole index tuple, so its sorted items are in the
+# dense order of its space.
 #
-# Scalar and vector identities also declare their support: a function of
-# the context that yields every index tuple (``idx[1:]`` for a vector
-# identity) at which the residual may be nonzero, in any order, repeats
-# allowed.  A scalar identity compares table entries at their keys and
-# transposes.  A vector identity's support has one clause per term of the
+# A vector identity also declares its support: a function of the context
+# that yields every ``idx[1:]`` at which the residual vector may be nonzero,
+# in any order, repeats allowed.  The support has one clause per term of the
 # residual vector.  Every term at a tuple that no clause yields has a factor
 # from an empty row, or a derivative along ``x_m`` of entries that do not
 # contain ``x_m`` -- frames are constant, so their derivatives vanish -- and
-# the whole vector is zero there.  `_scan` visits a support in the dense
-# order of the space; `_vector_pairs` evaluates each vector once.
+# the whole vector is zero there.  `_vector_pairs` visits a support in the
+# dense order of the space and evaluates each vector once, on demand, so a
+# failing vector identity computes no vector after its witness's block.
 #
 # `_Ctx` holds the inputs of one battery and memoizes the frame products
-# ``d_i * d_j`` (the star rows), which every identity that multiplies frames
-# reads; the frame Lie derivatives ``L_{d_r}(*)(d_k, d_p)`` that three vector
-# identities share; and the symmetrized second derivatives that each tuple
-# compares with its sorted reference.  Memoized dicts are shared, so no caller
+# ``d_i * d_j`` (the star rows), which the vector identities that multiply
+# frames read, and the frame Lie derivatives ``L_{d_r}(*)(d_k, d_p)`` that
+# three vector identities share.  Memoized dicts are shared, so no caller
 # mutates one.  It also memoizes the assembled product and its Lie derivative
 # along the Euler field, which the two Euler oracles share and no frame
 # identity reads, so the oracles stay independent of the frame route.
 # `_scan` and `evaluate_residual` read the same declaration, so a reported
-# witness can be reproduced in isolation; an oracle replays by looking its
-# witness up among its pairs.
+# witness can be reproduced in isolation; a map or an oracle replays by
+# looking its witness up in the whole residual.
 
 
 class _Ctx:
-    __slots__ = ("c", "e", "euler", "l2", "prod", "lie", "second", "euler_pair")
+    __slots__ = ("c", "e", "euler", "l2", "prod", "lie", "euler_pair")
 
     def __init__(self, c, e=None, euler=None, l2=None):
         self.c = c
@@ -423,7 +424,6 @@ class _Ctx:
         self.l2 = l2
         self.prod = {}  # (i, j) -> d_i * d_j
         self.lie = {}  # (r, k, p) -> L_{d_r}(*)(d_k, d_p)
-        self.second = {}  # (j, k, p, r) -> _symmetrized_second(c, j, k, p, r)
         self.euler_pair = None  # (t, L_E t) for the assembled product t
 
     def frame_product(self, i, j) -> dict:
@@ -455,17 +455,11 @@ class _Ctx:
             self.euler_pair = (t, lie_derivative(self.euler.as_field(), t))
         return self.euler_pair
 
-    def symmetrized_second(self, j, k, p, r) -> dict:
-        key = (j, k, p, r)
-        out = self.second.get(key)
-        if out is None:
-            out = self.second[key] = _symmetrized_second(self.c, j, k, p, r)
-        return out
-
 
 class _Identity(_Frozen):
-    """A declared record: ``kind`` is "scalar", "vector" or "oracle", and an
-    oracle has an empty index ``space`` and no ``support``."""
+    """A declared record: ``kind`` is "map", "vector" or "oracle".  Only a
+    vector identity has a ``support``, and only an oracle has an empty index
+    ``space``."""
 
     def __init__(self, law: str, kind: str, space: str, fn, support=None):
         self._set(law=law, kind=kind, space=space, fn=fn, support=support)
@@ -483,181 +477,146 @@ def _identity(name: str, law: str, kind: str, space: str = "", support=None):
 
 
 def _residual(ident: _Identity, ctx: _Ctx, idx: tuple) -> RatFunc:
-    if ident.kind == "scalar":
-        return ident.fn(ctx, idx)
-    if ident.kind == "oracle":
-        return dict(ident.fn(ctx)).get(idx, _ZERO)
-    return ident.fn(ctx, idx[1:]).get(idx[0], _ZERO)
+    if ident.kind == "vector":
+        return ident.fn(ctx, idx[1:]).get(idx[0], _ZERO)
+    return dict(ident.fn(ctx)).get(idx, _ZERO)
 
 
-def _swaps_of(table: str):
-    """The keys of a table, each also with its last two indices swapped."""
-
-    def support(ctx: _Ctx):
-        for key in getattr(ctx.c, table):
-            yield from (key, (*key[:-2], key[-1], key[-2]))
-
-    return support
-
-
-def _l_keys(ctx: _Ctx):
-    return (*ctx.c.l, *(ctx.l2 or ()))
-
-
-@_identity("side-tables-equal", "the two side tables agree", "scalar", "kkn", _l_keys)
-def _res_side_tables(ctx: _Ctx, idx) -> RatFunc:
-    i, j, k = idx
-    other = ctx.c.l if ctx.l2 is None else ctx.l2
-    return ctx.c.l_at(i, j, k) - other.get((i, j, k), _ZERO)
-
-
-@_identity("star-symmetric", "b^a_ij = b^a_ji", "scalar", "nnn", _swaps_of("star"))
-def _res_star_symmetric(ctx: _Ctx, idx) -> RatFunc:
-    a, i, j = idx
-    return ctx.c.star_at(a, i, j) - ctx.c.star_at(a, j, i)
-
-
-@_identity(
-    "derivative-symmetric", "a^i_j,kp = a^i_j,pk", "scalar", "kknn", _swaps_of("d")
-)
-def _res_derivative_symmetric(ctx: _Ctx, idx) -> RatFunc:
-    i, j, k, p = idx
-    return ctx.c.d_at(i, j, k, p) - ctx.c.d_at(i, j, p, k)
-
-
-def _supp_star_associative(ctx: _Ctx):
-    rows, ns = ctx.c.rows, range(ctx.c.n)
-    yield from ((i, j, k) for i, j in rows.star for k in ns)  # (X*Y)*Z
-    yield from ((i, j, k) for j, k in rows.star for i in ns)  # X*(Y*Z)
-
-
-@_identity(
-    "star-associative",
-    "(X*Y)*Z = X*(Y*Z)",
-    "vector",
-    "nnnn",
-    _supp_star_associative,
-)
-def _vec_star_associative(ctx: _Ctx, rest) -> dict:
-    i, j, k = rest
-    prod = ctx.frame_product
-    lhs = _on_frames(prod(i, j), lambda a: prod(a, k))
-    return _vsub(lhs, _on_frames(prod(j, k), lambda a: prod(i, a)))
-
-
-def _supp_l_composition(ctx: _Ctx):
-    c = ctx.c
-    rows = c.rows
-    yield from ((j, k, p) for p, j in rows.l for k in range(c.n))  # l_X(l_Y s)
-    yield from ((j, k, p) for k, p in rows.star for j in range(c.rank))  # l_{X*Y} s
-
-
-@_identity(
-    "l-composition",
-    "l_X(l_Y s) = l_{X*Y} s",
-    "vector",
-    "kknn",
-    _supp_l_composition,
-)
-def _vec_l_composition(ctx: _Ctx, rest) -> dict:
-    j, k, p = rest
-    c = ctx.c
-    lhs = apply_l(c, k, dict(c.rows.l.get((p, j), ())))
-    return _vsub(lhs, apply_l_vec(c, ctx.frame_product(k, p), _frame(j)))
-
-
-def _symmetrized_second(c: MultComponents, j, k, p, r) -> dict:
-    rows = c.rows
-    out = apply_l(c, r, dict(rows.d.get((j, k, p), ())))
-    for a, w in rows.star.get((k, p), ()):
-        for i, val in rows.d.get((j, a, r), ()):
-            _acc(out, i, w * val)
+def _by(rows: dict, pos: int) -> dict:
+    """The rows grouped by one index of their keys: ``{key[pos]: [(key, row)]}``."""
+    out = {}
+    for key, row in rows.items():
+        out.setdefault(key[pos], []).append((key, row))
     return out
 
 
-def _supp_second_derivative_symmetric(ctx: _Ctx):
-    c = ctx.c
-    rows = c.rows
-    by_first = defaultdict(list)  # a -> [(j, r)] with a row D(j, a, r)
-    for j, a, r in rows.d:
-        by_first[a].append((j, r))
-    # the (j, k, p, r) where _symmetrized_second may be nonzero: l_Z(D_{X,Y} s)
-    # and D_{X*Y,Z} s
-    args = set()
-    args.update((j, k, p, r) for j, k, p in rows.d for r in range(c.n))
-    args.update(
-        (j, k, p, r)
-        for (k, p), row in rows.star.items()
-        for a, _ in row
-        for j, r in by_first[a]
-    )
-    # the tuple's own term, and the sorted reference of every reordering
-    yield from args
-    yield from (
-        (j, *kpr) for j, *xyz in args if xyz == sorted(xyz) for kpr in permutations(xyz)
-    )
+@_identity("side-tables-equal", "the two side tables agree", "map", "kkn")
+def _map_side_tables(ctx: _Ctx) -> dict:
+    return {} if ctx.l2 is None else _vsub(ctx.c.l, ctx.l2)
+
+
+def _swap_difference(table) -> dict:
+    """``t[key] - t[key with its last two indices swapped]``, over all keys."""
+    out = {}
+    for key, val in table.items():
+        _acc(out, key, val)
+        _acc(out, (*key[:-2], key[-1], key[-2]), -val)
+    return out
+
+
+@_identity("star-symmetric", "b^a_ij = b^a_ji", "map", "nnn")
+def _map_star_symmetric(ctx: _Ctx) -> dict:
+    return _swap_difference(ctx.c.star)
+
+
+@_identity("derivative-symmetric", "a^i_j,kp = a^i_j,pk", "map", "kknn")
+def _map_derivative_symmetric(ctx: _Ctx) -> dict:
+    return _swap_difference(ctx.c.d)
+
+
+@_identity("star-associative", "(X*Y)*Z = X*(Y*Z)", "map", "nnnn")
+def _map_star_associative(ctx: _Ctx) -> dict:
+    star = ctx.c.rows.star
+    by_left, by_right = _by(star, 0), _by(star, 1)
+    out = {}
+    for (x, y), row in star.items():
+        for b, w in row:
+            for (_, z), image in by_left.get(b, ()):  # (d_x * d_y) * d_z
+                for a, v in image:
+                    _acc(out, (a, x, y, z), w * v)
+            for (z, _), image in by_right.get(b, ()):  # d_z * (d_x * d_y)
+                for a, v in image:
+                    _acc(out, (a, z, x, y), -(w * v))
+    return out
+
+
+@_identity("l-composition", "l_X(l_Y s) = l_{X*Y} s", "map", "kknn")
+def _map_l_composition(ctx: _Ctx) -> dict:
+    rows = ctx.c.rows
+    by_section, by_direction = _by(rows.l, 1), _by(rows.l, 0)
+    out = {}
+    for (p, j), row in rows.l.items():  # l_{d_k}(l_{d_p} s_j)
+        for m, w in row:
+            for (k, _), image in by_section.get(m, ()):
+                for i, v in image:
+                    _acc(out, (i, j, k, p), w * v)
+    for (k, p), row in rows.star.items():  # l_{d_k * d_p} s_j
+        for b, w in row:
+            for (_, j), image in by_direction.get(b, ()):
+                for i, v in image:
+                    _acc(out, (i, j, k, p), -(w * v))
+    return out
 
 
 @_identity(
     "second-derivative-symmetric",
     "l_Z(D_{X,Y} s) + D_{X*Y,Z} s is symmetric in X, Y, Z",
-    "vector",
+    "map",
     "kknnn",
-    _supp_second_derivative_symmetric,
 )
-def _vec_second_derivative_symmetric(ctx: _Ctx, rest) -> dict:
-    j, k, p, r = rest
-    cur = ctx.symmetrized_second(j, k, p, r)
-    return _vsub(cur, ctx.symmetrized_second(j, *sorted((k, p, r))))
+def _map_second_derivative_symmetric(ctx: _Ctx) -> dict:
+    rows = ctx.c.rows
+    by_section, by_direction = _by(rows.l, 1), _by(rows.d, 1)
+    second = {}  # (i, j, k, p, r) -> (l_{d_r}(D_{d_k,d_p} s_j) + D_{d_k*d_p,d_r} s_j)^i
+    for (j, k, p), row in rows.d.items():  # l_{d_r}(D_{d_k,d_p} s_j)
+        for m, w in row:
+            for (r, _), image in by_section.get(m, ()):
+                for i, v in image:
+                    _acc(second, (i, j, k, p, r), w * v)
+    for (k, p), row in rows.star.items():  # D_{d_k*d_p,d_r} s_j
+        for a, w in row:
+            for (j, _, r), image in by_direction.get(a, ()):
+                for i, v in image:
+                    _acc(second, (i, j, k, p, r), w * v)
+    out = {}  # each tuple minus the tuple with its last three indices sorted
+    for (i, j, *kpr), val in second.items():
+        _acc(out, (i, j, *kpr), val)
+        if kpr == sorted(kpr):
+            for order in set(permutations(kpr)):
+                _acc(out, (i, j, *order), -val)
+    return out
 
 
-def _supp_unit_star(ctx: _Ctx):
-    yield from ((k,) for k in range(ctx.c.n))  # X
+def _unit_action(ctx: _Ctx, rows: dict, size: int) -> dict:
+    """``(ebar . f_j)^a - delta_aj`` at ``(a, j)``, for rows keyed ``(b, j)``
+    that give ``d_b . f_j`` on the frames ``f_j``."""
+    ebar = ctx.e.base_vec()
+    out = {(j, j): -_ONE for j in range(size)}
+    for (b, j), row in rows.items():
+        w = ebar.get(b)
+        if w is not None:
+            for a, v in row:
+                _acc(out, (a, j), w * v)
+    return out
 
 
-@_identity("unit-star", "ebar * X = X", "vector", "nn", _supp_unit_star)
-def _vec_unit_star(ctx: _Ctx, rest) -> dict:
-    (k,) = rest
-    lhs = _on_frames(ctx.e.base_vec(), lambda a: ctx.frame_product(a, k))
-    return _vsub(lhs, _frame(k))
+@_identity("unit-star", "ebar * X = X", "map", "nn")
+def _map_unit_star(ctx: _Ctx) -> dict:
+    return _unit_action(ctx, ctx.c.rows.star, ctx.c.n)
 
 
-def _supp_unit_side(ctx: _Ctx):
-    yield from ((j,) for j in range(ctx.c.rank))  # s
+@_identity("unit-side", "l_ebar s = s", "map", "kk")
+def _map_unit_side(ctx: _Ctx) -> dict:
+    return _unit_action(ctx, ctx.c.rows.l, ctx.c.rank)
 
 
-@_identity("unit-side", "l_ebar s = s", "vector", "kk", _supp_unit_side)
-def _vec_unit_side(ctx: _Ctx, rest) -> dict:
-    (j,) = rest
-    return _vsub(apply_l_vec(ctx.c, ctx.e.base_vec(), _frame(j)), _frame(j))
-
-
-def _supp_unit_derivative(ctx: _Ctx):
+@_identity("unit-derivative", "l_X(Delta_e s) = D_{ebar,X} s", "map", "kkn")
+def _map_unit_derivative(ctx: _Ctx) -> dict:
     c, e = ctx.c, ctx.e
     rows, ks = c.rows, range(c.rank)
-    # l_X(Delta_e s), where Delta_e s_j = -lam[.][j]
-    yield from ((j, k) for k, m in rows.l for j in ks if not e.lam[m][j].is_zero())
-    # D_{ebar,X} s
-    yield from ((j, k) for j, p, k in rows.d if not e.beta[p].is_zero())
-
-
-@_identity(
-    "unit-derivative",
-    "l_X(Delta_e s) = D_{ebar,X} s",
-    "vector",
-    "kkn",
-    _supp_unit_derivative,
-)
-def _vec_unit_derivative(ctx: _Ctx, rest) -> dict:
-    j, k = rest
-    c = ctx.c
-    rows = c.rows.d
-    lhs = apply_l(c, k, apply_delta(ctx.e, _frame(j)))
-    rhs = {}
-    for p, w in ctx.e.base_vec().items():
-        for i, val in rows.get((j, p, k), ()):
-            _acc(rhs, i, w * val)
-    return _vsub(lhs, rhs)
+    out = {}
+    for (k, m), row in rows.l.items():  # l_{d_k}(Delta_e s_j), Delta_e s_j = -lam[.][j]
+        for j in ks:
+            w = e.lam[m][j]
+            if not w.is_zero():
+                for i, v in row:
+                    _acc(out, (i, j, k), -(w * v))
+    for (j, p, k), row in rows.d.items():  # D_{ebar,d_k} s_j
+        w = e.beta[p]
+        if not w.is_zero():
+            for i, v in row:
+                _acc(out, (i, j, k), -(w * v))
+    return out
 
 
 def _supp_base_integrability(ctx: _Ctx):
@@ -1038,12 +997,12 @@ def _vector_pairs(ident: _Identity, ctx: _Ctx):
 
 def _scan(rep: Report, ctx: _Ctx, name: str) -> bool:
     ident = _IDENTITIES[name]
-    if ident.kind == "oracle":
-        pairs = ident.fn(ctx)
-    elif ident.kind == "vector":
+    if ident.kind == "vector":
         pairs = _vector_pairs(ident, ctx)
+    elif ident.kind == "map":
+        pairs = sorted(ident.fn(ctx).items())
     else:
-        pairs = ((idx, ident.fn(ctx, idx)) for idx in sorted(set(ident.support(ctx))))
+        pairs = ident.fn(ctx)
     return rep.scan(name, ident.law, pairs)
 
 
@@ -1095,7 +1054,7 @@ def check_commutative(c: MultComponents, l2: dict | None = None) -> Report:
     """The commutativity records, with ``l2`` as the second side table.
 
     ``l2`` is the only way ``side-tables-equal`` can fail: without it, as in
-    every battery, ``_res_side_tables`` compares ``c.l`` with itself.
+    every battery, ``_map_side_tables`` compares ``c.l`` with itself.
     """
     return _stage_report("commutativity", _Ctx(c, l2=l2), _COMMUTATIVITY)
 

@@ -30,7 +30,9 @@ from .fman import (
     LinearVectorField,
     MultComponents,
     PreconditionError,
+    _Ctx,
     _frame,
+    _on_frames,
     _require,
     _table_diffs,
     _vf_apply,
@@ -39,8 +41,6 @@ from .fman import (
     apply_delta,
     apply_l,
     check_battery,
-    lie_star,
-    star_product,
 )
 from .prolong import conjugate, conjugate_unit, generalized_prolongation
 from .report import Report
@@ -239,17 +239,18 @@ def check_anchor_compat(c: MultComponents) -> Report:
     """Check that side and derivative operators project to the base product."""
     n = _double_rank(c.chart)
     rep = Report("anchor compatibility")
+    ctx = _Ctx(c)  # d_m * d_b and L_{d_b}(*)(d_m, d_p), from the star rows
 
     def proj(sec: dict) -> dict:
         return {i: f for i, f in sec.items() if i < n}
 
     def side(m, b):
         got = proj(apply_l(c, m, _frame(b)))
-        return _vsub(got, star_product(c, _frame(m), proj(_frame(b))))
+        return _vsub(got, ctx.frame_product(m, b) if b < n else {})
 
     def deriv(m, p, b):
         got = proj(apply_d(c, m, p, _frame(b)))
-        return _vsub(got, lie_star(c, proj(_frame(b)), _frame(m), _frame(p)))
+        return _vsub(got, ctx.lie_frame(b, m, p) if b < n else {})
 
     rep.scan(
         "anchor-side",
@@ -287,6 +288,11 @@ def check_scalar_compat(
     n = _check_candidate(c, e)
     base = BaseFManifold(chart=c.chart.base(), star=c.star, unit=e.beta)
     _require("the scalar compatibility check", check_flat_f(base, nabla))
+    return _scalar_compat(c, e, nabla, n)
+
+
+def _scalar_compat(c: MultComponents, e: LinearVectorField, nabla: Connection, n: int):
+    """`check_scalar_compat` once its flat structure is known to pass."""
     rep = Report("scalar compatibility")
     names = c.chart.names
 
@@ -395,6 +401,7 @@ def check_dorfman_compat(
     )
     chart = c.chart
     names = chart.names
+    prod = _Ctx(c).frame_product  # d_a * d_q, from the star rows
 
     def pair(u, v):
         return _pair_comps(n, u, v)
@@ -406,7 +413,7 @@ def check_dorfman_compat(
         pv = {i: f for i, f in v.items() if i < n}
         out = {}
         for q in range(n):
-            out[q] = _TWO * pair(u, star_product(c, pv, _frame(q)))
+            out[q] = _TWO * pair(u, _on_frames(pv, lambda a: prod(a, q)))
         return out
 
     def side(m, b, cc):
@@ -550,7 +557,7 @@ def classify_exact_courant(
     scalar_ok = rep.summarize(
         "scalar-compatibility",
         "the pairing conjugate of the candidate is its connection dual",
-        check_scalar_compat(c, e, nabla),
+        _scalar_compat(c, e, nabla, n),
     )
     if not (anchor_ok and scalar_ok):
         rep.note(
@@ -606,16 +613,12 @@ def classify_exact_courant(
             "parallel-bfield", "the recovered two-form is parallel", sorted(nab.items())
         )
         names = c.chart.names
+        prod = _Ctx(c).frame_product
         rep.scan(
             "parallel-product",
             "the pairing gamma(X*Y, Z) of the base product is parallel",
             (
-                (
-                    (r, m, p, q),
-                    gamma.apply(
-                        star_product(c, _frame(m), _frame(p)), _frame(q)
-                    ).partial(names[r]),
-                )
+                ((r, m, p, q), gamma.apply(prod(m, p), _frame(q)).partial(names[r]))
                 for r, m, p, q in product(range(n), repeat=4)
             ),
         )

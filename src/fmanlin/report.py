@@ -4,7 +4,7 @@ Every check in this package returns a :class:`Report`: an ordered list of
 named identity records, each carrying a pass/fail verdict and, on failure,
 the first witness index tuple together with the residual expression at that
 witness.  Records are written by :meth:`Report.scan`, which stops at the
-first nonzero residual of a lazy stream of ``(witness, residual)`` pairs, and
+first nonzero residual of a stream of ``(witness, residual)`` pairs, and
 by :meth:`Report.summarize`, which folds a sub-report into one record.
 Rendering is deterministic -- the verdict body contains no
 timestamps, so two runs over the same input produce identical bytes.
@@ -99,10 +99,13 @@ class Report:
         )
 
     def scan(self, name: str, law: str, pairs) -> bool:
-        """Record ``name`` from a lazy iterable of ``(witness, residual)`` pairs.
+        """Record ``name`` from an iterable of ``(witness, residual)`` pairs.
 
         The record fails at the first pair whose residual is nonzero, and the
         iterable is not advanced past it; if there is none, the record passes.
+        A lazy iterable, such as the pairs of a ``vector`` identity of the
+        battery, computes nothing after the witness; the sorted pairs of a
+        ``map`` identity or of an oracle were computed whole before the scan.
         """
         for witness, residual in pairs:
             if not residual.is_zero():

@@ -1,5 +1,5 @@
 """Shared randomized-input helpers, a text stream that records its reads, and
-a fixture that records battery runs.
+fixtures that record battery and flat-structure runs.
 
 All randomness is driven by ``random.Random`` instances seeded from the
 ``FMAN_SEED`` environment variable (default 0), so failures reproduce exactly.
@@ -38,6 +38,27 @@ def battery_runs(monkeypatch):
 
     for module in (fman, duality, gengeo, prolong):
         monkeypatch.setattr(module, "check_battery", counting)
+    return runs
+
+
+@pytest.fixture
+def flat_runs(monkeypatch):
+    """The base of every ``check_flat_f`` call from now on, in order.
+
+    ``gengeo`` imports the check by name and ``prolong`` imports it from
+    ``duality`` when it runs, so patching both modules sees every call.
+    """
+    from fmanlin import duality, gengeo
+
+    runs = []
+    real = duality.check_flat_f
+
+    def counting(base, nabla, euler=None):
+        runs.append(base)
+        return real(base, nabla, euler)
+
+    for module in (duality, gengeo):
+        monkeypatch.setattr(module, "check_flat_f", counting)
     return runs
 
 

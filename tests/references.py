@@ -4,16 +4,18 @@ They are not part of the package: no command or check needs them.
 :class:`BFieldData` evaluates the closed-form difference tables of a two-form
 shear of the double prolongation, for comparison with the tables extracted
 from the sheared structure; :func:`lie_components` reads the Lie derivative
-of a product off the assembled tensor.  :func:`reference_components` reads
-the tables of a linear (2,1) tensor through vertical lifts, Lie derivatives
-and contractions instead of by key, and :func:`_verify_leibniz` checks an
-assembled tensor against the Leibniz rule of its tables.
+of a product off the assembled tensor, and :func:`nabla_star` takes the
+covariant derivative of a product on any three vector fields.
+:func:`reference_components` reads the tables of a linear (2,1) tensor
+through vertical lifts, Lie derivatives and contractions instead of by key,
+and :func:`_verify_leibniz` checks an assembled tensor against the Leibniz
+rule of its tables.
 """
 
 from itertools import combinations, product
 from operator import attrgetter
 
-from fmanlin.duality import symmetric_bracket
+from fmanlin.duality import nabla_apply, symmetric_bracket
 from fmanlin.fman import (
     BaseFManifold,
     LinearVectorField,
@@ -46,6 +48,13 @@ def lie_components(c: MultComponents, x: LinearVectorField):
     """Tables ``(d, l, star)`` of the Lie derivative of the product along ``x``,
     read off the Lie derivative of the assembled tensor."""
     return extract_components(lie_derivative(x.as_field(), c.assemble()))
+
+
+def nabla_star(nabla: Connection, c: MultComponents, u: dict, v: dict, w: dict) -> dict:
+    """Covariant derivative of the base product along ``u``, applied to ``(v, w)``."""
+    out = nabla_apply(nabla, u, star_product(c, v, w))
+    out = _vsub(out, star_product(c, nabla_apply(nabla, u, v), w))
+    return _vsub(out, star_product(c, v, nabla_apply(nabla, u, w)))
 
 
 class Section(_Value):

@@ -400,6 +400,20 @@ def test_classify_linear_shear_cites_gradient(tmp_path):
     assert records["classification-agreement"]["passed"]
 
 
+def test_classify_stage_verifies_the_base_once(tmp_path, battery_runs, flat_runs):
+    gen = tmp_path / "gen.fman"
+    sheared = tmp_path / "sheared.fman"
+    main(["prolong", "generalized", model("plane-gamma-linear.fman"), "--out", str(gen)])
+    main(["bfield", str(gen), "--out", str(sheared)])
+    battery_runs.clear()
+    flat_runs.clear()
+    assert main(["courant-classify", str(sheared)]) == 1
+    # the candidate's battery and one base battery; the classifier's flat
+    # check, which the scalar check reuses, and the double prolongation's
+    assert [c.chart.k for c in battery_runs] == [4, 0]
+    assert len(flat_runs) == 2
+
+
 def test_classify_precondition_exits_three(tmp_path, capsys):
     gen = tmp_path / "gen.fman"
     main(["prolong", "generalized", model("plane-base.fman"), "--out", str(gen)])

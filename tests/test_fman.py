@@ -19,7 +19,6 @@ from fmanlin.fman import (
     _run_into,
     _lie_d_entry,
     _lie_l_entry,
-    _symmetrized_second,
     _vadd,
     _vf_bracket,
     _vget,
@@ -404,16 +403,23 @@ def test_defect_tensor_shares_no_code_with_the_table_residuals(monkeypatch):
     t = bad.assemble()
     table_level = ("star_product", "apply_l", "apply_d", "lie_star", "_on_frames")
     compiled = ("_Rows", "_compile", "_vector_pairs", "_lie_l_entry", "_lie_d_entry")
-    for name in table_level + compiled + ("_vf_apply", "_vf_bracket"):
+    maps = [name for name in vars(fman) if name.startswith("_map_")]
+    assert len(maps) == 9
+    shared = ("_vf_apply", "_vf_bracket", "_by", "_swap_difference", "_unit_action")
+    for name in table_level + compiled + shared + tuple(maps):
         monkeypatch.setattr(fman, name, forbidden)
     for name in ("frame_product", "lie_at", "lie_frame"):
         monkeypatch.setattr(fman._Ctx, name, forbidden)
+    guarded_kinds = set()
     for name, ident in fman._IDENTITIES.items():
-        if ident.support is not None:
-            guarded = fman._Identity(
-                ident.law, ident.kind, ident.space, ident.fn, forbidden
-            )
-            monkeypatch.setitem(fman._IDENTITIES, name, guarded)
+        if ident.kind == "oracle":
+            continue
+        # a map is guarded whole; a vector identity by its support and vectors
+        support = None if ident.support is None else forbidden
+        guarded = fman._Identity(ident.law, ident.kind, ident.space, forbidden, support)
+        monkeypatch.setitem(fman._IDENTITIES, name, guarded)
+        guarded_kinds.add(ident.kind)
+    assert guarded_kinds == {"map", "vector"}
     defect = hm_tensor(t)
     assert not defect.is_zero()
     again = evaluate_residual("integrability-oracle", min(defect.coeffs), bad)
@@ -563,12 +569,21 @@ def ref_l_composition(ctx, idx):
     return _vget(lhs, i) - _vget(rhs, i)
 
 
+def symmetrized_second(c, i, j, k, p, r):
+    """``(l_{d_r}(D_{d_k,d_p} s_j) + D_{d_k*d_p,d_r} s_j)^i``, by table lookups."""
+    out = RatFunc.zero()
+    for m in range(c.rank):
+        out = out + c.d_at(m, j, k, p) * c.l_at(i, m, r)
+    for a in range(c.n):
+        out = out + c.star_at(a, k, p) * c.d_at(i, j, a, r)
+    return out
+
+
 def ref_second_derivative_symmetric(ctx, idx):
     c = ctx.c
     i, j, k, p, r = idx
-    cur = _symmetrized_second(c, j, k, p, r)
-    ref = _symmetrized_second(c, j, *sorted((k, p, r)))
-    return _vget(cur, i) - _vget(ref, i)
+    cur = symmetrized_second(c, i, j, k, p, r)
+    return cur - symmetrized_second(c, i, j, *sorted((k, p, r)))
 
 
 def ref_base_integrability(ctx, idx):
@@ -1036,16 +1051,46 @@ def test_support_scans_match_dense_reference(support_corpus):
 def test_supports_are_sound(support_corpus):
     import fmanlin.fman as fman
 
+    supported = {name for name, ident in fman._IDENTITIES.items() if ident.support}
+    assert supported == {
+        name for name, ident in fman._IDENTITIES.items() if ident.kind == "vector"
+    }
     for c, kw, found in support_corpus:
         ctx = _Ctx(c, **kw)
-        for name, residuals in found.items():
+        for name in supported:
             ident = fman._IDENTITIES[name]
             # a vector identity's support leaves out the output index
-            cut = 0 if ident.kind == "scalar" else 1
             support = set(ident.support(ctx))
-            assert support <= {idx[cut:] for idx in dense_tuples(c, ident.space)}, name
-            outside = [idx for idx, _ in residuals if idx[cut:] not in support]
+            assert support <= {idx[1:] for idx in dense_tuples(c, ident.space)}, name
+            outside = [idx for idx, _ in found[name] if idx[1:] not in support]
             assert not outside, (name, outside[:3])
+
+
+def test_map_identities_equal_dense_reference(support_corpus):
+    import fmanlin.fman as fman
+
+    maps = {name for name, ident in fman._IDENTITIES.items() if ident.kind == "map"}
+    assert maps == {
+        "side-tables-equal",
+        "star-symmetric",
+        "derivative-symmetric",
+        "star-associative",
+        "l-composition",
+        "second-derivative-symmetric",
+        "unit-star",
+        "unit-side",
+        "unit-derivative",
+    }
+    nonempty = set()
+    for c, kw, found in support_corpus:
+        ctx = _Ctx(c, **kw)
+        for name in maps:
+            got = fman._IDENTITIES[name].fn(ctx)
+            # the whole residual, every value nonzero, and nothing else
+            assert got == dict(found[name]), name
+            if got:
+                nonempty.add(name)
+    assert nonempty == maps
 
 
 def test_supports_skip_the_empty_derivative_table_of_a_prolongation():
@@ -1057,13 +1102,9 @@ def test_supports_skip_the_empty_derivative_table_of_a_prolongation():
     prol = generalized_prolongation(base, Connection.zero(chart))
     assert not prol.components.d
     ctx = _Ctx(prol.components, e=prol.unit)
-    for name in (
-        "second-derivative-symmetric",
-        "unit-derivative",
-        "base-integrability",
-        "derivative-commutator",
-        "derivative-bracket",
-    ):
+    for name in ("second-derivative-symmetric", "unit-derivative"):
+        assert fman._IDENTITIES[name].fn(ctx) == {}, name
+    for name in ("base-integrability", "derivative-commutator", "derivative-bracket"):
         assert not set(fman._IDENTITIES[name].support(ctx)), name
     assert check_battery(prol.components, prol.unit).passed
 
@@ -1312,7 +1353,8 @@ def test_every_declared_identity_is_staged_fails_and_replays():
     assert len(staged) == len(set(staged))
     assert set(staged) == set(fman._IDENTITIES)
     for name, ident in fman._IDENTITIES.items():
-        assert ident.kind in ("scalar", "vector", "oracle"), name
+        assert ident.kind in ("map", "vector", "oracle"), name
+        assert (ident.kind == "vector") == (ident.support is not None), name
         assert (ident.kind == "oracle") == (ident.space == ""), name
     cases = failing_inputs()
     assert set(cases) == set(fman._IDENTITIES)
@@ -1345,34 +1387,46 @@ def test_preconditions_are_scanned_once(monkeypatch):
         assert scans.count("star-associative") == 1
 
 
-def test_symmetrized_second_runs_once_per_distinct_argument(monkeypatch):
+def test_second_derivative_symmetric_takes_each_term_product_once(monkeypatch):
     import fmanlin.fman as fman
 
-    calls = []
-    real = fman._symmetrized_second
+    products = []
+    real = RatFunc.__mul__
 
-    def counting(c, *args):
-        calls.append(args)
-        return real(c, *args)
+    def counting(f, g):
+        products.append((f, g))
+        return real(f, g)
 
-    monkeypatch.setattr(fman, "_symmetrized_second", counting)
-    # a derivative row at every (j, k, p) puts every argument in the support
+    def scan(c):
+        products.clear()
+        with monkeypatch.context() as m:
+            m.setattr(RatFunc, "__mul__", counting)
+            ok = fman._scan(Report("products"), _Ctx(c), "second-derivative-symmetric")
+        return ok, len(products)
+
+    # a derivative row at every (j, k, p), side rows on both frames and a
+    # product with every frame pair: each term product is taken once, not
+    # once for each reordering of (k, p, r) that compares with it
     c22 = Chart.standard(2, 2)
+    x = rf("x1 + 1", c22)
     full = MultComponents(
-        c22, d={(0, *jkp): rf("x1 + 1", c22) for jkp in product(range(2), repeat=3)},
-        l={}, star={},
+        c22,
+        d={(0, *jkp): x for jkp in product(range(2), repeat=3)},
+        l={(i, 0, r): 1 for i in range(2) for r in range(2)},
+        star={(0, k, p): 1 for k in range(2) for p in range(2)},
     )
-    assert fman._scan(Report("memo"), _Ctx(full), "second-derivative-symmetric")
-    assert len(calls) == len(set(calls)) == full.rank * full.n**3
-    # the generalized prolongation has no derivative table, so none is needed
+    terms = sum(1 for (m, *_), (_, mm, _r) in product(full.d, full.l) if m == mm)
+    terms += sum(1 for (a, *_), (_, _j, aa, _r) in product(full.star, full.d) if a == aa)
+    assert terms == 8 * 4 + 4 * 4  # (d, l) pairs through s_0, (star, d) through d_0
+    assert scan(full) == (True, terms)
+    # the generalized prolongation has no derivative table, so no product
     chart = Chart.standard(2, 0)
     star = {(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1}
     prol = generalized_prolongation(
         BaseFManifold(chart, star, (1, 0)), Connection.zero(chart)
     )
-    calls.clear()
-    assert check_battery(prol.components, prol.unit).passed
-    assert calls == []
+    assert not prol.components.d
+    assert scan(prol.components) == (True, 0)
 
 
 def test_euler_and_base_extraction_name_their_precondition():

@@ -682,17 +682,60 @@ def test_classify_linear_shear_cites_the_gradient():
     assert rep.record("bfield-gradient").residual == "1"
 
 
-def test_classification_runs_each_battery_once_per_object(battery_runs):
+def test_classification_runs_each_battery_once_per_object(battery_runs, flat_runs):
     prol, nabla = plane_package()
     tc, te = bfield_transform(
         prol.components, prol.unit, TwoForm(B2, {(0, 1): rf("x1")})
     )
     battery_runs.clear()
+    flat_runs.clear()
     assert not classify_exact_courant(tc, te, nabla).passed
-    # the candidate once, and the base once for the classifier and the
-    # double prolongation it rebuilds; the scalar check verifies a base of
-    # its own, which is the one base battery left to share
-    assert [c.chart.k for c in battery_runs] == [4, 0, 0]
+    # the candidate once, and the base once for the classifier, its scalar
+    # check and the double prolongation it rebuilds
+    assert [c.chart.k for c in battery_runs] == [4, 0]
+    # the flat structure for the classifier (which the scalar check reuses)
+    # and for the double prolongation
+    assert len(flat_runs) == 2 and flat_runs[0] is flat_runs[1]
+
+
+def test_public_scalar_check_requires_its_own_flat_structure(battery_runs, flat_runs):
+    prol, nabla = plane_package()
+    tc, te = bfield_transform(
+        prol.components, prol.unit, TwoForm(B2, {(0, 1): rf("x1")})
+    )
+    battery_runs.clear()
+    flat_runs.clear()
+    assert check_scalar_compat(tc, te, nabla).passed
+    assert len(flat_runs) == 1 and [c.chart.k for c in battery_runs] == [0]
+
+
+def test_duality_and_classification_read_frame_products_off_the_rows(monkeypatch):
+    from fmanlin import duality, fman, prolong
+
+    real = fman.star_product
+    frame_pairs = []
+
+    def is_frame(u):
+        return len(u) == 1 and next(iter(u.values())) == RatFunc.one()
+
+    def counting(c, u, v):
+        if is_frame(u) and is_frame(v):
+            frame_pairs.append((u, v))
+        return real(c, u, v)
+
+    for module in (fman, duality, prolong):
+        monkeypatch.setattr(module, "star_product", counting)
+    prol, nabla = plane_package()
+    for gamma in ({(0, 1): rf("x1")}, {(0, 1): 1}):
+        tc, te = bfield_transform(prol.components, prol.unit, TwoForm(B2, gamma))
+        rep = classify_exact_courant(tc, te, nabla)
+        assert rep.record("parallel-product")
+    tan = tangent_prolongation(base_i2())
+    euler = LinearVectorField(tan.components.chart, (rf("x1"), rf("x2")), ((1, 0), (0, 1)))
+    for nab in (Connection.zero(B2), Connection(B2, {(0, 1, 1): rf("x1")})):
+        rep = duality.check_duality_conditions(tan.components, tan.unit, nab, euler)
+        assert rep.record("dual-integrable")
+    assert frame_pairs == []
 
 
 def test_classify_aborts_without_anchor():
