@@ -24,6 +24,7 @@ from .fman import (
     _Ctx,
     _euler_report,
     _frame,
+    _frame_partial,
     _on_frames,
     _require,
     _vec_pairs,
@@ -253,16 +254,22 @@ class _Frames:
         nab = self.nab = _Memo(lambda x, y: nabla_apply(nabla, fr(x), fr(y)))  # nabla_{d_x} d_y
         sym = _Memo(lambda x, y: _vadd(nab[x, y], nab[y, x]))  # <d_x : d_y>
         self.tor = _Memo(lambda x, y: _vsub(nab[x, y], nab[y, x]))  # T(d_x, d_y)
-        # T(d_z, d_x * d_y), nabla_{d_x}(*)(d_y, d_z), [d_z, d_x * d_y]
-        self.tor_star = _Memo(lambda z, x, y: torsion_vec(nabla, fr(z), star[x, y]))
+        # [d_z, d_x * d_y], which is the partial d_z(d_x * d_y) as frames are constant
+        bracket = _Memo(lambda z, x, y: _frame_partial(c.chart, star[x, y], z))
+
+        def tor_star_at(z, x, y):  # T(d_z, d_x * d_y)
+            s = star[x, y]
+            out = _vsub(nabla_apply(nabla, fr(z), s), nabla_apply(nabla, s, fr(z)))
+            return _vsub(out, bracket[z, x, y])
+
+        self.tor_star = _Memo(tor_star_at)
 
         def nabla_star_at(x, y, z):  # nabla_{d_x}(*)(d_y, d_z)
             out = nabla_apply(nabla, fr(x), star[y, z])
             out = _vsub(out, _on_frames(nab[x, y], lambda a: star[a, z]))
             return _vsub(out, _on_frames(nab[x, z], lambda a: star[y, a]))
 
-        self.nabla_star = _Memo(nabla_star_at)
-        bracket = _Memo(lambda z, x, y: _vf_bracket(c.chart, fr(z), star[x, y]))
+        self.nabla_star = _Memo(nabla_star_at)  # nabla_{d_x}(*)(d_y, d_z)
         # the integrability terms <[d_z, d_x * d_y] : d_v>, L_{<d_x : d_y>}(*)(d_z, d_v)
         # and <d_x : L_{d_y}(*)(d_z, d_v)>
         self.sym_bracket = _Memo(lambda z, x, y, v: sb(bracket[z, x, y], fr(v)))
@@ -423,8 +430,11 @@ def regular_connection(base: BaseFManifold, euler) -> Connection:
             "the structure is not regular"
         ) from None
 
+    prod = _Ctx(c).frame_product  # d_a * d_k, the star row
     gamma = {}
     for k in range(n):
+        # the powers below the top times d_k, each once
+        moved = [_on_frames(pw, lambda a: prod(a, k)) for pw in powers[:-1]]
         for j in range(n):
             out = {}
             for i in range(n):
@@ -435,7 +445,7 @@ def regular_connection(base: BaseFManifold, euler) -> Connection:
                         _acc(out, a, dk * w)
                 if i >= 1 and not cij.is_zero():
                     scale = cij * RatFunc.coerce(i)
-                    for a, w in star_product(c, powers[i - 1], _frame(k)).items():
+                    for a, w in moved[i - 1].items():
                         _acc(out, a, scale * w)
             for a, w in out.items():
                 gamma[(a, k, j)] = w

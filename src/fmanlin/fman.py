@@ -279,6 +279,17 @@ def _vf_bracket(chart: Chart, u: dict, v: dict) -> dict:
     return out
 
 
+def _frame_partial(chart: Chart, w: dict, k: int) -> dict:
+    """``d_k w``, which is ``[d_k, w] = -[w, d_k]``: frames have constant components."""
+    name = chart.names[k]
+    out = {}
+    for a, f in w.items():
+        d = f.partial(name)
+        if not d.is_zero():
+            out[a] = d
+    return out
+
+
 def _on_frames(u: dict, image) -> dict:
     """``sum_a u[a] image(a)``: the map that sends ``d_a`` to ``image(a)``, at ``u``."""
     out = {}
@@ -406,9 +417,14 @@ def _frame(j: int) -> dict:
 # ``d_i * d_j`` (the star rows), which the vector identities that multiply
 # frames read, and the frame Lie derivatives ``L_{d_r}(*)(d_k, d_p)`` that
 # three vector identities share.  Memoized dicts are shared, so no caller
-# mutates one.  It also memoizes the assembled product and its Lie derivative
-# along the Euler field, which the two Euler oracles share and no frame
-# identity reads, so the oracles stay independent of the frame route.
+# mutates one.  A bracket with a coordinate frame is a partial,
+# ``[w, d_k] = -d_k w`` (`_frame_partial`), and each value keeps its own
+# partials, so the brackets need no memo: the base battery and the battery
+# of its tangent prolongation hold the same star entries and differentiate
+# each once between them.  `_Ctx` also memoizes the assembled product and
+# its Lie derivative along the Euler field, which the two Euler oracles
+# share and no frame identity reads, so the oracles stay independent of the
+# frame route.
 # `_scan` and `evaluate_residual` read the same declaration, so a reported
 # witness can be reproduced in isolation; a map or an oracle replays by
 # looking its witness up in the whole residual.
@@ -434,12 +450,14 @@ class _Ctx:
         return out
 
     def lie_at(self, w: dict, k, p) -> dict:
-        """`lie_star` of ``w`` at ``(d_k, d_p)``, from the frame products."""
+        """`lie_star` of ``w`` at ``(d_k, d_p)``, from the frame products.
+
+        ``[w, d_k*d_p] + (d_k w)*d_p + d_k*(d_p w)``, as ``[w, d_k] = -d_k w``.
+        """
         chart, prod = self.c.chart, self.frame_product
-        wk, wp = _vf_bracket(chart, w, _frame(k)), _vf_bracket(chart, w, _frame(p))
         out = _vf_bracket(chart, w, prod(k, p))
-        out = _vsub(out, _on_frames(wk, lambda a: prod(a, p)))
-        return _vsub(out, _on_frames(wp, lambda a: prod(k, a)))
+        out = _vadd(out, _on_frames(_frame_partial(chart, w, k), lambda a: prod(a, p)))
+        return _vadd(out, _on_frames(_frame_partial(chart, w, p), lambda a: prod(k, a)))
 
     def lie_frame(self, r, k, p) -> dict:
         key = (r, k, p)
@@ -737,14 +755,15 @@ def _vec_derivative_bracket(ctx: _Ctx, rest) -> dict:
 
     lhs = apply_d(c, z, v, apply_d(c, x, y, _frame(j)))
     lhs = _vsub(lhs, apply_d(c, x, y, apply_d(c, z, v, _frame(j))))
-    prod_xy = ctx.frame_product(x, y)
-    rhs = dvec(_vf_bracket(chart, prod_xy, _frame(z)), v)
-    rhs = _vadd(rhs, dvec(_vf_bracket(chart, prod_xy, _frame(v)), z))
-    rhs = _vadd(rhs, dvec(ctx.lie_frame(y, z, v), x))
-    rhs = _vadd(rhs, dvec(ctx.lie_frame(x, z, v), y))
+    # minus the transport terms D_{[X*Y,Z],V} s + D_{[X*Y,V],Z} s, where
+    # [X*Y, d_z] = -d_z(X*Y), and D_{L_Y(*)(Z,V),X} s + D_{L_X(*)(Z,V),Y} s;
     # the side-operator corrections of the general identity involve brackets
     # of coordinate frames and vanish here
-    return _vsub(lhs, rhs)
+    prod_xy = ctx.frame_product(x, y)
+    out = _vadd(lhs, dvec(_frame_partial(chart, prod_xy, z), v))
+    out = _vadd(out, dvec(_frame_partial(chart, prod_xy, v), z))
+    out = _vsub(out, dvec(ctx.lie_frame(y, z, v), x))
+    return _vsub(out, dvec(ctx.lie_frame(x, z, v), y))
 
 
 def hm_tensor(t: TensorField) -> TensorField:

@@ -12,7 +12,14 @@ mathematical equality.  A coefficient is stored as an ``int`` when integral
 and as a ``Fraction`` only when not, so most arithmetic is Python's integer
 arithmetic (Knuth, TAOCP vol. 2, 4.6.1); every coefficient division is an
 explicit ``Fraction`` or exact ``divmod``, and a float is refused.  Results
-canonical by construction (negations, products) skip the checking constructor.
+canonical by construction (negations, products) skip the checking constructor;
+every such path builds through one helper, `_raw`.
+
+A rational function keeps each partial derivative it computes, keyed by the
+variable, in a slot of its own: values are immutable and canonical, so the
+kept derivative is the one a new computation gives.  The derivatives live as
+long as their value and no longer; there is no module-level or value-keyed
+cache, so an equal value built separately starts with none.
 
 Two rules keep the gcds small.  Arithmetic on canonical operands takes gcds
 of the operands, not of the products: a sum ``a/b + c/d`` is reduced only by
@@ -574,7 +581,7 @@ class RatFunc:
     cancels on its canonical operands instead and builds through `_coprime`.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den", "_hash", "_partials")
 
     def __init__(self, num: Poly, den: Poly = _ONE):
         if den.is_zero():
@@ -583,7 +590,7 @@ class RatFunc:
             g = poly_gcd(num, den)
             num, den = exact_div(num, g), exact_div(den, g)
         self.num, self.den = _normal(num, den)
-        self._hash = None
+        self._hash = self._partials = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -663,11 +670,7 @@ class RatFunc:
         return other.__sub__(self)
 
     def __neg__(self):
-        out = RatFunc.__new__(RatFunc)
-        out.num = -self.num
-        out.den = self.den
-        out._hash = None
-        return out
+        return _raw(-self.num, self.den)
 
     def __mul__(self, other):
         other = _as_rf(other)
@@ -680,11 +683,7 @@ class RatFunc:
         if _is_one(self):
             return other
         if self.is_poly() and other.is_poly():
-            out = RatFunc.__new__(RatFunc)
-            out.num = self.num * other.num
-            out.den = _ONE
-            out._hash = None
-            return out
+            return _raw(self.num * other.num, _ONE)
         return _product(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
@@ -716,9 +715,25 @@ class RatFunc:
     # -- calculus ---------------------------------------------------------------
 
     def partial(self, name: str) -> "RatFunc":
-        """Partial derivative with respect to the named variable."""
+        """Partial derivative with respect to the named variable.
+
+        Computed once per variable and kept on the value (see the module
+        docstring), so differentiating again costs a dict lookup.
+        """
         if name not in self.num.vars and name not in self.den.vars:
             return _RF_ZERO
+        kept = self._partials
+        if kept is None:
+            kept = self._partials = {}
+        else:
+            out = kept.get(name)
+            if out is not None:
+                return out
+        out = kept[name] = self._derivative(name)
+        return out
+
+    def _derivative(self, name: str) -> "RatFunc":
+        """The partial derivative along a variable of the value, computed."""
         a, b = self.num, self.den
         if self.is_poly():
             return _coprime(a.partial(name), _ONE)
@@ -764,12 +779,16 @@ _RF_ZERO = RatFunc(_ZERO)
 _RF_ONE = RatFunc(_ONE)
 
 
+def _raw(num: Poly, den: Poly) -> RatFunc:
+    """The value ``num/den`` of a canonical pair, built without any check."""
+    out = RatFunc.__new__(RatFunc)
+    out.num, out.den, out._hash, out._partials = num, den, None, None
+    return out
+
+
 def _coprime(num: Poly, den: Poly) -> RatFunc:
     """The value ``num/den`` of a coprime pair, built without a gcd."""
-    out = RatFunc.__new__(RatFunc)
-    out.num, out.den = _normal(num, den)
-    out._hash = None
-    return out
+    return _raw(*_normal(num, den))
 
 
 def _sum(f: RatFunc, h: RatFunc, op) -> RatFunc:

@@ -1,5 +1,6 @@
 """Connection calculus, flat base structures, and the dual package."""
 
+import sys
 import weakref
 from collections import Counter
 from itertools import combinations_with_replacement, product
@@ -963,3 +964,80 @@ def test_frame_lie_derivatives_are_computed_once_per_check(monkeypatch):
         check_duality_conditions(c, e, nab, euler=euler)
         assert seen
         assert max(seen.values()) == 1
+
+
+def _code_objects(code):
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, type(code)):
+            yield from _code_objects(const)
+
+
+def test_frame_memo_reads_brackets_with_a_frame_as_partials(monkeypatch):
+    """No bracket with a coordinate frame that `_Frames` or `_Ctx.lie_at`
+    takes goes through the general vector-field bracket: ``[d_z, u]`` is the
+    partial ``d_z u`` (`_frame_partial`)."""
+    import fmanlin.fman as fman
+
+    own = {
+        code
+        for fn in (*vars(duality._Frames).values(), fman._Ctx.lie_at)
+        if callable(fn) and hasattr(fn, "__code__")
+        for code in _code_objects(fn.__code__)
+    }
+    lie_at = fman._Ctx.lie_at.__code__
+    made, frame_brackets, partials = [], [], []
+    real_frame, real_bracket, real_partial = fman._frame, fman._vf_bracket, fman._frame_partial
+
+    def made_frame(j):
+        made.append(real_frame(j))
+        return made[-1]
+
+    def recording(chart, u, v):
+        caller = sys._getframe(1)
+        while caller.f_code is torsion_vec.__code__:
+            caller = caller.f_back
+        # lie_at's own bracket [w, d_k * d_p] may take a frame w from lie_frame
+        args = (v,) if caller.f_code is lie_at else (u, v)
+        if caller.f_code in own and any(a is m for a in args for m in made):
+            frame_brackets.append((caller.f_code.co_name, u, v))
+        return real_bracket(chart, u, v)
+
+    def counting(chart, w, k):
+        partials.append(k)
+        return real_partial(chart, w, k)
+
+    for module in (fman, duality):
+        monkeypatch.setattr(module, "_frame", made_frame)
+        monkeypatch.setattr(module, "_vf_bracket", recording)
+        monkeypatch.setattr(module, "_frame_partial", counting)
+    c, e = plane_example()
+    euler = LinearVectorField(C21, (rf("x1"), rf("x2/3")), ((0,),))
+    nab = Connection(C21, {(0, 1, 1): rf("x1")})
+    check_duality_conditions(c, e, nab, euler=euler)
+    regular_flat_check(base_plane(), (rf("x1+5", B2), rf("x2^2+1", B2)))
+    assert made and partials
+    assert frame_brackets == []
+
+
+def test_regular_connection_multiplies_each_power_by_a_frame_once(monkeypatch):
+    """Only the n - 1 powers of the Euler field go through `star_product`;
+    each power times ``d_k`` is read off the star rows once."""
+    calls = []
+    real = duality.star_product
+
+    def counting(c, u, v):
+        calls.append((u, v))
+        return real(c, u, v)
+
+    monkeypatch.setattr(duality, "star_product", counting)
+    B3 = Chart.standard(3, 0)
+    semisimple = BaseFManifold(B3, {(i, i, i): 1 for i in range(3)}, (1, 1, 1))
+    for base, euler in (
+        (base_plane(), (rf("x1+5", B2), rf("x2^2+1", B2))),
+        (semisimple, tuple(rf(f"x{i + 1} + {i + 1}", B3) for i in range(3))),
+    ):
+        calls.clear()
+        nab = regular_connection(base, euler)
+        assert len(calls) == base.chart.n - 1
+        assert check_flat_f(base, nab, euler=euler).passed

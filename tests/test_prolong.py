@@ -1,5 +1,6 @@
 """Prolonged structures, block sums, conjugation, and the five-field identity."""
 
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -471,3 +472,44 @@ def test_prolongations_verify_the_base_once(battery_runs):
         battery_runs.clear()
         assert build(base).verify().passed
         assert [c for c in battery_runs if c.chart.k == 0] == [base.components]
+
+
+def test_tangent_battery_differentiates_each_value_once(monkeypatch):
+    """The n = 4 tangent prolongation and its battery, the slowest op of the
+    ``prolong-battery`` benchmark: each value is differentiated along each
+    variable at most once, and no bracket ``[w, d_k]`` with a coordinate
+    frame goes through the general vector-field bracket."""
+    from fmanlin import fman
+
+    chart = Chart.standard(4, 0)
+    star = {(0, 0, 0): 1, (3, 1, 1): parse_expr("1/(x2 + 1)", chart.names)}
+    for i in range(1, 4):
+        star[(i, 0, i)] = star[(i, i, 0)] = 1
+    base = BaseFManifold(chart, star, (1, 0, 0, 0))
+    computed, made, frame_brackets = [], [], []
+    real_derivative, real_frame, real_bracket = RatFunc._derivative, fman._frame, fman._vf_bracket
+
+    def counting(f, name):
+        computed.append((f, name))  # holding f keeps its id unique
+        return real_derivative(f, name)
+
+    def made_frame(j):
+        made.append(real_frame(j))
+        return made[-1]
+
+    def recording(chart, u, v):
+        if any(v is m for m in made):
+            frame_brackets.append(v)
+        return real_bracket(chart, u, v)
+
+    monkeypatch.setattr(RatFunc, "_derivative", counting)
+    monkeypatch.setattr(fman, "_frame", made_frame)
+    monkeypatch.setattr(fman, "_vf_bracket", recording)
+    prol = tangent_prolongation(base)
+    assert check_battery(prol.components, prol.unit).passed
+    seen = Counter((id(f), name) for f, name in computed)
+    assert computed and max(seen.values()) == 1
+    # the base battery and the prolongation's battery hold the same entry p
+    p = base.star[(3, 1, 1)]
+    assert [name for f, name in computed if f is p] == ["x2"]
+    assert made and frame_brackets == []

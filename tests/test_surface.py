@@ -114,3 +114,23 @@ def test_the_generic_component_form_is_gone():
     assert not gone & {name for _, name in public_names()}
     tensor = importlib.import_module("fmanlin.tensor")
     assert not [name for name in gone if hasattr(tensor, name)]
+
+
+def test_one_raw_rational_function_constructor():
+    # every unchecked construction goes through `symcore._raw`, which sets
+    # all the slots, the kept partials among them
+    tree = ast.parse((PACKAGE / "symcore.py").read_text(encoding="utf-8"))
+    raw = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "__new__"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "RatFunc"
+    ]
+    assert len(raw) == 1
+    owner = next(
+        stmt for stmt in tree.body
+        if isinstance(stmt, ast.FunctionDef) and raw[0] in ast.walk(stmt)
+    )
+    assert owner.name == "_raw"

@@ -4,12 +4,25 @@ sympy is a test-only dependency; without it this module is skipped.  Inputs
 come from the ``conftest`` generators, so ``FMAN_SEED`` reseeds every case.
 """
 
+import sys
 from fractions import Fraction
+from operator import add
 
 import pytest
 
 from conftest import primitive, rand_poly, rand_ratfunc, rng_for
-from fmanlin.symcore import Poly, RatFunc, _primitive_assoc, exact_div, parse_expr, poly_gcd
+from fmanlin import symcore
+from fmanlin.symcore import (
+    Poly,
+    RatFunc,
+    _coprime,
+    _primitive_assoc,
+    _product,
+    _sum,
+    exact_div,
+    parse_expr,
+    poly_gcd,
+)
 
 sympy = pytest.importorskip("sympy")
 
@@ -118,3 +131,68 @@ def test_coefficient_divisions_match_sympy():
     assert_same_function(RatFunc(Poly.variable("x1"), Poly.const(2)), x1 / 2, X)
     text = "(x1 + 1)/(2*x2 + 4)"
     assert_same_function(parse_expr(text, XY), (x1 + 1) / (2 * x2 + 4), XY)
+
+
+def nonzero_ratfunc(rng, variables):
+    while True:
+        f = rand_ratfunc(rng, variables)
+        if not f.is_zero():
+            return f
+
+
+def constructions(rng, variables):
+    """``(path, value)`` for every way symcore builds a rational function."""
+    f, g = nonzero_ratfunc(rng, variables), nonzero_ratfunc(rng, variables)
+    x = Poly.variable(variables[0])
+    yield "RatFunc", RatFunc(rand_poly(rng, variables), rand_poly(rng, variables, nonzero=True))
+    yield "_coprime", _coprime(f.num, f.den)
+    yield "__neg__", -f
+    # two nonconstant polynomials, so neither is 0 or 1
+    yield "poly * poly", RatFunc(x * rand_poly(rng, variables, nonzero=True)) * RatFunc(x + Poly.one())
+    yield "_sum", _sum(f, g, add)
+    yield "_product", _product(f.num, f.den, g.num, g.den)
+    yield "__pow__", f**2
+    yield "__pow__ < 0", f**-1
+    yield "parse_expr", parse_expr(str(f), variables)
+
+
+def test_every_construction_keeps_correct_partials():
+    """Each value starts with no kept partials, and each partial it keeps is
+    sympy's derivative, returned as the same object when asked again."""
+    rng = rng_for("sympy-kept-partials")
+    for variables in VARIABLES:
+        for _ in range(4):
+            for path, h in constructions(rng, variables):
+                assert h._partials is None, path
+                sh = rf_to_sympy(h)
+                for v in variables:
+                    d = h.partial(v)
+                    assert_same_function(d, sympy.diff(sh, sympy.Symbol(v)), variables)
+                    assert h.partial(v) is d, (path, h, v)
+                kept = {v for v in variables if v in h.free_vars()}
+                assert set(h._partials or ()) == kept, (path, h)
+
+
+def test_kept_partials_stay_with_their_value():
+    """An equal value built separately keeps its own partials, and a value's
+    partials go when the value goes: there is no cache beside the value."""
+    rng = rng_for("sympy-kept-own")
+    for variables in VARIABLES:
+        for _ in range(10):
+            f = nonzero_ratfunc(rng, variables)
+            for v in variables:
+                f.partial(v)
+            g = parse_expr(str(f), variables)
+            assert g == f and g is not f and g._partials is None
+            for v in sorted(f.free_vars()):
+                assert g.partial(v) == f.partial(v) and g.partial(v) is not f.partial(v)
+            if f.free_vars():
+                d = f.partial(min(f.free_vars()))
+                held = sys.getrefcount(d)
+                del f
+                assert sys.getrefcount(d) == held - 1
+    # no module-level container of symcore holds a value
+    for name, obj in vars(symcore).items():
+        if isinstance(obj, (dict, list, set, tuple)):
+            items = obj.values() if isinstance(obj, dict) else obj
+            assert not any(isinstance(x, RatFunc) for x in items), name
