@@ -22,13 +22,12 @@ from .fman import (
     check_battery,
     star_product,
     _Ctx,
+    _Memo,
     _euler_report,
     _frame,
-    _frame_partial,
     _on_frames,
     _require,
     _vec_pairs,
-    _vf_bracket,
     _vscale,
 )
 from .report import Report
@@ -79,11 +78,6 @@ def nabla_apply(nabla: Connection, u: dict, v: dict) -> dict:
 def symmetric_bracket(nabla: Connection, u: dict, v: dict) -> dict:
     """``<u : v>``: the sum of the covariant derivatives in both orders."""
     return _vadd(nabla_apply(nabla, u, v), nabla_apply(nabla, v, u))
-
-
-def torsion_vec(nabla: Connection, u: dict, v: dict) -> dict:
-    out = _vsub(nabla_apply(nabla, u, v), nabla_apply(nabla, v, u))
-    return _vsub(out, _vf_bracket(nabla.chart, u, v))
 
 
 def torsion(nabla: Connection) -> TensorField:
@@ -157,7 +151,7 @@ def check_flat_f(base: BaseFManifold, nabla: Connection, euler=None) -> Report:
         "L_Ebar(*) = *",
         _vec_pairs(
             combinations_with_replacement(range(n), 2),
-            lambda j, k: _vsub(frames.lie_at(evec, j, k), frames.star[j, k]),
+            lambda j, k: _vsub(frames.ctx.lie_at(evec, j, k), frames.ctx.star[j, k]),
         ),
     )
     rep.scan(
@@ -227,19 +221,11 @@ def dualize(c: MultComponents, e: LinearVectorField, nabla: Connection):
 # sending a vector field to its side operator, evaluated on coordinate frames:
 # as ``[d_a, d_b] = 0``, six of the twelve integrability terms vanish.  Frame
 # quantities that recur between index tuples are memoized per check by
-# `_Frames`, which multiplies two frames by reading their star row; the
-# ``dual-battery`` cross-check reads none of them.
-
-
-class _Memo(dict):
-    """A dict that computes a missing entry from its key, once."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __missing__(self, key):
-        out = self[key] = self.fn(*key) if isinstance(key, tuple) else self.fn(key)
-        return out
+# `_Frames`: the covariant ones here, and the frame products ``d_x * d_y``
+# and frame Lie derivatives ``L_{d_z}(*)(d_x, d_y)``, which are also the
+# brackets ``[d_z, d_x * d_y]``, in the `_Ctx` it holds.  Torsion is
+# tensorial, so ``T(ebar, d_x)`` is summed from ``T(d_a, d_x)``.  The
+# ``dual-battery`` cross-check reads none of these memos.
 
 
 class _Frames:
@@ -248,19 +234,16 @@ class _Frames:
     def __init__(self, c: MultComponents, nabla: Connection, evec: dict | None = None):
         self.nabla, fr = nabla, _frame
         sb = partial(symmetric_bracket, nabla)
-        ctx = _Ctx(c)  # d_x * d_y and L_w(*)(d_z, d_v), from the star rows
-        star = self.star = _Memo(ctx.frame_product)  # d_x * d_y
-        self.lie_at = ctx.lie_at
+        ctx = self.ctx = _Ctx(c)  # d_x * d_y and L_{d_z}(*)(d_x, d_y)
+        star, lie = ctx.star, ctx.lie
         nab = self.nab = _Memo(lambda x, y: nabla_apply(nabla, fr(x), fr(y)))  # nabla_{d_x} d_y
         sym = _Memo(lambda x, y: _vadd(nab[x, y], nab[y, x]))  # <d_x : d_y>
         self.tor = _Memo(lambda x, y: _vsub(nab[x, y], nab[y, x]))  # T(d_x, d_y)
-        # [d_z, d_x * d_y], which is the partial d_z(d_x * d_y) as frames are constant
-        bracket = _Memo(lambda z, x, y: _frame_partial(c.chart, star[x, y], z))
 
         def tor_star_at(z, x, y):  # T(d_z, d_x * d_y)
             s = star[x, y]
             out = _vsub(nabla_apply(nabla, fr(z), s), nabla_apply(nabla, s, fr(z)))
-            return _vsub(out, bracket[z, x, y])
+            return _vsub(out, lie[z, x, y])
 
         self.tor_star = _Memo(tor_star_at)
 
@@ -272,9 +255,9 @@ class _Frames:
         self.nabla_star = _Memo(nabla_star_at)  # nabla_{d_x}(*)(d_y, d_z)
         # the integrability terms <[d_z, d_x * d_y] : d_v>, L_{<d_x : d_y>}(*)(d_z, d_v)
         # and <d_x : L_{d_y}(*)(d_z, d_v)>
-        self.sym_bracket = _Memo(lambda z, x, y, v: sb(bracket[z, x, y], fr(v)))
+        self.sym_bracket = _Memo(lambda z, x, y, v: sb(lie[z, x, y], fr(v)))
         self.lie_sym = _Memo(lambda x, y, z, v: ctx.lie_at(sym[x, y], z, v))
-        self.sym_lie = _Memo(lambda x, y, z, v: sb(fr(x), ctx.lie_frame(y, z, v)))
+        self.sym_lie = _Memo(lambda x, y, z, v: sb(fr(x), lie[y, z, v]))
         self.nabla_euler = _Memo(lambda j: nabla_apply(nabla, fr(j), evec))  # nabla_{d_j} Ebar
 
     def nabla2_euler(self, i, j) -> dict:
@@ -286,7 +269,7 @@ class _Frames:
 
 
 def _asoc_vec(f: _Frames, x: int, y: int, z: int) -> dict:
-    tor, star = f.tor, f.star
+    tor, star = f.tor, f.ctx.star
     out = _on_frames(tor[x, y], lambda a: star[a, z])
     out = _vadd(out, _vscale(_on_frames(tor[x, z], lambda a: star[a, y]), _TWO))
     out = _vadd(out, _on_frames(tor[y, z], lambda a: star[a, x]))
@@ -294,9 +277,9 @@ def _asoc_vec(f: _Frames, x: int, y: int, z: int) -> dict:
     return _vadd(out, _vscale(_vsub(f.nabla_star[x, y, z], f.nabla_star[z, x, y]), _TWO))
 
 
-def _unit_vec(nabla: Connection, ebar: dict, x: int) -> dict:
-    out = _vscale(nabla_apply(nabla, _frame(x), ebar), _TWO)
-    return _vadd(out, torsion_vec(nabla, ebar, _frame(x)))
+def _unit_vec(f: _Frames, ebar: dict, x: int) -> dict:
+    out = _vscale(nabla_apply(f.nabla, _frame(x), ebar), _TWO)
+    return _vadd(out, _on_frames(ebar, lambda a: f.tor[a, x]))  # T(ebar, d_x)
 
 
 def _integr_vec(f: _Frames, x: int, y: int, z: int, v: int) -> dict:
@@ -346,7 +329,7 @@ def check_duality_conditions(
     ok &= rep.scan(
         "dual-unit",
         "l(s, 2 nabla_X ebar + T(ebar, X)) = 0",
-        kernel_pairs(product(range(n)), partial(_unit_vec, nabla, e.base_vec())),
+        kernel_pairs(product(range(n)), partial(_unit_vec, frames, e.base_vec())),
     )
     # the integrability obstruction is symmetric within each frame pair
     # (commutativity holds by precondition), so ordered pairs suffice
@@ -430,11 +413,11 @@ def regular_connection(base: BaseFManifold, euler) -> Connection:
             "the structure is not regular"
         ) from None
 
-    prod = _Ctx(c).frame_product  # d_a * d_k, the star row
+    star = _Ctx(c).star  # d_a * d_k, the star row
     gamma = {}
     for k in range(n):
         # the powers below the top times d_k, each once
-        moved = [_on_frames(pw, lambda a: prod(a, k)) for pw in powers[:-1]]
+        moved = [_on_frames(pw, lambda a: star[a, k]) for pw in powers[:-1]]
         for j in range(n):
             out = {}
             for i in range(n):

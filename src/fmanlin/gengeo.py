@@ -246,11 +246,11 @@ def check_anchor_compat(c: MultComponents) -> Report:
 
     def side(m, b):
         got = proj(apply_l(c, m, _frame(b)))
-        return _vsub(got, ctx.frame_product(m, b) if b < n else {})
+        return _vsub(got, ctx.star[m, b] if b < n else {})
 
     def deriv(m, p, b):
         got = proj(apply_d(c, m, p, _frame(b)))
-        return _vsub(got, ctx.lie_frame(b, m, p) if b < n else {})
+        return _vsub(got, ctx.lie[b, m, p] if b < n else {})
 
     rep.scan(
         "anchor-side",
@@ -401,7 +401,7 @@ def check_dorfman_compat(
     )
     chart = c.chart
     names = chart.names
-    prod = _Ctx(c).frame_product  # d_a * d_q, from the star rows
+    star = _Ctx(c).star  # d_a * d_q, from the star rows
 
     def pair(u, v):
         return _pair_comps(n, u, v)
@@ -413,7 +413,7 @@ def check_dorfman_compat(
         pv = {i: f for i, f in v.items() if i < n}
         out = {}
         for q in range(n):
-            out[q] = _TWO * pair(u, _on_frames(pv, lambda a: prod(a, q)))
+            out[q] = _TWO * pair(u, _on_frames(pv, lambda a: star[a, q]))
         return out
 
     def side(m, b, cc):
@@ -613,12 +613,12 @@ def classify_exact_courant(
             "parallel-bfield", "the recovered two-form is parallel", sorted(nab.items())
         )
         names = c.chart.names
-        prod = _Ctx(c).frame_product
+        star = _Ctx(c).star
         rep.scan(
             "parallel-product",
             "the pairing gamma(X*Y, Z) of the base product is parallel",
             (
-                ((r, m, p, q), gamma.apply(prod(m, p), _frame(q)).partial(names[r]))
+                ((r, m, p, q), gamma.apply(star[m, p], _frame(q)).partial(names[r]))
                 for r, m, p, q in product(range(n), repeat=4)
             ),
         )

@@ -21,12 +21,10 @@ from .fman import (
     apply_delta,
     apply_l,
     check_battery,
-    lie_star,
-    star_product,
-    _frame,
+    _Ctx,
+    _on_frames,
     _require,
     _vec_pairs,
-    _vf_bracket,
 )
 from .report import Report
 from .symcore import RatFunc, SingularMatrixError, _Frozen, _inverse
@@ -41,7 +39,6 @@ __all__ = [
     "direct_sum_unit",
     "conjugate",
     "conjugate_unit",
-    "five_field_residual",
     "check_five_field_identity",
 ]
 
@@ -257,51 +254,40 @@ def conjugate_unit(e: LinearVectorField, iso) -> LinearVectorField:
 # -- the five-field identity -----------------------------------------------------
 
 
-def five_field_residual(c: MultComponents, x, y, z, v, w) -> dict:
-    """Five-argument combination of product derivatives, as a vector dict.
+def _five_field_vec(ctx: _Ctx, x, y, z, v, w) -> dict:
+    """The five-field combination of product derivatives at frames.
 
-    On an integrable product the combination vanishes identically; it mixes
-    the derivative of the product along the fifth field with brackets by
-    ``x*y`` and nested product derivatives in the remaining slots.  The
-    arguments are base vector fields given as coefficient dicts.
+    On an integrable product it vanishes identically.  In general it reads
+
+        L_W(*)([X*Y, Z], V) + L_W(*)([X*Y, V], Z)
+        + L_W(*)(L_Y(*)(Z, V), X) + L_W(*)(L_X(*)(Z, V), Y)
+        - X * (L_W(*)([Y, V], Z) + L_W(*)([Y, Z], V)) - (the same with X, Y swapped)
+        + L_{L_W(*)(Z, V)}(*)(X, Y) - L_{L_W(*)(X, Y)}(*)(Z, V).
+
+    On coordinate frames the two terms with a bracket of frames vanish,
+    ``[d_x * d_y, d_z] = -L_{d_z}(*)(d_x, d_y)``, and ``L_{d_w}(*)`` is
+    tensorial, so every term reads the frame memos of ``ctx``.
     """
-    chart = c.chart
+    lie = ctx.lie
 
-    def br(u1, u2):
-        return _vf_bracket(chart, u1, u2)
+    def along_w(u: dict, t: int) -> dict:  # L_{d_w}(*)(u, d_t)
+        return _on_frames(u, lambda a: lie[w, a, t])
 
-    def ls(w_, u1, u2):
-        return lie_star(c, w_, u1, u2)
-
-    xy = star_product(c, x, y)
-    out = ls(w, br(xy, z), v)
-    out = _vadd(out, ls(w, br(xy, v), z))
-    out = _vadd(out, ls(w, ls(y, z, v), x))
-    out = _vadd(out, ls(w, ls(x, z, v), y))
-    out = _vsub(
-        out, star_product(c, x, _vadd(ls(w, br(y, v), z), ls(w, br(y, z), v)))
-    )
-    out = _vsub(
-        out, star_product(c, y, _vadd(ls(w, br(x, v), z), ls(w, br(x, z), v)))
-    )
-    out = _vadd(out, ls(ls(w, z, v), x, y))
-    return _vsub(out, ls(ls(w, x, y), z, v))
+    out = _vadd(along_w(lie[y, z, v], x), along_w(lie[x, z, v], y))
+    out = _vsub(out, _vadd(along_w(lie[z, x, y], v), along_w(lie[v, x, y], z)))
+    out = _vadd(out, ctx.lie_at(lie[w, z, v], x, y))
+    return _vsub(out, ctx.lie_at(lie[w, x, y], z, v))
 
 
 def check_five_field_identity(base: BaseFManifold) -> Report:
     """Scan the five-field identity over every tuple of base frames."""
     _require("the five-field identity check", base.verify())
-    c = base.components
-    n = c.n
+    ctx = _Ctx(base.components)
     rep = Report("five-field identity")
     law = "the five-field consequence of the integrability law vanishes"
-    frames = [_frame(j) for j in range(n)]
     rep.scan(
         "five-field-identity",
         law,
-        _vec_pairs(
-            product(range(n), repeat=5),
-            lambda *idx: five_field_residual(c, *(frames[t] for t in idx)),
-        ),
+        _vec_pairs(product(range(ctx.c.n), repeat=5), lambda *idx: _five_field_vec(ctx, *idx)),
     )
     return rep

@@ -6,6 +6,10 @@ shear of the double prolongation, for comparison with the tables extracted
 from the sheared structure; :func:`lie_components` reads the Lie derivative
 of a product off the assembled tensor, and :func:`nabla_star` takes the
 covariant derivative of a product on any three vector fields.
+:func:`lie_star`, :func:`torsion_vec` and :func:`five_field_residual` take
+the Lie derivative of a product, the torsion and the five-field combination
+on general vector fields, through the general bracket; the package computes
+them on coordinate frames only.
 :func:`reference_components` reads the tables of a linear (2,1) tensor
 through vertical lifts, Lie derivatives and contractions instead of by key,
 and :func:`_verify_leibniz` checks an assembled tensor against the Leibniz
@@ -22,7 +26,7 @@ from fmanlin.fman import (
     MultComponents,
     _frame,
     _vf_apply,
-    lie_star,
+    _vf_bracket,
     star_product,
 )
 from fmanlin.gengeo import _double_rank
@@ -35,6 +39,7 @@ from fmanlin.tensor import (
     _acc,
     _box,
     _checked_table,
+    _vadd,
     _vsub,
     contract,
     extract_components,
@@ -55,6 +60,51 @@ def nabla_star(nabla: Connection, c: MultComponents, u: dict, v: dict, w: dict) 
     out = nabla_apply(nabla, u, star_product(c, v, w))
     out = _vsub(out, star_product(c, nabla_apply(nabla, u, v), w))
     return _vsub(out, star_product(c, v, nabla_apply(nabla, u, w)))
+
+
+def lie_star(c: MultComponents, w: dict, u: dict, v: dict) -> dict:
+    """Lie derivative of the base product along ``w``, applied to ``(u, v)``."""
+    chart = c.chart
+    out = _vf_bracket(chart, w, star_product(c, u, v))
+    out = _vsub(out, star_product(c, _vf_bracket(chart, w, u), v))
+    return _vsub(out, star_product(c, u, _vf_bracket(chart, w, v)))
+
+
+def torsion_vec(nabla: Connection, u: dict, v: dict) -> dict:
+    """``T(u, v) = nabla_u v - nabla_v u - [u, v]``."""
+    out = _vsub(nabla_apply(nabla, u, v), nabla_apply(nabla, v, u))
+    return _vsub(out, _vf_bracket(nabla.chart, u, v))
+
+
+def five_field_residual(c: MultComponents, x, y, z, v, w) -> dict:
+    """Five-argument combination of product derivatives, as a vector dict.
+
+    On an integrable product the combination vanishes identically; it mixes
+    the derivative of the product along the fifth field with brackets by
+    ``x*y`` and nested product derivatives in the remaining slots.  The
+    arguments are base vector fields given as coefficient dicts.
+    """
+    chart = c.chart
+
+    def br(u1, u2):
+        return _vf_bracket(chart, u1, u2)
+
+    def ls(w_, u1, u2):
+        return lie_star(c, w_, u1, u2)
+
+    xy = star_product(c, x, y)
+    out = ls(w, br(xy, z), v)
+    out = _vadd(out, ls(w, br(xy, v), z))
+    out = _vadd(out, ls(w, ls(y, z, v), x))
+    out = _vadd(out, ls(w, ls(x, z, v), y))
+    out = _vsub(
+        out, star_product(c, x, _vadd(ls(w, br(y, v), z), ls(w, br(y, z), v)))
+    )
+    out = _vsub(
+        out, star_product(c, y, _vadd(ls(w, br(x, v), z), ls(w, br(x, z), v)))
+    )
+    out = _vadd(out, ls(ls(w, z, v), x, y))
+    return _vsub(out, ls(ls(w, x, y), z, v))
 
 
 class Section(_Value):

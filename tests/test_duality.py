@@ -1,5 +1,6 @@
 """Connection calculus, flat base structures, and the dual package."""
 
+import gc
 import sys
 import weakref
 from collections import Counter
@@ -21,7 +22,6 @@ from fmanlin.duality import (
     regular_flat_check,
     symmetric_bracket,
     torsion,
-    torsion_vec,
 )
 from fmanlin.fman import (
     BaseFManifold,
@@ -31,13 +31,12 @@ from fmanlin.fman import (
     apply_l,
     apply_l_vec,
     check_battery,
-    lie_star,
     star_product,
     _vf_bracket,
     _vscale,
 )
 from fmanlin.modelfile import load
-from fmanlin.prolong import tangent_prolongation
+from fmanlin.prolong import check_five_field_identity, tangent_prolongation
 from fmanlin.report import Report
 from fmanlin.symcore import RatFunc, SingularMatrixError, parse_expr
 from fmanlin.tensor import (
@@ -47,7 +46,7 @@ from fmanlin.tensor import (
     _vsub,
     contract,
 )
-from references import Section, nabla_star, vertical_lift
+from references import Section, lie_star, nabla_star, torsion_vec, vertical_lift
 
 C11 = Chart.standard(1, 1)
 C21 = Chart.standard(2, 1)
@@ -767,7 +766,7 @@ def test_obstruction_vectors_match_dense_references_at_every_tuple():
                     got = duality._asoc_vec(frames, *idx)
                     assert got == ref_asoc_vec(c, nab, *idx), (where, idx)
                 for x in range(n):
-                    got = duality._unit_vec(nab, e.base_vec(), x)
+                    got = duality._unit_vec(frames, e.base_vec(), x)
                     assert got == ref_unit_vec(e, nab, x), (where, x)
                 for idx in product(range(n), repeat=4):
                     got = duality._integr_vec(frames, *idx)
@@ -894,7 +893,6 @@ def test_kernel_records_and_dual_battery_share_no_code(monkeypatch):
             "_integr_vec",
             "_euler_vec",
             "nabla_apply",
-            "torsion_vec",
             "symmetric_bracket",
             "_Ctx",
             "_on_frames",
@@ -906,24 +904,107 @@ def test_kernel_records_and_dual_battery_share_no_code(monkeypatch):
         rep.summarize("dual-battery", want.record("dual-battery").law, check_battery(dual_c, dual_e))
     assert rep.records[0] == want.record("dual-battery")
 
+    # within the whole check, the dual battery computes no entry of a memo
+    # of the kernel route: neither of its `_Frames` nor of the `_Ctx` it holds
+    import fmanlin.fman as fman
+
+    made, filled, in_dual = [], [], []
+    real_missing = fman._Memo.__missing__
+
+    class Tracked(duality._Frames):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    def dual_flagged(*args):
+        if not batteries:
+            batteries.append(args)
+            return real_battery(*args)
+        in_dual.append(True)
+        try:
+            return real_battery(*args)
+        finally:
+            in_dual.pop()
+
+    def recording(memo, key):
+        if in_dual:
+            filled.append(memo)
+        return real_missing(memo, key)
+
+    plane_c, plane_e = plane_example()
+    plane_euler = LinearVectorField(C21, (rf("x1"), rf("x2/3")), ((0,),))
+    cases = [(c, e, nab, euler), (plane_c, plane_e, Connection.zero(C21), plane_euler)]
+    for args in cases:
+        want = check_duality_conditions(*args)
+        made.clear()
+        batteries.clear()
+        with monkeypatch.context() as m:
+            m.setattr(duality, "_Frames", Tracked)
+            m.setattr(duality, "check_battery", dual_flagged)
+            m.setattr(fman._Memo, "__missing__", recording)
+            assert check_duality_conditions(*args).records == want.records
+        [frames] = made
+        kernel = [memo for memo in vars(frames).values() if isinstance(memo, fman._Memo)]
+        kernel += [frames.ctx.star, frames.ctx.lie]
+        assert len(kernel) == 10 and all(kernel)
+        assert not [memo for memo in filled if any(memo is k for k in kernel)]
+    assert want.record("dual-battery").passed
+    assert filled  # the passing dual battery fills memos of its own
+
+
+def tangent_base_4():
+    """The n = 4 base whose tangent prolongation is the slowest op of the
+    ``prolong-battery`` benchmark: ``d2 * d2 = d4 / (x2 + 1)``."""
+    chart = Chart.standard(4, 0)
+    star = {(0, 0, 0): 1, (3, 1, 1): parse_expr("1/(x2 + 1)", chart.names)}
+    for i in range(1, 4):
+        star[(i, 0, i)] = star[(i, i, 0)] = 1
+    return BaseFManifold(chart, star, (1, 0, 0, 0))
+
 
 def test_no_frame_memo_outlives_its_call(monkeypatch):
-    made = []
+    import fmanlin.fman as fman
+    import fmanlin.prolong as prolong
+
+    made, contexts = [], []
 
     class Tracked(duality._Frames):
         def __init__(self, *args):
             super().__init__(*args)
             made.append(weakref.ref(self))
 
+    class TrackedCtx(fman._Ctx):
+        __slots__ = ("__weakref__",)
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            # the memo functions close over the tables, never over the context
+            cells = [
+                cell.cell_contents
+                for memo in (self.star, self.lie)
+                for cell in memo.fn.__closure__ or ()
+            ]
+            assert cells and not [x for x in cells if x is self]
+            contexts.append(weakref.ref(self))
+
     monkeypatch.setattr(duality, "_Frames", Tracked)
+    for module in (fman, duality, prolong):
+        monkeypatch.setattr(module, "_Ctx", TrackedCtx)
     c, e = plane_example()
     euler = LinearVectorField(C21, (rf("x1"), rf("x2/3")), ((0,),))
     nab = Connection(C21, {(0, 1, 1): rf("x1")})
-    check_duality_conditions(c, e, nab, euler=euler)
-    regular_flat_check(base_plane(), (rf("x1+5", B2), rf("x2^2+1", B2)))
-    assert len(made) == 2
     # released by reference counting alone: no cycle keeps a memo alive
-    assert all(ref() is None for ref in made)
+    gc.disable()
+    try:
+        check_duality_conditions(c, e, nab, euler=euler)
+        regular_flat_check(base_plane(), (rf("x1+5", B2), rf("x2^2+1", B2)))
+        prol = tangent_prolongation(tangent_base_4())
+        assert check_battery(prol.components, prol.unit).passed
+        assert check_five_field_identity(base_plane()).passed
+        assert len(made) == 2 and len(contexts) > 2
+        assert all(ref() is None for ref in made + contexts)
+    finally:
+        gc.enable()
 
 
 def test_regular_flat_check_verifies_the_base_once(battery_runs):
@@ -939,53 +1020,63 @@ def test_regular_flat_check_verifies_the_base_once(battery_runs):
 
 
 def test_frame_lie_derivatives_are_computed_once_per_check(monkeypatch):
-    seen = Counter()
+    """Each frame Lie derivative ``L_{d_r}(*)(d_k, d_p)`` is computed at most
+    once per context, as a miss of its ``lie`` memo, and never through
+    `lie_at` with a coordinate frame made by `_frame`."""
+    import fmanlin.fman as fman
 
-    def frame_index(u):
-        if len(u) == 1 and next(iter(u.values())) == RatFunc.one():
-            return next(iter(u))
-        return None
+    seen, made, frame_lie_at, contexts = Counter(), [], [], []
+    real_init, real_lie_at, real_frame = fman._Ctx.__init__, fman._Ctx.lie_at, fman._frame
 
-    class Counting(duality._Ctx):
-        """The frame memo of the duality check, counting ``L_{d_r}(*)(d_k, d_p)``."""
+    def made_frame(j):
+        made.append(real_frame(j))
+        return made[-1]
 
-        __slots__ = ()
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        number, compute = len(contexts), self.lie.fn
+        contexts.append(self)
 
-        def lie_at(self, w, k, p):
-            if frame_index(w) is not None:
-                seen[frame_index(w), k, p] += 1
-            return super().lie_at(w, k, p)
+        def counted(r, k, p):
+            seen[number, r, k, p] += 1
+            return compute(r, k, p)
 
-    monkeypatch.setattr(duality, "_Ctx", Counting)
+        self.lie.fn = counted
+
+    def lie_at(self, w, k, p):
+        if any(w is m for m in made):
+            frame_lie_at.append((w, k, p))
+        return real_lie_at(self, w, k, p)
+
+    monkeypatch.setattr(fman._Ctx, "__init__", init)
+    monkeypatch.setattr(fman._Ctx, "lie_at", lie_at)
+    for module in (fman, duality):
+        monkeypatch.setattr(module, "_frame", made_frame)
     c, e = plane_example()
     euler = LinearVectorField(C21, (rf("x1"), rf("x2/3")), ((0,),))
+    prol = tangent_prolongation(tangent_base_4())
+    checks = [
+        lambda: check_battery(prol.components, prol.unit),
+        lambda: check_five_field_identity(tangent_base_4()),
+    ]
     for nab in (Connection.zero(C21), Connection(C21, {(0, 1, 1): rf("x1")})):
+        checks.append(lambda nab=nab: check_duality_conditions(c, e, nab, euler=euler))
+    for check in checks:
         seen.clear()
-        check_duality_conditions(c, e, nab, euler=euler)
-        assert seen
+        contexts.clear()
+        check()
+        assert seen and contexts and made
         assert max(seen.values()) == 1
-
-
-def _code_objects(code):
-    yield code
-    for const in code.co_consts:
-        if isinstance(const, type(code)):
-            yield from _code_objects(const)
+        assert frame_lie_at == []
 
 
 def test_frame_memo_reads_brackets_with_a_frame_as_partials(monkeypatch):
-    """No bracket with a coordinate frame that `_Frames` or `_Ctx.lie_at`
-    takes goes through the general vector-field bracket: ``[d_z, u]`` is the
-    partial ``d_z u`` (`_frame_partial`)."""
+    """No bracket with a coordinate frame goes through the general
+    vector-field bracket, in the duality and flat-structure checks, the
+    battery or the five-field check: ``[d_z, u]`` is the partial ``d_z u``
+    (`_frame_partial`), and the frame Lie derivatives are such partials."""
     import fmanlin.fman as fman
 
-    own = {
-        code
-        for fn in (*vars(duality._Frames).values(), fman._Ctx.lie_at)
-        if callable(fn) and hasattr(fn, "__code__")
-        for code in _code_objects(fn.__code__)
-    }
-    lie_at = fman._Ctx.lie_at.__code__
     made, frame_brackets, partials = [], [], []
     real_frame, real_bracket, real_partial = fman._frame, fman._vf_bracket, fman._frame_partial
 
@@ -994,13 +1085,8 @@ def test_frame_memo_reads_brackets_with_a_frame_as_partials(monkeypatch):
         return made[-1]
 
     def recording(chart, u, v):
-        caller = sys._getframe(1)
-        while caller.f_code is torsion_vec.__code__:
-            caller = caller.f_back
-        # lie_at's own bracket [w, d_k * d_p] may take a frame w from lie_frame
-        args = (v,) if caller.f_code is lie_at else (u, v)
-        if caller.f_code in own and any(a is m for a in args for m in made):
-            frame_brackets.append((caller.f_code.co_name, u, v))
+        if any(a is m for a in (u, v) for m in made):
+            frame_brackets.append((sys._getframe(1).f_code.co_name, u, v))
         return real_bracket(chart, u, v)
 
     def counting(chart, w, k):
@@ -1009,13 +1095,16 @@ def test_frame_memo_reads_brackets_with_a_frame_as_partials(monkeypatch):
 
     for module in (fman, duality):
         monkeypatch.setattr(module, "_frame", made_frame)
-        monkeypatch.setattr(module, "_vf_bracket", recording)
-        monkeypatch.setattr(module, "_frame_partial", counting)
+    monkeypatch.setattr(fman, "_vf_bracket", recording)
+    monkeypatch.setattr(fman, "_frame_partial", counting)
     c, e = plane_example()
     euler = LinearVectorField(C21, (rf("x1"), rf("x2/3")), ((0,),))
     nab = Connection(C21, {(0, 1, 1): rf("x1")})
     check_duality_conditions(c, e, nab, euler=euler)
     regular_flat_check(base_plane(), (rf("x1+5", B2), rf("x2^2+1", B2)))
+    prol = tangent_prolongation(tangent_base_4())
+    assert check_battery(prol.components, prol.unit).passed
+    assert check_five_field_identity(tangent_base_4()).passed
     assert made and partials
     assert frame_brackets == []
 

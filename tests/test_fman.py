@@ -35,7 +35,6 @@ from fmanlin.fman import (
     check_unit,
     evaluate_residual,
     hm_tensor,
-    lie_star,
     star_product,
 )
 from fmanlin.duality import Connection, regular_connection
@@ -54,6 +53,7 @@ from references import (
     Section,
     _verify_leibniz,
     lie_components,
+    lie_star,
     reference_components,
     vertical_lift,
 )
@@ -401,15 +401,23 @@ def test_defect_tensor_shares_no_code_with_the_table_residuals(monkeypatch):
     c, e = plane_example()
     bogus = LinearVectorField(C21, (rf("x1"), rf("x2")), ((0,),))
     t = bad.assemble()
-    table_level = ("star_product", "apply_l", "apply_d", "lie_star", "_on_frames")
+    table_level = ("star_product", "apply_l", "apply_d", "_on_frames")
     compiled = ("_Rows", "_compile", "_vector_pairs", "_lie_l_entry", "_lie_d_entry")
     maps = [name for name in vars(fman) if name.startswith("_map_")]
     assert len(maps) == 9
-    shared = ("_vf_apply", "_vf_bracket", "_by", "_swap_difference", "_unit_action")
+    shared = (
+        "_vf_apply",
+        "_vf_bracket",
+        "_frame_partial",
+        "_by",
+        "_swap_difference",
+        "_unit_action",
+    )
     for name in table_level + compiled + shared + tuple(maps):
         monkeypatch.setattr(fman, name, forbidden)
-    for name in ("frame_product", "lie_at", "lie_frame"):
-        monkeypatch.setattr(fman._Ctx, name, forbidden)
+    # no frame memo entry is computed and no frame Lie derivative taken
+    monkeypatch.setattr(fman._Memo, "__missing__", forbidden)
+    monkeypatch.setattr(fman._Ctx, "lie_at", forbidden)
     guarded_kinds = set()
     for name, ident in fman._IDENTITIES.items():
         if ident.kind == "oracle":

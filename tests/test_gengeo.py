@@ -710,7 +710,7 @@ def test_public_scalar_check_requires_its_own_flat_structure(battery_runs, flat_
 
 
 def test_duality_and_classification_read_frame_products_off_the_rows(monkeypatch):
-    from fmanlin import duality, fman, prolong
+    from fmanlin import duality, fman
 
     real = fman.star_product
     frame_pairs = []
@@ -723,7 +723,7 @@ def test_duality_and_classification_read_frame_products_off_the_rows(monkeypatch
             frame_pairs.append((u, v))
         return real(c, u, v)
 
-    for module in (fman, duality, prolong):
+    for module in (fman, duality):
         monkeypatch.setattr(module, "star_product", counting)
     prol, nabla = plane_package()
     for gamma in ({(0, 1): rf("x1")}, {(0, 1): 1}):

@@ -14,6 +14,8 @@ from fmanlin.fman import (
     PreconditionError,
     check_battery,
     check_euler,
+    star_product,
+    _Ctx,
     _frame,
 )
 from fmanlin import prolong
@@ -25,12 +27,12 @@ from fmanlin.prolong import (
     cotangent_prolongation,
     direct_sum,
     direct_sum_unit,
-    five_field_residual,
     generalized_prolongation,
     tangent_prolongation,
 )
 from fmanlin.symcore import RatFunc, SingularMatrixError, parse_expr
 from fmanlin.tensor import Chart
+from references import five_field_residual
 
 B1 = Chart.standard(1, 0)
 B2 = Chart.standard(2, 0)
@@ -420,6 +422,43 @@ def test_five_field_identity_on_fixtures():
         rep = check_five_field_identity(base)
         assert rep.passed
         assert [r.name for r in rep.records] == ["five-field-identity"]
+
+
+def random_star(rng, chart, with_den):
+    """A random base product table: neither commutative nor associative in
+    general, with rational-function entries when ``with_den`` is set."""
+    n, names = chart.n, chart.names
+    star = {}
+    for key in product(range(n), repeat=3):
+        if rng.random() < 0.5:
+            star[key] = rand_ratfunc(rng, names, with_den=with_den)
+    return star
+
+
+def test_frame_five_field_form_matches_the_general_reference():
+    """The frame form the check scans equals the general five-field
+    combination, taken through the general bracket and `lie_star`, at every
+    frame tuple: it uses only vector-field calculus, so it holds for any
+    table, integrable, associative or not."""
+    nonzero, rational, non_associative = 0, 0, 0
+    for n in (1, 2, 3):
+        chart = Chart.standard(n, 0)
+        rng = rng_for(f"prolong-five-field-frames-{n}")
+        frames = [_frame(j) for j in range(n)]
+        for with_den in (False, True):
+            c = MultComponents(chart=chart, d={}, l={}, star=random_star(rng, chart, with_den))
+            rational += any(not f.den.is_const() for f in c.star.values())
+            non_associative += any(
+                star_product(c, star_product(c, frames[a], frames[b]), frames[p])
+                != star_product(c, frames[a], star_product(c, frames[b], frames[p]))
+                for a, b, p in product(range(n), repeat=3)
+            )
+            ctx = _Ctx(c)
+            for idx in product(range(n), repeat=5):
+                got = prolong._five_field_vec(ctx, *idx)
+                assert got == five_field_residual(c, *(frames[t] for t in idx)), (n, idx)
+                nonzero += bool(got)
+    assert nonzero and rational and non_associative
 
 
 def test_five_field_requires_verified_base():

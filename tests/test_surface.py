@@ -134,3 +134,30 @@ def test_one_raw_rational_function_constructor():
         if isinstance(stmt, ast.FunctionDef) and raw[0] in ast.walk(stmt)
     )
     assert owner.name == "_raw"
+
+
+def test_one_frame_memo():
+    # `fman._Ctx` is the one memo of frame products and frame Lie derivatives:
+    # `_Memo` is defined once, in `fman`; only `_Ctx` takes a frame partial,
+    # so no other code keeps a copy of `L_{d_r}(*)(d_k, d_p)`; and only
+    # `fman` reads the compiled rows
+    defined, partial_calls, row_reads = [], [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owners = {}  # node -> name of the top-level statement holding it
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                owners[node] = getattr(stmt, "name", None)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "_Memo":
+                defined.append(path.stem)
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "_frame_partial":
+                    partial_calls.append((path.stem, owners[node]))
+            elif isinstance(node, ast.Attribute) and node.attr == "rows":
+                row_reads.append(path.stem)
+    assert defined == ["fman"]
+    assert partial_calls and set(partial_calls) == {("fman", "_Ctx")}
+    assert row_reads and set(row_reads) == {"fman"}
