@@ -114,14 +114,14 @@ def curvature(nabla: Connection) -> TensorField:
 
 def check_flat_f(base: BaseFManifold, nabla: Connection, euler=None) -> Report:
     """Check the compatibility conditions between a base product and a connection."""
-    _require("the flat-structure check", base.verify())
-    if nabla.chart.base() != base.chart:
-        raise ValueError("connection chart does not match the base chart")
-    rep = Report("flat structure")
     chart = base.chart
+    if nabla.chart.base() != chart:
+        raise ValueError("connection chart does not match the base chart")
+    evec = None if euler is None else _euler_to_vec(chart, euler)
+    _require("the flat-structure check", base.verify())
+    rep = Report("flat structure")
     n = chart.n
     c = base.components
-    evec = None if euler is None else _euler_to_vec(chart, euler)
     frames = _Frames(c, nabla, evec)
 
     rep.scan("torsion-free", "T(X, Y) = 0", sorted(torsion(nabla).coeffs.items()))
@@ -305,9 +305,9 @@ def check_duality_conditions(
     assembling the dual tables and running the full multiplication battery on
     them (with the dual Euler candidate, when one is supplied).
     """
-    _require("the duality check", check_battery(c, e))
     if nabla.chart.base_names != c.chart.base_names:
         raise ValueError("connection chart does not match the base coordinates")
+    _require("the duality check", check_battery(c, e))
     rep = Report("duality conditions")
     n, kdim = c.n, c.rank
 
@@ -394,12 +394,12 @@ def regular_connection(base: BaseFManifold, euler) -> Connection:
     ``i`` times the (i-1)-th power multiplied by ``X``.  Invertibility of the
     frame's coefficient matrix is exactly the regularity of the input.
     """
-    _require("the regular connection", base.verify())
     chart = base.chart
+    evec = _euler_to_vec(chart, euler)
+    _require("the regular connection", base.verify())
     n = chart.n
     names = chart.names
     c = base.components
-    evec = _euler_to_vec(chart, euler)
 
     powers = [{a: f for a, f in enumerate(base.unit) if not f.is_zero()}]
     for _ in range(1, n):

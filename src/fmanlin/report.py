@@ -103,9 +103,6 @@ class Report:
 
         The record fails at the first pair whose residual is nonzero, and the
         iterable is not advanced past it; if there is none, the record passes.
-        A lazy iterable, such as the pairs of a ``vector`` identity of the
-        battery, computes nothing after the witness; the sorted pairs of a
-        ``map`` identity or of an oracle were computed whole before the scan.
         """
         for witness, residual in pairs:
             if not residual.is_zero():

@@ -9,7 +9,10 @@ covariant derivative of a product on any three vector fields.
 :func:`lie_star`, :func:`torsion_vec` and :func:`five_field_residual` take
 the Lie derivative of a product, the torsion and the five-field combination
 on general vector fields, through the general bracket; the package computes
-them on coordinate frames only.
+them on coordinate frames only.  :func:`lie_l_entry` and :func:`lie_d_entry`
+take one frame entry of the Lie derivative of the side and derivative tables
+along a linear vector field through the frame operators, the Euler
+references of the battery's table identities.
 :func:`reference_components` reads the tables of a linear (2,1) tensor
 through vertical lifts, Lie derivatives and contractions instead of by key,
 and :func:`_verify_leibniz` checks an assembled tensor against the Leibniz
@@ -27,6 +30,10 @@ from fmanlin.fman import (
     _frame,
     _vf_apply,
     _vf_bracket,
+    _vscale,
+    apply_d,
+    apply_delta,
+    apply_l,
     star_product,
 )
 from fmanlin.gengeo import _double_rank
@@ -105,6 +112,34 @@ def five_field_residual(c: MultComponents, x, y, z, v, w) -> dict:
     )
     out = _vadd(out, ls(ls(w, z, v), x, y))
     return _vsub(out, ls(ls(w, x, y), z, v))
+
+
+def lie_l_entry(c: MultComponents, x: LinearVectorField, j: int, k: int) -> dict:
+    """``(L_x l)_{d_k} s_j``: ``[Delta_x, l_{d_k}] s_j - l_{[xbar, d_k]} s_j``."""
+    names = c.chart.names
+    out = apply_delta(x, apply_l(c, k, _frame(j)))
+    out = _vsub(out, apply_l(c, k, apply_delta(x, _frame(j))))
+    for a, v in enumerate(x.beta):
+        w = v.partial(names[k])
+        if not w.is_zero():
+            out = _vadd(out, _vscale(apply_l(c, a, _frame(j)), w))
+    return out
+
+
+def lie_d_entry(c: MultComponents, x: LinearVectorField, j, k, p) -> dict:
+    """``(L_x D)_{d_k,d_p} s_j``: ``[Delta_x, D_{d_k,d_p}] s_j`` minus
+    ``D_{[xbar, d_k],d_p} s_j + D_{d_k,[xbar, d_p]} s_j``."""
+    names = c.chart.names
+    out = apply_delta(x, apply_d(c, k, p, _frame(j)))
+    out = _vsub(out, apply_d(c, k, p, apply_delta(x, _frame(j))))
+    for a, v in enumerate(x.beta):
+        wk = v.partial(names[k])
+        if not wk.is_zero():
+            out = _vadd(out, _vscale(apply_d(c, a, p, _frame(j)), wk))
+        wp = v.partial(names[p])
+        if not wp.is_zero():
+            out = _vadd(out, _vscale(apply_d(c, k, a, _frame(j)), wp))
+    return out
 
 
 class Section(_Value):

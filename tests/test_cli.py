@@ -616,7 +616,7 @@ def test_record_types_keep_their_semantics():
         (c, "star"),
         (base, "unit"),
         (base, "star"),
-        (fman._IDENTITIES["star-symmetric"], "support"),
+        (fman._IDENTITIES["star-symmetric"], "space"),
         (gengeo.GenSection(chart=line, vec=(1,), form=(0,)), "form"),
         (prol, "kind"),
         (record, "witness"),

@@ -216,6 +216,32 @@ def test_check_flat_f_requires_verified_base():
         check_flat_f(broken, Connection.zero(B2))
 
 
+def test_input_errors_come_before_preconditions(battery_runs):
+    # a connection on other coordinates, or a malformed Euler candidate, is an
+    # input error even over a failing product, and costs no battery
+    broken = BaseFManifold(B2, {(0, 0, 1): 1}, (1, 0))
+    bad = MultComponents(
+        chart=C11, d={}, l={(0, 0, 0): rf("x1", C11)}, star={(0, 0, 0): 1}
+    )
+    other = Connection.zero(Chart(("y1", "y2"), ()))
+    calls = [
+        lambda: check_flat_f(broken, other),
+        lambda: check_flat_f(broken, Connection.zero(B2), euler=(1,)),
+        lambda: regular_connection(broken, (1,)),
+        lambda: check_duality_conditions(
+            bad, LinearVectorField(C11, (1,), ((0,),)), Connection.zero(B2)
+        ),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+    assert battery_runs == []
+    # with valid inputs, the failing product is still a precondition error
+    with pytest.raises(PreconditionError):
+        check_flat_f(broken, Connection.zero(B2))
+    assert battery_runs == [broken.components]
+
+
 def test_dualize_line_tables():
     c, e = line_example()
     dual, de = dualize(c, e, Connection.zero(C11))
@@ -908,7 +934,7 @@ def test_kernel_records_and_dual_battery_share_no_code(monkeypatch):
     # of the kernel route: neither of its `_Frames` nor of the `_Ctx` it holds
     import fmanlin.fman as fman
 
-    made, filled, in_dual = [], [], []
+    made, filled, kernel_filled, in_dual = [], [], [], []
     real_missing = fman._Memo.__missing__
 
     class Tracked(duality._Frames):
@@ -927,8 +953,7 @@ def test_kernel_records_and_dual_battery_share_no_code(monkeypatch):
             in_dual.pop()
 
     def recording(memo, key):
-        if in_dual:
-            filled.append(memo)
+        (filled if in_dual else kernel_filled).append(memo)
         return real_missing(memo, key)
 
     plane_c, plane_e = plane_example()
@@ -947,9 +972,11 @@ def test_kernel_records_and_dual_battery_share_no_code(monkeypatch):
         kernel = [memo for memo in vars(frames).values() if isinstance(memo, fman._Memo)]
         kernel += [frames.ctx.star, frames.ctx.lie]
         assert len(kernel) == 10 and all(kernel)
-        assert not [memo for memo in filled if any(memo is k for k in kernel)]
+        assert kernel_filled  # the recording sees the kernel route's memos
+        # the dual battery reads table rows: it fills no memo at all, so none
+        # of the kernel route
+        assert filled == []
     assert want.record("dual-battery").passed
-    assert filled  # the passing dual battery fills memos of its own
 
 
 def tangent_base_4():
@@ -1022,7 +1049,8 @@ def test_regular_flat_check_verifies_the_base_once(battery_runs):
 def test_frame_lie_derivatives_are_computed_once_per_check(monkeypatch):
     """Each frame Lie derivative ``L_{d_r}(*)(d_k, d_p)`` is computed at most
     once per context, as a miss of its ``lie`` memo, and never through
-    `lie_at` with a coordinate frame made by `_frame`."""
+    `lie_at` with a coordinate frame made by `_frame`.  The battery reads the
+    partials of its table entries and computes none."""
     import fmanlin.fman as fman
 
     seen, made, frame_lie_at, contexts = Counter(), [], [], []
@@ -1055,19 +1083,21 @@ def test_frame_lie_derivatives_are_computed_once_per_check(monkeypatch):
     c, e = plane_example()
     euler = LinearVectorField(C21, (rf("x1"), rf("x2/3")), ((0,),))
     prol = tangent_prolongation(tangent_base_4())
-    checks = [
-        lambda: check_battery(prol.components, prol.unit),
-        lambda: check_five_field_identity(tangent_base_4()),
-    ]
+    checks = [lambda: check_five_field_identity(tangent_base_4())]
     for nab in (Connection.zero(C21), Connection(C21, {(0, 1, 1): rf("x1")})):
         checks.append(lambda nab=nab: check_duality_conditions(c, e, nab, euler=euler))
     for check in checks:
         seen.clear()
         contexts.clear()
         check()
-        assert seen and contexts and made
+        assert seen and contexts
         assert max(seen.values()) == 1
         assert frame_lie_at == []
+    assert made  # the duality checks build frames with `_frame`
+    seen.clear()
+    contexts.clear()
+    assert check_battery(prol.components, prol.unit).passed
+    assert contexts and not seen
 
 
 def test_frame_memo_reads_brackets_with_a_frame_as_partials(monkeypatch):
@@ -1077,17 +1107,25 @@ def test_frame_memo_reads_brackets_with_a_frame_as_partials(monkeypatch):
     (`_frame_partial`), and the frame Lie derivatives are such partials."""
     import fmanlin.fman as fman
 
-    made, frame_brackets, partials = [], [], []
+    made, frame_brackets, partials, lie_at_brackets, lie_ats = [], [], [], [], []
     real_frame, real_bracket, real_partial = fman._frame, fman._vf_bracket, fman._frame_partial
+    real_lie_at = fman._Ctx.lie_at
 
     def made_frame(j):
         made.append(real_frame(j))
         return made[-1]
 
     def recording(chart, u, v):
+        caller = sys._getframe(1).f_code.co_name
         if any(a is m for a in (u, v) for m in made):
-            frame_brackets.append((sys._getframe(1).f_code.co_name, u, v))
+            frame_brackets.append((caller, u, v))
+        if caller == "lie_at":
+            lie_at_brackets.append((u, v))
         return real_bracket(chart, u, v)
+
+    def lie_at(self, w, k, p):
+        lie_ats.append((k, p))
+        return real_lie_at(self, w, k, p)
 
     def counting(chart, w, k):
         partials.append(k)
@@ -1097,6 +1135,7 @@ def test_frame_memo_reads_brackets_with_a_frame_as_partials(monkeypatch):
         monkeypatch.setattr(module, "_frame", made_frame)
     monkeypatch.setattr(fman, "_vf_bracket", recording)
     monkeypatch.setattr(fman, "_frame_partial", counting)
+    monkeypatch.setattr(fman._Ctx, "lie_at", lie_at)
     c, e = plane_example()
     euler = LinearVectorField(C21, (rf("x1"), rf("x2/3")), ((0,),))
     nab = Connection(C21, {(0, 1, 1): rf("x1")})
@@ -1105,8 +1144,11 @@ def test_frame_memo_reads_brackets_with_a_frame_as_partials(monkeypatch):
     prol = tangent_prolongation(tangent_base_4())
     assert check_battery(prol.components, prol.unit).passed
     assert check_five_field_identity(tangent_base_4()).passed
-    assert made and partials
+    assert made and partials and lie_ats
     assert frame_brackets == []
+    # `lie_at` takes no general bracket at all: ``[w, d_k * d_p]`` is read off
+    # the `lie` memo and the partials of ``w``
+    assert lie_at_brackets == []
 
 
 def test_regular_connection_multiplies_each_power_by_a_frame_once(monkeypatch):

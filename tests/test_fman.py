@@ -17,8 +17,6 @@ from fmanlin.fman import (
     _Ctx,
     _hm_into,
     _run_into,
-    _lie_d_entry,
-    _lie_l_entry,
     _vadd,
     _vf_bracket,
     _vget,
@@ -53,6 +51,8 @@ from references import (
     Section,
     _verify_leibniz,
     lie_components,
+    lie_d_entry,
+    lie_l_entry,
     lie_star,
     reference_components,
     vertical_lift,
@@ -61,7 +61,7 @@ from references import (
 C11 = Chart.standard(1, 1)
 C21 = Chart.standard(2, 1)
 
-VECTOR_RECORDS = [
+FRAME_RECORDS = [
     "star-associative",
     "l-composition",
     "second-derivative-symmetric",
@@ -402,32 +402,34 @@ def test_defect_tensor_shares_no_code_with_the_table_residuals(monkeypatch):
     bogus = LinearVectorField(C21, (rf("x1"), rf("x2")), ((0,),))
     t = bad.assemble()
     table_level = ("star_product", "apply_l", "apply_d", "_on_frames")
-    compiled = ("_Rows", "_compile", "_vector_pairs", "_lie_l_entry", "_lie_d_entry")
+    compiled = ("_Rows", "_compile")
     maps = [name for name in vars(fman) if name.startswith("_map_")]
-    assert len(maps) == 9
+    assert len(maps) == 15
     shared = (
         "_vf_apply",
         "_vf_bracket",
         "_frame_partial",
         "_by",
+        "_by_out",
+        "_partials",
         "_swap_difference",
         "_unit_action",
+        "_euler_transport",
+        "_lam_terms",
     )
     for name in table_level + compiled + shared + tuple(maps):
         monkeypatch.setattr(fman, name, forbidden)
     # no frame memo entry is computed and no frame Lie derivative taken
     monkeypatch.setattr(fman._Memo, "__missing__", forbidden)
     monkeypatch.setattr(fman._Ctx, "lie_at", forbidden)
-    guarded_kinds = set()
+    guarded = 0
     for name, ident in fman._IDENTITIES.items():
-        if ident.kind == "oracle":
-            continue
-        # a map is guarded whole; a vector identity by its support and vectors
-        support = None if ident.support is None else forbidden
-        guarded = fman._Identity(ident.law, ident.kind, ident.space, forbidden, support)
-        monkeypatch.setitem(fman._IDENTITIES, name, guarded)
-        guarded_kinds.add(ident.kind)
-    assert guarded_kinds == {"map", "vector"}
+        if ident.space:  # a table identity, guarded whole
+            monkeypatch.setitem(
+                fman._IDENTITIES, name, fman._Identity(ident.law, ident.space, forbidden)
+            )
+            guarded += 1
+    assert guarded == len(maps)
     defect = hm_tensor(t)
     assert not defect.is_zero()
     again = evaluate_residual("integrability-oracle", min(defect.coeffs), bad)
@@ -442,16 +444,13 @@ def test_frame_identities_read_rows_and_constants_take_no_calculus(monkeypatch):
     import fmanlin.fman as fman
 
     real_partial, real_star, real_vf_apply = RatFunc.partial, star_product, fman._vf_apply
-    partials, frame_pairs, vf_calls, const_vf_partials = [], [], [], []
-    in_vf_apply = []
+    partials, frame_pairs, vf_calls = [], [], []
 
     def is_frame(u):
         return len(u) == 1 and next(iter(u.values())) == RatFunc.one()
 
     def counting_partial(f, name):
         partials.append(f)
-        if in_vf_apply and f.is_const():
-            const_vf_partials.append(f)
         return real_partial(f, name)
 
     def counting_star(c, u, v):
@@ -459,13 +458,9 @@ def test_frame_identities_read_rows_and_constants_take_no_calculus(monkeypatch):
             frame_pairs.append((u, v))
         return real_star(c, u, v)
 
-    def marked_vf_apply(chart, u, f):
+    def counting_vf_apply(chart, u, f):
         vf_calls.append(f)
-        in_vf_apply.append(f)
-        try:
-            return real_vf_apply(chart, u, f)
-        finally:
-            in_vf_apply.pop()
+        return real_vf_apply(chart, u, f)
 
     base = square_zero_base(3)
     prol = generalized_prolongation(base, Connection.zero(base.chart))
@@ -476,14 +471,15 @@ def test_frame_identities_read_rows_and_constants_take_no_calculus(monkeypatch):
     # every table entry is constant: no partials, and no product of two frames
     assert partials == [] and frame_pairs == []
 
-    # a nonconstant product: _vf_apply differentiates only what can vary
+    # a nonconstant product: the identities read the partials of its
+    # entries, never of a constant one, and apply no vector field
     prol = tangent_prolongation(square_zero_base(3, "2/(x3 + 3)"))
     with monkeypatch.context() as m:
         m.setattr(RatFunc, "partial", counting_partial)
-        m.setattr(fman, "_vf_apply", marked_vf_apply)
+        m.setattr(fman, "_vf_apply", counting_vf_apply)
         assert check_battery(prol.components, prol.unit).passed
-    assert vf_calls and partials
-    assert const_vf_partials == []
+    assert partials and not [f for f in partials if f.is_const()]
+    assert vf_calls == []
 
 
 @pytest.mark.parametrize(
@@ -536,10 +532,10 @@ def test_integrability_oracle_witness_replays():
     assert str(again) == rec.residual
 
 
-# The vector identities as the scalar residuals they replaced: each one
-# rebuilds the whole vector at its index tuple and keeps the component idx[0].
-# With the commutativity residuals as they were evaluated over the whole
-# space, a test-only dense reference for the support-driven scans.
+# Every table identity as a scalar residual at one index tuple, through the
+# frame operators: the frame-valued ones rebuild the whole vector at the tuple
+# and keep the component idx[0].  Evaluated over the whole space, a test-only
+# dense reference for the residual maps.
 
 
 def ref_side_tables(ctx, idx):
@@ -700,7 +696,7 @@ def dense_scan(ctx, name):
 
 def reference_scans(c):
     """``name -> (passed, witness, residual)`` for the six unit-free records."""
-    return {name: dense_scan(_Ctx(c), name) for name in VECTOR_RECORDS}
+    return {name: dense_scan(_Ctx(c), name) for name in FRAME_RECORDS}
 
 
 def random_sparse_components(rng, n, k, first_output=0, entry=None):
@@ -733,7 +729,7 @@ def random_sparse_components(rng, n, k, first_output=0, entry=None):
     )
 
 
-def test_vector_scans_match_per_tuple_reference():
+def test_table_scans_match_per_tuple_reference():
     plane_c, _ = plane_example()
     base = BaseFManifold(
         Chart.standard(2, 0), {(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1}, (1, 0)
@@ -762,7 +758,7 @@ def test_vector_scans_match_per_tuple_reference():
         cases.append(random_sparse_components(rng, 2, 2, first_output=1))
     passed, failed, outputs = set(), set(), set()
     for c in cases:
-        rep = Report("vector scans")
+        rep = Report("table scans")
         _run_into(rep, _Ctx(c), _ASSOCIATIVITY)
         _hm_into(rep, _Ctx(c))
         for name, want in reference_scans(c).items():
@@ -775,7 +771,7 @@ def test_vector_scans_match_per_tuple_reference():
             outputs.add(rec.witness[0])
             again = evaluate_residual(name, rec.witness, c)
             assert str(again) == rec.residual
-    assert passed == failed == set(VECTOR_RECORDS)
+    assert passed == failed == set(FRAME_RECORDS)
     assert outputs == {0, 1}
 
 
@@ -849,21 +845,22 @@ def test_euler_side_failure_witness():
     assert str(again) == rec.residual
 
 
-# The two Euler vector identities as the scalar residuals they replaced: each
-# rebuilds the whole Lie-derivative entry at its index tuple and keeps the
-# component idx[0].  A test-only reference for the memoized vector scans.
+# The two fiber Euler identities as scalar residuals: each rebuilds the whole
+# Lie-derivative entry at its index tuple through the frame operators
+# (`references.lie_l_entry`, `references.lie_d_entry`) and keeps the
+# component idx[0].  A test-only reference for their residual maps.
 
 
 def ref_euler_side(ctx, idx):
     c, euler = ctx.c, ctx.euler
     i, j, k = idx
-    return _vget(_lie_l_entry(c, euler, j, k), i) - c.l_at(i, j, k)
+    return _vget(lie_l_entry(c, euler, j, k), i) - c.l_at(i, j, k)
 
 
 def ref_euler_derivative(ctx, idx):
     c, euler = ctx.c, ctx.euler
     i, j, k, p = idx
-    return _vget(_lie_d_entry(c, euler, j, k, p), i) - c.d_at(i, j, k, p)
+    return _vget(lie_d_entry(c, euler, j, k, p), i) - c.d_at(i, j, k, p)
 
 
 def reference_euler_scans(c, euler):
@@ -890,7 +887,7 @@ REFERENCES = {
 }
 
 
-def test_euler_vector_scans_match_per_tuple_reference():
+def test_euler_scans_match_per_tuple_reference():
     bent = BaseFManifold(
         Chart.standard(2, 0),
         {(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1, (0, 1, 1): rf("x2")},
@@ -940,7 +937,7 @@ def test_euler_vector_scans_match_per_tuple_reference():
     assert max(outputs) > 0
 
 
-# -- supports ------------------------------------------------------------------
+# -- whole residual maps -------------------------------------------------------
 
 
 def sparse_entry(rng, names):
@@ -968,7 +965,7 @@ def random_linear_field(rng, chart):
 
 
 @pytest.fixture(scope="module")
-def support_corpus():
+def dense_corpus():
     """``(components, context keywords, {record: nonzero dense residuals})``.
 
     Worked examples, two prolongations and seeded random sparse tables whose
@@ -1030,13 +1027,13 @@ def support_corpus():
     return corpus
 
 
-def test_support_scans_match_dense_reference(support_corpus):
+def test_support_scans_match_dense_reference(dense_corpus):
     import fmanlin.fman as fman
 
-    scanned = {name for name, ident in fman._IDENTITIES.items() if ident.kind != "oracle"}
+    scanned = {name for name, ident in fman._IDENTITIES.items() if ident.space}
     assert scanned == set(REFERENCES)
     passed, outputs = set(), defaultdict(set)
-    for c, kw, found in support_corpus:
+    for c, kw, found in dense_corpus:
         for name, residuals in found.items():
             rep = Report(name)
             fman._scan(rep, _Ctx(c, **kw), name)
@@ -1056,41 +1053,13 @@ def test_support_scans_match_dense_reference(support_corpus):
     assert {name for name, seen in outputs.items() if max(seen) > 0} == scanned
 
 
-def test_supports_are_sound(support_corpus):
+def test_map_identities_equal_dense_reference(dense_corpus):
     import fmanlin.fman as fman
 
-    supported = {name for name, ident in fman._IDENTITIES.items() if ident.support}
-    assert supported == {
-        name for name, ident in fman._IDENTITIES.items() if ident.kind == "vector"
-    }
-    for c, kw, found in support_corpus:
-        ctx = _Ctx(c, **kw)
-        for name in supported:
-            ident = fman._IDENTITIES[name]
-            # a vector identity's support leaves out the output index
-            support = set(ident.support(ctx))
-            assert support <= {idx[1:] for idx in dense_tuples(c, ident.space)}, name
-            outside = [idx for idx, _ in found[name] if idx[1:] not in support]
-            assert not outside, (name, outside[:3])
-
-
-def test_map_identities_equal_dense_reference(support_corpus):
-    import fmanlin.fman as fman
-
-    maps = {name for name, ident in fman._IDENTITIES.items() if ident.kind == "map"}
-    assert maps == {
-        "side-tables-equal",
-        "star-symmetric",
-        "derivative-symmetric",
-        "star-associative",
-        "l-composition",
-        "second-derivative-symmetric",
-        "unit-star",
-        "unit-side",
-        "unit-derivative",
-    }
+    maps = {name for name, ident in fman._IDENTITIES.items() if ident.space}
+    assert maps == set(REFERENCES)
     nonempty = set()
-    for c, kw, found in support_corpus:
+    for c, kw, found in dense_corpus:
         ctx = _Ctx(c, **kw)
         for name in maps:
             got = fman._IDENTITIES[name].fn(ctx)
@@ -1099,6 +1068,28 @@ def test_map_identities_equal_dense_reference(support_corpus):
             if got:
                 nonempty.add(name)
     assert nonempty == maps
+
+
+def test_table_identities_share_no_code_with_the_oracles(monkeypatch, dense_corpus):
+    """The reverse of `test_defect_tensor_shares_no_code_with_the_table_residuals`:
+    with the assembled tensor, its Lie derivative, its defect and the key
+    read of its tables forbidden, every table identity still gives its whole
+    residual."""
+    import fmanlin.fman as fman
+
+    def forbidden(*args):
+        raise AssertionError("a table identity must not use the tensor oracles")
+
+    for name in ("hm_tensor", "assemble", "lie_derivative", "extract_components"):
+        monkeypatch.setattr(fman, name, forbidden)
+    monkeypatch.setattr(MultComponents, "assemble", forbidden)
+    monkeypatch.setattr(fman._Ctx, "assembled_euler", forbidden)
+    maps = {name: ident for name, ident in fman._IDENTITIES.items() if ident.space}
+    assert len(maps) == 15
+    for c, kw, found in dense_corpus:
+        ctx = _Ctx(c, **kw)
+        for name, ident in maps.items():
+            assert ident.fn(ctx) == dict(found[name]), name
 
 
 def test_supports_skip_the_empty_derivative_table_of_a_prolongation():
@@ -1110,10 +1101,14 @@ def test_supports_skip_the_empty_derivative_table_of_a_prolongation():
     prol = generalized_prolongation(base, Connection.zero(chart))
     assert not prol.components.d
     ctx = _Ctx(prol.components, e=prol.unit)
-    for name in ("second-derivative-symmetric", "unit-derivative"):
+    for name in (
+        "second-derivative-symmetric",
+        "unit-derivative",
+        "base-integrability",
+        "derivative-commutator",
+        "derivative-bracket",
+    ):
         assert fman._IDENTITIES[name].fn(ctx) == {}, name
-    for name in ("base-integrability", "derivative-commutator", "derivative-bracket"):
-        assert not set(fman._IDENTITIES[name].support(ctx)), name
     assert check_battery(prol.components, prol.unit).passed
 
 
@@ -1181,9 +1176,9 @@ def frame_lie_components(c, x):
     """The Lie-derivative tables by the frame operators of the Euler identities."""
     dt, lt, rt = {}, {}, {}
     for j, k in product(range(c.rank), range(c.n)):
-        lt.update(((i, j, k), v) for i, v in _lie_l_entry(c, x, j, k).items())
+        lt.update(((i, j, k), v) for i, v in lie_l_entry(c, x, j, k).items())
         for p in range(c.n):
-            dt.update(((i, j, k, p), v) for i, v in _lie_d_entry(c, x, j, k, p).items())
+            dt.update(((i, j, k, p), v) for i, v in lie_d_entry(c, x, j, k, p).items())
     for i, j in product(range(c.n), repeat=2):
         rt.update(((a, i, j), v) for a, v in lie_star(c, x.base_vec(), frame(i), frame(j)).items())
     return dt, lt, rt
@@ -1360,13 +1355,13 @@ def test_every_declared_identity_is_staged_fails_and_replays():
     staged = [name for stage in stages for name in stage]
     assert len(staged) == len(set(staged))
     assert set(staged) == set(fman._IDENTITIES)
-    for name, ident in fman._IDENTITIES.items():
-        assert ident.kind in ("map", "vector", "oracle"), name
-        assert (ident.kind == "vector") == (ident.support is not None), name
-        assert (ident.kind == "oracle") == (ident.space == ""), name
     cases = failing_inputs()
     assert set(cases) == set(fman._IDENTITIES)
     for name, (c, kw) in cases.items():
+        # the whole residual, as {witness: nonzero residual}
+        got = fman._IDENTITIES[name].fn(fman._Ctx(c, **kw))
+        assert isinstance(got, dict) and got, name
+        assert all(isinstance(v, RatFunc) and not v.is_zero() for v in got.values()), name
         rep = Report(name)
         assert not fman._scan(rep, fman._Ctx(c, **kw), name), name
         rec = rep.first_failure()
