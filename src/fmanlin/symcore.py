@@ -15,6 +15,16 @@ explicit ``Fraction`` or exact ``divmod``, and a float is refused.  Results
 canonical by construction (negations, products) skip the checking constructor;
 every such path builds through one helper, `_raw`.
 
+Constant operands take a direct path, since most tables of the examples are
+integer constants.  A sum or difference of two constant rational functions
+computes its one coefficient and builds the value through `_const` (an
+``int`` when integral, the zero value for 0); a polynomial times a constant
+polynomial, in either order and two constants included, scales each
+coefficient in the scalar branch of ``Poly.__mul__``; and a value over the
+denominator `_ONE` is already normal.  Each path stores the value
+exactly as the general route does, so storage, hashes and printed text are
+unchanged.
+
 A rational function keeps each partial derivative it computes, keyed by the
 variable, in a slot of its own: values are immutable and canonical, so the
 kept derivative is the one a new computation gives.  The derivatives live as
@@ -219,42 +229,37 @@ class Poly:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other):
+    def __add__(self, other, op=add):
         if not isinstance(other, Poly):
             return NotImplemented
         variables, a, b = self._aligned(other)
         out = dict(a)
         for exp, c in b.items():
-            out[exp] = out.get(exp, 0) + c
+            out[exp] = op(out.get(exp, 0), c)
         return _trimmed(variables, out)
 
     def __sub__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        variables, a, b = self._aligned(other)
-        out = dict(a)
-        for exp, c in b.items():
-            out[exp] = out.get(exp, 0) - c
-        return _trimmed(variables, out)
+        return self.__add__(other, sub)
 
     def __neg__(self):
         return Poly._canonical(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
+        if isinstance(other, Poly):
+            if not self.vars:
+                self, other = other, self
+            if not other.vars:
+                other = other.terms.get((), 0)
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return _ZERO
+            if other == 1:
+                return self
             terms = {e: c * other for e, c in self.terms.items()}
             return Poly._canonical(self.vars, _tidy(terms))
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return _ZERO
-        if not other.vars and other.terms[()] == 1:
-            return self
-        if not self.vars and self.terms[()] == 1:
-            return other
-        # every variable of either nonzero factor occurs in the product
+        # every variable of either nonconstant factor occurs in the product
         variables, a, b = self._aligned(other)
         out: dict = {}
         for ea, ca in a.items():
@@ -565,6 +570,8 @@ def _normal(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     leading coefficient (``1`` for a constant)."""
     if num.is_zero():
         return _ZERO, _ONE
+    if den is _ONE:
+        return num, den
     u, v = _content(den)
     if u == 1 and v == 1:
         return num, den
@@ -626,10 +633,10 @@ class RatFunc:
         return self.num.is_zero()
 
     def is_poly(self) -> bool:
-        return self.den is _ONE or self.den == _ONE
+        return not self.den.vars  # a constant denominator is 1
 
     def is_const(self) -> bool:
-        return self.num.is_const() and self.is_poly()
+        return not (self.num.vars or self.den.vars)
 
     def constant(self) -> Fraction:
         if not self.is_const():
@@ -682,7 +689,7 @@ class RatFunc:
             return self
         if _is_one(self):
             return other
-        if self.is_poly() and other.is_poly():
+        if not (self.den.vars or other.den.vars):  # two polynomials
             return _raw(self.num * other.num, _ONE)
         return _product(self.num, self.den, other.num, other.den)
 
@@ -786,6 +793,11 @@ def _raw(num: Poly, den: Poly) -> RatFunc:
     return out
 
 
+def _const(value) -> RatFunc:
+    """The constant ``value``, an ``int`` or a ``Fraction``, built unchecked."""
+    return _raw(Poly._canonical((), _tidy({(): value})), _ONE) if value else _RF_ZERO
+
+
 def _coprime(num: Poly, den: Poly) -> RatFunc:
     """The value ``num/den`` of a coprime pair, built without a gcd."""
     return _raw(*_normal(num, den))
@@ -798,11 +810,14 @@ def _sum(f: RatFunc, h: RatFunc, op) -> RatFunc:
     ``d = g*d1``, the value is ``t / (b1*d)`` with ``t = a*d1 op c*b1``.  As
     ``a`` is coprime to ``b``, ``c`` to ``d`` and ``b1`` to ``d1``, ``t`` is
     coprime to ``b1*d1``: only ``gcd(t, g)`` can cancel, and ``g = 1`` leaves
-    nothing to cancel (Henrici; Knuth, TAOCP vol. 2, 4.5.1).
+    nothing to cancel (Henrici; Knuth, TAOCP vol. 2, 4.5.1).  Two constants
+    take the direct path: their coefficient is computed and built by `_const`.
     """
     a, b, c, d = f.num, f.den, h.num, h.den
-    if b.is_const() and d.is_const():
-        return _coprime(op(a, c), _ONE)
+    if not (b.vars or d.vars):
+        if a.vars or c.vars:
+            return _coprime(op(a, c), _ONE)
+        return _const(op(a.terms[()], c.terms[()]))
     if b == d:
         g, b1, d1 = b, _ONE, _ONE
     else:

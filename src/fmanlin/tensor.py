@@ -41,11 +41,11 @@ _ZERO = RatFunc.zero()
 
 def _acc(out: dict, key, val: RatFunc):
     """Add ``val`` at ``key``, dropping the key when its sum reaches zero."""
-    if val.is_zero():
+    if not val.num.terms:
         return
     cur = out.get(key)
     total = val if cur is None else cur + val
-    if total.is_zero():
+    if not total.num.terms:
         out.pop(key, None)
     else:
         out[key] = total
@@ -80,7 +80,7 @@ def _checked_table(chart: "Chart", table: dict, key_ok, bad_key: str, entry: str
     tables hold the same entries exactly when they compare equal with ``==``.
     A key failing ``key_ok`` raises ``ValueError(f"{bad_key} {key}")``, and a
     value with a fiber coordinate raises `Chart.require_base_only` for
-    ``f"{entry} {key}"``.
+    ``entry`` and ``key``.
     """
     out = {}
     for key, val in {tuple(k): RatFunc.coerce(v) for k, v in table.items()}.items():
@@ -88,7 +88,7 @@ def _checked_table(chart: "Chart", table: dict, key_ok, bad_key: str, entry: str
             continue
         if not key_ok(key):
             raise ValueError(f"{bad_key} {key}")
-        out[key] = chart.require_base_only(val, f"{entry} {key}")
+        out[key] = chart.require_base_only(val, entry, key)
     return MappingProxyType(out)
 
 
@@ -150,8 +150,11 @@ class Chart(_Value):
                 raise ValueError(f"fiber name {name!r} has no dual counterpart")
         return Chart(self.base_names, tuple(swapped))
 
-    def require_base_only(self, value: RatFunc, what: str) -> RatFunc:
+    def require_base_only(self, value: RatFunc, *what) -> RatFunc:
+        """``value``, or ``ValueError`` naming ``what`` (joined by spaces only
+        then) when it has a fiber coordinate; a constant has none."""
         if not value.is_const() and value.free_vars() & set(self.fiber_names):
+            what = " ".join(map(str, what))
             raise ValueError(f"{what} must not involve fiber coordinates: {value}")
         return value
 
@@ -175,11 +178,12 @@ class TensorField:
         self.q = q
         clean = {}
         width = p + q
+        dim = chart.dim
         for key, val in coeffs.items():
             val = RatFunc.coerce(val)
             if val.is_zero():
                 continue
-            if len(key) != width or any(not 0 <= i < chart.dim for i in key):
+            if len(key) != width or any(not 0 <= i < dim for i in key):
                 raise ValueError(f"bad index tuple {key} for a ({p},{q}) tensor")
             clean[tuple(key)] = val
         self.coeffs = clean

@@ -546,3 +546,49 @@ def test_tangent_battery_differentiates_each_value_once(monkeypatch):
     p = base.star[(3, 1, 1)]
     assert [name for f, name in computed if f is p] == ["x2"]
     assert brackets == []
+
+
+# -- arithmetic on constant tables ------------------------------------------------
+
+
+def square_zero_base(n: int) -> BaseFManifold:
+    """``d0`` the unit and ``di * dj = 0`` for i, j >= 1."""
+    star = {(0, 0, 0): 1}
+    for i in range(1, n):
+        star[(i, 0, i)] = star[(i, i, 0)] = 1
+    return BaseFManifold(Chart.standard(n, 0), star, (1,) + (0,) * (n - 1))
+
+
+def test_constant_tables_take_the_direct_arithmetic_paths(monkeypatch):
+    """Every table of the generalized prolongation with the zero connection
+    is an integer constant.  Building it and running its battery (n = 3) adds
+    and multiplies constants, and each such operation takes symcore's direct
+    path: `_sum` gets two constants but reaches no ``Poly._aligned`` with two
+    constant operands (behind polynomial sums and products), and `_normal`
+    takes no content of the denominator ``_ONE``."""
+    from fmanlin import symcore
+
+    seen = Counter()
+    real_sum, real_aligned = symcore._sum, symcore.Poly._aligned
+    real_content = symcore._content
+
+    def summed(f, h, op):
+        seen["_sum on constants"] += f.is_const() and h.is_const()
+        return real_sum(f, h, op)
+
+    def aligned(p, q):
+        seen["_aligned on constants"] += not (p.vars or q.vars)
+        return real_aligned(p, q)
+
+    def content(p):
+        seen["_content of 1"] += p == symcore._ONE
+        return real_content(p)
+
+    monkeypatch.setattr(symcore, "_sum", summed)
+    monkeypatch.setattr(symcore.Poly, "_aligned", aligned)
+    monkeypatch.setattr(symcore, "_content", content)
+    prol = generalized_prolongation(square_zero_base(3), Connection.zero(B3))
+    assert check_battery(prol.components, prol.unit).passed
+    assert seen["_sum on constants"] > 0
+    assert seen["_aligned on constants"] == 0
+    assert seen["_content of 1"] == 0

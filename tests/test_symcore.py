@@ -1,6 +1,7 @@
 """Scalar layer: canonical forms, parsing, derivatives, exact linear algebra."""
 
 from fractions import Fraction
+from operator import add, mul, sub
 
 import pytest
 
@@ -547,6 +548,43 @@ def test_sums_and_partials_store_what_the_checked_constructor_stores():
         assert_same_storage(p - q, checked_sum(p, q, -1))
         for name in XV:
             assert_same_storage(p.partial(name), checked_partial(p, name))
+
+
+def test_constant_operands_skip_the_polynomial_routes(monkeypatch):
+    """A polynomial times a constant polynomial, in either order, scales each
+    coefficient instead of running the aligned double loop; a sum or
+    difference of two constant rational functions makes no ``Poly`` sum at
+    all, and their product aligns nothing.  A zero sum is the shared zero."""
+    calls = []
+    p = P("x1^2/3 + 2*x2").num
+    constants = [RatFunc.const(k) for k in (3, Fraction(3, 2), Fraction(-1, 3), -3)]
+
+    def recording(name):
+        real = getattr(Poly, name)
+
+        def wrapper(a, b, *rest):
+            calls.append((name, a, b))
+            return real(a, b, *rest)
+
+        return wrapper
+
+    monkeypatch.setattr(Poly, "_aligned", recording("_aligned"))
+    for k in (3, Fraction(3, 2), Fraction(-1, 3), 1, 0):
+        want = Poly(p.vars, {e: c * k for e, c in p.terms.items()})
+        for got in (p * Poly.const(k), Poly.const(k) * p):
+            assert_same_storage(got, want)
+    assert_same_storage(Poly.const(Fraction(2, 3)) * Poly.const(Fraction(3, 2)), Poly.one())
+    assert calls == []
+    for name in ("__add__", "__sub__"):
+        monkeypatch.setattr(Poly, name, recording(name))
+    for f in constants:
+        for g in constants:
+            assert (f + g, f - g, f * g) == tuple(
+                RatFunc.const(op(f.constant(), g.constant())) for op in (add, sub, mul)
+            )
+        # a zero result, the most common one in the battery residuals, builds nothing
+        assert f - f is RatFunc.zero() and f + (-f) is RatFunc.zero()
+    assert calls == []
 
 
 def test_coefficient_divisions_store_exact_values():

@@ -6,11 +6,11 @@ come from the ``conftest`` generators, so ``FMAN_SEED`` reseeds every case.
 
 import sys
 from fractions import Fraction
-from operator import add
+from operator import add, mul, sub
 
 import pytest
 
-from conftest import primitive, rand_poly, rand_ratfunc, rng_for
+from conftest import primitive, rand_fraction, rand_poly, rand_ratfunc, rng_for
 from fmanlin import symcore
 from fmanlin.symcore import (
     Poly,
@@ -133,6 +133,62 @@ def test_coefficient_divisions_match_sympy():
     assert_same_function(parse_expr(text, XY), (x1 + 1) / (2 * x2 + 4), XY)
 
 
+def stored(value):
+    """What a ``Poly`` or ``RatFunc`` stores, hashes and prints, with the
+    class of each coefficient."""
+    polys = (value.num, value.den) if isinstance(value, RatFunc) else (value,)
+    fields = [
+        (p.vars, sorted((e, c, type(c).__name__) for e, c in p.terms.items()))
+        for p in polys
+    ]
+    return fields, hash(value), str(value)
+
+
+def sympy_value(expr, variables) -> RatFunc:
+    """sympy's cancelled ``expr`` as a ``RatFunc`` built by the constructor."""
+    num, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
+    return RatFunc(from_sympy(num, variables), from_sympy(den, variables))
+
+
+def sympy_const(c):
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def scaled(p: Poly, k) -> Poly:
+    """``k * p`` through the checked constructor."""
+    return Poly(p.vars, {e: c * k for e, c in p.terms.items()})
+
+
+def test_constant_operands_store_what_the_general_route_stores():
+    """Constant +- constant, constant * constant and a polynomial or rational
+    function times a constant, in either order, take the direct path.  Each
+    result equals the checked constructor's value and sympy's in variables,
+    terms, coefficient class, denominator, hash and printed text."""
+    rng = rng_for("sympy-constant-operands")
+    # sums that are integers or 0, and a difference that is 0
+    pairs = [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(-1, 3))]
+    pairs += [(Fraction(5, 3), Fraction(4, 3)), (Fraction(7, 4), Fraction(7, 4)), (2, -2)]
+    pairs += [(rand_fraction(rng), rand_fraction(rng)) for _ in range(30)]
+    for a, b in pairs:
+        for op in (add, sub, mul):
+            got = op(RatFunc.const(a), RatFunc.const(b))
+            general = RatFunc(Poly((), {(): op(Fraction(a), Fraction(b))}))
+            want = sympy_value(op(sympy_const(a), sympy_const(b)), ("x1",))
+            assert stored(got) == stored(general) == stored(want), (a, op, b)
+        got = Poly.const(a) * Poly.const(b)
+        assert stored(got) == stored(Poly.const(Fraction(a) * b)), (a, b)
+    for variables in VARIABLES:
+        for _ in range(10):
+            f = rand_ratfunc(rng, variables)
+            k = rand_fraction(rng)
+            general = RatFunc(scaled(f.num, k), f.den)
+            want = sympy_value(rf_to_sympy(f) * sympy_const(k), variables)
+            for got in (f * RatFunc.const(k), RatFunc.const(k) * f):
+                assert stored(got) == stored(general) == stored(want), (f, k)
+            for got in (f.num * Poly.const(k), Poly.const(k) * f.num):
+                assert stored(got) == stored(scaled(f.num, k)), (f.num, k)
+
+
 def nonzero_ratfunc(rng, variables):
     while True:
         f = rand_ratfunc(rng, variables)
@@ -154,6 +210,13 @@ def constructions(rng, variables):
     yield "__pow__", f**2
     yield "__pow__ < 0", f**-1
     yield "parse_expr", parse_expr(str(f), variables)
+    # the direct paths for constant operands
+    k, m = (RatFunc.const(rand_fraction(rng) or 1) for _ in range(2))
+    yield "const + const", k + m
+    yield "const - const", k - m
+    yield "const * const", k * m
+    yield "const * poly", k * RatFunc(x * rand_poly(rng, variables, nonzero=True))
+    yield "poly * const", RatFunc(x * rand_poly(rng, variables, nonzero=True)) * k
 
 
 def test_every_construction_keeps_correct_partials():
