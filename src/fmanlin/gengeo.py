@@ -32,17 +32,15 @@ from .fman import (
     PreconditionError,
     _Ctx,
     _frame,
-    _on_frames,
     _require,
     _table_diffs,
     _vf_apply,
     _vf_bracket,
     apply_d,
-    apply_delta,
     apply_l,
     check_battery,
 )
-from .prolong import conjugate, conjugate_unit, generalized_prolongation
+from .prolong import _double_prolongation, conjugate, conjugate_unit
 from .report import Report
 from .symcore import RatFunc, _Value
 from .tensor import (
@@ -135,24 +133,27 @@ def _same_chart(s: GenSection, t: GenSection):
         raise ValueError("sections live on different charts")
 
 
+def _partner(n: int, i: int) -> int:
+    """The index paired with ``i``: the block swap ``i -> i +- n``."""
+    return i + n if i < n else i - n
+
+
 def pairing(s: GenSection, t: GenSection) -> RatFunc:
     """``<X + xi, Y + eta> = (xi(Y) + eta(X)) / 2``."""
     _same_chart(s, t)
-    return _pair_comps(s.chart.n, s.components(), t.components())
+    n = s.chart.n
+    v = t.components()
+    acc = _ZERO
+    for i, f in s.components().items():
+        g = v.get(_partner(n, i))
+        if g is not None:
+            acc = acc + f * g
+    return _HALF * acc
 
 
 def anchor(s: GenSection) -> tuple:
     """Project a section to its vector part."""
     return s.vec
-
-
-def _pair_comps(n: int, u: dict, v: dict) -> RatFunc:
-    acc = _ZERO
-    for i, f in u.items():
-        g = v.get(i - n if i >= n else i + n)
-        if g is not None:
-            acc = acc + f * g
-    return _HALF * acc
 
 
 def _dorfman_comps(chart: Chart, n: int, u: dict, v: dict, h: ThreeForm | None) -> dict:
@@ -265,25 +266,16 @@ def check_anchor_compat(c: MultComponents) -> Report:
     return rep
 
 
-def _pairing_matrix(chart: Chart, n: int):
-    rows = []
-    for a in range(2 * n):
-        partner = a + n if a < n else a - n
-        rows.append(
-            tuple(_HALF if b == partner else _ZERO for b in range(2 * n))
-        )
-    return tuple(rows)
-
-
 def check_scalar_compat(
     c: MultComponents, e: LinearVectorField, nabla: Connection
 ) -> Report:
     """Compare the pairing conjugate of ``(c, e)`` with its connection dual.
 
-    The structural route conjugates the candidate by the constant matrix of
-    the pairing and compares tables with ``dualize``; the frame route checks
-    the equivalent section identities.  A final record asserts that the two
-    routes reach the same verdict.
+    The structural route relabels the candidate's tables by the block swap
+    ``i -> i +- n`` and compares them with ``dualize``: the pairing matrix is
+    half that swap, and conjugation by a constant matrix ignores the scale.
+    The frame route checks the equivalent section identities on frames.  A
+    final record asserts that the two routes reach the same verdict.
     """
     n = _check_candidate(c, e)
     base = BaseFManifold(chart=c.chart.base(), star=c.star, unit=e.beta)
@@ -292,37 +284,34 @@ def check_scalar_compat(
 
 
 def _scalar_compat(c: MultComponents, e: LinearVectorField, nabla: Connection, n: int):
-    """`check_scalar_compat` once its flat structure is known to pass."""
+    """`check_scalar_compat` once its flat structure is known to pass.
+
+    On frames ``<s, d_c> = s^{c'}/2``, with ``c'`` the partner of ``c``, so
+    each frame law reads table entries.  Two frames pair to a constant, so
+    the terms that differentiate their pairing vanish.
+    """
     rep = Report("scalar compatibility")
     names = c.chart.names
 
-    def pair(u, v):
-        return _pair_comps(n, u, v)
+    def sw(i):
+        return _partner(n, i)
 
     def side(m, b, cc):
-        lhs = pair(apply_l(c, m, _frame(b)), _frame(cc))
-        rhs = pair(apply_l(c, m, _frame(cc)), _frame(b))
-        return {0: lhs - rhs}
+        return {0: _HALF * (c.l_at(sw(cc), b, m) - c.l_at(sw(b), cc, m))}
 
     def deriv(m, p, b, cc):
-        fb, fc = _frame(b), _frame(cc)
-        lhs = pair(apply_d(c, m, p, fb), fc) + pair(fb, apply_d(c, m, p, fc))
-        rhs = pair(fb, apply_l(c, p, fc)).partial(names[m])
-        rhs = rhs + pair(fb, apply_l(c, m, fc)).partial(names[p])
+        pb = sw(b)
+        lhs = c.d_at(sw(cc), b, m, p) + c.d_at(pb, cc, m, p)
+        rhs = c.l_at(pb, cc, p).partial(names[m]) + c.l_at(pb, cc, m).partial(names[p])
         for q, g in symmetric_bracket(nabla, _frame(m), _frame(p)).items():
-            rhs = rhs - g * pair(fb, apply_l(c, q, fc))
-        scal = pair(fb, fc)
-        for a in range(n):
-            w = c.star_at(a, m, p)
-            if not w.is_zero():
-                rhs = rhs - w * scal.partial(names[a])
-        return {0: lhs - rhs}
+            rhs = rhs - g * c.l_at(pb, cc, q)
+        return {0: _HALF * (lhs - rhs)}
 
     def unit(b, cc):
-        fb, fc = _frame(b), _frame(cc)
-        lhs = e.base_apply(pair(fb, fc))
-        rhs = pair(apply_delta(e, fb), fc) + pair(fb, apply_delta(e, fc))
-        return {0: lhs - rhs}
+        return {0: _HALF * (e.lam[sw(cc)][b] + e.lam[sw(b)][cc])}
+
+    def swapped(table):
+        return {(sw(i), sw(j), *rest): v for (i, j, *rest), v in table.items()}
 
     frames_ok = rep.scan(
         "pairing-side",
@@ -341,19 +330,15 @@ def _scalar_compat(c: MultComponents, e: LinearVectorField, nabla: Connection, n
         _comp_pairs(product(range(2 * n), range(2 * n)), unit),
     )
 
-    iso = _pairing_matrix(c.chart, n)
-    conj_c = conjugate(c, iso)
-    conj_e = conjugate_unit(e, iso)
     dual_c, dual_e = dualize(c, e, nabla)
     struct_ok = rep.scan(
         "pairing-duality",
         "the pairing conjugate of the candidate equals its connection dual",
         _table_diffs(
             [
-                ("l", conj_c.l, dual_c.l),
-                ("d", conj_c.d, dual_c.d),
-                ("star", conj_c.star, dual_c.star),
-                ("lam", _lam_table(conj_e), _lam_table(dual_e)),
+                ("l", swapped(c.l), dual_c.l),
+                ("d", swapped(c.d), dual_c.d),
+                ("lam", swapped(_lam_table(e)), _lam_table(dual_e)),
             ]
         ),
     )
@@ -389,7 +374,8 @@ def check_dorfman_compat(
     """Check both derivative laws of the candidate against the twisted bracket.
 
     Sections and directions run over coordinate frames, which are parallel
-    because the connection is required to vanish in the chart.
+    because the connection is required to vanish in the chart.  The pairing
+    scalars of both laws are then table entries, as in `_scalar_compat`.
     """
     n = _check_candidate(c, e, h)
     _require_trivial_connection("the bracket compatibility check", nabla)
@@ -401,20 +387,15 @@ def check_dorfman_compat(
     )
     chart = c.chart
     names = chart.names
-    star = _Ctx(c).star  # d_a * d_q, from the star rows
-
-    def pair(u, v):
-        return _pair_comps(n, u, v)
 
     def br(u, v):
         return _dorfman_comps(chart, n, u, v, h)
 
-    def s_form(u, v):
-        pv = {i: f for i, f in v.items() if i < n}
-        out = {}
-        for q in range(n):
-            out[q] = _TWO * pair(u, _on_frames(pv, lambda a: star[a, q]))
-        return out
+    def t_scal(b, cc, q, r):  # <D_{q,r} d_b, d_cc>
+        return _HALF * c.d_at(_partner(n, cc), b, q, r)
+
+    def s_form(b, cc, q):  # S(d_b, d_cc)(d_q) = 2<d_b, pi(d_cc) * d_q>
+        return c.star_at(b - n, cc, q) if b >= n and cc < n else _ZERO
 
     def side(m, b, cc):
         fb, fc = _frame(b), _frame(cc)
@@ -422,30 +403,24 @@ def check_dorfman_compat(
         rhs = br(fb, apply_l(c, m, fc))
         if cc < n:
             rhs = _vsub(rhs, apply_d(c, m, cc, fb))
-        sform = s_form(fb, fc)
         for q in range(n):
-            corr = -_TWO * pair(apply_d(c, m, q, fb), fc)
-            _acc(rhs, n + q, corr + _TWO * sform[q].partial(names[m]))
+            corr = -_TWO * t_scal(b, cc, m, q)
+            _acc(rhs, n + q, corr + _TWO * s_form(b, cc, q).partial(names[m]))
         return _vsub(lhs, rhs)
 
     def deriv(m, p, b, cc):
         fb, fc = _frame(b), _frame(cc)
-
-        def t_scal(q, r):
-            return pair(apply_d(c, q, r, fb), fc)
-
         lhs = apply_d(c, m, p, br(fb, fc))
         rhs = _vsub(br(fb, apply_d(c, m, p, fc)), br(fc, apply_d(c, m, p, fb)))
-        sform = s_form(fb, fc)
-        t_mp = t_scal(m, p)
+        t_mp = t_scal(b, cc, m, p)
         for q in range(n):
             corr = -_TWO * (
-                t_scal(p, q).partial(names[m])
-                + t_scal(m, q).partial(names[p])
+                t_scal(b, cc, p, q).partial(names[m])
+                + t_scal(b, cc, m, q).partial(names[p])
                 + t_mp.partial(names[q])
             )
             corr = corr + _TWO * _TWO * t_mp.partial(names[q])
-            corr = corr + _TWO * sform[q].partial(names[m]).partial(names[p])
+            corr = corr + _TWO * s_form(b, cc, q).partial(names[m]).partial(names[p])
             _acc(rhs, n + q, corr)
         return _vsub(lhs, rhs)
 
@@ -566,7 +541,7 @@ def classify_exact_courant(
         )
         return rep
 
-    prol = generalized_prolongation(base, nabla)
+    prol = _double_prolongation(base, nabla)
     gamma = _recover(c, e, prol.components)
 
     tc, te = bfield_transform(prol.components, prol.unit, gamma)

@@ -131,9 +131,16 @@ def cotangent_prolongation(base: BaseFManifold, nabla: Connection) -> ProlongedS
 
 def generalized_prolongation(base: BaseFManifold, nabla: Connection) -> ProlongedStructure:
     """Rank-2n prolongation on the double fiber (vector block, covector block)."""
-    from .duality import check_flat_f, dualize
+    from .duality import check_flat_f
 
     _require("the generalized prolongation", check_flat_f(base, nabla))
+    return _double_prolongation(base, nabla)
+
+
+def _double_prolongation(base: BaseFManifold, nabla: Connection) -> ProlongedStructure:
+    """`generalized_prolongation` once its flat structure is known to pass."""
+    from .duality import dualize
+
     tan = tangent_prolongation(base)
     dual_c, dual_e = dualize(tan.components, tan.unit, nabla)
     comps = direct_sum(tan.components, dual_c)

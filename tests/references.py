@@ -16,13 +16,17 @@ references of the battery's table identities.
 :func:`reference_components` reads the tables of a linear (2,1) tensor
 through vertical lifts, Lie derivatives and contractions instead of by key,
 and :func:`_verify_leibniz` checks an assembled tensor against the Leibniz
-rule of its tables.
+rule of its tables.  :func:`courant_frame_residuals` evaluates the frame
+laws of the anchor, scalar and bracket checks in section form, through the
+frame operators and the pairing of sections, and the structural pairing
+record by conjugating with the pairing matrix.
 """
 
+from fractions import Fraction
 from itertools import combinations, product
 from operator import attrgetter
 
-from fmanlin.duality import nabla_apply, symmetric_bracket
+from fmanlin.duality import dualize, nabla_apply, symmetric_bracket
 from fmanlin.fman import (
     BaseFManifold,
     LinearVectorField,
@@ -36,7 +40,8 @@ from fmanlin.fman import (
     apply_l,
     star_product,
 )
-from fmanlin.gengeo import _double_rank
+from fmanlin.gengeo import _double_rank, _dorfman_comps
+from fmanlin.prolong import conjugate, conjugate_unit
 from fmanlin.symcore import RatFunc, _Value
 from fmanlin.tensor import (
     Chart,
@@ -54,6 +59,8 @@ from fmanlin.tensor import (
 )
 
 _ZERO = RatFunc.zero()
+_HALF = RatFunc.coerce(Fraction(1, 2))
+_TWO = RatFunc.coerce(2)
 
 
 def lie_components(c: MultComponents, x: LinearVectorField):
@@ -369,3 +376,166 @@ class BFieldData(_Value):
         lg = TwoForm(chart, lie_gamma)
         s = {(m, q): -lg.at(m, q) for m, q in product(range(n), repeat=2)}
         return cls(chart=chart, b=b, a=a, s=s)
+
+
+# -- the Courant frame laws in section form ------------------------------------
+
+
+def _pair_comps(n: int, u: dict, v: dict) -> RatFunc:
+    """``<u, v> = (xi(Y) + eta(X)) / 2`` on component dicts of rank ``2n``."""
+    acc = _ZERO
+    for i, f in u.items():
+        g = v.get(i - n if i >= n else i + n)
+        if g is not None:
+            acc = acc + f * g
+    return _HALF * acc
+
+
+def pairing_matrix(n: int) -> tuple:
+    """The matrix of the pairing: ``1/2`` at ``(a, a +- n)``."""
+    return tuple(
+        tuple(_HALF if b == (a + n if a < n else a - n) else _ZERO for b in range(2 * n))
+        for a in range(2 * n)
+    )
+
+
+def _nonzero_pairs(tuples, vec_fn) -> list:
+    """Nonzero ``((*idx, comp), vec[comp])`` in scan order."""
+    return [
+        ((*idx, comp), val)
+        for idx in tuples
+        for comp, val in sorted(vec_fn(*idx).items())
+        if not val.is_zero()
+    ]
+
+
+def courant_frame_residuals(
+    c: MultComponents, e: LinearVectorField, nabla: Connection, h=None
+) -> dict:
+    """Nonzero ``(witness, residual)`` pairs of each frame law, by record name.
+
+    Each law is evaluated on coordinate frames as written, through the frame
+    operators, the pairing of sections and the Dorfman bracket, in the scan
+    order of its record; ``pairing-duality`` conjugates the candidate by the
+    pairing matrix.  The Dorfman laws assume a connection that vanishes in
+    the chart and a closed twist.
+    """
+    n = _double_rank(c.chart)
+    chart, names = c.chart, c.chart.names
+
+    def pair(u, v):
+        return _pair_comps(n, u, v)
+
+    def proj(sec):
+        return {i: f for i, f in sec.items() if i < n}
+
+    def frame_product(a, q):
+        return star_product(c, _frame(a), _frame(q))
+
+    def anchor_side(m, b):
+        want = frame_product(m, b) if b < n else {}
+        return _vsub(proj(apply_l(c, m, _frame(b))), want)
+
+    def anchor_deriv(m, p, b):
+        want = lie_star(c, _frame(b), _frame(m), _frame(p)) if b < n else {}
+        return _vsub(proj(apply_d(c, m, p, _frame(b))), want)
+
+    def pairing_side(m, b, cc):
+        lhs = pair(apply_l(c, m, _frame(b)), _frame(cc))
+        return {0: lhs - pair(apply_l(c, m, _frame(cc)), _frame(b))}
+
+    def pairing_deriv(m, p, b, cc):
+        fb, fc = _frame(b), _frame(cc)
+        lhs = pair(apply_d(c, m, p, fb), fc) + pair(fb, apply_d(c, m, p, fc))
+        rhs = pair(fb, apply_l(c, p, fc)).partial(names[m])
+        rhs = rhs + pair(fb, apply_l(c, m, fc)).partial(names[p])
+        for q, g in symmetric_bracket(nabla, _frame(m), _frame(p)).items():
+            rhs = rhs - g * pair(fb, apply_l(c, q, fc))
+        scal = pair(fb, fc)
+        for a in range(n):
+            w = c.star_at(a, m, p)
+            if not w.is_zero():
+                rhs = rhs - w * scal.partial(names[a])
+        return {0: lhs - rhs}
+
+    def pairing_unit(b, cc):
+        fb, fc = _frame(b), _frame(cc)
+        lhs = e.base_apply(pair(fb, fc))
+        return {0: lhs - pair(apply_delta(e, fb), fc) - pair(fb, apply_delta(e, fc))}
+
+    def br(u, v):
+        return _dorfman_comps(chart, n, u, v, h)
+
+    def s_form(u, v):
+        pv = proj(v)
+        out = {}
+        for q in range(n):
+            prod = {}
+            for a, f in pv.items():
+                prod = _vadd(prod, _vscale(frame_product(a, q), f))
+            out[q] = _TWO * pair(u, prod)
+        return out
+
+    def dorfman_side(m, b, cc):
+        fb, fc = _frame(b), _frame(cc)
+        lhs = apply_l(c, m, br(fb, fc))
+        rhs = br(fb, apply_l(c, m, fc))
+        if cc < n:
+            rhs = _vsub(rhs, apply_d(c, m, cc, fb))
+        sform = s_form(fb, fc)
+        for q in range(n):
+            corr = -_TWO * pair(apply_d(c, m, q, fb), fc)
+            _acc(rhs, n + q, corr + _TWO * sform[q].partial(names[m]))
+        return _vsub(lhs, rhs)
+
+    def dorfman_deriv(m, p, b, cc):
+        fb, fc = _frame(b), _frame(cc)
+
+        def t_scal(q, r):
+            return pair(apply_d(c, q, r, fb), fc)
+
+        lhs = apply_d(c, m, p, br(fb, fc))
+        rhs = _vsub(br(fb, apply_d(c, m, p, fc)), br(fc, apply_d(c, m, p, fb)))
+        sform = s_form(fb, fc)
+        t_mp = t_scal(m, p)
+        for q in range(n):
+            corr = -_TWO * (
+                t_scal(p, q).partial(names[m])
+                + t_scal(m, q).partial(names[p])
+                + t_mp.partial(names[q])
+            )
+            corr = corr + _TWO * _TWO * t_mp.partial(names[q])
+            corr = corr + _TWO * sform[q].partial(names[m]).partial(names[p])
+            _acc(rhs, n + q, corr)
+        return _vsub(lhs, rhs)
+
+    iso = pairing_matrix(n)
+    conj_c, conj_e = conjugate(c, iso), conjugate_unit(e, iso)
+    dual_c, dual_e = dualize(c, e, nabla)
+    duality = []
+    for label, got, want in (
+        ("l", conj_c.l, dual_c.l),
+        ("d", conj_c.d, dual_c.d),
+        ("star", conj_c.star, dual_c.star),
+        ("lam", _lam_dict(conj_e), _lam_dict(dual_e)),
+    ):
+        for key in sorted(set(got) | set(want)):
+            val = got.get(key, _ZERO) - want.get(key, _ZERO)
+            if not val.is_zero():
+                duality.append(((label, *key), val))
+
+    k, b = range(2 * n), range(n)
+    return {
+        "anchor-side": _nonzero_pairs(product(b, k), anchor_side),
+        "anchor-derivative": _nonzero_pairs(product(b, b, k), anchor_deriv),
+        "pairing-side": _nonzero_pairs(product(b, k, k), pairing_side),
+        "pairing-derivative": _nonzero_pairs(product(b, b, k, k), pairing_deriv),
+        "pairing-unit": _nonzero_pairs(product(k, k), pairing_unit),
+        "pairing-duality": duality,
+        "dorfman-side": _nonzero_pairs(product(b, k, k), dorfman_side),
+        "dorfman-derivative": _nonzero_pairs(product(b, b, k, k), dorfman_deriv),
+    }
+
+
+def _lam_dict(e: LinearVectorField) -> dict:
+    return {(i, j): v for i, row in enumerate(e.lam) for j, v in enumerate(row)}

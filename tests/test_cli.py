@@ -409,9 +409,9 @@ def test_classify_stage_verifies_the_base_once(tmp_path, battery_runs, flat_runs
     flat_runs.clear()
     assert main(["courant-classify", str(sheared)]) == 1
     # the candidate's battery and one base battery; the classifier's flat
-    # check, which the scalar check reuses, and the double prolongation's
+    # check, which the scalar check and the double prolongation reuse
     assert [c.chart.k for c in battery_runs] == [4, 0]
-    assert len(flat_runs) == 2
+    assert len(flat_runs) == 1
 
 
 def test_classify_precondition_exits_three(tmp_path, capsys):

@@ -12,6 +12,7 @@ from fmanlin.fman import (
     MultComponents,
     PreconditionError,
 )
+from fmanlin import gengeo
 from fmanlin.gengeo import (
     GenSection,
     ThreeForm,
@@ -32,9 +33,10 @@ from fmanlin.prolong import (
     generalized_prolongation,
     tangent_prolongation,
 )
+from fmanlin.report import Report
 from fmanlin.symcore import RatFunc, parse_expr
 from fmanlin.tensor import Chart
-from references import BFieldData
+from references import BFieldData, courant_frame_residuals
 
 B1 = Chart.standard(1, 0)
 B2 = Chart.standard(2, 0)
@@ -693,9 +695,9 @@ def test_classification_runs_each_battery_once_per_object(battery_runs, flat_run
     # the candidate once, and the base once for the classifier, its scalar
     # check and the double prolongation it rebuilds
     assert [c.chart.k for c in battery_runs] == [4, 0]
-    # the flat structure for the classifier (which the scalar check reuses)
-    # and for the double prolongation
-    assert len(flat_runs) == 2 and flat_runs[0] is flat_runs[1]
+    # the flat structure once, for the classifier (which the scalar check
+    # and the double prolongation reuse)
+    assert len(flat_runs) == 1
 
 
 def test_public_scalar_check_requires_its_own_flat_structure(battery_runs, flat_runs):
@@ -865,3 +867,181 @@ def test_transform_equals_recovered_shear():
         )
         assert again_c == tc
         assert again_e == te
+
+
+# -- the frame laws read off the tables ----------------------------------------------
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("this route must not be used")
+
+
+def _bumped(c, e, rng, what):
+    """``(c, e)`` with one seeded entry of ``what`` (``l``, ``d`` or ``lam``) moved."""
+    chart = c.chart
+    n, k = chart.n, chart.k
+    bump = rand_ratfunc(rng, chart.base_names, max_deg=1, with_den=False)
+    if bump.is_zero():
+        bump = RatFunc.one()
+    if what == "lam":
+        lam = [list(row) for row in e.lam]
+        i, j = rng.randrange(k), rng.randrange(k)
+        lam[i][j] = lam[i][j] + bump
+        return c, LinearVectorField(chart, e.beta, lam)
+    table = dict(getattr(c, what))
+    key = (rng.randrange(k), rng.randrange(k)) + tuple(
+        rng.randrange(n) for _ in range(1 if what == "l" else 2)
+    )
+    table[key] = table.get(key, RatFunc.zero()) + bump
+    tables = {"d": c.d, "l": c.l, what: table}
+    return MultComponents(chart=chart, star=c.star, **tables), e
+
+
+def _courant_candidates():
+    """Seeded shears of double prolongations, with one table entry moved or not.
+
+    Each base gets the plain prolongation and a shear by a non-constant
+    two-form, and the shear also comes with a moved ``l``, ``d`` or ``lam``
+    entry.  The bases are the plane, a plane whose product has a quadratic
+    entry, the plane over a connection that does not vanish (for the scalar
+    check alone) and the trivial product at ``n = 3``, where every candidate
+    comes with and without a closed twist.
+    """
+    rng = rng_for("gengeo-frame-laws")
+    quadratic = dict(PLANE_STAR)
+    quadratic[(0, 1, 1)] = rf("x2^2")
+    out = []
+    for base, nabla in (
+        (base_plane(), Connection.zero(B2)),
+        (BaseFManifold(B2, quadratic, (1, 0)), Connection.zero(B2)),
+        (base_plane(), Connection(B2, {(1, 1, 1): rf("x2")})),
+        (base_trivial3(), Connection.zero(B3)),
+    ):
+        chart = base.chart
+        prol = generalized_prolongation(base, nabla)
+        table = {
+            key: rand_ratfunc(rng, chart.names, max_deg=2, with_den=False)
+            + RatFunc.variable(chart.names[rng.randrange(chart.n)])
+            for key in ((0, 1), (1, 2))[: chart.n - 1]
+        }
+        tc, te = bfield_transform(prol.components, prol.unit, TwoForm(chart, table))
+        cands = [(prol.components, prol.unit), (tc, te)]
+        cands += [_bumped(tc, te, rng, what) for what in ("l", "d", "lam")]
+        twists = [None]
+        if chart.n == 3:
+            twists.append(ThreeForm(chart, {(0, 1, 2): rand_ratfunc(rng, chart.names)}))
+        out += [(c, e, nabla, h) for c, e in cands for h in twists]
+    return out
+
+
+def test_frame_laws_match_their_section_form(monkeypatch):
+    # every nonzero residual of every scan, read to the end, equals the one
+    # of the section form, in the same order
+    scans = {}
+
+    class Recording(Report):
+        def scan(self, name, law, pairs):
+            pairs = list(pairs)
+            scans[name] = [(tuple(w), r) for w, r in pairs if not r.is_zero()]
+            return super().scan(name, law, iter(pairs))
+
+    monkeypatch.setattr(gengeo, "Report", Recording)
+    outcomes = {}
+    for c, e, nabla, h in _courant_candidates():
+        scans.clear()
+        check_anchor_compat(c)
+        check_scalar_compat(c, e, nabla)
+        if not nabla.gamma:  # the bracket laws need a vanishing connection
+            check_dorfman_compat(c, e, nabla, h)
+        want = courant_frame_residuals(c, e, nabla, h)
+        assert len(scans) == (8 if not nabla.gamma else 6)
+        assert scans == {name: want[name] for name in scans}
+        for name, pairs in scans.items():
+            outcomes.setdefault(name, set()).add(not pairs)
+    for name in (
+        "pairing-side",
+        "pairing-derivative",
+        "pairing-unit",
+        "pairing-duality",
+        "dorfman-side",
+        "dorfman-derivative",
+    ):
+        assert outcomes[name] == {True, False}, name
+
+
+def _scalar_pair():
+    """A passing and a failing candidate for the scalar check."""
+    prol, nabla = plane_package()
+    tc, te = bfield_transform(prol.components, prol.unit, TwoForm(B2, {(0, 1): rf("x1")}))
+    pert_l = dict(tc.l)
+    pert_l[(2, 2, 0)] = pert_l.get((2, 2, 0), rf("0")) + rf("x2")
+    pert = MultComponents(chart=tc.chart, d=tc.d, l=pert_l, star=tc.star)
+    return [(tc, te, nabla), (pert, te, nabla)]
+
+
+def test_pairing_frame_records_and_duality_record_share_no_code(monkeypatch):
+    verdicts = set()
+    for c, e, nabla in _scalar_pair():
+        want = check_scalar_compat(c, e, nabla)
+        verdicts.add(want.passed)
+        reports = []
+
+        class Recording(Report):
+            def __init__(self, *args):
+                super().__init__(*args)
+                reports.append(self)
+
+        # the frame records, with the structural route forbidden
+        with monkeypatch.context() as m:
+            m.setattr(gengeo, "Report", Recording)
+            for name in ("dualize", "conjugate", "_table_diffs"):
+                m.setattr(gengeo, name, forbidden)
+            with pytest.raises(AssertionError, match="must not be used"):
+                check_scalar_compat(c, e, nabla)
+        assert reports[0].records == want.records[:3]
+
+        # the structural record, with the table reads of the frame laws
+        # forbidden from the moment the last frame record is written
+        with monkeypatch.context() as m:
+
+            class Sealing(Report):
+                def add(self, name, *args):
+                    super().add(name, *args)
+                    if name == "pairing-unit":
+                        m.setattr(MultComponents, "l_at", forbidden)
+                        m.setattr(MultComponents, "d_at", forbidden)
+                        m.setattr(gengeo, "symmetric_bracket", forbidden)
+
+            m.setattr(gengeo, "Report", Sealing)
+            got = check_scalar_compat(c, e, nabla)
+        assert got.record("pairing-duality") == want.record("pairing-duality")
+    assert verdicts == {True, False}
+
+
+def test_classifier_inverts_only_the_shear(monkeypatch):
+    from fmanlin import duality, prolong, symcore
+
+    prol, nabla = plane_package()
+    tc, te = bfield_transform(prol.components, prol.unit, TwoForm(B2, {(0, 1): rf("x1")}))
+    calls, inside = [], []
+    real_inverse, real_transform = symcore._inverse, gengeo.bfield_transform
+
+    def counting(matrix):
+        calls.append(bool(inside))
+        return real_inverse(matrix)
+
+    def transform(*args):
+        inside.append(True)
+        try:
+            return real_transform(*args)
+        finally:
+            inside.pop()
+
+    for module in (symcore, prolong, duality):
+        monkeypatch.setattr(module, "_inverse", counting)
+    monkeypatch.setattr(gengeo, "bfield_transform", transform)
+    assert check_scalar_compat(tc, te, nabla).passed
+    assert calls == []
+    assert not classify_exact_courant(tc, te, nabla).passed
+    # the shear's conjugation and its unit's, in `bfield_transform`
+    assert calls == [True, True]
