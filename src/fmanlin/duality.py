@@ -12,7 +12,7 @@ diagnostic tool.
 from __future__ import annotations
 
 from functools import partial
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 
 from .fman import (
     BaseFManifold,
@@ -26,6 +26,7 @@ from .fman import (
     _euler_report,
     _frame,
     _on_frames,
+    _partials,
     _require,
     _vec_pairs,
     _vscale,
@@ -122,30 +123,22 @@ def check_flat_f(base: BaseFManifold, nabla: Connection, euler=None) -> Report:
     rep = Report("flat structure")
     n = chart.n
     c = base.components
-    frames = _Frames(c, nabla, evec)
 
     rep.scan("torsion-free", "T(X, Y) = 0", sorted(torsion(nabla).coeffs.items()))
     rep.scan("flat", "R(X, Y)Z = 0", sorted(curvature(nabla).coeffs.items()))
-
     unit = {a: f for a, f in enumerate(base.unit) if not f.is_zero()}
-    rep.scan(
-        "unit-parallel",
-        "nabla ebar = 0",
-        _vec_pairs(product(range(n)), lambda i: nabla_apply(nabla, _frame(i), unit)),
-    )
+    rep.scan("unit-parallel", "nabla ebar = 0", _by_frames(_map_unit_parallel(nabla, unit)))
     rep.scan(
         "star-derivative-symmetric",
         "nabla_X(*)(Y, Z) = nabla_Y(*)(X, Z)",
-        _vec_pairs(
-            ((i, j, k) for i, j in combinations(range(n), 2) for k in range(n)),
-            lambda i, j, k: _vsub(frames.nabla_star[i, j, k], frames.nabla_star[j, i, k]),
-        ),
+        _by_frames(_map_star_derivative_symmetric(c, nabla)),
     )
 
     if euler is None:
         rep.note("no Euler candidate supplied; the second-derivative condition was not checked")
         return rep
 
+    frames = _Frames(c, nabla, evec)
     rep.scan(
         "euler-base",
         "L_Ebar(*) = *",
@@ -160,6 +153,53 @@ def check_flat_f(base: BaseFManifold, nabla: Connection, euler=None) -> Report:
         _vec_pairs(product(range(n), repeat=2), frames.nabla2_euler),
     )
     return rep
+
+
+def _by_frames(residuals: dict) -> list:
+    """The ``((a, *idx), value)`` pairs of a map, by frame indices ``idx`` and then ``a``."""
+    return sorted(residuals.items(), key=lambda pair: (pair[0][1:], pair[0][0]))
+
+
+def _map_unit_parallel(nabla: Connection, unit: dict) -> dict:
+    """``nabla_{d_i} ebar`` at ``(a, i)``: ``d_i ebar^a + G^a_ij ebar^j``."""
+    out = {}
+    for i, a, d in _partials(nabla.chart, unit.items()):
+        _acc(out, (a, i), d)
+    for (a, i, j), g in nabla.gamma.items():
+        if j in unit:
+            _acc(out, (a, i), g * unit[j])
+    return out
+
+
+def _map_star_derivative_symmetric(c: MultComponents, nabla: Connection) -> dict:
+    """``F(a, x, y, z) - F(a, y, x, z)`` at ``(a, x, y, z)`` with ``x < y``, where
+    ``F(a, x, y, z) = d_x b^a_yz + G^a_xc b^c_yz - G^c_xy b^a_cz - G^c_xz b^a_yc``
+    is ``nabla_{d_x}(*)(d_y, d_z)``: the partials of the star entries ``b``,
+    and each Christoffel entry ``G`` joined with the star entries by output,
+    first and second index."""
+    by_out, by_first, by_second = {}, {}, {}
+    for (a, y, z), b in c.star.items():
+        by_out.setdefault(a, []).append((y, z, b))
+        by_first.setdefault(y, []).append((a, z, b))
+        by_second.setdefault(z, []).append((a, y, b))
+    out = {}
+
+    def add(a, x, y, z, val):
+        if x < y:
+            _acc(out, (a, x, y, z), val)
+        elif y < x:
+            _acc(out, (a, y, x, z), -val)
+
+    for x, (a, y, z), d in _partials(c.chart, c.star.items()):  # d_x b^a_yz
+        add(a, x, y, z, d)
+    for (k, x, m), g in nabla.gamma.items():  # G^k_xm
+        for y, z, b in by_out.get(m, ()):  # G^a_xc b^c_yz
+            add(k, x, y, z, g * b)
+        for a, z, b in by_first.get(k, ()):  # G^c_xy b^a_cz
+            add(a, x, m, z, -(g * b))
+        for a, y, b in by_second.get(k, ()):  # G^c_xz b^a_yc
+            add(a, x, y, m, -(g * b))
+    return out
 
 
 def _euler_to_vec(chart: Chart, euler) -> dict:
@@ -225,7 +265,9 @@ def dualize(c: MultComponents, e: LinearVectorField, nabla: Connection):
 # and frame Lie derivatives ``L_{d_z}(*)(d_x, d_y)``, which are also the
 # brackets ``[d_z, d_x * d_y]``, in the `_Ctx` it holds.  Torsion is
 # tensorial, so ``T(ebar, d_x)`` is summed from ``T(d_a, d_x)``.  The
-# ``dual-battery`` cross-check reads none of these memos.
+# ``dual-battery`` cross-check reads none of these memos.  `_Frames` serves
+# these obstruction scans and the two Euler records of the flat-structure
+# check; its other records read the star, unit and Christoffel entries.
 
 
 class _Frames:

@@ -299,11 +299,16 @@ def _scalar_compat(c: MultComponents, e: LinearVectorField, nabla: Connection, n
     def side(m, b, cc):
         return {0: _HALF * (c.l_at(sw(cc), b, m) - c.l_at(sw(b), cc, m))}
 
+    brackets = {  # <d_m : d_p>, once per pair
+        (m, p): symmetric_bracket(nabla, _frame(m), _frame(p))
+        for m, p in product(range(n), repeat=2)
+    }
+
     def deriv(m, p, b, cc):
         pb = sw(b)
         lhs = c.d_at(sw(cc), b, m, p) + c.d_at(pb, cc, m, p)
         rhs = c.l_at(pb, cc, p).partial(names[m]) + c.l_at(pb, cc, m).partial(names[p])
-        for q, g in symmetric_bracket(nabla, _frame(m), _frame(p)).items():
+        for q, g in brackets[m, p].items():
             rhs = rhs - g * c.l_at(pb, cc, q)
         return {0: _HALF * (lhs - rhs)}
 

@@ -79,24 +79,13 @@ class Report:
         raise KeyError(name)
 
     def add(
-        self,
-        name: str,
-        law: str,
-        passed: bool,
-        witness: tuple | None = None,
-        residual=None,
+        self, name: str, law: str, passed: bool, witness: tuple | None = None, residual=None
     ) -> None:
         if passed:
             witness, residual = None, None
-        self.records.append(
-            CheckRecord(
-                name=name,
-                law=law,
-                passed=passed,
-                witness=witness,
-                residual=None if residual is None else str(residual),
-            )
-        )
+        elif residual is not None:
+            residual = str(residual)
+        self.records.append(CheckRecord(name, law, passed, witness, residual))
 
     def scan(self, name: str, law: str, pairs) -> bool:
         """Record ``name`` from an iterable of ``(witness, residual)`` pairs.
@@ -136,9 +125,39 @@ class Report:
         }
 
     def to_json(self) -> str:
-        import json  # only ``--json`` stages pay for loading it
+        """The text of ``json.dumps(self.to_dict(), indent=2)``, written directly.
 
-        return json.dumps(self.to_dict(), indent=2)
+        Strings go through the escaper ``json`` uses; a witness element that
+        is not a str, int, bool or None raises ``TypeError``.
+        """
+        from json.encoder import encode_basestring_ascii  # only ``--json`` stages load it
+
+        def scalar(value) -> str:
+            if isinstance(value, str):
+                return encode_basestring_ascii(value)
+            if value is None or value is True or value is False:
+                return {None: "null", True: "true", False: "false"}[value]
+            return int.__repr__(value)  # raises TypeError on anything but an int
+
+        def array(values, pad: str, write=scalar) -> str:
+            sep = f",\n{pad}  "
+            return f"[\n{pad}  {sep.join(map(write, values))}\n{pad}]" if values else "[]"
+
+        records = []
+        for r in self.records:
+            text = (
+                f'"name": {scalar(r.name)},\n      "law": {scalar(r.law)},'
+                f'\n      "passed": {scalar(r.passed)}'
+            )
+            if not r.passed:
+                witness = "null" if r.witness is None else array(r.witness, "      ")
+                text += f',\n      "witness": {witness},\n      "residual": {scalar(r.residual)}'
+            records.append(f"{{\n      {text}\n    }}")
+        records, notes = array(records, "  ", str), array(self.notes, "  ")
+        return (
+            f'{{\n  "title": {scalar(self.title)},\n  "passed": {scalar(self.passed)},'
+            f'\n  "records": {records},\n  "notes": {notes}\n}}'
+        )
 
     def render(self) -> str:
         lines = [self.title]

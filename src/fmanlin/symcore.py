@@ -89,8 +89,7 @@ class _Frozen:
     """
 
     def _set(self, **fields) -> None:
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+        self.__dict__.update(fields)  # no field is a data descriptor of its class
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -710,3 +710,30 @@ def test_only_the_base_chart_types_write_their_own_equality():
     assert own == {"Connection", "TwoForm", "ThreeForm"}
     for cls in (prolong.ProlongedStructure, fman._Identity):
         assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+
+
+def test_no_stored_field_is_a_data_descriptor_of_its_class():
+    # `_Frozen._set` writes the instance dict directly, which a property or a
+    # slot of the same name would shadow; every ``self._set(name=...)`` of
+    # the package and of the test references names a plain attribute
+    import ast
+    import importlib
+    import inspect
+
+    sources = sorted((ROOT / "src" / "fmanlin").glob("*.py")) + [ROOT / "tests" / "references.py"]
+    checked = set()
+    for path in sources:
+        stem = path.stem
+        module = importlib.import_module(stem if path.parent.name == "tests" else f"fmanlin.{stem}")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            cls = getattr(module, node.name)
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "_set":
+                    for kw in call.keywords:
+                        attr = type(inspect.getattr_static(cls, kw.arg, None))
+                        assert not hasattr(attr, "__set__"), (cls, kw.arg)
+                        assert not hasattr(attr, "__delete__"), (cls, kw.arg)
+                        checked.add((node.name, kw.arg))
+    assert {("CheckRecord", "witness"), ("Chart", "base_names"), ("Section", "components")} <= checked

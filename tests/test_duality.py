@@ -53,6 +53,7 @@ C21 = Chart.standard(2, 1)
 C22 = Chart.standard(2, 2)
 B1 = Chart.standard(1, 0)
 B2 = Chart.standard(2, 0)
+B3 = Chart.standard(3, 0)
 
 PLANE_STAR = {(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1}
 
@@ -1172,3 +1173,173 @@ def test_regular_connection_multiplies_each_power_by_a_frame_once(monkeypatch):
         nab = regular_connection(base, euler)
         assert len(calls) == base.chart.n - 1
         assert check_flat_f(base, nab, euler=euler).passed
+
+
+# -- the table maps of the flat-structure check ---------------------------------
+#
+# `unit-parallel` and `star-derivative-symmetric` are summed from the star,
+# unit and Christoffel entries.  Their dense frame forms live here only: the
+# covariant derivative of the unit along each frame, and the antisymmetrized
+# covariant derivative of the product on every frame triple.
+
+
+def dense_unit_parallel(nabla, unit, n):
+    """``nabla_{d_i} ebar`` at ``(a, i)``, frame by frame."""
+    return {(a, i): v for i in range(n) for a, v in nabla_apply(nabla, frame(i), unit).items()}
+
+
+def dense_star_derivative_symmetric(nabla, c, n):
+    """``nabla_{d_i}(*)(d_j, d_k) - nabla_{d_j}(*)(d_i, d_k)`` at ``(a, i, j, k)``, ``i < j``."""
+    out = {}
+    for i, j, k in product(range(n), repeat=3):
+        if i < j:
+            fi, fj, fk = frame(i), frame(j), frame(k)
+            vec = _vsub(nabla_star(nabla, c, fi, fj, fk), nabla_star(nabla, c, fj, fi, fk))
+            out.update({(a, i, j, k): v for a, v in vec.items()})
+    return out
+
+
+def ref_flat_records(base, nabla):
+    """The two table records of `check_flat_f`, scanned frame tuple by frame tuple."""
+    c, n = base.components, base.chart.n
+    unit = {a: f for a, f in enumerate(base.unit) if not f.is_zero()}
+    rep = Report("flat structure")
+    pairs = (
+        ((a, i), vec[a])
+        for i in range(n)
+        for vec in [nabla_apply(nabla, frame(i), unit)]
+        for a in sorted(vec)
+    )
+    rep.scan("unit-parallel", "nabla ebar = 0", pairs)
+    pairs = (
+        ((a, i, j, k), vec[a])
+        for i, j, k in product(range(n), repeat=3)
+        if i < j
+        for vec in [
+            _vsub(
+                nabla_star(nabla, c, frame(i), frame(j), frame(k)),
+                nabla_star(nabla, c, frame(j), frame(i), frame(k)),
+            )
+        ]
+        for a in sorted(vec)
+    )
+    rep.scan("star-derivative-symmetric", "nabla_X(*)(Y, Z) = nabla_Y(*)(X, Z)", pairs)
+    return rep.records
+
+
+def square_zero_3(entry="1"):
+    """Unit ``d1``, ``d2 * d2 = entry d3`` and every other product of ``d2, d3`` zero."""
+    star = {(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1, (2, 0, 2): 1, (2, 2, 0): 1}
+    star[(2, 1, 1)] = parse_expr(entry, B3.names)
+    return BaseFManifold(B3, star, (1, 0, 0))
+
+
+def square_zero_4(entry):
+    """Unit ``d1`` and ``d2 * d2 = entry d4`` on four coordinates."""
+    chart = Chart.standard(4, 0)
+    star = {(0, 0, 0): 1, (3, 1, 1): parse_expr(entry, chart.names)}
+    for i in range(1, 4):
+        star[(i, 0, i)] = star[(i, i, 0)] = 1
+    return BaseFManifold(chart, star, (1, 0, 0, 0))
+
+
+def flat_bases():
+    """Verified bases on one to four coordinates, with constant and rational products."""
+    yield BaseFManifold(B1, {(0, 0, 0): rf("x1/(x1 + 1)", B1)}, (rf("(x1 + 1)/x1", B1),))
+    yield base_line()
+    yield base_plane()
+    yield BaseFManifold(B2, {**PLANE_STAR, (1, 1, 1): rf("1/(x2 + 1)", B2)}, (1, 0))
+    yield square_zero_3()
+    yield square_zero_3("1/(x3 + 2)")
+    yield square_zero_4("1/(x3 + 1)")
+
+
+def test_flat_maps_equal_their_dense_frame_forms():
+    for n in (1, 2, 3):
+        chart = Chart.standard(n, 0)
+        names = chart.names
+        for trial in range(3):
+            rng = rng_for(f"duality-flat-maps-{n}-{trial}")
+            star = {
+                key: rand_ratfunc(rng, names, max_deg=1)
+                for key in product(range(n), repeat=3)
+                if rng.random() < 0.5
+            }
+            c = MultComponents(chart=chart, d={}, l={}, star=star)
+            unit = {a: rand_ratfunc(rng, names, max_deg=2) for a in range(n)}
+            unit = {a: f for a, f in unit.items() if not f.is_zero()}
+            for kind in ("zero", "sparse-constant", "torsion-free", "rational"):
+                nab = random_connection(rng, chart, kind)
+                where = (n, trial, kind)
+                got = duality._map_unit_parallel(nab, unit)
+                assert got == dense_unit_parallel(nab, unit, n), where
+                got = duality._map_star_derivative_symmetric(c, nab)
+                assert got == dense_star_derivative_symmetric(nab, c, n), where
+
+
+def test_flat_records_match_dense_reference_scans():
+    outcomes = {}
+    for number, base in enumerate(flat_bases()):
+        assert base.verify().passed
+        chart = base.chart
+        for trial in range(2):
+            rng = rng_for(f"duality-flat-records-{number}-{trial}")
+            for kind in ("zero", "sparse-constant", "torsion-free", "rational"):
+                nab = random_connection(rng, chart, kind)
+                got = check_flat_f(base, nab).records[2:4]
+                assert got == ref_flat_records(base, nab), (number, trial, kind)
+                for rec in got:
+                    outcomes.setdefault(rec.name, set()).add(rec.passed)
+    assert outcomes == {
+        "unit-parallel": {True, False},
+        "star-derivative-symmetric": {True, False},
+    }
+
+
+def test_unit_parallel_fails_through_each_term():
+    # d_i ebar^a: a unit that is not constant, at zero connection
+    line = BaseFManifold(B1, {(0, 0, 0): rf("x1", B1)}, (rf("1/x1", B1),))
+    rep = check_flat_f(line, Connection.zero(B1))
+    assert witness_and_residual(rep, "unit-parallel") == ((0, 0), "(-1)/(x1^2)")
+    # G^a_ij ebar^j: a constant unit
+    nab = Connection(B3, {(2, 1, 0): rf("1/(x3 + 1)", B3)})
+    rep = check_flat_f(square_zero_3(), nab)
+    assert witness_and_residual(rep, "unit-parallel") == ((2, 1), "(1)/(x3 + 1)")
+
+
+def test_star_derivative_symmetric_fails_through_each_term():
+    # each first failure below comes from one term of
+    # F(a, x, y, z) = d_x b^a_yz + G^a_xc b^c_yz - G^c_xy b^a_cz - G^c_xz b^a_yc
+    base = square_zero_4("1/(x3 + 1)")
+    rep = check_flat_f(base, Connection.zero(base.chart))  # d_x b^a_yz
+    assert witness_and_residual(rep, "star-derivative-symmetric") == (
+        (3, 1, 2, 1),
+        "(1)/(x3^2 + 2*x3 + 1)",
+    )
+    base = square_zero_3()
+    cases = [
+        ((0, 0, 2), (0, 0, 1, 1), "x1"),  # G^a_xc b^c_yz
+        ((0, 1, 2), (1, 1, 2, 1), "-x1"),  # G^c_xy b^a_cz
+        ((0, 1, 1), (2, 1, 2, 1), "-x1"),  # G^c_xz b^a_yc
+    ]
+    for key, witness, residual in cases:
+        rep = check_flat_f(base, Connection(B3, {key: rf("x1", B3)}))
+        assert witness_and_residual(rep, "star-derivative-symmetric") == (witness, residual)
+
+
+def test_check_flat_f_reads_tables_without_an_euler_candidate(monkeypatch):
+    # without an Euler candidate no frame memo is built and no covariant
+    # derivative of a frame is taken
+    cases = []
+    for number, base in enumerate(flat_bases()):
+        rng = rng_for(f"duality-flat-tables-{number}")
+        for kind in ("zero", "rational"):
+            nab = random_connection(rng, base.chart, kind)
+            cases.append((base, nab, check_flat_f(base, nab).records))
+    monkeypatch.setattr(duality, "_Frames", forbidden)
+    monkeypatch.setattr(duality, "nabla_apply", forbidden)
+    for base, nab, want in cases:
+        assert check_flat_f(base, nab).records == want
+    euler = (rf("x1", B2), rf("x2", B2))
+    with pytest.raises(AssertionError, match="must not be used"):
+        check_flat_f(base_plane(), Connection.zero(B2), euler)

@@ -1018,6 +1018,26 @@ def test_pairing_frame_records_and_duality_record_share_no_code(monkeypatch):
     assert verdicts == {True, False}
 
 
+def test_pairing_derivative_takes_each_symmetric_bracket_once(monkeypatch):
+    # <d_m : d_p> depends on (m, p) alone: at most n^2 brackets per check,
+    # against one per (m, p, b, c) tuple
+    calls = []
+    real = gengeo.symmetric_bracket
+
+    def counting(nabla, u, v):
+        calls.append((tuple(u), tuple(v)))
+        return real(nabla, u, v)
+
+    monkeypatch.setattr(gengeo, "symmetric_bracket", counting)
+    prol, nabla = trivial3_package()
+    for c, e, nab in [*_scalar_pair(), (prol.components, prol.unit, nabla)]:
+        calls.clear()
+        rep = check_scalar_compat(c, e, nab)
+        assert rep.record("pairing-derivative").law
+        assert 0 < len(calls) <= c.n**2
+        assert len(set(calls)) == len(calls)
+
+
 def test_classifier_inverts_only_the_shear(monkeypatch):
     from fmanlin import duality, prolong, symcore
 

@@ -1,4 +1,9 @@
-"""The record writers of a report: ``scan`` and ``summarize``."""
+"""The record writers of a report, ``scan`` and ``summarize``, and its JSON text."""
+
+import json
+from fractions import Fraction
+
+import pytest
 
 from fmanlin.report import Report
 from fmanlin.symcore import RatFunc
@@ -61,3 +66,43 @@ def test_summarize_passes_with_the_sub_report():
     assert rep.summarize("wrapped", "sub passes", sub) is True
     assert rep.summarize("empty", "nothing inside", Report("none")) is True
     assert all(r.passed and r.witness is None for r in rep.records)
+
+
+def json_reports():
+    """Reports that cover every layout `to_json` writes."""
+    yield Report("empty")
+    rep = Report("flat structure ∇")
+    rep.add("passing", "X * Y = Y * X", True, (0, 1), "ignored")
+    rep.add("labelled", "∇_X(*)(Y, Z) = ∇_Y(*)(X, Z)", False, ("d", 0, 1), RatFunc.coerce(3))
+    rep.add("no-witness", "a = b", False, None, "x1/2")
+    rep.add("no-residual", "routes agree", False, (1, 0))
+    rep.add("neither", "a = b", False)
+    rep.add("empty-witness", "a = b", False, (), "-1")
+    rep.add("flags", "a = b", False, (True, False, 0, -7), "x")
+    rep.add("escapes", 'quote " and \\ and \t\n  \x01', False, ("é\ud800", 2), "ü")
+    sub = Report("sub")
+    sub.scan("first", "a = b", [((2, 1), RatFunc.coerce(-1))])
+    rep.summarize("summarized", "sub passes", sub)
+    bare = Report("bare")
+    bare.add("route-agreement", "routes agree", False, None)
+    rep.summarize("summarized-bare", "sub passes", bare)
+    rep.summarize("summarized-pass", "sub passes", Report("none"))
+    rep.note("résumé — naïve ✓")
+    rep.note("")
+    yield rep
+    only_notes = Report("notes only")
+    only_notes.note("a note")
+    yield only_notes
+
+
+def test_to_json_writes_the_bytes_of_the_json_module():
+    for rep in json_reports():
+        assert rep.to_json() == json.dumps(rep.to_dict(), indent=2), rep.title
+
+
+def test_to_json_refuses_a_witness_element_it_cannot_write_as_json_does():
+    for element in (1.5, (0, 1), Fraction(1, 2)):
+        rep = Report("t")
+        rep.add("bad", "a = b", False, (0, element), "1")
+        with pytest.raises(TypeError):
+            rep.to_json()
