@@ -11,29 +11,22 @@ diagnostic tool.
 
 from __future__ import annotations
 
-from functools import partial
-from itertools import combinations_with_replacement, product
-
 from .fman import (
     BaseFManifold,
     LinearVectorField,
     MultComponents,
-    apply_l_vec,
     check_battery,
     star_product,
     _Ctx,
-    _Memo,
     _euler_report,
-    _frame,
+    _map_euler_base,
     _on_frames,
     _partials,
     _require,
-    _vec_pairs,
-    _vscale,
 )
 from .report import Report
 from .symcore import RatFunc, SingularMatrixError, _inverse
-from .tensor import Chart, Connection, TensorField, _acc, _vadd, _vsub
+from .tensor import Chart, Connection, TensorField, _acc, _vadd
 
 __all__ = [
     "Connection",
@@ -49,7 +42,6 @@ __all__ = [
 ]
 
 _ZERO = RatFunc.zero()
-_TWO = RatFunc.coerce(2)
 
 
 # -- covariant calculus on base coefficient dicts ------------------------------
@@ -121,7 +113,6 @@ def check_flat_f(base: BaseFManifold, nabla: Connection, euler=None) -> Report:
     evec = None if euler is None else _euler_to_vec(chart, euler)
     _require("the flat-structure check", base.verify())
     rep = Report("flat structure")
-    n = chart.n
     c = base.components
 
     rep.scan("torsion-free", "T(X, Y) = 0", sorted(torsion(nabla).coeffs.items()))
@@ -138,20 +129,11 @@ def check_flat_f(base: BaseFManifold, nabla: Connection, euler=None) -> Report:
         rep.note("no Euler candidate supplied; the second-derivative condition was not checked")
         return rep
 
-    frames = _Frames(c, nabla, evec)
-    rep.scan(
-        "euler-base",
-        "L_Ebar(*) = *",
-        _vec_pairs(
-            combinations_with_replacement(range(n), 2),
-            lambda j, k: _vsub(frames.ctx.lie_at(evec, j, k), frames.ctx.star[j, k]),
-        ),
-    )
-    rep.scan(
-        "euler-second-derivative",
-        "nabla^2 Ebar = 0",
-        _vec_pairs(product(range(n), repeat=2), frames.nabla2_euler),
-    )
+    # L_Ebar(*)(d_j, d_k) - d_j * d_k is the battery's euler-base map
+    lie = _map_euler_base(_Ctx(c, euler=LinearVectorField(chart, euler, ())))
+    lie = {key: val for key, val in lie.items() if key[1] <= key[2]}
+    rep.scan("euler-base", "L_Ebar(*) = *", _by_frames(lie))
+    rep.scan("euler-second-derivative", "nabla^2 Ebar = 0", _by_frames(_map_nabla2(nabla, evec)))
     return rep
 
 
@@ -162,44 +144,85 @@ def _by_frames(residuals: dict) -> list:
 
 def _map_unit_parallel(nabla: Connection, unit: dict) -> dict:
     """``nabla_{d_i} ebar`` at ``(a, i)``: ``d_i ebar^a + G^a_ij ebar^j``."""
+    terms = [((a, i), 1, d) for i, a, d in _partials(nabla.chart, unit.items())]
+    terms += [((a, i), 1, g * unit[j]) for (a, i, j), g in nabla.gamma.items() if j in unit]
+    return _merged(terms)
+
+
+def _grouped(pairs) -> dict:
+    """``{key: [item, ...]}`` from ``(key, item)`` pairs."""
     out = {}
-    for i, a, d in _partials(nabla.chart, unit.items()):
-        _acc(out, (a, i), d)
-    for (a, i, j), g in nabla.gamma.items():
-        if j in unit:
-            _acc(out, (a, i), g * unit[j])
+    for key, item in pairs:
+        out.setdefault(key, []).append(item)
+    return out
+
+
+def _star_groups(c: MultComponents) -> tuple:
+    """The star entries ``b^a_yz`` by output, first and second index:
+    ``{a: [(y, z, b)]}``, ``{y: [(a, z, b)]}`` and ``{z: [(a, y, b)]}``."""
+    entries = c.star.items()
+    return (
+        _grouped((a, (y, z, b)) for (a, y, z), b in entries),
+        _grouped((y, (a, z, b)) for (a, y, z), b in entries),
+        _grouped((z, (a, y, b)) for (a, y, z), b in entries),
+    )
+
+
+def _star_derivative_terms(c: MultComponents, nabla: Connection, groups: tuple):
+    """``((a, x, y, z), sign, term)`` for the terms of ``F(a, x, y, z) = d_x b^a_yz
+    + G^a_xc b^c_yz - G^c_xy b^a_cz - G^c_xz b^a_yc``, which is
+    ``nabla_{d_x}(*)(d_y, d_z)``: the partials of the star entries ``b``, and
+    each Christoffel entry ``G`` joined with the star entries by output, first
+    and second index."""
+    by_out, by_first, by_second = groups
+    for x, (a, y, z), d in _partials(c.chart, c.star.items()):  # d_x b^a_yz
+        yield (a, x, y, z), 1, d
+    for (k, x, m), g in nabla.gamma.items():  # G^k_xm
+        for y, z, b in by_out.get(m, ()):  # G^a_xc b^c_yz
+            yield (k, x, y, z), 1, g * b
+        for a, z, b in by_first.get(k, ()):  # G^c_xy b^a_cz
+            yield (a, x, m, z), -1, g * b
+        for a, y, b in by_second.get(k, ()):  # G^c_xz b^a_yc
+            yield (a, x, y, m), -1, g * b
+
+
+def _merged(terms) -> dict:
+    """``{key: sum of sign * value}`` over ``(key, sign, value)`` terms, nonzero
+    sums only.  Equal values at one key merge into an integer multiple first,
+    so a term that cancels or repeats costs no rational arithmetic."""
+    by_key = {}
+    for key, sign, val in terms:
+        vals = by_key.setdefault(key, {})
+        vals[val] = vals.get(val, 0) + sign
+    out = {}
+    for key, vals in by_key.items():
+        for val, sign in vals.items():
+            if sign:
+                _acc(out, key, val if sign == 1 else -val if sign == -1 else val * sign)
     return out
 
 
 def _map_star_derivative_symmetric(c: MultComponents, nabla: Connection) -> dict:
-    """``F(a, x, y, z) - F(a, y, x, z)`` at ``(a, x, y, z)`` with ``x < y``, where
-    ``F(a, x, y, z) = d_x b^a_yz + G^a_xc b^c_yz - G^c_xy b^a_cz - G^c_xz b^a_yc``
-    is ``nabla_{d_x}(*)(d_y, d_z)``: the partials of the star entries ``b``,
-    and each Christoffel entry ``G`` joined with the star entries by output,
-    first and second index."""
-    by_out, by_first, by_second = {}, {}, {}
-    for (a, y, z), b in c.star.items():
-        by_out.setdefault(a, []).append((y, z, b))
-        by_first.setdefault(y, []).append((a, z, b))
-        by_second.setdefault(z, []).append((a, y, b))
-    out = {}
+    """``F(a, x, y, z) - F(a, y, x, z)`` at ``(a, x, y, z)`` with ``x < y``, for
+    ``F`` of `_star_derivative_terms`."""
+    return _merged(
+        ((a, x, y, z), sign, val) if x < y else ((a, y, x, z), -sign, val)
+        for (a, x, y, z), sign, val in _star_derivative_terms(c, nabla, _star_groups(c))
+        if x != y
+    )
 
-    def add(a, x, y, z, val):
-        if x < y:
-            _acc(out, (a, x, y, z), val)
-        elif y < x:
-            _acc(out, (a, y, x, z), -val)
 
-    for x, (a, y, z), d in _partials(c.chart, c.star.items()):  # d_x b^a_yz
-        add(a, x, y, z, d)
-    for (k, x, m), g in nabla.gamma.items():  # G^k_xm
-        for y, z, b in by_out.get(m, ()):  # G^a_xc b^c_yz
-            add(k, x, y, z, g * b)
-        for a, z, b in by_first.get(k, ()):  # G^c_xy b^a_cz
-            add(a, x, m, z, -(g * b))
-        for a, y, b in by_second.get(k, ()):  # G^c_xz b^a_yc
-            add(a, x, y, m, -(g * b))
-    return out
+def _map_nabla2(nabla: Connection, evec: dict) -> dict:
+    """``nabla^2 Ebar`` at ``(k, i, j)``: ``d_i V^k_j + G^k_ia V^a_j - G^a_ij V^k_a``,
+    for the entries ``V^k_j`` of ``nabla_{d_j} Ebar`` (`_map_unit_parallel`)."""
+    first = _map_unit_parallel(nabla, evec)
+    by_out = _grouped((k, (j, v)) for (k, j), v in first.items())
+    by_frame = _grouped((j, (k, v)) for (k, j), v in first.items())
+    terms = [((k, i, j), 1, d) for i, (k, j), d in _partials(nabla.chart, first.items())]
+    for (k, i, a), g in nabla.gamma.items():  # G^k_ia
+        terms += [((k, i, j), 1, g * v) for j, v in by_out.get(a, ())]  # G^k_ia V^a_j
+        terms += [((m, i, a), -1, g * v) for m, v in by_frame.get(k, ())]  # G^k_ia V^m_k
+    return _merged(terms)
 
 
 def _euler_to_vec(chart: Chart, euler) -> dict:
@@ -255,83 +278,96 @@ def dualize(c: MultComponents, e: LinearVectorField, nabla: Connection):
     return dual, e.dual()
 
 
-# -- obstruction vectors for the duality conditions -----------------------------
+# -- obstruction maps for the duality conditions --------------------------------
 #
-# Each condition says a base vector expression lies in the kernel of the map
-# sending a vector field to its side operator, evaluated on coordinate frames:
-# as ``[d_a, d_b] = 0``, six of the twelve integrability terms vanish.  Frame
-# quantities that recur between index tuples are memoized per check by
-# `_Frames`: the covariant ones here, and the frame products ``d_x * d_y``
-# and frame Lie derivatives ``L_{d_z}(*)(d_x, d_y)``, which are also the
-# brackets ``[d_z, d_x * d_y]``, in the `_Ctx` it holds.  Torsion is
-# tensorial, so ``T(ebar, d_x)`` is summed from ``T(d_a, d_x)``.  The
-# ``dual-battery`` cross-check reads none of these memos.  `_Frames` serves
-# these obstruction scans and the two Euler records of the flat-structure
-# check; its other records read the star, unit and Christoffel entries.
+# Each condition says a base vector expression ``w`` lies in the kernel of
+# ``X -> l_X`` on coordinate frames.  ``w`` is one ``{(m, *idx): w^m}`` map,
+# summed from the star, Christoffel, unit and Euler entries and the partials
+# they keep, and its kernel image is one join with the ``l`` entries.  The
+# ``dual-battery`` cross-check calls none of these maps.
 
 
-class _Frames:
-    """The inputs of one check and its frame quantities, each computed on first use."""
-
-    def __init__(self, c: MultComponents, nabla: Connection, evec: dict | None = None):
-        self.nabla, fr = nabla, _frame
-        sb = partial(symmetric_bracket, nabla)
-        ctx = self.ctx = _Ctx(c)  # d_x * d_y and L_{d_z}(*)(d_x, d_y)
-        star, lie = ctx.star, ctx.lie
-        nab = self.nab = _Memo(lambda x, y: nabla_apply(nabla, fr(x), fr(y)))  # nabla_{d_x} d_y
-        sym = _Memo(lambda x, y: _vadd(nab[x, y], nab[y, x]))  # <d_x : d_y>
-        self.tor = _Memo(lambda x, y: _vsub(nab[x, y], nab[y, x]))  # T(d_x, d_y)
-
-        def tor_star_at(z, x, y):  # T(d_z, d_x * d_y)
-            s = star[x, y]
-            out = _vsub(nabla_apply(nabla, fr(z), s), nabla_apply(nabla, s, fr(z)))
-            return _vsub(out, lie[z, x, y])
-
-        self.tor_star = _Memo(tor_star_at)
-
-        def nabla_star_at(x, y, z):  # nabla_{d_x}(*)(d_y, d_z)
-            out = nabla_apply(nabla, fr(x), star[y, z])
-            out = _vsub(out, _on_frames(nab[x, y], lambda a: star[a, z]))
-            return _vsub(out, _on_frames(nab[x, z], lambda a: star[y, a]))
-
-        self.nabla_star = _Memo(nabla_star_at)  # nabla_{d_x}(*)(d_y, d_z)
-        # the integrability terms <[d_z, d_x * d_y] : d_v>, L_{<d_x : d_y>}(*)(d_z, d_v)
-        # and <d_x : L_{d_y}(*)(d_z, d_v)>
-        self.sym_bracket = _Memo(lambda z, x, y, v: sb(lie[z, x, y], fr(v)))
-        self.lie_sym = _Memo(lambda x, y, z, v: ctx.lie_at(sym[x, y], z, v))
-        self.sym_lie = _Memo(lambda x, y, z, v: sb(fr(x), lie[y, z, v]))
-        self.nabla_euler = _Memo(lambda j: nabla_apply(nabla, fr(j), evec))  # nabla_{d_j} Ebar
-
-    def nabla2_euler(self, i, j) -> dict:
-        """``nabla^2 Ebar`` at ``(d_i, d_j)``; ``nabla_u Ebar`` is linear in ``u``."""
-        out = nabla_apply(self.nabla, _frame(i), self.nabla_euler[j])
-        for k, g in self.nab[i, j].items():
-            out = _vsub(out, _vscale(self.nabla_euler[k], g))
-        return out
+def _kernel_image(c: MultComponents, w: dict) -> list:
+    """``((i, j, *idx), l(s_j, w)^i)`` for the obstruction ``w`` at ``(m, *idx)``,
+    in scan order: by ``idx``, then ``j``, then ``i``."""
+    by_last = _grouped((m, (i, j, a)) for (i, j, m), a in c.l.items())
+    image = _merged(
+        ((i, j, *idx), 1, wm * a) for (m, *idx), wm in w.items() for i, j, a in by_last.get(m, ())
+    )
+    return sorted(image.items(), key=lambda pair: (pair[0][2:], pair[0][1], pair[0][0]))
 
 
-def _asoc_vec(f: _Frames, x: int, y: int, z: int) -> dict:
-    tor, star = f.tor, f.ctx.star
-    out = _on_frames(tor[x, y], lambda a: star[a, z])
-    out = _vadd(out, _vscale(_on_frames(tor[x, z], lambda a: star[a, y]), _TWO))
-    out = _vadd(out, _on_frames(tor[y, z], lambda a: star[a, x]))
-    out = _vadd(out, _vsub(f.tor_star[z, x, y], f.tor_star[x, y, z]))
-    return _vadd(out, _vscale(_vsub(f.nabla_star[x, y, z], f.nabla_star[z, x, y]), _TWO))
+def _map_dual_associative(c: MultComponents, nabla: Connection) -> dict:
+    """The associativity obstruction at ``(k, x, y, z)``: with ``t`` the torsion,
+    ``t^a_xy b^k_az + 2 t^a_xz b^k_ay + t^a_yz b^k_ax + b^j_xy t^k_zj
+    - b^j_yz t^k_xj + 2 F(k, x, y, z) - 2 F(k, z, x, y)``, for ``F`` of
+    `_star_derivative_terms`: each torsion entry joined with the star entries
+    by first and by output index, and ``F`` summed before it is placed twice."""
+    by_out, by_first, _ = groups = _star_groups(c)
+    terms = []
+    for (k, p, q), t in torsion(nabla).coeffs.items():  # t^k_pq
+        for m, r, b in by_first.get(k, ()):  # t^k_pq b^m_kr
+            tb = t * b
+            terms += [((m, p, q, r), 1, tb), ((m, p, r, q), 2, tb), ((m, r, p, q), 1, tb)]
+        for x, y, b in by_out.get(q, ()):  # b^q_xy t^k_pq
+            tb = t * b
+            terms += [((k, x, y, p), 1, tb), ((k, p, x, y), -1, tb)]
+    for (a, x, y, z), f in _merged(_star_derivative_terms(c, nabla, groups)).items():
+        terms += [((a, x, y, z), 2, f), ((a, y, z, x), -2, f)]
+    return _merged(terms)
 
 
-def _unit_vec(f: _Frames, ebar: dict, x: int) -> dict:
-    out = _vscale(nabla_apply(f.nabla, _frame(x), ebar), _TWO)
-    return _vadd(out, _on_frames(ebar, lambda a: f.tor[a, x]))  # T(ebar, d_x)
+def _map_dual_unit(nabla: Connection, ebar: dict) -> dict:
+    """``2 nabla_{d_x} ebar + T(ebar, d_x)`` at ``(k, x)``: twice the entries of
+    `_map_unit_parallel`, and each torsion entry ``t^k_jx`` times ``ebar^j``."""
+    terms = [(key, 2, val) for key, val in _map_unit_parallel(nabla, ebar).items()]
+    tor = torsion(nabla).coeffs.items()
+    terms += [((k, x), 1, t * ebar[j]) for (k, j, x), t in tor if j in ebar]
+    return _merged(terms)
 
 
-def _integr_vec(f: _Frames, x: int, y: int, z: int, v: int) -> dict:
-    out = _vadd(f.sym_bracket[z, x, y, v], f.sym_bracket[v, x, y, z])
-    out = _vadd(out, _vsub(f.lie_sym[x, y, z, v], f.lie_sym[z, v, x, y]))
-    return _vsub(out, _vadd(f.sym_lie[x, y, z, v], f.sym_lie[y, x, z, v]))
+def _map_dual_integrable(c: MultComponents, nabla: Connection) -> dict:
+    """The integrability obstruction at ``(m, x, y, z, v)``, ``x <= y``, ``z <= v``:
+    the six of its twelve terms with no bracket of two frames, which are
+    ``H(x, y, z, v) - H(z, v, x, y)`` with ``S^m_pq = G^m_pq + G^m_qp`` and
+
+        H^m(x, y, z, v) = 2 d_z d_v b^m_xy + d_z b^j_xy S^m_jv + d_v b^j_xy S^m_jz
+                          - S^c_zv d_c b^m_xy + b^c_xy d_c S^m_zv
+                          - d_x S^a_zv b^m_ay - d_y S^a_zv b^m_xa.
+
+    ``S`` is taken term by term, each Christoffel entry in both orders, so
+    each partial of ``S`` is one that an entry keeps."""
+    by_out, by_first, by_second = _star_groups(c)
+    sym = list(nabla.gamma.items())
+    sym += [((k, j, i), g) for (k, i, j), g in sym]
+    sym_by_first = _grouped((j, (m, q, s)) for (m, j, q), s in sym)
+    dstar = list(_partials(c.chart, c.star.items()))
+    dstar_by_dir = _grouped((p, (m, x, y, d)) for p, (m, x, y), d in dstar)
+    terms = []
+    for p, (j, x, y), d in dstar:  # d_p b^j_xy, placed at (z, v) = (p, q) and (q, p)
+        vals = [(j, q, dd) for q, _, dd in _partials(c.chart, ((j, d),))]
+        vals += [(m, q, d * s) for m, q, s in sym_by_first.get(j, ())]
+        for m, q, val in vals:
+            terms += [((m, x, y, p, q), 1, val), ((m, x, y, q, p), 1, val)]
+    for (a, z, v), s in sym:  # S^a_zv
+        terms += [((m, x, y, z, v), -1, s * d) for m, x, y, d in dstar_by_dir.get(a, ())]
+    for e, (a, z, v), d in _partials(c.chart, sym):  # d_e S^a_zv
+        terms += [((a, x, y, z, v), 1, b * d) for x, y, b in by_out.get(e, ())]
+        terms += [((m, e, y, z, v), -1, d * b) for m, y, b in by_first.get(a, ())]
+        terms += [((m, x, e, z, v), -1, d * b) for m, x, b in by_second.get(a, ())]
+    half = _merged(
+        t for t in terms if t[0][1] <= t[0][2] and t[0][3] <= t[0][4] and t[0][1:3] != t[0][3:]
+    )
+    swapped = [((m, z, v, x, y), -1, h) for (m, x, y, z, v), h in half.items()]
+    return _merged([(key, 1, h) for key, h in half.items()] + swapped)
 
 
-def _euler_vec(f: _Frames, x: int, y: int) -> dict:
-    return _vadd(f.nabla2_euler(x, y), f.nabla2_euler(y, x))
+def _map_dual_euler(nabla: Connection, evec: dict) -> dict:
+    """``nabla^2 Ebar (d_x, d_y) + nabla^2 Ebar (d_y, d_x)`` at ``(k, x, y)``, ``x <= y``."""
+    return _merged(
+        ((k, min(x, y), max(x, y)), 1 if x != y else 2, val)
+        for (k, x, y), val in _map_nabla2(nabla, evec).items()
+    )
 
 
 def check_duality_conditions(
@@ -351,43 +387,28 @@ def check_duality_conditions(
         raise ValueError("connection chart does not match the base coordinates")
     _require("the duality check", check_battery(c, e))
     rep = Report("duality conditions")
-    n, kdim = c.n, c.rank
-
-    def kernel_pairs(tuples, vec_fn):
-        """``((i, j, *idx), l(s_j, w)^i)`` for the obstruction ``w`` at ``idx``."""
-        for idx in tuples:
-            w = vec_fn(*idx)
-            for j in range(kdim):
-                img = apply_l_vec(c, w, _frame(j))
-                for i in sorted(img):
-                    yield (i, j, *idx), img[i]
-
-    frames = _Frames(c, nabla, None if euler is None else euler.base_vec())
     ok = rep.scan(
         "dual-associative",
         "the associativity obstruction lies in the kernel of l",
-        kernel_pairs(product(range(n), repeat=3), partial(_asoc_vec, frames)),
+        _kernel_image(c, _map_dual_associative(c, nabla)),
     )
     ok &= rep.scan(
         "dual-unit",
         "l(s, 2 nabla_X ebar + T(ebar, X)) = 0",
-        kernel_pairs(product(range(n)), partial(_unit_vec, frames, e.base_vec())),
+        _kernel_image(c, _map_dual_unit(nabla, e.base_vec())),
     )
     # the integrability obstruction is symmetric within each frame pair
     # (commutativity holds by precondition), so ordered pairs suffice
-    pairs = list(combinations_with_replacement(range(n), 2))
     ok &= rep.scan(
         "dual-integrable",
         "the integrability obstruction lies in the kernel of l",
-        kernel_pairs(
-            (xy + zv for xy, zv in product(pairs, pairs)), partial(_integr_vec, frames)
-        ),
+        _kernel_image(c, _map_dual_integrable(c, nabla)),
     )
     if euler is not None:
         rep.scan(
             "dual-euler",
             "l(s, symmetrized nabla^2 Ebar) = 0",
-            kernel_pairs(pairs, partial(_euler_vec, frames)),
+            _kernel_image(c, _map_dual_euler(nabla, euler.base_vec())),
         )
 
     dual_c, dual_e = dualize(c, e, nabla)

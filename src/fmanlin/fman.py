@@ -231,12 +231,6 @@ def _compile(entries) -> dict:
 # -- sparse coefficient-dict calculus -----------------------------------------
 
 
-def _vscale(a: dict, f: RatFunc) -> dict:
-    if f.is_zero():
-        return {}
-    return {key: val * f for key, val in a.items()}
-
-
 def _vget(a: dict, key) -> RatFunc:
     return a.get(key, _ZERO)
 
@@ -300,10 +294,6 @@ def apply_l(c: MultComponents, k: int, sec: dict) -> dict:
         for i, val in rows.get((k, j), ()):
             _acc(out, i, val * f)
     return out
-
-
-def apply_l_vec(c: MultComponents, u: dict, sec: dict) -> dict:
-    return _on_frames(u, lambda a: apply_l(c, a, sec))
 
 
 def apply_d(c: MultComponents, k: int, p: int, sec: dict) -> dict:

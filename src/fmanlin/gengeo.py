@@ -40,7 +40,7 @@ from .fman import (
     apply_l,
     check_battery,
 )
-from .prolong import _double_prolongation, conjugate, conjugate_unit
+from .prolong import _conjugate, _conjugate_unit, _double_prolongation
 from .report import Report
 from .symcore import RatFunc, _Value
 from .tensor import (
@@ -451,17 +451,14 @@ def check_dorfman_compat(
 def bfield_transform(
     c: MultComponents, e: LinearVectorField, gamma: TwoForm
 ) -> tuple[MultComponents, LinearVectorField]:
-    """Conjugate ``(c, e)`` by the shear ``X + xi -> X + xi + i_X gamma``."""
+    """Conjugate ``(c, e)`` by the shear ``X + xi -> X + xi + i_X gamma``,
+    whose inverse is the shear by ``-gamma``."""
     n = _check_candidate(c, e, gamma, "two-form")
-    rows = []
-    for a in range(2 * n):
-        row = [_ONE if b == a else _ZERO for b in range(2 * n)]
-        if a >= n:
-            for b in range(n):
-                row[b] = gamma.at(b, a - n)
-        rows.append(tuple(row))
-    iso = tuple(rows)
-    return conjugate(c, iso), conjugate_unit(e, iso)
+    mat = [[_ONE if b == a else _ZERO for b in range(2 * n)] for a in range(2 * n)]
+    inv = [list(row) for row in mat]
+    for a, b in product(range(n), repeat=2):
+        mat[n + a][b], inv[n + a][b] = gamma.at(b, a), -gamma.at(b, a)
+    return _conjugate(c, mat, inv), _conjugate_unit(e, mat, inv)
 
 
 # -- classification -----------------------------------------------------------------

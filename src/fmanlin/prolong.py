@@ -229,8 +229,11 @@ def conjugate(c: MultComponents, iso) -> MultComponents:
     frame change with non-constant entries the derivative table picks up
     the usual first-order corrections; the base product is untouched.
     """
+    return _conjugate(c, *_coerce_iso(c.chart, iso))
+
+
+def _conjugate(c: MultComponents, mat, inv) -> MultComponents:
     chart = c.chart
-    mat, inv = _coerce_iso(chart, iso)
     n, kdim = chart.n, chart.k
     new_d, new_l = {}, {}
     for b in range(kdim):
@@ -246,16 +249,18 @@ def conjugate(c: MultComponents, iso) -> MultComponents:
 
 def conjugate_unit(e: LinearVectorField, iso) -> LinearVectorField:
     """Transport a fiberwise-linear vector field through a change of frame."""
-    chart = e.chart
-    mat, inv = _coerce_iso(chart, iso)
-    kdim = chart.k
+    return _conjugate_unit(e, *_coerce_iso(e.chart, iso))
+
+
+def _conjugate_unit(e: LinearVectorField, mat, inv) -> LinearVectorField:
+    kdim = e.chart.k
     lam = [[_ZERO] * kdim for _ in range(kdim)]
     for b in range(kdim):
         col = {i: inv[i][b] for i in range(kdim) if not inv[i][b].is_zero()}
         img = _mat_apply(mat, apply_delta(e, col))
         for a in range(kdim):
             lam[a][b] = -img.get(a, _ZERO)
-    return LinearVectorField(chart, e.beta, tuple(tuple(row) for row in lam))
+    return LinearVectorField(e.chart, e.beta, tuple(tuple(row) for row in lam))
 
 
 # -- the five-field identity -----------------------------------------------------

@@ -43,13 +43,6 @@ class CheckRecord(_Value):
             name=name, law=law, passed=passed, witness=witness, residual=residual
         )
 
-    def to_dict(self) -> dict:
-        body = {"name": self.name, "law": self.law, "passed": self.passed}
-        if not self.passed:
-            body["witness"] = list(self.witness) if self.witness is not None else None
-            body["residual"] = self.residual
-        return body
-
 
 class Report:
     """Ordered collection of check records with an overall verdict."""
@@ -116,19 +109,13 @@ class Report:
     def note(self, text: str) -> None:
         self.notes.append(text)
 
-    def to_dict(self) -> dict:
-        return {
-            "title": self.title,
-            "passed": self.passed,
-            "records": [r.to_dict() for r in self.records],
-            "notes": list(self.notes),
-        }
-
     def to_json(self) -> str:
-        """The text of ``json.dumps(self.to_dict(), indent=2)``, written directly.
+        """The report as ``indent=2`` JSON: its title, verdict, records and notes.
 
-        Strings go through the escaper ``json`` uses; a witness element that
-        is not a str, int, bool or None raises ``TypeError``.
+        A record holds its name, law and verdict, and when it failed its
+        witness (a list, or null) and residual.  Strings go through the
+        escaper ``json`` uses; a witness element that is not a str, int, bool
+        or None raises ``TypeError``.
         """
         from json.encoder import encode_basestring_ascii  # only ``--json`` stages load it
 

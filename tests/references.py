@@ -19,11 +19,15 @@ and :func:`_verify_leibniz` checks an assembled tensor against the Leibniz
 rule of its tables.  :func:`courant_frame_residuals` evaluates the frame
 laws of the anchor, scalar and bracket checks in section form, through the
 frame operators and the pairing of sections, and the structural pairing
-record by conjugating with the pairing matrix.
+record by conjugating with the pairing matrix.  The ``ref_*_vec`` functions
+are the dense frame forms of the duality obstructions and
+:func:`ref_kernel_records` scans them frame tuple by frame tuple, the
+reference for the residual maps of ``duality``.  :func:`report_layout` is the
+JSON layout that ``Report.to_json`` writes.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from operator import attrgetter
 
 from fmanlin.duality import dualize, nabla_apply, symmetric_bracket
@@ -34,7 +38,6 @@ from fmanlin.fman import (
     _frame,
     _vf_apply,
     _vf_bracket,
-    _vscale,
     apply_d,
     apply_delta,
     apply_l,
@@ -42,6 +45,7 @@ from fmanlin.fman import (
 )
 from fmanlin.gengeo import _double_rank, _dorfman_comps
 from fmanlin.prolong import conjugate, conjugate_unit
+from fmanlin.report import Report
 from fmanlin.symcore import RatFunc, _Value
 from fmanlin.tensor import (
     Chart,
@@ -61,6 +65,42 @@ from fmanlin.tensor import (
 _ZERO = RatFunc.zero()
 _HALF = RatFunc.coerce(Fraction(1, 2))
 _TWO = RatFunc.coerce(2)
+
+
+def vscale(a: dict, f: RatFunc) -> dict:
+    """The vector dict ``a`` times the scalar ``f``."""
+    if f.is_zero():
+        return {}
+    return {key: val * f for key, val in a.items()}
+
+
+def apply_l_vec(c: MultComponents, u: dict, sec: dict) -> dict:
+    """``l_u sec``: the side operator along the base vector field ``u``."""
+    out = {}
+    for a, w in u.items():
+        for key, val in apply_l(c, a, sec).items():
+            _acc(out, key, w * val)
+    return out
+
+
+def record_layout(rec) -> dict:
+    """The JSON layout of one record: its name, law and verdict, and when it
+    failed its witness (a list, or None) and residual."""
+    body = {"name": rec.name, "law": rec.law, "passed": rec.passed}
+    if not rec.passed:
+        body["witness"] = list(rec.witness) if rec.witness is not None else None
+        body["residual"] = rec.residual
+    return body
+
+
+def report_layout(rep: Report) -> dict:
+    """The JSON layout of a report, which ``Report.to_json`` writes with ``indent=2``."""
+    return {
+        "title": rep.title,
+        "passed": rep.passed,
+        "records": [record_layout(r) for r in rep.records],
+        "notes": list(rep.notes),
+    }
 
 
 def lie_components(c: MultComponents, x: LinearVectorField):
@@ -88,6 +128,94 @@ def torsion_vec(nabla: Connection, u: dict, v: dict) -> dict:
     """``T(u, v) = nabla_u v - nabla_v u - [u, v]``."""
     out = _vsub(nabla_apply(nabla, u, v), nabla_apply(nabla, v, u))
     return _vsub(out, _vf_bracket(nabla.chart, u, v))
+
+
+def ref_nabla2_vec(nabla: Connection, u: dict, v: dict, w: dict) -> dict:
+    """``nabla^2 w (u, v) = nabla_u nabla_v w - nabla_{nabla_u v} w``."""
+    out = nabla_apply(nabla, u, nabla_apply(nabla, v, w))
+    return _vsub(out, nabla_apply(nabla, nabla_apply(nabla, u, v), w))
+
+
+def ref_asoc_vec(c: MultComponents, nabla: Connection, x, y, z) -> dict:
+    """The associativity obstruction of the duality conditions at three frames."""
+    fx, fy, fz = _frame(x), _frame(y), _frame(z)
+    out = star_product(c, torsion_vec(nabla, fx, fy), fz)
+    out = _vadd(out, vscale(star_product(c, torsion_vec(nabla, fx, fz), fy), _TWO))
+    out = _vadd(out, star_product(c, torsion_vec(nabla, fy, fz), fx))
+    out = _vadd(out, torsion_vec(nabla, fz, star_product(c, fx, fy)))
+    out = _vsub(out, torsion_vec(nabla, fx, star_product(c, fy, fz)))
+    out = _vadd(out, vscale(nabla_star(nabla, c, fx, fy, fz), _TWO))
+    return _vsub(out, vscale(nabla_star(nabla, c, fz, fx, fy), _TWO))
+
+
+def ref_unit_vec(e: LinearVectorField, nabla: Connection, x) -> dict:
+    """The unit obstruction ``2 nabla_{d_x} ebar + T(ebar, d_x)``."""
+    ebar = e.base_vec()
+    out = vscale(nabla_apply(nabla, _frame(x), ebar), _TWO)
+    return _vadd(out, torsion_vec(nabla, ebar, _frame(x)))
+
+
+def ref_integr_vec(c: MultComponents, nabla: Connection, x, y, z, v) -> dict:
+    """The full twelve-term integrability obstruction at four frames, brackets
+    of two frames included."""
+
+    def br(a, b):
+        return _vf_bracket(c.chart, a, b)
+
+    def sb(a, b):
+        return symmetric_bracket(nabla, a, b)
+
+    fx, fy, fz, fv = _frame(x), _frame(y), _frame(z), _frame(v)
+    sxy = star_product(c, fx, fy)
+    out = sb(br(fz, sxy), fv)
+    out = _vadd(out, sb(br(fv, sxy), fz))
+    out = _vadd(out, lie_star(c, sb(fx, fy), fz, fv))
+    out = _vsub(out, lie_star(c, sb(fz, fv), fx, fy))
+    out = _vsub(out, sb(fx, lie_star(c, fy, fz, fv)))
+    out = _vsub(out, sb(fy, lie_star(c, fx, fz, fv)))
+    out = _vadd(out, lie_star(c, fy, br(fx, fv), fz))
+    out = _vadd(out, lie_star(c, fy, br(fx, fz), fv))
+    out = _vadd(out, lie_star(c, fx, br(fy, fv), fz))
+    out = _vadd(out, lie_star(c, fx, br(fy, fz), fv))
+    out = _vadd(out, star_product(c, fx, _vadd(sb(br(fy, fv), fz), sb(br(fy, fz), fv))))
+    return _vadd(out, star_product(c, fy, _vadd(sb(br(fx, fv), fz), sb(br(fx, fz), fv))))
+
+
+def ref_euler_vec(nabla: Connection, evec: dict, x, y) -> dict:
+    """The symmetrized second covariant derivative of ``evec`` at two frames."""
+    fx, fy = _frame(x), _frame(y)
+    return _vadd(ref_nabla2_vec(nabla, fx, fy, evec), ref_nabla2_vec(nabla, fy, fx, evec))
+
+
+def ref_kernel_records(c: MultComponents, e: LinearVectorField, nabla: Connection, euler=None):
+    """The four condition records of the duality check, scanned densely from
+    the reference obstructions: frame tuple by frame tuple, then fiber frame
+    ``j``, then output index ``i``."""
+    n, kdim = c.n, c.rank
+    rep = Report("duality conditions")
+
+    def kernel_pairs(tuples, vec_fn):
+        for idx in tuples:
+            w = vec_fn(*idx)
+            for j in range(kdim):
+                img = apply_l_vec(c, w, _frame(j))
+                for i in sorted(img):
+                    yield (i, j, *idx), img[i]
+
+    pairs = list(combinations_with_replacement(range(n), 2))
+    law = "the associativity obstruction lies in the kernel of l"
+    asoc = kernel_pairs(product(range(n), repeat=3), lambda *i: ref_asoc_vec(c, nabla, *i))
+    rep.scan("dual-associative", law, asoc)
+    unit = kernel_pairs(product(range(n)), lambda x: ref_unit_vec(e, nabla, x))
+    rep.scan("dual-unit", "l(s, 2 nabla_X ebar + T(ebar, X)) = 0", unit)
+    law = "the integrability obstruction lies in the kernel of l"
+    quads = ((x, y, z, v) for (x, y) in pairs for (z, v) in pairs)
+    rep.scan("dual-integrable", law, kernel_pairs(quads, lambda *i: ref_integr_vec(c, nabla, *i)))
+    if euler is not None:
+        evec = euler.base_vec()
+        law = "l(s, symmetrized nabla^2 Ebar) = 0"
+        rep.scan("dual-euler", law, kernel_pairs(pairs, lambda *i: ref_euler_vec(nabla, evec, *i)))
+    return rep.records
 
 
 def five_field_residual(c: MultComponents, x, y, z, v, w) -> dict:
@@ -129,7 +257,7 @@ def lie_l_entry(c: MultComponents, x: LinearVectorField, j: int, k: int) -> dict
     for a, v in enumerate(x.beta):
         w = v.partial(names[k])
         if not w.is_zero():
-            out = _vadd(out, _vscale(apply_l(c, a, _frame(j)), w))
+            out = _vadd(out, vscale(apply_l(c, a, _frame(j)), w))
     return out
 
 
@@ -142,10 +270,10 @@ def lie_d_entry(c: MultComponents, x: LinearVectorField, j, k, p) -> dict:
     for a, v in enumerate(x.beta):
         wk = v.partial(names[k])
         if not wk.is_zero():
-            out = _vadd(out, _vscale(apply_d(c, a, p, _frame(j)), wk))
+            out = _vadd(out, vscale(apply_d(c, a, p, _frame(j)), wk))
         wp = v.partial(names[p])
         if not wp.is_zero():
-            out = _vadd(out, _vscale(apply_d(c, k, a, _frame(j)), wp))
+            out = _vadd(out, vscale(apply_d(c, k, a, _frame(j)), wp))
     return out
 
 
@@ -472,7 +600,7 @@ def courant_frame_residuals(
         for q in range(n):
             prod = {}
             for a, f in pv.items():
-                prod = _vadd(prod, _vscale(frame_product(a, q), f))
+                prod = _vadd(prod, vscale(frame_product(a, q), f))
             out[q] = _TWO * pair(u, prod)
         return out
 

@@ -29,11 +29,8 @@ from fmanlin.fman import (
     MultComponents,
     PreconditionError,
     apply_l,
-    apply_l_vec,
     check_battery,
     star_product,
-    _vf_bracket,
-    _vscale,
 )
 from fmanlin.modelfile import load
 from fmanlin.prolong import check_five_field_identity, tangent_prolongation
@@ -46,7 +43,18 @@ from fmanlin.tensor import (
     _vsub,
     contract,
 )
-from references import Section, lie_star, nabla_star, torsion_vec, vertical_lift
+from references import (
+    Section,
+    lie_star,
+    nabla_star,
+    ref_asoc_vec,
+    ref_euler_vec,
+    ref_integr_vec,
+    ref_kernel_records,
+    ref_nabla2_vec,
+    ref_unit_vec,
+    vertical_lift,
+)
 
 C11 = Chart.standard(1, 1)
 C21 = Chart.standard(2, 1)
@@ -606,11 +614,12 @@ def test_duality_euler_cross_check_reruns_no_battery(monkeypatch):
 
 # -- dense references ------------------------------------------------------------
 #
-# The per-tuple formulas that the support-driven `curvature` and the frame
-# memo of the duality scans replaced, kept here as the reference: the dense
-# curvature over every index tuple, the associativity and unit obstructions,
-# the full twelve-term integrability obstruction (six of its terms contain the
-# bracket of two frames, which vanishes) and the second covariant derivative.
+# The support-driven `curvature` is compared with the dense curvature over
+# every index tuple, and the obstruction maps of the duality conditions with
+# the dense frame forms in `references`: the associativity and unit
+# obstructions, the full twelve-term integrability obstruction (six of its
+# terms contain the bracket of two frames, which vanishes) and the second
+# covariant derivative.
 
 CUBIC_STAR = {(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1, (2, 0, 2): 1, (2, 2, 0): 1}
 
@@ -631,86 +640,6 @@ def dense_curvature(nabla):
             val = val - nabla.at(a, i, k) * nabla.at(m, j, a)
         coeffs[(m, i, j, k)] = val
     return TensorField(chart, 3, 1, coeffs)
-
-
-def ref_nabla2_vec(nabla, u, v, w):
-    out = nabla_apply(nabla, u, nabla_apply(nabla, v, w))
-    return _vsub(out, nabla_apply(nabla, nabla_apply(nabla, u, v), w))
-
-
-def ref_asoc_vec(c, nabla, x, y, z):
-    fx, fy, fz = frame(x), frame(y), frame(z)
-    two = RatFunc.coerce(2)
-    out = star_product(c, torsion_vec(nabla, fx, fy), fz)
-    out = _vadd(out, _vscale(star_product(c, torsion_vec(nabla, fx, fz), fy), two))
-    out = _vadd(out, star_product(c, torsion_vec(nabla, fy, fz), fx))
-    out = _vadd(out, torsion_vec(nabla, fz, star_product(c, fx, fy)))
-    out = _vsub(out, torsion_vec(nabla, fx, star_product(c, fy, fz)))
-    out = _vadd(out, _vscale(nabla_star(nabla, c, fx, fy, fz), two))
-    return _vsub(out, _vscale(nabla_star(nabla, c, fz, fx, fy), two))
-
-
-def ref_unit_vec(e, nabla, x):
-    ebar = e.base_vec()
-    out = _vscale(nabla_apply(nabla, frame(x), ebar), RatFunc.coerce(2))
-    return _vadd(out, torsion_vec(nabla, ebar, frame(x)))
-
-
-def ref_integr_vec(c, nabla, x, y, z, v):
-    def br(a, b):
-        return _vf_bracket(c.chart, a, b)
-
-    def sb(a, b):
-        return symmetric_bracket(nabla, a, b)
-
-    fx, fy, fz, fv = frame(x), frame(y), frame(z), frame(v)
-    sxy = star_product(c, fx, fy)
-    out = sb(br(fz, sxy), fv)
-    out = _vadd(out, sb(br(fv, sxy), fz))
-    out = _vadd(out, lie_star(c, sb(fx, fy), fz, fv))
-    out = _vsub(out, lie_star(c, sb(fz, fv), fx, fy))
-    out = _vsub(out, sb(fx, lie_star(c, fy, fz, fv)))
-    out = _vsub(out, sb(fy, lie_star(c, fx, fz, fv)))
-    out = _vadd(out, lie_star(c, fy, br(fx, fv), fz))
-    out = _vadd(out, lie_star(c, fy, br(fx, fz), fv))
-    out = _vadd(out, lie_star(c, fx, br(fy, fv), fz))
-    out = _vadd(out, lie_star(c, fx, br(fy, fz), fv))
-    out = _vadd(out, star_product(c, fx, _vadd(sb(br(fy, fv), fz), sb(br(fy, fz), fv))))
-    return _vadd(out, star_product(c, fy, _vadd(sb(br(fx, fv), fz), sb(br(fx, fz), fv))))
-
-
-def ref_euler_vec(nabla, evec, x, y):
-    fx, fy = frame(x), frame(y)
-    return _vadd(ref_nabla2_vec(nabla, fx, fy, evec), ref_nabla2_vec(nabla, fy, fx, evec))
-
-
-def ref_kernel_records(c, e, nabla, euler=None):
-    """The four condition records, scanned densely from the reference vectors."""
-    n, kdim = c.n, c.rank
-    rep = Report("duality conditions")
-
-    def kernel_pairs(tuples, vec_fn):
-        for idx in tuples:
-            w = vec_fn(*idx)
-            for j in range(kdim):
-                img = apply_l_vec(c, w, frame(j))
-                for i in sorted(img):
-                    yield (i, j, *idx), img[i]
-
-    pairs = list(combinations_with_replacement(range(n), 2))
-    law = "the associativity obstruction lies in the kernel of l"
-    asoc = kernel_pairs(product(range(n), repeat=3), lambda *i: ref_asoc_vec(c, nabla, *i))
-    rep.scan("dual-associative", law, asoc)
-    unit = kernel_pairs(product(range(n)), lambda x: ref_unit_vec(e, nabla, x))
-    rep.scan("dual-unit", "l(s, 2 nabla_X ebar + T(ebar, X)) = 0", unit)
-    law = "the integrability obstruction lies in the kernel of l"
-    quads = ((x, y, z, v) for (x, y) in pairs for (z, v) in pairs)
-    rep.scan("dual-integrable", law, kernel_pairs(quads, lambda *i: ref_integr_vec(c, nabla, *i)))
-    if euler is not None:
-        evec = euler.base_vec()
-        law = "l(s, symmetrized nabla^2 Ebar) = 0"
-        rep.scan("dual-euler", law, kernel_pairs(pairs, lambda *i: ref_euler_vec(nabla, evec, *i)))
-    return rep.records
 
 
 def cubic_package(k):
@@ -755,13 +684,14 @@ def packages(n):
     chart = Chart.standard(n, 2)
     names = chart.base_names
 
-    def table(*ranges):
+    def table(*ranges, deg=1):
         keys = [key for key in product(*ranges) if rng.random() < 0.5]
-        return {key: rand_ratfunc(rng, names, max_deg=1, with_den=False) for key in keys}
+        return {key: rand_ratfunc(rng, names, max_deg=deg, with_den=False) for key in keys}
 
+    # star entries of degree two, so that their second partials enter the maps
     ks, ns = range(2), range(n)
     c = MultComponents(
-        chart=chart, d=table(ks, ks, ns, ns), l=table(ks, ks, ns), star=table(ns, ns, ns)
+        chart=chart, d=table(ks, ks, ns, ns), l=table(ks, ks, ns), star=table(ns, ns, ns, deg=2)
     )
     unit = tuple(rand_ratfunc(rng, names, max_deg=1) for _ in ns)
     yield c, LinearVectorField(chart, unit, ((0, 1), (1, 0)))
@@ -779,37 +709,48 @@ def test_curvature_matches_dense_formula():
                 assert curvature(nab).coeffs == dense_curvature(nab).coeffs, (n, kind)
 
 
+def dense_map(tuples, vec_fn):
+    """``{(m, *idx): vec[m]}`` over the index tuples, for the vectors ``vec_fn(*idx)``."""
+    return {(m, *idx): val for idx in tuples for m, val in vec_fn(*idx).items()}
+
+
 def test_obstruction_vectors_match_dense_references_at_every_tuple():
     for n in (2, 3):
+        ns = range(n)
+        pairs = list(combinations_with_replacement(ns, 2))
         for pkg, (c, e) in enumerate(packages(n)):
             rng = rng_for(f"duality-obstructions-{n}-{pkg}")
             base = Chart.standard(n, 0)
-            evec = {a: rand_ratfunc(rng, base.names, with_den=False) for a in range(n)}
+            evec = {a: rand_ratfunc(rng, base.names, with_den=False) for a in ns}
             for kind in ("zero", "torsion-free", "rational"):
                 nab = random_connection(rng, c.chart, kind)
-                frames = duality._Frames(c, nab, evec)
                 where = (n, pkg, kind)
-                for idx in product(range(n), repeat=3):
-                    got = duality._asoc_vec(frames, *idx)
-                    assert got == ref_asoc_vec(c, nab, *idx), (where, idx)
-                for x in range(n):
-                    got = duality._unit_vec(frames, e.base_vec(), x)
-                    assert got == ref_unit_vec(e, nab, x), (where, x)
-                for idx in product(range(n), repeat=4):
-                    got = duality._integr_vec(frames, *idx)
-                    assert got == ref_integr_vec(c, nab, *idx), (where, idx)
-                for x, y in product(range(n), repeat=2):
-                    got = duality._euler_vec(frames, x, y)
-                    assert got == ref_euler_vec(nab, evec, x, y), (where, x, y)
-                    want = ref_nabla2_vec(nab, frame(x), frame(y), evec)
-                    assert frames.nabla2_euler(x, y) == want, (where, x, y)
+                got = duality._map_dual_associative(c, nab)
+                want = dense_map(product(ns, repeat=3), lambda *i: ref_asoc_vec(c, nab, *i))
+                assert got == want, where
+                got = duality._map_dual_unit(nab, e.base_vec())
+                assert got == dense_map(product(ns), lambda x: ref_unit_vec(e, nab, x)), where
+                got = duality._map_dual_integrable(c, nab)
+                quads = [xy + zv for xy, zv in product(pairs, pairs)]
+                assert got == dense_map(quads, lambda *i: ref_integr_vec(c, nab, *i)), where
+                got = duality._map_dual_euler(nab, evec)
+                assert got == dense_map(pairs, lambda *i: ref_euler_vec(nab, evec, *i)), where
+                got = duality._map_nabla2(nab, evec)
+                want = dense_map(
+                    product(ns, repeat=2),
+                    lambda x, y: ref_nabla2_vec(nab, frame(x), frame(y), evec),
+                )
+                assert got == want, where
 
 
-def test_duality_records_match_dense_reference_scans():
-    # every kernel record, passing or failing, with its witness and residual
-    failed = set()
+def test_duality_records_match_dense_reference_scans(monkeypatch):
+    # every kernel record, passing or failing, with its witness and residual;
+    # the precondition is lifted so that the random tables of each `packages`
+    # reach the scans too
+    monkeypatch.setattr(duality, "_require", lambda what, rep: None)
+    failed, seen = set(), 0
     for n in (2, 3):
-        for pkg, (c, e) in enumerate(list(packages(n))[:2]):
+        for pkg, (c, e) in enumerate(packages(n)):
             rng = rng_for(f"duality-records-{n}-{pkg}")
             names = c.chart.base_names
             euler = LinearVectorField(
@@ -823,6 +764,8 @@ def test_duality_records_match_dense_reference_scans():
                 want = ref_kernel_records(c, e, nab, euler)
                 assert rep.records[: len(want)] == want, (n, pkg, kind)
                 failed |= {r.name for r in want if not r.passed}
+                seen += 1
+    assert seen == 2 * 3 * 4
     assert failed == {"dual-associative", "dual-unit", "dual-integrable", "dual-euler"}
 
 
@@ -843,6 +786,44 @@ def test_check_flat_f_euler_scan_matches_the_dense_second_derivative():
         want = Report("flat structure")
         want.scan("euler-second-derivative", "nabla^2 Ebar = 0", pairs)
         assert rep.records[-1] == want.records[0]
+
+
+def test_check_flat_f_euler_base_matches_the_dense_lie_derivative():
+    # euler-base is L_Ebar(*)(d_j, d_k) - d_j * d_k for j <= k, scanned by
+    # (j, k) and then the output index; the first failure of `off_diagonal`
+    # is off the diagonal, at (j, k) = (1, 2)
+    off_diagonal = (square_zero_3(), (rf("x1 + x2", B3), rf("2*x3", B3), rf("-x3", B3)))
+    cases = [
+        (base_line(), (rf("x1+7", B1),)),
+        (base_plane(), (rf("x1+5", B2), rf("x2^2+1", B2))),
+        off_diagonal,
+    ]
+    for number, base in enumerate(flat_bases()):
+        rng = rng_for(f"duality-flat-euler-base-{number}")
+        names = base.chart.names
+        for _ in range(2):
+            cases.append((base, tuple(rand_ratfunc(rng, names, max_deg=2) for _ in names)))
+    outcomes = set()
+    for base, euler in cases:
+        c, n = base.components, base.chart.n
+        evec = {a: f for a, f in enumerate(euler) if not f.is_zero()}
+        pairs = (
+            ((a, j, k), vec[a])
+            for j, k in combinations_with_replacement(range(n), 2)
+            for vec in [
+                _vsub(lie_star(c, evec, frame(j), frame(k)), star_product(c, frame(j), frame(k)))
+            ]
+            for a in sorted(vec)
+        )
+        want = Report("flat structure")
+        want.scan("euler-base", "L_Ebar(*) = *", pairs)
+        got = check_flat_f(base, Connection.zero(base.chart), euler).record("euler-base")
+        assert got == want.records[0], euler
+        outcomes.add(got.passed)
+    assert outcomes == {True, False}
+    base, euler = off_diagonal
+    rep = check_flat_f(base, Connection.zero(B3), euler)
+    assert witness_and_residual(rep, "euler-base") == ((2, 1, 2), "3")
 
 
 def test_duality_failures_with_rational_residuals():
@@ -910,38 +891,23 @@ def test_kernel_records_and_dual_battery_share_no_code(monkeypatch):
             check_duality_conditions(c, e, nab, euler=euler)
     assert reports[0].records == want.records[:4]
 
-    # the dual battery, with the memo and the obstruction helpers forbidden
+    # the dual battery, with the obstruction maps and their helpers forbidden
     with monkeypatch.context() as m:
-        for name in (
-            "_Frames",
-            "_Memo",
-            "_asoc_vec",
-            "_unit_vec",
-            "_integr_vec",
-            "_euler_vec",
-            "nabla_apply",
-            "symmetric_bracket",
-            "_Ctx",
-            "_on_frames",
-            "star_product",
-        ):
+        frame_route = ("nabla_apply", "symmetric_bracket", "_Ctx", "_on_frames", "star_product")
+        for name in KERNEL_ROUTE + frame_route:
             m.setattr(duality, name, forbidden)
         dual_c, dual_e = dualize(c, e, nab)
         rep = Report("duality conditions")
         rep.summarize("dual-battery", want.record("dual-battery").law, check_battery(dual_c, dual_e))
     assert rep.records[0] == want.record("dual-battery")
 
-    # within the whole check, the dual battery computes no entry of a memo
-    # of the kernel route: neither of its `_Frames` nor of the `_Ctx` it holds
+    # within the whole check, the dual battery calls none of the kernel
+    # route's maps, the kernel route calls every one of them, and neither
+    # fills a frame memo
     import fmanlin.fman as fman
 
-    made, filled, kernel_filled, in_dual = [], [], [], []
+    called, in_dual, filled = set(), [], []
     real_missing = fman._Memo.__missing__
-
-    class Tracked(duality._Frames):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
 
     def dual_flagged(*args):
         if not batteries:
@@ -953,8 +919,17 @@ def test_kernel_records_and_dual_battery_share_no_code(monkeypatch):
         finally:
             in_dual.pop()
 
+    def guarded(name, real):
+        def run(*args, **kwargs):
+            if in_dual:
+                forbidden()
+            called.add(name)
+            return real(*args, **kwargs)
+
+        return run
+
     def recording(memo, key):
-        (filled if in_dual else kernel_filled).append(memo)
+        filled.append(memo)
         return real_missing(memo, key)
 
     plane_c, plane_e = plane_example()
@@ -962,22 +937,36 @@ def test_kernel_records_and_dual_battery_share_no_code(monkeypatch):
     cases = [(c, e, nab, euler), (plane_c, plane_e, Connection.zero(C21), plane_euler)]
     for args in cases:
         want = check_duality_conditions(*args)
-        made.clear()
+        called.clear()
         batteries.clear()
         with monkeypatch.context() as m:
-            m.setattr(duality, "_Frames", Tracked)
+            for name in KERNEL_ROUTE:
+                m.setattr(duality, name, guarded(name, getattr(duality, name)))
             m.setattr(duality, "check_battery", dual_flagged)
             m.setattr(fman._Memo, "__missing__", recording)
             assert check_duality_conditions(*args).records == want.records
-        [frames] = made
-        kernel = [memo for memo in vars(frames).values() if isinstance(memo, fman._Memo)]
-        kernel += [frames.ctx.star, frames.ctx.lie]
-        assert len(kernel) == 10 and all(kernel)
-        assert kernel_filled  # the recording sees the kernel route's memos
-        # the dual battery reads table rows: it fills no memo at all, so none
-        # of the kernel route
-        assert filled == []
+        assert called == set(KERNEL_ROUTE) - {"_map_euler_base"}
+        assert len(batteries) == 1 and filled == []
     assert want.record("dual-battery").passed
+
+
+# the maps and helpers of the four kernel records and the flat check's Euler records
+KERNEL_ROUTE = (
+    "_kernel_image",
+    "_map_dual_associative",
+    "_map_dual_unit",
+    "_map_dual_integrable",
+    "_map_dual_euler",
+    "_map_nabla2",
+    "_map_unit_parallel",
+    "_map_euler_base",
+    "_star_derivative_terms",
+    "_star_groups",
+    "_merged",
+    "_grouped",
+    "_partials",
+    "torsion",
+)
 
 
 def tangent_base_4():
@@ -994,12 +983,7 @@ def test_no_frame_memo_outlives_its_call(monkeypatch):
     import fmanlin.fman as fman
     import fmanlin.prolong as prolong
 
-    made, contexts = [], []
-
-    class Tracked(duality._Frames):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(weakref.ref(self))
+    contexts = []
 
     class TrackedCtx(fman._Ctx):
         __slots__ = ("__weakref__",)
@@ -1015,7 +999,6 @@ def test_no_frame_memo_outlives_its_call(monkeypatch):
             assert cells and not [x for x in cells if x is self]
             contexts.append(weakref.ref(self))
 
-    monkeypatch.setattr(duality, "_Frames", Tracked)
     for module in (fman, duality, prolong):
         monkeypatch.setattr(module, "_Ctx", TrackedCtx)
     c, e = plane_example()
@@ -1029,8 +1012,8 @@ def test_no_frame_memo_outlives_its_call(monkeypatch):
         prol = tangent_prolongation(tangent_base_4())
         assert check_battery(prol.components, prol.unit).passed
         assert check_five_field_identity(base_plane()).passed
-        assert len(made) == 2 and len(contexts) > 2
-        assert all(ref() is None for ref in made + contexts)
+        assert len(contexts) > 2
+        assert all(ref() is None for ref in contexts)
     finally:
         gc.enable()
 
@@ -1050,8 +1033,9 @@ def test_regular_flat_check_verifies_the_base_once(battery_runs):
 def test_frame_lie_derivatives_are_computed_once_per_check(monkeypatch):
     """Each frame Lie derivative ``L_{d_r}(*)(d_k, d_p)`` is computed at most
     once per context, as a miss of its ``lie`` memo, and never through
-    `lie_at` with a coordinate frame made by `_frame`.  The battery reads the
-    partials of its table entries and computes none."""
+    `lie_at` with a coordinate frame made by `_frame`.  The battery and the
+    duality conditions read the partials of their table entries and compute
+    none, and build no frame."""
     import fmanlin.fman as fman
 
     seen, made, frame_lie_at, contexts = Counter(), [], [], []
@@ -1079,33 +1063,32 @@ def test_frame_lie_derivatives_are_computed_once_per_check(monkeypatch):
 
     monkeypatch.setattr(fman._Ctx, "__init__", init)
     monkeypatch.setattr(fman._Ctx, "lie_at", lie_at)
-    for module in (fman, duality):
-        monkeypatch.setattr(module, "_frame", made_frame)
+    monkeypatch.setattr(fman, "_frame", made_frame)
     c, e = plane_example()
     euler = LinearVectorField(C21, (rf("x1"), rf("x2/3")), ((0,),))
     prol = tangent_prolongation(tangent_base_4())
-    checks = [lambda: check_five_field_identity(tangent_base_4())]
+    check_five_field_identity(tangent_base_4())
+    assert seen and contexts
+    assert max(seen.values()) == 1
+    assert frame_lie_at == []
+    checks = [lambda: check_battery(prol.components, prol.unit).passed]
     for nab in (Connection.zero(C21), Connection(C21, {(0, 1, 1): rf("x1")})):
         checks.append(lambda nab=nab: check_duality_conditions(c, e, nab, euler=euler))
     for check in checks:
         seen.clear()
         contexts.clear()
         check()
-        assert seen and contexts
-        assert max(seen.values()) == 1
-        assert frame_lie_at == []
-    assert made  # the duality checks build frames with `_frame`
-    seen.clear()
-    contexts.clear()
-    assert check_battery(prol.components, prol.unit).passed
-    assert contexts and not seen
+        assert contexts and not seen
+    assert made == [] and frame_lie_at == []
 
 
 def test_frame_memo_reads_brackets_with_a_frame_as_partials(monkeypatch):
     """No bracket with a coordinate frame goes through the general
     vector-field bracket, in the duality and flat-structure checks, the
     battery or the five-field check: ``[d_z, u]`` is the partial ``d_z u``
-    (`_frame_partial`), and the frame Lie derivatives are such partials."""
+    (`_frame_partial`), and the frame Lie derivatives are such partials.  The
+    duality and flat-structure checks build no frame at all: their maps read
+    table entries."""
     import fmanlin.fman as fman
 
     made, frame_brackets, partials, lie_at_brackets, lie_ats = [], [], [], [], []
@@ -1132,8 +1115,7 @@ def test_frame_memo_reads_brackets_with_a_frame_as_partials(monkeypatch):
         partials.append(k)
         return real_partial(chart, w, k)
 
-    for module in (fman, duality):
-        monkeypatch.setattr(module, "_frame", made_frame)
+    monkeypatch.setattr(fman, "_frame", made_frame)
     monkeypatch.setattr(fman, "_vf_bracket", recording)
     monkeypatch.setattr(fman, "_frame_partial", counting)
     monkeypatch.setattr(fman._Ctx, "lie_at", lie_at)
@@ -1145,7 +1127,7 @@ def test_frame_memo_reads_brackets_with_a_frame_as_partials(monkeypatch):
     prol = tangent_prolongation(tangent_base_4())
     assert check_battery(prol.components, prol.unit).passed
     assert check_five_field_identity(tangent_base_4()).passed
-    assert made and partials and lie_ats
+    assert made == [] and partials and lie_ats
     assert frame_brackets == []
     # `lie_at` takes no general bracket at all: ``[w, d_k * d_p]`` is read off
     # the `lie` memo and the partials of ``w``
@@ -1328,18 +1310,24 @@ def test_star_derivative_symmetric_fails_through_each_term():
 
 
 def test_check_flat_f_reads_tables_without_an_euler_candidate(monkeypatch):
-    # without an Euler candidate no frame memo is built and no covariant
-    # derivative of a frame is taken
+    # with or without an Euler candidate, no frame memo is built and no
+    # covariant derivative of a frame is taken
     cases = []
     for number, base in enumerate(flat_bases()):
         rng = rng_for(f"duality-flat-tables-{number}")
+        names = base.chart.names
         for kind in ("zero", "rational"):
             nab = random_connection(rng, base.chart, kind)
-            cases.append((base, nab, check_flat_f(base, nab).records))
-    monkeypatch.setattr(duality, "_Frames", forbidden)
+            euler = tuple(rand_ratfunc(rng, names, max_deg=2) for _ in names)
+            for candidate in (None, euler):
+                cases.append((base, nab, candidate, check_flat_f(base, nab, candidate).records))
+    # and a regular connection, which passes every record
+    euler = (rf("x1+5", B2), rf("x2^2+1", B2))
+    nab, rep = regular_flat_check(base_plane(), euler)
+    assert rep.passed and nab.gamma
+    cases.append((base_plane(), nab, euler, rep.records))
     monkeypatch.setattr(duality, "nabla_apply", forbidden)
-    for base, nab, want in cases:
-        assert check_flat_f(base, nab).records == want
-    euler = (rf("x1", B2), rf("x2", B2))
-    with pytest.raises(AssertionError, match="must not be used"):
-        check_flat_f(base_plane(), Connection.zero(B2), euler)
+    monkeypatch.setattr(duality, "symmetric_bracket", forbidden)
+    monkeypatch.setattr(duality, "_on_frames", forbidden)
+    for base, nab, candidate, want in cases:
+        assert check_flat_f(base, nab, candidate).records == want

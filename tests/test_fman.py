@@ -24,7 +24,6 @@ from fmanlin.fman import (
     apply_d,
     apply_delta,
     apply_l,
-    apply_l_vec,
     check_associative,
     check_battery,
     check_commutative,
@@ -50,6 +49,7 @@ from fmanlin.tensor import (
 from references import (
     Section,
     _verify_leibniz,
+    apply_l_vec,
     lie_components,
     lie_d_entry,
     lie_l_entry,

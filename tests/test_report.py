@@ -7,6 +7,7 @@ import pytest
 
 from fmanlin.report import Report
 from fmanlin.symcore import RatFunc
+from references import record_layout, report_layout
 
 ZERO = RatFunc.zero()
 
@@ -33,7 +34,7 @@ def test_scan_passes_without_witness_or_residual():
     assert rep.scan("empty", "nothing to scan", ()) is True
     for rec in rep.records:
         assert (rec.passed, rec.witness, rec.residual) == (True, None, None)
-        assert rec.to_dict() == {"name": rec.name, "law": rec.law, "passed": True}
+        assert record_layout(rec) == {"name": rec.name, "law": rec.law, "passed": True}
 
 
 def test_scan_keeps_the_witness_layout_it_is_given():
@@ -97,7 +98,7 @@ def json_reports():
 
 def test_to_json_writes_the_bytes_of_the_json_module():
     for rep in json_reports():
-        assert rep.to_json() == json.dumps(rep.to_dict(), indent=2), rep.title
+        assert rep.to_json() == json.dumps(report_layout(rep), indent=2), rep.title
 
 
 def test_to_json_refuses_a_witness_element_it_cannot_write_as_json_does():

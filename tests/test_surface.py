@@ -24,6 +24,8 @@ KEPT = {
     "pairing": "the pairing of the bracket that check_dorfman_compat checks",
     "anchor": "the anchor of the bracket that check_dorfman_compat checks",
     "dorfman": "the section form of the bracket that check_dorfman_compat checks",
+    "conjugate": "the change of fiber frame that bfield_transform specializes to a shear",
+    "conjugate_unit": "the change of fiber frame that bfield_transform specializes to a shear",
 }
 
 
