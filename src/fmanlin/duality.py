@@ -25,7 +25,7 @@ from .fman import (
     _require,
 )
 from .report import Report
-from .symcore import RatFunc, SingularMatrixError, _inverse
+from .symcore import RatFunc, SingularMatrixError, _ONE, _solve, exact_div, poly_gcd
 from .tensor import Chart, Connection, TensorField, _acc, _vadd
 
 __all__ = [
@@ -76,7 +76,8 @@ def symmetric_bracket(nabla: Connection, u: dict, v: dict) -> dict:
 def torsion(nabla: Connection) -> TensorField:
     """Torsion tensor; key ``(k, i, j)`` is the ``dx_k`` part of ``T(dx_i, dx_j)``."""
     chart = nabla.chart.base()
-    keys = set(nabla.gamma) | {(k, j, i) for (k, i, j) in nabla.gamma}
+    keys = {(k, i, j) for k, i, j in nabla.gamma if i != j}
+    keys |= {(k, j, i) for k, i, j in keys}
     coeffs = {(k, i, j): nabla.at(k, i, j) - nabla.at(k, j, i) for k, i, j in keys}
     return TensorField(chart, 2, 1, coeffs)
 
@@ -85,17 +86,21 @@ def curvature(nabla: Connection) -> TensorField:
     """Curvature tensor; key ``(m, i, j, k)`` is the ``dx_m`` part of ``R(dx_i, dx_j)dx_k``.
 
     Each term of ``d_i G^m_jk - d_j G^m_ik + G^a_jk G^m_ia - G^a_ik G^m_ja``
-    is read off the entries of ``gamma``, so zero entries cost nothing.
+    is read off the entries of ``gamma``, so zero entries cost nothing.  The
+    terms at ``i == j`` cancel and are skipped, and each entry ``G^p_jk`` is
+    joined only with the entries ``G^m_ip`` whose last index is ``p``.
     """
     chart = nabla.chart.base()
+    by_last = _grouped((q, (m, i, h)) for (m, i, q), h in nabla.gamma.items())
     coeffs = {}
     for (p, j, k), g in nabla.gamma.items():
         for i, name in enumerate(chart.names):
-            di = g.partial(name)
-            _acc(coeffs, (p, i, j, k), di)
-            _acc(coeffs, (p, j, i, k), -di)
-        for (m, i, q), h in nabla.gamma.items():
-            if q == p:
+            if i != j:
+                di = g.partial(name)
+                _acc(coeffs, (p, i, j, k), di)
+                _acc(coeffs, (p, j, i, k), -di)
+        for m, i, h in by_last.get(p, ()):
+            if i != j:
                 w = g * h
                 _acc(coeffs, (m, i, j, k), w)
                 _acc(coeffs, (m, j, i, k), -w)
@@ -453,49 +458,60 @@ def regular_connection(base: BaseFManifold, euler) -> Connection:
     """Connection that makes the unit-and-power frame of an Euler field parallel.
 
     Writes every coordinate field in the frame ``(ebar, E, E*E, ...)`` and
-    imposes that the covariant derivative of the i-th power along ``X`` is
-    ``i`` times the (i-1)-th power multiplied by ``X``.  Invertibility of the
-    frame's coefficient matrix is exactly the regularity of the input.
+    imposes that the covariant derivative of the i-th power ``P_i`` along
+    ``X`` is ``i`` times the (i-1)-th power multiplied by ``X``.  With ``C``
+    the inverse of the frame's coefficient matrix ``M``, ``d_j = sum_i C_ji P_i``
+    has no partial, so ``nabla_{d_k} d_j = sum_i C_ji Q_ki`` with
+    ``Q_ki = i P_{i-1} * d_k - d_k P_i``: the Christoffel entries ``G^a_kj``
+    solve ``M^T x = (Q_ki^a)_i``, one elimination with a right-hand side for
+    each nonzero ``(k, a)``, each side cleared of its denominators (`_cleared`).
+    Invertibility of ``M`` is exactly the regularity of the input.
     """
     chart = base.chart
     evec = _euler_to_vec(chart, euler)
     _require("the regular connection", base.verify())
     n = chart.n
-    names = chart.names
     c = base.components
 
     powers = [{a: f for a, f in enumerate(base.unit) if not f.is_zero()}]
     for _ in range(1, n):
         powers.append(star_product(c, powers[-1], evec))
-    mat = [[powers[i].get(a, _ZERO) for i in range(n)] for a in range(n)]
+    star = _Ctx(c).star  # d_a * d_k, the star row
+    q = {}  # Q_ki^a at (k, a, i)
+    for i in range(1, n):
+        for k in range(n):
+            for a, w in _on_frames(powers[i - 1], lambda b: star[b, k]).items():
+                _acc(q, (k, a, i), w * i)
+    entries = (((a, i), f) for i, pw in enumerate(powers) for a, f in pw.items())
+    for k, (a, i), d in _partials(chart, entries):
+        _acc(q, (k, a, i), -d)
+    cols = sorted({(k, a) for k, a, _ in q})
+    rhs = [_cleared([q.get((k, a, i), _ZERO) for i in range(n)]) for k, a in cols]
+    mat = [[powers[i].get(a, _ZERO) for a in range(n)] for i in range(n)]
     try:
-        cols = _inverse(mat)
+        sols = _solve(mat, [col for _, col in rhs])
     except SingularMatrixError:
         raise SingularMatrixError(
             "the unit-and-power frame of the Euler candidate is singular; "
             "the structure is not regular"
         ) from None
-
-    star = _Ctx(c).star  # d_a * d_k, the star row
-    gamma = {}
-    for k in range(n):
-        # the powers below the top times d_k, each once
-        moved = [_on_frames(pw, lambda a: star[a, k]) for pw in powers[:-1]]
-        for j in range(n):
-            out = {}
-            for i in range(n):
-                cij = cols[j][i]
-                dk = cij.partial(names[k])
-                if not dk.is_zero():
-                    for a, w in powers[i].items():
-                        _acc(out, a, dk * w)
-                if i >= 1 and not cij.is_zero():
-                    scale = cij * RatFunc.coerce(i)
-                    for a, w in moved[i - 1].items():
-                        _acc(out, a, scale * w)
-            for a, w in out.items():
-                gamma[(a, k, j)] = w
+    gamma = {
+        (a, k, j): x * unscale
+        for (k, a), (unscale, _), sol in zip(cols, rhs, sols)
+        for j, x in enumerate(sol)
+    }
     return Connection(chart, gamma)
+
+
+def _cleared(col: list) -> tuple:
+    """``(1/L, L col)`` for ``L`` the lcm of the denominators of ``col``, so that
+    the elimination scales each row by the denominators of its matrix entries only."""
+    lcm = _ONE
+    for v in col:
+        if v.den.vars:
+            lcm = exact_div(lcm * v.den, poly_gcd(lcm, v.den))
+    scale = RatFunc(lcm)
+    return 1 / scale, [v * scale for v in col]
 
 
 def regular_flat_check(base: BaseFManifold, euler):

@@ -811,6 +811,7 @@ def _sum(f: RatFunc, h: RatFunc, op) -> RatFunc:
     coprime to ``b1*d1``: only ``gcd(t, g)`` can cancel, and ``g = 1`` leaves
     nothing to cancel (Henrici; Knuth, TAOCP vol. 2, 4.5.1).  Two constants
     take the direct path: their coefficient is computed and built by `_const`.
+    Equal operands give ``2f`` (``2a`` is coprime to ``b``) or zero directly.
     """
     a, b, c, d = f.num, f.den, h.num, h.den
     if not (b.vars or d.vars):
@@ -818,6 +819,8 @@ def _sum(f: RatFunc, h: RatFunc, op) -> RatFunc:
             return _coprime(op(a, c), _ONE)
         return _const(op(a.terms[()], c.terms[()]))
     if b == d:
+        if a == c:  # 2f or 0, with no gcd
+            return _coprime(a * 2, b) if op is add else _RF_ZERO
         g, b1, d1 = b, _ONE, _ONE
     else:
         g = poly_gcd(b, d)

@@ -23,7 +23,9 @@ record by conjugating with the pairing matrix.  The ``ref_*_vec`` functions
 are the dense frame forms of the duality obstructions and
 :func:`ref_kernel_records` scans them frame tuple by frame tuple, the
 reference for the residual maps of ``duality``.  :func:`report_layout` is the
-JSON layout that ``Report.to_json`` writes.
+JSON layout that ``Report.to_json`` writes.  :func:`ref_regular_connection`
+inverts the unit-and-power frame and differentiates the inverse, the
+reference for ``duality.regular_connection``.
 """
 
 from fractions import Fraction
@@ -35,6 +37,8 @@ from fmanlin.fman import (
     BaseFManifold,
     LinearVectorField,
     MultComponents,
+    _Ctx,
+    _on_frames,
     _frame,
     _vf_apply,
     _vf_bracket,
@@ -46,7 +50,7 @@ from fmanlin.fman import (
 from fmanlin.gengeo import _double_rank, _dorfman_comps
 from fmanlin.prolong import conjugate, conjugate_unit
 from fmanlin.report import Report
-from fmanlin.symcore import RatFunc, _Value
+from fmanlin.symcore import RatFunc, _Value, _inverse
 from fmanlin.tensor import (
     Chart,
     Connection,
@@ -667,3 +671,32 @@ def courant_frame_residuals(
 
 def _lam_dict(e: LinearVectorField) -> dict:
     return {(i, j): v for i, row in enumerate(e.lam) for j, v in enumerate(row)}
+
+
+def ref_regular_connection(base: BaseFManifold, euler) -> Connection:
+    """The connection that makes the unit-and-power frame ``P_i`` of ``euler``
+    parallel, from the inverse ``C`` of the frame matrix: ``nabla_{d_k} d_j =
+    sum_i d_k C_ji P_i + i C_ji P_{i-1} * d_k``, each partial of ``C`` taken.
+    Raises ``SingularMatrixError`` when the frame is singular."""
+    chart, c = base.chart, base.components
+    n, names = chart.n, chart.names
+    evec = {a: f for a, f in enumerate(map(RatFunc.coerce, euler)) if not f.is_zero()}
+    powers = [{a: f for a, f in enumerate(base.unit) if not f.is_zero()}]
+    for _ in range(1, n):
+        powers.append(star_product(c, powers[-1], evec))
+    cols = _inverse([[powers[i].get(a, _ZERO) for i in range(n)] for a in range(n)])
+    star = _Ctx(c).star
+    gamma = {}
+    for k in range(n):
+        moved = [_on_frames(pw, lambda a: star[a, k]) for pw in powers[:-1]]
+        for j in range(n):
+            out = {}
+            for i in range(n):
+                cij = cols[j][i]
+                for a, w in powers[i].items():
+                    _acc(out, a, cij.partial(names[k]) * w)
+                if i >= 1:
+                    for a, w in moved[i - 1].items():
+                        _acc(out, a, cij * RatFunc.coerce(i) * w)
+            gamma.update({(a, k, j): w for a, w in out.items()})
+    return Connection(chart, gamma)

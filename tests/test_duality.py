@@ -2,6 +2,7 @@
 
 import gc
 import sys
+import time
 import weakref
 from collections import Counter
 from itertools import combinations_with_replacement, product
@@ -52,6 +53,7 @@ from references import (
     ref_integr_vec,
     ref_kernel_records,
     ref_nabla2_vec,
+    ref_regular_connection,
     ref_unit_vec,
     vertical_lift,
 )
@@ -129,6 +131,15 @@ def test_torsion_and_curvature_component_formulas():
     assert r.get((0, 1, 0, 0)) == rf("1", B2)
     # quadratic part
     assert r.get((1, 0, 1, 0)) == rf("1 - x1*x2", B2)
+
+    # a diagonal entry G^0_11 and a symmetric pair G^1_01 = G^1_10: no torsion,
+    # and the terms at i == j that curvature skips cancel in the dense sum
+    x1, x2 = rf("x1", B2), rf("x2", B2)
+    nab3 = Connection(B2, {(0, 1, 1): x1, (1, 0, 1): x2, (1, 1, 0): x2})
+    assert torsion(nab3).is_zero()
+    r = curvature(nab3)
+    assert r.get((0, 0, 1, 1)) == rf("1 - x1*x2", B2)
+    assert r.coeffs == dense_curvature(nab3).coeffs
 
 
 def test_symmetric_bracket_module_rule():
@@ -657,7 +668,7 @@ def cubic_package(k):
 
 def random_connection(rng, chart, kind):
     """A seeded connection: zero, a few constant entries, or a rational table
-    that is torsion-free or (in general) not."""
+    that is torsion-free, (in general) not, or full on the diagonal."""
     keys = list(product(range(chart.n), repeat=3))
     if kind == "zero":
         return Connection(chart, {})
@@ -667,6 +678,13 @@ def random_connection(rng, chart, kind):
     gamma = {key: rand_ratfunc(rng, names, max_deg=1) for key in keys if rng.random() < 0.6}
     if kind == "torsion-free":
         gamma = {(k, i, j): gamma.get((k, min(i, j), max(i, j)), 0) for k, i, j in keys}
+    if kind == "diagonal":
+        # every diagonal entry G^k_ii, symmetric pairs G^k_ij = G^k_ji and one
+        # entry without its mirror, so that the terms at i == j are exercised
+        gamma = {key: val for key, val in gamma.items() if key[1] <= key[2]}
+        gamma |= {(k, i, i): rand_ratfunc(rng, names, max_deg=1) for k, i, _ in keys}
+        gamma |= {(k, j, i): val for (k, i, j), val in gamma.items()}
+        gamma[(0, chart.n - 1, 0)] = rand_ratfunc(rng, names, max_deg=1)
     return Connection(chart, gamma)
 
 
@@ -697,16 +715,29 @@ def packages(n):
     yield c, LinearVectorField(chart, unit, ((0, 1), (1, 0)))
 
 
+def dense_torsion(nabla):
+    chart = nabla.chart.base()
+    coeffs = {
+        (k, i, j): nabla.at(k, i, j) - nabla.at(k, j, i)
+        for k, i, j in product(range(chart.n), repeat=3)
+    }
+    return TensorField(chart, 2, 1, coeffs)
+
+
 def test_curvature_matches_dense_formula():
+    diagonal = 0
     for n in (1, 2, 3):
         chart = Chart.standard(n, 0)
         for trial in range(3):
             rng = rng_for(f"duality-curvature-{n}-{trial}")
-            for kind in ("zero", "sparse-constant", "torsion-free", "rational"):
+            for kind in ("zero", "sparse-constant", "torsion-free", "rational", "diagonal"):
                 nab = random_connection(rng, chart, kind)
                 if kind in ("zero", "torsion-free"):
                     assert torsion(nab).is_zero()
+                assert torsion(nab).coeffs == dense_torsion(nab).coeffs, (n, kind)
                 assert curvature(nab).coeffs == dense_curvature(nab).coeffs, (n, kind)
+                diagonal += sum(i == j for _, i, j in nab.gamma)
+    assert diagonal >= 20
 
 
 def dense_map(tuples, vec_fn):
@@ -1136,15 +1167,20 @@ def test_frame_memo_reads_brackets_with_a_frame_as_partials(monkeypatch):
 
 def test_regular_connection_multiplies_each_power_by_a_frame_once(monkeypatch):
     """Only the n - 1 powers of the Euler field go through `star_product`;
-    each power times ``d_k`` is read off the star rows once."""
-    calls = []
-    real = duality.star_product
+    each power below the top times ``d_k`` is read off the star rows once."""
+    calls, moved = [], []
+    real, real_on_frames = duality.star_product, duality._on_frames
 
     def counting(c, u, v):
         calls.append((u, v))
         return real(c, u, v)
 
+    def on_frames(u, image):
+        moved.append(u)
+        return real_on_frames(u, image)
+
     monkeypatch.setattr(duality, "star_product", counting)
+    monkeypatch.setattr(duality, "_on_frames", on_frames)
     B3 = Chart.standard(3, 0)
     semisimple = BaseFManifold(B3, {(i, i, i): 1 for i in range(3)}, (1, 1, 1))
     for base, euler in (
@@ -1152,9 +1188,124 @@ def test_regular_connection_multiplies_each_power_by_a_frame_once(monkeypatch):
         (semisimple, tuple(rf(f"x{i + 1} + {i + 1}", B3) for i in range(3))),
     ):
         calls.clear()
+        moved.clear()
         nab = regular_connection(base, euler)
-        assert len(calls) == base.chart.n - 1
+        n = base.chart.n
+        assert len(calls) == n - 1 and len(moved) == n * (n - 1)
         assert check_flat_f(base, nab, euler=euler).passed
+
+
+def test_regular_connection_solves_once(monkeypatch):
+    """One elimination of the transposed frame matrix, with at most n^2
+    right-hand sides (none on the line), and no inverse."""
+    import fmanlin.symcore as symcore
+
+    solves, inverses = [], []
+    real_solve, real_inverse = duality._solve, symcore._inverse
+
+    def solve(matrix, cols):
+        solves.append(len(cols))
+        return real_solve(matrix, cols)
+
+    def inverse(matrix):
+        inverses.append(matrix)
+        return real_inverse(matrix)
+
+    monkeypatch.setattr(duality, "_solve", solve)
+    monkeypatch.setattr(symcore, "_inverse", inverse)
+    for base, euler in (
+        (base_line(), (rf("x1+7", B1),)),
+        (base_plane(), (rf("x1+5", B2), rf("x2^2+1", B2))),
+        regular_family("semisimple", 3),
+        regular_family("bent", 3),
+    ):
+        regular_connection(base, euler)
+    # the line has no nonzero column; on both n = 3 families the columns are
+    # (k, a) = (i, i), one per coordinate
+    assert solves == [0, 1, 3, 3]
+    assert inverses == []
+
+
+# constant products with a unit, by dimension: (star, unit)
+CONSTANT_ALGEBRAS = {
+    1: [({(0, 0, 0): 1}, (1,))],
+    2: [(PLANE_STAR, (1, 0)), ({(0, 0, 0): 1, (1, 1, 1): 1}, (1, 1))],
+    3: [
+        ({(i, i, i): 1 for i in range(3)}, (1, 1, 1)),
+        ({**CUBIC_STAR, (2, 1, 1): 1}, (1, 0, 0)),
+        ({**PLANE_STAR, (2, 2, 2): 1}, (1, 0, 1)),
+    ],
+}
+
+
+def seeded_regular_base(rng, n):
+    """A constant product with a unit, written in coordinates ``x`` with
+    ``du_a/dx_a = s_a(x_a)`` for random linear ``s_a``: the star entries
+    ``s_i s_j / s_a b^a_ij`` and unit entries ``e^a / s_a`` are rational."""
+    chart = Chart.standard(n, 0)
+    star, unit = rng.choice(CONSTANT_ALGEBRAS[n])
+    s = [RatFunc(rand_poly(rng, (x,), max_deg=1, max_terms=2, nonzero=True)) for x in chart.names]
+    table = {(a, i, j): s[i] * s[j] / s[a] * b for (a, i, j), b in star.items()}
+    return BaseFManifold(chart, table, tuple(e / s[a] for a, e in enumerate(unit))), s
+
+
+def test_regular_connection_matches_the_inverse_reference():
+    compared = rational = singular = 0
+    for trial in range(30):
+        n = trial % 3 + 1
+        rng = rng_for(f"duality-regular-{trial}")
+        base, s = seeded_regular_base(rng, n)
+        assert base.verify().passed
+        names = base.chart.names
+        euler = tuple(RatFunc(rand_poly(rng, names, max_deg=1)) / s[a] for a in range(n))
+        try:
+            want = ref_regular_connection(base, euler)
+        except SingularMatrixError:
+            with pytest.raises(SingularMatrixError, match="frame of the Euler candidate is singular"):
+                regular_connection(base, euler)
+            singular += 1
+            continue
+        assert regular_connection(base, euler) == want, trial
+        compared += 1
+        rational += any(not g.is_poly() for g in want.gamma.values())
+    assert compared >= 20 and rational >= 10 and singular
+
+
+def regular_family(family, n):
+    """A base and Euler candidate of one of two families on ``n`` coordinates:
+    the semisimple product with ``E^i = x_i^2 + (i+2) x_i + (i+3)``, and the
+    semisimple product in the coordinates ``u_i = x_i^2 + x_i`` with its Euler
+    field ``sum u_i d/du_i``."""
+    chart = Chart.standard(n, 0)
+    xs = range(1, n + 1)
+    if family == "semisimple":
+        base = BaseFManifold(chart, {(i, i, i): 1 for i in range(n)}, (1,) * n)
+        return base, tuple(rf(f"x{i}^2 + {i + 2}*x{i} + {i + 3}", chart) for i in xs)
+    star = {(i - 1, i - 1, i - 1): rf(f"2*x{i} + 1", chart) for i in xs}
+    base = BaseFManifold(chart, star, tuple(rf(f"1/(2*x{i} + 1)", chart) for i in xs))
+    return base, tuple(rf(f"(x{i}^2 + x{i})/(2*x{i} + 1)", chart) for i in xs)
+
+
+@pytest.mark.parametrize("family", ["semisimple", "bent"])
+def test_regular_connection_makes_the_power_frame_parallel(family):
+    """``nabla_{d_k} P_i = i P_{i-1} * d_k`` for the powers ``P_i`` of the
+    Euler candidate, within a second of CPU time at n = 3."""
+    base, euler = regular_family(family, 3)
+    base.verify()
+    start = time.process_time()
+    nab = regular_connection(base, euler)
+    assert time.process_time() - start < 1.0
+    c = base.components
+    powers = [dict(enumerate(base.unit))]
+    for _ in range(2):
+        powers.append(star_product(c, powers[-1], dict(enumerate(euler))))
+    for k in range(3):
+        assert nabla_apply(nab, frame(k), powers[0]) == {}
+        for i in (1, 2):
+            want = {a: v * i for a, v in star_product(c, powers[i - 1], frame(k)).items()}
+            assert nabla_apply(nab, frame(k), powers[i]) == want, (k, i)
+    if family == "bent":
+        assert nab.gamma == {(i, i, i): rf(f"2/(2*x{i + 1} + 1)", base.chart) for i in range(3)}
 
 
 # -- the table maps of the flat-structure check ---------------------------------

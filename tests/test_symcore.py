@@ -587,6 +587,25 @@ def test_constant_operands_skip_the_polynomial_routes(monkeypatch):
     assert calls == []
 
 
+def test_equal_operands_sum_without_a_gcd(monkeypatch):
+    """``f + f`` is ``2 f`` and ``f - f`` is zero with no gcd, for a bivariate
+    ``f`` with a nonconstant denominator, as two equal but distinct values."""
+    import fmanlin.symcore as symcore
+
+    names = ("x1", "x2")
+    f = parse_expr("(-2*x1 - 1)/(x1^2 - x2^2 + 2*x1 - 3*x2 - 1)", names).partial("x2")
+    g = RatFunc(f.num, f.den)
+    twice = f * 2
+    assert g == f and g is not f and not f.den.is_const()
+
+    def forbidden(a, b):
+        raise AssertionError("poly_gcd called")
+
+    monkeypatch.setattr(symcore, "poly_gcd", forbidden)
+    assert f + g == twice and g + f == twice and f + f == twice
+    assert f - g is RatFunc.zero() and g - f is RatFunc.zero()
+
+
 def test_coefficient_divisions_store_exact_values():
     # integer operands whose quotients are not integral, one per division
     x1, one, two = P("x1").num, Poly.one(), Poly.const(2)
