@@ -27,7 +27,6 @@ from .tensor import (
     Chart,
     TensorField,
     _acc,
-    _box,
     _checked_table,
     _product_tables,
     _vadd,
@@ -180,7 +179,7 @@ class BaseFManifold(_Value):
             raise ValueError(f"unit field needs {chart.n} components")
         n = chart.n
         star = _checked_table(
-            chart, star, _box(n, n, n), "bad star-table key", "star table entry"
+            chart, star, (n, n, n), "bad star-table key", "star table entry"
         )
         self._set(chart=chart, star=star, unit=unit)
 
@@ -215,9 +214,18 @@ class _Rows:
     __slots__ = ("star", "l", "d")
 
     def __init__(self, c: MultComponents):
-        self.star = _compile(((i, j), a, v) for (a, i, j), v in c.star.items())
+        self.star = _kept(
+            c.star, "rows", lambda: _compile(((i, j), a, v) for (a, i, j), v in c.star.items())
+        )
         self.l = _compile(((k, j), i, v) for (i, j, k), v in c.l.items())
         self.d = _compile(((j, k, p), i, v) for (i, j, k, p), v in c.d.items())
+
+
+def _kept(table, key, compute):
+    """``compute()``, kept in the memo of the checked ``table`` under ``key``."""
+    if key not in table.memo:
+        table.memo[key] = compute()
+    return table.memo[key]
 
 
 def _compile(entries) -> dict:
@@ -376,6 +384,13 @@ def _frame(j: int) -> dict:
 # between them.  `_Ctx` also keeps the assembled product and its Lie
 # derivative along the Euler field, which the two Euler oracles share and no
 # table identity reads, so the oracles stay independent of the table route.
+#
+# The prolongations, duals and direct sums hand the star table on as the
+# same checked object (`_checked_table`).  Its memo (`_kept`) holds the star
+# rows and the items `_scan` read for each identity over base indices only,
+# keyed by record name, base names and the unit's and Euler field's base
+# parts, all such an identity reads; so each is computed once per star
+# table, in one process.  Oracles and fiber records run in every battery.
 
 
 class _Memo(dict):
@@ -423,10 +438,11 @@ class _Ctx:
 
 
 class _Identity(_Frozen):
-    """A declared record; only an oracle has an empty index ``space``."""
+    """A declared record; only an oracle has an empty index ``space``, and an
+    identity over base indices only reads base data only (``base_only``)."""
 
     def __init__(self, law: str, space: str, fn):
-        self._set(law=law, space=space, fn=fn)
+        self._set(law=law, space=space, fn=fn, base_only=set(space) == {"n"})
 
 
 _IDENTITIES: dict = {}  # record name -> _Identity
@@ -921,6 +937,11 @@ _EULER = (
 
 def _scan(rep: Report, ctx: _Ctx, name: str) -> bool:
     ident = _IDENTITIES[name]
+    if ident.base_only:  # kept on the star table
+        c, fields = ctx.c, (ctx.e, ctx.euler)
+        key = (name, c.chart.base_names, *(None if f is None else f.beta for f in fields))
+        items = _kept(c.star, key, lambda: tuple(sorted(ident.fn(ctx).items())))
+        return rep.scan(name, ident.law, items)
     # in the order of the space: a bracket witness by (x, y, z, v) first
     key = (lambda pair: (pair[0][2:], pair[0][:2])) if ident.space == "bracket" else None
     return rep.scan(name, ident.law, sorted(ident.fn(ctx).items(), key=key))

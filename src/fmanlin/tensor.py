@@ -14,9 +14,9 @@ fields, such as the product of a linear F-manifold, and their frame tables
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 from operator import attrgetter
-from types import MappingProxyType
 
 from .symcore import RatFunc, _Frozen, _Value
 
@@ -65,31 +65,57 @@ def _vsub(a: dict, b: dict) -> dict:
     return out
 
 
-def _box(*bounds):
-    """Key predicate: ``len(bounds)`` indices, ``0 <= key[m] < bounds[m]``."""
-    return lambda key: len(key) == len(bounds) and all(
-        0 <= i < b for i, b in zip(key, bounds)
-    )
+def _key_test(shape: tuple):
+    """The test of a key of ``shape``: bounds, ``0 <= key[m] < shape[m]``, or
+    ``("form", width, n)``, ``width`` strictly increasing indices below ``n``."""
+    if shape[0] == "form":
+        _, width, n = shape
+        return lambda key: len(key) == width and 0 <= key[0] and all(
+            a < b for a, b in zip(key, key[1:] + (n,))
+        )
+    return lambda key: len(key) == len(shape) and all(0 <= i < b for i, b in zip(key, shape))
 
 
-def _checked_table(chart: "Chart", table: dict, key_ok, bad_key: str, entry: str):
+class _Table(dict):
+    """A checked table: read-only, with the ``shape`` it was checked for and a
+    ``memo`` (see `fman._kept`)."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a checked table is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    @cached_property
+    def free(self) -> frozenset:
+        """The variables the values hold, found when a pass-through needs them."""
+        return frozenset().union(*(v.num.vars + v.den.vars for v in self.values()))
+
+
+def _checked_table(chart: "Chart", table: dict, shape: tuple, bad_key: str, entry: str):
     """``table`` frozen, with tuple keys, coerced values and no zeros, all checked.
 
     This is the one place where a table's keys and values are checked.  The
-    result is a read-only ``MappingProxyType`` in canonical form, so two
-    tables hold the same entries exactly when they compare equal with ``==``.
-    A key failing ``key_ok`` raises ``ValueError(f"{bad_key} {key}")``, and a
-    value with a fiber coordinate raises `Chart.require_base_only` for
-    ``entry`` and ``key``.
+    result is a read-only `_Table` in canonical form, so two tables hold the
+    same entries exactly when they compare equal with ``==``.  A key not of
+    the shape ``shape`` (`_key_test`) raises ``ValueError(f"{bad_key} {key}")``,
+    and a value with a fiber coordinate raises `Chart.require_base_only` for
+    ``entry`` and ``key``.  A `_Table` of the same shape passes through as
+    the same object, unless its variables meet the fiber names of ``chart``.
     """
-    out = {}
+    fiber = chart.fiber_names
+    if type(table) is _Table and table.shape == shape and table.free.isdisjoint(fiber):
+        return table
+    out, fits = {}, _key_test(shape)
     for key, val in {tuple(k): RatFunc.coerce(v) for k, v in table.items()}.items():
         if val.is_zero():
             continue
-        if not key_ok(key):
+        if not fits(key):
             raise ValueError(f"{bad_key} {key}")
         out[key] = chart.require_base_only(val, entry, key)
-    return MappingProxyType(out)
+    out = _Table(out)
+    out.shape, out.memo = shape, {}
+    return out
 
 
 class Chart(_Value):
@@ -343,7 +369,7 @@ def _product_tables(chart: Chart, d: dict, l: dict, star: dict) -> tuple:
     n, k = chart.n, chart.k
     return tuple(
         _checked_table(
-            chart, table, _box(*bounds), f"bad {what}-table key", f"{what} table entry"
+            chart, table, bounds, f"bad {what}-table key", f"{what} table entry"
         )
         for table, bounds, what in (
             (d, (k, k, n, n), "derivative"),
@@ -445,7 +471,7 @@ class Connection(_Frozen):
     def __init__(self, chart: Chart, gamma: dict):
         n = chart.n
         gamma = _checked_table(
-            chart, gamma, _box(n, n, n), "bad christoffel key", "christoffel entry"
+            chart, gamma, (n, n, n), "bad christoffel key", "christoffel entry"
         )
         self._set(chart=chart, gamma=gamma)
 
@@ -483,7 +509,7 @@ class TwoForm(_Frozen):
         table = _checked_table(
             chart,
             table,
-            lambda key: len(key) == 2 and 0 <= key[0] < key[1] < n,
+            ("form", 2, n),
             "two-form keys must be increasing pairs, got",
             "two-form entry",
         )
@@ -537,7 +563,7 @@ class ThreeForm(_Frozen):
         table = _checked_table(
             chart,
             table,
-            lambda key: len(key) == 3 and 0 <= key[0] < key[1] < key[2] < n,
+            ("form", 3, n),
             "three-form keys must be increasing triples, got",
             "three-form entry",
         )

@@ -57,7 +57,6 @@ from fmanlin.tensor import (
     TensorField,
     TwoForm,
     _acc,
-    _box,
     _checked_table,
     _vadd,
     _vsub,
@@ -411,7 +410,7 @@ class BFieldData(_Value):
             _checked_table(
                 chart,
                 table,
-                _box(*(n,) * width),
+                (n,) * width,
                 "bad difference key",
                 "difference entry",
             )

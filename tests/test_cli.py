@@ -1,6 +1,7 @@
 """End-to-end behavior of the command line interface."""
 
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -633,8 +634,28 @@ def test_record_types_keep_their_semantics():
             obj.extra = 1
         assert getattr(obj, field) is value
         if field in tables:
+            key, extra = next(iter(value), (0, 0, 0)), {(9, 9, 9): 1}
+            mutators = [
+                lambda t: operator.setitem(t, (9, 9, 9), 1),
+                lambda t: operator.delitem(t, key),
+                lambda t: t.clear(),
+                lambda t: t.pop(key),
+                lambda t: t.popitem(),
+                lambda t: t.setdefault((9, 9, 9), 1),
+                lambda t: t.update(extra),
+                lambda t: operator.ior(t, extra),
+            ]
+            before = dict(value)
+            for mutate in mutators:
+                with pytest.raises(TypeError):
+                    mutate(value)
             with pytest.raises(TypeError):
-                value[(9, 9, 9)] = 1
+                hash(value)
+            # equal to a plain dict of its entries, and dict() is a mutable copy
+            assert value == before and before == value
+            copy = dict(value)
+            copy.update(extra)
+            assert (9, 9, 9) in copy and (9, 9, 9) not in value
     # fresh default containers, and the mutable types stay mutable
     first, second = Report("t"), Report("t")
     assert first.records is not second.records and first.notes is not second.notes

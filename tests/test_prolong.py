@@ -548,6 +548,122 @@ def test_tangent_battery_differentiates_each_value_once(monkeypatch):
     assert brackets == []
 
 
+# -- checked tables pass through, and the star table keeps base-only records --------
+
+
+def test_a_star_table_handed_to_every_prolongation_is_walked_once(monkeypatch):
+    walked = []
+    real = Chart.require_base_only
+
+    def counting(chart, value, *what):
+        if what[0] == "star table entry":
+            walked.append(what[1])
+        return real(chart, value, *what)
+
+    monkeypatch.setattr(Chart, "require_base_only", counting)
+    nabla = Connection.zero(B2)
+    base = base_plane()
+    assert sorted(walked) == sorted(base.star)
+    for build in (
+        tangent_prolongation,
+        lambda b: cotangent_prolongation(b, nabla),
+        lambda b: generalized_prolongation(b, nabla),
+    ):
+        assert build(base).components.star is base.star
+    assert sorted(walked) == sorted(base.star)
+
+
+def test_a_passed_table_is_walked_again_where_its_variables_are_fiber_names():
+    # on the base chart xi1 is just a name; on the tangent fiber it is a
+    # fiber coordinate, and the side table (the star table) is refused
+    xi = RatFunc.variable("xi1")
+    base = BaseFManifold(B1, {(0, 0, 0): xi}, (RatFunc.one() / xi,))
+    assert base.verify().passed
+    with pytest.raises(
+        ValueError,
+        match=r"^side table entry \(0, 0, 0\) must not involve fiber coordinates: xi1$",
+    ):
+        tangent_prolongation(base)
+
+
+def test_a_passed_table_is_walked_again_for_another_shape():
+    star = base_plane().star
+    with pytest.raises(ValueError, match=r"^bad side-table key \(1, 0, 1\)$"):
+        MultComponents(Chart.standard(2, 1), d={}, l=star, star=star)
+    # the same shape passes through: a rank-n side table may be the star table
+    c = MultComponents(Chart.standard(2, 2), d={}, l=star, star=star)
+    assert c.l is c.star is star
+
+
+BASE_ONLY = {
+    "star-symmetric", "star-associative", "unit-star", "base-integrability", "euler-base"
+}
+
+
+def rebuilt(c: MultComponents) -> MultComponents:
+    """A copy of ``c`` from plain dicts, so it shares no checked table."""
+    return MultComponents(c.chart, dict(c.d), dict(c.l), dict(c.star))
+
+
+def same_bytes(got, want):
+    return got.render() == want.render() and got.to_json() == want.to_json()
+
+
+def euler_on(c: MultComponents) -> LinearVectorField:
+    """The scaling field ``sum_i x_i d_i`` on the chart of ``c``, with no fiber part."""
+    beta = tuple(RatFunc.variable(name) for name in c.chart.base_names)
+    return LinearVectorField(c.chart, beta, ((0,) * c.rank,) * c.rank)
+
+
+def test_base_only_records_run_once_per_star_table(monkeypatch):
+    from fmanlin import fman
+
+    runs = Counter()
+    for name, ident in list(fman._IDENTITIES.items()):
+
+        def counted(ctx, fn=ident.fn, name=name):
+            runs[name] += 1
+            return fn(ctx)
+
+        monkeypatch.setitem(
+            fman._IDENTITIES, name, fman._Identity(ident.law, ident.space, counted)
+        )
+    nabla = Connection.zero(B2)
+    for base, build in (
+        (base_cubic(), tangent_prolongation),
+        (base_plane(), tangent_prolongation),
+        (base_plane(), lambda b: cotangent_prolongation(b, nabla)),
+        (base_plane(), lambda b: generalized_prolongation(b, nabla)),
+    ):
+        runs.clear()
+        prol = build(base)
+        checks = [(base.components, base.unit_field()), (prol.components, prol.unit)]
+        got = [base.verify(), prol.verify()]
+        got += [check_euler(c, e, euler_on(c)) for c, e in checks]
+        # every other record runs in both batteries or both Euler checks
+        assert {name for name, count in runs.items() if count == 1} == BASE_ONLY
+        want = [check_battery(rebuilt(c), e) for c, e in checks]
+        want += [check_euler(rebuilt(c), e, euler_on(c)) for c, e in checks]
+        for g, w in zip(got, want):
+            w.title = g.title
+            assert same_bytes(g, w), g.title
+
+
+def test_a_kept_record_is_recomputed_for_other_unit_and_euler_base_parts():
+    base = base_plane()
+    c, unit = base.components, base.unit_field()
+    assert check_battery(c, unit).passed
+    other = LinearVectorField(B2, (1, 1), ())
+    got, want = check_battery(c, other), check_battery(rebuilt(c), other)
+    assert got.first_failure().name == "unit-star"
+    assert same_bytes(got, want)
+    assert check_euler(c, unit, euler_on(c)).passed
+    other = LinearVectorField(B2, (rf("2*x1"), rf("x2")), ())
+    got, want = check_euler(c, unit, other), check_euler(rebuilt(c), unit, other)
+    assert got.first_failure().name == "euler-base"
+    assert same_bytes(got, want)
+
+
 # -- arithmetic on constant tables ------------------------------------------------
 
 
