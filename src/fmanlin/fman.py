@@ -223,9 +223,10 @@ class _Rows:
 
 def _kept(table, key, compute):
     """``compute()``, kept in the memo of the checked ``table`` under ``key``."""
-    if key not in table.memo:
-        table.memo[key] = compute()
-    return table.memo[key]
+    out = table.memo.get(key)
+    if out is None:
+        out = table.memo[key] = compute()
+    return out
 
 
 def _compile(entries) -> dict:
@@ -239,10 +240,6 @@ def _compile(entries) -> dict:
 # -- sparse coefficient-dict calculus -----------------------------------------
 
 
-def _vget(a: dict, key) -> RatFunc:
-    return a.get(key, _ZERO)
-
-
 def _vf_apply(chart: Chart, u: dict, f: RatFunc) -> RatFunc:
     if f.is_const():
         return _ZERO
@@ -251,13 +248,6 @@ def _vf_apply(chart: Chart, u: dict, f: RatFunc) -> RatFunc:
     for a, v in u.items():
         acc = acc + v * f.partial(names[a])
     return acc
-
-
-def _vf_bracket(chart: Chart, u: dict, v: dict) -> dict:
-    out = {}
-    for a in set(u) | set(v):
-        _acc(out, a, _vf_apply(chart, u, _vget(v, a)) - _vf_apply(chart, v, _vget(u, a)))
-    return out
 
 
 def _frame_partial(chart: Chart, w: dict, k: int) -> dict:
@@ -375,9 +365,10 @@ def _frame(j: int) -> dict:
 # ``L_{d_r}(*)(d_k, d_p)``.  Frames have constant components and commute, so
 # that Lie derivative is the partial ``d_r(d_k * d_p)`` (`_frame_partial`),
 # and ``lie_at`` reads any other bracket with a frame as a partial too,
-# ``[w, d_k] = -d_k w``.  The duality obstructions, the flat-structure
-# check, the five-field scan and the classifier read these two memos and
-# keep no copy of their own; the battery's table identities read neither.
+# ``[w, d_k] = -d_k w``.  `duality.regular_connection` and the five-field
+# scan read these two memos and keep no copy of their own; the battery's
+# table identities and the residual maps of `duality` and `gengeo` read
+# neither.
 # Memoized dicts are shared, so no caller mutates one.  Each value keeps its
 # own partials, so the base battery and the battery of its tangent
 # prolongation, which hold the same star entries, differentiate each once

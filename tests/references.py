@@ -8,18 +8,23 @@ of a product off the assembled tensor, and :func:`nabla_star` takes the
 covariant derivative of a product on any three vector fields.
 :func:`lie_star`, :func:`torsion_vec` and :func:`five_field_residual` take
 the Lie derivative of a product, the torsion and the five-field combination
-on general vector fields, through the general bracket; the package computes
-them on coordinate frames only.  :func:`lie_l_entry` and :func:`lie_d_entry`
+on general vector fields, through the general bracket :func:`_vf_bracket`;
+the package computes them on coordinate frames only and has no general
+bracket.  :func:`lie_l_entry` and :func:`lie_d_entry`
 take one frame entry of the Lie derivative of the side and derivative tables
 along a linear vector field through the frame operators, the Euler
 references of the battery's table identities.
 :func:`reference_components` reads the tables of a linear (2,1) tensor
 through vertical lifts, Lie derivatives and contractions instead of by key,
 and :func:`_verify_leibniz` checks an assembled tensor against the Leibniz
-rule of its tables.  :func:`courant_frame_residuals` evaluates the frame
-laws of the anchor, scalar and bracket checks in section form, through the
-frame operators and the pairing of sections, and the structural pairing
-record by conjugating with the pairing matrix.  The ``ref_*_vec`` functions
+rule of its tables.  :class:`GenSection`, :func:`pairing`, :func:`anchor`
+and :func:`dorfman` are the exact Courant operations on sections of the
+double bundle, which ``gengeo`` checks on coordinate frames only.
+:func:`courant_frame_residuals` evaluates the frame laws of the anchor,
+scalar and bracket checks in section form, through the frame operators, the
+pairing of sections and the Dorfman bracket, and the structural pairing
+record by conjugating with the pairing matrix; :func:`courant_predicate_residuals`
+is the dense, tuple-by-tuple form of the classifier's derivative predicate.  The ``ref_*_vec`` functions
 are the dense frame forms of the duality obstructions and
 :func:`ref_kernel_records` scans them frame tuple by frame tuple, the
 reference for the residual maps of ``duality``.  :func:`report_layout` is the
@@ -41,13 +46,12 @@ from fmanlin.fman import (
     _on_frames,
     _frame,
     _vf_apply,
-    _vf_bracket,
     apply_d,
     apply_delta,
     apply_l,
     star_product,
 )
-from fmanlin.gengeo import _double_rank, _dorfman_comps
+from fmanlin.gengeo import _double_rank, _require_closed
 from fmanlin.prolong import conjugate, conjugate_unit
 from fmanlin.report import Report
 from fmanlin.symcore import RatFunc, _Value, _inverse
@@ -75,6 +79,18 @@ def vscale(a: dict, f: RatFunc) -> dict:
     if f.is_zero():
         return {}
     return {key: val * f for key, val in a.items()}
+
+
+def _vget(a: dict, key) -> RatFunc:
+    return a.get(key, _ZERO)
+
+
+def _vf_bracket(chart: Chart, u: dict, v: dict) -> dict:
+    """The bracket ``[u, v]`` of two vector fields given as coefficient dicts."""
+    out = {}
+    for a in set(u) | set(v):
+        _acc(out, a, _vf_apply(chart, u, _vget(v, a)) - _vf_apply(chart, v, _vget(u, a)))
+    return out
 
 
 def apply_l_vec(c: MultComponents, u: dict, sec: dict) -> dict:
@@ -509,6 +525,112 @@ class BFieldData(_Value):
         return cls(chart=chart, b=b, a=a, s=s)
 
 
+# -- the exact Courant operations in section form ------------------------------
+
+
+class GenSection(_Value):
+    """Section ``X + xi`` of the double bundle, both parts base-only."""
+
+    _key = attrgetter("chart", "vec", "form")
+
+    def __init__(self, chart: Chart, vec: tuple, form: tuple):
+        vec = tuple(
+            chart.require_base_only(RatFunc.coerce(v), "vector part") for v in vec
+        )
+        form = tuple(
+            chart.require_base_only(RatFunc.coerce(v), "covector part")
+            for v in form
+        )
+        if len(vec) != chart.n or len(form) != chart.n:
+            raise ValueError(f"both parts need {chart.n} components")
+        self._set(chart=chart, vec=vec, form=form)
+
+    @staticmethod
+    def frame(chart: Chart, idx: int) -> "GenSection":
+        n = chart.n
+        if not 0 <= idx < 2 * n:
+            raise ValueError(f"frame index {idx} out of range for rank {2 * n}")
+        comps = [_ZERO] * (2 * n)
+        comps[idx] = RatFunc.one()
+        return GenSection(chart, tuple(comps[:n]), tuple(comps[n:]))
+
+    @classmethod
+    def from_components(cls, chart: Chart, comps: dict) -> "GenSection":
+        n = chart.n
+        full = [_ZERO] * (2 * n)
+        for i, v in comps.items():
+            full[i] = v
+        return cls(chart, tuple(full[:n]), tuple(full[n:]))
+
+    def components(self) -> dict:
+        out = {}
+        for i, v in enumerate(self.vec):
+            if not v.is_zero():
+                out[i] = v
+        n = len(self.vec)
+        for i, v in enumerate(self.form):
+            if not v.is_zero():
+                out[n + i] = v
+        return out
+
+    def is_zero(self) -> bool:
+        return all(v.is_zero() for v in self.vec + self.form)
+
+
+def _same_chart(s: GenSection, t: GenSection):
+    if s.chart != t.chart:
+        raise ValueError("sections live on different charts")
+
+
+def pairing(s: GenSection, t: GenSection) -> RatFunc:
+    """``<X + xi, Y + eta> = (xi(Y) + eta(X)) / 2``."""
+    _same_chart(s, t)
+    return _pair_comps(s.chart.n, s.components(), t.components())
+
+
+def anchor(s: GenSection) -> tuple:
+    """Project a section to its vector part."""
+    return s.vec
+
+
+def _dorfman_comps(chart: Chart, n: int, u: dict, v: dict, h) -> dict:
+    """The twisted Dorfman bracket of two sections given as component dicts."""
+    names = chart.names
+    xu = {i: f for i, f in u.items() if i < n}
+    xv = {i: f for i, f in v.items() if i < n}
+    out = dict(_vf_bracket(chart, xu, xv))
+    for q in range(n):
+        acc = _vf_apply(chart, xu, v.get(n + q, _ZERO))
+        acc = acc - _vf_apply(chart, xv, u.get(n + q, _ZERO))
+        for i in range(n):
+            eta_i = v.get(n + i)
+            if eta_i is not None:
+                acc = acc + eta_i * xu.get(i, _ZERO).partial(names[q])
+            xi_i = u.get(n + i)
+            if xi_i is not None:
+                acc = acc + xv.get(i, _ZERO) * xi_i.partial(names[q])
+        if h is not None:
+            for m, g in xv.items():
+                for i, f in xu.items():
+                    acc = acc + g * f * h.at(m, i, q)
+        if not acc.is_zero():
+            out[n + q] = acc
+        else:
+            out.pop(n + q, None)
+    return out
+
+
+def dorfman(s: GenSection, t: GenSection, h=None) -> GenSection:
+    """``[X + xi, Y + eta]_H = L_X(Y + eta) - i_Y dxi + i_X i_Y H``."""
+    _same_chart(s, t)
+    if h is not None and h.chart.base_names != s.chart.base_names:
+        raise ValueError("twist three-form lives on different base coordinates")
+    _require_closed(h)
+    n = s.chart.n
+    out = _dorfman_comps(s.chart, n, s.components(), t.components(), h)
+    return GenSection.from_components(s.chart, out)
+
+
 # -- the Courant frame laws in section form ------------------------------------
 
 
@@ -665,6 +787,61 @@ def courant_frame_residuals(
         "pairing-duality": duality,
         "dorfman-side": _nonzero_pairs(product(b, k, k), dorfman_side),
         "dorfman-derivative": _nonzero_pairs(product(b, b, k, k), dorfman_deriv),
+    }
+
+
+def ref_nabla_two_form(gamma: TwoForm, nabla: Connection) -> dict:
+    """``nabla gamma`` at every ``(r, i, j)``, nonzero entries only, from
+    ``d_r gamma_ij - G^m_ri gamma_mj - G^m_rj gamma_im``."""
+    names = gamma.chart.names
+    n = gamma.chart.n
+    out = {}
+    for r, i, j in product(range(n), repeat=3):
+        val = gamma.at(i, j).partial(names[r])
+        for m in range(n):
+            val = val - nabla.at(m, r, i) * gamma.at(m, j)
+            val = val - nabla.at(m, r, j) * gamma.at(i, m)
+        if not val.is_zero():
+            out[(r, i, j)] = val
+    return out
+
+
+def courant_predicate_residuals(
+    c: MultComponents, gamma: TwoForm, nabla: Connection, h=None
+) -> dict:
+    """Nonzero ``(witness, residual)`` pairs of each record of the derivative
+    predicate, by record name, index tuple by index tuple in scan order:
+    ``bfield-gradient`` and ``parallel-bfield`` from `ref_nabla_two_form`,
+    ``twist-match`` from the twist and ``d gamma`` on increasing triples, and
+    ``parallel-product`` as ``gamma.apply`` of each frame product, then
+    differentiated."""
+    n, names = c.n, c.chart.names
+    nab = ref_nabla_two_form(gamma, nabla)
+    dg = gamma.d()
+    third = RatFunc.coerce(Fraction(1, 3))
+
+    def nonzero(pairs):
+        return [(idx, val) for idx, val in pairs if not val.is_zero()]
+
+    return {
+        "bfield-gradient": nonzero(
+            (idx, nab.get(idx, _ZERO) - third * dg.at(*idx))
+            for idx in product(range(n), repeat=3)
+        ),
+        "twist-match": nonzero(
+            (idx, (h.at(*idx) if h is not None else _ZERO) - third * dg.at(*idx))
+            for idx in combinations(range(n), 3)
+        ),
+        "parallel-bfield": sorted(nab.items()),
+        "parallel-product": nonzero(
+            (
+                (r, m, p, q),
+                gamma.apply(star_product(c, _frame(m), _frame(p)), _frame(q)).partial(
+                    names[r]
+                ),
+            )
+            for r, m, p, q in product(range(n), repeat=4)
+        ),
     }
 
 

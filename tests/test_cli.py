@@ -587,12 +587,12 @@ def test_value_types_are_shared_across_modules():
 
 
 def test_record_types_keep_their_semantics():
-    from fmanlin import fman, gengeo, prolong
+    from fmanlin import fman, prolong
     from fmanlin.modelfile import ModelFile
     from fmanlin.report import CheckRecord, Report
     from fmanlin.symcore import RatFunc
     from fmanlin.tensor import Chart, Connection, ThreeForm, TwoForm
-    from references import Section
+    from references import GenSection, Section
 
     chart, line = Chart.standard(1, 2), Chart.standard(1, 0)
     one = RatFunc.one()
@@ -618,7 +618,7 @@ def test_record_types_keep_their_semantics():
         (base, "unit"),
         (base, "star"),
         (fman._IDENTITIES["star-symmetric"], "space"),
-        (gengeo.GenSection(chart=line, vec=(1,), form=(0,)), "form"),
+        (GenSection(chart=line, vec=(1,), form=(0,)), "form"),
         (prol, "kind"),
         (record, "witness"),
     ]
@@ -673,9 +673,9 @@ def test_record_types_keep_their_semantics():
             fman.LinearVectorField.zero(line),
         ),
         (
-            gengeo.GenSection(line, (1,), (0,)),
-            gengeo.GenSection.frame(line, 0),
-            gengeo.GenSection.frame(line, 1),
+            GenSection(line, (1,), (0,)),
+            GenSection.frame(line, 0),
+            GenSection.frame(line, 1),
         ),
     ]
     for obj, equal, other in pairs:

@@ -18,8 +18,6 @@ from fmanlin.fman import (
     _hm_into,
     _run_into,
     _vadd,
-    _vf_bracket,
-    _vget,
     _vsub,
     apply_d,
     apply_delta,
@@ -49,6 +47,8 @@ from fmanlin.tensor import (
 from references import (
     Section,
     _verify_leibniz,
+    _vf_bracket,
+    _vget,
     apply_l_vec,
     lie_components,
     lie_d_entry,
@@ -407,7 +407,6 @@ def test_defect_tensor_shares_no_code_with_the_table_residuals(monkeypatch):
     assert len(maps) == 15
     shared = (
         "_vf_apply",
-        "_vf_bracket",
         "_frame_partial",
         "_by",
         "_by_out",

@@ -1,6 +1,7 @@
 """Courant operations on the double bundle and the B-field classification."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -14,18 +15,14 @@ from fmanlin.fman import (
 )
 from fmanlin import gengeo
 from fmanlin.gengeo import (
-    GenSection,
     ThreeForm,
     TwoForm,
     _recover,
-    anchor,
     bfield_transform,
     check_anchor_compat,
     check_dorfman_compat,
     check_scalar_compat,
     classify_exact_courant,
-    dorfman,
-    pairing,
 )
 from fmanlin.prolong import (
     direct_sum,
@@ -36,7 +33,15 @@ from fmanlin.prolong import (
 from fmanlin.report import Report
 from fmanlin.symcore import RatFunc, parse_expr
 from fmanlin.tensor import Chart
-from references import BFieldData, courant_frame_residuals
+from references import (
+    BFieldData,
+    GenSection,
+    anchor,
+    courant_frame_residuals,
+    courant_predicate_residuals,
+    dorfman,
+    pairing,
+)
 
 B1 = Chart.standard(1, 0)
 B2 = Chart.standard(2, 0)
@@ -53,6 +58,7 @@ TRIVIAL3_STAR = {
 }
 
 HALF = RatFunc.coerce(Fraction(1, 2))
+THIRD = RatFunc.coerce(Fraction(1, 3))
 
 
 def rf(text, chart=B2):
@@ -934,30 +940,57 @@ def _courant_candidates():
     return out
 
 
-def test_frame_laws_match_their_section_form(monkeypatch):
-    # every nonzero residual of every scan, read to the end, equals the one
-    # of the section form, in the same order
-    scans = {}
+def _recovered_two_form(c, e, nabla):
+    """The two-form of ``(c, e)`` against the double prolongation of its base."""
+    base = BaseFManifold(c.chart.base(), c.star, e.beta)
+    return _recover(c, e, generalized_prolongation(base, nabla).components)
 
-    class Recording(Report):
-        def scan(self, name, law, pairs):
-            pairs = list(pairs)
-            scans[name] = [(tuple(w), r) for w, r in pairs if not r.is_zero()]
-            return super().scan(name, law, iter(pairs))
 
-    monkeypatch.setattr(gengeo, "Report", Recording)
+def _frame_law_maps(c, e, nabla, h):
+    """The residual map of each frame law of ``(c, e)``, by record name; the
+    bracket laws and the derivative predicate only under a vanishing
+    connection, the predicate on the two-form recovered against the double
+    prolongation of the candidate's base."""
+    n = c.n
+    maps = {
+        "anchor-side": gengeo._map_anchor_side(c),
+        "anchor-derivative": gengeo._map_anchor_derivative(c),
+        "pairing-side": gengeo._map_pairing_side(c, n),
+        "pairing-derivative": gengeo._map_pairing_derivative(c, n, nabla),
+        "pairing-unit": gengeo._map_pairing_unit(e, n),
+    }
+    if nabla.gamma:
+        return maps, None
+    twist = gengeo._twist_entries(h)
+    maps["dorfman-side"] = gengeo._map_dorfman_side(c, n, twist)
+    maps["dorfman-derivative"] = gengeo._map_dorfman_derivative(c, n, twist)
+    gamma = _recovered_two_form(c, e, nabla)
+    nab, dg = gengeo._nabla_two_form(gamma), gamma.d()
+    maps["bfield-gradient"] = gengeo._map_bfield_gradient(nab, dg)
+    maps["twist-match"] = gengeo._map_twist_match(h, dg)
+    maps["parallel-bfield"] = nab
+    maps["parallel-product"] = gengeo._map_parallel_product(c, gamma)
+    return maps, gamma
+
+
+def test_frame_laws_match_their_section_form():
+    # every residual map, read whole in witness order, equals the nonzero
+    # residuals of the section form or dense reference, tuple by tuple; the
+    # structural pairing record stops at the reference's first entry
     outcomes = {}
     for c, e, nabla, h in _courant_candidates():
-        scans.clear()
-        check_anchor_compat(c)
-        check_scalar_compat(c, e, nabla)
-        if not nabla.gamma:  # the bracket laws need a vanishing connection
-            check_dorfman_compat(c, e, nabla, h)
+        maps, gamma = _frame_law_maps(c, e, nabla, h)
         want = courant_frame_residuals(c, e, nabla, h)
-        assert len(scans) == (8 if not nabla.gamma else 6)
-        assert scans == {name: want[name] for name in scans}
-        for name, pairs in scans.items():
-            outcomes.setdefault(name, set()).add(not pairs)
+        if gamma is not None:
+            want.update(courant_predicate_residuals(c, gamma, nabla, h))
+        assert len(maps) == (11 if gamma is not None else 5)
+        for name, residuals in maps.items():
+            assert sorted(residuals.items()) == want[name], name
+            outcomes.setdefault(name, set()).add(not residuals)
+        rec = check_scalar_compat(c, e, nabla).record("pairing-duality")
+        first = [(w, str(r)) for w, r in want["pairing-duality"][:1]]
+        assert [(rec.witness, rec.residual)] == (first or [(None, None)])
+        outcomes.setdefault("pairing-duality", set()).add(rec.passed)
     for name in (
         "pairing-side",
         "pairing-derivative",
@@ -965,8 +998,114 @@ def test_frame_laws_match_their_section_form(monkeypatch):
         "pairing-duality",
         "dorfman-side",
         "dorfman-derivative",
+        "bfield-gradient",
+        "twist-match",
+        "parallel-bfield",
+        "parallel-product",
     ):
         assert outcomes[name] == {True, False}, name
+
+
+def _predicate_cases():
+    """A passing shear and the pinned splits: the linear and constant shears of
+    the plane, the spin form on ``trivial3`` with its matching twist, and a
+    constant two-form over ``base_i2``."""
+    prol, nabla = plane_package()
+    cases = [
+        (*bfield_transform(prol.components, prol.unit, TwoForm(B2, gamma)), nabla, None)
+        for gamma in ({(0, 1): 3}, {(0, 1): rf("x1")})
+    ]
+    prol3, nabla3 = trivial3_package()
+    spin = bfield_transform(prol3.components, prol3.unit, spin3_form())
+    cases.append((*spin, nabla3, ThreeForm(B3, {(0, 1, 2): 1})))
+    prol_i2 = generalized_prolongation(base_i2(), nabla)
+    tc, te = bfield_transform(prol_i2.components, prol_i2.unit, TwoForm(B2, {(0, 1): 1}))
+    return cases + [(tc, te, nabla, None)]
+
+
+def test_dorfman_laws_and_derivative_predicate_share_no_code(monkeypatch):
+    predicate = ("_recover", "_nabla_two_form", "_map_bfield_gradient", "_map_twist_match")
+    predicate += ("_map_parallel_product",)
+    dorfman_route = ("_map_dorfman_side", "_map_dorfman_derivative", "_twist_entries", "_partner")
+    cases = _predicate_cases()
+    # every forbidden name is live: its own route fails without it
+    owners = [
+        (dorfman_route, check_dorfman_compat, cases[2]),
+        (predicate, classify_exact_courant, cases[1]),
+    ]
+    for names, route, case in owners:
+        for name in names:
+            with monkeypatch.context() as m:
+                m.setattr(gengeo, name, forbidden)
+                with pytest.raises(AssertionError, match="must not be used"):
+                    route(*case)
+    verdicts = set()
+    for c, e, nabla, h in cases:
+        want = classify_exact_courant(c, e, nabla, h)
+        dorf = check_dorfman_compat(c, e, nabla, h)
+        verdicts.add((want.passed, dorf.passed))
+
+        # the bracket laws, with the predicate's maps and helpers forbidden
+        with monkeypatch.context() as m:
+            for name in predicate:
+                m.setattr(gengeo, name, forbidden)
+            m.setattr(TwoForm, "d", forbidden)
+            assert check_dorfman_compat(c, e, nabla, h).records == dorf.records
+
+        # the predicate, with the bracket laws' maps and helpers forbidden
+        # from the moment the two-form is recovered
+        with monkeypatch.context() as m:
+
+            class Sealing(Report):
+                def add(self, name, *args):
+                    super().add(name, *args)
+                    if name == "bfield-recovery":
+                        for helper in dorfman_route:
+                            m.setattr(gengeo, helper, forbidden)
+                        m.setattr(gengeo, "check_dorfman_compat", lambda *args: dorf)
+
+            m.setattr(gengeo, "Report", Sealing)
+            got = classify_exact_courant(c, e, nabla, h)
+        assert got.records == want.records
+    assert verdicts == {(True, True), (False, False)}
+
+
+def test_parallel_product_completes_the_derivative_predicate():
+    # seeded shears of generalized prolongations by two-forms of degree <= 2,
+    # untwisted and, at n = 3, twisted by a third of d gamma: the predicate
+    # with parallel-product (taken for every twist) agrees with the bracket
+    # laws on every case; without it, it disagrees on the two pinned splits
+    rng = rng_for("gengeo-predicate-agreement")
+    cases = []
+    for base in (base_plane(), base_i2(), base_trivial3()):
+        chart = base.chart
+        nabla = Connection.zero(chart)
+        prol = generalized_prolongation(base, nabla)
+        for degree in (0, 1, 2) * 4:
+            table = {
+                key: rand_ratfunc(rng, chart.names, max_deg=degree, with_den=False)
+                for key in combinations(range(chart.n), 2)
+            }
+            gamma = TwoForm(chart, table)
+            tc, te = bfield_transform(prol.components, prol.unit, gamma)
+            cases.append((tc, te, nabla, None))
+            dg = gamma.d()
+            if not dg.is_zero():
+                third = {key: v * THIRD for key, v in dg.table.items()}
+                cases.append((tc, te, nabla, ThreeForm(chart, third)))
+    split = _predicate_cases()[2:]
+    outcomes = set()
+    for index, (c, e, nabla, h) in enumerate(cases + split):
+        verdicts = classify_verdicts(classify_exact_courant(c, e, nabla, h))
+        gamma = _recovered_two_form(c, e, nabla)
+        partial = verdicts["bfield-gradient"] and verdicts["twist-match"]
+        complete = partial and not gengeo._map_parallel_product(c, gamma)
+        assert complete == verdicts["dorfman-compatibility"]
+        assert (partial == complete) == verdicts["classification-agreement"]
+        if index >= len(cases):  # a pinned split
+            assert partial and not complete
+        outcomes.add((complete, partial == complete))
+    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 def _scalar_pair():
@@ -980,6 +1119,8 @@ def _scalar_pair():
 
 
 def test_pairing_frame_records_and_duality_record_share_no_code(monkeypatch):
+    frame_route = ("_map_pairing_side", "_map_pairing_derivative", "_map_pairing_unit")
+    frame_route += ("symmetric_bracket",)
     verdicts = set()
     for c, e, nabla in _scalar_pair():
         want = check_scalar_compat(c, e, nabla)
@@ -1010,7 +1151,8 @@ def test_pairing_frame_records_and_duality_record_share_no_code(monkeypatch):
                     if name == "pairing-unit":
                         m.setattr(MultComponents, "l_at", forbidden)
                         m.setattr(MultComponents, "d_at", forbidden)
-                        m.setattr(gengeo, "symmetric_bracket", forbidden)
+                        for helper in frame_route:
+                            m.setattr(gengeo, helper, forbidden)
 
             m.setattr(gengeo, "Report", Sealing)
             got = check_scalar_compat(c, e, nabla)
