@@ -6,7 +6,7 @@ a second-derivative-like table ``d`` (``(i, j, k, p) -> a^i_{j,kp}``), a side
 table ``l`` (``(i, j, k) -> a^i_{jk}``, the coefficient of ``s_i`` in
 ``l_{dx^k} s_j``) and a base product ``star`` (``(a, i, j) -> b^a_{ij}``,
 the coefficient of ``dx^a`` in ``dx^i * dx^j``).  This module stores that
-data, evaluates the operators it induces on sections, and runs the axiom
+data, multiplies base vector fields through ``star``, and runs the axiom
 battery: commutativity, associativity, unit, integrability and Euler fields.
 Every check is performed twice where possible -- once on the tables and once
 on the assembled tensor -- and reports the first violating index tuple.
@@ -42,9 +42,6 @@ __all__ = [
     "MultComponents",
     "BaseFManifold",
     "star_product",
-    "apply_l",
-    "apply_d",
-    "apply_delta",
     "check_commutative",
     "check_associative",
     "check_unit",
@@ -117,9 +114,6 @@ class LinearVectorField(_Value):
 
     def base_vec(self) -> dict:
         return {a: v for a, v in enumerate(self.beta) if not v.is_zero()}
-
-    def base_apply(self, f: RatFunc) -> RatFunc:
-        return _vf_apply(self.chart, self.base_vec(), f)
 
     def dual(self) -> "LinearVectorField":
         k = self.chart.k
@@ -240,16 +234,6 @@ def _compile(entries) -> dict:
 # -- sparse coefficient-dict calculus -----------------------------------------
 
 
-def _vf_apply(chart: Chart, u: dict, f: RatFunc) -> RatFunc:
-    if f.is_const():
-        return _ZERO
-    names = chart.names
-    acc = _ZERO
-    for a, v in u.items():
-        acc = acc + v * f.partial(names[a])
-    return acc
-
-
 def _frame_partial(chart: Chart, w: dict, k: int) -> dict:
     """``d_k w``, which is ``[d_k, w] = -[w, d_k]``: frames have constant components."""
     name = chart.names[k]
@@ -281,58 +265,6 @@ def star_product(c: MultComponents, u: dict, v: dict) -> dict:
                 w = ui * vj
                 for a, b in row:
                     _acc(out, a, b * w)
-    return out
-
-
-def apply_l(c: MultComponents, k: int, sec: dict) -> dict:
-    """Side operator along ``dx^k`` on a section coefficient dict."""
-    rows = c.rows.l
-    out = {}
-    for j, f in sec.items():
-        for i, val in rows.get((k, j), ()):
-            _acc(out, i, val * f)
-    return out
-
-
-def apply_d(c: MultComponents, k: int, p: int, sec: dict) -> dict:
-    """Second-order operator ``D`` along ``(dx^k, dx^p)``.
-
-    Follows the product rule of the component dictionary: the table acts on
-    frame sections; derivatives of the coefficients couple to the side table
-    in the opposite slot; and the base product transports a first-order term.
-    """
-    names = c.chart.names
-    rows = c.rows
-    transports = rows.star.get((k, p), ())
-    out = {}
-    for j, f in sec.items():
-        for i, val in rows.d.get((j, k, p), ()):
-            _acc(out, i, val * f)
-        if f.is_const():
-            continue  # the derivative and transport terms vanish
-        fk = f.partial(names[k])
-        if not fk.is_zero():
-            for i, val in rows.l.get((p, j), ()):
-                _acc(out, i, val * fk)
-        fp = f.partial(names[p])
-        if not fp.is_zero():
-            for i, val in rows.l.get((k, j), ()):
-                _acc(out, i, val * fp)
-        transport = _ZERO
-        for a, b in transports:
-            transport = transport + b * f.partial(names[a])
-        _acc(out, j, -transport)
-    return out
-
-
-def apply_delta(e: LinearVectorField, sec: dict) -> dict:
-    """Derivation on sections induced by a fiberwise-linear vector field."""
-    out = {}
-    for i, f in sec.items():
-        _acc(out, i, e.base_apply(f))
-    for i in range(e.chart.k):
-        for j, f in sec.items():
-            _acc(out, i, -(e.lam[i][j] * f))
     return out
 
 

@@ -30,7 +30,7 @@ from .fman import (
     _table_diffs,
     check_battery,
 )
-from .prolong import _conjugate, _conjugate_unit, _double_prolongation
+from .prolong import _double_prolongation
 from .report import Report
 from .symcore import RatFunc
 from .tensor import Chart, Connection, ThreeForm, TwoForm
@@ -46,7 +46,6 @@ __all__ = [
 ]
 
 _ZERO = RatFunc.zero()
-_ONE = RatFunc.one()
 _HALF = RatFunc.coerce(Fraction(1, 2))
 _THIRD = RatFunc.coerce(Fraction(1, 3))
 
@@ -344,17 +343,63 @@ def check_dorfman_compat(
 # -- B-field transformations -------------------------------------------------------
 
 
+def _sheared(table: dict, into: dict, out_of: dict) -> list:
+    """The terms of ``M T M^-1 = T + N T - T N - N T N`` for a table ``T`` keyed
+    ``(i, j, *rest)``: ``into[i]`` lists each ``(r, N[r][i])`` and ``out_of[j]``
+    each ``(s, N[j][s])``."""
+    terms = []
+    for (i, j, *rest), v in table.items():
+        left, right = into.get(i, ()), out_of.get(j, ())
+        terms.append(((i, j, *rest), 1, v))
+        terms += [((r, j, *rest), 1, w * v) for r, w in left]
+        terms += [((i, s, *rest), -1, v * u) for s, u in right]
+        terms += [((r, s, *rest), -1, w * v * u) for r, w in left for s, u in right]
+    return terms
+
+
 def bfield_transform(
     c: MultComponents, e: LinearVectorField, gamma: TwoForm
 ) -> tuple[MultComponents, LinearVectorField]:
-    """Conjugate ``(c, e)`` by the shear ``X + xi -> X + xi + i_X gamma``,
-    whose inverse is the shear by ``-gamma``."""
+    """Conjugate ``(c, e)`` by the shear ``X + xi -> X + xi + i_X gamma``.
+
+    The shear is ``M = I + N`` with ``N[n+a][b] = gamma(b, a)``; ``N`` maps the
+    vector block into the form block, so ``N N = N d_e N = 0`` and ``M^-1 = I -
+    N`` is the shear by ``-gamma``.  Each table ``T`` of ``l`` and ``d`` becomes
+    ``M T M^-1`` (`_sheared`), and ``lam`` becomes ``M lam M^-1 + ebar(N)``; with
+    ``l_p`` the side table along ``dx^p``, the tables gain::
+
+        d_kp:  - l_p d_k N - N l_p d_k N    - l_k d_p N - N l_k d_p N
+               + sum_a b^a_kp d_a N
+        lam:   + sum_q beta^q d_q N
+    """
     n = _check_candidate(c, e, gamma, "two-form")
-    mat = [[_ONE if b == a else _ZERO for b in range(2 * n)] for a in range(2 * n)]
-    inv = [list(row) for row in mat]
-    for a, b in product(range(n), repeat=2):
-        mat[n + a][b], inv[n + a][b] = gamma.at(b, a), -gamma.at(b, a)
-    return _conjugate(c, mat, inv), _conjugate_unit(e, mat, inv)
+    shear = {}
+    for (i, j), v in gamma.table.items():
+        shear[n + j, i], shear[n + i, j] = v, -v
+    into = _grouped((i, (r, v)) for (r, i), v in shear.items())
+    out_of = _grouped((j, (s, v)) for (j, s), v in shear.items())
+    grads = list(_partials(c.chart, shear.items()))  # (k, (r, s), d_k N[r][s])
+    grads_by_row = _grouped((r, (k, s, g)) for k, (r, s), g in grads)
+    star_by_out = _grouped((a, (k, p, b)) for (a, k, p), b in c.star.items())
+    d_terms = _sheared(c.d, into, out_of)
+    for (i, m, p), v in c.l.items():
+        for k, s, g in grads_by_row.get(m, ()):
+            vg = v * g
+            d_terms += [((i, s, k, p), -1, vg), ((i, s, p, k), -1, vg)]
+            for r, w in into.get(i, ()):
+                d_terms += [((r, s, k, p), -1, w * vg), ((r, s, p, k), -1, w * vg)]
+    for a, (r, s), g in grads:
+        d_terms += [((r, s, k, p), 1, b * g) for k, p, b in star_by_out.get(a, ())]
+    lam = {key: v for key, v in _lam_table(e).items() if not v.is_zero()}
+    lam_terms = _sheared(lam, into, out_of)
+    lam_terms += [((r, s), 1, e.beta[q] * g) for q, (r, s), g in grads]
+    lam = _merged(lam_terms)
+    rows = tuple(tuple(lam.get((i, j), _ZERO) for j in range(2 * n)) for i in range(2 * n))
+    l = _merged(_sheared(c.l, into, out_of))
+    return (
+        MultComponents(chart=c.chart, d=_merged(d_terms), l=l, star=c.star),
+        LinearVectorField(e.chart, e.beta, rows),
+    )
 
 
 # -- classification: the derivative predicate shares no code with the Dorfman laws --

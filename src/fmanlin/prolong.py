@@ -4,9 +4,8 @@ Any verified base product induces a multiplication on the rank-n bundle
 whose frame sections mirror the coordinate fields (the tangent
 prolongation); over a flat structure the duality transport yields its
 covector twin, and stacking the two gives a rank-2n structure on the
-double fiber.  The building blocks -- block direct sums and conjugation by
-a fiber isomorphism -- are exposed separately, since they preserve every
-battery verdict and are reused by the generalized-geometry layer.
+double fiber.  The stacking is the block direct sum of tables and of units
+(`direct_sum`, `direct_sum_unit`), which preserves every battery verdict.
 """
 
 from __future__ import annotations
@@ -17,9 +16,6 @@ from .fman import (
     BaseFManifold,
     LinearVectorField,
     MultComponents,
-    apply_d,
-    apply_delta,
-    apply_l,
     check_battery,
     _Ctx,
     _on_frames,
@@ -27,8 +23,8 @@ from .fman import (
     _vec_pairs,
 )
 from .report import Report
-from .symcore import RatFunc, SingularMatrixError, _Frozen, _inverse
-from .tensor import Chart, Connection, _acc, _vadd, _vsub
+from .symcore import RatFunc, _Frozen
+from .tensor import Chart, Connection, _vadd, _vsub
 
 __all__ = [
     "ProlongedStructure",
@@ -37,8 +33,6 @@ __all__ = [
     "generalized_prolongation",
     "direct_sum",
     "direct_sum_unit",
-    "conjugate",
-    "conjugate_unit",
     "check_five_field_identity",
 ]
 
@@ -188,79 +182,6 @@ def direct_sum_unit(e1: LinearVectorField, e2: LinearVectorField) -> LinearVecto
     for i in range(k2):
         lam.append((_ZERO,) * k1 + tuple(e2.lam[i]))
     return LinearVectorField(chart, e1.beta, tuple(lam))
-
-
-# -- conjugation by a fiber isomorphism -----------------------------------------
-
-
-def _coerce_iso(chart: Chart, iso):
-    k = chart.k
-    rows = [
-        [
-            chart.require_base_only(RatFunc.coerce(v), "fiber isomorphism entry")
-            for v in row
-        ]
-        for row in iso
-    ]
-    if len(rows) != k or any(len(row) != k for row in rows):
-        raise ValueError(f"fiber isomorphism must be {k}x{k}")
-    try:
-        cols = _inverse(rows)
-    except SingularMatrixError:
-        raise SingularMatrixError("the fiber isomorphism is singular") from None
-    inv = [[cols[b][i] for b in range(k)] for i in range(k)]
-    return rows, inv
-
-
-def _mat_apply(mat, vec: dict) -> dict:
-    out = {}
-    for i, val in vec.items():
-        for a in range(len(mat)):
-            if not mat[a][i].is_zero():
-                _acc(out, a, mat[a][i] * val)
-    return out
-
-
-def conjugate(c: MultComponents, iso) -> MultComponents:
-    """Transport the tables through an invertible change of fiber frame.
-
-    Each new table column is the old operator applied to the matching
-    column of the inverse matrix, pushed back through the matrix.  For a
-    frame change with non-constant entries the derivative table picks up
-    the usual first-order corrections; the base product is untouched.
-    """
-    return _conjugate(c, *_coerce_iso(c.chart, iso))
-
-
-def _conjugate(c: MultComponents, mat, inv) -> MultComponents:
-    chart = c.chart
-    n, kdim = chart.n, chart.k
-    new_d, new_l = {}, {}
-    for b in range(kdim):
-        col = {i: inv[i][b] for i in range(kdim) if not inv[i][b].is_zero()}
-        for k in range(n):
-            for a, val in _mat_apply(mat, apply_l(c, k, col)).items():
-                new_l[(a, b, k)] = val
-            for p in range(n):
-                for a, val in _mat_apply(mat, apply_d(c, k, p, col)).items():
-                    new_d[(a, b, k, p)] = val
-    return MultComponents(chart=chart, d=new_d, l=new_l, star=c.star)
-
-
-def conjugate_unit(e: LinearVectorField, iso) -> LinearVectorField:
-    """Transport a fiberwise-linear vector field through a change of frame."""
-    return _conjugate_unit(e, *_coerce_iso(e.chart, iso))
-
-
-def _conjugate_unit(e: LinearVectorField, mat, inv) -> LinearVectorField:
-    kdim = e.chart.k
-    lam = [[_ZERO] * kdim for _ in range(kdim)]
-    for b in range(kdim):
-        col = {i: inv[i][b] for i in range(kdim) if not inv[i][b].is_zero()}
-        img = _mat_apply(mat, apply_delta(e, col))
-        for a in range(kdim):
-            lam[a][b] = -img.get(a, _ZERO)
-    return LinearVectorField(e.chart, e.beta, tuple(tuple(row) for row in lam))
 
 
 # -- the five-field identity -----------------------------------------------------

@@ -1182,11 +1182,3 @@ def solve_linear(matrix, rhs) -> list[RatFunc]:
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("solve_linear expects a square system")
     return _solve(matrix, [rhs])[0]
-
-
-def _inverse(matrix) -> list[list[RatFunc]]:
-    """The columns of the inverse of a square matrix, from one elimination:
-    column ``j`` is ``solve_linear(matrix, e_j)``."""
-    n = len(matrix)
-    unit = [[_RF_ONE if i == j else _RF_ZERO for i in range(n)] for j in range(n)]
-    return _solve(matrix, unit)

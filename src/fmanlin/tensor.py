@@ -15,7 +15,6 @@ fields, such as the product of a linear F-manifold, and their frame tables
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
 from operator import attrgetter
 
 from .symcore import RatFunc, _Frozen, _Value
@@ -501,6 +500,22 @@ def _sorted_with_parity(idx):
     return tuple(order), sign
 
 
+def _exterior_d(chart: Chart, table: dict) -> dict:
+    """The exterior derivative of a form stored by increasing keys: each
+    nonzero partial ``d_e w_K`` along an index ``e`` outside ``K`` adds to the
+    sorted key of ``(e, *K)``, with the sign of that sort."""
+    out = {}
+    for key, v in table.items():
+        if v.is_const():
+            continue
+        for e, name in enumerate(chart.base_names):
+            if e not in key:
+                idx, sign = _sorted_with_parity((e, *key))
+                dv = v.partial(name)
+                _acc(out, idx, dv if sign > 0 else -dv)
+    return out
+
+
 class TwoForm(_Frozen):
     """Antisymmetric two-form stored by its strictly increasing index pairs."""
 
@@ -545,14 +560,7 @@ class TwoForm(_Frozen):
         return acc
 
     def d(self) -> "ThreeForm":
-        names = self.chart.names
-        table = {
-            (i, j, k): self.at(j, k).partial(names[i])
-            - self.at(i, k).partial(names[j])
-            + self.at(i, j).partial(names[k])
-            for i, j, k in combinations(range(self.chart.n), 3)
-        }
-        return ThreeForm(self.chart, table)
+        return ThreeForm(self.chart, _exterior_d(self.chart, self.table))
 
 
 class ThreeForm(_Frozen):
@@ -587,14 +595,4 @@ class ThreeForm(_Frozen):
         return not self.table
 
     def is_closed(self) -> bool:
-        names = self.chart.names
-        for i, j, k, m in combinations(range(self.chart.n), 4):
-            val = (
-                self.at(j, k, m).partial(names[i])
-                - self.at(i, k, m).partial(names[j])
-                + self.at(i, j, m).partial(names[k])
-                - self.at(i, j, k).partial(names[m])
-            )
-            if not val.is_zero():
-                return False
-        return True
+        return not _exterior_d(self.chart, self.table)

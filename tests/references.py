@@ -30,7 +30,14 @@ are the dense frame forms of the duality obstructions and
 reference for the residual maps of ``duality``.  :func:`report_layout` is the
 JSON layout that ``Report.to_json`` writes.  :func:`ref_regular_connection`
 inverts the unit-and-power frame and differentiates the inverse, the
-reference for ``duality.regular_connection``.
+reference for ``duality.regular_connection``.  :func:`apply_l`,
+:func:`apply_d` and :func:`apply_delta` are the operators the tables induce
+on sections, and :func:`conjugate` and :func:`conjugate_unit` transport the
+tables through any invertible change of fiber frame, inverted by elimination
+(:func:`_inverse`): by :func:`shear_matrix` they are the reference route of
+``gengeo.bfield_transform``.  :func:`ref_two_form_d` and
+:func:`ref_three_form_is_closed` are the dense exterior derivatives over every
+triple and quadruple.
 """
 
 from fractions import Fraction
@@ -45,16 +52,11 @@ from fmanlin.fman import (
     _Ctx,
     _on_frames,
     _frame,
-    _vf_apply,
-    apply_d,
-    apply_delta,
-    apply_l,
     star_product,
 )
 from fmanlin.gengeo import _double_rank, _require_closed
-from fmanlin.prolong import conjugate, conjugate_unit
 from fmanlin.report import Report
-from fmanlin.symcore import RatFunc, _Value, _inverse
+from fmanlin.symcore import RatFunc, SingularMatrixError, _solve, _Value
 from fmanlin.tensor import (
     Chart,
     Connection,
@@ -83,6 +85,186 @@ def vscale(a: dict, f: RatFunc) -> dict:
 
 def _vget(a: dict, key) -> RatFunc:
     return a.get(key, _ZERO)
+
+
+def _vf_apply(chart: Chart, u: dict, f: RatFunc) -> RatFunc:
+    """The vector field ``u`` applied to the function ``f``."""
+    if f.is_const():
+        return _ZERO
+    names = chart.names
+    acc = _ZERO
+    for a, v in u.items():
+        acc = acc + v * f.partial(names[a])
+    return acc
+
+
+def apply_l(c: MultComponents, k: int, sec: dict) -> dict:
+    """Side operator along ``dx^k`` on a section coefficient dict."""
+    rows = c.rows.l
+    out = {}
+    for j, f in sec.items():
+        for i, val in rows.get((k, j), ()):
+            _acc(out, i, val * f)
+    return out
+
+
+def apply_d(c: MultComponents, k: int, p: int, sec: dict) -> dict:
+    """Second-order operator ``D`` along ``(dx^k, dx^p)``.
+
+    Follows the product rule of the component dictionary: the table acts on
+    frame sections; derivatives of the coefficients couple to the side table
+    in the opposite slot; and the base product transports a first-order term.
+    """
+    names = c.chart.names
+    rows = c.rows
+    transports = rows.star.get((k, p), ())
+    out = {}
+    for j, f in sec.items():
+        for i, val in rows.d.get((j, k, p), ()):
+            _acc(out, i, val * f)
+        if f.is_const():
+            continue  # the derivative and transport terms vanish
+        fk = f.partial(names[k])
+        if not fk.is_zero():
+            for i, val in rows.l.get((p, j), ()):
+                _acc(out, i, val * fk)
+        fp = f.partial(names[p])
+        if not fp.is_zero():
+            for i, val in rows.l.get((k, j), ()):
+                _acc(out, i, val * fp)
+        transport = _ZERO
+        for a, b in transports:
+            transport = transport + b * f.partial(names[a])
+        _acc(out, j, -transport)
+    return out
+
+
+def apply_delta(e: LinearVectorField, sec: dict) -> dict:
+    """Derivation on sections induced by a fiberwise-linear vector field."""
+    ebar = e.base_vec()
+    out = {}
+    for i, f in sec.items():
+        _acc(out, i, _vf_apply(e.chart, ebar, f))
+    for i in range(e.chart.k):
+        for j, f in sec.items():
+            _acc(out, i, -(e.lam[i][j] * f))
+    return out
+
+
+def _inverse(matrix) -> list[list[RatFunc]]:
+    """The columns of the inverse of a square matrix, from one elimination:
+    column ``j`` solves ``matrix x = e_j``."""
+    n = len(matrix)
+    unit = [[RatFunc.coerce(int(i == j)) for i in range(n)] for j in range(n)]
+    return _solve(matrix, unit)
+
+
+def _coerce_iso(chart: Chart, iso):
+    k = chart.k
+    rows = [
+        [
+            chart.require_base_only(RatFunc.coerce(v), "fiber isomorphism entry")
+            for v in row
+        ]
+        for row in iso
+    ]
+    if len(rows) != k or any(len(row) != k for row in rows):
+        raise ValueError(f"fiber isomorphism must be {k}x{k}")
+    try:
+        cols = _inverse(rows)
+    except SingularMatrixError:
+        raise SingularMatrixError("the fiber isomorphism is singular") from None
+    inv = [[cols[b][i] for b in range(k)] for i in range(k)]
+    return rows, inv
+
+
+def _mat_apply(mat, vec: dict) -> dict:
+    out = {}
+    for i, val in vec.items():
+        for a in range(len(mat)):
+            if not mat[a][i].is_zero():
+                _acc(out, a, mat[a][i] * val)
+    return out
+
+
+def conjugate(c: MultComponents, iso) -> MultComponents:
+    """Transport the tables through an invertible change of fiber frame.
+
+    Each new table column is the old operator applied to the matching
+    column of the inverse matrix, pushed back through the matrix.  For a
+    frame change with non-constant entries the derivative table picks up
+    the usual first-order corrections; the base product is untouched.
+    """
+    return _conjugate(c, *_coerce_iso(c.chart, iso))
+
+
+def _conjugate(c: MultComponents, mat, inv) -> MultComponents:
+    chart = c.chart
+    n, kdim = chart.n, chart.k
+    new_d, new_l = {}, {}
+    for b in range(kdim):
+        col = {i: inv[i][b] for i in range(kdim) if not inv[i][b].is_zero()}
+        for k in range(n):
+            for a, val in _mat_apply(mat, apply_l(c, k, col)).items():
+                new_l[(a, b, k)] = val
+            for p in range(n):
+                for a, val in _mat_apply(mat, apply_d(c, k, p, col)).items():
+                    new_d[(a, b, k, p)] = val
+    return MultComponents(chart=chart, d=new_d, l=new_l, star=c.star)
+
+
+def conjugate_unit(e: LinearVectorField, iso) -> LinearVectorField:
+    """Transport a fiberwise-linear vector field through a change of frame."""
+    return _conjugate_unit(e, *_coerce_iso(e.chart, iso))
+
+
+def _conjugate_unit(e: LinearVectorField, mat, inv) -> LinearVectorField:
+    kdim = e.chart.k
+    lam = [[_ZERO] * kdim for _ in range(kdim)]
+    for b in range(kdim):
+        col = {i: inv[i][b] for i in range(kdim) if not inv[i][b].is_zero()}
+        img = _mat_apply(mat, apply_delta(e, col))
+        for a in range(kdim):
+            lam[a][b] = -img.get(a, _ZERO)
+    return LinearVectorField(e.chart, e.beta, tuple(tuple(row) for row in lam))
+
+
+def shear_matrix(n: int, gamma: TwoForm) -> list:
+    """The shear ``X + xi -> X + xi + i_X gamma`` as a ``2n x 2n`` matrix."""
+    one = RatFunc.one()
+    mat = [[one if b == a else _ZERO for b in range(2 * n)] for a in range(2 * n)]
+    for a, b in product(range(n), repeat=2):
+        mat[n + a][b] = gamma.at(b, a)
+    return mat
+
+
+def ref_two_form_d(gamma: TwoForm) -> dict:
+    """``d gamma`` at every increasing triple, zeros dropped, read term by term."""
+    names, out = gamma.chart.names, {}
+    for i, j, k in combinations(range(gamma.chart.n), 3):
+        val = (
+            gamma.at(j, k).partial(names[i])
+            - gamma.at(i, k).partial(names[j])
+            + gamma.at(i, j).partial(names[k])
+        )
+        if not val.is_zero():
+            out[i, j, k] = val
+    return out
+
+
+def ref_three_form_is_closed(h) -> bool:
+    """Whether ``d h`` vanishes at every increasing quadruple."""
+    names = h.chart.names
+    for i, j, k, m in combinations(range(h.chart.n), 4):
+        val = (
+            h.at(j, k, m).partial(names[i])
+            - h.at(i, k, m).partial(names[j])
+            + h.at(i, j, m).partial(names[k])
+            - h.at(i, j, k).partial(names[m])
+        )
+        if not val.is_zero():
+            return False
+    return True
 
 
 def _vf_bracket(chart: Chart, u: dict, v: dict) -> dict:
@@ -713,7 +895,7 @@ def courant_frame_residuals(
 
     def pairing_unit(b, cc):
         fb, fc = _frame(b), _frame(cc)
-        lhs = e.base_apply(pair(fb, fc))
+        lhs = _vf_apply(chart, e.base_vec(), pair(fb, fc))
         return {0: lhs - pair(apply_delta(e, fb), fc) - pair(fb, apply_delta(e, fc))}
 
     def br(u, v):

@@ -1,7 +1,8 @@
 """Courant operations on the double bundle and the B-field classification."""
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -37,10 +38,13 @@ from references import (
     BFieldData,
     GenSection,
     anchor,
+    conjugate,
+    conjugate_unit,
     courant_frame_residuals,
     courant_predicate_residuals,
     dorfman,
     pairing,
+    shear_matrix,
 )
 
 B1 = Chart.standard(1, 0)
@@ -556,6 +560,60 @@ def test_bfield_transform_group_law():
     back_c, back_e = bfield_transform(tc, te, neg)
     assert back_c == prol.components
     assert back_e == prol.unit
+
+
+def _shear_cases(rng, base):
+    """Rank-2n candidates over ``base``: its tangent prolongation in the
+    vector block, its generalized prolongation, and random rational ``l``,
+    ``d``, ``star``, ``beta`` and ``lam`` entries of degree <= 2."""
+    n = base.chart.n
+    gen = generalized_prolongation(base, Connection.zero(base.chart))
+    tan = tangent_prolongation(base)
+    chart, zero = gen.components.chart, RatFunc.zero()
+    pad = (zero,) * n
+    lam = tuple(tuple(row) + pad for row in tan.unit.lam) + (pad + pad,) * n
+    tangent = MultComponents(chart=chart, d=tan.components.d, l=tan.components.l, star=base.star)
+
+    def entry():
+        return rand_ratfunc(rng, chart.base_names, max_deg=2)
+
+    def table(*sizes):
+        return {key: entry() for key in product(*map(range, sizes)) if rng.random() < 0.3}
+
+    k = 2 * n
+    rand = MultComponents(chart=chart, d=table(k, k, n, n), l=table(k, k, n), star=table(n, n, n))
+    rand_lam = tuple(
+        tuple(entry() if rng.random() < 0.3 else zero for _ in range(k)) for _ in range(k)
+    )
+    return [
+        (tangent, LinearVectorField(chart, base.unit, lam)),
+        (gen.components, gen.unit),
+        (rand, LinearVectorField(chart, tuple(entry() for _ in range(n)), rand_lam)),
+    ]
+
+
+def test_shear_formula_matches_the_change_of_frame(monkeypatch):
+    # `bfield_transform` reads the table entries; the reference conjugates by
+    # the shear matrix, inverted by elimination, through the section operators
+    rng = rng_for("gengeo-shear-formula")
+    line = BaseFManifold(B1, {(0, 0, 0): 1}, (1,))
+    moved = Counter()
+    for base in (line, base_i2(), base_trivial3()) * 2:
+        n = base.chart.n
+        for c, e in _shear_cases(rng, base):
+            gamma = TwoForm(
+                base.chart,
+                {key: rand_ratfunc(rng, base.chart.names) for key in combinations(range(n), 2)},
+            )
+            got_c, got_e = bfield_transform(c, e, gamma)
+            with monkeypatch.context() as m:
+                for name in ("bfield_transform", "_sheared", "_lam_table", "_partials"):
+                    m.setattr(gengeo, name, forbidden)
+                mat = shear_matrix(n, gamma)
+                want_c, want_e = conjugate(c, mat), conjugate_unit(e, mat)
+            assert got_c == want_c and got_e == want_e
+            moved.update(what for what, same in (("c", got_c == c), ("e", got_e == e)) if not same)
+    assert moved["c"] >= 4 and moved["e"] >= 4
 
 
 def test_bfield_difference_tables_constant():
@@ -1135,7 +1193,7 @@ def test_pairing_frame_records_and_duality_record_share_no_code(monkeypatch):
         # the frame records, with the structural route forbidden
         with monkeypatch.context() as m:
             m.setattr(gengeo, "Report", Recording)
-            for name in ("dualize", "_conjugate", "_table_diffs"):
+            for name in ("dualize", "_sheared", "_table_diffs"):
                 m.setattr(gengeo, name, forbidden)
             with pytest.raises(AssertionError, match="must not be used"):
                 check_scalar_compat(c, e, nabla)
@@ -1181,30 +1239,35 @@ def test_pairing_derivative_takes_each_symmetric_bracket_once(monkeypatch):
 
 
 def test_classifier_inverts_only_the_shear(monkeypatch):
-    from fmanlin import prolong, symcore
+    # the inverse of the shear is the shear by -gamma, read off the same
+    # table entries: no elimination runs inside `bfield_transform`, and no
+    # module keeps a matrix inverse
+    from fmanlin import duality, prolong, symcore
 
+    assert not hasattr(symcore, "_inverse") and not hasattr(prolong, "_inverse")
     prol, nabla = plane_package()
     tc, te = bfield_transform(prol.components, prol.unit, TwoForm(B2, {(0, 1): rf("x1")}))
-    calls, inside = [], []
-    real_inverse, real_transform = symcore._inverse, gengeo.bfield_transform
+    calls, inside, shears = [], [], []
+    real_solve, real_transform = symcore._solve, gengeo.bfield_transform
 
-    def counting(matrix):
+    def counting(matrix, cols):
         calls.append(bool(inside))
-        return real_inverse(matrix)
+        return real_solve(matrix, cols)
 
     def transform(*args):
         inside.append(True)
+        shears.append(args[2])
         try:
             return real_transform(*args)
         finally:
             inside.pop()
 
-    # `duality` binds no `_inverse`: `regular_connection` makes one `_solve`
-    for module in (symcore, prolong):
-        monkeypatch.setattr(module, "_inverse", counting)
+    for module in (symcore, duality):
+        monkeypatch.setattr(module, "_solve", counting)
     monkeypatch.setattr(gengeo, "bfield_transform", transform)
     assert check_scalar_compat(tc, te, nabla).passed
-    assert calls == []
     assert not classify_exact_courant(tc, te, nabla).passed
-    # `bfield_transform` conjugates by the shear and by the shear by -gamma
-    assert calls == []
+    gengeo.bfield_transform(tc, te, TwoForm(B2, {(0, 1): rf("x1 + 1/x2")}))
+    # the counter sees an elimination: `regular_connection` makes one
+    duality.regular_connection(prol.source, (rf("x1+5"), rf("x2^2+1")))
+    assert len(shears) == 2 and True not in calls and calls[-1] is False

@@ -22,8 +22,6 @@ from fmanlin import prolong
 from fmanlin.prolong import (
     ProlongedStructure,
     check_five_field_identity,
-    conjugate,
-    conjugate_unit,
     cotangent_prolongation,
     direct_sum,
     direct_sum_unit,
@@ -32,7 +30,7 @@ from fmanlin.prolong import (
 )
 from fmanlin.symcore import RatFunc, SingularMatrixError, parse_expr
 from fmanlin.tensor import Chart
-from references import five_field_residual
+from references import conjugate, conjugate_unit, five_field_residual
 
 B1 = Chart.standard(1, 0)
 B2 = Chart.standard(2, 0)

@@ -21,8 +21,6 @@ KEPT = {
     "check_unit": "the record log pins its tests' records under its own report title",
     "check_hertling_manin": "the record log pins its tests' records under its own report title",
     "evaluate_residual": "replays a failed battery record from its witness alone",
-    "conjugate": "the change of fiber frame that bfield_transform specializes to a shear",
-    "conjugate_unit": "the change of fiber frame that bfield_transform specializes to a shear",
 }
 
 

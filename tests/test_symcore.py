@@ -15,12 +15,12 @@ from fmanlin.symcore import (
     Poly,
     RatFunc,
     SingularMatrixError,
-    _inverse,
     exact_div,
     parse_expr,
     poly_gcd,
     solve_linear,
 )
+from references import _inverse
 
 X1 = ("x1",)
 XV = ("x1", "x2", "xi1")

@@ -2,7 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -12,6 +12,8 @@ from fmanlin.symcore import Poly, RatFunc, parse_expr
 from fmanlin.tensor import (
     Chart,
     TensorField,
+    ThreeForm,
+    TwoForm,
     _acc,
     assemble,
     contract,
@@ -19,7 +21,14 @@ from fmanlin.tensor import (
     lie_derivative,
     scaling_class,
 )
-from references import LeibnizError, Section, _verify_leibniz, vertical_lift
+from references import (
+    LeibnizError,
+    Section,
+    _verify_leibniz,
+    ref_three_form_is_closed,
+    ref_two_form_d,
+    vertical_lift,
+)
 
 C11 = Chart.standard(1, 1)
 C21 = Chart.standard(2, 1)
@@ -386,3 +395,28 @@ def test_vertical_lift_scaling_and_shape():
     lift = vertical_lift(s)
     assert lift == vec(C21, "0", "0", "x1 + x2")
     assert scaling_class(lift) == "core"
+
+
+def test_sparse_exterior_derivative_matches_the_dense_form():
+    # seeded forms with rational entries: `d` of a two-form equals the dense
+    # sum over every triple, and `is_closed` gives the dense verdict on closed
+    # three-forms (each the `d` of a two-form) and on random ones
+    rng = rng_for("tensor-exterior-derivative")
+    verdicts = Counter()
+    for trial in range(20):
+        n = 1 + trial % 5
+        chart = Chart.standard(n, 0)
+
+        def form(width):
+            keys = combinations(range(n), width)
+            return {key: rand_ratfunc(rng, chart.names) for key in keys if rng.random() < 0.6}
+
+        gamma = TwoForm(chart, form(2))
+        dg = gamma.d()
+        assert dg.table == ref_two_form_d(gamma)
+        for h in (dg, ThreeForm(chart, form(3))):
+            closed = h.is_closed()
+            assert closed == ref_three_form_is_closed(h)
+            verdicts[h is dg, bool(h.table), closed] += 1
+    assert verdicts[True, True, True] and verdicts[False, True, False]
+    assert not verdicts[True, True, False] and not verdicts[True, False, False]
