@@ -20,13 +20,12 @@ from .fman import (
     _Ctx,
     _euler_report,
     _map_euler_base,
-    _on_frames,
     _partials,
     _require,
 )
 from .report import Report
 from .symcore import RatFunc, SingularMatrixError, _ONE, _solve, exact_div, poly_gcd
-from .tensor import Chart, Connection, TensorField, _acc, _vadd
+from .tensor import Chart, Connection, TensorField, _acc, _grouped, _merged, _vadd
 
 __all__ = [
     "Connection",
@@ -154,14 +153,6 @@ def _map_unit_parallel(nabla: Connection, unit: dict) -> dict:
     return _merged(terms)
 
 
-def _grouped(pairs) -> dict:
-    """``{key: [item, ...]}`` from ``(key, item)`` pairs."""
-    out = {}
-    for key, item in pairs:
-        out.setdefault(key, []).append(item)
-    return out
-
-
 def _star_groups(c: MultComponents) -> tuple:
     """The star entries ``b^a_yz`` by output, first and second index:
     ``{a: [(y, z, b)]}``, ``{y: [(a, z, b)]}`` and ``{z: [(a, y, b)]}``."""
@@ -189,22 +180,6 @@ def _star_derivative_terms(c: MultComponents, nabla: Connection, groups: tuple):
             yield (a, x, m, z), -1, g * b
         for a, y, b in by_second.get(k, ()):  # G^c_xz b^a_yc
             yield (a, x, y, m), -1, g * b
-
-
-def _merged(terms) -> dict:
-    """``{key: sum of sign * value}`` over ``(key, sign, value)`` terms, nonzero
-    sums only.  Equal values at one key merge into an integer multiple first,
-    so a term that cancels or repeats costs no rational arithmetic."""
-    by_key = {}
-    for key, sign, val in terms:
-        vals = by_key.setdefault(key, {})
-        vals[val] = vals.get(val, 0) + sign
-    out = {}
-    for key, vals in by_key.items():
-        for val, sign in vals.items():
-            if sign:
-                _acc(out, key, val if sign == 1 else -val if sign == -1 else val * sign)
-    return out
 
 
 def _map_star_derivative_symmetric(c: MultComponents, nabla: Connection) -> dict:
@@ -462,9 +437,10 @@ def regular_connection(base: BaseFManifold, euler) -> Connection:
     ``X`` is ``i`` times the (i-1)-th power multiplied by ``X``.  With ``C``
     the inverse of the frame's coefficient matrix ``M``, ``d_j = sum_i C_ji P_i``
     has no partial, so ``nabla_{d_k} d_j = sum_i C_ji Q_ki`` with
-    ``Q_ki = i P_{i-1} * d_k - d_k P_i``: the Christoffel entries ``G^a_kj``
-    solve ``M^T x = (Q_ki^a)_i``, one elimination with a right-hand side for
-    each nonzero ``(k, a)``, each side cleared of its denominators (`_cleared`).
+    ``Q_ki = i P_{i-1} * d_k - d_k P_i``, the product read off the star
+    entries by first index: the Christoffel entries ``G^a_kj`` solve
+    ``M^T x = (Q_ki^a)_i``, one elimination with a right-hand side for each
+    nonzero ``(k, a)``, each side cleared of its denominators (`_cleared`).
     Invertibility of ``M`` is exactly the regularity of the input.
     """
     chart = base.chart
@@ -476,15 +452,16 @@ def regular_connection(base: BaseFManifold, euler) -> Connection:
     powers = [{a: f for a, f in enumerate(base.unit) if not f.is_zero()}]
     for _ in range(1, n):
         powers.append(star_product(c, powers[-1], evec))
-    star = _Ctx(c).star  # d_a * d_k, the star row
-    q = {}  # Q_ki^a at (k, a, i)
-    for i in range(1, n):
-        for k in range(n):
-            for a, w in _on_frames(powers[i - 1], lambda b: star[b, k]).items():
-                _acc(q, (k, a, i), w * i)
+    by_first = _grouped((b, (a, k, v)) for (a, b, k), v in c.star.items())
+    terms = [  # i P_{i-1} * d_k: each power joined with the star entries b^a_bk
+        ((k, a, i), i, f * v)
+        for i in range(1, n)
+        for b, f in powers[i - 1].items()
+        for a, k, v in by_first.get(b, ())
+    ]
     entries = (((a, i), f) for i, pw in enumerate(powers) for a, f in pw.items())
-    for k, (a, i), d in _partials(chart, entries):
-        _acc(q, (k, a, i), -d)
+    terms += [((k, a, i), -1, d) for k, (a, i), d in _partials(chart, entries)]  # d_k P_i
+    q = _merged(terms)  # Q_ki^a at (k, a, i)
     cols = sorted({(k, a) for k, a, _ in q})
     rhs = [_cleared([q.get((k, a, i), _ZERO) for i in range(n)]) for k, a in cols]
     mat = [[powers[i].get(a, _ZERO) for a in range(n)] for i in range(n)]

@@ -29,7 +29,6 @@ from .tensor import (
     _acc,
     _checked_table,
     _product_tables,
-    _vadd,
     _vsub,
     assemble,
     extract_components,
@@ -234,26 +233,6 @@ def _compile(entries) -> dict:
 # -- sparse coefficient-dict calculus -----------------------------------------
 
 
-def _frame_partial(chart: Chart, w: dict, k: int) -> dict:
-    """``d_k w``, which is ``[d_k, w] = -[w, d_k]``: frames have constant components."""
-    name = chart.names[k]
-    out = {}
-    for a, f in w.items():
-        d = f.partial(name)
-        if not d.is_zero():
-            out[a] = d
-    return out
-
-
-def _on_frames(u: dict, image) -> dict:
-    """``sum_a u[a] image(a)``: the map that sends ``d_a`` to ``image(a)``, at ``u``."""
-    out = {}
-    for a, w in u.items():
-        for key, val in image(a).items():
-            _acc(out, key, w * val)
-    return out
-
-
 def star_product(c: MultComponents, u: dict, v: dict) -> dict:
     """Base product of two base vector fields given as coefficient dicts."""
     rows = c.rows.star
@@ -291,22 +270,12 @@ def _frame(j: int) -> dict:
 # the pairs ``(x, y) < (z, v)`` with ``x <= y`` and ``z <= v``; its witness
 # ``(i, j, x, y, z, v)`` is scanned by ``(x, y, z, v)``, then ``i``, then ``j``.
 #
-# `_Ctx` holds the inputs of one battery and the package's one memo of
-# frame quantities: ``star[i, j]``, the frame product ``d_i * d_j`` (a star
-# row), and ``lie[r, k, p]``, the frame Lie derivative
-# ``L_{d_r}(*)(d_k, d_p)``.  Frames have constant components and commute, so
-# that Lie derivative is the partial ``d_r(d_k * d_p)`` (`_frame_partial`),
-# and ``lie_at`` reads any other bracket with a frame as a partial too,
-# ``[w, d_k] = -d_k w``.  `duality.regular_connection` and the five-field
-# scan read these two memos and keep no copy of their own; the battery's
-# table identities and the residual maps of `duality` and `gengeo` read
-# neither.
-# Memoized dicts are shared, so no caller mutates one.  Each value keeps its
-# own partials, so the base battery and the battery of its tangent
-# prolongation, which hold the same star entries, differentiate each once
-# between them.  `_Ctx` also keeps the assembled product and its Lie
-# derivative along the Euler field, which the two Euler oracles share and no
-# table identity reads, so the oracles stay independent of the table route.
+# `_Ctx` holds the inputs of one battery.  Each value keeps its own
+# partials, so the base battery and the battery of its tangent prolongation,
+# which hold the same star entries, differentiate each once between them.
+# `_Ctx` also keeps the assembled product and its Lie derivative along the
+# Euler field, which the two Euler oracles share and no table identity reads,
+# so the oracles stay independent of the table route.
 #
 # The prolongations, duals and direct sums hand the star table on as the
 # same checked object (`_checked_table`).  Its memo (`_kept`) holds the star
@@ -316,41 +285,15 @@ def _frame(j: int) -> dict:
 # table, in one process.  Oracles and fiber records run in every battery.
 
 
-class _Memo(dict):
-    """A dict that computes a missing entry from its key, once."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __missing__(self, key):
-        out = self[key] = self.fn(*key) if isinstance(key, tuple) else self.fn(key)
-        return out
-
-
 class _Ctx:
-    __slots__ = ("c", "e", "euler", "l2", "star", "lie", "euler_pair")
+    __slots__ = ("c", "e", "euler", "l2", "euler_pair")
 
     def __init__(self, c, e=None, euler=None, l2=None):
         self.c = c
         self.e = e
         self.euler = euler
         self.l2 = l2
-        # the memos close over c, never over self: no cycle keeps a context alive
-        star = self.star = _Memo(lambda i, j: dict(c.rows.star.get((i, j), ())))
-        self.lie = _Memo(lambda r, k, p: _frame_partial(c.chart, star[k, p], r))
         self.euler_pair = None  # (t, L_E t) for the assembled product t
-
-    def lie_at(self, w: dict, k, p) -> dict:
-        """``L_w(*)(d_k, d_p)``, from the frame memos.
-
-        ``[w, s] + (d_k w)*d_p + d_k*(d_p w)`` with ``s = d_k*d_p``, as
-        ``[w, d_k] = -d_k w``; ``[w, s] = sum_c w^c lie[c, k, p] - sum_c s^c d_c w``.
-        """
-        chart, star, lie = self.c.chart, self.star, self.lie
-        out = _on_frames(w, lambda c: lie[c, k, p])
-        out = _vsub(out, _on_frames(star[k, p], lambda c: _frame_partial(chart, w, c)))
-        out = _vadd(out, _on_frames(_frame_partial(chart, w, k), lambda a: star[a, p]))
-        return _vadd(out, _on_frames(_frame_partial(chart, w, p), lambda a: star[k, a]))
 
     def assembled_euler(self) -> tuple:
         """The assembled product ``t`` and ``L_E t``, read by the two Euler oracles."""
@@ -881,14 +824,6 @@ def _stage_report(title: str, ctx: _Ctx, names) -> Report:
     rep = Report(title)
     _run_into(rep, ctx, names)
     return rep
-
-
-def _vec_pairs(tuples, vec_fn):
-    """``((a, *idx), vec[a])`` for each index tuple and each output index ``a``."""
-    for idx in tuples:
-        vec = vec_fn(*idx)
-        for a in sorted(vec):
-            yield (a, *idx), vec[a]
 
 
 def _table_diffs(tables):

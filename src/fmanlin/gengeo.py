@@ -16,9 +16,9 @@ keep, scanned in witness order.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 
-from .duality import _grouped, _merged, check_flat_f, dualize, symmetric_bracket
+from .duality import check_flat_f, dualize, symmetric_bracket
 from .fman import (
     BaseFManifold,
     LinearVectorField,
@@ -33,7 +33,7 @@ from .fman import (
 from .prolong import _double_prolongation
 from .report import Report
 from .symcore import RatFunc
-from .tensor import Chart, Connection, ThreeForm, TwoForm
+from .tensor import Chart, Connection, ThreeForm, TwoForm, _grouped, _merged
 
 __all__ = [
     "TwoForm",
@@ -411,20 +411,19 @@ def _recover(c: MultComponents, e: LinearVectorField, ref: MultComponents) -> Tw
     For a shear of the double prolongation ``ref`` the skew part of the side
     difference, contracted with the unit, returns the two-form exactly; for
     anything else the result is merely the best candidate, and the
-    ``bfield-recovery`` record flags the mismatch.
+    ``bfield-recovery`` record flags the mismatch.  With ``D = c.l - ref.l``
+    that is ``gamma(m, p) = 1/2 sum_q beta^q (D^{n+q}_{pm} - D^{n+q}_{mp})`` at
+    ``m < p``: the side entries with an output index in the form block, an
+    input index in the vector block and a nonzero unit entry ``beta^q``.
     """
-    n = c.chart.n
-    table = {}
-    for m, p in combinations(range(n), 2):
-        acc = _ZERO
-        for q in range(n):
-            w = e.beta[q]
-            if w.is_zero():
-                continue
-            fwd = c.l_at(n + q, p, m) - ref.l_at(n + q, p, m)
-            bwd = c.l_at(n + q, m, p) - ref.l_at(n + q, m, p)
-            acc = acc + _HALF * w * (fwd - bwd)
-        table[(m, p)] = acc
+    n, beta = c.chart.n, e.beta
+    terms = []
+    for sign, table in ((1, c.l), (-1, ref.l)):
+        for (i, j, k), v in table.items():
+            if i >= n and j < n and j != k and not beta[i - n].is_zero():
+                key, skew = ((k, j), sign) if k < j else ((j, k), -sign)
+                terms.append((key, skew, beta[i - n] * v))
+    table = {key: _HALF * v for key, v in _merged(terms).items()}
     return TwoForm(c.chart.base(), table)
 
 

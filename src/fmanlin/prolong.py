@@ -10,21 +10,17 @@ double fiber.  The stacking is the block direct sum of tables and of units
 
 from __future__ import annotations
 
-from itertools import product
-
 from .fman import (
     BaseFManifold,
     LinearVectorField,
     MultComponents,
     check_battery,
-    _Ctx,
-    _on_frames,
+    _partials,
     _require,
-    _vec_pairs,
 )
 from .report import Report
 from .symcore import RatFunc, _Frozen
-from .tensor import Chart, Connection, _vadd, _vsub
+from .tensor import Chart, Connection, _grouped, _merged
 
 __all__ = [
     "ProlongedStructure",
@@ -187,40 +183,62 @@ def direct_sum_unit(e1: LinearVectorField, e2: LinearVectorField) -> LinearVecto
 # -- the five-field identity -----------------------------------------------------
 
 
-def _five_field_vec(ctx: _Ctx, x, y, z, v, w) -> dict:
-    """The five-field combination of product derivatives at frames.
-
-    On an integrable product it vanishes identically.  In general it reads
+def _map_five_field(c: MultComponents) -> dict:
+    """The five-field combination of product derivatives at frames, which
+    vanishes on an integrable product:
 
         L_W(*)([X*Y, Z], V) + L_W(*)([X*Y, V], Z)
         + L_W(*)(L_Y(*)(Z, V), X) + L_W(*)(L_X(*)(Z, V), Y)
         - X * (L_W(*)([Y, V], Z) + L_W(*)([Y, Z], V)) - (the same with X, Y swapped)
         + L_{L_W(*)(Z, V)}(*)(X, Y) - L_{L_W(*)(X, Y)}(*)(Z, V).
 
-    On coordinate frames the two terms with a bracket of frames vanish,
-    ``[d_x * d_y, d_z] = -L_{d_z}(*)(d_x, d_y)``, and ``L_{d_w}(*)`` is
-    tensorial, so every term reads the frame memos of ``ctx``.
+    On frames the bracket terms vanish, ``[d_x * d_y, d_z] = -L_{d_z}(*)(d_x,
+    d_y)`` and ``L_{d_w}(*)(d_z, d_v) = d_w(d_z * d_v)``, so with ``b^a_xy`` the
+    star entries the residual at ``(m, x, y, z, v, w)`` is ``G(P, Q) - G(Q, P)``
+    for ``P = (x, y)``, ``Q = (z, v)`` and
+
+        G(P, Q) = d_y b^a_zv d_w b^m_ax + d_x b^a_zv d_w b^m_ay
+                  + d_w b^c_zv d_c b^m_xy - b^c_xy d_c d_w b^m_zv
+                  + d_x d_w b^a_zv b^m_ay + d_y d_w b^a_zv b^m_xa.
+
+    The first partials are joined with each other, by the output index of
+    one and the first index or partial direction of the other, and the
+    second partials with the star entries by output, first and second index.
     """
-    lie = ctx.lie
-
-    def along_w(u: dict, t: int) -> dict:  # L_{d_w}(*)(u, d_t)
-        return _on_frames(u, lambda a: lie[w, a, t])
-
-    out = _vadd(along_w(lie[y, z, v], x), along_w(lie[x, z, v], y))
-    out = _vsub(out, _vadd(along_w(lie[z, x, y], v), along_w(lie[v, x, y], z)))
-    out = _vadd(out, ctx.lie_at(lie[w, z, v], x, y))
-    return _vsub(out, ctx.lie_at(lie[w, x, y], z, v))
+    star = c.star
+    first = list(_partials(c.chart, star.items()))  # (e, (a, x, y), d_e b^a_xy)
+    second = _partials(c.chart, (((w, key), d) for w, key, d in first))
+    by_first = _grouped((x, (w, m, y, d)) for w, (m, x, y), d in first)
+    by_direction = _grouped((e, (key, d)) for e, key, d in first)
+    by_out = _grouped((a, (x, y, b)) for (a, x, y), b in star.items())
+    by_left = _grouped((x, (m, y, b)) for (m, x, y), b in star.items())
+    by_right = _grouped((y, (m, x, b)) for (m, x, y), b in star.items())
+    g = []  # ((m, x, y, z, v, w), sign, term of G(P, Q))
+    for e, (a, z, v), p in first:
+        for w, m, f, d in by_first.get(a, ()):  # d_e b^a_zv d_w b^m_af, twice
+            pd = p * d
+            g += [((m, f, e, z, v, w), 1, pd), ((m, e, f, z, v, w), 1, pd)]
+        for (m, x, y), d in by_direction.get(a, ()):  # d_e b^a_zv d_a b^m_xy
+            g.append(((m, x, y, z, v, e), 1, p * d))
+    for e, (w, (a, z, v)), s in second:  # d_e d_w b^a_zv
+        g += [((a, x, y, z, v, w), -1, b * s) for x, y, b in by_out.get(e, ())]
+        g += [((m, e, y, z, v, w), 1, s * b) for m, y, b in by_left.get(a, ())]
+        g += [((m, x, e, z, v, w), 1, s * b) for m, x, b in by_right.get(a, ())]
+    terms = []
+    for (m, x, y, z, v, w), sign, val in g:
+        terms += [((m, x, y, z, v, w), sign, val), ((m, z, v, x, y, w), -sign, val)]
+    return _merged(terms)
 
 
 def check_five_field_identity(base: BaseFManifold) -> Report:
-    """Scan the five-field identity over every tuple of base frames."""
+    """Scan the five-field identity by frame tuple, then output index."""
     _require("the five-field identity check", base.verify())
-    ctx = _Ctx(base.components)
     rep = Report("five-field identity")
     law = "the five-field consequence of the integrability law vanishes"
+    residuals = _map_five_field(base.components)
     rep.scan(
         "five-field-identity",
         law,
-        _vec_pairs(product(range(ctx.c.n), repeat=5), lambda *idx: _five_field_vec(ctx, *idx)),
+        sorted(residuals.items(), key=lambda pair: (pair[0][1:], pair[0][0])),
     )
     return rep

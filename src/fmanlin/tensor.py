@@ -50,6 +50,30 @@ def _acc(out: dict, key, val: RatFunc):
         out[key] = total
 
 
+def _grouped(pairs) -> dict:
+    """``{key: [item, ...]}`` from ``(key, item)`` pairs."""
+    out = {}
+    for key, item in pairs:
+        out.setdefault(key, []).append(item)
+    return out
+
+
+def _merged(terms) -> dict:
+    """``{key: sum of sign * value}`` over ``(key, sign, value)`` terms, nonzero
+    sums only.  Equal values at one key merge into an integer multiple first,
+    so a term that cancels or repeats costs no rational arithmetic."""
+    by_key = {}
+    for key, sign, val in terms:
+        vals = by_key.setdefault(key, {})
+        vals[val] = vals.get(val, 0) + sign
+    out = {}
+    for key, vals in by_key.items():
+        for val, sign in vals.items():
+            if sign:
+                _acc(out, key, val if sign == 1 else -val if sign == -1 else val * sign)
+    return out
+
+
 def _vadd(a: dict, b: dict) -> dict:
     out = dict(a)
     for key, val in b.items():

@@ -35,7 +35,8 @@ reference for ``duality.regular_connection``.  :func:`apply_l`,
 on sections, and :func:`conjugate` and :func:`conjugate_unit` transport the
 tables through any invertible change of fiber frame, inverted by elimination
 (:func:`_inverse`): by :func:`shear_matrix` they are the reference route of
-``gengeo.bfield_transform``.  :func:`ref_two_form_d` and
+``gengeo.bfield_transform``, and :func:`ref_recover` reads the shear two-form
+pair by pair, the reference for ``gengeo._recover``.  :func:`ref_two_form_d` and
 :func:`ref_three_form_is_closed` are the dense exterior derivatives over every
 triple and quadruple.
 """
@@ -49,8 +50,6 @@ from fmanlin.fman import (
     BaseFManifold,
     LinearVectorField,
     MultComponents,
-    _Ctx,
-    _on_frames,
     _frame,
     star_product,
 )
@@ -236,6 +235,24 @@ def shear_matrix(n: int, gamma: TwoForm) -> list:
     for a, b in product(range(n), repeat=2):
         mat[n + a][b] = gamma.at(b, a)
     return mat
+
+
+def ref_recover(c: MultComponents, e: LinearVectorField, ref: MultComponents) -> TwoForm:
+    """The two-form of ``gengeo._recover``, pair by pair: ``1/2 sum_q beta^q
+    (D^{n+q}_{pm} - D^{n+q}_{mp})`` at every ``m < p``, with ``D = c.l - ref.l``."""
+    n = c.chart.n
+    table = {}
+    for m, p in combinations(range(n), 2):
+        acc = _ZERO
+        for q in range(n):
+            w = e.beta[q]
+            if w.is_zero():
+                continue
+            fwd = c.l_at(n + q, p, m) - ref.l_at(n + q, p, m)
+            bwd = c.l_at(n + q, m, p) - ref.l_at(n + q, m, p)
+            acc = acc + _HALF * w * (fwd - bwd)
+        table[(m, p)] = acc
+    return TwoForm(c.chart.base(), table)
 
 
 def ref_two_form_d(gamma: TwoForm) -> dict:
@@ -1043,10 +1060,9 @@ def ref_regular_connection(base: BaseFManifold, euler) -> Connection:
     for _ in range(1, n):
         powers.append(star_product(c, powers[-1], evec))
     cols = _inverse([[powers[i].get(a, _ZERO) for i in range(n)] for a in range(n)])
-    star = _Ctx(c).star
     gamma = {}
     for k in range(n):
-        moved = [_on_frames(pw, lambda a: star[a, k]) for pw in powers[:-1]]
+        moved = [star_product(c, pw, _frame(k)) for pw in powers[:-1]]
         for j in range(n):
             out = {}
             for i in range(n):

@@ -161,6 +161,16 @@ def edited_models(draw):
     return "\n".join(lines) + "\n"
 
 
+def square_zero_model(n: int, deformation: str) -> str:
+    """The square-zero base on ``n`` coordinates (unit e0, ei * ej = 0 for
+    i, j >= 1) with one more star line: a sparse model whose five-field scan
+    once visited all n^5 frame tuples."""
+    lines = ["[chart]", "base = " + " ".join(f"x{i + 1}" for i in range(n)), "[star]", "0 0 0 = 1"]
+    for i in range(1, n):
+        lines += [f"{i} 0 {i} = 1", f"{i} {i} 0 = 1"]
+    return "\n".join(lines + [deformation, "[unit]", "beta 0 = 1"]) + "\n"
+
+
 def every_fault(test):
     """Add each malformed value and each malformed line as an explicit example."""
     plane = (MODEL_DIR / "plane-base.fman").read_text()
@@ -179,6 +189,7 @@ def every_fault(test):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(text=st.one_of(model_texts(), edited_models()))
+@example(text=square_zero_model(32, "31 1 1 = 1/(x32 + 1)"))
 @every_fault
 def test_generated_models_keep_the_exit_code_contract(text):
     try:

@@ -923,7 +923,7 @@ def test_kernel_records_and_dual_battery_share_no_code(monkeypatch):
 
     # the dual battery, with the obstruction maps and their helpers forbidden
     with monkeypatch.context() as m:
-        frame_route = ("nabla_apply", "symmetric_bracket", "_Ctx", "_on_frames", "star_product")
+        frame_route = ("nabla_apply", "symmetric_bracket", "_Ctx", "star_product")
         for name in KERNEL_ROUTE + frame_route:
             m.setattr(duality, name, forbidden)
         dual_c, dual_e = dualize(c, e, nab)
@@ -932,12 +932,12 @@ def test_kernel_records_and_dual_battery_share_no_code(monkeypatch):
     assert rep.records[0] == want.record("dual-battery")
 
     # within the whole check, the dual battery calls none of the kernel
-    # route's maps, the kernel route calls every one of them, and neither
-    # fills a frame memo
+    # route's maps and the kernel route calls every one of them; neither
+    # has a frame memo to fill
     import fmanlin.fman as fman
 
-    called, in_dual, filled = set(), [], []
-    real_missing = fman._Memo.__missing__
+    assert not hasattr(fman, "_Memo") and not hasattr(duality, "_on_frames")
+    called, in_dual = set(), []
 
     def dual_flagged(*args):
         if not batteries:
@@ -958,10 +958,6 @@ def test_kernel_records_and_dual_battery_share_no_code(monkeypatch):
 
         return run
 
-    def recording(memo, key):
-        filled.append(memo)
-        return real_missing(memo, key)
-
     plane_c, plane_e = plane_example()
     plane_euler = LinearVectorField(C21, (rf("x1"), rf("x2/3")), ((0,),))
     cases = [(c, e, nab, euler), (plane_c, plane_e, Connection.zero(C21), plane_euler)]
@@ -973,10 +969,9 @@ def test_kernel_records_and_dual_battery_share_no_code(monkeypatch):
             for name in KERNEL_ROUTE:
                 m.setattr(duality, name, guarded(name, getattr(duality, name)))
             m.setattr(duality, "check_battery", dual_flagged)
-            m.setattr(fman._Memo, "__missing__", recording)
             assert check_duality_conditions(*args).records == want.records
         assert called == set(KERNEL_ROUTE) - {"_map_euler_base"}
-        assert len(batteries) == 1 and filled == []
+        assert len(batteries) == 1
     assert want.record("dual-battery").passed
 
 
@@ -1020,21 +1015,18 @@ def test_no_frame_memo_outlives_its_call(monkeypatch):
 
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            # the memo functions close over the tables, never over the context
-            cells = [
-                cell.cell_contents
-                for memo in (self.star, self.lie)
-                for cell in memo.fn.__closure__ or ()
-            ]
-            assert cells and not [x for x in cells if x is self]
             contexts.append(weakref.ref(self))
 
-    for module in (fman, duality, prolong):
+    # a context holds the inputs of one battery and no frame memo, and the
+    # five-field check builds none
+    assert not {"star", "lie"} & set(fman._Ctx.__slots__)
+    assert not hasattr(prolong, "_Ctx")
+    for module in (fman, duality):
         monkeypatch.setattr(module, "_Ctx", TrackedCtx)
     c, e = plane_example()
     euler = LinearVectorField(C21, (rf("x1"), rf("x2/3")), ((0,),))
     nab = Connection(C21, {(0, 1, 1): rf("x1")})
-    # released by reference counting alone: no cycle keeps a memo alive
+    # released by reference counting alone: no cycle keeps a context alive
     gc.disable()
     try:
         check_duality_conditions(c, e, nab, euler=euler)
@@ -1061,115 +1053,81 @@ def test_regular_flat_check_verifies_the_base_once(battery_runs):
 
 
 def test_frame_lie_derivatives_are_computed_once_per_check(monkeypatch):
-    """Each frame Lie derivative ``L_{d_r}(*)(d_k, d_p)`` is computed at most
-    once per context, as a miss of its ``lie`` memo, and never through
-    `lie_at` with a coordinate frame made by `_frame`.  The battery and the
-    duality conditions read the partials of their table entries and compute
-    none, and build no frame."""
-    import fmanlin.fman as fman
+    """A frame Lie derivative ``L_{d_r}(*)(d_k, d_p)`` is the partial
+    ``d_r b^a_kp`` of a star entry, as frames have constant components and
+    commute, so the package needs no general vector-field bracket.  Each
+    value keeps its partials: over the five-field check and the base battery
+    it runs first, each partial of a star entry and of such a partial is
+    computed at most once."""
+    kept, computed = [], Counter()
+    real_derivative = RatFunc._derivative
 
-    seen, made, frame_lie_at, contexts = Counter(), [], [], []
-    real_init, real_lie_at, real_frame = fman._Ctx.__init__, fman._Ctx.lie_at, fman._frame
+    def derivative(f, name):
+        kept.append(f)  # alive, so that its id stays its own
+        computed[id(f), name] += 1
+        return real_derivative(f, name)
 
-    def made_frame(j):
-        made.append(real_frame(j))
-        return made[-1]
-
-    def init(self, *args, **kwargs):
-        real_init(self, *args, **kwargs)
-        number, compute = len(contexts), self.lie.fn
-        contexts.append(self)
-
-        def counted(r, k, p):
-            seen[number, r, k, p] += 1
-            return compute(r, k, p)
-
-        self.lie.fn = counted
-
-    def lie_at(self, w, k, p):
-        if any(w is m for m in made):
-            frame_lie_at.append((w, k, p))
-        return real_lie_at(self, w, k, p)
-
-    monkeypatch.setattr(fman._Ctx, "__init__", init)
-    monkeypatch.setattr(fman._Ctx, "lie_at", lie_at)
-    monkeypatch.setattr(fman, "_frame", made_frame)
-    c, e = plane_example()
-    euler = LinearVectorField(C21, (rf("x1"), rf("x2/3")), ((0,),))
-    prol = tangent_prolongation(tangent_base_4())
-    check_five_field_identity(tangent_base_4())
-    assert seen and contexts
-    assert max(seen.values()) == 1
-    assert frame_lie_at == []
-    checks = [lambda: check_battery(prol.components, prol.unit).passed]
-    for nab in (Connection.zero(C21), Connection(C21, {(0, 1, 1): rf("x1")})):
-        checks.append(lambda nab=nab: check_duality_conditions(c, e, nab, euler=euler))
-    for check in checks:
-        seen.clear()
-        contexts.clear()
-        check()
-        assert contexts and not seen
-    assert made == [] and frame_lie_at == []
+    monkeypatch.setattr(RatFunc, "_derivative", derivative)
+    assert check_five_field_identity(tangent_base_4()).passed
+    assert computed and max(computed.values()) == 1
 
 
 def test_frame_memo_reads_brackets_with_a_frame_as_partials(monkeypatch):
     """The package has no general vector-field bracket, and the duality and
     flat-structure checks, the battery and the five-field check need none:
-    ``[d_z, u]`` is the partial ``d_z u`` (`_frame_partial`), and the frame
-    Lie derivatives are such partials.  The
-    duality and flat-structure checks build no frame at all: their maps read
-    table entries."""
+    ``[d_z, u]`` is the partial ``d_z u`` of a table entry, and the frame
+    Lie derivatives are such partials.  No check builds a coordinate frame:
+    the battery, the duality and flat-structure checks and the five-field
+    check read table entries."""
     import fmanlin.fman as fman
 
-    made, partials, lie_ats = [], [], []
-    real_frame, real_partial = fman._frame, fman._frame_partial
-    real_lie_at = fman._Ctx.lie_at
+    made, partials = [], []
+    real_frame, real_derivative = fman._frame, RatFunc._derivative
 
     def made_frame(j):
         made.append(real_frame(j))
         return made[-1]
 
-    def lie_at(self, w, k, p):
-        lie_ats.append((k, p))
-        return real_lie_at(self, w, k, p)
-
-    def counting(chart, w, k):
-        partials.append(k)
-        return real_partial(chart, w, k)
+    def derivative(f, name):
+        partials.append(name)
+        return real_derivative(f, name)
 
     monkeypatch.setattr(fman, "_frame", made_frame)
-    monkeypatch.setattr(fman, "_frame_partial", counting)
-    monkeypatch.setattr(fman._Ctx, "lie_at", lie_at)
+    monkeypatch.setattr(RatFunc, "_derivative", derivative)
     c, e = plane_example()
     euler = LinearVectorField(C21, (rf("x1"), rf("x2/3")), ((0,),))
-    nab = Connection(C21, {(0, 1, 1): rf("x1")})
-    check_duality_conditions(c, e, nab, euler=euler)
+    for nab in (Connection.zero(C21), Connection(C21, {(0, 1, 1): rf("x1")})):
+        check_duality_conditions(c, e, nab, euler=euler)
     regular_flat_check(base_plane(), (rf("x1+5", B2), rf("x2^2+1", B2)))
     prol = tangent_prolongation(tangent_base_4())
     assert check_battery(prol.components, prol.unit).passed
+    assert check_five_field_identity(base_plane()).passed
     assert check_five_field_identity(tangent_base_4()).passed
-    assert made == [] and partials and lie_ats
-    # the package has no general vector-field bracket, so `lie_at` reads
-    # ``[w, d_k * d_p]`` off the `lie` memo and the partials of ``w``
-    assert not hasattr(fman, "_vf_bracket")
+    assert made == [] and partials
+    for module in (fman, duality):
+        assert not hasattr(module, "_vf_bracket") and not hasattr(module, "_frame_partial")
+    assert not hasattr(fman._Ctx, "lie_at")
 
 
 def test_regular_connection_multiplies_each_power_by_a_frame_once(monkeypatch):
     """Only the n - 1 powers of the Euler field go through `star_product`;
-    each power below the top times ``d_k`` is read off the star rows once."""
-    calls, moved = [], []
-    real, real_on_frames = duality.star_product, duality._on_frames
+    each power below the top times every ``d_k`` is one join of its entries
+    with the star entries, grouped once by first index, and no frame memo
+    is read."""
+    calls, groupings = [], []
+    real, real_grouped = duality.star_product, duality._grouped
 
     def counting(c, u, v):
         calls.append((u, v))
         return real(c, u, v)
 
-    def on_frames(u, image):
-        moved.append(u)
-        return real_on_frames(u, image)
+    def grouping(pairs):
+        groupings.append(pairs)
+        return real_grouped(pairs)
 
     monkeypatch.setattr(duality, "star_product", counting)
-    monkeypatch.setattr(duality, "_on_frames", on_frames)
+    monkeypatch.setattr(duality, "_grouped", grouping)
+    assert not hasattr(duality, "_on_frames")
     B3 = Chart.standard(3, 0)
     semisimple = BaseFManifold(B3, {(i, i, i): 1 for i in range(3)}, (1, 1, 1))
     for base, euler in (
@@ -1177,10 +1135,9 @@ def test_regular_connection_multiplies_each_power_by_a_frame_once(monkeypatch):
         (semisimple, tuple(rf(f"x{i + 1} + {i + 1}", B3) for i in range(3))),
     ):
         calls.clear()
-        moved.clear()
+        groupings.clear()
         nab = regular_connection(base, euler)
-        n = base.chart.n
-        assert len(calls) == n - 1 and len(moved) == n * (n - 1)
+        assert len(calls) == base.chart.n - 1 and len(groupings) == 1
         assert check_flat_f(base, nab, euler=euler).passed
 
 
@@ -1463,6 +1420,6 @@ def test_check_flat_f_reads_tables_without_an_euler_candidate(monkeypatch):
     cases.append((base_plane(), nab, euler, rep.records))
     monkeypatch.setattr(duality, "nabla_apply", forbidden)
     monkeypatch.setattr(duality, "symmetric_bracket", forbidden)
-    monkeypatch.setattr(duality, "_on_frames", forbidden)
+    assert not hasattr(duality, "_on_frames")
     for base, nab, candidate, want in cases:
         assert check_flat_f(base, nab, candidate).records == want

@@ -44,6 +44,7 @@ from references import (
     courant_predicate_residuals,
     dorfman,
     pairing,
+    ref_recover,
     shear_matrix,
 )
 
@@ -592,12 +593,11 @@ def _shear_cases(rng, base):
     ]
 
 
-def test_shear_formula_matches_the_change_of_frame(monkeypatch):
-    # `bfield_transform` reads the table entries; the reference conjugates by
-    # the shear matrix, inverted by elimination, through the section operators
+def _shear_draws():
+    """``(c, e, gamma)``: the seeded cases of `_shear_cases` over three bases,
+    twice, each with a random rational two-form."""
     rng = rng_for("gengeo-shear-formula")
     line = BaseFManifold(B1, {(0, 0, 0): 1}, (1,))
-    moved = Counter()
     for base in (line, base_i2(), base_trivial3()) * 2:
         n = base.chart.n
         for c, e in _shear_cases(rng, base):
@@ -605,15 +605,36 @@ def test_shear_formula_matches_the_change_of_frame(monkeypatch):
                 base.chart,
                 {key: rand_ratfunc(rng, base.chart.names) for key in combinations(range(n), 2)},
             )
-            got_c, got_e = bfield_transform(c, e, gamma)
-            with monkeypatch.context() as m:
-                for name in ("bfield_transform", "_sheared", "_lam_table", "_partials"):
-                    m.setattr(gengeo, name, forbidden)
-                mat = shear_matrix(n, gamma)
-                want_c, want_e = conjugate(c, mat), conjugate_unit(e, mat)
-            assert got_c == want_c and got_e == want_e
-            moved.update(what for what, same in (("c", got_c == c), ("e", got_e == e)) if not same)
+            yield c, e, gamma
+
+
+def test_shear_formula_matches_the_change_of_frame(monkeypatch):
+    # `bfield_transform` reads the table entries; the reference conjugates by
+    # the shear matrix, inverted by elimination, through the section operators
+    moved = Counter()
+    for c, e, gamma in _shear_draws():
+        got_c, got_e = bfield_transform(c, e, gamma)
+        with monkeypatch.context() as m:
+            for name in ("bfield_transform", "_sheared", "_lam_table", "_partials"):
+                m.setattr(gengeo, name, forbidden)
+            mat = shear_matrix(gamma.chart.n, gamma)
+            want_c, want_e = conjugate(c, mat), conjugate_unit(e, mat)
+        assert got_c == want_c and got_e == want_e
+        moved.update(what for what, same in (("c", got_c == c), ("e", got_e == e)) if not same)
     assert moved["c"] >= 4 and moved["e"] >= 4
+
+
+def test_recovered_two_form_matches_the_pairwise_reference():
+    # `_recover` sums the side entries it needs; the reference visits every
+    # pair m < p and every unit entry
+    recovered = 0
+    for c, e, gamma in _shear_draws():
+        tc, te = bfield_transform(c, e, gamma)
+        for cand, unit, ref in ((tc, te, c), (c, e, tc), (tc, e, tc)):
+            got = gengeo._recover(cand, unit, ref)
+            assert got == ref_recover(cand, unit, ref)
+            recovered += not got.is_zero()
+    assert recovered >= 8
 
 
 def test_bfield_difference_tables_constant():

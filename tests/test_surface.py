@@ -133,28 +133,21 @@ def test_one_raw_rational_function_constructor():
     assert owner.name == "_raw"
 
 
-def test_one_frame_memo():
-    # `fman._Ctx` is the one memo of frame products and frame Lie derivatives:
-    # `_Memo` is defined once, in `fman`; only `_Ctx` takes a frame partial,
-    # so no other code keeps a copy of `L_{d_r}(*)(d_k, d_p)`; and only
-    # `fman` reads the compiled rows
-    defined, partial_calls, row_reads = [], [], []
+def test_only_fman_reads_compiled_rows():
+    # only `fman` reads the compiled rows; every other module joins table
+    # entries, and no module keeps a memo of frame products or frame Lie
+    # derivatives, or the frame helpers such a memo read through
+    row_reads, mentions = [], []
+    deleted = ("_Memo", "lie_at", "_frame_partial", "_on_frames", "_vec_pairs", "_five_field_vec")
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        owners = {}  # node -> name of the top-level statement holding it
-        for stmt in tree.body:
-            for node in ast.walk(stmt):
-                owners[node] = getattr(stmt, "name", None)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and node.name == "_Memo":
-                defined.append(path.stem)
-            elif isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "_frame_partial":
-                    partial_calls.append((path.stem, owners[node]))
-            elif isinstance(node, ast.Attribute) and node.attr == "rows":
+        text = path.read_text(encoding="utf-8")
+        mentions += [(path.stem, name) for name in deleted if name in text]
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute) and node.attr == "rows":
                 row_reads.append(path.stem)
-    assert defined == ["fman"]
-    assert partial_calls and set(partial_calls) == {("fman", "_Ctx")}
     assert row_reads and set(row_reads) == {"fman"}
+    assert mentions == []
+    fman = importlib.import_module("fmanlin.fman")
+    assert not {"star", "lie"} & set(fman._Ctx.__slots__)
+    for name in deleted:
+        assert not hasattr(fman, name) and not hasattr(fman._Ctx, name)
