@@ -26,10 +26,9 @@ from .symcore import RatFunc, _Frozen, _Value
 from .tensor import (
     Chart,
     TensorField,
-    _acc,
     _checked_table,
+    _merged,
     _product_tables,
-    _vsub,
     assemble,
     extract_components,
     lie_derivative,
@@ -236,15 +235,14 @@ def _compile(entries) -> dict:
 def star_product(c: MultComponents, u: dict, v: dict) -> dict:
     """Base product of two base vector fields given as coefficient dicts."""
     rows = c.rows.star
-    out = {}
+    terms = []
     for i, ui in u.items():
         for j, vj in v.items():
             row = rows.get((i, j))
             if row:
                 w = ui * vj
-                for a, b in row:
-                    _acc(out, a, b * w)
-    return out
+                terms += [(a, 1, b * w) for a, b in row]
+    return _merged(terms)
 
 
 def _frame(j: int) -> dict:
@@ -257,7 +255,12 @@ def _frame(j: int) -> dict:
 # function that computes it, with its record name, law and index space.
 # ``fn(ctx)`` is the whole residual as one sparse dict ``{witness: nonzero
 # residual}``.  A table identity multiplies it out once from the table
-# entries, the partials each value keeps and the compiled rows.  An oracle,
+# entries, the partials each value keeps and the compiled rows.  Each term is
+# a ``(witness, sign, value)`` tuple, and `tensor._merged` is the one sum of
+# every map and of the integrability oracle `hm_tensor`: equal values at one
+# witness merge into an integer multiple before any rational sum, so a term
+# that cancels, as every term of a passing identity does, costs no
+# arithmetic.  An oracle,
 # the identity with an empty space, reads it off an assembled tensor, with
 # none of the operators, rows and helpers of the identities it cross-checks.
 # `_scan` reads the witnesses in order and `evaluate_residual` looks one up,
@@ -352,16 +355,19 @@ def _partials(chart: Chart, entries):
 
 @_identity("side-tables-equal", "the two side tables agree", "kkn")
 def _map_side_tables(ctx: _Ctx) -> dict:
-    return {} if ctx.l2 is None else _vsub(ctx.c.l, ctx.l2)
+    if ctx.l2 is None:
+        return {}
+    terms = [(key, 1, v) for key, v in ctx.c.l.items()]
+    terms += [(key, -1, v) for key, v in ctx.l2.items()]
+    return _merged(terms)
 
 
 def _swap_difference(table) -> dict:
     """``t[key] - t[key with its last two indices swapped]``, over all keys."""
-    out = {}
+    terms = []
     for key, val in table.items():
-        _acc(out, key, val)
-        _acc(out, (*key[:-2], key[-1], key[-2]), -val)
-    return out
+        terms += ((key, 1, val), ((*key[:-2], key[-1], key[-2]), -1, val))
+    return _merged(terms)
 
 
 @_identity("star-symmetric", "b^a_ij = b^a_ji", "nnn")
@@ -378,34 +384,30 @@ def _map_derivative_symmetric(ctx: _Ctx) -> dict:
 def _map_star_associative(ctx: _Ctx) -> dict:
     star = ctx.c.rows.star
     by_left, by_right = _by(star, 0), _by(star, 1)
-    out = {}
+    terms = []
     for (x, y), row in star.items():
         for b, w in row:
             for (_, z), image in by_left.get(b, ()):  # (d_x * d_y) * d_z
-                for a, v in image:
-                    _acc(out, (a, x, y, z), w * v)
+                terms += [((a, x, y, z), 1, w * v) for a, v in image]
             for (z, _), image in by_right.get(b, ()):  # d_z * (d_x * d_y)
-                for a, v in image:
-                    _acc(out, (a, z, x, y), -(w * v))
-    return out
+                terms += [((a, z, x, y), -1, w * v) for a, v in image]
+    return _merged(terms)
 
 
 @_identity("l-composition", "l_X(l_Y s) = l_{X*Y} s", "kknn")
 def _map_l_composition(ctx: _Ctx) -> dict:
     rows = ctx.c.rows
     by_section, by_direction = _by(rows.l, 1), _by(rows.l, 0)
-    out = {}
+    terms = []
     for (p, j), row in rows.l.items():  # l_{d_k}(l_{d_p} s_j)
         for m, w in row:
             for (k, _), image in by_section.get(m, ()):
-                for i, v in image:
-                    _acc(out, (i, j, k, p), w * v)
+                terms += [((i, j, k, p), 1, w * v) for i, v in image]
     for (k, p), row in rows.star.items():  # l_{d_k * d_p} s_j
         for b, w in row:
             for (_, j), image in by_direction.get(b, ()):
-                for i, v in image:
-                    _acc(out, (i, j, k, p), -(w * v))
-    return out
+                terms += [((i, j, k, p), -1, w * v) for i, v in image]
+    return _merged(terms)
 
 
 @_identity(
@@ -416,37 +418,36 @@ def _map_l_composition(ctx: _Ctx) -> dict:
 def _map_second_derivative_symmetric(ctx: _Ctx) -> dict:
     rows = ctx.c.rows
     by_section, by_direction = _by(rows.l, 1), _by(rows.d, 1)
-    second = {}  # (i, j, k, p, r) -> (l_{d_r}(D_{d_k,d_p} s_j) + D_{d_k*d_p,d_r} s_j)^i
+    terms = []  # (i, j, k, p, r): (l_{d_r}(D_{d_k,d_p} s_j) + D_{d_k*d_p,d_r} s_j)^i
     for (j, k, p), row in rows.d.items():  # l_{d_r}(D_{d_k,d_p} s_j)
         for m, w in row:
             for (r, _), image in by_section.get(m, ()):
-                for i, v in image:
-                    _acc(second, (i, j, k, p, r), w * v)
+                terms += [((i, j, k, p, r), 1, w * v) for i, v in image]
     for (k, p), row in rows.star.items():  # D_{d_k*d_p,d_r} s_j
         for a, w in row:
             for (j, _, r), image in by_direction.get(a, ()):
-                for i, v in image:
-                    _acc(second, (i, j, k, p, r), w * v)
-    out = {}  # each tuple minus the tuple with its last three indices sorted
-    for (i, j, *kpr), val in second.items():
-        _acc(out, (i, j, *kpr), val)
-        if kpr == sorted(kpr):
-            for order in set(permutations(kpr)):
-                _acc(out, (i, j, *order), -val)
-    return out
+                terms += [((i, j, k, p, r), 1, w * v) for i, v in image]
+    # each tuple less the tuple with its last three indices sorted: a term at a
+    # sorted tuple moves, negated, to every other ordering of them
+    out = []
+    for (i, j, *kpr), sign, val in terms:
+        if kpr != sorted(kpr):
+            out.append(((i, j, *kpr), sign, val))
+        else:
+            out += [((i, j, *o), -sign, val) for o in set(permutations(kpr)) - {(*kpr,)}]
+    return _merged(out)
 
 
 def _unit_action(ctx: _Ctx, rows: dict, size: int) -> dict:
     """``(ebar . f_j)^a - delta_aj`` at ``(a, j)``, for rows keyed ``(b, j)``
     that give ``d_b . f_j`` on the frames ``f_j``."""
     ebar = ctx.e.base_vec()
-    out = {(j, j): -_ONE for j in range(size)}
+    terms = [((j, j), -1, _ONE) for j in range(size)]
     for (b, j), row in rows.items():
         w = ebar.get(b)
         if w is not None:
-            for a, v in row:
-                _acc(out, (a, j), w * v)
-    return out
+            terms += [((a, j), 1, w * v) for a, v in row]
+    return _merged(terms)
 
 
 @_identity("unit-star", "ebar * X = X", "nn")
@@ -463,19 +464,17 @@ def _map_unit_side(ctx: _Ctx) -> dict:
 def _map_unit_derivative(ctx: _Ctx) -> dict:
     c, e = ctx.c, ctx.e
     rows, ks = c.rows, range(c.rank)
-    out = {}
+    terms = []
     for (k, m), row in rows.l.items():  # l_{d_k}(Delta_e s_j), Delta_e s_j = -lam[.][j]
         for j in ks:
             w = e.lam[m][j]
             if not w.is_zero():
-                for i, v in row:
-                    _acc(out, (i, j, k), -(w * v))
+                terms += [((i, j, k), -1, w * v) for i, v in row]
     for (j, p, k), row in rows.d.items():  # D_{ebar,d_k} s_j
         w = e.beta[p]
         if not w.is_zero():
-            for i, v in row:
-                _acc(out, (i, j, k), -(w * v))
-    return out
+            terms += [((i, j, k), -1, w * v) for i, v in row]
+    return _merged(terms)
 
 
 @_identity("base-integrability", "L_{X*Y}(*) = X*L_Y(*) + Y*L_X(*)", "nnnnn")
@@ -486,21 +485,22 @@ def _map_base_integrability(ctx: _Ctx) -> dict:
     c = ctx.c
     star = c.rows.star
     by_out, by_first, by_second = _by_out(star), _by(star, 0), _by(star, 1)
-    out = {}
+    terms = []
     for e, (b, p, q), d in _partials(c.chart, c.star.items()):  # d_e t^b_pq
         for (r, s), w in by_out.get(e, ()):  # t^e_rs, twice
-            _acc(out, (b, r, s, p, q), w * d)
-            _acc(out, (b, p, q, r, s), -(w * d))
+            prod = w * d
+            terms += (((b, r, s, p, q), 1, prod), ((b, p, q, r, s), -1, prod))
         for (_, f), row in by_first.get(b, ()):  # t^a_bf
-            for a, w in row:
-                _acc(out, (a, p, q, e, f), w * d)
+            terms += [((a, p, q, e, f), 1, w * d) for a, w in row]
         for (f, _), row in by_second.get(b, ()):  # t^a_fb, three times
             for a, w in row:
                 prod = w * d
-                _acc(out, (a, p, q, f, e), prod)
-                _acc(out, (a, f, e, p, q), -prod)
-                _acc(out, (a, e, f, p, q), -prod)
-    return out
+                terms += (
+                    ((a, p, q, f, e), 1, prod),
+                    ((a, f, e, p, q), -1, prod),
+                    ((a, e, f, p, q), -1, prod),
+                )
+    return _merged(terms)
 
 
 @_identity("derivative-commutator", "[D_{X,Y}, l_Z] s = l_{L_Z(*)(X,Y)} s", "kknnn")
@@ -512,29 +512,25 @@ def _map_derivative_commutator(ctx: _Ctx) -> dict:
     rows = c.rows
     l_by_section, l_by_direction = _by(rows.l, 1), _by(rows.l, 0)
     d_by_section, star_by_out = _by(rows.d, 0), _by_out(rows.star)
-    out = {}
+    terms = []
     for (r, j), row in rows.l.items():  # the table of D_{d_k,d_p} on l_{d_r} s_j
         for m, w in row:
             for (_, k, p), image in d_by_section.get(m, ()):
-                for i, v in image:
-                    _acc(out, (i, j, k, p, r), w * v)
+                terms += [((i, j, k, p, r), 1, w * v) for i, v in image]
     for (j, k, p), row in rows.d.items():  # l_{d_r}(D_{d_k,d_p} s_j)
         for m, w in row:
             for (r, _), image in l_by_section.get(m, ()):
-                for i, v in image:
-                    _acc(out, (i, j, k, p, r), -(w * v))
+                terms += [((i, j, k, p, r), -1, w * v) for i, v in image]
     for e, (m, j, r), d in _partials(c.chart, c.l.items()):  # D on the coefficients
         for (q, _), image in l_by_section.get(m, ()):
             for i, v in image:
-                _acc(out, (i, j, e, q, r), v * d)
-                _acc(out, (i, j, q, e, r), v * d)
-        for (k, p), b in star_by_out.get(e, ()):
-            _acc(out, (m, j, k, p, r), -(b * d))
+                prod = v * d
+                terms += (((i, j, e, q, r), 1, prod), ((i, j, q, e, r), 1, prod))
+        terms += [((m, j, k, p, r), -1, b * d) for (k, p), b in star_by_out.get(e, ())]
     for r, (a, k, p), d in _partials(c.chart, c.star.items()):  # l_{L_{d_r}(*)(d_k,d_p)}
         for (_, j), image in l_by_direction.get(a, ()):
-            for i, v in image:
-                _acc(out, (i, j, k, p, r), -(v * d))
-    return out
+            terms += [((i, j, k, p, r), -1, v * d) for i, v in image]
+    return _merged(terms)
 
 
 @_identity(
@@ -559,36 +555,33 @@ def _map_derivative_bracket(ctx: _Ctx) -> dict:
     rows = c.rows
     d_by_section, d_by_direction = _by(rows.d, 0), _by(rows.d, 1)
     l_by_section, star_by_out = _by(rows.l, 1), _by_out(rows.star)
-    second = {}  # (i, j, *P, *Q) -> G(P, Q)
+    terms = []  # G(P, Q) at (i, j, *P, *Q), and G(Q, P), negated, at (i, j, *Q, *P)
 
-    def add(i, j, x, y, z, v, val):
+    def add(i, j, x, y, z, v, sign, val):
         if x <= y and z <= v:
-            _acc(second, (i, j, x, y, z, v), val)
+            if (x, y) < (z, v):
+                terms.append(((i, j, x, y, z, v), sign, val))
+            elif (z, v) < (x, y):
+                terms.append(((i, j, z, v, x, y), -sign, val))
 
     for (j, x, y), row in rows.d.items():  # the table of D_Q on D_P s_j
         for m, w in row:
             for (_, z, v), image in d_by_section.get(m, ()):
                 for i, u in image:
-                    add(i, j, x, y, z, v, w * u)
+                    add(i, j, x, y, z, v, 1, w * u)
     for e, (m, j, x, y), d in _partials(c.chart, c.d.items()):  # D_Q on its coefficients
         for (q, _), image in l_by_section.get(m, ()):
             for i, u in image:
-                add(i, j, x, y, e, q, u * d)
-                add(i, j, x, y, q, e, u * d)
+                add(i, j, x, y, e, q, 1, u * d)
+                add(i, j, x, y, q, e, 1, u * d)
         for (z, v), b in star_by_out.get(e, ()):
-            add(m, j, x, y, z, v, -(b * d))
+            add(m, j, x, y, z, v, -1, b * d)
     for e, (a, x, y), d in _partials(c.chart, c.star.items()):  # the star derivatives
         for (j, _, q), image in d_by_direction.get(a, ()):
             for i, u in image:
-                add(i, j, x, y, e, q, d * u)
-                add(i, j, x, y, q, e, d * u)
-    out = {}
-    for (i, j, x, y, z, v), val in second.items():
-        if (x, y) < (z, v):
-            _acc(out, (i, j, x, y, z, v), val)
-        elif (z, v) < (x, y):
-            _acc(out, (i, j, z, v, x, y), -val)
-    return out
+                add(i, j, x, y, e, q, 1, d * u)
+                add(i, j, x, y, q, e, 1, d * u)
+    return _merged(terms)
 
 
 def hm_tensor(t: TensorField) -> TensorField:
@@ -615,7 +608,9 @@ def hm_tensor(t: TensorField) -> TensorField:
     joined with the entries of ``t`` whose first index is ``e`` (the first two
     terms) or whose middle (the third) or last index (the other three) is
     ``b``.  Every term has a partial factor, so a constant entry adds no term
-    and a ``t`` with constant coefficients has an empty defect.
+    and a ``t`` with constant coefficients has an empty defect.  The terms
+    sum through `tensor._merged`, whose keys and values need no second check
+    (`TensorField._summed`).
     """
     if (t.p, t.q) != (2, 1):
         raise ValueError("the integrability defect needs a (2,1) tensor field")
@@ -632,21 +627,21 @@ def hm_tensor(t: TensorField) -> TensorField:
             d = val.partial(name)
             if not d.is_zero():
                 dt.setdefault(e, {})[(a, x, y)] = d
-    out: dict = {}
+    terms = []
     for e, partials in dt.items():
         for (b, p, q), d in partials.items():
             for r, s, w in by_first.get(e, ()):
                 prod = w * d
-                _acc(out, (b, r, s, p, q), prod)
-                _acc(out, (b, p, q, r, s), -prod)
-            for a, f, w in by_mid.get(b, ()):
-                _acc(out, (a, p, q, e, f), w * d)
+                terms += (((b, r, s, p, q), 1, prod), ((b, p, q, r, s), -1, prod))
+            terms += [((a, p, q, e, f), 1, w * d) for a, f, w in by_mid.get(b, ())]
             for a, f, w in by_last.get(b, ()):
                 prod = w * d
-                _acc(out, (a, p, q, f, e), prod)
-                _acc(out, (a, f, e, p, q), -prod)
-                _acc(out, (a, e, f, p, q), -prod)
-    return TensorField(t.chart, 4, 1, out)
+                terms += (
+                    ((a, p, q, f, e), 1, prod),
+                    ((a, f, e, p, q), -1, prod),
+                    ((a, e, f, p, q), -1, prod),
+                )
+    return TensorField._summed(t.chart, 4, 1, _merged(terms))
 
 
 @_identity(
@@ -656,16 +651,13 @@ def _oracle_integrability(ctx: _Ctx) -> dict:
     return hm_tensor(ctx.c.assemble()).coeffs
 
 
-def _euler_transport(ctx: _Ctx, table: dict) -> dict:
-    """``E^e d_e t - t`` at each key of the table ``t``, for the base part
-    ``E^e`` of the Euler field."""
+def _euler_transport(ctx: _Ctx, table: dict) -> list:
+    """The terms of ``E^e d_e t - t`` at each key of the table ``t``, for the
+    base part ``E^e`` of the Euler field."""
     beta = ctx.euler.beta
-    out = {}
-    for key, v in table.items():
-        _acc(out, key, -v)
-    for e, key, d in _partials(ctx.c.chart, table.items()):
-        _acc(out, key, beta[e] * d)
-    return out
+    terms = [(key, -1, v) for key, v in table.items()]
+    terms += [(key, 1, beta[e] * d) for e, key, d in _partials(ctx.c.chart, table.items())]
+    return terms
 
 
 @_identity("euler-base", "L_Ebar(*) = *", "nnn")
@@ -675,29 +667,26 @@ def _map_euler_base(ctx: _Ctx) -> dict:
     c = ctx.c
     star = c.rows.star
     by_out, by_first, by_second = _by_out(star), _by(star, 0), _by(star, 1)
-    out = _euler_transport(ctx, c.star)
+    terms = _euler_transport(ctx, c.star)
     for e, a, d in _partials(c.chart, enumerate(ctx.euler.beta)):  # d_e E^a
-        for (i, j), b in by_out.get(e, ()):
-            _acc(out, (a, i, j), -(b * d))
+        terms += [((a, i, j), -1, b * d) for (i, j), b in by_out.get(e, ())]
         for (_, j), row in by_first.get(a, ()):
-            for m, w in row:
-                _acc(out, (m, e, j), w * d)
+            terms += [((m, e, j), 1, w * d) for m, w in row]
         for (i, _), row in by_second.get(a, ()):
-            for m, w in row:
-                _acc(out, (m, i, e), w * d)
-    return out
+            terms += [((m, i, e), 1, w * d) for m, w in row]
+    return _merged(terms)
 
 
-def _lam_terms(out: dict, rows, lam: tuple) -> None:
-    """Add ``-lam[m][i] T^i`` at ``(m, j, *rest)`` and ``T^i lam[j][m]`` at
+def _lam_terms(rows, lam: tuple):
+    """``-lam[m][i] T^i`` at ``(m, j, *rest)`` and ``T^i lam[j][m]`` at
     ``(i, m, *rest)``, the terms of ``[Delta_E, T] s_j`` in ``lam``, for the
     rows ``((j, *rest), T s_j)``."""
     ks = range(len(lam))
     for (j, *rest), row in rows:
         for i, v in row:
             for m in ks:
-                _acc(out, (m, j, *rest), -(lam[m][i] * v))
-                _acc(out, (i, m, *rest), lam[j][m] * v)
+                yield (m, j, *rest), -1, lam[m][i] * v
+                yield (i, m, *rest), 1, lam[j][m] * v
 
 
 @_identity("euler-side", "[Delta_E, l_X] s - l_{[Ebar,X]} s = l_X s", "kkn")
@@ -707,13 +696,12 @@ def _map_euler_side(ctx: _Ctx) -> dict:
     c, euler = ctx.c, ctx.euler
     rows = c.rows
     by_direction = _by(rows.l, 0)
-    out = _euler_transport(ctx, c.l)
-    _lam_terms(out, (((j, k), row) for (k, j), row in rows.l.items()), euler.lam)
+    terms = _euler_transport(ctx, c.l)
+    terms += _lam_terms((((j, k), row) for (k, j), row in rows.l.items()), euler.lam)
     for k, a, d in _partials(c.chart, enumerate(euler.beta)):  # d_k E^a
         for (_, j), row in by_direction.get(a, ()):
-            for i, v in row:
-                _acc(out, (i, j, k), d * v)
-    return out
+            terms += [((i, j, k), 1, d * v) for i, v in row]
+    return _merged(terms)
 
 
 @_identity(
@@ -730,24 +718,21 @@ def _map_euler_derivative(ctx: _Ctx) -> dict:
     rows, ks = c.rows, range(c.rank)
     l_by_section, star_by_out = _by(rows.l, 1), _by_out(rows.star)
     d_by_first, d_by_second = _by(rows.d, 1), _by(rows.d, 2)
-    out = _euler_transport(ctx, c.d)
-    _lam_terms(out, rows.d.items(), euler.lam)
+    terms = _euler_transport(ctx, c.d)
+    terms += _lam_terms(rows.d.items(), euler.lam)
     lam = (((m, j), euler.lam[m][j]) for m in ks for j in ks)
     for e, (m, j), d in _partials(c.chart, lam):  # d_e lam[m][j]
         for (q, _), row in l_by_section.get(m, ()):
             for i, v in row:
-                _acc(out, (i, j, e, q), v * d)
-                _acc(out, (i, j, q, e), v * d)
-        for (k, p), b in star_by_out.get(e, ()):
-            _acc(out, (m, j, k, p), -(b * d))
+                prod = v * d
+                terms += (((i, j, e, q), 1, prod), ((i, j, q, e), 1, prod))
+        terms += [((m, j, k, p), -1, b * d) for (k, p), b in star_by_out.get(e, ())]
     for e, a, d in _partials(c.chart, enumerate(euler.beta)):  # d_e E^a
         for (j, _, p), row in d_by_first.get(a, ()):
-            for i, v in row:
-                _acc(out, (i, j, e, p), d * v)
+            terms += [((i, j, e, p), 1, d * v) for i, v in row]
         for (j, k, _), row in d_by_second.get(a, ()):
-            for i, v in row:
-                _acc(out, (i, j, k, e), d * v)
-    return out
+            terms += [((i, j, k, e), 1, d * v) for i, v in row]
+    return _merged(terms)
 
 
 @_identity("euler-components", "Lie-derivative components equal (d, l, star)")

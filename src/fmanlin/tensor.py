@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import cached_property
 from operator import attrgetter
 
-from .symcore import RatFunc, _Frozen, _Value
+from .symcore import RatFunc, _Frozen, _Value, _raw
 
 __all__ = [
     "Chart",
@@ -61,16 +61,23 @@ def _grouped(pairs) -> dict:
 def _merged(terms) -> dict:
     """``{key: sum of sign * value}`` over ``(key, sign, value)`` terms, nonzero
     sums only.  Equal values at one key merge into an integer multiple first,
-    so a term that cancels or repeats costs no rational arithmetic."""
+    so a term that cancels or repeats costs no rational arithmetic: a multiple
+    scales the numerator, which keeps the value canonical.
+
+    This is the one sum of every residual map, in `fman`, `duality`, `gengeo`
+    and `prolong`, and of the integrability oracle `fman.hm_tensor`."""
     by_key = {}
     for key, sign, val in terms:
-        vals = by_key.setdefault(key, {})
-        vals[val] = vals.get(val, 0) + sign
+        vals = by_key.get(key)
+        if vals is None:
+            by_key[key] = {val: sign}
+        else:
+            vals[val] = vals.get(val, 0) + sign
     out = {}
     for key, vals in by_key.items():
         for val, sign in vals.items():
             if sign:
-                _acc(out, key, val if sign == 1 else -val if sign == -1 else val * sign)
+                _acc(out, key, val if sign == 1 else _raw(val.num * sign, val.den))
     return out
 
 
@@ -236,6 +243,15 @@ class TensorField:
                 raise ValueError(f"bad index tuple {key} for a ({p},{q}) tensor")
             clean[tuple(key)] = val
         self.coeffs = clean
+
+    @staticmethod
+    def _summed(chart: Chart, p: int, q: int, coeffs: dict) -> "TensorField":
+        """The tensor with ``coeffs`` as they are, unchecked: for a dict summed
+        from checked tables, whose keys are tuples of the right width and range
+        and whose values are nonzero and canonical by construction."""
+        t = TensorField.__new__(TensorField)
+        t.chart, t.p, t.q, t.coeffs = chart, p, q, coeffs
+        return t
 
     # -- constructors ---------------------------------------------------------
 
@@ -447,7 +463,9 @@ def assemble(c) -> TensorField:
     entries.  A ``d`` entry puts ``a xi_j`` at ``(n+i, b, p)``; an ``l``
     entry puts ``a`` at ``(n+i, n+j, b)`` and at ``(n+i, b, n+j)``; a
     ``star`` entry puts ``a`` at its own base key.  These key shapes never
-    collide, and no value contains a fiber coordinate.
+    collide, and no value contains a fiber coordinate.  Only the ``d``
+    entries of one key sum, over distinct ``xi_j``, so no sum is zero and
+    the tensor takes the entries unchecked (`TensorField._summed`).
 
     The result obeys the Leibniz rule by construction.  Let ``T`` be the
     result and ``V = f d_{xi_j}`` the vertical lift of ``f s_j`` for a base
@@ -470,15 +488,11 @@ def assemble(c) -> TensorField:
     chart = c.chart
     n = chart.n
     xi = [RatFunc.variable(name) for name in chart.fiber_names]
-    out: dict[tuple[int, ...], RatFunc] = {}
-    for (i, j, b, p), val in c.d.items():
-        _acc(out, (n + i, b, p), val * xi[j])
+    out = _merged(((n + i, b, p), 1, val * xi[j]) for (i, j, b, p), val in c.d.items())
     for (i, j, b), val in c.l.items():
-        _acc(out, (n + i, n + j, b), val)
-        _acc(out, (n + i, b, n + j), val)
-    for key, val in c.star.items():
-        _acc(out, key, val)
-    return TensorField(chart, 2, 1, out)
+        out[(n + i, n + j, b)] = out[(n + i, b, n + j)] = val
+    out.update(c.star)
+    return TensorField._summed(chart, 2, 1, out)
 
 
 # -- base value types: a connection and differential forms --------------------

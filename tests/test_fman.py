@@ -13,7 +13,6 @@ from fmanlin.fman import (
     MultComponents,
     PreconditionError,
     _ASSOCIATIVITY,
-    _acc,
     _Ctx,
     _hm_into,
     _run_into,
@@ -34,6 +33,7 @@ from fmanlin.symcore import RatFunc, parse_expr
 from fmanlin.tensor import (
     Chart,
     TensorField,
+    _acc,
     _vadd,
     _vsub,
     contract,
@@ -365,6 +365,58 @@ def test_defect_tensor_matches_dense_reference_on_tangent_prolongation():
         base = square_zero_base(n, f"2/(x{n} + 3)")
         t = tangent_prolongation(base).components.assemble()
         assert hm_tensor(t).coeffs == dense_hm_reference(t).coeffs
+
+
+def test_summed_tensors_equal_their_checked_construction():
+    # `assemble` and `hm_tensor` hand the dicts they sum to the tensor
+    # unchecked (`TensorField._summed`).  On the tables of the dense defect
+    # references above and on seeded random tables, the checked constructor
+    # on the same entries gives the same tensor, with canonical values
+    chart = Chart.standard(2, 0)
+    base = BaseFManifold(chart, {(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1}, (1, 0))
+    bent = regular_connection(base, (rf("x1 + 5", chart), rf("x2^2 + 1", chart)))
+    cases = [tilted_plane("x2", "x1"), tilted_plane("x1", "x1")]
+    for nabla in (Connection.zero(chart), bent):
+        cases.append(generalized_prolongation(base, nabla).components)
+    for n in (2, 3):
+        cases.append(tangent_prolongation(square_zero_base(n, f"2/(x{n} + 3)")).components)
+    rng = rng_for("fman-summed-pass-through")
+    for _ in range(3):
+        d00, d01 = (rand_ratfunc(rng, C21.base_names, 2) for _ in range(2))
+        cases.append(tilted_plane(str(d00), str(d01)))
+    for trial in range(8):
+        cases.append(random_sparse_components(rng, 1 + trial % 2, 1 + trial // 4))
+    defects = 0
+    for c in cases:
+        t = c.assemble()
+        defect = hm_tensor(t)
+        defects += not defect.is_zero()
+        for summed in (t, defect):
+            assert TensorField(summed.chart, summed.p, summed.q, dict(summed.coeffs)) == summed
+            assert all(RatFunc(v.num, v.den) == v for v in summed.coeffs.values())
+    assert defects
+
+
+def test_mutation_check_reaches_every_term():
+    # `tests/mutate.py` flips and drops the sign of each term of `fman`: every
+    # residual map writes signed terms itself or through a helper the harness
+    # mutates, and every function it names exists
+    import ast
+
+    import fmanlin.fman as fman
+    import mutate
+
+    with open(fman.__file__, encoding="utf-8") as source:
+        fns = {fn.name: fn for fn in mutate.targets(ast.parse(source.read()))}
+    assert set(mutate.HELPERS + mutate.OTHERS) <= set(fns)
+    assert sum(name.startswith("_map_") for name in fns) == 15
+    for name, fn in fns.items():
+        calls = {
+            node.func.id
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        assert mutate.sign_sites(fn) or calls & set(mutate.HELPERS), name
 
 
 def test_defect_tensor_refuses_a_tensor_that_is_not_2_1():

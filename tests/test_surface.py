@@ -133,6 +133,18 @@ def test_one_raw_rational_function_constructor():
     assert owner.name == "_raw"
 
 
+def test_one_way_to_write_a_term():
+    # every residual map of `fman` and its integrability oracle collect
+    # `(key, sign, value)` terms and sum them through `tensor._merged`; no
+    # line of `fman` adds a value in place through `tensor._acc`
+    tree = ast.parse((PACKAGE / "fman.py").read_text(encoding="utf-8"))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
+    assert "_merged" in names
+    assert "_acc" not in names
+
+
 def test_only_fman_reads_compiled_rows():
     # only `fman` reads the compiled rows; every other module joins table
     # entries, and no module keeps a memo of frame products or frame Lie

@@ -6,7 +6,7 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import rand_fraction, rand_ratfunc, rng_for
+from conftest import rand_fraction, rand_poly, rand_ratfunc, rng_for
 from fmanlin.fman import MultComponents
 from fmanlin.symcore import Poly, RatFunc, parse_expr
 from fmanlin.tensor import (
@@ -15,6 +15,7 @@ from fmanlin.tensor import (
     ThreeForm,
     TwoForm,
     _acc,
+    _merged,
     assemble,
     contract,
     extract_components,
@@ -420,3 +421,57 @@ def test_sparse_exterior_derivative_matches_the_dense_form():
             verdicts[h is dg, bool(h.table), closed] += 1
     assert verdicts[True, True, True] and verdicts[False, True, False]
     assert not verdicts[True, True, False] and not verdicts[True, False, False]
+
+
+def test_merged_equals_the_sequential_sum(monkeypatch):
+    # `_merged` is the one sum of every residual map and of the integrability
+    # oracle, so it is checked against adding its terms one at a time with
+    # `_acc`: seeded term lists over a few keys, with values of degree <= 2 over
+    # non-constant denominators, repeated values (also as equal but distinct
+    # objects), signs in -3..3 and terms that cancel exactly
+    rng = rng_for("tensor-merged-sequential")
+    names = ("x1", "x2")
+    seen = Counter()
+    products = []
+    real_mul = RatFunc.__mul__
+
+    def counting(f, g):
+        products.append((f, g))
+        return real_mul(f, g)
+
+    for _ in range(60):
+        pool = []
+        while len(pool) < 4:
+            den = rand_poly(rng, names, max_deg=2, max_terms=2, nonzero=True)
+            val = RatFunc(rand_poly(rng, names, max_deg=2), den)
+            if not val.is_zero():
+                pool.append(val)
+        seen["non-constant denominator"] += sum(not v.den.is_const() for v in pool)
+        terms = []
+        for _ in range(rng.randint(1, 14)):
+            key, val = rng.randrange(3), rng.choice(pool)
+            if rng.random() < 0.3:
+                val = RatFunc(val.num, val.den)  # equal, not the same object
+            sign = rng.randint(-3, 3)
+            terms.append((key, sign, val))
+            if rng.random() < 0.25:  # cancelled in full, maybe in parts
+                terms += [(key, -sign, val)] if sign % 2 else [(key, -sign // 2, val)] * 2
+        want = {}
+        for key, sign, val in terms:
+            for _ in range(abs(sign)):
+                _acc(want, key, val if sign > 0 else -val)
+        with monkeypatch.context() as m:
+            m.setattr(RatFunc, "__mul__", counting)
+            got = _merged(terms)
+        assert got == want
+        assert all(RatFunc(v.num, v.den) == v for v in got.values())  # canonical
+        totals = Counter()
+        for key, sign, val in terms:
+            totals[key, val] += sign
+        seen["multiple"] += any(abs(t) > 1 for t in totals.values())
+        seen["cancelled"] += any(
+            t == 0 and any(s for k, s, v in terms if (k, v) == kv) for kv, t in totals.items()
+        )
+        seen["zero key"] += any(key not in got for key, _, _ in terms)
+    assert products == []  # an integer multiple scales the numerator
+    assert all(seen[k] for k in ("non-constant denominator", "multiple", "cancelled", "zero key"))
